@@ -31,6 +31,15 @@
 //!   costs about 5–6× the fast fused walk on the tracked machine (the
 //!   counters serialize the ladder's loads; see `EXPERIMENTS.md`), and this
 //!   ceiling keeps that honest overhead from silently growing.
+//!
+//! **Work-count gates** are hard too, and exact: instrumented node
+//! evaluations per request depend on the kernels and the trace only, so no
+//! noise can trip or hide them.
+//!
+//! * `node_evals_per_req_plru == node_evals_per_req_lru` — tree-PLRU stops
+//!   its walk at the first MRA hit, exactly as LRU does;
+//! * `node_evals_per_req_slru < node_evals_full_walk` — SLRU's settled-node
+//!   stop fires (a first MRA re-hit still walks on, so it may exceed LRU).
 
 use std::process::ExitCode;
 
@@ -88,9 +97,9 @@ fn parse_string(text: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_owned())
 }
 
-/// The hard same-run ratio gates (see the module docs): one error line per
-/// violated gate in the fresh JSON. Fields absent from older formats are
-/// skipped, never failed.
+/// The hard same-run ratio and work-count gates (see the module docs): one
+/// error line per violated gate in the fresh JSON. Fields absent from older
+/// formats are skipped, never failed.
 fn ratio_gates(fresh: &str) -> Vec<String> {
     let mut out = Vec::new();
     let backend = parse_string(fresh, "kernel_backend");
@@ -107,6 +116,23 @@ fn ratio_gates(fresh: &str) -> Vec<String> {
             out.push(format!(
                 "instrumented_over_fast_fused_fifo {ratio:.3} exceeds the \
                  {INSTR_OVERHEAD_CEILING:.1} ceiling"
+            ));
+        }
+    }
+    let evals = |p: &str| parse_scalar(fresh, &format!("node_evals_per_req_{p}"));
+    if let (Some(plru), Some(lru)) = (evals("plru"), evals("lru")) {
+        if plru != lru {
+            out.push(format!(
+                "node_evals_per_req_plru {plru} differs from node_evals_per_req_lru {lru}: \
+                 the tree-PLRU walk no longer stops at the first MRA hit"
+            ));
+        }
+    }
+    if let (Some(slru), Some(full)) = (evals("slru"), parse_scalar(fresh, "node_evals_full_walk")) {
+        if slru >= full {
+            out.push(format!(
+                "node_evals_per_req_slru {slru} is not below the full walk of {full} levels: \
+                 the SLRU settled-node stop never fires"
             ));
         }
     }
@@ -313,7 +339,11 @@ mod tests {
   "kernel_backend": "avx2",
   "speedup_fused_vs_per_assoc": 2.39,
   "speedup_fused_plru_vs_per_assoc": 1.22,
-  "instrumented_over_fast_fused_fifo": 5.95
+  "instrumented_over_fast_fused_fifo": 5.95,
+  "node_evals_per_req_lru": 5.8125,
+  "node_evals_per_req_plru": 5.8125,
+  "node_evals_per_req_slru": 6.9375,
+  "node_evals_full_walk": 15
 }"#;
 
     #[test]
@@ -359,6 +389,23 @@ mod tests {
             e[0].contains("instrumented_over_fast_fused_fifo 9.100"),
             "{e:?}"
         );
+    }
+
+    #[test]
+    fn plru_walking_past_the_mra_hit_fails_the_work_gate() {
+        let e = ratio_gates(&RATIOS.replace(
+            "\"node_evals_per_req_plru\": 5.8125",
+            "\"node_evals_per_req_plru\": 15.0000",
+        ));
+        assert_eq!(e.len(), 1, "{e:?}");
+        assert!(e[0].contains("node_evals_per_req_plru 15"), "{e:?}");
+    }
+
+    #[test]
+    fn slru_full_walk_fails_the_work_gate() {
+        let e = ratio_gates(&RATIOS.replace("6.9375", "15.0000"));
+        assert_eq!(e.len(), 1, "{e:?}");
+        assert!(e[0].contains("node_evals_per_req_slru 15"), "{e:?}");
     }
 
     #[test]

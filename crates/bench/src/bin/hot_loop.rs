@@ -36,7 +36,11 @@
 //!   comparable to the kernel variants above.
 //!
 //! The JSON also records `trace_traversals` per sweep shape so the fusion
-//! win stays visible in the perf trajectory.
+//! win stays visible in the perf trajectory, and the instrumented fused
+//! walks' node evaluations per request for every policy
+//! (`node_evals_per_req_<policy>`, next to the `node_evals_full_walk` level
+//! count). Those are work counts, not times, so `bench_guard` can gate them
+//! exactly: tree-PLRU must stop as early as LRU, SLRU below a full walk.
 //!
 //! Scale via `DEW_BENCH_QUICK=1` / `DEW_BENCH_MAX_REQUESTS=n`; the output
 //! path defaults to `BENCH_hot_loop.json` and can be overridden with
@@ -143,7 +147,7 @@ fn main() {
     // back to back, sharing one decode) versus one fused traversal. All
     // three fused/per-assoc variants are cross-checked against the fused
     // reference below.
-    let fused_reference = {
+    let (fused_reference, fifo_evals) = {
         let mut t = MultiAssocTree::instrumented(
             BLOCK_BITS,
             SET_BITS.0,
@@ -153,7 +157,7 @@ fn main() {
         )
         .expect("valid");
         t.run(records.iter().copied());
-        t.results()
+        (t.results(), t.counters().node_evaluations)
     };
     let mut record_variant = |name: &'static str, secs: f64| {
         let v = Variant {
@@ -226,7 +230,7 @@ fn main() {
         depth_zero_stop: true,
         duplicate_elision: false,
     };
-    let lru_reference = {
+    let (lru_reference, lru_evals) = {
         let mut sim = LruTreeSimulator::instrumented(
             BLOCK_BITS,
             SET_BITS.0,
@@ -236,7 +240,7 @@ fn main() {
         )
         .expect("valid");
         sim.run(records.iter().copied());
-        sim.results()
+        (sim.results(), sim.counters().node_evaluations)
     };
     let secs = best_of(samples, || {
         let blocks = decode_blocks(records, BLOCK_BITS);
@@ -286,7 +290,7 @@ fn main() {
     let plru_opts = PlruTreeOptions {
         duplicate_elision: false,
     };
-    let plru_reference = {
+    let (plru_reference, plru_evals) = {
         let mut sim = PlruTreeSimulator::instrumented(
             BLOCK_BITS,
             SET_BITS.0,
@@ -297,7 +301,7 @@ fn main() {
         .expect("valid");
         let blocks = decode_blocks(records, BLOCK_BITS);
         sim.run_blocks(&blocks);
-        sim.results()
+        (sim.results(), sim.counters().node_evaluations)
     };
     // The pre-fusion PLRU schedule: one single-associativity arena pass per
     // associativity, back to back, sharing one decode — what a sweep would
@@ -349,13 +353,13 @@ fn main() {
     });
     record_variant("fused_plru", secs);
 
-    let slru_reference = {
+    let (slru_reference, slru_evals) = {
         let mut sim =
             SlruTreeSimulator::instrumented(BLOCK_BITS, SET_BITS.0, SET_BITS.1, FUSED_MAX_ASSOC)
                 .expect("valid");
         let blocks = decode_blocks(records, BLOCK_BITS);
         sim.run_blocks(&blocks);
-        sim.results()
+        (sim.results(), sim.counters().node_evaluations)
     };
     // The pre-fusion SLRU schedule, mirroring the PLRU one.
     let secs = best_of(samples, || {
@@ -474,6 +478,19 @@ fn main() {
     println!("explore throughput pruned vs exhaustive: {explore_ratio:.2}x");
     let backend = dew_core::KernelBackend::active();
     println!("tag-scan backend: {}", backend.name());
+    // Work counts of the instrumented fused walks: a property of the
+    // kernels and the trace, not of the machine, so exact and noise-free.
+    let full_walk = SET_BITS.1 - SET_BITS.0 + 1;
+    let evals_per_req = [
+        ("fifo", fifo_evals),
+        ("lru", lru_evals),
+        ("plru", plru_evals),
+        ("slru", slru_evals),
+    ]
+    .map(|(p, evals)| (p, evals as f64 / n));
+    for (p, v) in evals_per_req {
+        println!("node evaluations per request, fused {p}: {v:.4} (full walk {full_walk})");
+    }
 
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -547,6 +564,10 @@ fn main() {
         json,
         "  \"instrumented_over_fast_fused_fifo\": {instr_overhead:.3},"
     );
+    for (p, v) in evals_per_req {
+        let _ = writeln!(json, "  \"node_evals_per_req_{p}\": {v:.4},");
+    }
+    let _ = writeln!(json, "  \"node_evals_full_walk\": {full_walk},");
     let _ = writeln!(
         json,
         "  \"explore_pruned_vs_exhaustive\": {explore_ratio:.3}"

@@ -195,10 +195,10 @@ pub enum FusedKernel {
     /// answers every associativity through the stack property).
     Lru(Box<LruTreeSimulator>),
     /// Tree-PLRU on the arena [`PlruTreeSimulator`] (per-lane direction
-    /// bits plus an MRA way pointer).
+    /// bits, MRA early termination).
     Plru(Box<PlruTreeSimulator>),
     /// SLRU on the arena [`SlruTreeSimulator`] (per-lane segmented recency
-    /// regions).
+    /// regions, MRA early termination at settled nodes).
     Slru(Box<SlruTreeSimulator>),
 }
 
@@ -497,6 +497,31 @@ mod tests {
             assert_eq!(counters.accesses, 7);
             assert!(kernel.footprint_bytes() > 0);
         }
+    }
+
+    #[test]
+    fn mra_stop_fires_for_plru_and_slru() {
+        // Short reuse (ping-pong, repeats, small loops) on a 4-level forest,
+        // so coarse-level MRA hits are frequent.
+        let mut blocks = Vec::new();
+        for i in 0..200u64 {
+            let (a, b) = (i % 13, 16 + i % 7);
+            blocks.extend([a, b, a, b, a, a, b, a, i % 5, i % 5 + 3, i % 5]);
+        }
+        let levels = 4u64;
+        let evals = |policy| {
+            let mut k = FusedKernel::build(2, (0, 3), (0, 2), DewOptions::for_policy(policy), true)
+                .expect("valid geometry");
+            k.run_blocks(&blocks);
+            k.pass_counters(4).expect("covered").node_evaluations
+        };
+        let lru = evals(TreePolicy::Lru);
+        // Both stop at the first MRA hit of the walk.
+        assert_eq!(evals(TreePolicy::Plru), lru);
+        // SLRU re-processes a node's first MRA hit, but stops at settled ones.
+        let slru = evals(TreePolicy::Slru);
+        assert!(lru < slru, "lru={lru} slru={slru}");
+        assert!(slru < levels * blocks.len() as u64, "slru={slru}");
     }
 
     #[test]

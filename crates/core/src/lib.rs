@@ -34,10 +34,12 @@
 //!   single move-to-front lane exact for every associativity at once (the
 //!   Janapsatya / CRCB comparator family the paper positions DEW against);
 //! * **tree-PLRU** — [`plru_tree::PlruTreeSimulator`]: per-lane direction
-//!   bits; like FIFO, PLRU never moves a resident block, so the shared MRA
-//!   lane re-touches a cached way without a search;
+//!   bits; re-touching the MRA block's way is a no-op, so the walk stops at
+//!   an MRA hit exactly as FIFO's does;
 //! * **SLRU** — [`slru_tree::SlruTreeSimulator`]: a segmented
-//!   protected/probationary recency lane that resists scan pollution.
+//!   protected/probationary recency lane that resists scan pollution; the
+//!   walk stops at an MRA hit once the node is settled (a first re-hit may
+//!   still promote the block).
 //!
 //! A [`SweepOutcome`] records the exact miss table, the per-pass work
 //! counters, the policy it was swept under and the honest

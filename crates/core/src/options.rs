@@ -10,20 +10,25 @@ use crate::space::DewError;
 /// The paper's target is [`TreePolicy::Fifo`]. [`TreePolicy::Lru`] exercises
 /// the paper's Section 2.1 remark that DEW "can simulate caches with the LRU
 /// replacement policy, but will typically be slower" than LRU-specialised
-/// methods: under LRU the MRA early termination must stay off (recency state
-/// below the stop level would go stale), so every request walks all levels.
+/// methods: the paper-faithful [`crate::DewTree`] walks every level under
+/// LRU tag lists, because its [`DewOptions::mra_stop`] toggle is FIFO-only
+/// ([`DewOptions::validate`]).
 ///
-/// [`TreePolicy::Plru`] (tree pseudo-LRU, the policy real embedded L1s ship)
-/// and [`TreePolicy::Slru`] (segmented LRU, scan-resistant) run on their own
-/// fused-arena kernels ([`crate::plru_tree`], [`crate::slru_tree`]); like
-/// LRU they must keep the MRA early stop off, because their per-set
-/// replacement state below a stop level would go stale.
+/// The fused sweeps run every policy on its own arena kernel, and every one
+/// of them stops the walk at an MRA hit (Property 2), with no toggle:
+/// [`crate::lru_tree`] (an MRU block stays MRU at every larger set count),
+/// [`crate::plru_tree`] for [`TreePolicy::Plru`] (tree pseudo-LRU, the
+/// policy real embedded L1s ship; re-touching the MRA way is a no-op), and
+/// [`crate::slru_tree`] for [`TreePolicy::Slru`] (segmented LRU,
+/// scan-resistant; it stops once a node is *settled*, because a first MRA
+/// re-hit may still promote the block). Each module states its argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TreePolicy {
     /// First-in first-out tag lists (the paper's subject).
     #[default]
     Fifo,
-    /// Least-recently-used tag lists (supported but slower; see above).
+    /// Least-recently-used tag lists (slower in the paper-faithful tree; see
+    /// above).
     Lru,
     /// Tree pseudo-LRU: one direction bit per internal node of a binary tree
     /// over the ways approximates LRU (power-of-two associativity only).
@@ -76,7 +81,9 @@ impl TreePolicy {
 /// enabled.
 ///
 /// * `mra_stop` — Property 2: when the requested tag equals a node's MRA tag,
-///   stop the walk and count hits for every larger set count.
+///   stop the walk and count hits for every larger set count. A toggle of
+///   the FIFO kernels only (for the Table 4 ablation); the LRU, tree-PLRU
+///   and SLRU arena kernels stop unconditionally (see [`TreePolicy`]).
 /// * `wave` — Property 3: use (and maintain) wave pointers to decide hit or
 ///   miss with one comparison instead of a tag-list search.
 /// * `mre` — Property 4: use (and maintain) the most-recently-evicted entry
@@ -149,9 +156,10 @@ impl DewOptions {
         }
     }
 
-    /// All sound properties enabled for LRU tag lists (the MRA early stop is
-    /// off, as required; wave pointers and MRE remain sound under LRU because
-    /// blocks never move between ways while resident).
+    /// All sound properties enabled for LRU tag lists (the FIFO-only
+    /// `mra_stop` toggle is off, as required — the arena LRU kernel stops on
+    /// its own; wave pointers and MRE remain sound under LRU because blocks
+    /// never move between ways while resident).
     #[must_use]
     pub fn lru() -> Self {
         DewOptions {
@@ -163,9 +171,10 @@ impl DewOptions {
         }
     }
 
-    /// Sound defaults for tree-PLRU lanes (the MRA early stop is off; the
-    /// wave/MRE toggles are carried but the PLRU arena kernel has no
-    /// intersection-link machinery to spend them on).
+    /// Sound defaults for tree-PLRU lanes (the FIFO-only `mra_stop` toggle
+    /// is off — the PLRU arena kernel stops on its own; the wave/MRE
+    /// toggles are carried but the kernel has no intersection-link
+    /// machinery to spend them on).
     #[must_use]
     pub fn plru() -> Self {
         DewOptions {
@@ -177,9 +186,10 @@ impl DewOptions {
         }
     }
 
-    /// Sound defaults for segmented-LRU lanes (the MRA early stop is off and
-    /// duplicate elision must stay off: a repeated access *promotes* a
-    /// probationary block, so eliding it would change state).
+    /// Sound defaults for segmented-LRU lanes (the FIFO-only `mra_stop`
+    /// toggle is off — the SLRU arena kernel stops at settled nodes on its
+    /// own — and duplicate elision must stay off: a repeated access
+    /// *promotes* a probationary block, so eliding it would change state).
     #[must_use]
     pub fn slru() -> Self {
         DewOptions {
@@ -210,8 +220,10 @@ impl DewOptions {
     /// # Errors
     ///
     /// [`DewError::UnsoundOptions`] when `mra_stop` is combined with any
-    /// policy other than [`TreePolicy::Fifo`] (replacement state below the
-    /// stop level would go stale), or when `dup_elision` is combined with
+    /// policy other than [`TreePolicy::Fifo`] (the toggle is FIFO-only: the
+    /// paper-faithful tree's LRU timestamps below the stop level would go
+    /// stale, and the arena kernels of the other policies apply their own
+    /// stop), or when `dup_elision` is combined with
     /// [`TreePolicy::Slru`] (a repeated access promotes a probationary
     /// block, so skipping it changes state).
     pub fn validate(&self) -> Result<(), DewError> {
@@ -221,8 +233,8 @@ impl DewOptions {
                     "the MRA early stop would leave LRU recency state stale at larger set counts"
                 }
                 _ => {
-                    "the MRA early stop would leave replacement state stale at larger set counts \
-                     (it is sound for FIFO only)"
+                    "the mra_stop toggle is FIFO-only: the tree-PLRU and SLRU kernels apply \
+                     their own MRA stop"
                 }
             }));
         }

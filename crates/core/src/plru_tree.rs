@@ -16,15 +16,17 @@
 //! * the **MRA lane** is policy-agnostic (Property 2's precondition — the
 //!   most recently accessed block of a set is resident at every
 //!   associativity — holds under any policy), so the direct-mapped results
-//!   and the per-level hit short-circuit are shared. The early *termination*
-//!   is not: stopping the walk would leave direction bits stale below, so
-//!   like LRU the walk always visits every level ([`crate::DewOptions::validate`]);
-//! * a per-lane **MRA way pointer** (the wave-pointer idea, Property 3,
-//!   re-aimed): PLRU never moves a resident block between ways, so the way
-//!   the MRA block occupied last time is where it still is — an MRA match
-//!   re-touches the direction bits without any tag search;
-//! * **duplicate elision** stays sound: touching the same way twice is
-//!   idempotent on the direction bits.
+//!   are shared;
+//! * the **MRA early stop** (Property 2) is exact here too. An MRA match
+//!   means the node's last access was this block, so the last update to
+//!   every lane's direction bits touched this block's way, and a touch is
+//!   idempotent: the node needs no update. The block is then also the MRA
+//!   of every finer node on its path (the finer set sees a subset of this
+//!   set's accesses, this block's last access included), so the walk stops;
+//! * **duplicate elision** stays sound for the same reason.
+//!
+//! A touch is constant-time: every `(lane, way)` has a precomputed
+//! `(path, set)` mask pair, and touching is `bits & !path | set`.
 //!
 //! Within one lane the update rule is exactly the reference semantics of
 //! `dew_cachesim`'s set (`crates/cachesim/src/set.rs`): victims follow the
@@ -62,8 +64,10 @@ use crate::space::{DewError, PassConfig};
 
 /// Snapshot magic of the arena tree-PLRU simulator.
 pub(crate) const SNAP_MAGIC: [u8; 4] = *b"DEWP";
-/// Snapshot format version of the arena tree-PLRU simulator.
-const SNAP_VERSION: u8 = 1;
+/// Snapshot format version of the arena tree-PLRU simulator. Version 1
+/// also carried a per-`(node, lane)` MRA way pointer; it still decodes, the
+/// pointers are skipped.
+const SNAP_VERSION: u8 = 2;
 
 /// Widest PLRU lane supported: the direction bits of one lane live in a
 /// single `u64` heap (matching `dew_cachesim`'s `MAX_PLRU_ASSOC`).
@@ -95,9 +99,8 @@ pub struct PlruTreeCounters {
     pub accesses: u64,
     /// Tree nodes visited.
     pub node_evaluations: u64,
-    /// Evaluations settled by the MRA comparison (a hit in every lane; the
-    /// walk continues — unlike FIFO there is no early termination — but no
-    /// lane needs a tag search, only a way-pointer re-touch).
+    /// Evaluations settled by the MRA comparison: a hit in every lane and
+    /// at every finer level, so the walk stops there.
     pub mra_hits: u64,
     /// Requests elided as consecutive duplicates.
     pub duplicate_skips: u64,
@@ -136,9 +139,6 @@ struct PlruArena {
     /// Direction bits per `(node, lane)`, heap-indexed with the root at
     /// bit 1 (the reference layout of `dew_cachesim`'s set).
     bits: Vec<u64>,
-    /// Way index of the MRA block per `(node, lane)`: resident blocks never
-    /// move between ways, so an MRA match re-touches this way directly.
-    mra_way: Vec<u32>,
     /// Node-index base per level plus a final total.
     node_off: Vec<usize>,
     /// `(1 << set_bits) - 1` per level.
@@ -165,7 +165,6 @@ impl PlruArena {
             mra: vec![INVALID_TAG; total],
             tags: TagLane::filled(total * stride, INVALID_TAG),
             bits: vec![0; total * num_lanes],
-            mra_way: vec![0; total * num_lanes],
             node_off,
             set_mask,
             // `max(1)`: an assoc-1-only forest still iterates its levels
@@ -189,21 +188,22 @@ fn plru_victim(bits: u64, assoc: usize) -> usize {
     idx - assoc
 }
 
-/// Points every direction bit on the path to `way` *away* from it
-/// (`dew_cachesim`'s `plru_touch`, on an external bit word).
-#[inline]
-fn plru_touch(bits: &mut u64, way: usize, assoc: usize) {
-    let levels = assoc.trailing_zeros();
+/// The touch of `way` as a `(path, set)` mask pair: `path` holds every
+/// direction bit on the way's root-to-leaf path, `set` those of them that
+/// must point right to point *away* from it. `bits & !path | set` is then
+/// `dew_cachesim`'s `plru_touch` on an external bit word.
+fn touch_masks(way: usize, assoc: usize) -> (u64, u64) {
+    let (mut path, mut set) = (0u64, 0u64);
     let mut idx = 1usize;
-    for level in (0..levels).rev() {
+    for level in (0..assoc.trailing_zeros()).rev() {
         let dir = (way >> level) & 1;
+        path |= 1 << idx;
         if dir == 0 {
-            *bits |= 1 << idx;
-        } else {
-            *bits &= !(1 << idx);
+            set |= 1 << idx;
         }
         idx = 2 * idx + dir;
     }
+    (path, set)
 }
 
 /// Exact single-pass tree-PLRU simulator for all set counts in a range and
@@ -222,6 +222,9 @@ pub struct PlruTreeSimulator {
     lane_off: Vec<usize>,
     /// Tag-region entries per node (sum of the lane widths).
     stride: usize,
+    /// [`touch_masks`] per `(lane, way)`, indexed like a node's tag region
+    /// (`lane_off[k] + way`).
+    touch: Vec<(u64, u64)>,
     arena: PlruArena,
     counters: PlruTreeCounters,
     /// Search comparisons per lane; instrumented only.
@@ -321,11 +324,12 @@ impl PlruTreeSimulator {
             .map(|b| 1 << b)
             .collect();
         let mut lane_off = Vec::with_capacity(lanes.len());
-        let mut stride = 0usize;
+        let mut touch = Vec::new();
         for &w in &lanes {
-            lane_off.push(stride);
-            stride += w as usize;
+            lane_off.push(touch.len());
+            touch.extend((0..w as usize).map(|way| touch_masks(way, w as usize)));
         }
+        let stride = touch.len();
         Ok(PlruTreeSimulator {
             arena: PlruArena::new(&pass, stride.max(1), lanes.len()),
             pass,
@@ -339,6 +343,7 @@ impl PlruTreeSimulator {
             lanes,
             lane_off,
             stride,
+            touch,
             counters: PlruTreeCounters::default(),
             prev_block: INVALID_TAG,
             instrument,
@@ -483,9 +488,8 @@ impl PlruTreeSimulator {
     }
 
     /// The kernel. Per level: one MRA comparison settles the direct-mapped
-    /// result; on a match every lane re-touches its MRA way pointer (no
-    /// searches, no misses anywhere — but no early termination either, the
-    /// direction bits of deeper levels still need the touch). On a mismatch
+    /// result; a match stops the walk (a hit in every lane here and below,
+    /// whose touch would be a no-op — see the module docs). On a mismatch
     /// each lane searches its valid prefix, touching the hit way or
     /// inserting at the first invalid way / the direction-bit victim.
     ///
@@ -514,16 +518,7 @@ impl PlruTreeSimulator {
                 if self.instrument {
                     self.counters.mra_hits += 1;
                 }
-                // Hit in every lane; the way pointer spares the search, the
-                // touch is mandatory.
-                for (k, &w) in self.lanes.iter().enumerate() {
-                    plru_touch(
-                        &mut a.bits[node * nk + k],
-                        a.mra_way[node * nk + k] as usize,
-                        w as usize,
-                    );
-                }
-                continue;
+                return;
             }
             a.dm_misses[li] += 1;
             a.mra[node] = block;
@@ -564,8 +559,8 @@ impl PlruTreeSimulator {
                         victim
                     }
                 };
-                plru_touch(bits, way, w);
-                a.mra_way[node * nk + k] = way as u32;
+                let (path, set) = self.touch[off + way];
+                *bits = *bits & !path | set;
             }
         }
     }
@@ -631,9 +626,9 @@ impl PlruTreeSimulator {
 
     /// The [`DewCounters`] view a standalone pass at `assoc` is entitled to
     /// report. The walk is shared, so the evaluation-level quantities are
-    /// shared verbatim; an MRA hit settles the node without a search (the
-    /// way pointer re-touch is free of tag comparisons) and maps onto the
-    /// `mra_stops` bucket, every other evaluation is a search in this lane.
+    /// shared verbatim; an MRA hit stops the walk without a search and maps
+    /// onto the `mra_stops` bucket, every other evaluation is a search in
+    /// this lane.
     /// Per-lane search comparisons are tracked separately so each view
     /// reports its own lane's work. Returns `None` when `assoc` was not
     /// simulated.
@@ -673,7 +668,7 @@ impl PlruTreeSimulator {
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
         let a = &self.arena;
-        a.mra.len() * 8 + a.tags.len() * 8 + a.bits.len() * 8 + a.mra_way.len() * 4
+        a.mra.len() * 8 + a.tags.len() * 8 + a.bits.len() * 8
     }
 
     /// Serialises the complete arena state to bytes under its own magic
@@ -717,14 +712,13 @@ impl PlruTreeSimulator {
         {
             put_u64(&mut out, v);
         }
-        for &v in &a.mra_way {
-            put_u32(&mut out, v);
-        }
         out
     }
 
     /// Restores a simulator from [`PlruTreeSimulator::to_snapshot`] output;
-    /// continuing it is bit-identical to the uninterrupted run.
+    /// continuing it is bit-identical to the uninterrupted run. Version-1
+    /// buffers decode too: their way pointers are range-checked and
+    /// dropped.
     ///
     /// # Errors
     ///
@@ -751,7 +745,7 @@ impl PlruTreeSimulator {
             return Err(SnapshotError::BadMagic);
         }
         let version = cur.u8()?;
-        if version != SNAP_VERSION {
+        if version != 1 && version != SNAP_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let (block_bits, min_set_bits, max_set_bits) = (cur.u32()?, cur.u32()?, cur.u32()?);
@@ -790,11 +784,11 @@ impl PlruTreeSimulator {
         {
             *v = cur.u64()?;
         }
-        let nk = sim.lanes.len();
-        for (i, v) in a.mra_way.iter_mut().enumerate() {
-            *v = cur.u32()?;
-            if nk > 0 && *v >= sim.lanes[i % nk] {
-                return Err(SnapshotError::Corrupt("way pointer out of range"));
+        if version == 1 {
+            for i in 0..a.bits.len() {
+                if cur.u32()? >= sim.lanes[i % sim.lanes.len()] {
+                    return Err(SnapshotError::Corrupt("way pointer out of range"));
+                }
             }
         }
         if cur.remaining() != 0 {

@@ -8,19 +8,29 @@
 //! a probationary segment. Misses insert at the probationary MRU position; a
 //! probationary hit promotes the block to the protected MRU, demoting the
 //! protected LRU block to probationary MRU when the protected segment is
-//! full; victims are always the probationary LRU block. Like LRU (and unlike
-//! FIFO) a hit mutates set state, so no early termination of the walk is
-//! sound; unlike LRU there is no stack property (a promotion reorders blocks
-//! non-monotonically across associativities), so each associativity gets its
-//! own lane: an ordered tag region `[protected MRU→LRU | probationary
-//! MRU→LRU | invalid]` plus a protected-length scalar. What carries over:
+//! full; victims are always the probationary LRU block. Unlike LRU there is
+//! no stack property (a promotion reorders blocks non-monotonically across
+//! associativities), so each associativity gets its own lane: an ordered tag
+//! region `[protected MRU→LRU | probationary MRU→LRU | invalid]` plus a
+//! protected-length scalar. What carries over:
 //!
-//! * the shared **MRA lane** (direct-mapped results and the per-level hit
-//!   short-circuit — sound under any policy);
+//! * the shared **MRA lane** (direct-mapped results — sound under any
+//!   policy);
 //! * an MRA-match fast path in the spirit of the wave pointers: the MRA
 //!   block sits either at the protected MRU slot (then the re-hit is a
 //!   no-op) or at the probationary MRU slot (then it promotes with one
-//!   bounded rotate) — no tag search either way.
+//!   bounded shift) — no tag search either way;
+//! * the **MRA early stop** (Property 2), gated by a per-node `settled`
+//!   flag. A first MRA re-hit may still promote the block, so the walk
+//!   cannot stop on every MRA match. But after one MRA hit the block is the
+//!   protected MRU of every lane, and a further MRA hit changes nothing.
+//!   The flag is set when an MRA hit is processed and cleared on an MRA
+//!   mismatch, so a set flag means the node's last two accesses were both
+//!   this block. Both accesses reach every finer node on the block's path
+//!   (a finer set sees a subset of this set's accesses, this block's
+//!   included), so those nodes are settled too, and the walk stops. A clear
+//!   flag is always safe: it only costs one re-processed MRA hit that
+//!   changes no state.
 //!
 //! Duplicate elision is **not** sound under SLRU — a repeated access
 //! promotes a probationary block — so this kernel has no elision option and
@@ -29,8 +39,8 @@
 //! Within one lane the update rule matches the reference semantics of
 //! `dew_cachesim`'s set (`crates/cachesim/src/set.rs`), which models the
 //! segments with a per-way protected flag and access stamps; here the
-//! segment order is held explicitly so hits and inserts are bounded rotates,
-//! exactly like the LRU kernel's recency regions.
+//! segment order is held explicitly so hits and inserts are bounded shifts
+//! (`shift_in`), like the LRU kernel's recency regions.
 //!
 //! # Examples
 //!
@@ -63,8 +73,9 @@ use crate::space::{DewError, PassConfig};
 
 /// Snapshot magic of the arena SLRU simulator.
 pub(crate) const SNAP_MAGIC: [u8; 4] = *b"DEWU";
-/// Snapshot format version of the arena SLRU simulator.
-const SNAP_VERSION: u8 = 1;
+/// Snapshot format version of the arena SLRU simulator. Version 1 had no
+/// settled flags; it still decodes, with every flag clear.
+const SNAP_VERSION: u8 = 2;
 
 /// Work counters of the SLRU simulator (instrumented kernel only; the fast
 /// kernel maintains just the request tally).
@@ -74,9 +85,9 @@ pub struct SlruTreeCounters {
     pub accesses: u64,
     /// Tree nodes visited.
     pub node_evaluations: u64,
-    /// Evaluations settled by the MRA comparison (a hit in every lane; the
-    /// walk continues, but every lane updates by position, without a
-    /// search).
+    /// Evaluations settled by the MRA comparison: a hit in every lane, which
+    /// updates by position without a search, or stops the walk when the
+    /// node is already settled.
     pub mra_hits: u64,
     /// Tag comparisons performed (the MRA comparison of each node evaluation
     /// plus the per-lane searches below it).
@@ -105,6 +116,9 @@ struct SlruArena {
     /// Protected-segment length per `(node, lane)`; never exceeds half the
     /// lane width.
     prot_len: Vec<u32>,
+    /// Per node: the last two accesses were both the MRA block, which is
+    /// therefore the protected MRU of every lane (see the module docs).
+    settled: Vec<bool>,
     /// Node-index base per level plus a final total.
     node_off: Vec<usize>,
     /// `(1 << set_bits) - 1` per level.
@@ -131,12 +145,25 @@ impl SlruArena {
             mra: vec![INVALID_TAG; total],
             tags: TagLane::filled(total * stride, INVALID_TAG),
             prot_len: vec![0; total * num_lanes],
+            settled: vec![false; total],
             node_off,
             set_mask,
             misses: vec![0; num_levels * num_lanes.max(1)],
             dm_misses: vec![0; num_levels],
         }
     }
+}
+
+/// Moves `region[..len - 1]` one slot toward the end and stores `block` at
+/// the front; the last entry drops out. This is `rotate_right(1)` plus a
+/// front store as an inline loop: lanes are a few ways wide, and the rotate
+/// of a runtime-length slice lowers to a `memmove` call.
+#[inline(always)]
+fn shift_in(region: &mut [u64], block: u64) {
+    for i in (1..region.len()).rev() {
+        region[i] = region[i - 1];
+    }
+    region[0] = block;
 }
 
 /// Exact single-pass SLRU simulator for all set counts in a range and all
@@ -401,14 +428,15 @@ impl SlruTreeSimulator {
     }
 
     /// The kernel. Per level: one MRA comparison settles the direct-mapped
-    /// result. On a match the block sits at a known position in every lane —
-    /// the protected MRU slot (re-hit is a no-op) or the probationary MRU
-    /// slot (one rotate promotes it) — so no lane searches. On a mismatch
-    /// each lane searches its valid prefix: a hit rotates the block to the
-    /// protected or segment front (growing the protected segment on a
-    /// probationary hit, demoting the protected LRU when it is full, both by
-    /// the same rotate); a miss inserts at the probationary MRU slot,
-    /// evicting the probationary LRU block when the lane is full.
+    /// result. On a match at a settled node the walk stops (see the module
+    /// docs). On any other match the block sits at a known position in
+    /// every lane — the protected MRU slot (re-hit is a no-op) or the
+    /// probationary MRU slot (one shift promotes it) — so no lane searches.
+    /// On a mismatch each lane searches its valid prefix: a hit shifts the
+    /// block to the protected or segment front (growing the protected
+    /// segment on a probationary hit, demoting the protected LRU when it is
+    /// full, both by the same shift); a miss inserts at the probationary
+    /// MRU slot, evicting the probationary LRU block when the lane is full.
     ///
     /// `S` is the tag-scan backend the wide compares run on ([`TagScan`]).
     fn kernel<S: TagScan>(&mut self, scan: S, block: u64) {
@@ -427,6 +455,10 @@ impl SlruTreeSimulator {
                 if self.instrument {
                     self.counters.mra_hits += 1;
                 }
+                if a.settled[node] {
+                    return;
+                }
+                a.settled[node] = true;
                 for (k, (&w, &off)) in self.lanes.iter().zip(self.lane_off.iter()).enumerate() {
                     let w = w as usize;
                     let cap = w / 2;
@@ -440,7 +472,7 @@ impl SlruTreeSimulator {
                     // coincide and the access is a probationary hit.
                     if p == 0 || lane[0] != block {
                         debug_assert_eq!(lane[p], block);
-                        lane[..=p].rotate_right(1);
+                        shift_in(&mut lane[..=p], block);
                         if p < cap {
                             *prot += 1;
                         }
@@ -450,6 +482,7 @@ impl SlruTreeSimulator {
             }
             a.dm_misses[li] += 1;
             a.mra[node] = block;
+            a.settled[node] = false;
             for (k, (&w, &off)) in self.lanes.iter().zip(self.lane_off.iter()).enumerate() {
                 let w = w as usize;
                 let cap = w / 2;
@@ -478,11 +511,11 @@ impl SlruTreeSimulator {
                     Some(d) => {
                         // Protected hit (d < prot_len): refresh within the
                         // protected segment. Probationary hit: the same
-                        // rotate promotes the block to protected MRU and,
-                        // when the protected segment is full, wraps its LRU
+                        // shift promotes the block to protected MRU and,
+                        // when the protected segment is full, moves its LRU
                         // block to index `prot_len` — the probationary MRU —
                         // demoting it.
-                        lane[..=d].rotate_right(1);
+                        shift_in(&mut lane[..=d], block);
                         if d >= p && p < cap {
                             *prot += 1;
                         }
@@ -490,14 +523,12 @@ impl SlruTreeSimulator {
                     None => {
                         a.misses[li * nk.max(1) + k] += 1;
                         // Insert at the probationary MRU slot. Not full: the
-                        // invalid way at `valid_len` wraps around and is
-                        // overwritten. Full: the probationary LRU block at
-                        // `w - 1` wraps around and is overwritten — the
+                        // invalid way at `valid_len` drops out. Full: the
+                        // probationary LRU block at `w - 1` drops out — the
                         // victim (the probationary segment is nonempty when
                         // the lane is full, since `prot_len <= w / 2 < w`).
                         let end = valid_len.min(w - 1);
-                        lane[p..=end].rotate_right(1);
-                        lane[p] = block;
+                        shift_in(&mut lane[p..=end], block);
                     }
                 }
             }
@@ -601,7 +632,7 @@ impl SlruTreeSimulator {
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
         let a = &self.arena;
-        a.mra.len() * 8 + a.tags.len() * 8 + a.prot_len.len() * 4
+        a.mra.len() * 8 + a.tags.len() * 8 + a.prot_len.len() * 4 + a.settled.len()
     }
 
     /// Serialises the complete arena state to bytes under its own magic
@@ -644,11 +675,14 @@ impl SlruTreeSimulator {
         for &v in &a.prot_len {
             put_u32(&mut out, v);
         }
+        out.extend(a.settled.iter().map(|&s| u8::from(s)));
         out
     }
 
     /// Restores a simulator from [`SlruTreeSimulator::to_snapshot`] output;
-    /// continuing it is bit-identical to the uninterrupted run.
+    /// continuing it is bit-identical to the uninterrupted run. Version-1
+    /// buffers decode with every settled flag clear, which changes no
+    /// result (see the module docs).
     ///
     /// # Errors
     ///
@@ -675,7 +709,7 @@ impl SlruTreeSimulator {
             return Err(SnapshotError::BadMagic);
         }
         let version = cur.u8()?;
-        if version != SNAP_VERSION {
+        if version != 1 && version != SNAP_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let (block_bits, min_set_bits, max_set_bits) = (cur.u32()?, cur.u32()?, cur.u32()?);
@@ -711,6 +745,15 @@ impl SlruTreeSimulator {
             *v = cur.u32()?;
             if nk > 0 && *v > sim.lanes[i % nk] / 2 {
                 return Err(SnapshotError::Corrupt("protected length out of range"));
+            }
+        }
+        if version == SNAP_VERSION {
+            for s in &mut a.settled {
+                *s = match cur.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(SnapshotError::Corrupt("settled flag out of range")),
+                };
             }
         }
         if cur.remaining() != 0 {

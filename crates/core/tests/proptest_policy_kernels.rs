@@ -10,13 +10,17 @@
 //! * **Snapshots** — a kernel interrupted anywhere resumes bit-identically
 //!   from its snapshot, and every kernel rejects every sibling's buffer as
 //!   a [`SnapshotError::PolicyMismatch`] naming both magics.
+//! * **The MRA early stop** of tree-PLRU and SLRU — on traces built from
+//!   short reuse, where coarse-level MRA hits are frequent, both kernels
+//!   stay exact in both instrumentation modes on every scan backend, and a
+//!   kill at any chunk resumes with bit-identical results *and* counters.
 
 use proptest::prelude::*;
 
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
 use dew_core::kernel::{FusedKernel, PolicyKernel};
 use dew_core::snapshot::SnapshotError;
-use dew_core::{ConfigSpace, DewOptions, SweepRequest, TreePolicy};
+use dew_core::{ConfigSpace, DewOptions, KernelBackend, SweepRequest, TreePolicy};
 use dew_trace::{decode_blocks, Record};
 
 /// Traces mixing tight locality with scattered far references, as in the
@@ -46,6 +50,62 @@ fn space_strategy() -> impl Strategy<Value = ConfigSpace> {
             .expect("ranges are non-inverted by construction")
         },
     )
+}
+
+/// Traces heavy in short reuse: `ABAB`, `AABA`, loops of up to 16 blocks
+/// (twice the widest lane of [`space_strategy`]) and the odd far reference.
+/// Addresses are spaced 1, 4, 16 or 64 bytes apart, so they share or split
+/// blocks differently at each block size of the space.
+fn reuse_trace_strategy() -> impl Strategy<Value = Vec<Record>> {
+    let motif = (0u64..24, 0u64..24, 0usize..4, 1u64..=16, 0u8..4).prop_map(
+        |(a, b, spacing, len, kind)| {
+            let s = [1u64, 4, 16, 64][spacing];
+            let (a, b) = (a * s, b * s);
+            match kind {
+                0 => vec![a, b, a, b],
+                1 => vec![a, a, b, a],
+                2 => (0..2 * len).map(|i| a + (i % len) * s).collect(),
+                _ => vec![4096 * (b + 1) + a],
+            }
+        },
+    );
+    prop::collection::vec(motif, 1..60)
+        .prop_map(|ms| ms.into_iter().flatten().map(Record::read).collect())
+}
+
+/// Every scan backend this build and machine can run (always `Scalar`).
+fn available_backends() -> Vec<KernelBackend> {
+    [
+        KernelBackend::Scalar,
+        KernelBackend::Sse2,
+        KernelBackend::Avx2,
+    ]
+    .into_iter()
+    .filter(|b| b.is_available())
+    .collect()
+}
+
+/// Builds a kernel pinned to `backend`.
+fn pinned_kernel(
+    policy: TreePolicy,
+    block_bits: u32,
+    set_bits: (u32, u32),
+    assoc_bits: (u32, u32),
+    instrument: bool,
+    backend: KernelBackend,
+) -> FusedKernel {
+    let mut kernel = FusedKernel::build(
+        block_bits,
+        set_bits,
+        assoc_bits,
+        DewOptions::for_policy(policy),
+        instrument,
+    )
+    .expect("valid geometry");
+    kernel
+        .force_scan_backend(backend)
+        .expect("the backend is available");
+    kernel
 }
 
 /// The reference simulator's policy matching each fused kernel.
@@ -167,6 +227,122 @@ proptest! {
                     straight.pass_results(assoc),
                     "fan-out at assoc {} diverged under {}", assoc, policy
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// (d) Under short reuse, tree-PLRU and SLRU stay exact with the MRA
+    /// stop: fused == associativity-pinned per-pass == oracle, in both
+    /// instrumentation modes and on every scan backend.
+    #[test]
+    fn plru_and_slru_mra_stop_is_exact_under_short_reuse(
+        records in reuse_trace_strategy(),
+        space in space_strategy(),
+    ) {
+        for policy in [TreePolicy::Plru, TreePolicy::Slru] {
+            let replacement = oracle_replacement(policy);
+            let (alo, ahi) = space.assoc_bits();
+            let (blo, bhi) = space.block_bits();
+            for block_bits in blo..=bhi {
+                let blocks = decode_blocks(&records, block_bits);
+                for instrument in [false, true] {
+                    for backend in available_backends() {
+                        let mut fused = pinned_kernel(
+                            policy, block_bits, space.set_bits(), (alo, ahi), instrument, backend,
+                        );
+                        fused.run_blocks(&blocks);
+                        for assoc_bits in alo..=ahi {
+                            let assoc = 1u32 << assoc_bits;
+                            let mut pinned = pinned_kernel(
+                                policy,
+                                block_bits,
+                                space.set_bits(),
+                                (assoc_bits, assoc_bits),
+                                instrument,
+                                backend,
+                            );
+                            pinned.run_blocks(&blocks);
+                            let got = fused.pass_results(assoc).expect("covered");
+                            prop_assert_eq!(
+                                Some(got.clone()),
+                                pinned.pass_results(assoc),
+                                "fused vs per-pass: {} assoc={} block_bits={} \
+                                 instrument={} backend={}",
+                                policy, assoc, block_bits, instrument, backend.name()
+                            );
+                            for level in got.levels() {
+                                let config = CacheConfig::new(
+                                    level.sets(), assoc, 1 << block_bits, replacement,
+                                )
+                                .expect("valid");
+                                prop_assert_eq!(
+                                    level.misses(),
+                                    simulate_trace(config, &records).misses(),
+                                    "oracle: {} sets={} assoc={} block_bits={} \
+                                     instrument={} backend={}",
+                                    policy, level.sets(), assoc, block_bits, instrument,
+                                    backend.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// (e) Under short reuse, a tree-PLRU or SLRU kernel killed after any
+    /// chunk resumes from its snapshot with bit-identical results,
+    /// instrumented counters and final state.
+    #[test]
+    fn plru_and_slru_kill_at_any_chunk_resume_bit_identically(
+        records in reuse_trace_strategy(),
+        chunk in 1usize..64,
+        kill_pick in 0usize..1000,
+    ) {
+        let blocks = decode_blocks(&records, 2);
+        let chunks: Vec<&[u64]> = blocks.chunks(chunk).collect();
+        let kill = kill_pick % (chunks.len() + 1);
+        for policy in [TreePolicy::Plru, TreePolicy::Slru] {
+            for instrument in [false, true] {
+                for backend in available_backends() {
+                    let build = || pinned_kernel(policy, 2, (0, 4), (0, 3), instrument, backend);
+                    let mut straight = build();
+                    for c in &chunks {
+                        straight.run_blocks(c);
+                    }
+                    let mut head = build();
+                    for c in &chunks[..kill] {
+                        head.run_blocks(c);
+                    }
+                    let mut resumed = FusedKernel::from_snapshot(policy, &head.to_snapshot())
+                        .expect("a kernel restores its own snapshot");
+                    resumed.force_scan_backend(backend).expect("available");
+                    for c in &chunks[kill..] {
+                        resumed.run_blocks(c);
+                    }
+                    for assoc in [1u32, 2, 4, 8] {
+                        prop_assert_eq!(
+                            resumed.pass_results(assoc),
+                            straight.pass_results(assoc),
+                            "{} results at assoc {}: kill after chunk {}/{} \
+                             instrument={} backend={}",
+                            policy, assoc, kill, chunks.len(), instrument, backend.name()
+                        );
+                        prop_assert_eq!(
+                            resumed.pass_counters(assoc),
+                            straight.pass_counters(assoc),
+                            "{} counters at assoc {}: kill after chunk {}/{} \
+                             instrument={} backend={}",
+                            policy, assoc, kill, chunks.len(), instrument, backend.name()
+                        );
+                    }
+                    prop_assert_eq!(resumed.to_snapshot(), straight.to_snapshot());
+                }
             }
         }
     }
