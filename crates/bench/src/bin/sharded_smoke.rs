@@ -1,10 +1,9 @@
 //! Sharded-sweep smoke benchmark: proves on every CI run that (a) the
 //! snapshot-handoff sharded sweep reproduces the sequential fused sweep
-//! miss for miss on a large synthetic Zipf trace, (b) the warmup-overlap
-//! estimate honours its cold-start slack bound under LRU, and (c) the
-//! streamed driver sweeps a trace far larger than the documented memory
-//! bound without materialising it — the process high-water mark
-//! (`VmHWM`) is asserted below [`MEMORY_BOUND_MIB`].
+//! miss for miss on a large synthetic Zipf trace, and (b) a streamed sweep
+//! covers a trace far larger than the documented memory bound without
+//! materialising it — the process high-water mark (`VmHWM`) is asserted
+//! below [`MEMORY_BOUND_MIB`].
 //!
 //! Writes `BENCH_sharded_smoke.json` (override with `DEW_BENCH_JSON`) in
 //! the same `{"name", "steps_per_sec"}` variant shape as the hot-loop
@@ -15,7 +14,7 @@
 //! the streamed length (this is the knob the EXPERIMENTS.md numbers use).
 //!
 //! `DEW_BENCH_CHAOS=1` runs the chaos smoke *instead* of the benchmark:
-//! the resilient sweep drivers under deterministic injected faults
+//! the resilient sweep plan under deterministic injected faults
 //! (transient open failures + seeded read faults) must reproduce the
 //! fault-free table bit for bit after retries, and a checkpoint image
 //! captured mid-run and round-tripped through the `.dewc` sidecar must
@@ -26,7 +25,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dew_bench::report::thousands;
-use dew_core::{ConfigSpace, DewOptions, ShardMode, ShardSpec, SweepRequest};
+use dew_core::{ConfigSpace, SweepRequest};
 use dew_trace::{Record, TraceError};
 use dew_workloads::zipf::Zipf;
 use rand::rngs::SmallRng;
@@ -156,10 +155,7 @@ fn chaos(requests: u64) {
     let store = MemoryCheckpointStore::new();
     let res = Resilience::new().with_checkpoint((requests / 4).max(1), &store);
     let ckpted = SweepRequest::new(&space)
-        .sharded(ShardSpec {
-            shards: SHARDS,
-            mode: ShardMode::SnapshotHandoff,
-        })
+        .sharded(SHARDS)
         .resilient(&res)
         .run(&records)
         .expect("checkpointed sharded sweep");
@@ -172,10 +168,7 @@ fn chaos(requests: u64) {
     let ckpt = SweepCheckpoint::from_bytes(&bytes).expect("sidecar decodes");
     let res = Resilience::new().resume_from(&ckpt);
     let resumed = SweepRequest::new(&space)
-        .sharded(ShardSpec {
-            shards: SHARDS,
-            mode: ShardMode::SnapshotHandoff,
-        })
+        .sharded(SHARDS)
         .resilient(&res)
         .run(&records)
         .expect("resumed sweep");
@@ -221,7 +214,7 @@ fn main() {
         variants.push((name, secs * 1e9 / steps, steps / secs));
     };
 
-    // Sequential fused sweeps, both policies: the references.
+    // The sequential fused sweep: the reference.
     let start = Instant::now();
     let sequential = SweepRequest::new(&space).run(&records).expect("sweep");
     record_variant(
@@ -229,18 +222,11 @@ fn main() {
         requests as f64,
         start.elapsed().as_secs_f64(),
     );
-    let lru_exact = SweepRequest::new(&space)
-        .options(DewOptions::lru())
-        .run(&records)
-        .expect("sweep");
 
     // Exact sharding: miss-for-miss equality with the sequential sweep.
     let start = Instant::now();
     let handoff = SweepRequest::new(&space)
-        .sharded(ShardSpec {
-            shards: SHARDS,
-            mode: ShardMode::SnapshotHandoff,
-        })
+        .sharded(SHARDS)
         .run(&records)
         .expect("sharded sweep");
     record_variant(
@@ -252,42 +238,6 @@ fn main() {
         handoff.sorted(),
         sequential.sorted(),
         "snapshot-handoff sharding diverged from the sequential sweep"
-    );
-
-    // Estimating sharding: the LRU slack bound must hold for every config.
-    let overlap = (requests / (4 * SHARDS as u64)) as usize;
-    let start = Instant::now();
-    let warmup = SweepRequest::new(&space)
-        .options(DewOptions::lru())
-        .sharded(ShardSpec {
-            shards: SHARDS,
-            mode: ShardMode::WarmupOverlap { overlap },
-        })
-        .run(&records)
-        .expect("warmup sweep");
-    record_variant(
-        "lru_warmup8",
-        warmup.records_simulated() as f64 / warmup.trace_traversals() as f64,
-        start.elapsed().as_secs_f64(),
-    );
-    let bounds = warmup.bounds().expect("warmup mode reports bounds");
-    assert!(bounds.guaranteed(), "LRU cold-start bound is guaranteed");
-    let mut worst_rel = 0.0f64;
-    for (sets, assoc, block) in space.configs() {
-        let truth = lru_exact.misses(sets, assoc, block).expect("covered");
-        let guess = warmup.misses(sets, assoc, block).expect("covered");
-        let slack = bounds.slack(sets, assoc, block).expect("covered");
-        assert!(
-            guess >= truth && guess - truth <= slack,
-            "({sets},{assoc},{block}): truth={truth} est={guess} slack={slack}"
-        );
-        if truth > 0 {
-            worst_rel = worst_rel.max((guess - truth) as f64 / truth as f64);
-        }
-    }
-    println!(
-        "warmup estimate worst relative error: {:.4}%",
-        worst_rel * 100.0
     );
 
     // Bounded-memory streaming: sweep a stream that never lives in memory.
@@ -330,10 +280,8 @@ fn main() {
     let _ = writeln!(json, "  \"requests\": {requests},");
     let _ = writeln!(json, "  \"stream_requests\": {stream_requests},");
     let _ = writeln!(json, "  \"shards\": {SHARDS},");
-    let _ = writeln!(json, "  \"overlap\": {overlap},");
     let _ = writeln!(json, "  \"vm_hwm_kib\": {hwm_kib},");
     let _ = writeln!(json, "  \"memory_bound_mib\": {MEMORY_BOUND_MIB},");
-    let _ = writeln!(json, "  \"warmup_worst_relative_error\": {worst_rel:.6},");
     json.push_str("  \"variants\": [\n");
     for (i, (name, ns, rate)) in variants.iter().enumerate() {
         let _ = writeln!(

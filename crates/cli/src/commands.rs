@@ -6,8 +6,8 @@ use std::path::Path;
 use dew_cachesim::classify::ThreeCClassifier;
 use dew_cachesim::{AllocatePolicy, Cache, CacheConfig, Replacement, WritePolicy};
 use dew_core::{
-    CancelToken, ConfigSpace, DewError, FileCheckpointStore, Resilience, RetryPolicy, ShardMode,
-    ShardSpec, SweepCheckpoint, SweepRequest, TreePolicy,
+    CancelToken, ConfigSpace, DewError, FileCheckpointStore, Resilience, RetryPolicy,
+    SweepCheckpoint, SweepRequest, TreePolicy,
 };
 use dew_explore::{
     best_edp_under, evaluate_sweep, explore_trace_with_shards, pareto_front, EnergyModel,
@@ -187,27 +187,6 @@ fn parse_sample(s: &str) -> Result<(usize, usize), CliError> {
     Ok((period, len))
 }
 
-fn parse_shard_spec(args: &Args) -> Result<Option<ShardSpec>, CliError> {
-    let shards = args.get_or("shards", 1usize)?;
-    if shards <= 1 {
-        return Ok(None);
-    }
-    let mode = match args.get("shard-mode").unwrap_or("handoff") {
-        "handoff" => ShardMode::SnapshotHandoff,
-        "warmup" => ShardMode::WarmupOverlap {
-            overlap: args.get_or("overlap", 8192usize)?,
-        },
-        other => {
-            return Err(CliError::Args(ArgsError::BadValue {
-                key: "shard-mode".into(),
-                value: other.into(),
-                ty: "shard reconciliation mode (handoff|warmup)",
-            }))
-        }
-    };
-    Ok(Some(ShardSpec { shards, mode }))
-}
-
 fn sweep(args: &Args) -> Result<String, CliError> {
     args.reject_unknown(&[
         "trace",
@@ -220,8 +199,6 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         "budget",
         "counters",
         "shards",
-        "shard-mode",
-        "overlap",
         "sample",
         "checkpoint",
         "checkpoint-every",
@@ -238,22 +215,23 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     let policy = parse_tree_policy(args.get("policy").unwrap_or("fifo"), "policy")?;
     let threads = args.get_or("threads", 0usize)?;
     let with_counters = args.flag("counters");
-    let spec = parse_shard_spec(args)?;
+    let shards = args.get_or("shards", 1usize)?;
+    let sharded = shards > 1;
     let sample = args.get("sample").map(parse_sample).transpose()?;
-    if sample.is_some() && spec.is_some() {
+    if sample.is_some() && sharded {
         return Err(CliError::Usage(
             "--sample and --shards are mutually exclusive (a sampled sweep already shards \
              into clusters)"
                 .into(),
         ));
     }
-    if with_counters && (sample.is_some() || spec.is_some()) {
+    if with_counters && (sample.is_some() || sharded) {
         return Err(CliError::Usage(
             "--counters needs the plain instrumented sweep; drop --shards/--sample".into(),
         ));
     }
 
-    // Resilience flags route through the fault-tolerant drivers: periodic
+    // Resilience flags select the fault-tolerant plan: periodic
     // checkpoints, bit-identical resume, retry with backoff, and degraded
     // partial results (exit code 3) instead of an all-or-nothing abort.
     let checkpoint_path = args.get("checkpoint");
@@ -288,11 +266,6 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     if resilient && with_counters {
         return Err(CliError::Usage(
             "--counters needs the plain instrumented sweep; drop the resilience flags".into(),
-        ));
-    }
-    if resilient && spec.is_some_and(|s| matches!(s.mode, ShardMode::WarmupOverlap { .. })) {
-        return Err(CliError::Usage(
-            "resilient sweeps shard exactly via snapshot handoff; drop --shard-mode warmup".into(),
         ));
     }
     let resume_image = match resume_path {
@@ -361,9 +334,8 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     // fast monomorphized kernel in batches — under either policy the passes
     // of a block size fuse into one traversal; --counters opts into the
     // instrumented kernel to report the per-pass work breakdown. --shards
-    // splits the trace into intervals (exact snapshot handoff by default,
-    // warmup-overlap estimation on request) and --sample keeps periodic
-    // clusters only.
+    // splits the trace into intervals crossed by exact snapshot handoff and
+    // --sample keeps periodic clusters only.
     let mut request = SweepRequest::new(&space)
         .policy(policy)
         .threads(threads)
@@ -371,8 +343,8 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     if let Some((period, len)) = sample {
         request = request.sampled(period, len);
     }
-    if let Some(spec) = spec {
-        request = request.sharded(spec);
+    if sharded {
+        request = request.sharded(shards);
     }
     let outcome = if resilient {
         request.resilient(&res).run(trace.records())?
@@ -415,20 +387,11 @@ fn sweep(args: &Args) -> Result<String, CliError> {
             total,
         ));
     }
-    if let Some(spec) = spec {
-        match spec.mode {
-            ShardMode::SnapshotHandoff => out.push_str(&format!(
-                "sharded into {} intervals via exact snapshot handoff (bit-identical \
-                 to the unsharded sweep)\n",
-                spec.shards,
-            )),
-            ShardMode::WarmupOverlap { overlap } => out.push_str(&format!(
-                "sharded into {} parallel intervals with {overlap}-request warmup replay \
-                 ({} records simulated)\n",
-                spec.shards,
-                outcome.records_simulated(),
-            )),
-        }
+    if sharded {
+        out.push_str(&format!(
+            "sharded into {shards} intervals via exact snapshot handoff (bit-identical \
+             to the unsharded sweep)\n"
+        ));
     }
     if let Some(bounds) = outcome.bounds() {
         out.push_str(&format!(
@@ -597,13 +560,9 @@ fn explore(args: &Args) -> Result<String, CliError> {
     };
     let threads = args.get_or("threads", 0usize)?;
     let top = args.get_or("top", 12usize)?;
-    // Exploration scores must stay exact, so --shards always means snapshot
-    // handoff here (bit-identical miss counts, bounded per-traversal memory).
+    // Sharding is exact snapshot handoff, so the exploration scores stay
+    // exact (bit-identical miss counts, bounded per-traversal memory).
     let shards = args.get_or("shards", 1usize)?;
-    let spec = (shards > 1).then_some(ShardSpec {
-        shards,
-        mode: ShardMode::SnapshotHandoff,
-    });
 
     let exploration = ExplorationSpace::new(space)
         .with_policies(&policies)
@@ -615,7 +574,7 @@ fn explore(args: &Args) -> Result<String, CliError> {
         &EnergyModel::default(),
         mode,
         threads,
-        spec,
+        shards,
     )?;
     let elapsed = start.elapsed().as_secs_f64();
 
@@ -1096,20 +1055,13 @@ mod tests {
             "handoff sharding is bit-identical"
         );
 
-        let warm = run(base.iter().copied().chain([
-            "--shards",
-            "4",
-            "--shard-mode",
-            "warmup",
-            "--overlap",
-            "500",
-            "--policy",
-            "lru",
-        ]))
-        .expect("warmup");
-        assert!(warm.contains("warmup replay"), "{warm}");
-        assert!(warm.contains("cold-start slack"), "{warm}");
-        assert!(warm.contains("guaranteed bound"), "{warm}");
+        let lru = run(base
+            .iter()
+            .copied()
+            .chain(["--sample", "100:25", "--policy", "lru"]))
+        .expect("sampled lru");
+        assert!(lru.contains("cold-start slack"), "{lru}");
+        assert!(lru.contains("guaranteed bound"), "{lru}");
 
         let sampled = run(base.iter().copied().chain(["--sample", "100:25"])).expect("sampled");
         assert!(
@@ -1132,13 +1084,6 @@ mod tests {
         assert!(matches!(
             run(base.iter().copied().chain(["--shards", "2", "--counters"])),
             Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(base
-                .iter()
-                .copied()
-                .chain(["--shards", "2", "--shard-mode", "bogus"])),
-            Err(CliError::Args(_))
         ));
         let _ = std::fs::remove_file(&bin);
     }
@@ -1232,17 +1177,6 @@ mod tests {
         ));
         assert!(matches!(
             run(base.iter().copied().chain(["--retries", "2", "--counters"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(base.iter().copied().chain([
-                "--checkpoint",
-                "x.dewc",
-                "--shards",
-                "2",
-                "--shard-mode",
-                "warmup"
-            ])),
             Err(CliError::Usage(_))
         ));
         // A missing resume file is an I/O error, not a crash.

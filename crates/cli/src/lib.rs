@@ -48,15 +48,12 @@ COMMANDS:
              [--policy fifo|lru|plru|slru] [--threads N (0 = auto)]
              [--csv FILE] [--budget BYTES]
              [--counters]  (instrumented kernel: per-pass work breakdown)
-             [--shards K]  (split the trace into K intervals; exact by
-              default via snapshot handoff — bit-identical results with
-              bounded per-traversal memory)
-             [--shard-mode handoff|warmup] [--overlap N (default 8192)]
-              (warmup: shards run in parallel, each replaying N preceding
-              requests; reports a cold-start slack bound per configuration,
-              guaranteed under lru, heuristic under fifo)
+             [--shards K]  (split the trace into K intervals crossed by
+              exact snapshot handoff — bit-identical results with bounded
+              per-traversal memory)
              [--sample PERIOD:LEN]  (keep the leading LEN of every PERIOD
-              requests; estimates carry the same per-cluster slack bound)
+              requests; reports a per-cluster cold-start slack bound per
+              configuration, guaranteed under lru, heuristic otherwise)
              [--checkpoint FILE] [--checkpoint-every N (default 1000000)]
               (periodically persist every job's kernel snapshot + position
               to a sidecar file; a killed run resumes bit-identically)

@@ -3,9 +3,9 @@
 //! A [`CancelToken`] is a cheap, cloneable handle shared between the party
 //! running a sweep and any party that may want to stop it early — a service
 //! enforcing a per-job wall-clock deadline, a `cancel` request from a
-//! client, or a SIGINT handler in the batch CLI. The resilient sweep
-//! drivers ([`crate::sweep_trace_resilient`] and friends) poll the token at
-//! chunk boundaries via [`Resilience::with_cancel`](crate::Resilience::with_cancel);
+//! client, or a SIGINT handler in the batch CLI. A resilient sweep
+//! ([`crate::SweepRequest::resilient`]) polls the token at chunk
+//! boundaries via [`Resilience::with_cancel`](crate::Resilience::with_cancel);
 //! on cancellation every in-flight job **flushes a final checkpoint** (when
 //! checkpointing is enabled) and stops, so a cancelled sweep is always
 //! resumable from exactly where it was interrupted.

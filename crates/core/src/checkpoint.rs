@@ -10,8 +10,8 @@
 //! `tests/snapshot_and_timeline.rs`) and the fused kernels are insensitive
 //! to how the record stream is chunked, "restore every job's kernel and
 //! replay the remaining records" is not an approximation: it reproduces the
-//! uninterrupted sweep bit for bit. The resilient drivers in
-//! [`crate::sweep`] write and consume these through a [`CheckpointStore`].
+//! uninterrupted sweep bit for bit. The sweep driver in
+//! [`crate::sweep`] writes and consumes these through a [`CheckpointStore`].
 //!
 //! A checkpoint also records a *fingerprint* of the sweep it belongs to
 //! (configuration space + options + policy), so resuming with a different

@@ -47,15 +47,15 @@
 //! builds design-space exploration (energy scoring, Pareto frontiers) on
 //! top of it. The repository's `docs/GUIDE.md` walks the full pipeline.
 //!
-//! Execution plans are orthogonal builder axes on [`SweepRequest`]: long
-//! traces need not be resident ([`SweepRequest::run_streamed`] decodes a
-//! re-openable source in bounded chunks), can be sharded into intervals
-//! reconciled exactly (snapshot handoff — bit-identical to the unsharded
-//! sweep) or approximately (warmup overlap, with [`ShardBounds`] slack),
-//! or sampled from periodic clusters with the same per-cluster bound. The
-//! free `sweep_trace*` functions remain as deprecated forwarders.
+//! Execution plans are orthogonal builder axes on [`SweepRequest`], and one
+//! sweep driver runs them all: long traces need not be resident
+//! ([`SweepRequest::run_streamed`] decodes a re-openable source in bounded
+//! chunks), can be sharded into intervals whose kernel state crosses each
+//! boundary as snapshot bytes ([`SweepRequest::sharded`] — bit-identical
+//! to the unsharded sweep), or sampled from periodic clusters with a
+//! per-cluster cold-start bound ([`ShardBounds`]).
 //!
-//! Long runs also need not be fragile: [`SweepRequest::resilient`] wraps
+//! Long runs also need not be fragile: [`SweepRequest::resilient`] runs
 //! the same kernels with checkpoint/resume (a [`SweepCheckpoint`] persists
 //! every job's kernel snapshot and decode position, and resuming is
 //! bit-identical), retry with bounded exponential backoff for transient
@@ -137,11 +137,5 @@ pub use results::{
 };
 pub use simd::KernelBackend;
 pub use space::{ConfigSpace, DewError, PassConfig};
-#[allow(deprecated)]
-pub use sweep::{
-    sweep_trace, sweep_trace_instrumented, sweep_trace_resilient, sweep_trace_sampled,
-    sweep_trace_sharded, sweep_trace_sharded_resilient, sweep_trace_streamed,
-    sweep_trace_streamed_resilient, ShardMode, ShardSpec,
-};
 pub use timeline::{MissTimeline, WindowSample};
 pub use tree::DewTree;

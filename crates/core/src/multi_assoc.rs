@@ -1,5 +1,5 @@
 //! **Extension**: all associativities of one block size in one FIFO pass —
-//! the *fused* kernel behind [`crate::sweep_trace`]'s one-traversal-per-block-size
+//! the *fused* kernel behind [`crate::SweepRequest`]'s one-traversal-per-block-size
 //! scheduling.
 //!
 //! The paper runs one DEW pass per `(block size, associativity)` pair
@@ -345,7 +345,7 @@ impl MultiAssocTree {
     /// and the associativities (so a sweep whose space starts above
     /// associativity 1 does not pay for lists it will not report), and a
     /// runtime kernel selection. This is the entry point
-    /// [`crate::sweep_trace`] uses for its fused per-block-size passes.
+    /// [`crate::SweepRequest`] uses for its fused per-block-size passes.
     ///
     /// # Errors
     ///
@@ -1108,7 +1108,7 @@ impl MultiAssocTree {
 
     /// Fans this fused pass out into the [`PassResults`] a standalone
     /// `(block size, assoc)` DEW pass would have produced, or `None` when
-    /// `assoc` was not simulated. This is how [`crate::sweep_trace`] keeps
+    /// `assoc` was not simulated. This is how [`crate::SweepRequest`] keeps
     /// its per-pass result shape while traversing the trace once per block
     /// size.
     #[must_use]

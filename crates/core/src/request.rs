@@ -1,38 +1,32 @@
 //! The unified sweep entry point: a [`SweepRequest`] names *what* to sweep
 //! (a [`ConfigSpace`]), *how* ([`DewOptions`] — policy included — thread
 //! count, instrumentation) and *under which execution plan* (sharding,
-//! sampling, resilience), then [`SweepRequest::run`] or
-//! [`SweepRequest::run_streamed`] dispatches to the fused drivers.
+//! sampling, resilience). [`SweepRequest::run`] and
+//! [`SweepRequest::run_streamed`] hand every plan to the one fused sweep
+//! driver, reading an in-memory trace through [`SliceSource`].
 //!
 //! Every axis is orthogonal where soundness allows; the unsound
 //! combinations are rejected up front with
-//! [`DewError::UnsoundOptions`] instead of silently picking a driver:
+//! [`DewError::UnsoundOptions`] instead of silently picking a plan:
 //!
 //! | plan              | sharded | sampled | instrumented | resilient |
 //! |-------------------|---------|---------|--------------|-----------|
-//! | sharded           |    —    |   no    |      no      | handoff¹  |
+//! | sharded           |    —    |   no    |      no      |    yes    |
 //! | sampled           |   no    |    —    |      no      |    no     |
 //! | instrumented      |   no    |   no    |      —       |    no     |
-//! | resilient         |handoff¹ |   no    |      no      |     —     |
-//!
-//! ¹ a resilient sharded sweep must use [`ShardMode::SnapshotHandoff`] —
-//! the warmup-overlap estimator has no exact per-record position for a
-//! checkpoint to name.
+//! | resilient         |   yes   |   no    |      no      |     —     |
 //!
 //! [`SweepRequest::run_streamed`] additionally rejects sharding, sampling
-//! and instrumentation: a streamed trace has no slice to shard or sample,
-//! and no instrumented streaming driver exists.
+//! and instrumentation: a streamed trace has no known length to shard, no
+//! slice to sample, and the instrumented plan is in-memory only.
 
-use dew_trace::{Record, TraceSource};
+use dew_trace::{Record, SliceSource, TraceSource};
 
 use crate::options::{DewOptions, TreePolicy};
 use crate::resilience::Resilience;
 use crate::results::SweepOutcome;
 use crate::space::{ConfigSpace, DewError};
-use crate::sweep::{
-    handoff_boundaries, run_resilient, sampled_impl, sharded_impl, streamed_impl, sweep_trace_with,
-    ShardMode, ShardSpec,
-};
+use crate::sweep::{cluster_bounds, run_resilient, shard_boundaries};
 
 /// A fully described sweep: configuration space × policy options × threads
 /// × instrumentation × execution plan, built fluently and executed with
@@ -60,7 +54,7 @@ pub struct SweepRequest<'a> {
     options: DewOptions,
     threads: usize,
     instrumented: bool,
-    shards: Option<ShardSpec>,
+    shards: Option<usize>,
     sample: Option<(usize, usize)>,
     resilience: Option<&'a Resilience<'a>>,
 }
@@ -115,16 +109,30 @@ impl<'a> SweepRequest<'a> {
         self
     }
 
-    /// Splits the trace into contiguous intervals per `spec` (exact
-    /// snapshot handoff, or the warmup-overlap estimator).
+    /// Splits the trace into `shards` contiguous intervals (`0` and `1`
+    /// both mean unsharded). Each block size's kernel crosses every
+    /// interval boundary as serialized snapshot bytes restored into a
+    /// fresh kernel, so the outcome is **bit-identical** to the unsharded
+    /// sweep: the plan bounds per-traversal memory and exactness-tests the
+    /// snapshot format on every run. Parallelism stays across block sizes.
     #[must_use]
-    pub fn sharded(mut self, spec: ShardSpec) -> Self {
-        self.shards = Some(spec);
+    pub fn sharded(mut self, shards: usize) -> Self {
+        self.shards = Some(shards);
         self
     }
 
     /// Sweeps a periodic cluster sample: the leading `sample_len` records
-    /// of every `period`-record window. Excludes every other plan axis.
+    /// of every `period`-record window (see `dew_trace::sample::periodic`),
+    /// spliced into one continuous stream. Excludes every other plan axis.
+    ///
+    /// The outcome describes the *sampled* stream — `accesses()` is the
+    /// retained record count and miss counts are raw counts over it;
+    /// extrapolate by `period / sample_len` for full-trace estimates (that
+    /// extrapolation error is statistical and not bounded here). What *is*
+    /// bounded is the splice error: [`SweepOutcome::bounds`] carries
+    /// `Σ_{clusters after the first} min(first_touches, sets × assoc)` per
+    /// configuration, guaranteed under LRU and a heuristic otherwise.
+    /// `sample_len == period` keeps everything and is the exact sweep.
     #[must_use]
     pub fn sampled(mut self, period: usize, sample_len: usize) -> Self {
         self.sample = Some((period, sample_len));
@@ -133,14 +141,42 @@ impl<'a> SweepRequest<'a> {
 
     /// Runs under the fault-tolerance contract of `res`: retry with
     /// bounded backoff, panic isolation, checkpoint/resume, graceful
-    /// degradation.
+    /// degradation. Without it a failed job fails the sweep; with it
+    /// (unless `res.fail_fast`) the sweep returns a partial
+    /// [`SweepOutcome`] whose [`SweepOutcome::failed_jobs`] /
+    /// [`SweepOutcome::retries`] / [`SweepOutcome::records_lost`] tell the
+    /// truth about what was lost.
+    ///
+    /// Resuming from a checkpoint is **bit-identical** to the
+    /// uninterrupted sweep: a checkpoint stores each job's exact kernel
+    /// snapshot at an exact record position, restoring a snapshot is an
+    /// identity (property-tested), and the kernels are insensitive to how
+    /// the replayed stream is chunked.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dew_core::{ConfigSpace, Resilience, SweepRequest};
+    /// use dew_trace::Record;
+    ///
+    /// # fn main() -> Result<(), dew_core::DewError> {
+    /// let space = ConfigSpace::new((0, 4), (2, 4), (0, 2))?;
+    /// let trace: Vec<Record> = (0..500u64).map(|i| Record::read((i % 97) * 4)).collect();
+    /// let plain = SweepRequest::new(&space).threads(1).run(&trace)?;
+    /// let res = Resilience::new();
+    /// let resilient = SweepRequest::new(&space).threads(1).resilient(&res).run(&trace)?;
+    /// assert!(!resilient.is_partial());
+    /// assert_eq!(resilient.sorted(), plain.sorted());
+    /// # Ok(())
+    /// # }
+    /// ```
     #[must_use]
     pub fn resilient(mut self, res: &'a Resilience<'a>) -> Self {
         self.resilience = Some(res);
         self
     }
 
-    /// Rejects plan-axis combinations no driver implements soundly.
+    /// Rejects plan-axis combinations no plan implements soundly.
     fn check_combos(&self) -> Result<(), DewError> {
         if self.sample.is_some()
             && (self.shards.is_some() || self.instrumented || self.resilience.is_some())
@@ -154,19 +190,32 @@ impl<'a> SweepRequest<'a> {
                 "instrumented sweeps run in-memory and unsharded; drop sharding/resilience",
             ));
         }
-        if self.resilience.is_some() {
-            if let Some(spec) = self.shards {
-                if spec.mode != ShardMode::SnapshotHandoff {
-                    return Err(DewError::UnsoundOptions(
-                        "resilient sharded sweeps require ShardMode::SnapshotHandoff",
-                    ));
-                }
-            }
-        }
         Ok(())
     }
 
+    /// Runs the one sweep driver over `source` under this request's plan.
+    fn drive<S: TraceSource>(
+        &self,
+        source: &S,
+        boundaries: &[u64],
+    ) -> Result<SweepOutcome, DewError> {
+        run_resilient(
+            self.space,
+            source,
+            boundaries,
+            self.options,
+            self.threads,
+            self.instrumented,
+            self.resilience.unwrap_or(&Resilience::PLAIN),
+        )
+    }
+
     /// Executes the request over an in-memory trace.
+    ///
+    /// Without [`SweepRequest::resilient`] the sweep runs under a fixed
+    /// plain plan: no retries, no checkpoint, and the first job failure
+    /// (which an in-memory trace can only produce through a panic) fails
+    /// the whole sweep.
     ///
     /// # Errors
     ///
@@ -174,65 +223,52 @@ impl<'a> SweepRequest<'a> {
     /// the policy, the sampling plan is malformed, or the plan axes
     /// conflict (see the module table); [`DewError::BadAssoc`] when the
     /// space exceeds a policy's lane capacity (tree-PLRU caps at
-    /// [`crate::plru_tree::MAX_PLRU_ASSOC`] ways); resilient plans may
-    /// also return [`DewError::Checkpoint`], [`DewError::TraceRead`] or
-    /// [`DewError::WorkerPanic`] per the [`Resilience`] contract.
+    /// [`crate::plru_tree::MAX_PLRU_ASSOC`] ways);
+    /// [`DewError::WorkerPanic`], carrying the panic message, when a
+    /// sweep job panics (the panic is caught in its worker and does not
+    /// unwind through the caller); resilient plans may also return
+    /// [`DewError::Checkpoint`], [`DewError::TraceRead`] or
+    /// [`DewError::Cancelled`] per the [`Resilience`] contract.
     pub fn run(&self, records: &[Record]) -> Result<SweepOutcome, DewError> {
         self.check_combos()?;
-        if let Some((period, sample_len)) = self.sample {
-            return sampled_impl(
-                self.space,
-                records,
-                self.options,
-                self.threads,
-                period,
-                sample_len,
-            );
+        let Some((period, sample_len)) = self.sample else {
+            let boundaries = shard_boundaries(records.len(), self.shards.unwrap_or(1));
+            return self.drive(&SliceSource(records), &boundaries);
+        };
+        if period == 0 || sample_len == 0 || sample_len > period {
+            return Err(DewError::UnsoundOptions(
+                "sampling needs 0 < sample_len <= period",
+            ));
         }
-        match (self.resilience, self.shards) {
-            (Some(res), Some(spec)) => {
-                let boundaries = handoff_boundaries(records.len(), spec.shards);
-                run_resilient(
-                    self.space,
-                    &dew_trace::SliceSource(records),
-                    &boundaries,
-                    self.options,
-                    self.threads,
-                    res,
-                )
-            }
-            (Some(res), None) => run_resilient(
-                self.space,
-                &dew_trace::SliceSource(records),
-                &[],
-                self.options,
-                self.threads,
-                res,
-            ),
-            (None, Some(spec)) => {
-                sharded_impl(self.space, records, self.options, self.threads, spec)
-            }
-            (None, None) => sweep_trace_with(
-                self.space,
-                records,
-                self.options,
-                self.threads,
-                self.instrumented,
-            ),
+        if sample_len == period {
+            return self.drive(&SliceSource(records), &[]);
         }
+        let sampled: Vec<Record> = records
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % period < sample_len)
+            .map(|(_, r)| *r)
+            .collect();
+        let outcome = self.drive(&SliceSource(&sampled), &[])?;
+        let bounds = cluster_bounds(self.space, &sampled, sample_len, self.options.policy);
+        Ok(outcome.with_bounds(bounds))
     }
 
     /// Executes the request over a re-openable [`TraceSource`] in bounded
-    /// memory (the trace is never resident). The source is opened once per
-    /// block size and must replay identically on every open.
+    /// memory (the trace is never resident): peak memory per worker is the
+    /// chunk buffer plus geometry-sized kernel state. The source is opened
+    /// once per block size and must replay identically on every open.
     ///
     /// Streamed execution supports the plain and resilient plans only.
+    /// Under the plain plan the first source error — transient or not —
+    /// fails the sweep without a retry.
     ///
     /// # Errors
     ///
     /// As [`SweepRequest::run`], plus [`DewError::UnsoundOptions`] when the
     /// request carries sharding, sampling or instrumentation, and
-    /// [`DewError::TraceRead`] when the source fails.
+    /// [`DewError::TraceRead`] naming the failing block size and record
+    /// when the source fails.
     pub fn run_streamed<S: TraceSource>(&self, source: &S) -> Result<SweepOutcome, DewError> {
         self.check_combos()?;
         if self.shards.is_some() || self.sample.is_some() || self.instrumented {
@@ -241,22 +277,13 @@ impl<'a> SweepRequest<'a> {
                  (no sharding, sampling or instrumentation)",
             ));
         }
-        match self.resilience {
-            Some(res) => run_resilient(self.space, source, &[], self.options, self.threads, res),
-            None => streamed_impl(self.space, source, self.options, self.threads),
-        }
+        self.drive(source, &[])
     }
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::sweep::{
-        sweep_trace, sweep_trace_instrumented, sweep_trace_resilient, sweep_trace_sampled,
-        sweep_trace_sharded, sweep_trace_sharded_resilient, sweep_trace_streamed,
-    };
-    use dew_trace::SliceSource;
 
     fn trace(n: usize) -> Vec<Record> {
         let mut x = 0xA5A5_5A5Au64;
@@ -284,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_every_forwarder_for_every_policy() {
+    fn every_plan_matches_the_plain_sweep_for_every_policy() {
         let space = ConfigSpace::new((0, 3), (1, 3), (0, 2)).expect("valid");
         let records = trace(900);
         for policy in TreePolicy::ALL {
@@ -292,49 +319,41 @@ mod tests {
             let base = SweepRequest::new(&space).options(options).threads(2);
 
             let plain = base.run(&records).expect("plain");
-            let fwd = sweep_trace(&space, &records, options, 2).expect("fwd");
-            assert_eq!(plain.sorted(), fwd.sorted(), "{policy}: plain");
+            assert_eq!(
+                plain.config_count() as u64,
+                space.config_count(),
+                "{policy}: plain"
+            );
 
             let inst = base.instrumented(true).run(&records).expect("instrumented");
-            let fwd = sweep_trace_instrumented(&space, &records, options, 2).expect("fwd");
-            assert_eq!(inst.sorted(), fwd.sorted(), "{policy}: instrumented");
+            assert_eq!(inst.sorted(), plain.sorted(), "{policy}: instrumented");
 
-            let spec = ShardSpec {
-                shards: 3,
-                mode: ShardMode::SnapshotHandoff,
-            };
-            let sharded = base.sharded(spec).run(&records).expect("sharded");
-            let fwd = sweep_trace_sharded(&space, &records, options, 2, spec).expect("fwd");
-            assert_eq!(sharded.sorted(), fwd.sorted(), "{policy}: sharded");
+            let sharded = base.sharded(3).run(&records).expect("sharded");
             assert_eq!(sharded.sorted(), plain.sorted(), "{policy}: handoff exact");
 
+            // Sampling is the plain sweep over the spliced clusters.
             let sampled = base.sampled(64, 16).run(&records).expect("sampled");
-            let fwd = sweep_trace_sampled(&space, &records, options, 2, 64, 16).expect("fwd");
-            assert_eq!(sampled.sorted(), fwd.sorted(), "{policy}: sampled");
+            let spliced: Vec<Record> = records
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 64 < 16)
+                .map(|(_, r)| *r)
+                .collect();
+            let manual = base.run(&spliced).expect("spliced");
+            assert_eq!(sampled.sorted(), manual.sorted(), "{policy}: sampled");
 
             let res = Resilience::new();
             let resilient = base.resilient(&res).run(&records).expect("resilient");
-            let fwd = sweep_trace_resilient(&space, &records, options, 2, &res).expect("fwd");
-            assert_eq!(resilient.sorted(), fwd.sorted(), "{policy}: resilient");
             assert_eq!(
                 resilient.sorted(),
                 plain.sorted(),
                 "{policy}: resilient exact"
             );
 
-            let both = base
-                .sharded(spec)
-                .resilient(&res)
-                .run(&records)
-                .expect("both");
-            let fwd =
-                sweep_trace_sharded_resilient(&space, &records, options, 2, 3, &res).expect("fwd");
-            assert_eq!(both.sorted(), fwd.sorted(), "{policy}: sharded resilient");
+            let both = base.sharded(3).resilient(&res).run(&records).expect("both");
+            assert_eq!(both.sorted(), plain.sorted(), "{policy}: sharded resilient");
 
             let streamed = base.run_streamed(&SliceSource(&records)).expect("streamed");
-            let fwd =
-                sweep_trace_streamed(&space, &SliceSource(&records), options, 2).expect("fwd");
-            assert_eq!(streamed.sorted(), fwd.sorted(), "{policy}: streamed");
             assert_eq!(
                 streamed.sorted(),
                 plain.sorted(),
@@ -348,23 +367,12 @@ mod tests {
         let space = ConfigSpace::new((0, 2), (1, 2), (0, 1)).expect("valid");
         let records = trace(64);
         let res = Resilience::new();
-        let handoff = ShardSpec {
-            shards: 2,
-            mode: ShardMode::SnapshotHandoff,
-        };
-        let overlap = ShardSpec {
-            shards: 2,
-            mode: ShardMode::WarmupOverlap { overlap: 8 },
-        };
         let bad = [
-            SweepRequest::new(&space).sampled(8, 4).sharded(handoff),
+            SweepRequest::new(&space).sampled(8, 4).sharded(2),
             SweepRequest::new(&space).sampled(8, 4).instrumented(true),
             SweepRequest::new(&space).sampled(8, 4).resilient(&res),
-            SweepRequest::new(&space)
-                .instrumented(true)
-                .sharded(handoff),
+            SweepRequest::new(&space).instrumented(true).sharded(2),
             SweepRequest::new(&space).instrumented(true).resilient(&res),
-            SweepRequest::new(&space).resilient(&res).sharded(overlap),
         ];
         for req in bad {
             assert!(
@@ -373,7 +381,7 @@ mod tests {
             );
         }
         for req in [
-            SweepRequest::new(&space).sharded(handoff),
+            SweepRequest::new(&space).sharded(2),
             SweepRequest::new(&space).sampled(8, 4),
             SweepRequest::new(&space).instrumented(true),
         ] {

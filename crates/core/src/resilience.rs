@@ -1,8 +1,8 @@
 //! Resilience policy for long sweeps: retry/backoff parameters, injectable
 //! sleeping (so tests never wait on a wall clock), and the combined
-//! [`Resilience`] configuration the fault-tolerant drivers in
-//! [`crate::sweep`] consume — checkpointing, resume, and the
-//! fail-fast/degraded-mode switch.
+//! [`Resilience`] configuration the sweep driver in [`crate::sweep`]
+//! consumes — checkpointing, resume, and the fail-fast/degraded-mode
+//! switch.
 
 use std::time::Duration;
 
@@ -30,7 +30,7 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// Disables retrying: the first transient failure fails the job.
     #[must_use]
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         RetryPolicy {
             max_retries: 0,
             base_delay: Duration::ZERO,
@@ -132,6 +132,19 @@ pub struct Resilience<'a> {
 }
 
 impl Resilience<'static> {
+    /// The fixed plan of a sweep requested without
+    /// [`crate::SweepRequest::resilient`]: no retries, fail-fast (the first
+    /// job failure is the sweep's error), no checkpoint, no resume and no
+    /// cancel token.
+    pub(crate) const PLAIN: Resilience<'static> = Resilience {
+        retry: RetryPolicy::none(),
+        fail_fast: true,
+        checkpoint: None,
+        resume: None,
+        cancel: None,
+        sleeper: &NoSleep,
+    };
+
     /// The default configuration (see the type docs).
     #[must_use]
     pub fn new() -> Self {
@@ -191,7 +204,7 @@ impl<'a> Resilience<'a> {
         }
     }
 
-    /// Attaches a cancellation token. The resilient drivers poll it at
+    /// Attaches a cancellation token. The sweep driver polls it at
     /// chunk boundaries; once it fires, every in-flight job saves a final
     /// checkpoint (when checkpointing is on) and the sweep returns a
     /// degraded partial outcome whose failed jobs carry

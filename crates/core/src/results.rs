@@ -255,24 +255,26 @@ impl ConfigResult {
     }
 }
 
-/// Per-configuration uncertainty of an approximate (warmup-overlap sharded
-/// or interval-sampled) sweep: how many accesses may have been
-/// misclassified by cold starts at shard or cluster boundaries.
+/// Per-configuration uncertainty of a sampled sweep
+/// ([`crate::SweepRequest::sampled`]): how many accesses at retained trace
+/// positions may have been misclassified because each cluster starts from
+/// the state the previous cluster left, not from the skipped records.
 ///
-/// For every boundary after the first, at most
-/// `min(first-touch blocks in the measured region, sets × assoc)` accesses
-/// are unknowns — an access that is *not* the window's first touch of its
+/// For every cluster after the first, at most
+/// `min(first-touch blocks in the cluster, sets × assoc)` accesses are
+/// unknowns — an access that is *not* the cluster's first touch of its
 /// block is classified exactly, because its reuse interval lies entirely
-/// inside the contiguous replayed window. Summing that cap over boundaries
-/// gives the reported slack.
+/// inside the contiguous cluster. Summing that cap over clusters gives the
+/// reported slack.
 ///
 /// Under **LRU** the slack is a guarantee ([`ShardBounds::guaranteed`] is
 /// `true`): the stack property confines every divergence to the unknown
-/// accesses, so the true miss count lies within `slack` of the estimate.
-/// Under **FIFO** there is no inclusion property (Belady's anomaly) — a
-/// cold-start divergence can cascade past the first-touch set — so the same
-/// figure is reported as a diagnostic with `guaranteed == false`; see
-/// `DESIGN.md` ("Sharding and cold-start reconciliation").
+/// accesses, so the full trace's miss count at the retained positions lies
+/// within `slack` of the estimate. Under **FIFO** there is no inclusion
+/// property (Belady's anomaly) — a divergence can cascade past the
+/// first-touch set — so the same figure is reported as a diagnostic with
+/// `guaranteed == false`; see `DESIGN.md` ("Sampling and cold-start
+/// slack").
 #[derive(Debug, Clone)]
 pub struct ShardBounds {
     slack: HashMap<(u32, u32, u32), u64>,
@@ -338,9 +340,9 @@ pub struct JobFailure {
 
 /// Aggregated results of a multi-pass sweep over a configuration space.
 ///
-/// Built by [`crate::sweep_trace`]; maps every `(sets, assoc, block)` of the
-/// space to its exact miss count, and retains the per-pass work counters.
-/// Resilient drivers ([`crate::sweep_trace_resilient`] and friends) may
+/// Built by [`crate::SweepRequest`]; maps every `(sets, assoc, block)` of
+/// the space to its exact miss count, and retains the per-pass work
+/// counters. A resilient sweep ([`crate::SweepRequest::resilient`]) may
 /// return a *partial* outcome: [`SweepOutcome::is_partial`] flags it, and
 /// [`SweepOutcome::failed_jobs`] / [`SweepOutcome::retries`] /
 /// [`SweepOutcome::records_lost`] carry the honest accounting.
@@ -398,8 +400,8 @@ impl SweepOutcome {
         self
     }
 
-    /// Overrides the records-simulated tally (warmup-overlap sharding
-    /// replays overlap records beyond `accesses × traversals`).
+    /// Overrides the records-simulated tally (a failed job simulated only
+    /// part of the trace).
     pub(crate) fn with_records_simulated(mut self, records_simulated: u64) -> Self {
         self.records_simulated = records_simulated;
         self
@@ -449,28 +451,24 @@ impl SweepOutcome {
     }
 
     /// Total records fed through a kernel, across all traversals — the
-    /// truthful work tally. A plain sweep simulates
-    /// `accesses × trace_traversals`; a warmup-overlap sharded sweep
-    /// additionally replays up to `overlap` records per interior shard
-    /// boundary per traversal, and that replay is counted here (it is work
-    /// performed) while [`SweepOutcome::trace_traversals`] still reports
-    /// one traversal per block size.
+    /// truthful work tally. A complete sweep simulates
+    /// `accesses × trace_traversals`; in a partial outcome each failed job
+    /// contributes only the records it simulated before it stopped.
     #[must_use]
     pub const fn records_simulated(&self) -> u64 {
         self.records_simulated
     }
 
-    /// Cold-start uncertainty of an approximate sweep
-    /// ([`crate::sweep_trace_sharded`] in warmup-overlap mode,
-    /// [`crate::sweep_trace_sampled`]); `None` for exact sweeps, including
-    /// snapshot-handoff sharding.
+    /// Cold-start uncertainty of a sampled sweep
+    /// ([`crate::SweepRequest::sampled`]); `None` for exact sweeps,
+    /// including sharded ones.
     #[must_use]
     pub fn bounds(&self) -> Option<&ShardBounds> {
         self.bounds.as_ref()
     }
 
     /// Fused jobs a resilient sweep could not complete (empty for the
-    /// non-resilient drivers and for clean resilient runs).
+    /// plain plan, which fails instead, and for clean resilient runs).
     #[must_use]
     pub fn failed_jobs(&self) -> &[JobFailure] {
         &self.failed

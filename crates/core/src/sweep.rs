@@ -1,6 +1,6 @@
-//! Sweep drivers: cover a whole [`ConfigSpace`] with the minimal number of
-//! *trace traversals* — one per block size for **every** registered policy
-//! — optionally in parallel.
+//! The sweep driver: covers a whole [`ConfigSpace`] with the minimal number
+//! of *trace traversals* — one per block size for **every** registered
+//! policy — optionally in parallel.
 //!
 //! The scheduler is **fused**: all `(block size, assoc)` passes of one
 //! block size are folded into a single traversal on the policy's
@@ -11,17 +11,24 @@
 //! back out into the per-pass [`PassResults`] shape, so [`SweepOutcome`]
 //! is unchanged for callers.
 //!
-//! [`crate::SweepRequest`] is the one entry point: policy, thread count,
-//! instrumentation, sharding, sampling and resilience are orthogonal
-//! builder options over the drivers in this module. The free
-//! `sweep_trace*` functions are deprecated forwarders kept so existing
-//! call sites keep compiling (with bit-identical results).
+//! [`crate::SweepRequest`] is the one entry point, and one worker loop
+//! ([`run_resilient`]) runs every plan it can describe:
+//!
+//! * an in-memory trace is read through [`dew_trace::SliceSource`], a streamed one
+//!   through the caller's [`TraceSource`];
+//! * snapshot-handoff sharding is a list of record positions at which the
+//!   worker serialises its kernel and restores it into a fresh one;
+//! * a periodic cluster sample is spliced into one stream before the run,
+//!   and its [`ShardBounds`] come from [`cluster_bounds`] afterwards;
+//! * a request without `.resilient(..)` runs under the fixed
+//!   `Resilience::PLAIN`: no retries, fail-fast, no checkpoint, no cancel
+//!   token.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use dew_trace::{BlockChunks, Record, SliceSource, StreamBlockChunks, TraceError, TraceSource};
+use dew_trace::{BlockChunks, Record, TraceError, TraceSource};
 
 use crate::cancel::CancelReason;
 use crate::checkpoint::{sweep_fingerprint, SweepCheckpoint};
@@ -29,16 +36,14 @@ use crate::counters::DewCounters;
 use crate::kernel::{FusedKernel, PolicyKernel};
 use crate::options::{DewOptions, TreePolicy};
 use crate::resilience::Resilience;
-use crate::results::{
-    FailureKind, JobFailure, LevelResult, PassResults, ShardBounds, SweepOutcome,
-};
+use crate::results::{FailureKind, JobFailure, PassResults, ShardBounds, SweepOutcome};
 use crate::space::{ConfigSpace, DewError, PassConfig};
 
-/// Upstream validation shared by every driver: the option flags must be
+/// Upstream validation shared by every plan: the option flags must be
 /// sound for the policy, and the space must fit the policy's kernel (the
 /// tree-PLRU direction bits cap a lane at
 /// [`crate::plru_tree::MAX_PLRU_ASSOC`] ways).
-pub(crate) fn validate_request(space: &ConfigSpace, options: DewOptions) -> Result<(), DewError> {
+fn validate_request(space: &ConfigSpace, options: DewOptions) -> Result<(), DewError> {
     // First sweep of the process: prove the active wide-scan backend
     // bit-identical to the scalar oracle before trusting it with results
     // (no-op afterwards, and when the scalar backend is already active).
@@ -53,46 +58,6 @@ pub(crate) fn validate_request(space: &ConfigSpace, options: DewOptions) -> Resu
         }
     }
     Ok(())
-}
-
-/// Simulates every configuration of `space` over `records` — one fused
-/// traversal per block size, whichever policy `options` selects.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).run(records)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run`].
-#[deprecated(note = "use SweepRequest::new(space).options(options).threads(threads).run(records)")]
-pub fn sweep_trace(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-) -> Result<SweepOutcome, DewError> {
-    sweep_trace_with(space, records, options, threads, false)
-}
-
-/// [`sweep_trace`] with instrumented passes: every pass maintains the full
-/// [`DewCounters`] breakdown, with bit-identical miss counts.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).instrumented(true).run(records)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).instrumented(true).run(records)"
-)]
-pub fn sweep_trace_instrumented(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-) -> Result<SweepOutcome, DewError> {
-    sweep_trace_with(space, records, options, threads, true)
 }
 
 /// One fused unit of work: every pass of one block size.
@@ -113,63 +78,25 @@ fn worker_count(threads: usize, work_items: usize) -> usize {
     .min(work_items.max(1))
 }
 
-pub(crate) fn sweep_trace_with(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    instrument: bool,
-) -> Result<SweepOutcome, DewError> {
-    validate_request(space, options)?;
-    let passes = space.passes();
-
-    // One pre-sized slot per pass: the worker that claims a job is the only
-    // writer of its passes' slots, so the result path has no lock and needs
-    // no post-hoc sort.
-    let slots: Vec<OnceLock<(PassResults, DewCounters)>> =
-        passes.iter().map(|_| OnceLock::new()).collect();
-
-    let trace_traversals = run_fused(
-        space, &passes, records, options, threads, instrument, &slots,
-    );
-
-    Ok(assemble(
-        space,
-        &passes,
-        slots,
-        records.len() as u64,
-        trace_traversals,
-        options.policy,
-        false,
-    ))
-}
-
-/// Fans the completed per-pass slots out into a [`SweepOutcome`] (shared by
-/// every sweep flavour: plain, sharded, sampled, streamed, resilient).
-///
-/// With `degraded` set, unfilled slots belong to failed jobs of a resilient
-/// run and are skipped — the caller attaches the failure accounting via
-/// [`SweepOutcome::failed_jobs`]. Without it an unfilled slot is an internal
-/// scheduling bug and panics.
+/// Fans the completed per-pass slots out into a [`SweepOutcome`]. Empty
+/// slots belong to failed jobs and are skipped — the caller attaches the
+/// failure accounting via [`SweepOutcome::failed_jobs`].
 fn assemble(
     space: &ConfigSpace,
     passes: &[PassConfig],
-    slots: Vec<OnceLock<(PassResults, DewCounters)>>,
+    slots: Vec<Option<(PassResults, DewCounters)>>,
     accesses: u64,
     trace_traversals: u64,
     policy: TreePolicy,
-    degraded: bool,
 ) -> SweepOutcome {
     let include_dm = space.assoc_bits().0 == 0;
     let mut misses: HashMap<(u32, u32, u32), u64> = HashMap::new();
     let mut dm_seen: HashMap<(u32, u32), u64> = HashMap::new();
     let mut pass_counters = Vec::with_capacity(passes.len());
     for (pass, slot) in passes.iter().zip(slots) {
-        let slot = slot.into_inner();
-        if degraded && slot.is_none() {
+        let Some((results, counters)) = slot else {
             continue;
-        }
-        let (results, counters) = slot.expect("every pass index was claimed and completed");
+        };
         for level in results.levels() {
             let key = (level.sets(), pass.assoc(), pass.block_bytes());
             misses.insert(key, level.misses());
@@ -198,7 +125,7 @@ fn assemble(
 }
 
 /// Groups the passes by block size through an indexed map built once per
-/// sweep (shared by both fused schedulers); the claim paths never scan.
+/// sweep; the claim paths never scan.
 fn group_by_block(passes: &[PassConfig]) -> Vec<FusedJob> {
     let mut job_of_block: HashMap<u32, usize> = HashMap::new();
     let mut jobs: Vec<FusedJob> = Vec::new();
@@ -219,467 +146,63 @@ fn group_by_block(passes: &[PassConfig]) -> Vec<FusedJob> {
     jobs
 }
 
-/// The fused scheduler, policy-generic: one decode and one [`FusedKernel`]
-/// traversal per block size, whichever policy `options` selects. Returns
-/// the traversal count (the job count).
-fn run_fused(
-    space: &ConfigSpace,
-    passes: &[PassConfig],
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    instrument: bool,
-    slots: &[OnceLock<(PassResults, DewCounters)>],
-) -> u64 {
-    let jobs = group_by_block(passes);
-    let workers = worker_count(threads, jobs.len());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                // One streaming decoder per worker, reset per job: block
-                // numbers are decoded exactly once per block size and fed to
-                // the fused kernel in cache-sized batches through one
-                // reusable buffer.
-                let mut chunks = BlockChunks::new(&[], 0, BlockChunks::DEFAULT_CHUNK);
-                loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(j) else { break };
-                    let mut kernel = FusedKernel::build(
-                        job.block_bits,
-                        space.set_bits(),
-                        job.assoc_bits,
-                        options,
-                        instrument,
-                    )
-                    .expect("pass geometry and options validated above");
-                    chunks.reset(records, job.block_bits);
-                    while let Some(chunk) = chunks.next_chunk() {
-                        kernel.run_blocks(chunk);
-                    }
-                    for &i in &job.pass_idx {
-                        let fanned = kernel.fan_out(passes[i].assoc());
-                        let claimed = slots[i].set(fanned);
-                        assert!(claimed.is_ok(), "slot {i} claimed by exactly one worker");
-                    }
-                }
-            });
-        }
-    });
-    jobs.len() as u64
-}
-
-// ---------------------------------------------------------------------------
-// Sharded sweeps: bounded-memory simulation of a trace split into K
-// contiguous intervals, reconciled across the cold-start boundaries.
-// ---------------------------------------------------------------------------
-
-/// How a sharded sweep reconciles the cold simulator state at each shard
-/// boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardMode {
-    /// Carry exact kernel state across every boundary as a serialized
-    /// snapshot restored into a fresh kernel. Shards of one block size run
-    /// sequentially (parallelism stays across block sizes), and the result
-    /// is **bit-identical** to the unsharded sweep — this mode exists to
-    /// bound memory per traversal and to exactness-test the snapshot
-    /// format, not to add parallelism within a block size.
-    SnapshotHandoff,
-    /// Start every shard cold, but replay up to `overlap` records of the
-    /// preceding interval first to warm the kernel, then discard the
-    /// warmup's counts. All `(block size, shard)` items run in parallel.
-    /// The result is an estimate: [`SweepOutcome::bounds`] reports a
-    /// per-configuration slack derived from first-touch counting
-    /// (guaranteed sound for LRU, heuristic for FIFO — see the DESIGN
-    /// notes on cold-start reconciliation).
-    WarmupOverlap {
-        /// Records of warmup replay per boundary (clamped to the available
-        /// prefix).
-        overlap: usize,
-    },
-}
-
-/// A sharding request: how many intervals and how to reconcile them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Number of contiguous trace intervals (`0` and `1` both mean
-    /// unsharded).
-    pub shards: usize,
-    /// Boundary reconciliation mode.
-    pub mode: ShardMode,
-}
-
-/// Builds the [`FusedKernel`] for one fused job, uninstrumented — the
-/// sharded, sampled, streamed and resilient drivers all construct kernels
-/// through this one helper.
-fn build_job_kernel(space: &ConfigSpace, job: &FusedJob, options: DewOptions) -> FusedKernel {
-    FusedKernel::build(
-        job.block_bits,
-        space.set_bits(),
-        job.assoc_bits,
-        options,
-        false,
-    )
-    .expect("pass geometry and options validated above")
-}
-
-/// Splits `n` records into `shards` contiguous half-open intervals whose
-/// lengths differ by at most one.
-fn shard_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
+/// The snapshot-handoff boundary positions for `n` records split into
+/// `shards` contiguous intervals whose lengths differ by at most one: the
+/// record indices at which a sharded sweep serialises and restores each
+/// kernel. Empty for `shards <= 1`.
+pub(crate) fn shard_boundaries(n: usize, shards: usize) -> Vec<u64> {
     let shards = shards.max(1);
-    (0..shards)
-        .map(|s| (s * n / shards, (s + 1) * n / shards))
-        .collect()
+    (1..shards).map(|s| (s * n / shards) as u64).collect()
 }
 
-/// Fieldwise `after - before` for monotone kernel counters.
-fn counters_delta(before: &DewCounters, after: &DewCounters) -> DewCounters {
-    DewCounters {
-        accesses: after.accesses - before.accesses,
-        node_evaluations: after.node_evaluations - before.node_evaluations,
-        mra_stops: after.mra_stops - before.mra_stops,
-        wave_hits: after.wave_hits - before.wave_hits,
-        wave_misses: after.wave_misses - before.wave_misses,
-        mre_misses: after.mre_misses - before.mre_misses,
-        intersection_hits: after.intersection_hits - before.intersection_hits,
-        intersection_misses: after.intersection_misses - before.intersection_misses,
-        searches: after.searches - before.searches,
-        duplicate_skips: after.duplicate_skips - before.duplicate_skips,
-        search_comparisons: after.search_comparisons - before.search_comparisons,
-        tag_comparisons: after.tag_comparisons - before.tag_comparisons,
-    }
-}
-
-/// Per-level `after - before` miss deltas: the counts attributable to the
-/// measured region once the warmup baseline is subtracted.
-fn results_delta(before: &PassResults, after: &PassResults) -> PassResults {
-    let levels = after
-        .levels()
-        .iter()
-        .zip(before.levels())
-        .map(|(a, b)| {
-            debug_assert_eq!(a.set_bits(), b.set_bits());
-            LevelResult::new(
-                a.set_bits(),
-                a.misses() - b.misses(),
-                a.dm_misses() - b.dm_misses(),
-            )
-        })
-        .collect();
-    PassResults::new(*after.pass(), after.accesses() - before.accesses(), levels)
-}
-
-/// Per-level sum of two shard deltas of the same pass.
-fn results_add(a: &PassResults, b: &PassResults) -> PassResults {
-    let levels = a
-        .levels()
-        .iter()
-        .zip(b.levels())
-        .map(|(x, y)| {
-            debug_assert_eq!(x.set_bits(), y.set_bits());
-            LevelResult::new(
-                x.set_bits(),
-                x.misses() + y.misses(),
-                x.dm_misses() + y.dm_misses(),
-            )
-        })
-        .collect();
-    PassResults::new(*a.pass(), a.accesses() + b.accesses(), levels)
-}
-
-/// [`sweep_trace`] over `records` split into `spec.shards` contiguous
-/// intervals, each simulated on the fused arena kernels with its state
-/// reconciled at the boundaries per [`ShardMode`].
+/// Cold-start slack of a sweep over a periodic cluster sample: `sampled`
+/// is the spliced stream, made of consecutive clusters of `sample_len`
+/// records (the last one may be shorter).
 ///
-/// With [`ShardMode::SnapshotHandoff`] the outcome is bit-identical to the
-/// unsharded sweep (the property tests prove this across random traces,
-/// spaces, shard and thread counts, both policies): each boundary crossing
-/// serializes the kernel and restores it into a fresh one, so the sharded
-/// path continuously exercises the snapshot wire format. Peak decoded-chunk
-/// memory per worker stays the [`BlockChunks`] chunk bound; kernel state is
-/// geometry-sized, independent of shard length.
-///
-/// With [`ShardMode::WarmupOverlap`] each `(block size, shard)` item is an
-/// independent parallel work unit: the shard replays up to `overlap`
-/// preceding records to warm its cold kernel, then simulates its own
-/// interval; the warmup's counts are subtracted out as a baseline. The
-/// summed result is an estimate whose error is bounded by first-touch
-/// counting: within a contiguous replayed window every non-first-touch
-/// access has its reuse interval inside the window and is classified
-/// exactly, so only first-touch-in-window accesses are unknowns — and each
-/// unknown that was truly a hit maps to a distinct block resident at the
-/// window start, capping the overcount at `sets × assoc` per boundary.
-/// [`SweepOutcome::bounds`] reports `Σ_{boundaries} min(first_touches,
-/// sets × assoc)` per configuration, flagged `guaranteed` only under LRU
-/// (FIFO lacks inclusion, so a cold FIFO queue can also *undercount*;
-/// the figure remains the right scale but not a proof — see DESIGN.md).
-/// [`SweepOutcome::records_simulated`] counts the warmup replays truthfully;
-/// [`SweepOutcome::trace_traversals`] stays the fused job count (the trace
-/// is still decoded once per block size worth of work).
-///
-/// `spec.shards <= 1` (or an empty trace) falls back to the unsharded
-/// sweep.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).sharded(spec).run(records)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).sharded(spec).run(records)"
-)]
-pub fn sweep_trace_sharded(
+/// Each cluster is a contiguous window of the original trace, so an access
+/// that is *not* its cluster's first touch of its block has its whole
+/// reuse interval inside the cluster and is classified exactly. Only the
+/// first touches of clusters after the first are unknowns, and each one
+/// that hits maps to a distinct block resident at the cluster start —
+/// at most `sets × assoc` of them. The slack per configuration is
+/// `Σ_{clusters after the first} min(first_touches, sets × assoc)`,
+/// guaranteed under LRU and a heuristic under every other policy (see
+/// DESIGN.md, "Sampling and cold-start slack").
+pub(crate) fn cluster_bounds(
     space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    spec: ShardSpec,
-) -> Result<SweepOutcome, DewError> {
-    sharded_impl(space, records, options, threads, spec)
-}
-
-/// Implementation behind [`sweep_trace_sharded`] and
-/// [`crate::SweepRequest::run`] with a shard spec.
-pub(crate) fn sharded_impl(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    spec: ShardSpec,
-) -> Result<SweepOutcome, DewError> {
-    validate_request(space, options)?;
-    if spec.shards <= 1 || records.is_empty() {
-        return sweep_trace_with(space, records, options, threads, false);
-    }
-    let passes = space.passes();
-    let slots: Vec<OnceLock<(PassResults, DewCounters)>> =
-        passes.iter().map(|_| OnceLock::new()).collect();
-    match spec.mode {
-        ShardMode::SnapshotHandoff => {
-            let traversals = run_sharded_handoff(
-                space,
-                &passes,
-                records,
-                options,
-                threads,
-                spec.shards,
-                &slots,
-            );
-            Ok(assemble(
-                space,
-                &passes,
-                slots,
-                records.len() as u64,
-                traversals,
-                options.policy,
-                false,
-            ))
-        }
-        ShardMode::WarmupOverlap { overlap } => Ok(run_warmup_overlap(
-            space,
-            &passes,
-            records,
-            options,
-            threads,
-            spec.shards,
-            overlap,
-            slots,
-        )),
-    }
-}
-
-/// The exact sharded scheduler: shards of one block size run in sequence on
-/// one logical kernel whose state crosses each boundary only as serialized
-/// snapshot bytes restored into a fresh kernel. Returns the traversal count
-/// (still the job count — the shards of a job partition one traversal).
-fn run_sharded_handoff(
-    space: &ConfigSpace,
-    passes: &[PassConfig],
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    shards: usize,
-    slots: &[OnceLock<(PassResults, DewCounters)>],
-) -> u64 {
-    let jobs = group_by_block(passes);
-    let ranges = shard_ranges(records.len(), shards);
-    let workers = worker_count(threads, jobs.len());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut chunks = BlockChunks::new(&[], 0, BlockChunks::DEFAULT_CHUNK);
-                loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(j) else { break };
-                    let mut kernel = build_job_kernel(space, job, options);
-                    for (si, &(lo, hi)) in ranges.iter().enumerate() {
-                        if si > 0 {
-                            // The handoff is the point: state crosses the
-                            // boundary only as wire-format bytes, so every
-                            // sharded sweep doubles as a snapshot
-                            // round-trip exactness test.
-                            let bytes = kernel.to_snapshot();
-                            kernel = FusedKernel::from_snapshot(options.policy, &bytes)
-                                .expect("kernel snapshots round-trip");
-                        }
-                        chunks.reset(&records[lo..hi], job.block_bits);
-                        while let Some(chunk) = chunks.next_chunk() {
-                            kernel.run_blocks(chunk);
-                        }
-                    }
-                    for &i in &job.pass_idx {
-                        let fanned = kernel.fan_out(passes[i].assoc());
-                        let claimed = slots[i].set(fanned);
-                        assert!(claimed.is_ok(), "slot {i} claimed by exactly one worker");
-                    }
-                }
-            });
-        }
-    });
-    jobs.len() as u64
-}
-
-/// Per-`(job, shard)` output of the warmup-overlap scheduler: the measured
-/// region's deltas for each of the job's passes, plus the shard's
-/// first-touch count (accesses whose reuse interval escapes the replayed
-/// window — the only accesses the warmup can misclassify).
-struct ShardPartial {
-    /// Parallel to `job.pass_idx`.
-    passes: Vec<(PassResults, DewCounters)>,
-    first_touch: u64,
-}
-
-/// The estimating sharded scheduler: every `(block size, shard)` pair is an
-/// independent parallel item (this is the mode that adds intra-block-size
-/// parallelism and needs no sequential handoff). Builds the summed outcome
-/// with its [`ShardBounds`] directly.
-#[allow(clippy::too_many_arguments)]
-fn run_warmup_overlap(
-    space: &ConfigSpace,
-    passes: &[PassConfig],
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    shards: usize,
-    overlap: usize,
-    slots: Vec<OnceLock<(PassResults, DewCounters)>>,
-) -> SweepOutcome {
-    let jobs = group_by_block(passes);
-    let ranges = shard_ranges(records.len(), shards);
-    // First-touch tracking saturates at the largest configuration of the
-    // space: beyond `max sets × max assoc` distinct blocks, every per-config
-    // `min(F, sets × assoc)` is already pinned, so the seen-set stays
-    // bounded by the space geometry (plus the overlap window), not by the
-    // shard length.
+    sampled: &[Record],
+    sample_len: usize,
+    policy: TreePolicy,
+) -> ShardBounds {
+    // First-touch counting saturates at the largest configuration of the
+    // space: beyond `max sets × max assoc` distinct blocks every
+    // per-configuration `min(F, sets × assoc)` is already pinned, so the
+    // seen-set stays bounded by the space geometry, not the cluster length.
     let cap_max = {
         let (_, smax) = space.set_bits();
         let (_, amax) = space.assoc_bits();
         (1u64 << smax) * (1u64 << amax)
     };
-    let items = jobs.len() * shards;
-    let partials: Vec<OnceLock<ShardPartial>> = (0..items).map(|_| OnceLock::new()).collect();
-    let workers = worker_count(threads, items);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut chunks = BlockChunks::new(&[], 0, BlockChunks::DEFAULT_CHUNK);
-                loop {
-                    let it = next.fetch_add(1, Ordering::Relaxed);
-                    if it >= items {
+    let include_dm = space.assoc_bits().0 == 0;
+    let passes = space.passes();
+    let mut slack: HashMap<(u32, u32, u32), u64> = HashMap::new();
+    let mut seen: HashSet<u64> = HashSet::new();
+    for job in group_by_block(&passes) {
+        let touches: Vec<u64> = sampled
+            .chunks(sample_len)
+            .skip(1)
+            .map(|cluster| {
+                seen.clear();
+                let mut first = 0u64;
+                for r in cluster {
+                    if first >= cap_max {
                         break;
                     }
-                    let (j, si) = (it / shards, it % shards);
-                    let job = &jobs[j];
-                    let (lo, hi) = ranges[si];
-                    let warm_lo = lo.saturating_sub(overlap);
-                    let mut kernel = build_job_kernel(space, job, options);
-                    let mut seen: HashSet<u64> = HashSet::new();
-                    // Warmup replay: simulate the preceding window, then
-                    // freeze a baseline so its counts subtract out.
-                    chunks.reset(&records[warm_lo..lo], job.block_bits);
-                    while let Some(chunk) = chunks.next_chunk() {
-                        if si > 0 {
-                            seen.extend(chunk.iter().copied());
-                        }
-                        kernel.run_blocks(chunk);
+                    if seen.insert(r.addr >> job.block_bits) {
+                        first += 1;
                     }
-                    let baseline: Vec<(PassResults, DewCounters)> = job
-                        .pass_idx
-                        .iter()
-                        .map(|&i| kernel.fan_out(passes[i].assoc()))
-                        .collect();
-                    // Measured region, counting first touches (shard 0
-                    // starts exact — its "window" is the whole prefix).
-                    let mut first_touch = 0u64;
-                    chunks.reset(&records[lo..hi], job.block_bits);
-                    while let Some(chunk) = chunks.next_chunk() {
-                        if si > 0 && first_touch < cap_max {
-                            for &block in chunk {
-                                if first_touch >= cap_max {
-                                    break;
-                                }
-                                if seen.insert(block) {
-                                    first_touch += 1;
-                                }
-                            }
-                        }
-                        kernel.run_blocks(chunk);
-                    }
-                    let partial = ShardPartial {
-                        passes: job
-                            .pass_idx
-                            .iter()
-                            .enumerate()
-                            .map(|(p, &i)| {
-                                let after = kernel.fan_out(passes[i].assoc());
-                                (
-                                    results_delta(&baseline[p].0, &after.0),
-                                    counters_delta(&baseline[p].1, &after.1),
-                                )
-                            })
-                            .collect(),
-                        first_touch,
-                    };
-                    let claimed = partials[it].set(partial);
-                    assert!(claimed.is_ok(), "item {it} claimed by exactly one worker");
                 }
-            });
-        }
-    });
-
-    // Sum the measured-region deltas shard by shard into the pass slots.
-    for (j, job) in jobs.iter().enumerate() {
-        for (p, &i) in job.pass_idx.iter().enumerate() {
-            let mut acc: Option<(PassResults, DewCounters)> = None;
-            for si in 0..shards {
-                let part = partials[j * shards + si]
-                    .get()
-                    .expect("all items completed");
-                let (results, counters) = &part.passes[p];
-                acc = Some(match acc {
-                    None => (results.clone(), *counters),
-                    Some((ar, ac)) => (results_add(&ar, results), ac + *counters),
-                });
-            }
-            let claimed = slots[i].set(acc.expect("shards >= 1"));
-            assert!(claimed.is_ok(), "slot {i} filled exactly once");
-        }
-    }
-
-    // Slack per configuration: sum over cold boundaries of
-    // min(first_touches, sets × assoc).
-    let include_dm = space.assoc_bits().0 == 0;
-    let mut slack: HashMap<(u32, u32, u32), u64> = HashMap::new();
-    for (j, job) in jobs.iter().enumerate() {
-        let touches: Vec<u64> = (1..shards)
-            .map(|si| {
-                partials[j * shards + si]
-                    .get()
-                    .expect("all items completed")
-                    .first_touch
+                first
             })
             .collect();
         for &i in &job.pass_idx {
@@ -697,310 +220,11 @@ fn run_warmup_overlap(
             }
         }
     }
-
-    let warmup_total: u64 = ranges
-        .iter()
-        .skip(1)
-        .map(|&(lo, _)| (lo - lo.saturating_sub(overlap)) as u64)
-        .sum();
-    let records_simulated = jobs.len() as u64 * (records.len() as u64 + warmup_total);
-    assemble(
-        space,
-        passes,
-        slots,
-        records.len() as u64,
-        jobs.len() as u64,
-        options.policy,
-        false,
-    )
-    .with_records_simulated(records_simulated)
-    .with_bounds(ShardBounds::new(slack, options.policy == TreePolicy::Lru))
+    ShardBounds::new(slack, policy == TreePolicy::Lru)
 }
 
-/// [`sweep_trace`] over a **periodic cluster sample** of `records`: from
-/// every window of `period` records, the leading `sample_len` are kept
-/// (see `dew_trace::sample::periodic`) and spliced into one continuous
-/// stream per fused kernel.
-///
-/// The returned outcome describes the *sampled* stream — `accesses()` is
-/// the retained record count and miss counts are raw counts over it;
-/// extrapolate by `period / sample_len` for full-trace estimates (that
-/// extrapolation error is statistical and not bounded here). What *is*
-/// bounded is the splice error inside the measured stream: each cluster is
-/// a contiguous original-trace window, so exactly the warmup-overlap
-/// argument applies per cluster — non-first-touch accesses within a
-/// cluster are classified exactly, and [`SweepOutcome::bounds`] carries
-/// `Σ_{clusters after the first} min(first_touches, sets × assoc)` per
-/// configuration (guaranteed for LRU, heuristic for FIFO).
-///
-/// `sample_len == period` keeps everything and falls back to the full
-/// sweep.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).sampled(period, sample_len).run(records)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).sampled(period, sample_len).run(records)"
-)]
-pub fn sweep_trace_sampled(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    period: usize,
-    sample_len: usize,
-) -> Result<SweepOutcome, DewError> {
-    sampled_impl(space, records, options, threads, period, sample_len)
-}
-
-/// Implementation behind [`sweep_trace_sampled`] and
-/// [`crate::SweepRequest::run`] with a sampling plan.
-pub(crate) fn sampled_impl(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    period: usize,
-    sample_len: usize,
-) -> Result<SweepOutcome, DewError> {
-    validate_request(space, options)?;
-    if period == 0 || sample_len == 0 || sample_len > period {
-        return Err(DewError::UnsoundOptions(
-            "sampling needs 0 < sample_len <= period",
-        ));
-    }
-    if sample_len == period {
-        return sweep_trace_with(space, records, options, threads, false);
-    }
-    let sampled: Vec<Record> = records
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % period < sample_len)
-        .map(|(_, r)| *r)
-        .collect();
-
-    let passes = space.passes();
-    let slots: Vec<OnceLock<(PassResults, DewCounters)>> =
-        passes.iter().map(|_| OnceLock::new()).collect();
-    let jobs = group_by_block(&passes);
-    let cap_max = {
-        let (_, smax) = space.set_bits();
-        let (_, amax) = space.assoc_bits();
-        (1u64 << smax) * (1u64 << amax)
-    };
-    // Per-job first-touch totals over clusters 1.. (cluster 0 starts exact),
-    // each already saturated at every per-config cap via min() at sum time —
-    // so only the per-cluster counts are kept, as one capped running vector.
-    let touch_slots: Vec<OnceLock<Vec<u64>>> = jobs.iter().map(|_| OnceLock::new()).collect();
-    let workers = worker_count(threads, jobs.len());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut chunks = BlockChunks::new(&[], 0, BlockChunks::DEFAULT_CHUNK);
-                loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(j) else { break };
-                    let mut kernel = build_job_kernel(space, job, options);
-                    let mut seen: HashSet<u64> = HashSet::new();
-                    let mut touches: Vec<u64> = Vec::new();
-                    let mut cluster_touch = 0u64;
-                    let mut pos = 0usize;
-                    chunks.reset(&sampled, job.block_bits);
-                    while let Some(chunk) = chunks.next_chunk() {
-                        for &block in chunk {
-                            if pos % sample_len == 0 {
-                                // New cluster: the previous window closes.
-                                if pos > 0 {
-                                    touches.push(cluster_touch);
-                                }
-                                seen.clear();
-                                cluster_touch = 0;
-                            }
-                            // Cluster 0 starts on exact state; later
-                            // clusters count first touches (saturated at
-                            // the space's largest configuration).
-                            if pos >= sample_len && cluster_touch < cap_max && seen.insert(block) {
-                                cluster_touch += 1;
-                            }
-                            pos += 1;
-                        }
-                        kernel.run_blocks(chunk);
-                    }
-                    if pos > sample_len {
-                        touches.push(cluster_touch);
-                    }
-                    let claimed = touch_slots[j].set(touches);
-                    assert!(claimed.is_ok(), "job {j} claimed by exactly one worker");
-                    for &i in &job.pass_idx {
-                        let fanned = kernel.fan_out(passes[i].assoc());
-                        let claimed = slots[i].set(fanned);
-                        assert!(claimed.is_ok(), "slot {i} claimed by exactly one worker");
-                    }
-                }
-            });
-        }
-    });
-
-    let include_dm = space.assoc_bits().0 == 0;
-    let mut slack: HashMap<(u32, u32, u32), u64> = HashMap::new();
-    for (j, job) in jobs.iter().enumerate() {
-        let touches = touch_slots[j].get().expect("all jobs completed");
-        for &i in &job.pass_idx {
-            let pass = &passes[i];
-            for sb in pass.min_set_bits()..=pass.max_set_bits() {
-                let sets = 1u32 << sb;
-                let cap = u64::from(sets) * u64::from(pass.assoc());
-                let total: u64 = touches.iter().map(|&f| f.min(cap)).sum();
-                slack.insert((sets, pass.assoc(), pass.block_bytes()), total);
-                if include_dm {
-                    let dm_cap = u64::from(sets);
-                    let dm_total: u64 = touches.iter().map(|&f| f.min(dm_cap)).sum();
-                    slack.insert((sets, 1, pass.block_bytes()), dm_total);
-                }
-            }
-        }
-    }
-
-    Ok(assemble(
-        space,
-        &passes,
-        slots,
-        sampled.len() as u64,
-        jobs.len() as u64,
-        options.policy,
-        false,
-    )
-    .with_records_simulated(sampled.len() as u64 * jobs.len() as u64)
-    .with_bounds(ShardBounds::new(slack, options.policy == TreePolicy::Lru)))
-}
-
-/// [`sweep_trace`] from a re-openable [`TraceSource`] instead of an
-/// in-memory record slice: each fused job opens its own reader and streams
-/// it through a [`StreamBlockChunks`] decoder, so peak memory per worker is
-/// the chunk buffer (`BlockChunks::DEFAULT_CHUNK × 8` bytes) plus
-/// geometry-sized kernel state — the trace itself is never resident. This
-/// is the path that sweeps billion-request traces in megabytes.
-///
-/// The source is opened once per block size (the fused traversal count);
-/// it must replay identically on every open — the driver cross-checks the
-/// decoded record counts across jobs and panics on disagreement.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).run_streamed(source)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run_streamed`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).run_streamed(source)"
-)]
-pub fn sweep_trace_streamed<S: TraceSource>(
-    space: &ConfigSpace,
-    source: &S,
-    options: DewOptions,
-    threads: usize,
-) -> Result<SweepOutcome, DewError> {
-    streamed_impl(space, source, options, threads)
-}
-
-/// Implementation behind [`sweep_trace_streamed`] and
-/// [`crate::SweepRequest::run_streamed`].
-pub(crate) fn streamed_impl<S: TraceSource>(
-    space: &ConfigSpace,
-    source: &S,
-    options: DewOptions,
-    threads: usize,
-) -> Result<SweepOutcome, DewError> {
-    validate_request(space, options)?;
-    let passes = space.passes();
-    let slots: Vec<OnceLock<(PassResults, DewCounters)>> =
-        passes.iter().map(|_| OnceLock::new()).collect();
-    let jobs = group_by_block(&passes);
-    let counts: Vec<OnceLock<u64>> = jobs.iter().map(|_| OnceLock::new()).collect();
-    let failure: OnceLock<String> = OnceLock::new();
-    let workers = worker_count(threads, jobs.len());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                if failure.get().is_some() {
-                    break;
-                }
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(j) else { break };
-                let reader = match source.open() {
-                    Ok(reader) => reader,
-                    Err(err) => {
-                        // Name the failing job: a degraded-mode report needs
-                        // to say *which* configuration family died, not just
-                        // what the I/O layer said.
-                        let _ = failure.set(format!(
-                            "{}: opening source: {err}",
-                            job_label(job.block_bits, options.policy)
-                        ));
-                        break;
-                    }
-                };
-                let mut chunks =
-                    StreamBlockChunks::new(reader, job.block_bits, BlockChunks::DEFAULT_CHUNK);
-                let mut kernel = build_job_kernel(space, job, options);
-                loop {
-                    match chunks.next_chunk() {
-                        Ok(Some(chunk)) => kernel.run_blocks(chunk),
-                        Ok(None) => break,
-                        Err(err) => {
-                            let _ = failure.set(format!(
-                                "{}: at record {}: {err}",
-                                job_label(job.block_bits, options.policy),
-                                chunks.decoded()
-                            ));
-                            return;
-                        }
-                    }
-                }
-                let claimed = counts[j].set(chunks.decoded());
-                assert!(claimed.is_ok(), "job {j} claimed by exactly one worker");
-                for &i in &job.pass_idx {
-                    let fanned = kernel.fan_out(passes[i].assoc());
-                    let claimed = slots[i].set(fanned);
-                    assert!(claimed.is_ok(), "slot {i} claimed by exactly one worker");
-                }
-            });
-        }
-    });
-    if let Some(why) = failure.get() {
-        return Err(DewError::TraceRead(why.clone()));
-    }
-    let accesses = counts.first().and_then(|c| c.get().copied()).unwrap_or(0);
-    for count in &counts {
-        assert_eq!(
-            count.get().copied(),
-            Some(accesses),
-            "trace source must replay identically on every open"
-        );
-    }
-    Ok(assemble(
-        space,
-        &passes,
-        slots,
-        accesses,
-        jobs.len() as u64,
-        options.policy,
-        false,
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// Resilient sweeps: checkpoint/resume, retry with bounded backoff, panic
-// isolation, graceful degradation.
-// ---------------------------------------------------------------------------
-
-/// Human-readable identity of a fused job for resilience-path error
-/// messages: one fused job covers every configuration of one block size.
+/// Human-readable identity of a fused job for error messages: one fused
+/// job covers every configuration of one block size.
 fn job_label(block_bits: u32, policy: TreePolicy) -> String {
     format!("block {}B ({policy})", 1u64 << block_bits)
 }
@@ -1016,7 +240,7 @@ struct ResumeJob {
 /// per-pass fanned results)`.
 type FinishedJob = (usize, u64, Vec<(PassResults, DewCounters)>);
 
-/// What a resilient worker records for its job.
+/// What a worker records for its job.
 enum JobOutcome {
     /// The job ran to the end of the stream; `decoded` records were
     /// consumed and `fanned` parallels `FusedJob::pass_idx`.
@@ -1027,8 +251,7 @@ enum JobOutcome {
     Failed(JobFailure),
 }
 
-/// Internal failure of one resilient job (before it becomes a
-/// [`JobFailure`]).
+/// Internal failure of one job (before it becomes a [`JobFailure`]).
 enum JobError {
     /// The source failed fatally, or exhausted its retry budget.
     Source { records_done: u64, message: String },
@@ -1054,15 +277,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Shared state of one resilient sweep, borrowed by every worker.
+/// Shared state of one sweep, borrowed by every worker.
 struct ResilientRun<'a, S> {
     space: &'a ConfigSpace,
     source: &'a S,
     passes: &'a [PassConfig],
     /// Sorted record positions where kernel state must cross a shard
-    /// boundary as snapshot bytes (empty for unsharded drivers).
+    /// boundary as snapshot bytes (empty for unsharded plans).
     boundaries: &'a [u64],
     options: DewOptions,
+    /// Build instrumented kernels (full [`DewCounters`] breakdown).
+    instrument: bool,
     res: &'a Resilience<'a>,
     /// The evolving checkpoint image (present iff checkpointing is on).
     ckpt: Option<Mutex<SweepCheckpoint>>,
@@ -1184,12 +409,14 @@ impl<S: TraceSource> ResilientRun<'_, S> {
     /// one straight to fan-out). Returns the records consumed and the
     /// per-pass results, parallel to `job.pass_idx`.
     ///
-    /// The record loop buffers block numbers itself (instead of using
-    /// [`StreamBlockChunks`]) so it can flush at *exact* positions — shard
-    /// boundaries and checkpoint points — and flush delivered records
-    /// before handling a mid-chunk fault. The kernels consume blocks one at
-    /// a time, so chunk partitioning never affects results; that invariance
-    /// is what makes checkpoint resume and retry replay bit-exact.
+    /// The record loop fills its own block buffer up to the next *stop* —
+    /// a full chunk, a shard boundary or a checkpoint point — so it can
+    /// flush at exact positions, and it flushes delivered records before
+    /// handling a mid-fill fault. The stop checks run once per fill, not
+    /// once per record. The kernels consume blocks one at a time, so how
+    /// the stream is cut into fills never affects results; that invariance
+    /// is what makes shard handoff, checkpoint resume and retry replay
+    /// bit-exact.
     fn run_job(
         &self,
         job: &FusedJob,
@@ -1199,7 +426,18 @@ impl<S: TraceSource> ResilientRun<'_, S> {
         let label = job_label(job.block_bits, self.options.policy);
         let (mut kernel, mut position, complete) = match resume {
             Some(r) => (r.kernel, r.records_done, r.complete),
-            None => (build_job_kernel(self.space, job, self.options), 0, false),
+            None => (
+                FusedKernel::build(
+                    job.block_bits,
+                    self.space.set_bits(),
+                    job.assoc_bits,
+                    self.options,
+                    self.instrument,
+                )
+                .expect("pass geometry and options validated above"),
+                0,
+                false,
+            ),
         };
         position_out.store(position, Ordering::Relaxed);
         if !complete {
@@ -1209,7 +447,7 @@ impl<S: TraceSource> ResilientRun<'_, S> {
             let mut next_ckpt = every.map(|e| (position / e + 1) * e);
             let mut attempts = 0u32;
             let mut last_fault: Option<u64> = None;
-            let mut buf: Vec<u64> = Vec::with_capacity(BlockChunks::DEFAULT_CHUNK);
+            let mut buf = vec![0u64; BlockChunks::DEFAULT_CHUNK];
             // A token that fired before this job started (an already-expired
             // deadline, a drain in progress) stops it before any decode; the
             // resume state captured here is the job's honest position.
@@ -1223,96 +461,99 @@ impl<S: TraceSource> ResilientRun<'_, S> {
             'stream: loop {
                 let mut iter = self.open_skip(position, &mut attempts, &label)?;
                 loop {
-                    match iter.next() {
-                        Some(Ok(rec)) => {
-                            buf.push(rec.addr >> job.block_bits);
-                            position += 1;
-                            let at_boundary =
-                                self.boundaries.get(next_boundary).copied() == Some(position);
-                            let at_ckpt = next_ckpt == Some(position);
-                            if buf.len() >= BlockChunks::DEFAULT_CHUNK || at_boundary || at_ckpt {
-                                kernel.run_blocks(&buf);
-                                buf.clear();
-                                position_out.store(position, Ordering::Relaxed);
-                                if at_boundary {
-                                    // Shard handoff, exactly as in
-                                    // `run_sharded_handoff`: state crosses
-                                    // the boundary only as wire-format
-                                    // bytes (an identity round trip).
-                                    let bytes = kernel.to_snapshot();
-                                    kernel =
-                                        FusedKernel::from_snapshot(self.options.policy, &bytes)
-                                            .expect("kernel snapshots round-trip");
-                                    while self.boundaries.get(next_boundary).copied()
-                                        == Some(position)
-                                    {
-                                        next_boundary += 1;
-                                    }
-                                }
-                                if at_ckpt {
-                                    self.save_checkpoint(job.block_bits, position, &kernel, false);
-                                    next_ckpt = every.map(|e| position + e);
-                                }
-                                if self.abort.load(Ordering::Relaxed) {
-                                    return Err(JobError::Aborted);
-                                }
-                                // Cooperative cancellation: the buffered
-                                // records above were flushed into the
-                                // kernel, so the final checkpoint captures
-                                // exactly the simulated prefix.
-                                if let Some(reason) = self.cancel_fired() {
-                                    self.save_checkpoint(job.block_bits, position, &kernel, false);
-                                    return Err(JobError::Cancelled {
-                                        records_done: position,
-                                        reason,
-                                    });
-                                }
+                    let mut stop = position + buf.len() as u64;
+                    if let Some(&b) = self.boundaries.get(next_boundary) {
+                        stop = stop.min(b);
+                    }
+                    if let Some(c) = next_ckpt {
+                        stop = stop.min(c);
+                    }
+                    // `stop - position` is at most the buffer length.
+                    let want = (stop - position) as usize;
+                    let mut filled = 0;
+                    let mut fault: Option<TraceError> = None;
+                    let mut ended = false;
+                    for slot in &mut buf[..want] {
+                        match iter.next() {
+                            Some(Ok(rec)) => *slot = rec.addr >> job.block_bits,
+                            Some(Err(e)) => {
+                                fault = Some(e);
+                                break;
+                            }
+                            None => {
+                                ended = true;
+                                break;
                             }
                         }
-                        Some(Err(e)) => {
-                            // Delivered records are real progress: simulate
-                            // them before judging the error, so a retry
-                            // replays from the exact failure point.
-                            if !buf.is_empty() {
-                                kernel.run_blocks(&buf);
-                                buf.clear();
-                            }
-                            position_out.store(position, Ordering::Relaxed);
-                            if !e.is_transient() {
-                                return Err(JobError::Source {
-                                    records_done: position,
-                                    message: format!("{label}: at record {position}: {e}"),
-                                });
-                            }
-                            // The attempt budget bounds *stalls*, not total
-                            // faults over a long stream: progress since the
-                            // previous fault earns a fresh budget.
-                            if last_fault.is_some_and(|p| position > p) {
-                                attempts = 0;
-                            }
-                            last_fault = Some(position);
-                            if attempts >= retry.max_retries {
-                                return Err(JobError::Source {
-                                    records_done: position,
-                                    message: format!(
-                                        "{label}: at record {position}: {e} \
-                                         (gave up after {attempts} retries without progress)"
-                                    ),
-                                });
-                            }
-                            attempts += 1;
-                            self.retries_total.fetch_add(1, Ordering::Relaxed);
-                            self.res.sleeper.sleep(retry.delay(attempts));
-                            continue 'stream;
+                        filled += 1;
+                    }
+                    // Delivered records are real progress: simulate them
+                    // before judging a fault, so a retry replays from the
+                    // exact failure point.
+                    if filled > 0 {
+                        kernel.run_blocks(&buf[..filled]);
+                    }
+                    position += filled as u64;
+                    position_out.store(position, Ordering::Relaxed);
+                    if let Some(e) = fault {
+                        if !e.is_transient() {
+                            return Err(JobError::Source {
+                                records_done: position,
+                                message: format!("{label}: at record {position}: {e}"),
+                            });
                         }
-                        None => {
-                            if !buf.is_empty() {
-                                kernel.run_blocks(&buf);
-                                buf.clear();
-                            }
-                            position_out.store(position, Ordering::Relaxed);
-                            break 'stream;
+                        // The attempt budget bounds *stalls*, not total
+                        // faults over a long stream: progress since the
+                        // previous fault earns a fresh budget.
+                        if last_fault.is_some_and(|p| position > p) {
+                            attempts = 0;
                         }
+                        last_fault = Some(position);
+                        if attempts >= retry.max_retries {
+                            return Err(JobError::Source {
+                                records_done: position,
+                                message: format!(
+                                    "{label}: at record {position}: {e} \
+                                     (gave up after {attempts} retries without progress)"
+                                ),
+                            });
+                        }
+                        attempts += 1;
+                        self.retries_total.fetch_add(1, Ordering::Relaxed);
+                        self.res.sleeper.sleep(retry.delay(attempts));
+                        continue 'stream;
+                    }
+                    if ended {
+                        break 'stream;
+                    }
+                    if self.boundaries.get(next_boundary) == Some(&position) {
+                        // Shard handoff: state crosses the boundary only as
+                        // wire-format bytes (an identity round trip), so
+                        // every sharded sweep doubles as a snapshot
+                        // exactness test.
+                        let bytes = kernel.to_snapshot();
+                        kernel = FusedKernel::from_snapshot(self.options.policy, &bytes)
+                            .expect("kernel snapshots round-trip");
+                        while self.boundaries.get(next_boundary) == Some(&position) {
+                            next_boundary += 1;
+                        }
+                    }
+                    if next_ckpt == Some(position) {
+                        self.save_checkpoint(job.block_bits, position, &kernel, false);
+                        next_ckpt = every.map(|e| position + e);
+                    }
+                    if self.abort.load(Ordering::Relaxed) {
+                        return Err(JobError::Aborted);
+                    }
+                    // Cooperative cancellation: the fill above was flushed
+                    // into the kernel, so the final checkpoint captures
+                    // exactly the simulated prefix.
+                    if let Some(reason) = self.cancel_fired() {
+                        self.save_checkpoint(job.block_bits, position, &kernel, false);
+                        return Err(JobError::Cancelled {
+                            records_done: position,
+                            reason,
+                        });
                     }
                 }
             }
@@ -1329,14 +570,26 @@ impl<S: TraceSource> ResilientRun<'_, S> {
     }
 }
 
-/// The shared fault-tolerant driver behind the resilient forwarders and
-/// [`crate::SweepRequest`]'s resilient dispatch.
+/// The sweep driver behind every [`crate::SweepRequest`] plan: the same
+/// fused kernels and bit-identical results on the happy path, plus the
+/// contract of `res` — periodic [`SweepCheckpoint`]s, resume, retry with
+/// bounded backoff for transient source failures, per-job panic
+/// isolation, and graceful degradation (a partial [`SweepOutcome`] whose
+/// [`SweepOutcome::failed_jobs`] / [`SweepOutcome::retries`] /
+/// [`SweepOutcome::records_lost`] tell the truth about what was lost).
+///
+/// The kernel crosses each position in `boundaries` as snapshot bytes.
+/// Resuming from a checkpoint is **bit-identical** to the uninterrupted
+/// sweep: a checkpoint stores each job's exact kernel snapshot at an exact
+/// record position, restoring a snapshot is an identity (property-tested),
+/// and the kernels are insensitive to how the replayed stream is chunked.
 pub(crate) fn run_resilient<S: TraceSource>(
     space: &ConfigSpace,
     source: &S,
     boundaries: &[u64],
     options: DewOptions,
     threads: usize,
+    instrument: bool,
     res: &Resilience<'_>,
 ) -> Result<SweepOutcome, DewError> {
     validate_request(space, options)?;
@@ -1387,6 +640,7 @@ pub(crate) fn run_resilient<S: TraceSource>(
         passes: &passes,
         boundaries,
         options,
+        instrument,
         res,
         ckpt: res.checkpoint.map(|_| {
             Mutex::new(match res.resume {
@@ -1555,12 +809,10 @@ pub(crate) fn run_resilient<S: TraceSource>(
         );
     }
     let done_jobs = done.len() as u64;
-    let slots: Vec<OnceLock<(PassResults, DewCounters)>> =
-        passes.iter().map(|_| OnceLock::new()).collect();
+    let mut slots: Vec<Option<(PassResults, DewCounters)>> = passes.iter().map(|_| None).collect();
     for (j, _, fanned) in done {
         for (&i, f) in jobs[j].pass_idx.iter().zip(fanned) {
-            let claimed = slots[i].set(f);
-            assert!(claimed.is_ok(), "slot {i} filled exactly once");
+            slots[i] = Some(f);
         }
     }
     let records_lost: u64 = failed
@@ -1576,145 +828,22 @@ pub(crate) fn run_resilient<S: TraceSource>(
         accesses,
         jobs.len() as u64,
         options.policy,
-        true,
     )
     .with_records_simulated(records_simulated)
     .with_failures(failed, retries, records_lost))
 }
 
-/// Fault-tolerant [`sweep_trace`]: the same fused kernels and bit-identical
-/// results on the happy path, plus the resilience contract of
-/// [`Resilience`] — periodic [`SweepCheckpoint`]s, resume, retry with
-/// bounded backoff for transient source failures, per-job panic isolation,
-/// and graceful degradation (a partial [`SweepOutcome`] whose
-/// [`SweepOutcome::failed_jobs`] / [`SweepOutcome::retries`] /
-/// [`SweepOutcome::records_lost`] tell the truth about what was lost).
-///
-/// Resuming from a checkpoint is **bit-identical** to the uninterrupted
-/// sweep: a checkpoint stores each job's exact kernel snapshot at an exact
-/// record position, restoring a snapshot is an identity (property-tested),
-/// and the kernels are insensitive to how the replayed stream is chunked.
-///
-/// # Errors
-///
-/// [`DewError::UnsoundOptions`] when `options` fails validation;
-/// [`DewError::Checkpoint`] when a resume checkpoint mismatches this sweep
-/// (policy, fingerprint, undecodable kernel) or the checkpoint store fails
-/// mid-run; [`DewError::TraceRead`] / [`DewError::WorkerPanic`] when
-/// `fail_fast` is set and a job fails, or when *every* job fails.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).resilient(res).run(records)`.
-///
-/// # Examples
-///
-/// ```
-/// use dew_core::{ConfigSpace, DewOptions, Resilience, SweepRequest};
-/// use dew_trace::Record;
-///
-/// # fn main() -> Result<(), dew_core::DewError> {
-/// let space = ConfigSpace::new((0, 4), (2, 4), (0, 2))?;
-/// let trace: Vec<Record> = (0..500u64).map(|i| Record::read((i % 97) * 4)).collect();
-/// let plain = SweepRequest::new(&space).threads(1).run(&trace)?;
-/// let res = Resilience::new();
-/// let resilient = SweepRequest::new(&space).threads(1).resilient(&res).run(&trace)?;
-/// assert!(!resilient.is_partial());
-/// assert_eq!(resilient.sorted(), plain.sorted());
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).resilient(res).run(records)"
-)]
-pub fn sweep_trace_resilient(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    res: &Resilience<'_>,
-) -> Result<SweepOutcome, DewError> {
-    run_resilient(space, &SliceSource(records), &[], options, threads, res)
-}
-
-/// Fault-tolerant [`sweep_trace_sharded`] in snapshot-handoff mode: kernel
-/// state crosses each of the `shards` interval boundaries as serialized
-/// snapshot bytes (bit-identical to the unsharded sweep), under the full
-/// resilience contract of [`sweep_trace_resilient`]. Checkpoints compose
-/// with sharding — both reuse the same snapshot identity — and a
-/// checkpoint taken under one shard count resumes soundly under another.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).sharded(ShardSpec { shards, mode: ShardMode::SnapshotHandoff }).resilient(res).run(records)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).sharded(ShardSpec { shards, mode: ShardMode::SnapshotHandoff }).resilient(res).run(records)"
-)]
-pub fn sweep_trace_sharded_resilient(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    shards: usize,
-    res: &Resilience<'_>,
-) -> Result<SweepOutcome, DewError> {
-    let boundaries = handoff_boundaries(records.len(), shards);
-    run_resilient(
-        space,
-        &SliceSource(records),
-        &boundaries,
-        options,
-        threads,
-        res,
-    )
-}
-
-/// The snapshot-handoff boundary positions for `n` records split into
-/// `shards` contiguous intervals — the record indices at which a resilient
-/// sharded sweep serialises and restores each kernel.
-pub(crate) fn handoff_boundaries(n: usize, shards: usize) -> Vec<u64> {
-    shard_ranges(n, shards)
-        .iter()
-        .skip(1)
-        .map(|&(lo, _)| lo as u64)
-        .collect()
-}
-
-/// Fault-tolerant [`sweep_trace_streamed`]: bounded-memory sweeping from a
-/// re-openable [`TraceSource`] under the full resilience contract of
-/// [`sweep_trace_resilient`]. This is the driver for billion-request runs:
-/// transient I/O faults are retried with backoff (re-open + replay to the
-/// failure point — the source must replay identically on every open),
-/// fatal faults degrade to per-job failures, and `--checkpoint`-style
-/// periodic snapshots make a crash cost at most `every` records of replay.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).resilient(res).run_streamed(source)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run_streamed`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).resilient(res).run_streamed(source)"
-)]
-pub fn sweep_trace_streamed_resilient<S: TraceSource>(
-    space: &ConfigSpace,
-    source: &S,
-    options: DewOptions,
-    threads: usize,
-    res: &Resilience<'_>,
-) -> Result<SweepOutcome, DewError> {
-    run_resilient(space, source, &[], options, threads, res)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::request::SweepRequest;
     use crate::tree::DewTree;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
+
+    /// The request every test below starts from.
+    fn req(space: &ConfigSpace, options: DewOptions, threads: usize) -> SweepRequest<'_> {
+        SweepRequest::new(space).options(options).threads(threads)
+    }
 
     fn trace(n: usize) -> Vec<Record> {
         let mut x = 0x9E37_79B9u64;
@@ -1737,7 +866,9 @@ mod tests {
     fn sweep_covers_every_config_exactly() {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1200);
-        let outcome = sweep_trace(&space, &records, DewOptions::default(), 2).expect("sweep");
+        let outcome = req(&space, DewOptions::default(), 2)
+            .run(&records)
+            .expect("sweep");
         assert_eq!(outcome.config_count() as u64, space.config_count());
         assert_eq!(outcome.accesses(), 1200);
         for (sets, assoc, block) in space.configs() {
@@ -1760,7 +891,9 @@ mod tests {
         // block size cost exactly one decode and one trace traversal.
         let records = trace(900);
         let single_block = ConfigSpace::new((0, 6), (2, 2), (0, 3)).expect("valid");
-        let outcome = sweep_trace_instrumented(&single_block, &records, DewOptions::default(), 0)
+        let outcome = req(&single_block, DewOptions::default(), 0)
+            .instrumented(true)
+            .run(&records)
             .expect("sweep");
         assert_eq!(outcome.trace_traversals(), 1);
         // All walk-level counters of the block size's passes are the shared
@@ -1773,7 +906,9 @@ mod tests {
         assert!(evals.iter().all(|&e| e > 0 && e == evals[0]));
 
         let multi_block = ConfigSpace::new((0, 4), (0, 2), (0, 3)).expect("valid");
-        let outcome = sweep_trace_instrumented(&multi_block, &records, DewOptions::default(), 0)
+        let outcome = req(&multi_block, DewOptions::default(), 0)
+            .instrumented(true)
+            .run(&records)
             .expect("sweep");
         assert_eq!(outcome.trace_traversals(), 3, "one per block size");
     }
@@ -1782,7 +917,9 @@ mod tests {
     fn fused_matches_manual_per_pass_trees_bit_identically() {
         let records = trace(1500);
         let space = ConfigSpace::new((0, 5), (1, 3), (0, 3)).expect("valid");
-        let fused = sweep_trace(&space, &records, DewOptions::default(), 0).expect("sweep");
+        let fused = req(&space, DewOptions::default(), 0)
+            .run(&records)
+            .expect("sweep");
         for pass in space.passes() {
             let mut tree = DewTree::new(pass, DewOptions::default()).expect("sound");
             tree.run(records.iter().copied());
@@ -1806,7 +943,9 @@ mod tests {
     fn lru_sweep_fuses_to_one_traversal_per_block_size() {
         let records = trace(400);
         let space = ConfigSpace::new((0, 3), (2, 3), (0, 2)).expect("valid");
-        let outcome = sweep_trace(&space, &records, DewOptions::lru(), 2).expect("sweep");
+        let outcome = req(&space, DewOptions::lru(), 2)
+            .run(&records)
+            .expect("sweep");
         assert_eq!(
             outcome.trace_traversals(),
             2,
@@ -1827,8 +966,13 @@ mod tests {
     fn instrumented_lru_sweep_shares_the_walk_and_matches_fast() {
         let records = trace(700);
         let space = ConfigSpace::new((0, 4), (2, 2), (0, 3)).expect("valid");
-        let fast = sweep_trace(&space, &records, DewOptions::lru(), 0).expect("sweep");
-        let slow = sweep_trace_instrumented(&space, &records, DewOptions::lru(), 0).expect("sweep");
+        let fast = req(&space, DewOptions::lru(), 0)
+            .run(&records)
+            .expect("sweep");
+        let slow = req(&space, DewOptions::lru(), 0)
+            .instrumented(true)
+            .run(&records)
+            .expect("sweep");
         assert_eq!(slow.trace_traversals(), 1, "one block size, one traversal");
         let mut a = fast.sorted();
         let mut b = slow.sorted();
@@ -1851,8 +995,12 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let space = ConfigSpace::new((0, 5), (0, 3), (0, 3)).expect("valid");
         let records = trace(800);
-        let seq = sweep_trace(&space, &records, DewOptions::default(), 1).expect("sweep");
-        let par = sweep_trace(&space, &records, DewOptions::default(), 0).expect("sweep");
+        let seq = req(&space, DewOptions::default(), 1)
+            .run(&records)
+            .expect("sweep");
+        let par = req(&space, DewOptions::default(), 0)
+            .run(&records)
+            .expect("sweep");
         let mut a = seq.sorted();
         let mut b = par.sorted();
         a.sort_by_key(|c| (c.block_bytes, c.assoc, c.sets));
@@ -1865,9 +1013,13 @@ mod tests {
     fn instrumented_sweep_matches_fast_sweep() {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(900);
-        let fast = sweep_trace(&space, &records, DewOptions::default(), 0).expect("sweep");
-        let slow =
-            sweep_trace_instrumented(&space, &records, DewOptions::default(), 0).expect("sweep");
+        let fast = req(&space, DewOptions::default(), 0)
+            .run(&records)
+            .expect("sweep");
+        let slow = req(&space, DewOptions::default(), 0)
+            .instrumented(true)
+            .run(&records)
+            .expect("sweep");
         let mut a = fast.sorted();
         let mut b = slow.sorted();
         a.sort_by_key(|c| (c.block_bytes, c.assoc, c.sets));
@@ -1885,15 +1037,17 @@ mod tests {
             policy: crate::options::TreePolicy::Lru,
             ..DewOptions::default()
         };
-        assert!(sweep_trace(&space, &[], opts, 1).is_err());
+        assert!(req(&space, opts, 1).run(&[]).is_err());
     }
 
     #[test]
     fn counters_reported_per_pass() {
         let space = ConfigSpace::new((0, 3), (1, 2), (0, 1)).expect("valid");
         let records = trace(300);
-        let outcome =
-            sweep_trace_instrumented(&space, &records, DewOptions::default(), 1).expect("sweep");
+        let outcome = req(&space, DewOptions::default(), 1)
+            .instrumented(true)
+            .run(&records)
+            .expect("sweep");
         assert_eq!(outcome.passes().len(), space.passes().len());
         for (_, c) in outcome.passes() {
             assert_eq!(c.accesses, 300);
@@ -1918,14 +1072,12 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1100);
         for options in [DewOptions::default(), lru_options()] {
-            let sequential = sweep_trace(&space, &records, options, 0).expect("sweep");
+            let sequential = req(&space, options, 0).run(&records).expect("sweep");
             for shards in [2, 3, 5, 7] {
-                let spec = ShardSpec {
-                    shards,
-                    mode: ShardMode::SnapshotHandoff,
-                };
-                let sharded =
-                    sweep_trace_sharded(&space, &records, options, 0, spec).expect("sharded");
+                let sharded = req(&space, options, 0)
+                    .sharded(shards)
+                    .run(&records)
+                    .expect("sharded");
                 assert_eq!(sharded.sorted(), sequential.sorted(), "shards={shards}");
                 assert_eq!(sharded.trace_traversals(), sequential.trace_traversals());
                 assert_eq!(sharded.records_simulated(), sequential.records_simulated());
@@ -1938,95 +1090,39 @@ mod tests {
     fn one_shard_falls_back_to_the_plain_sweep() {
         let space = ConfigSpace::new((0, 3), (0, 1), (0, 1)).expect("valid");
         let records = trace(400);
-        let spec = ShardSpec {
-            shards: 1,
-            mode: ShardMode::SnapshotHandoff,
-        };
-        let a = sweep_trace_sharded(&space, &records, DewOptions::default(), 1, spec).expect("ok");
-        let b = sweep_trace(&space, &records, DewOptions::default(), 1).expect("ok");
+        let a = req(&space, DewOptions::default(), 1)
+            .sharded(1)
+            .run(&records)
+            .expect("ok");
+        let b = req(&space, DewOptions::default(), 1)
+            .run(&records)
+            .expect("ok");
         assert_eq!(a.sorted(), b.sorted());
-    }
-
-    #[test]
-    fn warmup_overlap_lru_estimate_is_within_its_slack() {
-        let space = ConfigSpace::new((0, 3), (0, 2), (0, 1)).expect("valid");
-        let records = trace(1600);
-        let exact = sweep_trace(&space, &records, lru_options(), 0).expect("sweep");
-        for overlap in [0usize, 64, 400] {
-            let spec = ShardSpec {
-                shards: 4,
-                mode: ShardMode::WarmupOverlap { overlap },
-            };
-            let est = sweep_trace_sharded(&space, &records, lru_options(), 0, spec).expect("est");
-            let bounds = est.bounds().expect("warmup mode reports bounds");
-            assert!(bounds.guaranteed(), "LRU bound is guaranteed");
-            for (sets, assoc, block) in space.configs() {
-                let truth = exact.misses(sets, assoc, block).expect("covered");
-                let guess = est.misses(sets, assoc, block).expect("covered");
-                let slack = bounds.slack(sets, assoc, block).expect("covered");
-                assert!(
-                    guess >= truth && guess - truth <= slack,
-                    "({sets},{assoc},{block}): truth={truth} est={guess} slack={slack}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn warmup_overlap_counts_replayed_records_truthfully() {
-        let space = ConfigSpace::new((0, 2), (0, 1), (0, 1)).expect("valid");
-        let records = trace(1000);
-        let overlap = 100;
-        let spec = ShardSpec {
-            shards: 4,
-            mode: ShardMode::WarmupOverlap { overlap },
-        };
-        let est =
-            sweep_trace_sharded(&space, &records, DewOptions::default(), 2, spec).expect("est");
-        // 2 block sizes (jobs), 3 boundaries each replaying 100 records.
-        assert_eq!(est.trace_traversals(), 2);
-        assert_eq!(est.records_simulated(), 2 * (1000 + 3 * 100));
-        assert_eq!(est.accesses(), 1000);
-        let bounds = est.bounds().expect("bounds");
-        assert!(!bounds.guaranteed(), "FIFO slack is heuristic");
-    }
-
-    #[test]
-    fn warmup_with_full_overlap_is_exact() {
-        // When every shard replays the entire preceding prefix, the kernels
-        // are fully warm: the estimate must equal the exact sweep (and for
-        // LRU the bound must still hold with equality at slack usage 0).
-        let space = ConfigSpace::new((0, 3), (0, 2), (0, 2)).expect("valid");
-        let records = trace(900);
-        for options in [DewOptions::default(), lru_options()] {
-            let exact = sweep_trace(&space, &records, options, 0).expect("sweep");
-            let spec = ShardSpec {
-                shards: 3,
-                mode: ShardMode::WarmupOverlap {
-                    overlap: records.len(),
-                },
-            };
-            let est = sweep_trace_sharded(&space, &records, options, 0, spec).expect("est");
-            for (sets, assoc, block) in space.configs() {
-                assert_eq!(
-                    est.misses(sets, assoc, block),
-                    exact.misses(sets, assoc, block),
-                    "({sets},{assoc},{block})"
-                );
-            }
-        }
     }
 
     #[test]
     fn sampled_sweep_validates_and_degenerates_to_exact() {
         let space = ConfigSpace::new((0, 2), (0, 1), (0, 1)).expect("valid");
         let records = trace(500);
-        assert!(sweep_trace_sampled(&space, &records, DewOptions::default(), 1, 0, 1).is_err());
-        assert!(sweep_trace_sampled(&space, &records, DewOptions::default(), 1, 8, 0).is_err());
-        assert!(sweep_trace_sampled(&space, &records, DewOptions::default(), 1, 8, 9).is_err());
-        let full = sweep_trace_sampled(&space, &records, DewOptions::default(), 1, 8, 8)
+        assert!(req(&space, DewOptions::default(), 1)
+            .sampled(0, 1)
+            .run(&records)
+            .is_err());
+        assert!(req(&space, DewOptions::default(), 1)
+            .sampled(8, 0)
+            .run(&records)
+            .is_err());
+        assert!(req(&space, DewOptions::default(), 1)
+            .sampled(8, 9)
+            .run(&records)
+            .is_err());
+        let full = req(&space, DewOptions::default(), 1)
+            .sampled(8, 8)
+            .run(&records)
             .expect("identity sampling");
-        let exact = sweep_trace(&space, &records, DewOptions::default(), 1).expect("sweep");
+        let exact = req(&space, DewOptions::default(), 1)
+            .run(&records)
+            .expect("sweep");
         assert_eq!(full.sorted(), exact.sorted());
         assert!(full.bounds().is_none(), "identity sampling is exact");
     }
@@ -2035,7 +1131,10 @@ mod tests {
     fn sampled_sweep_reports_retained_accesses_and_bounds() {
         let space = ConfigSpace::new((0, 3), (0, 1), (0, 1)).expect("valid");
         let records = trace(1000);
-        let est = sweep_trace_sampled(&space, &records, lru_options(), 0, 100, 25).expect("est");
+        let est = req(&space, lru_options(), 0)
+            .sampled(100, 25)
+            .run(&records)
+            .expect("est");
         assert_eq!(est.accesses(), 250, "10 clusters of 25");
         let bounds = est.bounds().expect("sampled mode reports bounds");
         assert!(bounds.guaranteed(), "LRU bound is guaranteed");
@@ -2047,7 +1146,7 @@ mod tests {
             .filter(|(i, _)| i % 100 < 25)
             .map(|(_, r)| *r)
             .collect();
-        let exact = sweep_trace(&space, &sampled, lru_options(), 0).expect("sweep");
+        let exact = req(&space, lru_options(), 0).run(&sampled).expect("sweep");
         for (sets, assoc, block) in space.configs() {
             let truth = exact.misses(sets, assoc, block).expect("covered");
             let guess = est.misses(sets, assoc, block).expect("covered");
@@ -2065,9 +1164,10 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1300);
         for options in [DewOptions::default(), lru_options()] {
-            let in_memory = sweep_trace(&space, &records, options, 0).expect("sweep");
-            let streamed =
-                sweep_trace_streamed(&space, &SliceSource(&records), options, 0).expect("stream");
+            let in_memory = req(&space, options, 0).run(&records).expect("sweep");
+            let streamed = req(&space, options, 0)
+                .run_streamed(&SliceSource(&records))
+                .expect("stream");
             assert_eq!(streamed.sorted(), in_memory.sorted());
             assert_eq!(streamed.accesses(), in_memory.accesses());
             assert_eq!(streamed.trace_traversals(), in_memory.trace_traversals());
@@ -2087,7 +1187,8 @@ mod tests {
             ]
             .into_iter())
         };
-        let err = sweep_trace_streamed(&space, &source, DewOptions::default(), 1)
+        let err = req(&space, DewOptions::default(), 1)
+            .run_streamed(&source)
             .expect_err("truncation must surface");
         let DewError::TraceRead(msg) = &err else {
             panic!("expected TraceRead, got {err}");
@@ -2095,6 +1196,32 @@ mod tests {
         // The message names the failing job and the decode position.
         assert!(msg.contains("block "), "{msg}");
         assert!(msg.contains("at record 2"), "{msg}");
+
+        // A transient fault gets no retry under the plain plan: the source
+        // is opened once (every retry re-opens it, after its backoff
+        // sleep) and the error names the same job and position.
+        let opens = AtomicU64::new(0);
+        let flaky = || {
+            opens.fetch_add(1, Ordering::Relaxed);
+            Ok([
+                Ok(Record::read(0)),
+                Ok(Record::read(64)),
+                Err(TraceError::Io(std::io::Error::new(
+                    std::io::ErrorKind::Interrupted,
+                    "injected transient read failure",
+                ))),
+            ]
+            .into_iter())
+        };
+        let err = req(&space, DewOptions::default(), 1)
+            .run_streamed(&flaky)
+            .expect_err("a plain run does not retry");
+        let DewError::TraceRead(msg) = &err else {
+            panic!("expected TraceRead, got {err}");
+        };
+        assert!(msg.contains("block "), "{msg}");
+        assert!(msg.contains("at record 2"), "{msg}");
+        assert_eq!(opens.load(Ordering::Relaxed), 1, "no retry was made");
     }
 
     #[test]
@@ -2102,15 +1229,20 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1100);
         for options in [DewOptions::default(), lru_options()] {
-            let plain = sweep_trace(&space, &records, options, 0).expect("sweep");
+            let plain = req(&space, options, 0).run(&records).expect("sweep");
             let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-            let resilient =
-                sweep_trace_resilient(&space, &records, options, 0, &res).expect("resilient");
+            let resilient = req(&space, options, 0)
+                .resilient(&res)
+                .run(&records)
+                .expect("resilient");
             assert!(!resilient.is_partial());
             assert_eq!(resilient.retries(), 0);
             assert_eq!(resilient.sorted(), plain.sorted());
             assert_eq!(resilient.accesses(), plain.accesses());
-            let sharded = sweep_trace_sharded_resilient(&space, &records, options, 0, 4, &res)
+            let sharded = req(&space, options, 0)
+                .sharded(4)
+                .resilient(&res)
+                .run(&records)
                 .expect("sharded resilient");
             assert_eq!(sharded.sorted(), plain.sorted());
         }
@@ -2121,7 +1253,9 @@ mod tests {
         use dew_trace::TraceError;
         let space = ConfigSpace::new((0, 3), (2, 3), (0, 1)).expect("valid");
         let records = trace(600);
-        let plain = sweep_trace(&space, &records, DewOptions::default(), 0).expect("sweep");
+        let plain = req(&space, DewOptions::default(), 0)
+            .run(&records)
+            .expect("sweep");
         let fails = AtomicU64::new(2);
         let source = || {
             let failed = fails
@@ -2136,9 +1270,10 @@ mod tests {
             Ok(records.iter().copied().map(Ok::<Record, TraceError>))
         };
         let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-        let outcome =
-            sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
-                .expect("recovered");
+        let outcome = req(&space, DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("recovered");
         assert!(!outcome.is_partial());
         assert_eq!(outcome.retries(), 2);
         assert_eq!(outcome.sorted(), plain.sorted());
@@ -2174,9 +1309,10 @@ mod tests {
         let opens = AtomicU64::new(0);
         let source = second_open_truncates(&records, &opens);
         let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-        let outcome =
-            sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
-                .expect("degraded mode returns partial results");
+        let outcome = req(&space, DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("degraded mode returns partial results");
         assert!(outcome.is_partial());
         assert_eq!(outcome.retries(), 0, "fatal errors are not retried");
         let failed = outcome.failed_jobs();
@@ -2204,7 +1340,9 @@ mod tests {
         let res = Resilience::new()
             .fail_fast(true)
             .with_sleeper(&crate::resilience::NoSleep);
-        let err = sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
+        let err = req(&space, DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&source)
             .expect_err("fail-fast aborts");
         let DewError::TraceRead(msg) = &err else {
             panic!("expected TraceRead, got {err}");
@@ -2227,9 +1365,10 @@ mod tests {
             }))
         };
         let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-        let outcome =
-            sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
-                .expect("panic degrades, not aborts");
+        let outcome = req(&space, DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("panic degrades, not aborts");
         assert!(outcome.is_partial());
         let failed = outcome.failed_jobs();
         assert_eq!(failed.len(), 1);
@@ -2239,6 +1378,25 @@ mod tests {
             "{}",
             failed[0].error
         );
+
+        // The plain plan isolates the panic too, and fails fast with it
+        // instead of unwinding through the caller.
+        let stream = trace(400);
+        let panicking = move || {
+            Ok(stream.clone().into_iter().enumerate().map(|(i, r)| {
+                if i == 50 {
+                    panic!("injected kernel panic");
+                }
+                Ok::<Record, dew_trace::TraceError>(r)
+            }))
+        };
+        let err = req(&space, DewOptions::default(), 1)
+            .run_streamed(&panicking)
+            .expect_err("a plain run fails fast");
+        let DewError::WorkerPanic(msg) = &err else {
+            panic!("expected WorkerPanic, got {err}");
+        };
+        assert!(msg.contains("injected kernel panic"), "{msg}");
     }
 
     #[test]
@@ -2246,12 +1404,14 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1000);
         for options in [DewOptions::default(), lru_options()] {
-            let baseline = sweep_trace(&space, &records, options, 0).expect("sweep");
+            let baseline = req(&space, options, 0).run(&records).expect("sweep");
             let store = crate::checkpoint::MemoryCheckpointStore::new();
             let res = Resilience::new()
                 .with_checkpoint(300, &store)
                 .with_sleeper(&crate::resilience::NoSleep);
-            let full = sweep_trace_resilient(&space, &records, options, 0, &res)
+            let full = req(&space, options, 0)
+                .resilient(&res)
+                .run(&records)
                 .expect("checkpointed run");
             assert_eq!(full.sorted(), baseline.sorted());
             let history = store.history();
@@ -2264,8 +1424,10 @@ mod tests {
                 let res = Resilience::new()
                     .resume_from(&ckpt)
                     .with_sleeper(&crate::resilience::NoSleep);
-                let resumed =
-                    sweep_trace_resilient(&space, &records, options, 0, &res).expect("resumed run");
+                let resumed = req(&space, options, 0)
+                    .resilient(&res)
+                    .run(&records)
+                    .expect("resumed run");
                 assert!(!resumed.is_partial());
                 assert_eq!(resumed.sorted(), baseline.sorted(), "image {idx}");
                 assert_eq!(resumed.accesses(), baseline.accesses());
@@ -2281,7 +1443,10 @@ mod tests {
         let res = Resilience::new()
             .with_checkpoint(100, &store)
             .with_sleeper(&crate::resilience::NoSleep);
-        sweep_trace_resilient(&space, &records, DewOptions::default(), 0, &res).expect("sweep");
+        req(&space, DewOptions::default(), 0)
+            .resilient(&res)
+            .run(&records)
+            .expect("sweep");
         let ckpt =
             SweepCheckpoint::from_bytes(&store.latest().expect("saved")).expect("image decodes");
         // Different space → fingerprint mismatch.
@@ -2289,11 +1454,15 @@ mod tests {
         let res = Resilience::new()
             .resume_from(&ckpt)
             .with_sleeper(&crate::resilience::NoSleep);
-        let err = sweep_trace_resilient(&other, &records, DewOptions::default(), 0, &res)
+        let err = req(&other, DewOptions::default(), 0)
+            .resilient(&res)
+            .run(&records)
             .expect_err("fingerprint mismatch");
         assert!(matches!(err, DewError::Checkpoint(_)), "{err}");
         // Different policy → rejected before fingerprints are compared.
-        let err = sweep_trace_resilient(&space, &records, lru_options(), 0, &res)
+        let err = req(&space, lru_options(), 0)
+            .resilient(&res)
+            .run(&records)
             .expect_err("policy mismatch");
         let DewError::Checkpoint(msg) = &err else {
             panic!("expected Checkpoint, got {err}");
@@ -2306,7 +1475,9 @@ mod tests {
         use crate::cancel::CancelToken;
         let space = ConfigSpace::new((0, 3), (2, 4), (0, 1)).expect("valid");
         let records = trace(1000);
-        let baseline = sweep_trace(&space, &records, DewOptions::default(), 0).expect("sweep");
+        let baseline = req(&space, DewOptions::default(), 0)
+            .run(&records)
+            .expect("sweep");
 
         // The source itself trips the token while delivering record 400, so
         // cancellation lands mid-stream deterministically.
@@ -2327,9 +1498,10 @@ mod tests {
             .with_checkpoint(250, &store)
             .with_cancel(&token)
             .with_sleeper(&crate::resilience::NoSleep);
-        let outcome =
-            sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
-                .expect("cancellation degrades, not errors");
+        let outcome = req(&space, DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("cancellation degrades, not errors");
         assert!(outcome.is_partial());
         let failed = outcome.failed_jobs();
         assert_eq!(failed.len(), 3, "all three block-size jobs stopped");
@@ -2353,9 +1525,10 @@ mod tests {
         let res = Resilience::new()
             .resume_from(&ckpt)
             .with_sleeper(&crate::resilience::NoSleep);
-        let resumed =
-            sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
-                .expect("resumed run");
+        let resumed = req(&space, DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("resumed run");
         assert!(!resumed.is_partial());
         assert_eq!(resumed.sorted(), baseline.sorted());
     }
@@ -2369,7 +1542,9 @@ mod tests {
         let res = Resilience::new()
             .with_cancel(&token)
             .with_sleeper(&crate::resilience::NoSleep);
-        let outcome = sweep_trace_resilient(&space, &records, DewOptions::default(), 0, &res)
+        let outcome = req(&space, DewOptions::default(), 0)
+            .resilient(&res)
+            .run(&records)
             .expect("deadline degrades, not errors");
         assert!(outcome.is_partial());
         assert!(outcome
@@ -2388,7 +1563,9 @@ mod tests {
             .with_cancel(&token)
             .fail_fast(true)
             .with_sleeper(&crate::resilience::NoSleep);
-        let err = sweep_trace_resilient(&space, &records, DewOptions::default(), 0, &res)
+        let err = req(&space, DewOptions::default(), 0)
+            .resilient(&res)
+            .run(&records)
             .expect_err("fail-fast escalates cancellation");
         assert!(matches!(err, DewError::Cancelled(_)), "{err}");
     }

@@ -33,7 +33,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use dew_core::{ConfigSpace, DewError, ShardSpec, SweepOutcome, SweepRequest, TreePolicy};
+use dew_core::{ConfigSpace, DewError, SweepOutcome, SweepRequest, TreePolicy};
 use dew_trace::Record;
 
 use crate::energy::EnergyModel;
@@ -409,15 +409,14 @@ pub fn explore_trace(
     mode: ParetoMode,
     threads: usize,
 ) -> Result<ExplorationReport, DewError> {
-    explore_trace_with_shards(exploration, records, model, mode, threads, None)
+    explore_trace_with_shards(exploration, records, model, mode, threads, 1)
 }
 
-/// [`explore_trace`] with the underlying sweeps sharded per `spec` (see
-/// `dew_core::SweepRequest::sharded`). With `ShardMode::SnapshotHandoff`
-/// — the mode the CLI's `--shards` selects — every score is computed from
-/// miss counts bit-identical to the unsharded sweep, so the frontier is
-/// unchanged; the sharding only bounds per-traversal memory. `None` (or
-/// `shards <= 1`) is exactly [`explore_trace`].
+/// [`explore_trace`] with the underlying sweeps split into `shards`
+/// intervals (see `dew_core::SweepRequest::sharded`). Every score is
+/// computed from miss counts bit-identical to the unsharded sweep, so the
+/// frontier is unchanged; the sharding only bounds per-traversal memory.
+/// `shards <= 1` is exactly [`explore_trace`].
 ///
 /// # Errors
 ///
@@ -428,17 +427,15 @@ pub fn explore_trace_with_shards(
     model: &EnergyModel,
     mode: ParetoMode,
     threads: usize,
-    spec: Option<ShardSpec>,
+    shards: usize,
 ) -> Result<ExplorationReport, DewError> {
     let start = Instant::now();
     let mut sweeps: Vec<SweepOutcome> = Vec::with_capacity(exploration.policies.len());
     for &policy in &exploration.policies {
-        let mut request = SweepRequest::new(&exploration.space)
+        let request = SweepRequest::new(&exploration.space)
             .policy(policy)
-            .threads(threads);
-        if let Some(spec) = spec {
-            request = request.sharded(spec);
-        }
+            .threads(threads)
+            .sharded(shards);
         sweeps.push(request.run(records)?);
     }
     let sweep_seconds = start.elapsed().as_secs_f64();

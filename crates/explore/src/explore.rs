@@ -59,14 +59,14 @@ impl fmt::Display for Evaluation {
 /// # Examples
 ///
 /// ```
-/// use dew_core::{sweep_trace, ConfigSpace, DewOptions};
+/// use dew_core::{ConfigSpace, SweepRequest};
 /// use dew_explore::{evaluate_sweep, EnergyModel};
 /// use dew_trace::Record;
 ///
 /// # fn main() -> Result<(), dew_core::DewError> {
 /// let space = ConfigSpace::new((0, 3), (2, 3), (0, 1))?;
 /// let trace: Vec<Record> = (0..2000u64).map(|i| Record::read((i % 300) * 4)).collect();
-/// let sweep = sweep_trace(&space, &trace, DewOptions::default(), 1)?;
+/// let sweep = SweepRequest::new(&space).threads(1).run(&trace)?;
 /// let evals = evaluate_sweep(&sweep, &EnergyModel::default());
 /// assert_eq!(evals.len() as u64, space.config_count());
 /// # Ok(())

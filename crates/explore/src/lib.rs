@@ -45,14 +45,14 @@
 //! Or piecewise, when the sweep is shared with other consumers:
 //!
 //! ```
-//! use dew_core::{sweep_trace, ConfigSpace, DewOptions};
+//! use dew_core::{ConfigSpace, SweepRequest};
 //! use dew_explore::{evaluate_sweep, pareto_front, EnergyModel};
 //! use dew_trace::Record;
 //!
 //! # fn main() -> Result<(), dew_core::DewError> {
 //! let space = ConfigSpace::new((0, 4), (2, 4), (0, 1))?;
 //! let trace: Vec<Record> = (0..5_000u64).map(|i| Record::read((i % 700) * 4)).collect();
-//! let sweep = sweep_trace(&space, &trace, DewOptions::default(), 1)?;
+//! let sweep = SweepRequest::new(&space).threads(1).run(&trace)?;
 //! let evals = evaluate_sweep(&sweep, &EnergyModel::default());
 //! let front = pareto_front(&evals);
 //! assert!(!front.is_empty() && front.len() <= evals.len());

@@ -14,7 +14,7 @@
 //!                  │ pop()
 //!                  ▼
 //!            worker pool (fixed) ── per-job CancelToken (deadline at admission)
-//!                  │ sweep_trace_streamed_resilient + MemoryCheckpointStore
+//!                  │ resilient SweepRequest::run_streamed + LatestCheckpointStore
 //!                  ▼
 //!        job table: exactly one terminal state per admitted job
 //!        {completed | deadline_exceeded | cancelled | failed | shed}
@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,8 +44,8 @@ use crate::json::{num, obj, str, Json};
 use crate::protocol::{JobKind, Request, SubmitRequest};
 use crate::queue::{BoundedQueue, PushError};
 use dew_core::{
-    CancelReason, CancelToken, ConfigSpace, DewOptions, FailureKind, MemoryCheckpointStore,
-    Resilience, RetryPolicy, SweepOutcome, SweepRequest,
+    CancelReason, CancelToken, CheckpointStore, ConfigSpace, DewOptions, FailureKind, Resilience,
+    RetryPolicy, SweepOutcome, SweepRequest,
 };
 use dew_explore::{best_edp_under, evaluate_sweep, pareto_front, EnergyModel};
 use dew_trace::{FaultPlan, FaultyTraceSource, Record, TraceError, TraceSource};
@@ -782,6 +782,31 @@ enum RunResult {
     Failed(String),
 }
 
+/// A job's checkpoint store: it keeps only the most recent image, because
+/// a job is only ever resumed from its latest cut. One full-space image
+/// runs to tens of megabytes, so keeping every save (as
+/// `dew_core::MemoryCheckpointStore` does for kill-testing) would grow a
+/// long job's memory with each checkpoint.
+#[derive(Debug, Default)]
+struct LatestCheckpointStore(Mutex<Option<Vec<u8>>>);
+
+impl LatestCheckpointStore {
+    /// Whether any checkpoint has been saved.
+    fn saved(&self) -> bool {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_some()
+    }
+}
+
+impl CheckpointStore for LatestCheckpointStore {
+    fn save(&self, bytes: &[u8]) -> Result<(), String> {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(bytes.to_vec());
+        Ok(())
+    }
+}
+
 fn ok_record(r: Record) -> Result<Record, TraceError> {
     Ok(r)
 }
@@ -810,7 +835,7 @@ fn run_job(req: &SubmitRequest, token: &CancelToken, sim_threads: usize) -> RunR
     };
     let options = DewOptions::for_policy(req.policy);
     let spec = req.traffic;
-    let store = MemoryCheckpointStore::new();
+    let store = LatestCheckpointStore::default();
     // Checkpoint a handful of times per job so cancellation always has a
     // recent cut to flush, without dominating small jobs.
     let every = (spec.requests / 4).max(1_000);
@@ -830,7 +855,7 @@ fn sweep_with<S: TraceSource>(
     options: DewOptions,
     threads: usize,
     every: u64,
-    store: &MemoryCheckpointStore,
+    store: &LatestCheckpointStore,
     token: &CancelToken,
 ) -> Result<SweepOutcome, dew_core::DewError> {
     let res = Resilience::new()
@@ -851,11 +876,11 @@ fn sweep_with<S: TraceSource>(
 
 fn summarise(
     req: &SubmitRequest,
-    store: &MemoryCheckpointStore,
+    store: &LatestCheckpointStore,
     token: &CancelToken,
     outcome: Result<SweepOutcome, dew_core::DewError>,
 ) -> RunResult {
-    let checkpointed = store.latest().is_some();
+    let checkpointed = store.saved();
     match outcome {
         Ok(out) if !out.is_partial() => RunResult::Done(summary_json(req, &out)),
         Ok(out) => {
@@ -928,6 +953,22 @@ fn summary_json(req: &SubmitRequest, out: &SweepOutcome) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn latest_store_keeps_one_image_resident() {
+        let store = LatestCheckpointStore::default();
+        assert!(!store.saved());
+        for n in 1..=16u8 {
+            store.save(&vec![n; usize::from(n)]).expect("save");
+        }
+        assert!(store.saved());
+        let resident = store.0.lock().expect("unpoisoned");
+        assert_eq!(
+            resident.as_deref(),
+            Some(&[16u8; 16][..]),
+            "only the last image"
+        );
+    }
 
     #[test]
     fn drain_report_renders_both_ways() {

@@ -5,18 +5,17 @@
 //! This is the integration-scale version of the paper's verification
 //! ("hit and miss rates of DEW ... are exactly the same" as Dinero IV's).
 
-// These suites drive the deprecated `sweep_trace*` forwarders on purpose:
-// they are the compatibility contract, and forwarding keeps them covering
-// the `SweepRequest` implementations underneath.
-#![allow(deprecated)]
-
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
-use dew_core::{sweep_trace, sweep_trace_instrumented, ConfigSpace, DewOptions};
+use dew_core::{ConfigSpace, DewOptions, SweepRequest};
 use dew_trace::Trace;
 use dew_workloads::mediabench::App;
 
 fn exact_match_over_space(trace: &Trace, space: &ConfigSpace) {
-    let sweep = sweep_trace(space, trace.records(), DewOptions::default(), 0).expect("sweep runs");
+    let sweep = SweepRequest::new(space)
+        .options(DewOptions::default())
+        .threads(0)
+        .run(trace.records())
+        .expect("sweep runs");
     assert_eq!(sweep.config_count() as u64, space.config_count());
     for (sets, assoc, block) in space.configs() {
         let config = CacheConfig::new(sets, assoc, block, Replacement::Fifo).expect("valid");
@@ -58,8 +57,12 @@ fn dew_matches_reference_for_every_app_spot_check() {
 fn sweep_totals_are_internally_consistent() {
     let trace = App::Mpeg2Decode.generate(20_000, 5);
     let space = ConfigSpace::new((0, 10), (0, 4), (2, 2)).expect("valid");
-    let sweep =
-        sweep_trace_instrumented(&space, trace.records(), DewOptions::default(), 0).expect("sweep");
+    let sweep = SweepRequest::new(&space)
+        .options(DewOptions::default())
+        .threads(0)
+        .instrumented(true)
+        .run(trace.records())
+        .expect("sweep");
     // Misses never exceed accesses; larger associativity at fixed sets and
     // block is not guaranteed monotone for FIFO (Belady), but miss counts
     // must be positive for a non-trivial trace and bounded by accesses.

@@ -10,17 +10,11 @@
 //! deadline flushes a final image whose resume reproduces the
 //! uninterrupted table bit for bit.
 
-// These suites drive the deprecated `sweep_trace*` forwarders on purpose:
-// they are the compatibility contract, and forwarding keeps them covering
-// the `SweepRequest` implementations underneath.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 
 use dew_core::{
-    sweep_trace, sweep_trace_resilient, CancelReason, CancelToken, ConfigSpace, DewError,
-    DewOptions, MemoryCheckpointStore, NoSleep, Resilience, RetryPolicy, SweepCheckpoint,
-    TreePolicy,
+    CancelReason, CancelToken, ConfigSpace, DewError, DewOptions, MemoryCheckpointStore, NoSleep,
+    Resilience, RetryPolicy, SweepCheckpoint, SweepRequest, TreePolicy,
 };
 use dew_trace::Record;
 
@@ -55,7 +49,12 @@ fn checkpoint_image(space: &ConfigSpace, records: &[Record], options: DewOptions
         .with_retry(RetryPolicy::none())
         .with_sleeper(&NoSleep)
         .with_checkpoint(64, &store);
-    sweep_trace_resilient(space, records, options, 1, &res).expect("checkpointed sweep");
+    SweepRequest::new(space)
+        .options(options)
+        .threads(1)
+        .resilient(&res)
+        .run(records)
+        .expect("checkpointed sweep");
     store.latest().expect("at least the completion image")
 }
 
@@ -78,9 +77,9 @@ proptest! {
 
         // Control: the same identity accepts the image and reproduces the
         // plain sweep exactly.
-        let baseline = sweep_trace(&space_a, &records, options, 1).expect("sweep");
+        let baseline = SweepRequest::new(&space_a).options(options).threads(1).run(&records).expect("sweep");
         let res = Resilience::new().with_sleeper(&NoSleep).resume_from(&ckpt);
-        let resumed = sweep_trace_resilient(&space_a, &records, options, 1, &res)
+        let resumed = SweepRequest::new(&space_a).options(options).threads(1).resilient(&res).run(&records)
             .expect("own sweep accepts its checkpoint");
         prop_assert_eq!(resumed.sorted(), baseline.sorted());
 
@@ -88,7 +87,7 @@ proptest! {
         // clean `DewError::Checkpoint` naming the mismatch.
         if space_b != space_a {
             let res = Resilience::new().with_sleeper(&NoSleep).resume_from(&ckpt);
-            let err = sweep_trace_resilient(&space_b, &records, options, 1, &res)
+            let err = SweepRequest::new(&space_b).options(options).threads(1).resilient(&res).run(&records)
                 .expect_err("foreign space must be rejected");
             match err {
                 DewError::Checkpoint(msg) => prop_assert!(
@@ -103,7 +102,7 @@ proptest! {
         // are even compared — the kernel snapshots would not decode).
         let flipped = DewOptions::for_policy(TreePolicy::ALL[(policy_idx + 1) % 4]);
         let res = Resilience::new().with_sleeper(&NoSleep).resume_from(&ckpt);
-        let err = sweep_trace_resilient(&space_a, &records, flipped, 1, &res)
+        let err = SweepRequest::new(&space_a).options(flipped).threads(1).resilient(&res).run(&records)
             .expect_err("policy flip must be rejected");
         prop_assert!(matches!(err, DewError::Checkpoint(_)), "got {err:?}");
     }
@@ -120,7 +119,7 @@ proptest! {
         policy_idx in 0usize..4,
     ) {
         let options = DewOptions::for_policy(TreePolicy::ALL[policy_idx]);
-        let baseline = sweep_trace(&space, &records, options, 1).expect("sweep");
+        let baseline = SweepRequest::new(&space).options(options).threads(1).run(&records).expect("sweep");
 
         let store = MemoryCheckpointStore::new();
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
@@ -130,14 +129,14 @@ proptest! {
             .with_sleeper(&NoSleep)
             .with_checkpoint(every, &store)
             .with_cancel(&token);
-        let cut = sweep_trace_resilient(&space, &records, options, 1, &res)
+        let cut = SweepRequest::new(&space).options(options).threads(1).resilient(&res).run(&records)
             .expect("a deadline cut is a partial outcome, not an error");
         prop_assert!(cut.is_partial(), "an expired deadline admits no progress");
 
         let image = store.latest().expect("the cut flushed a final image");
         let ckpt = SweepCheckpoint::from_bytes(&image).expect("image decodes");
         let res = Resilience::new().with_sleeper(&NoSleep).resume_from(&ckpt);
-        let resumed = sweep_trace_resilient(&space, &records, options, 1, &res)
+        let resumed = SweepRequest::new(&space).options(options).threads(1).resilient(&res).run(&records)
             .expect("resume after the deadline cut");
         prop_assert!(!resumed.is_partial());
         prop_assert_eq!(resumed.sorted(), baseline.sorted(),

@@ -6,16 +6,11 @@
 //! per-configuration LRU oracle — and must report exactly one trace
 //! traversal per block size, just like FIFO.
 
-// These suites drive the deprecated `sweep_trace*` forwarders on purpose:
-// they are the compatibility contract, and forwarding keeps them covering
-// the `SweepRequest` implementations underneath.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
 use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
-use dew_core::{sweep_trace, sweep_trace_instrumented, ConfigSpace, DewOptions, DewTree};
+use dew_core::{ConfigSpace, DewOptions, DewTree, SweepRequest};
 use dew_trace::Record;
 
 /// Traces mixing tight locality with scattered far references, as in the
@@ -55,7 +50,7 @@ proptest! {
         space in space_strategy(),
         threads in 0usize..4,
     ) {
-        let outcome = sweep_trace(&space, &records, DewOptions::lru(), threads)
+        let outcome = SweepRequest::new(&space).options(DewOptions::lru()).threads(threads).run(&records)
             .expect("sweep");
 
         // One traversal (and one decode) per block size, never per pass —
@@ -95,14 +90,14 @@ proptest! {
         records in trace_strategy(),
         space in space_strategy(),
     ) {
-        let base = sweep_trace(&space, &records, DewOptions::lru(), 1).expect("sweep");
+        let base = SweepRequest::new(&space).options(DewOptions::lru()).threads(1).run(&records).expect("sweep");
         for threads in [0usize, 2, 3] {
-            let par = sweep_trace(&space, &records, DewOptions::lru(), threads)
+            let par = SweepRequest::new(&space).options(DewOptions::lru()).threads(threads).run(&records)
                 .expect("sweep");
             prop_assert_eq!(base.sorted(), par.sorted(), "threads={}", threads);
             prop_assert_eq!(base.trace_traversals(), par.trace_traversals());
         }
-        let slow = sweep_trace_instrumented(&space, &records, DewOptions::lru(), 2)
+        let slow = SweepRequest::new(&space).options(DewOptions::lru()).threads(2).instrumented(true).run(&records)
             .expect("sweep");
         prop_assert_eq!(base.sorted(), slow.sorted(), "instrumentation changed results");
         prop_assert_eq!(base.trace_traversals(), slow.trace_traversals());
@@ -174,7 +169,12 @@ fn assoc_1_to_8_lru_sweep_is_one_traversal() {
         .map(|i| Record::read((i.wrapping_mul(2654435761) >> 7) % (1 << 13)))
         .collect();
     let space = ConfigSpace::new((0, 8), (2, 2), (0, 3)).expect("valid");
-    let outcome = sweep_trace_instrumented(&space, &records, DewOptions::lru(), 0).expect("sweep");
+    let outcome = SweepRequest::new(&space)
+        .options(DewOptions::lru())
+        .threads(0)
+        .instrumented(true)
+        .run(&records)
+        .expect("sweep");
     assert_eq!(
         outcome.trace_traversals(),
         1,

@@ -10,19 +10,13 @@
 //! [`FaultyTraceSource`] are fully absorbed by the retry/backoff path —
 //! the recovered table equals the fault-free one, never an approximation.
 
-// These suites drive the deprecated `sweep_trace*` forwarders on purpose:
-// they are the compatibility contract, and forwarding keeps them covering
-// the `SweepRequest` implementations underneath.
-#![allow(deprecated)]
-
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use dew_core::{
-    sweep_trace, sweep_trace_resilient, sweep_trace_sharded_resilient,
-    sweep_trace_streamed_resilient, ConfigSpace, DewOptions, MemoryCheckpointStore, NoSleep,
-    Resilience, RetryPolicy, SweepCheckpoint, SweepOutcome, TreePolicy,
+    ConfigSpace, DewOptions, MemoryCheckpointStore, NoSleep, Resilience, RetryPolicy,
+    SweepCheckpoint, SweepOutcome, SweepRequest, TreePolicy,
 };
 use dew_trace::{FaultPlan, FaultyTraceSource, Record, SliceSource};
 
@@ -67,10 +61,24 @@ fn run_driver(
     res: &Resilience<'_>,
 ) -> SweepOutcome {
     match driver {
-        0 => sweep_trace_resilient(space, records, options, 1, res).expect("resilient sweep"),
-        1 => sweep_trace_sharded_resilient(space, records, options, 1, 3, res)
+        0 => SweepRequest::new(space)
+            .options(options)
+            .threads(1)
+            .resilient(res)
+            .run(records)
+            .expect("resilient sweep"),
+        1 => SweepRequest::new(space)
+            .options(options)
+            .threads(1)
+            .sharded(3)
+            .resilient(res)
+            .run(records)
             .expect("sharded resilient sweep"),
-        _ => sweep_trace_streamed_resilient(space, &SliceSource(records), options, 1, res)
+        _ => SweepRequest::new(space)
+            .options(options)
+            .threads(1)
+            .resilient(res)
+            .run_streamed(&SliceSource(records))
             .expect("streamed resilient sweep"),
     }
 }
@@ -88,7 +96,7 @@ proptest! {
         policy_idx in 0usize..4,
     ) {
         let options = options_for(policy_idx);
-        let baseline = sweep_trace(&space, &records, options, 1).expect("sweep");
+        let baseline = SweepRequest::new(&space).options(options).threads(1).run(&records).expect("sweep");
 
         // Checkpointed run: its own table must already match the plain
         // sweep (resilience never perturbs results).
@@ -129,7 +137,7 @@ proptest! {
         policy_idx in 0usize..4,
     ) {
         let options = options_for(policy_idx);
-        let baseline = sweep_trace(&space, &records, options, 1).expect("sweep");
+        let baseline = SweepRequest::new(&space).options(options).threads(1).run(&records).expect("sweep");
         // A failed first open plus up to 5 seeded transient read faults:
         // all within the retry budget, so recovery must be total.
         let plan = FaultPlan {
@@ -146,7 +154,7 @@ proptest! {
             max_delay: Duration::ZERO,
         };
         let res = Resilience::new().with_retry(retry).with_sleeper(&NoSleep);
-        let outcome = sweep_trace_streamed_resilient(&space, &faulty, options, 1, &res)
+        let outcome = SweepRequest::new(&space).options(options).threads(1).resilient(&res).run_streamed(&faulty)
             .expect("transient faults must be absorbed");
         prop_assert!(!outcome.is_partial());
         prop_assert!(outcome.retries() >= 1, "the failed open alone forces a retry");

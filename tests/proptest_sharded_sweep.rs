@@ -3,25 +3,16 @@
 //! The headline: snapshot-handoff sharding is **bit-identical** to the
 //! sequential fused sweep — across random traces, spaces, shard counts,
 //! thread counts, and both policies — and therefore also exact against the
-//! brute-force per-configuration oracle. The estimating paths
-//! (warmup-overlap sharding and periodic-cluster sampling) must honour
-//! their stated error bounds: under LRU the reported cold-start slack is a
-//! guaranteed envelope, and a full-prefix warmup reproduces the exact sweep
-//! under either policy. The streamed driver must match the in-memory one
-//! record for record.
-
-// These suites drive the deprecated `sweep_trace*` forwarders on purpose:
-// they are the compatibility contract, and forwarding keeps them covering
-// the `SweepRequest` implementations underneath.
-#![allow(deprecated)]
+//! brute-force per-configuration oracle. Periodic-cluster sampling must
+//! honour its stated error bound: under LRU the reported cold-start slack
+//! is a guaranteed envelope around the full trace's misses at the retained
+//! positions. The streamed driver must match the in-memory one record for
+//! record.
 
 use proptest::prelude::*;
 
-use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
-use dew_core::{
-    sweep_trace, sweep_trace_sampled, sweep_trace_sharded, sweep_trace_streamed, ConfigSpace,
-    DewOptions, ShardMode, ShardSpec, TreePolicy,
-};
+use dew_cachesim::{simulate_trace, Cache, CacheConfig, Replacement};
+use dew_core::{ConfigSpace, DewOptions, SweepRequest, TreePolicy};
 use dew_trace::{Record, SliceSource};
 
 /// Traces mixing tight locality with scattered far references, as in the
@@ -56,6 +47,26 @@ fn options_for(policy: TreePolicy) -> DewOptions {
     DewOptions::for_policy(policy)
 }
 
+/// Misses of `config` over the *full* trace, counted only at the positions
+/// a `(period, sample_len)` periodic sample retains: the quantity a sampled
+/// sweep estimates and its slack bounds.
+fn retained_misses(
+    config: CacheConfig,
+    records: &[Record],
+    period: usize,
+    sample_len: usize,
+) -> u64 {
+    let mut cache = Cache::new(config);
+    let mut misses = 0;
+    for (i, r) in records.iter().enumerate() {
+        let hit = cache.access(*r).hit;
+        if i % period < sample_len && !hit {
+            misses += 1;
+        }
+    }
+    misses
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
@@ -69,9 +80,8 @@ proptest! {
     ) {
         let policy = TreePolicy::ALL[policy_idx];
         let options = options_for(policy);
-        let sequential = sweep_trace(&space, &records, options, 1).expect("sweep");
-        let spec = ShardSpec { shards, mode: ShardMode::SnapshotHandoff };
-        let sharded = sweep_trace_sharded(&space, &records, options, threads, spec)
+        let sequential = SweepRequest::new(&space).options(options).threads(1).run(&records).expect("sweep");
+        let sharded = SweepRequest::new(&space).options(options).threads(threads).sharded(shards).run(&records)
             .expect("sharded sweep");
 
         prop_assert_eq!(sharded.sorted(), sequential.sorted(),
@@ -102,8 +112,7 @@ proptest! {
             TreePolicy::Plru => Replacement::Plru,
             TreePolicy::Slru => Replacement::Slru,
         };
-        let spec = ShardSpec { shards, mode: ShardMode::SnapshotHandoff };
-        let sharded = sweep_trace_sharded(&space, &records, options_for(policy), 0, spec)
+        let sharded = SweepRequest::new(&space).options(options_for(policy)).threads(0).sharded(shards).run(&records)
             .expect("sharded sweep");
         for (sets, assoc, block) in space.configs() {
             let config = CacheConfig::new(sets, assoc, block, replacement).expect("valid");
@@ -117,64 +126,6 @@ proptest! {
     }
 
     #[test]
-    fn warmup_overlap_slack_is_a_guaranteed_envelope_under_lru(
-        records in trace_strategy(),
-        space in space_strategy(),
-        shards in 2usize..6,
-        overlap in 0usize..300,
-        threads in 0usize..4,
-    ) {
-        let options = DewOptions::lru();
-        let exact = sweep_trace(&space, &records, options, 1).expect("sweep");
-        let spec = ShardSpec { shards, mode: ShardMode::WarmupOverlap { overlap } };
-        let est = sweep_trace_sharded(&space, &records, options, threads, spec)
-            .expect("estimated sweep");
-        let bounds = est.bounds().expect("warmup mode reports bounds");
-        prop_assert!(bounds.guaranteed(), "the LRU cold-start bound is guaranteed");
-        for (sets, assoc, block) in space.configs() {
-            let truth = exact.misses(sets, assoc, block).expect("covered");
-            let guess = est.misses(sets, assoc, block).expect("covered");
-            let slack = bounds.slack(sets, assoc, block).expect("covered");
-            // A cold LRU shard can only *overcount* misses (inclusion: the
-            // warm cache holds a superset of useful recency state), and the
-            // overcount is at most the first-touch slack.
-            prop_assert!(
-                guess >= truth && guess - truth <= slack,
-                "({}, {}, {}): truth={} est={} slack={}",
-                sets, assoc, block, truth, guess, slack
-            );
-        }
-        // Warmup replays are charged to records_simulated, never hidden.
-        prop_assert!(est.records_simulated()
-            >= est.accesses() * est.trace_traversals());
-    }
-
-    #[test]
-    fn warmup_with_the_whole_prefix_is_exact_under_both_policies(
-        records in trace_strategy(),
-        space in space_strategy(),
-        shards in 2usize..5,
-        policy_idx in 0usize..4,
-    ) {
-        let policy = TreePolicy::ALL[policy_idx];
-        let options = options_for(policy);
-        let exact = sweep_trace(&space, &records, options, 1).expect("sweep");
-        let spec = ShardSpec {
-            shards,
-            mode: ShardMode::WarmupOverlap { overlap: records.len() },
-        };
-        let est = sweep_trace_sharded(&space, &records, options, 0, spec).expect("est");
-        for (sets, assoc, block) in space.configs() {
-            prop_assert_eq!(
-                est.misses(sets, assoc, block),
-                exact.misses(sets, assoc, block),
-                "full warmup must be exact at ({}, {}, {}) under {}",
-                sets, assoc, block, policy
-            );
-        }
-    }
-
-    #[test]
     fn sampled_sweep_slack_bounds_the_spliced_stream_under_lru(
         records in trace_strategy(),
         space in space_strategy(),
@@ -183,7 +134,7 @@ proptest! {
     ) {
         let sample_len = len_frac.min(period);
         let options = DewOptions::lru();
-        let est = sweep_trace_sampled(&space, &records, options, 0, period, sample_len)
+        let est = SweepRequest::new(&space).options(options).threads(0).sampled(period, sample_len).run(&records)
             .expect("sampled sweep");
         let sampled: Vec<Record> = records
             .iter()
@@ -192,7 +143,7 @@ proptest! {
             .map(|(_, r)| *r)
             .collect();
         prop_assert_eq!(est.accesses(), sampled.len() as u64);
-        let exact = sweep_trace(&space, &sampled, options, 1).expect("sweep");
+        let exact = SweepRequest::new(&space).options(options).threads(1).run(&sampled).expect("sweep");
         match est.bounds() {
             None => {
                 // Identity sampling degenerates to the exact sweep.
@@ -202,7 +153,8 @@ proptest! {
             Some(bounds) => {
                 prop_assert!(bounds.guaranteed());
                 for (sets, assoc, block) in space.configs() {
-                    let truth = exact.misses(sets, assoc, block).expect("covered");
+                    let config = CacheConfig::new(sets, assoc, block, Replacement::Lru).expect("valid");
+                    let truth = retained_misses(config, &records, period, sample_len);
                     let guess = est.misses(sets, assoc, block).expect("covered");
                     let slack = bounds.slack(sets, assoc, block).expect("covered");
                     prop_assert!(
@@ -224,8 +176,8 @@ proptest! {
     ) {
         let policy = TreePolicy::ALL[policy_idx];
         let options = options_for(policy);
-        let in_memory = sweep_trace(&space, &records, options, 1).expect("sweep");
-        let streamed = sweep_trace_streamed(&space, &SliceSource(&records), options, threads)
+        let in_memory = SweepRequest::new(&space).options(options).threads(1).run(&records).expect("sweep");
+        let streamed = SweepRequest::new(&space).options(options).threads(threads).run_streamed(&SliceSource(&records))
             .expect("streamed sweep");
         prop_assert_eq!(streamed.sorted(), in_memory.sorted(), "policy={}", policy);
         prop_assert_eq!(streamed.accesses(), in_memory.accesses());
