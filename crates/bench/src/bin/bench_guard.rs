@@ -30,7 +30,12 @@
 //! * `instrumented_over_fast_fused_fifo <= 8.0` — the full counter ladder
 //!   costs about 5–6× the fast fused walk on the tracked machine (the
 //!   counters serialize the ladder's loads; see `EXPERIMENTS.md`), and this
-//!   ceiling keeps that honest overhead from silently growing.
+//!   ceiling keeps that honest overhead from silently growing;
+//! * `plru_over_fused_fifo <= 4.3` when the fresh run's `kernel_backend` is
+//!   `avx2` — the fused tree-PLRU walk scans each node's whole region once,
+//!   as FIFO's does. Twenty runs on the tracked 2-core host read 1.28–3.25
+//!   (median about 1.9); the ceiling sits 30% above the highest. The walk
+//!   with two scans per lane read 2.6–6.0 (see `EXPERIMENTS.md`).
 //!
 //! **Work-count gates** are hard too, and exact: instrumented node
 //! evaluations per request depend on the kernels and the trace only, so no
@@ -49,6 +54,10 @@ const FUSED_SPEEDUP_FLOOR: f64 = 2.0;
 /// Maximum instrumented-over-fast ratio on the fused FIFO walk (same-machine
 /// ratio; the measured honest cost is ~5–6×).
 const INSTR_OVERHEAD_CEILING: f64 = 8.0;
+/// Maximum fused tree-PLRU over fused FIFO time per request on an `avx2`
+/// run (same-machine ratio, so gated hard; 30% above the highest of the
+/// runs listed in `EXPERIMENTS.md`).
+const PLRU_OVER_FIFO_CEILING: f64 = 4.3;
 
 /// Extracts `(name, steps_per_sec)` pairs from a `BENCH_hot_loop.json`
 /// document. The format is the one `hot_loop.rs` writes: each variant
@@ -116,6 +125,14 @@ fn ratio_gates(fresh: &str) -> Vec<String> {
             out.push(format!(
                 "instrumented_over_fast_fused_fifo {ratio:.3} exceeds the \
                  {INSTR_OVERHEAD_CEILING:.1} ceiling"
+            ));
+        }
+    }
+    if let Some(ratio) = parse_scalar(fresh, "plru_over_fused_fifo") {
+        if backend.as_deref() == Some("avx2") && ratio > PLRU_OVER_FIFO_CEILING {
+            out.push(format!(
+                "plru_over_fused_fifo {ratio:.3} exceeds the \
+                 {PLRU_OVER_FIFO_CEILING:.1} ceiling on an avx2 run"
             ));
         }
     }
@@ -340,6 +357,7 @@ mod tests {
   "speedup_fused_vs_per_assoc": 2.39,
   "speedup_fused_plru_vs_per_assoc": 1.22,
   "instrumented_over_fast_fused_fifo": 5.95,
+  "plru_over_fused_fifo": 1.93,
   "node_evals_per_req_lru": 5.8125,
   "node_evals_per_req_plru": 5.8125,
   "node_evals_per_req_slru": 6.9375,
@@ -376,6 +394,16 @@ mod tests {
         assert_eq!(e.len(), 1, "{e:?}");
         assert!(e[0].contains("speedup_fused_vs_per_assoc 1.400"), "{e:?}");
         // The same ratio on a scalar run is expected (no wide scans): no gate.
+        let slow_scalar = slow_avx2.replace("avx2", "scalar");
+        assert!(ratio_gates(&slow_scalar).is_empty());
+    }
+
+    #[test]
+    fn slow_plru_fails_only_on_avx2_runs() {
+        let slow_avx2 = RATIOS.replace("1.93", "4.51");
+        let e = ratio_gates(&slow_avx2);
+        assert_eq!(e.len(), 1, "{e:?}");
+        assert!(e[0].contains("plru_over_fused_fifo 4.510"), "{e:?}");
         let slow_scalar = slow_avx2.replace("avx2", "scalar");
         assert!(ratio_gates(&slow_scalar).is_empty());
     }

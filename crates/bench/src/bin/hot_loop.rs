@@ -41,6 +41,8 @@
 //! (`node_evals_per_req_<policy>`, next to the `node_evals_full_walk` level
 //! count). Those are work counts, not times, so `bench_guard` can gate them
 //! exactly: tree-PLRU must stop as early as LRU, SLRU below a full walk.
+//! `plru_over_fused_fifo` is `fused_plru`'s ns/req over
+//! `fused_multi_assoc`'s, a same-run ratio `bench_guard` caps on avx2 runs.
 //!
 //! Scale via `DEW_BENCH_QUICK=1` / `DEW_BENCH_MAX_REQUESTS=n`; the output
 //! path defaults to `BENCH_hot_loop.json` and can be overridden with
@@ -474,6 +476,10 @@ fn main() {
     // (>1; tracked so instrumentation-overhead regressions are visible).
     let instr_overhead = rate("fused_multi_assoc") / rate("fused_multi_assoc_instrumented");
     println!("instrumented overhead on fused_multi_assoc: {instr_overhead:.2}x");
+    // The fused tree-PLRU walk's cost per request relative to fused FIFO's
+    // over the same forest (ns/req over ns/req).
+    let plru_over_fifo = rate("fused_multi_assoc") / rate("fused_plru");
+    println!("fused_plru over fused_multi_assoc: {plru_over_fifo:.2}x");
     let explore_ratio = rate("explore_pruned") / rate("explore_exhaustive");
     println!("explore throughput pruned vs exhaustive: {explore_ratio:.2}x");
     let backend = dew_core::KernelBackend::active();
@@ -564,6 +570,7 @@ fn main() {
         json,
         "  \"instrumented_over_fast_fused_fifo\": {instr_overhead:.3},"
     );
+    let _ = writeln!(json, "  \"plru_over_fused_fifo\": {plru_over_fifo:.3},");
     for (p, v) in evals_per_req {
         let _ = writeln!(json, "  \"node_evals_per_req_{p}\": {v:.4},");
     }

@@ -868,7 +868,7 @@ impl LruTreeSimulator {
     /// [`crate::snapshot::SnapshotError`] for foreign, truncated or
     /// internally inconsistent buffers.
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{Cursor, SnapshotError};
+        use crate::snapshot::{check_body_len, Cursor, SnapshotError};
         let mut cur = Cursor::new(bytes);
         let magic = cur.bytes(4)?;
         if magic != SNAP_MAGIC {
@@ -900,6 +900,18 @@ impl LruTreeSimulator {
             duplicate_elision: flags & 2 != 0,
         };
         let instrument = flags & 4 != 0;
+        check_body_len(
+            &cur,
+            (min_set_bits, max_set_bits),
+            (assoc_lo_bits, assoc_hi_bits),
+            |d| {
+                (
+                    8 * (6 + u64::from(instrument) * d.width),
+                    8 * (d.lanes.max(1) + 1),
+                    8 * (1 + d.width) + 4 * u64::from(instrument),
+                )
+            },
+        )?;
         let mut sim = LruTreeSimulator::with_instrumentation(
             block_bits,
             (min_set_bits, max_set_bits),

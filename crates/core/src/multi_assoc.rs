@@ -87,7 +87,8 @@ use crate::node::{EMPTY_WAVE, INVALID_TAG};
 use crate::options::{DewOptions, TreePolicy};
 use crate::results::{AllAssocResults, LevelResult, PassResults};
 use crate::simd::{
-    first_match, prefetch_read, KernelBackend, ScalarScan, TagLane, TagScan, PF_DIST,
+    first_match, prefetch_read, with_lane_shape, KernelBackend, ScalarScan, TagLane, TagScan,
+    PF_DIST,
 };
 use crate::space::{DewError, PassConfig};
 
@@ -527,8 +528,8 @@ impl MultiAssocTree {
 
     /// Fast-kernel dispatch on the list shape. Consecutive power-of-two
     /// widths mean the whole shape is `(first width, list count)`; the
-    /// common fused shapes (first width 2 with up to four lists — the
-    /// paper's sweep ranges — plus the single-list jobs) get their own
+    /// shapes of [`with_lane_shape`] (first width 2 with up to four lists —
+    /// the paper's sweep ranges — plus the single-list jobs) get their own
     /// instantiation so every scan width is a compile-time constant and the
     /// per-list loop unrolls into straight-line vectorisable compares.
     /// Anything else falls back to the runtime-shape loop (`FIRST = 0`).
@@ -537,15 +538,14 @@ impl MultiAssocTree {
     /// to every backend); the wide backends pay off — and are dispatched —
     /// in the batch drivers below.
     fn step_block_fast<const DEFAULT_PATH: bool>(&mut self, block: u64) {
-        macro_rules! shape {
-            ($b:expr, $($first:literal x $n:literal),+) => {
-                match (self.widths.first().copied().unwrap_or(0), self.widths.len()) {
-                    $(($first, $n) => self.kernel_fast::<DEFAULT_PATH, $first, $n, _>(ScalarScan, $b),)+
-                    _ => self.kernel_fast::<DEFAULT_PATH, 0, 0, _>(ScalarScan, $b),
-                }
-            };
-        }
-        shape!(block, 2 x 1, 2 x 2, 2 x 3, 2 x 4, 4 x 1, 8 x 1, 16 x 1)
+        with_lane_shape!(self.shape(), |FIRST, NLISTS| self
+            .kernel_fast::<DEFAULT_PATH, FIRST, NLISTS, _>(ScalarScan, block))
+    }
+
+    /// The list shape `(first width, list count)` the kernels dispatch on
+    /// ([`with_lane_shape`]).
+    fn shape(&self) -> (usize, usize) {
+        (self.widths.first().copied().unwrap_or(0), self.widths.len())
     }
 
     /// Batch-level backend dispatch: one selection per `run_blocks` call,
@@ -592,15 +592,8 @@ impl MultiAssocTree {
         scan: S,
         blocks: &[u64],
     ) {
-        macro_rules! shapes {
-            ($($first:literal x $n:literal),+) => {
-                match (self.widths.first().copied().unwrap_or(0), self.widths.len()) {
-                    $(($first, $n) => self.drive_fast::<DEFAULT_PATH, $first, $n, S>(scan, blocks),)+
-                    _ => self.drive_fast::<DEFAULT_PATH, 0, 0, S>(scan, blocks),
-                }
-            };
-        }
-        shapes!(2 x 1, 2 x 2, 2 x 3, 2 x 4, 4 x 1, 8 x 1, 16 x 1)
+        with_lane_shape!(self.shape(), |FIRST, NLISTS| self
+            .drive_fast::<DEFAULT_PATH, FIRST, NLISTS, S>(scan, blocks))
     }
 
     /// The fast batch loop: software prefetch of the deepest (largest,
@@ -665,16 +658,10 @@ impl MultiAssocTree {
         scan: S,
         blocks: &[u64],
     ) {
-        macro_rules! shapes {
-            ($($first:literal x $n:literal),+) => {
-                match (self.widths.first().copied().unwrap_or(0), self.widths.len()) {
-                    $(($first, $n) =>
-                        self.drive_instrumented_shaped::<DEFAULT_PATH, $first, $n, S>(scan, blocks),)+
-                    _ => self.drive_instrumented_shaped::<DEFAULT_PATH, 0, 0, S>(scan, blocks),
-                }
-            };
-        }
-        shapes!(2 x 1, 2 x 2, 2 x 3, 2 x 4, 4 x 1, 8 x 1, 16 x 1)
+        with_lane_shape!(self.shape(), |FIRST, NLISTS| self
+            .drive_instrumented_shaped::<DEFAULT_PATH, FIRST, NLISTS, S>(
+                scan, blocks
+            ))
     }
 
     #[inline(always)]
@@ -1325,7 +1312,7 @@ impl MultiAssocTree {
     /// [`crate::snapshot::SnapshotError`] for foreign, truncated or
     /// internally inconsistent buffers.
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{Cursor, SnapshotError};
+        use crate::snapshot::{check_body_len, Cursor, SnapshotError};
         let mut cur = Cursor::new(bytes);
         let magic = cur.bytes(4)?;
         if magic != SNAP_MAGIC {
@@ -1360,6 +1347,21 @@ impl MultiAssocTree {
             policy: TreePolicy::Fifo,
         };
         let instrument = flags & 16 != 0;
+        check_body_len(
+            &cur,
+            (min_set_bits, max_set_bits),
+            (assoc_lo_bits, assoc_hi_bits),
+            |d| {
+                // Instrumented: valid counts, MRE tags and MRE waves per
+                // list, wave and link lanes per way.
+                let ladder = u64::from(instrument) * (16 * d.lanes + 8 * d.stride);
+                (
+                    8 * (13 + 8 * d.lanes),
+                    8 * (d.lanes.max(1) + 1),
+                    8 * (1 + d.stride) + 4 * d.lanes + ladder,
+                )
+            },
+        )?;
         let mut tree = MultiAssocTree::with_instrumentation(
             block_bits,
             (min_set_bits, max_set_bits),

@@ -28,6 +28,16 @@
 //! A touch is constant-time: every `(lane, way)` has a precomputed
 //! `(path, set)` mask pair, and touching is `bits & !path | set`.
 //!
+//! A node evaluation finds, per lane, the block's way or the first invalid
+//! way. For the lane shapes every fused kernel instantiates (2 ways and up
+//! with 1–4 lanes, or one lane of 4, 8 or 16 ways) the lane widths,
+//! offsets and the stride are compile-time constants, and the node's whole
+//! region is scanned twice, against the block and against the sentinel;
+//! each lane then reads its window of the two masks. This replaces the two
+//! scans per lane the kernel made before, and with the width constant the
+//! victim walk has a constant depth. Other shapes, including every region
+//! over 64 tags (32- and 64-way lanes), keep the per-lane scan.
+//!
 //! Within one lane the update rule is exactly the reference semantics of
 //! `dew_cachesim`'s set (`crates/cachesim/src/set.rs`): victims follow the
 //! direction bits root-to-leaf, touches point every bit on the way's path
@@ -58,7 +68,8 @@ use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
 use crate::results::{AllAssocResults, LevelResult, PassResults};
 use crate::simd::{
-    lane_scan, prefetch_read, KernelBackend, LaneScan, ScalarScan, TagLane, TagScan, PF_DIST,
+    lane_scan, prefetch_read, window_scan, with_lane_shape, KernelBackend, LaneScan, ScalarScan,
+    TagLane, TagScan, PF_DIST,
 };
 use crate::space::{DewError, PassConfig};
 
@@ -177,7 +188,7 @@ impl PlruArena {
 
 /// Follows the direction bits of one lane from the root to the pseudo-LRU
 /// way (`dew_cachesim`'s `plru_victim`, on an external bit word).
-#[inline]
+#[inline(always)]
 fn plru_victim(bits: u64, assoc: usize) -> usize {
     let levels = assoc.trailing_zeros();
     let mut idx = 1usize;
@@ -421,14 +432,10 @@ impl PlruTreeSimulator {
     /// As [`PlruTreeSimulator::step`], if `block` equals the internal
     /// sentinel.
     pub fn step_block(&mut self, block: u64) {
-        assert_ne!(
-            block, INVALID_TAG,
-            "block {block:#x} exceeds the supported range"
-        );
         // Single steps always use the scalar scan: batch-level backend
         // dispatch is where the SIMD instantiations live (`crate::simd`
         // module docs), and the backends are bit-identical anyway.
-        self.kernel(ScalarScan, block);
+        self.drive(ScalarScan, std::slice::from_ref(&block));
     }
 
     /// Simulates a batch of pre-decoded block numbers — the sweep's fused
@@ -467,11 +474,27 @@ impl PlruTreeSimulator {
         self.drive(crate::simd::Avx2Scan, blocks);
     }
 
+    /// Lane-shape dispatch ([`with_lane_shape`]): one selection per batch,
+    /// then the batch loop of that shape's kernel.
+    #[inline(always)]
+    fn drive<S: TagScan>(&mut self, scan: S, blocks: &[u64]) {
+        let shape = (
+            self.lanes.first().map_or(0, |&w| w as usize),
+            self.lanes.len(),
+        );
+        with_lane_shape!(shape, |FIRST, NLANES| self
+            .drive_shaped::<S, FIRST, NLANES>(scan, blocks))
+    }
+
     /// The batch loop: the kernel on every block, plus software prefetch of
     /// the deepest (largest, least cache-resident) level's MRA word and
     /// way-tag region [`PF_DIST`] requests ahead.
     #[inline(always)]
-    fn drive<S: TagScan>(&mut self, scan: S, blocks: &[u64]) {
+    fn drive_shaped<S: TagScan, const FIRST: usize, const NLANES: usize>(
+        &mut self,
+        scan: S,
+        blocks: &[u64],
+    ) {
         let deepest = self.arena.set_mask.len() - 1;
         let d_off = self.arena.node_off[deepest];
         let d_mask = self.arena.set_mask[deepest];
@@ -483,18 +506,24 @@ impl PlruTreeSimulator {
                 prefetch_read(&self.arena.mra, node);
                 prefetch_read(&self.arena.tags, node * stride);
             }
-            self.kernel(scan, b);
+            self.kernel::<S, FIRST, NLANES>(scan, b);
         }
     }
 
     /// The kernel. Per level: one MRA comparison settles the direct-mapped
     /// result; a match stops the walk (a hit in every lane here and below,
     /// whose touch would be a no-op — see the module docs). On a mismatch
-    /// each lane searches its valid prefix, touching the hit way or
-    /// inserting at the first invalid way / the direction-bit victim.
+    /// each lane finds its hit way or first invalid way, touching the hit
+    /// way or inserting at the first invalid way / the direction-bit victim.
     ///
     /// `S` is the tag-scan backend the wide compares run on ([`TagScan`]).
-    fn kernel<S: TagScan>(&mut self, scan: S, block: u64) {
+    /// `FIRST`/`NLANES` are the lane shape when positive (lane `k` is
+    /// `FIRST << k` ways at offset `FIRST·(2^k − 1)`): the node's whole
+    /// region is then scanned once against the block and once against the
+    /// sentinel, and each lane reads its window of the two masks
+    /// ([`window_scan`]). Both `0` is the runtime shape, which scans lane by
+    /// lane ([`lane_scan`]; the only path for a region over 64 tags).
+    fn kernel<S: TagScan, const FIRST: usize, const NLANES: usize>(&mut self, scan: S, block: u64) {
         self.counters.accesses += 1;
         if self.opts.duplicate_elision {
             if block == self.prev_block {
@@ -505,8 +534,19 @@ impl PlruTreeSimulator {
             }
             self.prev_block = block;
         }
-        let nk = self.lanes.len();
-        let stride = self.stride.max(1);
+        debug_assert!(NLANES == 0 || NLANES == self.lanes.len());
+        debug_assert!(FIRST == 0 || self.lanes.first() == Some(&(FIRST as u32)));
+        let nk = if NLANES == 0 {
+            self.lanes.len()
+        } else {
+            NLANES
+        };
+        let stride = if FIRST == 0 {
+            self.stride.max(1)
+        } else {
+            FIRST * ((1 << NLANES) - 1)
+        };
+        debug_assert_eq!(stride, self.stride.max(1));
         let a = &mut self.arena;
         for li in 0..a.set_mask.len() {
             let node = a.node_off[li] + (block & a.set_mask[li]) as usize;
@@ -523,17 +563,34 @@ impl PlruTreeSimulator {
             a.dm_misses[li] += 1;
             a.mra[node] = block;
             let region = &mut a.tags[node * stride..(node + 1) * stride];
-            for (k, (&w, &off)) in self.lanes.iter().zip(self.lane_off.iter()).enumerate() {
-                let w = w as usize;
+            let (hits, invalid) = if FIRST == 0 {
+                (0, 0)
+            } else {
+                (
+                    scan.match_mask(region, block),
+                    scan.match_mask(region, INVALID_TAG),
+                )
+            };
+            for k in 0..nk {
+                let (w, off) = if FIRST == 0 {
+                    (self.lanes[k] as usize, self.lane_off[k])
+                } else {
+                    (FIRST << k, FIRST * ((1 << k) - 1))
+                };
                 let lane = &mut region[off..off + w];
-                // One wide scan finds the block or, failing that, the first
-                // invalid way (valid tags are a prefix: ways fill in
-                // physical order and evictions overwrite in place). The
-                // comparison tallies are derived arithmetically — a hit at
-                // depth `i` would have inspected `i + 1` valid tags, a miss
-                // the whole valid prefix — so the instrumented counters stay
-                // bit-identical to the sequential scalar scan's.
-                let (hit, first_invalid) = match lane_scan(scan, lane, block, INVALID_TAG) {
+                // The block's way or, failing that, the first invalid way
+                // (valid tags are a prefix: ways fill in physical order and
+                // evictions overwrite in place). The comparison tallies are
+                // derived arithmetically — a hit at depth `i` would have
+                // inspected `i + 1` valid tags, a miss the whole valid
+                // prefix — so the instrumented counters stay bit-identical
+                // to the sequential scalar scan's.
+                let scanned = if FIRST == 0 {
+                    lane_scan(scan, lane, block, INVALID_TAG)
+                } else {
+                    window_scan(hits, invalid, off, w)
+                };
+                let (hit, first_invalid) = match scanned {
                     LaneScan::Hit(i) => (Some(i), w),
                     LaneScan::Miss { valid_len } => (None, valid_len),
                 };
@@ -726,7 +783,7 @@ impl PlruTreeSimulator {
     /// internally inconsistent buffers; a valid buffer of one of the *other*
     /// policies' kernels reports [`crate::snapshot::SnapshotError::PolicyMismatch`].
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{Cursor, SnapshotError};
+        use crate::snapshot::{check_body_len, Cursor, SnapshotError};
         let mut cur = Cursor::new(bytes);
         let magic = cur.bytes(4)?;
         if magic != SNAP_MAGIC {
@@ -755,6 +812,19 @@ impl PlruTreeSimulator {
             duplicate_elision: flags & 1 != 0,
         };
         let instrument = flags & 2 != 0;
+        check_body_len(
+            &cur,
+            (min_set_bits, max_set_bits),
+            (assoc_lo_bits, assoc_hi_bits),
+            |d| {
+                let way_pointers = if version == 1 { 4 * d.lanes } else { 0 };
+                (
+                    8 * (6 + u64::from(instrument) * d.lanes),
+                    8 * (d.lanes.max(1) + 1),
+                    8 * (1 + d.stride.max(1) + d.lanes) + way_pointers,
+                )
+            },
+        )?;
         let mut sim = PlruTreeSimulator::with_instrumentation(
             block_bits,
             (min_set_bits, max_set_bits),

@@ -301,6 +301,11 @@ pub(crate) enum LaneScan {
 /// `sentinel`. Bit-identical to the sequential "break at sentinel, stop at
 /// match" loop because the first set bit of the combined mask is exactly
 /// where that loop stops.
+///
+/// The tree-PLRU and SLRU kernels call this per lane only under the runtime
+/// lane shape (shapes outside [`with_lane_shape`], and every node region
+/// over 64 tags). Under a const shape they scan the node's whole region
+/// once per needle and read each lane off the masks ([`window_scan`]).
 #[inline(always)]
 pub(crate) fn lane_scan<S: TagScan>(
     scan: S,
@@ -328,6 +333,64 @@ pub(crate) fn lane_scan<S: TagScan>(
         valid_len: region.len(),
     }
 }
+
+/// [`lane_scan`] read off two whole-region masks instead of scanning the
+/// lane again: `hits` and `invalid` are [`TagScan::match_mask`] of a node's
+/// whole region against the needle and the sentinel, and the lane is the
+/// `w` ways at `off`. Valid tags are a prefix of every lane and a block
+/// occupies at most one way, so the lowest needle bit of the window is the
+/// hit way and, failing that, the lowest sentinel bit is the valid-prefix
+/// length (`w` when the window has none). `w` must be below 64.
+#[inline(always)]
+pub(crate) fn window_scan(hits: u64, invalid: u64, off: usize, w: usize) -> LaneScan {
+    debug_assert!(w < 64 && off + w <= 64);
+    let window = (1u64 << w) - 1;
+    let hit = (hits >> off) & window;
+    if hit != 0 {
+        return LaneScan::Hit(hit.trailing_zeros() as usize);
+    }
+    LaneScan::Miss {
+        valid_len: (((invalid >> off) & window) | (1 << w)).trailing_zeros() as usize,
+    }
+}
+
+/// The const lane shapes of the fused FIFO, tree-PLRU and SLRU kernels, and
+/// the dispatch onto them. A kernel's lanes are consecutive power-of-two
+/// widths, so its whole shape is `(first width, lane count)`; for each
+/// shape listed here (the paper's sweep ranges from associativity 2 up to
+/// 16, plus the single-lane jobs) the body is instantiated with `$first`
+/// and `$n` bound to that pair as constants, so every width, offset and the
+/// stride are compile-time constants and a node's whole region (at most 30
+/// tags) fits one 64-lane match mask. Any other shape binds both to `0`,
+/// the runtime shape.
+///
+/// ```text
+/// with_lane_shape!((first_width, num_lanes), |FIRST, NLANES| {
+///     self.drive::<S, FIRST, NLANES>(scan, blocks)
+/// })
+/// ```
+macro_rules! with_lane_shape {
+    ($shape:expr, |$first:ident, $n:ident| $body:expr) => {
+        $crate::simd::with_lane_shape!(@arms $shape, $first, $n, $body;
+            (2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (8, 1), (16, 1))
+    };
+    (@arms $shape:expr, $first:ident, $n:ident, $body:expr;
+        $(($f:literal, $c:literal)),+) => {
+        match $shape {
+            $(($f, $c) => {
+                const $first: usize = $f;
+                const $n: usize = $c;
+                $body
+            })+
+            _ => {
+                const $first: usize = 0;
+                const $n: usize = 0;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_lane_shape;
 
 /// How many requests ahead of the batch cursor the fused drivers prefetch
 /// the deepest level's lanes — far enough to cover a memory round trip at

@@ -42,6 +42,18 @@
 //! segment order is held explicitly so hits and inserts are bounded shifts
 //! (`shift_in`), like the LRU kernel's recency regions.
 //!
+//! A node evaluation that misses the MRA finds, per lane, the block's
+//! position or the end of the valid prefix. For the lane shapes every fused
+//! kernel instantiates (2 ways and up with 1–4 lanes, or one lane of 4, 8
+//! or 16 ways) the lane widths, offsets and the stride are compile-time
+//! constants, and the node's whole region is scanned twice, against the
+//! block and against the sentinel; each lane then reads its window of the
+//! two masks. This replaces the two scans per lane the kernel made before.
+//! Other shapes, including every region over 64 tags (32- and 64-way
+//! lanes), keep the per-lane scan. The shifts stay `shift_in`: a
+//! branch-free select over the whole constant-width lane was measured no
+//! faster.
+//!
 //! # Examples
 //!
 //! ```
@@ -67,7 +79,8 @@ use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
 use crate::results::{AllAssocResults, LevelResult, PassResults};
 use crate::simd::{
-    lane_scan, prefetch_read, KernelBackend, LaneScan, ScalarScan, TagLane, TagScan, PF_DIST,
+    lane_scan, prefetch_read, window_scan, with_lane_shape, KernelBackend, LaneScan, ScalarScan,
+    TagLane, TagScan, PF_DIST,
 };
 use crate::space::{DewError, PassConfig};
 
@@ -361,14 +374,10 @@ impl SlruTreeSimulator {
     /// As [`SlruTreeSimulator::step`], if `block` equals the internal
     /// sentinel.
     pub fn step_block(&mut self, block: u64) {
-        assert_ne!(
-            block, INVALID_TAG,
-            "block {block:#x} exceeds the supported range"
-        );
         // Single steps always use the scalar scan: batch-level backend
         // dispatch is where the SIMD instantiations live (`crate::simd`
         // module docs), and the backends are bit-identical anyway.
-        self.kernel(ScalarScan, block);
+        self.drive(ScalarScan, std::slice::from_ref(&block));
     }
 
     /// Simulates a batch of pre-decoded block numbers — the sweep's fused
@@ -407,11 +416,27 @@ impl SlruTreeSimulator {
         self.drive(crate::simd::Avx2Scan, blocks);
     }
 
+    /// Lane-shape dispatch ([`with_lane_shape`]): one selection per batch,
+    /// then the batch loop of that shape's kernel.
+    #[inline(always)]
+    fn drive<S: TagScan>(&mut self, scan: S, blocks: &[u64]) {
+        let shape = (
+            self.lanes.first().map_or(0, |&w| w as usize),
+            self.lanes.len(),
+        );
+        with_lane_shape!(shape, |FIRST, NLANES| self
+            .drive_shaped::<S, FIRST, NLANES>(scan, blocks))
+    }
+
     /// The batch loop: the kernel on every block, plus software prefetch of
     /// the deepest (largest, least cache-resident) level's MRA word and tag
     /// region [`PF_DIST`] requests ahead.
     #[inline(always)]
-    fn drive<S: TagScan>(&mut self, scan: S, blocks: &[u64]) {
+    fn drive_shaped<S: TagScan, const FIRST: usize, const NLANES: usize>(
+        &mut self,
+        scan: S,
+        blocks: &[u64],
+    ) {
         let deepest = self.arena.set_mask.len() - 1;
         let d_off = self.arena.node_off[deepest];
         let d_mask = self.arena.set_mask[deepest];
@@ -423,7 +448,7 @@ impl SlruTreeSimulator {
                 prefetch_read(&self.arena.mra, node);
                 prefetch_read(&self.arena.tags, node * stride);
             }
-            self.kernel(scan, b);
+            self.kernel::<S, FIRST, NLANES>(scan, b);
         }
     }
 
@@ -432,17 +457,43 @@ impl SlruTreeSimulator {
     /// docs). On any other match the block sits at a known position in
     /// every lane — the protected MRU slot (re-hit is a no-op) or the
     /// probationary MRU slot (one shift promotes it) — so no lane searches.
-    /// On a mismatch each lane searches its valid prefix: a hit shifts the
-    /// block to the protected or segment front (growing the protected
-    /// segment on a probationary hit, demoting the protected LRU when it is
-    /// full, both by the same shift); a miss inserts at the probationary
-    /// MRU slot, evicting the probationary LRU block when the lane is full.
+    /// On a mismatch each lane finds the block in its valid prefix: a hit
+    /// shifts the block to the protected or segment front (growing the
+    /// protected segment on a probationary hit, demoting the protected LRU
+    /// when it is full, both by the same shift); a miss inserts at the
+    /// probationary MRU slot, evicting the probationary LRU block when the
+    /// lane is full.
     ///
     /// `S` is the tag-scan backend the wide compares run on ([`TagScan`]).
-    fn kernel<S: TagScan>(&mut self, scan: S, block: u64) {
+    /// `FIRST`/`NLANES` are the lane shape when positive (lane `k` is
+    /// `FIRST << k` ways at offset `FIRST·(2^k − 1)`): a mismatching node's
+    /// whole region is then scanned once against the block and once
+    /// against the sentinel, and each lane reads its window of the two
+    /// masks ([`window_scan`]). Both `0` is the runtime shape, which scans
+    /// lane by lane ([`lane_scan`]; the only path for a region over 64
+    /// tags).
+    fn kernel<S: TagScan, const FIRST: usize, const NLANES: usize>(&mut self, scan: S, block: u64) {
         self.counters.accesses += 1;
-        let nk = self.lanes.len();
-        let stride = self.stride.max(1);
+        debug_assert!(NLANES == 0 || NLANES == self.lanes.len());
+        debug_assert!(FIRST == 0 || self.lanes.first() == Some(&(FIRST as u32)));
+        let nk = if NLANES == 0 {
+            self.lanes.len()
+        } else {
+            NLANES
+        };
+        let stride = if FIRST == 0 {
+            self.stride.max(1)
+        } else {
+            FIRST * ((1 << NLANES) - 1)
+        };
+        debug_assert_eq!(stride, self.stride.max(1));
+        let lane_shape = |k: usize| {
+            if FIRST == 0 {
+                (self.lanes[k] as usize, self.lane_off[k])
+            } else {
+                (FIRST << k, FIRST * ((1 << k) - 1))
+            }
+        };
         let a = &mut self.arena;
         for li in 0..a.set_mask.len() {
             let node = a.node_off[li] + (block & a.set_mask[li]) as usize;
@@ -450,7 +501,7 @@ impl SlruTreeSimulator {
                 self.counters.node_evaluations += 1;
                 self.counters.tag_comparisons += 1;
             }
-            let region_base = node * stride;
+            let region = &mut a.tags[node * stride..(node + 1) * stride];
             if a.mra[node] == block {
                 if self.instrument {
                     self.counters.mra_hits += 1;
@@ -459,10 +510,10 @@ impl SlruTreeSimulator {
                     return;
                 }
                 a.settled[node] = true;
-                for (k, (&w, &off)) in self.lanes.iter().zip(self.lane_off.iter()).enumerate() {
-                    let w = w as usize;
+                for k in 0..nk {
+                    let (w, off) = lane_shape(k);
                     let cap = w / 2;
-                    let lane = &mut a.tags[region_base + off..region_base + off + w];
+                    let lane = &mut region[off..off + w];
                     let prot = &mut a.prot_len[node * nk + k];
                     let p = *prot as usize;
                     // The MRA block is the protected MRU (previous access
@@ -483,19 +534,32 @@ impl SlruTreeSimulator {
             a.dm_misses[li] += 1;
             a.mra[node] = block;
             a.settled[node] = false;
-            for (k, (&w, &off)) in self.lanes.iter().zip(self.lane_off.iter()).enumerate() {
-                let w = w as usize;
+            let (hits, invalid) = if FIRST == 0 {
+                (0, 0)
+            } else {
+                (
+                    scan.match_mask(region, block),
+                    scan.match_mask(region, INVALID_TAG),
+                )
+            };
+            for k in 0..nk {
+                let (w, off) = lane_shape(k);
                 let cap = w / 2;
-                let lane = &mut a.tags[region_base + off..region_base + off + w];
+                let lane = &mut region[off..off + w];
                 let prot = &mut a.prot_len[node * nk + k];
                 let p = *prot as usize;
-                // One wide scan finds the block or, failing that, the end of
-                // the valid prefix (inserts keep valid tags contiguous). The
+                // The block's position or, failing that, the end of the
+                // valid prefix (inserts keep valid tags contiguous). The
                 // comparison tallies are derived arithmetically — a hit at
                 // depth `i` would have inspected `i + 1` valid tags, a miss
                 // the whole valid prefix — so the instrumented counters stay
                 // bit-identical to the sequential scalar scan's.
-                let (hit, valid_len) = match lane_scan(scan, lane, block, INVALID_TAG) {
+                let scanned = if FIRST == 0 {
+                    lane_scan(scan, lane, block, INVALID_TAG)
+                } else {
+                    window_scan(hits, invalid, off, w)
+                };
+                let (hit, valid_len) = match scanned {
                     LaneScan::Hit(i) => (Some(i), w),
                     LaneScan::Miss { valid_len } => (None, valid_len),
                 };
@@ -690,7 +754,7 @@ impl SlruTreeSimulator {
     /// internally inconsistent buffers; a valid buffer of one of the *other*
     /// policies' kernels reports [`crate::snapshot::SnapshotError::PolicyMismatch`].
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{Cursor, SnapshotError};
+        use crate::snapshot::{check_body_len, Cursor, SnapshotError};
         let mut cur = Cursor::new(bytes);
         let magic = cur.bytes(4)?;
         if magic != SNAP_MAGIC {
@@ -715,6 +779,19 @@ impl SlruTreeSimulator {
         let (block_bits, min_set_bits, max_set_bits) = (cur.u32()?, cur.u32()?, cur.u32()?);
         let (assoc_lo_bits, assoc_hi_bits) = (cur.u32()?, cur.u32()?);
         let instrument = cur.u8()? != 0;
+        check_body_len(
+            &cur,
+            (min_set_bits, max_set_bits),
+            (assoc_lo_bits, assoc_hi_bits),
+            |d| {
+                let settled = u64::from(version == SNAP_VERSION);
+                (
+                    8 * (4 + u64::from(instrument) * d.lanes),
+                    8 * (d.lanes.max(1) + 1),
+                    8 * (1 + d.stride.max(1)) + 4 * d.lanes + settled,
+                )
+            },
+        )?;
         let mut sim = SlruTreeSimulator::with_instrumentation(
             block_bits,
             (min_set_bits, max_set_bits),

@@ -141,6 +141,75 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The per-node lane geometry a fused kernel's snapshot header describes:
+/// associativities up to `2^assoc_bits.1`, one lane per associativity
+/// above 1.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArenaDims {
+    /// Lanes (associativities above 1).
+    pub(crate) lanes: u64,
+    /// Summed lane widths: tags per node in the per-lane layouts.
+    pub(crate) stride: u64,
+    /// Widest associativity: tags per node in the LRU stack layout.
+    pub(crate) width: u64,
+}
+
+/// Checks, before a kernel decoder allocates anything, that the rest of
+/// the buffer can hold the body its header describes: a forest over set
+/// counts `2^set_bits.0..=2^set_bits.1`, whose lanes `body` maps to the
+/// body's `(fixed, per-level, per-node)` byte counts. The total is computed
+/// with checked arithmetic, so a hostile header costs a few integer
+/// operations, not an arena sized from it.
+///
+/// # Errors
+///
+/// [`SnapshotError::Corrupt`] when the associativity cannot be a `u32`
+/// power of two, when the dimensions overflow, or when fewer bytes remain
+/// than the body needs.
+pub(crate) fn check_body_len(
+    cur: &Cursor<'_>,
+    set_bits: (u32, u32),
+    assoc_bits: (u32, u32),
+    body: impl FnOnce(ArenaDims) -> (u64, u64, u64),
+) -> Result<(), SnapshotError> {
+    const GEOMETRY: SnapshotError = SnapshotError::Corrupt("invalid arena geometry");
+    let pow2 = |bits: u32| 1u64.checked_shl(bits);
+    if assoc_bits.1 >= u32::BITS {
+        return Err(GEOMETRY);
+    }
+    let levels = u64::from(set_bits.1.checked_sub(set_bits.0).ok_or(GEOMETRY)?) + 1;
+    let nodes = set_bits
+        .1
+        .checked_add(1)
+        .and_then(pow2)
+        .and_then(|top| top.checked_sub(pow2(set_bits.0)?))
+        .ok_or(GEOMETRY)?;
+    let first_lane = assoc_bits.0.max(1);
+    let (lanes, stride) = if assoc_bits.1 < first_lane {
+        (0, 0)
+    } else {
+        // Bounded by the check above: at most 31 lanes, under 2^32 tags.
+        (
+            u64::from(assoc_bits.1 - first_lane + 1),
+            (1u64 << (assoc_bits.1 + 1)) - (1u64 << first_lane),
+        )
+    };
+    let dims = ArenaDims {
+        lanes,
+        stride,
+        width: 1u64 << assoc_bits.1,
+    };
+    let (fixed, per_level, per_node) = body(dims);
+    let need = levels
+        .checked_mul(per_level)
+        .and_then(|n| n.checked_add(nodes.checked_mul(per_node)?))
+        .and_then(|n| n.checked_add(fixed));
+    match need {
+        Some(need) if need <= cur.remaining() as u64 => Ok(()),
+        _ => Err(SnapshotError::Corrupt("unexpected end of snapshot")),
+    }
+}
+
 /// Little-endian append helpers for the writer side.
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());

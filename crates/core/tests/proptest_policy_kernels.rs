@@ -37,23 +37,33 @@ fn trace_strategy() -> impl Strategy<Value = Vec<Record>> {
 }
 
 /// Small but shape-diverse spaces: varying set ranges, 1-2 block sizes,
-/// associativity ranges that may or may not include 1. The widest lane is
-/// 2^4 = 16 ways, inside every kernel's capacity (tree-PLRU caps at 64).
-fn space_strategy() -> impl Strategy<Value = ConfigSpace> {
-    (0u32..3, 0u32..4, 0u32..4, 0u32..2, 0u32..3, 0u32..2).prop_map(
-        |(min_s, extra_s, min_b, extra_b, min_a, extra_a)| {
+/// associativity ranges that may or may not include 1, up to
+/// `2^max_assoc_bits` ways. Up to 16 ways this reaches every const lane
+/// shape of the fused kernels (2 ways and up, 1-4 lanes; one lane of 4, 8
+/// or 16) as well as runtime shapes such as 4 + 8 ways; tree-PLRU's cap is
+/// 64 ways, whose 2..64-way node region (126 tags) is wider than one
+/// 64-lane match mask.
+fn space_strategy(max_assoc_bits: u32) -> impl Strategy<Value = ConfigSpace> {
+    (
+        0u32..3,
+        0u32..4,
+        0u32..4,
+        0u32..2,
+        0..=max_assoc_bits,
+        0..=max_assoc_bits,
+    )
+        .prop_map(|(min_s, extra_s, min_b, extra_b, a, b)| {
             ConfigSpace::new(
                 (min_s, min_s + extra_s),
                 (min_b, min_b + extra_b),
-                (min_a, min_a + extra_a),
+                (a.min(b), a.max(b)),
             )
             .expect("ranges are non-inverted by construction")
-        },
-    )
+        })
 }
 
 /// Traces heavy in short reuse: `ABAB`, `AABA`, loops of up to 16 blocks
-/// (twice the widest lane of [`space_strategy`]) and the odd far reference.
+/// (twice an 8-way lane) and the odd far reference.
 /// Addresses are spaced 1, 4, 16 or 64 bytes apart, so they share or split
 /// blocks differently at each block size of the space.
 fn reuse_trace_strategy() -> impl Strategy<Value = Vec<Record>> {
@@ -126,7 +136,7 @@ proptest! {
     #[test]
     fn every_policy_is_exact_and_traverses_once_per_block_size(
         records in trace_strategy(),
-        space in space_strategy(),
+        space in space_strategy(4),
         threads in 0usize..4,
     ) {
         for &policy in &TreePolicy::ALL {
@@ -241,7 +251,7 @@ proptest! {
     #[test]
     fn plru_and_slru_mra_stop_is_exact_under_short_reuse(
         records in reuse_trace_strategy(),
-        space in space_strategy(),
+        space in space_strategy(6),
     ) {
         for policy in [TreePolicy::Plru, TreePolicy::Slru] {
             let replacement = oracle_replacement(policy);

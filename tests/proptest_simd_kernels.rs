@@ -2,9 +2,9 @@
 //! available tag-scan backend (`sse2`, `avx2`) must be **bit-identical** to
 //! the scalar SWAR oracle — same per-pass results, same work counters, same
 //! complete state snapshots — for every registered policy, both
-//! instrumentation modes, associativities 1..=16, arbitrary traces and
-//! arbitrary (and deliberately *different*) chunk boundaries on the two
-//! sides. This is the CI half of the guarantee; the in-process half is
+//! instrumentation modes, associativities 1..=16 (1..=64 for tree-PLRU and
+//! SLRU), arbitrary traces and arbitrary (and deliberately *different*)
+//! chunk boundaries on the two sides. This is the CI half of the guarantee; the in-process half is
 //! `dew_core::kernel::selftest`, which re-proves it on the deployment
 //! machine before the first sweep trusts a wide scan.
 
@@ -77,7 +77,7 @@ proptest! {
         records in trace_strategy(),
         block_bits in 0u32..4,
         max_set_bits in 0u32..5,
-        assoc_bits in 0u32..5, // associativities 1..=16
+        assoc_bits in (0u32..=6, 0u32..=6),
         instrument in any::<bool>(),
         policy in policy_strategy(),
         fifo_toggles in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
@@ -94,10 +94,18 @@ proptest! {
             options.mre = mre;
             options.dup_elision = dup_elision;
         }
+        // Associativity ranges up to 16 ways reach every const lane shape
+        // and some runtime ones; tree-PLRU and SLRU go to 64 ways, where a
+        // node's region outgrows one 64-lane match mask.
+        let widest = if matches!(policy, TreePolicy::Plru | TreePolicy::Slru) { 6 } else { 4 };
+        let (lo, hi) = (
+            assoc_bits.0.min(assoc_bits.1).min(widest),
+            assoc_bits.0.max(assoc_bits.1).min(widest),
+        );
         let blocks = decode_blocks(&records, block_bits);
 
         let build = || {
-            FusedKernel::build(block_bits, (0, max_set_bits), (0, assoc_bits), options, instrument)
+            FusedKernel::build(block_bits, (0, max_set_bits), (lo, hi), options, instrument)
                 .expect("valid geometry and sound options")
         };
         let mut oracle = build();
@@ -110,7 +118,7 @@ proptest! {
             let mut kernel = build();
             kernel.force_scan_backend(backend).expect("listed as available");
             run_chunked(&mut kernel, &blocks, &lens_b);
-            for bits in 0..=assoc_bits {
+            for bits in lo..=hi {
                 let assoc = 1u32 << bits;
                 prop_assert_eq!(
                     kernel.pass_results(assoc),

@@ -3,6 +3,8 @@
 //! timelines must expose the phase structure of the Mediabench surrogates.
 
 use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
+use dew_core::plru_tree::PlruTreeSimulator;
+use dew_core::slru_tree::SlruTreeSimulator;
 use dew_core::snapshot::SnapshotError;
 use dew_core::{DewOptions, DewTree, MissTimeline, MultiAssocTree, PassConfig};
 use dew_workloads::mediabench::App;
@@ -161,6 +163,39 @@ fn kernel_snapshots_reject_foreign_and_corrupt_buffers() {
     let mut padded = fifo_bytes.clone();
     padded.push(0);
     assert!(MultiAssocTree::from_snapshot(&padded).is_err());
+    // A bare 26-byte header describing a huge arena is rejected before
+    // the arena is allocated: 2^21 - 1 nodes with lanes up to 16 ways
+    // (about 0.5 GiB), and one node whose widest lane is 2^31 ways (32 GiB).
+    let header = |magic: &[u8; 4], version: u8, fields: [u32; 5], flags: u8| {
+        let mut image = magic.to_vec();
+        image.push(version);
+        for v in fields {
+            image.extend_from_slice(&v.to_le_bytes());
+        }
+        image.push(flags);
+        assert_eq!(image.len(), 26);
+        image
+    };
+    let wide_forest = [2, 0, 20, 0, 4];
+    let wide_lane = [2, 0, 0, 0, 31];
+    for (magic, version) in [(b"DEWM", 1), (b"DEWL", 1), (b"DEWP", 2), (b"DEWU", 2)] {
+        for fields in [wide_forest, wide_lane] {
+            for flags in [0, 1, 31] {
+                let image = header(magic, version, fields, flags);
+                let decoded = match magic {
+                    b"DEWM" => MultiAssocTree::from_snapshot(&image).err(),
+                    b"DEWL" => LruTreeSimulator::from_snapshot(&image).err(),
+                    b"DEWP" => PlruTreeSimulator::from_snapshot(&image).err(),
+                    _ => SlruTreeSimulator::from_snapshot(&image).err(),
+                };
+                assert!(
+                    matches!(decoded, Some(SnapshotError::Corrupt(_))),
+                    "{fields:?} flags {flags} under {}: {decoded:?}",
+                    String::from_utf8_lossy(magic)
+                );
+            }
+        }
+    }
 }
 
 #[test]
