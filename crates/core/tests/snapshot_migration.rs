@@ -1,5 +1,12 @@
-//! Version migration of the tree-PLRU (`DEWP`) and SLRU (`DEWU`) kernel
-//! snapshots.
+//! Pinned kernel snapshot formats: golden images of the current `DEWM`,
+//! `DEWL`, `DEWP` and `DEWU` encoders, and the version migration of the
+//! tree-PLRU (`DEWP`) and SLRU (`DEWU`) snapshots.
+//!
+//! The `golden_*` fixtures were written by the current encoders, from
+//! [`trace`] below: each is a kernel (block bits 2, set bits 0..=3, assoc
+//! bits 0..=3, so three lanes of 2, 4 and 8 ways) after the first [`SPLIT`]
+//! blocks, fast and instrumented. The encoders must reproduce them byte for
+//! byte, so a refactor cannot silently change a current format.
 //!
 //! Version 2 of `DEWP` dropped the per-lane MRA way pointers, and version 2
 //! of `DEWU` added the per-node settled flags that gate its MRA early stop.
@@ -29,6 +36,50 @@ const DEWP_V1: &[u8] = include_bytes!("fixtures/dewp_v1.bin");
 const DEWU_V1: &[u8] = include_bytes!("fixtures/dewu_v1.bin");
 const DEWC_PLRU_V1: &[u8] = include_bytes!("fixtures/dewc_plru_v1.bin");
 const DEWC_SLRU_V1: &[u8] = include_bytes!("fixtures/dewc_slru_v1.bin");
+
+/// The current-format golden images: `(policy, instrumented, bytes)`.
+const GOLDEN: [(TreePolicy, bool, &[u8]); 8] = [
+    (
+        TreePolicy::Fifo,
+        false,
+        include_bytes!("fixtures/golden_dewm_fast.bin"),
+    ),
+    (
+        TreePolicy::Fifo,
+        true,
+        include_bytes!("fixtures/golden_dewm_instr.bin"),
+    ),
+    (
+        TreePolicy::Lru,
+        false,
+        include_bytes!("fixtures/golden_dewl_fast.bin"),
+    ),
+    (
+        TreePolicy::Lru,
+        true,
+        include_bytes!("fixtures/golden_dewl_instr.bin"),
+    ),
+    (
+        TreePolicy::Plru,
+        false,
+        include_bytes!("fixtures/golden_dewp_fast.bin"),
+    ),
+    (
+        TreePolicy::Plru,
+        true,
+        include_bytes!("fixtures/golden_dewp_instr.bin"),
+    ),
+    (
+        TreePolicy::Slru,
+        false,
+        include_bytes!("fixtures/golden_dewu_fast.bin"),
+    ),
+    (
+        TreePolicy::Slru,
+        true,
+        include_bytes!("fixtures/golden_dewu_instr.bin"),
+    ),
+];
 
 /// Blocks the kernel fixtures consumed before they were written.
 const SPLIT: usize = 600;
@@ -133,6 +184,56 @@ fn checkpoint_resumes(policy: TreePolicy, image: &[u8]) {
         .expect("resumed sweep");
     assert!(!resumed.is_partial());
     assert_eq!(resumed.sorted(), baseline.sorted(), "{policy}");
+}
+
+/// The golden images' kernel: three lanes (2, 4 and 8 ways) over four
+/// levels.
+fn golden_kernel(policy: TreePolicy, instrument: bool) -> FusedKernel {
+    FusedKernel::build(
+        2,
+        (0, 3),
+        (0, 3),
+        DewOptions::for_policy(policy),
+        instrument,
+    )
+    .expect("valid geometry")
+}
+
+#[test]
+fn current_encoders_reproduce_the_golden_images() {
+    let blocks = decode_blocks(&trace(), 2);
+    for (policy, instrument, golden) in GOLDEN {
+        let mut kernel = golden_kernel(policy, instrument);
+        kernel.run_blocks(&blocks[..SPLIT]);
+        assert!(
+            kernel.to_snapshot() == golden,
+            "{policy} (instrumented: {instrument}) no longer encodes its golden image"
+        );
+    }
+}
+
+#[test]
+fn golden_images_resume_like_an_uninterrupted_run() {
+    let blocks = decode_blocks(&trace(), 2);
+    for (policy, instrument, golden) in GOLDEN {
+        let mut resumed = FusedKernel::from_snapshot(policy, golden).expect("golden decodes");
+        resumed.run_blocks(&blocks[SPLIT..]);
+        let mut straight = golden_kernel(policy, instrument);
+        straight.run_blocks(&blocks);
+        for assoc in [1u32, 2, 4, 8] {
+            assert_eq!(
+                resumed.pass_results(assoc),
+                straight.pass_results(assoc),
+                "{policy}"
+            );
+            assert_eq!(
+                resumed.pass_counters(assoc),
+                straight.pass_counters(assoc),
+                "{policy}"
+            );
+        }
+        assert_eq!(resumed.to_snapshot(), straight.to_snapshot(), "{policy}");
+    }
 }
 
 #[test]
