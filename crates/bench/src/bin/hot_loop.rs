@@ -229,7 +229,6 @@ fn main() {
     // `SweepRequest::run` uses for LRU spaces (no duplicate elision by
     // default).
     let lru_opts = LruTreeOptions {
-        depth_zero_stop: true,
         duplicate_elision: false,
     };
     let (lru_reference, lru_evals) = {

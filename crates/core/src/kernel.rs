@@ -15,20 +15,22 @@
 //!   (`DEWM` FIFO, `DEWL` LRU, `DEWP` tree-PLRU, `DEWU` SLRU) and reject a
 //!   sibling's buffer as a [`SnapshotError::PolicyMismatch`].
 //!
-//! [`PolicyKernel`] is that contract as a trait; [`FusedKernel`] is the
-//! concrete dispatcher the drivers hold (enum, not `dyn`, so the hot
-//! `run_blocks` call is a direct jump). Registering a policy means: a
-//! [`TreePolicy`] variant, a simulator implementing [`PolicyKernel`], a
-//! build arm in [`FusedKernel::build`], and a decode arm in
-//! [`FusedKernel::from_snapshot`].
+//! [`PolicyKernel`] is that contract as a trait, implemented once for every
+//! arena kernel; [`FusedKernel`] is the concrete dispatcher the drivers hold
+//! (enum, not `dyn`, so the hot `run_blocks` call is a direct jump).
+//! Registering a policy means: a [`TreePolicy`] variant, a lane type
+//! implementing the arena's `Policy` trait (its lanes, update rule, MRA-stop
+//! verdict and lane codec), its magic in the arena's magic table, and a
+//! build arm and a decode arm in [`FusedKernel`].
 
 use std::fmt;
 
+use crate::arena::{Arena, Policy};
 use crate::counters::DewCounters;
 use crate::lru_tree::{LruTreeOptions, LruTreeSimulator};
 use crate::multi_assoc::MultiAssocTree;
 use crate::options::{DewOptions, TreePolicy};
-use crate::plru_tree::{PlruTreeOptions, PlruTreeSimulator};
+use crate::plru_tree::PlruTreeSimulator;
 use crate::results::PassResults;
 use crate::simd::KernelBackend;
 use crate::slru_tree::SlruTreeSimulator;
@@ -77,111 +79,31 @@ pub trait PolicyKernel {
     fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError>;
 }
 
-impl PolicyKernel for MultiAssocTree {
+/// Every arena kernel presents the contract through its inherent methods.
+impl<P: Policy> PolicyKernel for Arena<P> {
     fn policy(&self) -> TreePolicy {
-        TreePolicy::Fifo
+        P::POLICY
     }
     fn run_blocks(&mut self, blocks: &[u64]) {
-        MultiAssocTree::run_blocks(self, blocks);
+        Arena::run_blocks(self, blocks);
     }
     fn pass_results(&self, assoc: u32) -> Option<PassResults> {
-        MultiAssocTree::pass_results(self, assoc)
+        Arena::pass_results(self, assoc)
     }
     fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
-        MultiAssocTree::pass_counters(self, assoc)
+        Arena::pass_counters(self, assoc)
     }
     fn to_snapshot(&self) -> Vec<u8> {
-        MultiAssocTree::to_snapshot(self)
+        Arena::to_snapshot(self)
     }
     fn footprint_bytes(&self) -> usize {
-        MultiAssocTree::footprint_bytes(self)
+        Arena::footprint_bytes(self)
     }
     fn scan_backend(&self) -> KernelBackend {
-        MultiAssocTree::scan_backend(self)
+        Arena::scan_backend(self)
     }
     fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError> {
-        MultiAssocTree::force_scan_backend(self, backend)
-    }
-}
-
-impl PolicyKernel for LruTreeSimulator {
-    fn policy(&self) -> TreePolicy {
-        TreePolicy::Lru
-    }
-    fn run_blocks(&mut self, blocks: &[u64]) {
-        LruTreeSimulator::run_blocks(self, blocks);
-    }
-    fn pass_results(&self, assoc: u32) -> Option<PassResults> {
-        LruTreeSimulator::pass_results(self, assoc)
-    }
-    fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
-        LruTreeSimulator::pass_counters(self, assoc)
-    }
-    fn to_snapshot(&self) -> Vec<u8> {
-        LruTreeSimulator::to_snapshot(self)
-    }
-    fn footprint_bytes(&self) -> usize {
-        LruTreeSimulator::footprint_bytes(self)
-    }
-    fn scan_backend(&self) -> KernelBackend {
-        LruTreeSimulator::scan_backend(self)
-    }
-    fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError> {
-        LruTreeSimulator::force_scan_backend(self, backend)
-    }
-}
-
-impl PolicyKernel for PlruTreeSimulator {
-    fn policy(&self) -> TreePolicy {
-        TreePolicy::Plru
-    }
-    fn run_blocks(&mut self, blocks: &[u64]) {
-        PlruTreeSimulator::run_blocks(self, blocks);
-    }
-    fn pass_results(&self, assoc: u32) -> Option<PassResults> {
-        PlruTreeSimulator::pass_results(self, assoc)
-    }
-    fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
-        PlruTreeSimulator::pass_counters(self, assoc)
-    }
-    fn to_snapshot(&self) -> Vec<u8> {
-        PlruTreeSimulator::to_snapshot(self)
-    }
-    fn footprint_bytes(&self) -> usize {
-        PlruTreeSimulator::footprint_bytes(self)
-    }
-    fn scan_backend(&self) -> KernelBackend {
-        PlruTreeSimulator::scan_backend(self)
-    }
-    fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError> {
-        PlruTreeSimulator::force_scan_backend(self, backend)
-    }
-}
-
-impl PolicyKernel for SlruTreeSimulator {
-    fn policy(&self) -> TreePolicy {
-        TreePolicy::Slru
-    }
-    fn run_blocks(&mut self, blocks: &[u64]) {
-        SlruTreeSimulator::run_blocks(self, blocks);
-    }
-    fn pass_results(&self, assoc: u32) -> Option<PassResults> {
-        SlruTreeSimulator::pass_results(self, assoc)
-    }
-    fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
-        SlruTreeSimulator::pass_counters(self, assoc)
-    }
-    fn to_snapshot(&self) -> Vec<u8> {
-        SlruTreeSimulator::to_snapshot(self)
-    }
-    fn footprint_bytes(&self) -> usize {
-        SlruTreeSimulator::footprint_bytes(self)
-    }
-    fn scan_backend(&self) -> KernelBackend {
-        SlruTreeSimulator::scan_backend(self)
-    }
-    fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError> {
-        SlruTreeSimulator::force_scan_backend(self, backend)
+        Arena::force_scan_backend(self, backend)
     }
 }
 
@@ -225,32 +147,27 @@ impl FusedKernel {
         instrument: bool,
     ) -> Result<FusedKernel, DewError> {
         options.validate()?;
+        let (set, assoc) = (set_bits, assoc_bits);
+        let elision = LruTreeOptions {
+            duplicate_elision: options.dup_elision,
+        };
         Ok(match options.policy {
-            TreePolicy::Fifo => FusedKernel::Fifo(Box::new(MultiAssocTree::with_instrumentation(
-                block_bits, set_bits, assoc_bits, options, instrument,
+            TreePolicy::Fifo => FusedKernel::Fifo(Box::new(Arena::build(
+                block_bits, set, assoc, options, instrument,
             )?)),
-            TreePolicy::Lru => {
-                let lru_opts = LruTreeOptions {
-                    depth_zero_stop: true,
-                    duplicate_elision: options.dup_elision,
-                };
-                FusedKernel::Lru(Box::new(LruTreeSimulator::with_instrumentation(
-                    block_bits, set_bits, assoc_bits, lru_opts, instrument,
-                )?))
-            }
-            TreePolicy::Plru => {
-                let plru_opts = PlruTreeOptions {
-                    duplicate_elision: options.dup_elision,
-                };
-                FusedKernel::Plru(Box::new(PlruTreeSimulator::with_instrumentation(
-                    block_bits, set_bits, assoc_bits, plru_opts, instrument,
-                )?))
-            }
-            TreePolicy::Slru => {
-                FusedKernel::Slru(Box::new(SlruTreeSimulator::with_instrumentation(
-                    block_bits, set_bits, assoc_bits, instrument,
-                )?))
-            }
+            TreePolicy::Lru => FusedKernel::Lru(Box::new(Arena::build(
+                block_bits, set, assoc, elision, instrument,
+            )?)),
+            TreePolicy::Plru => FusedKernel::Plru(Box::new(Arena::build(
+                block_bits, set, assoc, elision, instrument,
+            )?)),
+            TreePolicy::Slru => FusedKernel::Slru(Box::new(Arena::build(
+                block_bits,
+                set,
+                assoc,
+                (),
+                instrument,
+            )?)),
         })
     }
 
@@ -263,14 +180,10 @@ impl FusedKernel {
     /// kernel's magic.
     pub fn from_snapshot(policy: TreePolicy, bytes: &[u8]) -> Result<FusedKernel, SnapshotError> {
         Ok(match policy {
-            TreePolicy::Fifo => FusedKernel::Fifo(Box::new(MultiAssocTree::from_snapshot(bytes)?)),
-            TreePolicy::Lru => FusedKernel::Lru(Box::new(LruTreeSimulator::from_snapshot(bytes)?)),
-            TreePolicy::Plru => {
-                FusedKernel::Plru(Box::new(PlruTreeSimulator::from_snapshot(bytes)?))
-            }
-            TreePolicy::Slru => {
-                FusedKernel::Slru(Box::new(SlruTreeSimulator::from_snapshot(bytes)?))
-            }
+            TreePolicy::Fifo => FusedKernel::Fifo(Box::new(Arena::from_snapshot(bytes)?)),
+            TreePolicy::Lru => FusedKernel::Lru(Box::new(Arena::from_snapshot(bytes)?)),
+            TreePolicy::Plru => FusedKernel::Plru(Box::new(Arena::from_snapshot(bytes)?)),
+            TreePolicy::Slru => FusedKernel::Slru(Box::new(Arena::from_snapshot(bytes)?)),
         })
     }
 

@@ -100,6 +100,7 @@
 #![cfg_attr(feature = "simd", deny(unsafe_code))]
 #![warn(missing_docs)]
 
+mod arena;
 mod cancel;
 mod checkpoint;
 mod counters;

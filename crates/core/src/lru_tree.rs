@@ -1,7 +1,6 @@
 //! Single-pass multi-configuration **LRU** simulation over the same binomial
-//! forest — the comparator family DEW is positioned against — on the same
-//! flat-arena storage and two-kernel compilation scheme as [`crate::DewTree`]
-//! and [`crate::MultiAssocTree`].
+//! forest — the comparator family DEW is positioned against — on the fused
+//! arena skeleton every policy kernel shares (see [`crate::MultiAssocTree`]).
 //!
 //! The paper's related work (Section 2) builds on two classic LRU facts that
 //! FIFO lacks:
@@ -16,43 +15,38 @@
 //!    are a subset of its competitors in the coarser one. Consequently a
 //!    block's hit depth is non-increasing down the tree, and once it hits at
 //!    depth 0 (it is the set's MRU block) it is at depth 0 everywhere below:
-//!    the walk can stop with *no* state updates — the LRU analogue of DEW's
-//!    Property 2.
+//!    the walk stops there with *no* state updates — the LRU analogue of
+//!    DEW's Property 2.
 //!
 //! [`LruTreeSimulator`] implements this family in the spirit of Janapsatya's
 //! method with the CRCB-style consecutive-duplicate elision of Tojo et al.
-//! (both toggleable via [`LruTreeOptions`]): MRU-first searches exploit
+//! (the elision toggleable via [`LruTreeOptions`]): MRU-first searches exploit
 //! temporal locality, and per-node move-to-front lists produce exact miss
 //! counts for every power-of-two associativity up to the list depth, at every
 //! set count, in one pass.
 //!
 //! # Storage
 //!
-//! The whole forest lives in flat lanes: one dense **MRA lane** holding every
-//! node's depth-0 (MRU) tag — which is simultaneously the direct-mapped cache
-//! contents and the operand of the stack-property early exit — and one
-//! contiguous **recency lane** where node `i`'s move-to-front list occupies
-//! `tags[i*width ..][..width]` in MRU-first order, sized to the widest
-//! requested associativity. Cold ways hold a sentinel at the tail of the
-//! list, so a miss update is one `rotate_right(1)` of the whole region
-//! followed by a front store — no valid-count bookkeeping on the hot path.
+//! The arena's dense **MRA lane** holds every node's depth-0 (MRU) tag —
+//! simultaneously the direct-mapped cache contents and the operand of the
+//! stack-property early exit — and its tag lane holds one **recency list**
+//! per node, `width` (the widest requested associativity) entries in
+//! MRU-first order. Cold ways hold a sentinel at the tail of the list, so a
+//! miss update is one `rotate_right(1)` of the whole region followed by a
+//! front store — no valid-count bookkeeping.
 //!
-//! # The two kernels
+//! # The update rule
 //!
-//! Mirroring [`crate::DewTree`], the step kernel is compiled twice:
-//!
-//! * the **fast** kernel ([`LruTreeSimulator::new`]) keeps no work counters;
-//!   residency depth is a branchless scan of the node's whole recency region
-//!   into a position bitmask, const-specialized over the common widths
-//!   (1/2/4/8/16), and the per-associativity miss tallies are computed
-//!   without branches from the depth;
-//! * the **instrumented** kernel ([`LruTreeSimulator::instrumented`])
-//!   performs the classic MRU-first stop-at-match search over the valid
-//!   prefix with every [`LruTreeCounters`] bucket live, plus a per-depth hit
-//!   histogram ([`LruTreeSimulator::depth_hits`]).
-//!
-//! Both kernels produce bit-identical miss counts — a property-tested
-//! invariant, exactly like the FIFO kernels'.
+//! Per node, a branchless scan of the whole recency region yields the hit
+//! depth as a position bitmask (the width a compile-time constant for the
+//! const lane shapes), the per-associativity miss tallies fall out of the
+//! depth without branches, and the move-to-front update is one prefix
+//! rotation. The instrumented mode reads its work from the same scan: a
+//! hit at depth `d` costs `d` comparisons after the MRA comparison (the
+//! classic MRU-first stop-at-match search), a miss costs `valid − 1`, with
+//! `valid` read from the sentinel mask; it also keeps a per-depth hit
+//! histogram ([`LruTreeSimulator::depth_hits`]). Miss counts are
+//! bit-identical in both modes — a property-tested invariant.
 //!
 //! [`crate::SweepRequest`] drives this type for LRU spaces: all passes of one
 //! block size fuse into a single streamed traversal, fanned back out through
@@ -77,128 +71,27 @@
 //! # }
 //! ```
 
-use std::fmt;
-
-use dew_trace::Record;
-
+use crate::arena::{Arena, Forest, Policy, Site, WithOptions};
 use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
-use crate::results::{AllAssocResults, LevelResult, PassResults};
-use crate::simd::{
-    first_match, prefetch_read, KernelBackend, ScalarScan, TagLane, TagScan, PF_DIST,
-};
-use crate::space::{DewError, PassConfig};
+use crate::options::TreePolicy;
+use crate::simd::{first_match, TagScan};
+use crate::snapshot::{put_u32, put_u64, ArenaDims, Cursor, SnapshotError};
+use crate::space::DewError;
 
-/// Snapshot magic of the arena LRU simulator (the single-pass
-/// [`crate::DewTree`] format `DEWS` describes a different layout).
-pub(crate) const SNAP_MAGIC: [u8; 4] = *b"DEWL";
-/// Snapshot format version of the arena LRU simulator.
-const SNAP_VERSION: u8 = 1;
-
-/// Behaviour toggles of the LRU comparator (both default to on).
+/// Behaviour toggles of the LRU and tree-PLRU kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LruTreeOptions {
-    /// Stop the walk when the request hits at depth 0 (it is the MRU block
-    /// of the set): by set-refinement inclusion it is MRU at every larger
-    /// set count, so no accounting or list update is needed below.
-    pub depth_zero_stop: bool,
     /// CRCB-style elision: a request to the same block as the immediately
     /// preceding request hits at depth 0 everywhere and is skipped outright.
+    /// Defaults to on.
     pub duplicate_elision: bool,
 }
 
 impl Default for LruTreeOptions {
     fn default() -> Self {
         LruTreeOptions {
-            depth_zero_stop: true,
             duplicate_elision: true,
-        }
-    }
-}
-
-/// Work counters of the LRU comparator (instrumented kernel only; the fast
-/// kernel maintains just the request-level `accesses`/`duplicate_skips`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LruTreeCounters {
-    /// Requests simulated (skipped duplicates included).
-    pub accesses: u64,
-    /// Tree nodes visited.
-    pub node_evaluations: u64,
-    /// Walks ended early by a depth-0 hit.
-    pub depth_zero_stops: u64,
-    /// Requests elided as consecutive duplicates.
-    pub duplicate_skips: u64,
-    /// Tag comparisons performed (the depth-0 MRA comparison of each node
-    /// evaluation plus the MRU-first sequential search below it).
-    pub tag_comparisons: u64,
-}
-
-impl fmt::Display for LruTreeCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} accesses, {} evaluations, {} depth-0 stops, {} duplicate skips, {} comparisons",
-            self.accesses,
-            self.node_evaluations,
-            self.depth_zero_stops,
-            self.duplicate_skips,
-            self.tag_comparisons
-        )
-    }
-}
-
-/// The arena: flat lanes over all forest levels concatenated.
-#[derive(Debug, Clone)]
-struct LruArena {
-    /// Dense per-node MRU tags (depth 0 of every recency list): the
-    /// direct-mapped cache contents and the stack-property early-exit
-    /// operand.
-    mra: Vec<u64>,
-    /// Contiguous recency lane, cache-line aligned ([`TagLane`]): node
-    /// `i`'s move-to-front list is `tags[i*width ..][..width]`, MRU-first,
-    /// sentinel-padded at the tail.
-    tags: TagLane,
-    /// Valid prefix length per node; instrumented only (the fast kernel's
-    /// sentinel scan never needs it).
-    valid: Vec<u32>,
-    /// Node-index base per level plus a final total, as in `DewTree`.
-    node_off: Vec<usize>,
-    /// `(1 << set_bits) - 1` per level.
-    set_mask: Vec<u64>,
-    /// Misses per `(level, threshold)`, level-major (thresholds are the
-    /// reported associativities above 1).
-    misses: Vec<u64>,
-    /// Direct-mapped misses per level (from the shared MRA comparisons).
-    dm_misses: Vec<u64>,
-}
-
-impl LruArena {
-    fn new(pass: &PassConfig, width: usize, num_thresholds: usize, instrument: bool) -> Self {
-        let mut node_off = Vec::with_capacity(pass.num_levels() as usize + 1);
-        let mut set_mask = Vec::with_capacity(pass.num_levels() as usize);
-        let mut total = 0usize;
-        for set_bits in pass.min_set_bits()..=pass.max_set_bits() {
-            node_off.push(total);
-            set_mask.push((1u64 << set_bits) - 1);
-            total += 1usize << set_bits;
-        }
-        node_off.push(total);
-        let num_levels = pass.num_levels() as usize;
-        LruArena {
-            mra: vec![INVALID_TAG; total],
-            tags: TagLane::filled(total * width, INVALID_TAG),
-            valid: if instrument {
-                vec![0; total]
-            } else {
-                Vec::new()
-            },
-            node_off,
-            set_mask,
-            // `max(1)`: an assoc-1-only forest (no thresholds) still
-            // iterates its levels through `chunks_exact_mut`, which needs a
-            // nonzero stride.
-            misses: vec![0; num_levels * num_thresholds.max(1)],
-            dm_misses: vec![0; num_levels],
         }
     }
 }
@@ -228,738 +121,221 @@ impl LruArena {
 /// # Ok(())
 /// # }
 /// ```
+pub type LruTreeSimulator = Arena<Lru>;
+
+/// The LRU lanes: the recency lists live in the arena's tag lane; the
+/// policy keeps its options and the instrumented depth histogram.
 #[derive(Debug, Clone)]
-pub struct LruTreeSimulator {
-    /// Geometry; `assoc()` reports the widest simulated associativity.
-    pass: PassConfig,
+pub struct Lru {
     opts: LruTreeOptions,
-    /// Every reported associativity, ascending (includes 1 when the range
-    /// starts there; associativity-1 results come from the MRA lane).
-    assoc_list: Vec<u32>,
-    /// Reported associativities above 1: a hit at depth `d` misses exactly
-    /// the thresholds `<= d` (the stack property).
-    thresholds: Vec<u32>,
-    /// Recency-lane entries per node (the widest associativity).
-    width: usize,
-    arena: LruArena,
-    counters: LruTreeCounters,
     /// Hits per recency depth (`0..width`); instrumented only.
     depth_hits: Vec<u64>,
-    /// Block of the previous request, for the CRCB-style elision.
-    prev_block: u64,
-    /// Which kernel instantiation `step` dispatches to.
-    instrument: bool,
-    /// The tag-scan backend batched fast scans run on, fixed at
-    /// construction from [`KernelBackend::active`].
-    backend: KernelBackend,
 }
 
 impl LruTreeSimulator {
-    /// Builds a simulator for set counts `2^min_set_bits..=2^max_set_bits`,
-    /// block size `2^block_bits` bytes, and associativities
-    /// `1, 2, 4, …, max_assoc`, using the fast (uninstrumented) kernel. Use
-    /// [`LruTreeSimulator::instrumented`] when the work counters matter.
-    ///
-    /// # Errors
-    ///
-    /// The same geometry validation as [`PassConfig::new`].
-    pub fn new(
-        block_bits: u32,
-        min_set_bits: u32,
-        max_set_bits: u32,
-        max_assoc: u32,
-        opts: LruTreeOptions,
-    ) -> Result<Self, DewError> {
-        if max_assoc == 0 || !max_assoc.is_power_of_two() {
-            return Err(DewError::BadAssoc(max_assoc));
-        }
-        LruTreeSimulator::with_instrumentation(
-            block_bits,
-            (min_set_bits, max_set_bits),
-            (0, max_assoc.trailing_zeros()),
-            opts,
-            false,
-        )
-    }
-
-    /// As [`LruTreeSimulator::new`], but with the instrumented kernel: the
-    /// classic MRU-first counted search with every [`LruTreeCounters`]
-    /// bucket and the per-depth hit histogram live. Miss counts are
-    /// bit-identical to the fast kernel's — a property-tested invariant.
-    ///
-    /// # Errors
-    ///
-    /// As [`LruTreeSimulator::new`].
-    pub fn instrumented(
-        block_bits: u32,
-        min_set_bits: u32,
-        max_set_bits: u32,
-        max_assoc: u32,
-        opts: LruTreeOptions,
-    ) -> Result<Self, DewError> {
-        if max_assoc == 0 || !max_assoc.is_power_of_two() {
-            return Err(DewError::BadAssoc(max_assoc));
-        }
-        LruTreeSimulator::with_instrumentation(
-            block_bits,
-            (min_set_bits, max_set_bits),
-            (0, max_assoc.trailing_zeros()),
-            opts,
-            true,
-        )
-    }
-
-    /// Full-control constructor: inclusive `log2` ranges for the set counts
-    /// and the reported associativities (so a sweep whose space starts above
-    /// associativity 1 does not report lists it was not asked for — the
-    /// recency lane is always sized to the widest), and a runtime kernel
-    /// selection. This is the entry point [`crate::SweepRequest`] uses for
-    /// its fused per-block-size LRU passes.
-    ///
-    /// # Errors
-    ///
-    /// As [`PassConfig::new`], plus [`DewError::EmptySetRange`] when the
-    /// associativity range is inverted.
-    pub fn with_instrumentation(
-        block_bits: u32,
-        set_bits: (u32, u32),
-        assoc_bits: (u32, u32),
-        opts: LruTreeOptions,
-        instrument: bool,
-    ) -> Result<Self, DewError> {
-        if assoc_bits.0 > assoc_bits.1 {
-            return Err(DewError::EmptySetRange {
-                min_set_bits: assoc_bits.0,
-                max_set_bits: assoc_bits.1,
-            });
-        }
-        let pass = PassConfig::new(block_bits, set_bits.0, set_bits.1, 1 << assoc_bits.1)?;
-        let assoc_list: Vec<u32> = (assoc_bits.0..=assoc_bits.1).map(|b| 1 << b).collect();
-        let thresholds: Vec<u32> = (assoc_bits.0.max(1)..=assoc_bits.1)
-            .map(|b| 1 << b)
-            .collect();
-        let width = 1usize << assoc_bits.1;
-        Ok(LruTreeSimulator {
-            arena: LruArena::new(&pass, width, thresholds.len(), instrument),
-            pass,
-            opts,
-            assoc_list,
-            thresholds,
-            width,
-            counters: LruTreeCounters::default(),
-            depth_hits: if instrument {
-                vec![0; width]
-            } else {
-                Vec::new()
-            },
-            prev_block: INVALID_TAG,
-            instrument,
-            backend: KernelBackend::active(),
-        })
-    }
-
-    /// The simulated associativities, ascending.
-    #[must_use]
-    pub fn assoc_list(&self) -> &[u32] {
-        &self.assoc_list
-    }
-
-    /// The geometry of the forest (`assoc()` reports the widest list).
-    #[must_use]
-    pub fn pass(&self) -> &PassConfig {
-        &self.pass
-    }
-
-    /// `true` when this simulator maintains the work counters.
-    #[must_use]
-    pub fn is_instrumented(&self) -> bool {
-        self.instrument
-    }
-
-    /// The tag-scan backend batched fast scans run on (fixed at
-    /// construction from [`KernelBackend::active`]).
-    #[must_use]
-    pub fn scan_backend(&self) -> KernelBackend {
-        self.backend
-    }
-
-    /// Pins the scan backend (the differential harness drives the same
-    /// simulator once per backend to prove them bit-identical).
-    ///
-    /// # Errors
-    ///
-    /// [`DewError::UnsoundOptions`] when `backend` is not available on this
-    /// build/machine.
-    pub fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError> {
-        if !backend.is_available() {
-            return Err(DewError::UnsoundOptions(
-                "requested scan backend is not available on this build/machine",
-            ));
-        }
-        self.backend = backend;
-        Ok(())
-    }
-
-    /// The work counters.
-    #[must_use]
-    pub fn counters(&self) -> &LruTreeCounters {
-        &self.counters
-    }
-
     /// Hits per recency depth (`depth_hits()[d]` counts hits whose stack
     /// distance was exactly `d`), maintained by the instrumented kernel;
     /// empty for fast simulators. Depth-0 hits elided as consecutive
-    /// duplicates are tallied in
-    /// [`LruTreeCounters::duplicate_skips`] instead, and a fired depth-0
-    /// stop ends the walk, so deeper levels' depth-0 hits are — like every
-    /// other saved evaluation — not re-counted.
+    /// duplicates are tallied in [`DewCounters::duplicate_skips`] instead,
+    /// and a depth-0 hit ends the walk, so deeper levels' depth-0 hits are
+    /// — like every other saved evaluation — not re-counted.
     #[must_use]
     pub fn depth_hits(&self) -> &[u64] {
-        &self.depth_hits
+        &self.lanes.depth_hits
+    }
+}
+
+impl WithOptions for Lru {}
+
+impl Policy for Lru {
+    const POLICY: TreePolicy = TreePolicy::Lru;
+    const VERSION: u8 = 1;
+    const COUNTERS: &'static [usize] = &[0, 1, 2, 9, 11];
+    const STACK: bool = true;
+    type Options = LruTreeOptions;
+
+    fn validate(_: &LruTreeOptions, _: (u32, u32)) -> Result<(), DewError> {
+        Ok(())
     }
 
-    /// Simulates one record (only the address matters).
-    pub fn step_record(&mut self, record: Record) {
-        self.step(record.addr);
+    fn elides(opts: &LruTreeOptions) -> bool {
+        opts.duplicate_elision
     }
 
-    /// Simulates every record of an iterator.
-    pub fn run<I>(&mut self, records: I)
-    where
-        I: IntoIterator<Item = Record>,
-    {
-        for r in records {
-            self.step(r.addr);
+    fn region(_: u64, widest: u64) -> u64 {
+        widest
+    }
+
+    fn new(f: &Forest, opts: LruTreeOptions, instrument: bool) -> Lru {
+        let width = if instrument { f.region } else { 0 };
+        Lru {
+            opts,
+            depth_hits: vec![0; width],
         }
     }
 
-    /// Simulates one request by byte address.
-    ///
-    /// # Panics
-    ///
-    /// As [`crate::DewTree::step`]: the block number must not collide with
-    /// the internal sentinel.
-    pub fn step(&mut self, addr: u64) {
-        self.step_block(addr >> self.pass.block_bits());
+    fn footprint(&self) -> usize {
+        0
     }
 
-    /// Simulates one request given as a pre-decoded block number
-    /// (`addr >> block_bits` for this pass's block size).
-    ///
-    /// # Panics
-    ///
-    /// As [`LruTreeSimulator::step`], if `block` equals the internal
-    /// sentinel.
-    pub fn step_block(&mut self, block: u64) {
-        assert_ne!(
-            block, INVALID_TAG,
-            "block {block:#x} exceeds the supported range"
-        );
-        if self.instrument {
-            self.kernel_instrumented(block);
-        } else {
-            self.dispatch_fast(block);
-        }
-    }
+    /// The depth histogram.
+    type Walk<'a> = &'a mut [u64];
 
-    /// Simulates a batch of pre-decoded block numbers (see
-    /// `dew_trace::decode_blocks` / `dew_trace::BlockChunks`). This is the
-    /// fastest way to drive a fused LRU pass: the sweep decodes the trace
-    /// once per block size and every associativity consumes the same lane.
-    ///
-    /// # Panics
-    ///
-    /// As [`LruTreeSimulator::step`], if any block equals the internal
-    /// sentinel.
-    pub fn run_blocks(&mut self, blocks: &[u64]) {
-        if self.instrument {
-            for &b in blocks {
-                assert_ne!(b, INVALID_TAG, "block {b:#x} exceeds the supported range");
-                self.kernel_instrumented(b);
-            }
-        } else {
-            match self.backend {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                KernelBackend::Avx2 => {
-                    // SAFETY: `backend` is only `Avx2` after runtime
-                    // detection (`KernelBackend::is_available`).
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        self.run_blocks_fast_avx2(blocks);
-                    }
-                }
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                KernelBackend::Sse2 => self.drive_fast(crate::simd::Sse2Scan, blocks),
-                _ => self.drive_fast(ScalarScan, blocks),
-            }
-        }
-    }
-
-    /// The AVX2 compilation root of the fast batch loop (see
-    /// `crate::simd` module docs for the dispatch rules).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    #[allow(unsafe_code)]
-    unsafe fn run_blocks_fast_avx2(&mut self, blocks: &[u64]) {
-        self.drive_fast(crate::simd::Avx2Scan, blocks);
-    }
-
-    /// The fast batch loop: width dispatch, plus software prefetch of the
-    /// deepest (largest, least cache-resident) level's MRA word and recency
-    /// region [`PF_DIST`] requests ahead.
     #[inline(always)]
-    fn drive_fast<S: TagScan>(&mut self, scan: S, blocks: &[u64]) {
-        let deepest = self.arena.set_mask.len() - 1;
-        let d_off = self.arena.node_off[deepest];
-        let d_mask = self.arena.set_mask[deepest];
-        let width = self.width;
-        macro_rules! drive {
-            ($w:literal) => {{
-                for (i, &b) in blocks.iter().enumerate() {
-                    assert_ne!(b, INVALID_TAG, "block {b:#x} exceeds the supported range");
-                    if let Some(&ahead) = blocks.get(i + PF_DIST) {
-                        let node = d_off + (ahead & d_mask) as usize;
-                        prefetch_read(&self.arena.mra, node);
-                        prefetch_read(&self.arena.tags, node * width);
-                    }
-                    self.kernel_fast::<$w, S>(scan, b);
-                }
-            }};
-        }
-        match self.width {
-            1 => drive!(1),
-            2 => drive!(2),
-            4 => drive!(4),
-            8 => drive!(8),
-            16 => drive!(16),
-            _ => drive!(0),
-        }
+    fn walk(&mut self) -> &mut [u64] {
+        &mut self.depth_hits
     }
 
-    /// Fast-kernel dispatch on the recency-lane width: the common widths
-    /// (the paper's sweep ranges) get their own instantiation so the scan
-    /// width is a compile-time constant and the position-bitmask loop
-    /// unrolls into straight-line vectorisable compares. Anything wider
-    /// falls back to the runtime-width scan (`W = 0`).
-    fn dispatch_fast(&mut self, block: u64) {
-        // Single steps always use the scalar scan: batch-level backend
-        // dispatch is where the SIMD instantiations live (`crate::simd`
-        // module docs), and the backends are bit-identical anyway.
-        match self.width {
-            1 => self.kernel_fast::<1, _>(ScalarScan, block),
-            2 => self.kernel_fast::<2, _>(ScalarScan, block),
-            4 => self.kernel_fast::<4, _>(ScalarScan, block),
-            8 => self.kernel_fast::<8, _>(ScalarScan, block),
-            16 => self.kernel_fast::<16, _>(ScalarScan, block),
-            _ => self.kernel_fast::<0, _>(ScalarScan, block),
-        }
-    }
-
-    /// Shared per-request prologue of both kernels: request accounting and
-    /// the CRCB-style duplicate elision. Returns `true` when the request
-    /// was elided whole.
     #[inline(always)]
-    fn prologue(&mut self, block: u64) -> bool {
-        self.counters.accesses += 1;
-        if self.opts.duplicate_elision {
-            if block == self.prev_block {
-                // The block is the MRU entry of every set on its path: a hit
-                // at depth 0 for every configuration, and move-to-front is a
-                // no-op.
-                self.counters.duplicate_skips += 1;
-                return true;
-            }
-            self.prev_block = block;
+    fn mra_stop<const INSTRUMENT: bool>(depth_hits: &mut &mut [u64], _: usize) -> bool {
+        // Set-refinement inclusion: MRU here means MRU at every larger set
+        // count -- no accounting or update below.
+        if INSTRUMENT {
+            depth_hits[0] += 1;
         }
-        false
+        true
     }
 
-    /// The fast kernel: no counter traffic. Per level, one dense MRA
-    /// comparison settles depth 0 (and the direct-mapped result); otherwise
-    /// a branchless scan of the node's whole recency region yields the hit
-    /// depth as a position bitmask, the per-threshold miss tallies fall out
-    /// of the depth without branches, and the move-to-front update is a
-    /// single prefix rotation (a whole-region rotation plus front store on
-    /// a miss — the sentinel or true LRU victim wraps around and is
-    /// overwritten).
-    ///
-    /// `W` is the compile-time lane width, or `0` for the runtime fallback;
-    /// `S` is the tag-scan backend the wide compare runs on ([`TagScan`]).
-    fn kernel_fast<const W: usize, S: TagScan>(&mut self, scan: S, block: u64) {
-        if self.prologue(block) {
-            return;
-        }
-        let width = if W == 0 { self.width } else { W };
-        debug_assert_eq!(width, self.width);
-        let stop = self.opts.depth_zero_stop;
-        let nk = self.thresholds.len();
-        let a = &mut self.arena;
-        let levels = a.set_mask.iter().zip(a.node_off.iter()).zip(
-            a.misses
-                .chunks_exact_mut(nk.max(1))
-                .zip(a.dm_misses.iter_mut()),
-        );
-        for ((&mask, &off), (level_misses, level_dm_misses)) in levels {
-            let node = off + (block & mask) as usize;
-            if a.mra[node] == block {
-                if stop {
-                    // Set-refinement inclusion: MRU here means MRU at every
-                    // larger set count — no accounting or update below.
-                    return;
-                }
-                continue;
-            }
-            *level_dm_misses += 1;
-            a.mra[node] = block;
-            let region = &mut a.tags[node * width..(node + 1) * width];
-            // A resident block occupies exactly one way, so the bitmask has
-            // at most one bit; depth `width` encodes a miss.
-            let depth = if W == 0 {
-                first_match(scan, region, block).unwrap_or(width)
-            } else {
-                let hit_mask = scan.match_mask(region, block);
-                if hit_mask == 0 {
-                    width
-                } else {
-                    hit_mask.trailing_zeros() as usize
-                }
-            };
-            // Stack property: a hit at depth d misses every associativity
-            // <= d; a miss (depth == width) misses them all.
-            for (k, &thr) in self.thresholds.iter().enumerate() {
-                level_misses[k] += u64::from(depth >= thr as usize);
-            }
-            // Move to front. On a hit the rotation carries the matching way
-            // to the front (the store is then a no-op); on a miss the
-            // whole-region rotation wraps the tail entry — a sentinel while
-            // cold, the true LRU victim when full — to the front, where the
-            // store replaces it.
-            region[..=depth.min(width - 1)].rotate_right(1);
-            region[0] = block;
-        }
-    }
-
-    /// The instrumented kernel: the classic MRU-first stop-at-match search
-    /// over the valid prefix, with every counter and the per-depth hit
-    /// histogram live. Miss counts are bit-identical to the fast kernel's.
-    fn kernel_instrumented(&mut self, block: u64) {
-        if self.prologue(block) {
-            return;
-        }
-        let width = self.width;
-        let stop = self.opts.depth_zero_stop;
-        let nk = self.thresholds.len();
-        let stride = nk.max(1);
-        let a = &mut self.arena;
-        for li in 0..a.set_mask.len() {
-            let node = a.node_off[li] + (block & a.set_mask[li]) as usize;
-            self.counters.node_evaluations += 1;
-            // Depth 0 is the dense MRA lane: one comparison, shared with the
-            // direct-mapped simulation.
-            self.counters.tag_comparisons += 1;
-            if a.mra[node] == block {
-                self.depth_hits[0] += 1;
-                if stop {
-                    self.counters.depth_zero_stops += 1;
-                    return;
-                }
-                continue;
-            }
-            a.dm_misses[li] += 1;
-            a.mra[node] = block;
-            let valid = a.valid[node] as usize;
-            let region = &mut a.tags[node * width..(node + 1) * width];
-            // MRU-first search below depth 0 (Janapsatya's temporal-locality
-            // order), stopping at the match; depth 0 was settled above.
-            let mut found = None;
-            for (d, &tag) in region.iter().enumerate().take(valid).skip(1) {
-                self.counters.tag_comparisons += 1;
-                if tag == block {
-                    found = Some(d);
-                    break;
-                }
-            }
-            match found {
-                Some(d) => {
-                    self.depth_hits[d] += 1;
-                    for (k, &thr) in self.thresholds.iter().enumerate() {
-                        a.misses[li * stride + k] += u64::from(d >= thr as usize);
-                    }
-                    region[..=d].rotate_right(1);
-                }
-                None => {
-                    for k in 0..nk {
-                        a.misses[li * stride + k] += 1;
-                    }
-                    region[..=valid.min(width - 1)].rotate_right(1);
-                    region[0] = block;
-                    a.valid[node] = (valid + 1).min(width) as u32;
-                }
-            }
-        }
-    }
-
-    /// Snapshot of the per-configuration miss counts (associativity 1, when
-    /// simulated, comes from the shared direct-mapped accounting).
-    #[must_use]
-    pub fn results(&self) -> AllAssocResults {
-        let include_dm = self.assoc_list.first() == Some(&1);
-        let nk = self.thresholds.len();
-        let stride = nk.max(1);
-        let misses = (0..self.arena.dm_misses.len())
-            .map(|li| {
-                let mut row = Vec::with_capacity(self.assoc_list.len());
-                if include_dm {
-                    row.push(self.arena.dm_misses[li]);
-                }
-                row.extend_from_slice(&self.arena.misses[li * stride..li * stride + nk]);
-                row
-            })
-            .collect();
-        AllAssocResults::new(
-            self.pass,
-            self.counters.accesses,
-            self.assoc_list.clone(),
+    #[inline(always)]
+    fn update<S: TagScan, const FIRST: usize, const NLANES: usize, const INSTRUMENT: bool>(
+        depth_hits: &mut &mut [u64],
+        at: Site<'_>,
+        _: &mut [DewCounters],
+        work: &mut DewCounters,
+        scan: S,
+        block: u64,
+        _: bool,
+    ) {
+        let Site {
+            region,
             misses,
-        )
-    }
-
-    /// Fans this pass out into the [`PassResults`] a standalone
-    /// `(block size, assoc)` pass would have produced, or `None` when
-    /// `assoc` was not simulated. This is how [`crate::SweepRequest`] keeps
-    /// its per-pass result shape while traversing the trace once per block
-    /// size under LRU, exactly as the FIFO scheduler does through
-    /// [`crate::MultiAssocTree::pass_results`].
-    #[must_use]
-    pub fn pass_results(&self, assoc: u32) -> Option<PassResults> {
-        if !self.assoc_list.contains(&assoc) {
-            return None;
-        }
-        let pass = PassConfig::new(
-            self.pass.block_bits(),
-            self.pass.min_set_bits(),
-            self.pass.max_set_bits(),
-            assoc,
-        )
-        .ok()?;
-        let stride = self.thresholds.len().max(1);
-        let k = self.thresholds.iter().position(|&t| t == assoc);
-        let levels = self
-            .arena
-            .dm_misses
-            .iter()
-            .enumerate()
-            .map(|(li, &dm)| {
-                let misses = match k {
-                    Some(k) => self.arena.misses[li * stride + k],
-                    None => dm, // assoc 1: the MRA lane is the simulation
-                };
-                LevelResult::new(self.pass.min_set_bits() + li as u32, misses, dm)
-            })
-            .collect();
-        Some(PassResults::new(pass, self.counters.accesses, levels))
-    }
-
-    /// The [`DewCounters`] view a standalone pass at `assoc` is entitled to
-    /// report, derived from the shared walk: one recency list serves every
-    /// associativity, so — unlike the FIFO fan-out — *all* quantities are
-    /// shared verbatim. The depth-0 stop maps onto the `mra_stops` bucket
-    /// (it is the LRU analogue of Property 2) and every other evaluation is
-    /// a search, so the [`DewCounters::is_consistent`] identity holds for
-    /// every fanned-out view. Returns `None` when `assoc` was not
-    /// simulated.
-    #[must_use]
-    pub fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
-        if !self.assoc_list.contains(&assoc) {
-            return None;
-        }
-        if !self.instrument {
-            // The fast kernel maintains only the request-level counters,
-            // exactly like `DewTree::new`.
-            return Some(DewCounters {
-                accesses: self.counters.accesses,
-                duplicate_skips: self.counters.duplicate_skips,
-                ..DewCounters::new()
-            });
-        }
-        let searches = self.counters.node_evaluations - self.counters.depth_zero_stops;
-        let search_comparisons = self.counters.tag_comparisons - self.counters.node_evaluations;
-        Some(DewCounters {
-            accesses: self.counters.accesses,
-            duplicate_skips: self.counters.duplicate_skips,
-            node_evaluations: self.counters.node_evaluations,
-            mra_stops: self.counters.depth_zero_stops,
-            searches,
-            search_comparisons,
-            tag_comparisons: self.counters.tag_comparisons,
-            ..DewCounters::new()
-        })
-    }
-
-    /// Actual heap footprint of the arena's lanes in bytes (excludes
-    /// counters and scratch).
-    #[must_use]
-    pub fn footprint_bytes(&self) -> usize {
-        let a = &self.arena;
-        a.mra.len() * 8 + a.tags.len() * 8 + a.valid.len() * 4
-    }
-
-    /// Serialises the complete arena state (geometry, options, counters,
-    /// every recency lane) to bytes under its own magic (`DEWL`), mirroring
-    /// [`crate::DewTree::to_snapshot`]. The sharded sweep's exact
-    /// snapshot-handoff mode rebuilds a fresh simulator from these bytes at
-    /// every shard boundary.
-    #[must_use]
-    pub fn to_snapshot(&self) -> Vec<u8> {
-        use crate::snapshot::{put_u32, put_u64};
-        let mut out = Vec::with_capacity(64 + self.footprint_bytes() * 2);
-        out.extend_from_slice(&SNAP_MAGIC);
-        out.push(SNAP_VERSION);
-        put_u32(&mut out, self.pass.block_bits());
-        put_u32(&mut out, self.pass.min_set_bits());
-        put_u32(&mut out, self.pass.max_set_bits());
-        put_u32(&mut out, self.assoc_list[0].trailing_zeros());
-        put_u32(&mut out, self.pass.assoc().trailing_zeros());
-        let flags = u8::from(self.opts.depth_zero_stop)
-            | u8::from(self.opts.duplicate_elision) << 1
-            | u8::from(self.instrument) << 2;
-        out.push(flags);
-        let c = &self.counters;
-        for v in [
-            c.accesses,
-            c.node_evaluations,
-            c.depth_zero_stops,
-            c.duplicate_skips,
-            c.tag_comparisons,
-        ] {
-            put_u64(&mut out, v);
-        }
-        for &v in &self.depth_hits {
-            put_u64(&mut out, v);
-        }
-        put_u64(&mut out, self.prev_block);
-        let a = &self.arena;
-        for &v in a
-            .misses
-            .iter()
-            .chain(&a.dm_misses)
-            .chain(&a.mra)
-            .chain(&a.tags)
-        {
-            put_u64(&mut out, v);
-        }
-        for &v in &a.valid {
-            put_u32(&mut out, v);
-        }
-        out
-    }
-
-    /// Restores a simulator from [`LruTreeSimulator::to_snapshot`] output.
-    /// The snapshot is self-describing; continuing the restored simulator
-    /// produces bit-identical results to the uninterrupted run (a
-    /// property-tested invariant the sharded sweep relies on).
-    ///
-    /// # Errors
-    ///
-    /// [`crate::snapshot::SnapshotError`] for foreign, truncated or
-    /// internally inconsistent buffers.
-    pub fn from_snapshot(bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{check_body_len, Cursor, SnapshotError};
-        let mut cur = Cursor::new(bytes);
-        let magic = cur.bytes(4)?;
-        if magic != SNAP_MAGIC {
-            // A structurally valid buffer for a sibling policy kernel is a
-            // policy mixup, not random corruption — report it as such.
-            for sibling in [
-                crate::multi_assoc::SNAP_MAGIC,
-                crate::plru_tree::SNAP_MAGIC,
-                crate::slru_tree::SNAP_MAGIC,
-            ] {
-                if magic == sibling {
-                    return Err(SnapshotError::PolicyMismatch {
-                        expected: SNAP_MAGIC,
-                        found: sibling,
-                    });
-                }
+            shape,
+            ..
+        } = at;
+        let width = region.len();
+        // A resident block occupies exactly one way, so the bitmask has at
+        // most one bit; depth `width` encodes a miss.
+        let depth = if FIRST == 0 {
+            first_match(scan, region, block).unwrap_or(width)
+        } else {
+            let hit_mask = scan.match_mask(region, block);
+            if hit_mask == 0 {
+                width
+            } else {
+                hit_mask.trailing_zeros() as usize
             }
-            return Err(SnapshotError::BadMagic);
+        };
+        if INSTRUMENT {
+            // The MRU-first search below depth 0 stops at the match, or
+            // inspects the whole valid prefix after depth 0 on a miss.
+            work.tag_comparisons += if depth < width {
+                depth_hits[depth] += 1;
+                depth as u64
+            } else {
+                let valid = if FIRST == 0 {
+                    first_match(scan, region, INVALID_TAG).unwrap_or(width)
+                } else {
+                    (scan.match_mask(region, INVALID_TAG) | 1 << width).trailing_zeros() as usize
+                };
+                valid.saturating_sub(1) as u64
+            };
         }
-        let version = cur.u8()?;
-        if version != SNAP_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
+        // Stack property: a hit at depth d misses every associativity <= d;
+        // a miss (depth == width) misses them all.
+        for (k, m) in misses
+            .iter_mut()
+            .enumerate()
+            .take(shape.nlanes::<FIRST, NLANES>())
+        {
+            *m += u64::from(depth >= shape.lane::<FIRST>(k).0);
         }
-        let (block_bits, min_set_bits, max_set_bits) = (cur.u32()?, cur.u32()?, cur.u32()?);
-        let (assoc_lo_bits, assoc_hi_bits) = (cur.u32()?, cur.u32()?);
-        let flags = cur.u8()?;
+        // Move to front. On a hit the rotation carries the matching way to
+        // the front (the store is then a no-op); on a miss the whole-region
+        // rotation wraps the tail entry -- a sentinel while cold, the true
+        // LRU victim when full -- to the front, where the store replaces it.
+        region[..=depth.min(width - 1)].rotate_right(1);
+        region[0] = block;
+    }
+
+    fn flags(&self, instrument: bool) -> u8 {
+        // Bit 0 is the retired depth-0-stop toggle, always on.
+        1 | u8::from(self.opts.duplicate_elision) << 1 | u8::from(instrument) << 2
+    }
+
+    fn parse_flags(flags: u8) -> Result<(LruTreeOptions, bool), SnapshotError> {
+        if flags & 1 == 0 {
+            return Err(SnapshotError::Corrupt("LRU image without the depth-0 stop"));
+        }
         let opts = LruTreeOptions {
-            depth_zero_stop: flags & 1 != 0,
             duplicate_elision: flags & 2 != 0,
         };
-        let instrument = flags & 4 != 0;
-        check_body_len(
-            &cur,
-            (min_set_bits, max_set_bits),
-            (assoc_lo_bits, assoc_hi_bits),
-            |d| {
-                (
-                    8 * (6 + u64::from(instrument) * d.width),
-                    8 * (d.lanes.max(1) + 1),
-                    8 * (1 + d.width) + 4 * u64::from(instrument),
-                )
-            },
-        )?;
-        let mut sim = LruTreeSimulator::with_instrumentation(
-            block_bits,
-            (min_set_bits, max_set_bits),
-            (assoc_lo_bits, assoc_hi_bits),
-            opts,
-            instrument,
-        )
-        .map_err(|_| SnapshotError::Corrupt("invalid arena geometry"))?;
-        let c = &mut sim.counters;
-        c.accesses = cur.u64()?;
-        c.node_evaluations = cur.u64()?;
-        c.depth_zero_stops = cur.u64()?;
-        c.duplicate_skips = cur.u64()?;
-        c.tag_comparisons = cur.u64()?;
-        for v in &mut sim.depth_hits {
+        Ok((opts, flags & 4 != 0))
+    }
+
+    fn body(d: ArenaDims, instrument: bool, _: u8) -> (u64, u64) {
+        let instrument = u64::from(instrument);
+        (8 * instrument * d.width, 4 * instrument)
+    }
+
+    fn encode_tallies(&self, _: &[DewCounters], _: bool, out: &mut Vec<u8>) {
+        for &v in &self.depth_hits {
+            put_u64(out, v);
+        }
+    }
+
+    fn decode_tallies(
+        &mut self,
+        _: &mut [DewCounters],
+        _: &DewCounters,
+        _: bool,
+        cur: &mut Cursor<'_>,
+    ) -> Result<(), SnapshotError> {
+        for v in &mut self.depth_hits {
             *v = cur.u64()?;
         }
-        sim.prev_block = cur.u64()?;
-        let width = sim.width;
-        let a = &mut sim.arena;
-        for v in a
-            .misses
-            .iter_mut()
-            .chain(&mut a.dm_misses)
-            .chain(&mut a.mra)
-        {
-            *v = cur.u64()?;
-        }
-        for v in &mut a.tags {
-            *v = cur.u64()?;
-        }
-        for v in &mut a.valid {
-            *v = cur.u32()?;
-            if *v as usize > width {
-                return Err(SnapshotError::Corrupt("valid prefix out of range"));
+        Ok(())
+    }
+
+    /// Instrumented images carry each node's valid-prefix length, which is
+    /// the region's count of non-sentinel tags.
+    fn encode_lanes(&self, f: &Forest, instrument: bool, out: &mut Vec<u8>) {
+        if instrument {
+            for node in 0..f.nodes() {
+                put_u32(out, valid_len(f, node));
             }
         }
-        if cur.remaining() != 0 {
-            return Err(SnapshotError::TrailingBytes(cur.remaining()));
-        }
-        Ok(sim)
     }
+
+    fn decode_lanes(
+        &mut self,
+        f: &Forest,
+        instrument: bool,
+        _: u8,
+        cur: &mut Cursor<'_>,
+    ) -> Result<(), SnapshotError> {
+        if instrument {
+            for node in 0..f.nodes() {
+                if cur.u32()? != valid_len(f, node) {
+                    return Err(SnapshotError::Corrupt("valid prefix out of range"));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The number of valid (non-sentinel) tags in `node`'s recency list.
+fn valid_len(f: &Forest, node: usize) -> u32 {
+    let region = &f.tags[node * f.alloc..][..f.alloc];
+    region.iter().filter(|&&t| t != INVALID_TAG).count() as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::results::AllAssocResults;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
+    use dew_trace::Record;
 
     fn addrs(n: usize, seed: u64) -> Vec<u64> {
         let mut x = seed | 1;
@@ -1020,16 +396,7 @@ mod tests {
         let a = addrs(4000, 0x5EED_F00D);
         let variants = [
             LruTreeOptions {
-                depth_zero_stop: false,
                 duplicate_elision: false,
-            },
-            LruTreeOptions {
-                depth_zero_stop: true,
-                duplicate_elision: false,
-            },
-            LruTreeOptions {
-                depth_zero_stop: false,
-                duplicate_elision: true,
             },
             LruTreeOptions::default(),
         ];
@@ -1082,16 +449,7 @@ mod tests {
         let a = addrs(2000, 0x5EED_2222);
         let variants = [
             LruTreeOptions {
-                depth_zero_stop: false,
                 duplicate_elision: false,
-            },
-            LruTreeOptions {
-                depth_zero_stop: true,
-                duplicate_elision: false,
-            },
-            LruTreeOptions {
-                depth_zero_stop: false,
-                duplicate_elision: true,
             },
             LruTreeOptions::default(),
         ];
@@ -1127,7 +485,6 @@ mod tests {
             *sim.counters()
         };
         let off = run(LruTreeOptions {
-            depth_zero_stop: false,
             duplicate_elision: false,
         });
         let on = run(LruTreeOptions::default());
@@ -1142,7 +499,6 @@ mod tests {
         // stack distance 2 (the loop distance).
         let a: Vec<u64> = (0..300u64).map(|i| (i % 3) * 4).collect();
         let opts = LruTreeOptions {
-            depth_zero_stop: false,
             duplicate_elision: false,
         };
         let mut sim = LruTreeSimulator::instrumented(2, 0, 0, 4, opts).expect("valid");
@@ -1251,79 +607,11 @@ mod tests {
     }
 
     #[test]
-    fn pass_results_fan_out_matches_all_assoc_view() {
-        let a = addrs(2500, 0x5EED_FA11);
-        for instrument in [false, true] {
-            let mut sim = LruTreeSimulator::with_instrumentation(
-                3,
-                (1, 6),
-                (0, 3),
-                LruTreeOptions::default(),
-                instrument,
-            )
-            .expect("valid");
-            for &x in &a {
-                sim.step(x);
-            }
-            let all = sim.results();
-            for &assoc in sim.assoc_list() {
-                let pr = sim.pass_results(assoc).expect("simulated");
-                assert_eq!(pr.pass().assoc(), assoc);
-                for set_bits in 1..=6u32 {
-                    let sets = 1 << set_bits;
-                    assert_eq!(
-                        pr.misses(sets, assoc),
-                        all.misses(sets, assoc),
-                        "sets={sets} assoc={assoc}"
-                    );
-                    assert_eq!(
-                        pr.misses(sets, 1),
-                        all.misses(sets, 1),
-                        "DM via assoc={assoc}"
-                    );
-                }
-                let c = sim.pass_counters(assoc).expect("simulated");
-                assert!(c.is_consistent(), "assoc={assoc}: {c}");
-                assert_eq!(c.accesses, a.len() as u64);
-            }
-            assert!(sim.pass_results(16).is_none());
-            assert!(sim.pass_counters(16).is_none());
-        }
-    }
-
-    #[test]
     fn unknown_configs_return_none() {
         let sim = LruTreeSimulator::new(2, 1, 3, 4, LruTreeOptions::default()).expect("valid");
         let r = sim.results();
         assert_eq!(r.misses(1, 4), None, "below min set count");
         assert_eq!(r.misses(8, 3), None, "unsimulated associativity");
         assert_eq!(r.misses(6, 2), None, "non power-of-two sets");
-    }
-
-    #[test]
-    fn bad_assoc_ranges_are_rejected() {
-        assert!(matches!(
-            LruTreeSimulator::new(2, 0, 4, 3, LruTreeOptions::default()),
-            Err(DewError::BadAssoc(3))
-        ));
-        assert!(matches!(
-            LruTreeSimulator::new(2, 0, 4, 0, LruTreeOptions::default()),
-            Err(DewError::BadAssoc(0))
-        ));
-        assert!(LruTreeSimulator::with_instrumentation(
-            2,
-            (0, 4),
-            (3, 1),
-            LruTreeOptions::default(),
-            false
-        )
-        .is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the supported range")]
-    fn sentinel_block_panics_in_batches() {
-        let mut sim = LruTreeSimulator::new(0, 0, 1, 2, LruTreeOptions::default()).expect("valid");
-        sim.run_blocks(&[0, 1, u64::MAX]);
     }
 }

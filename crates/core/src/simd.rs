@@ -153,7 +153,7 @@ pub(crate) fn force_scalar_globally() {
 /// One scan backend as a zero-sized strategy type: kernels monomorphise
 /// their batch loop over this, so the `#[inline(always)]` mask computation
 /// inlines into each backend's `#[target_feature]` driver.
-pub(crate) trait TagScan: Copy {
+pub trait TagScan: Copy {
     /// Position-exact match mask: bit `i` is set iff `region[i] == needle`.
     /// `region.len()` must not exceed 64.
     fn match_mask(self, region: &[u64], needle: u64) -> u64;

@@ -46,6 +46,8 @@
 use std::error::Error;
 use std::fmt;
 
+pub(crate) use crate::arena::{ArenaDims, Cursor};
+
 /// File magic of the snapshot format.
 pub const MAGIC: [u8; 4] = *b"DEWS";
 /// Current snapshot format version (the arena-ordered layout).
@@ -100,59 +102,6 @@ impl fmt::Display for SnapshotError {
 }
 
 impl Error for SnapshotError {}
-
-/// A little-endian byte reader over a snapshot buffer.
-#[derive(Debug)]
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.remaining() < n {
-            return Err(SnapshotError::Corrupt("unexpected end of snapshot"));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-}
-
-/// The per-node lane geometry a fused kernel's snapshot header describes:
-/// associativities up to `2^assoc_bits.1`, one lane per associativity
-/// above 1.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ArenaDims {
-    /// Lanes (associativities above 1).
-    pub(crate) lanes: u64,
-    /// Summed lane widths: tags per node in the per-lane layouts.
-    pub(crate) stride: u64,
-    /// Widest associativity: tags per node in the LRU stack layout.
-    pub(crate) width: u64,
-}
 
 /// Checks, before a kernel decoder allocates anything, that the rest of
 /// the buffer can hold the body its header describes: a forest over set

@@ -97,11 +97,10 @@ proptest! {
         block_bits in 0u32..4,
         max_set_bits in 0u32..6,
         max_assoc_bits in 0u32..4,
-        depth_zero_stop in any::<bool>(),
         duplicate_elision in any::<bool>(),
     ) {
         let max_assoc = 1u32 << max_assoc_bits;
-        let opts = LruTreeOptions { depth_zero_stop, duplicate_elision };
+        let opts = LruTreeOptions { duplicate_elision };
         let mut sim = LruTreeSimulator::new(block_bits, 0, max_set_bits, max_assoc, opts)
             .expect("valid");
         for r in &addrs {

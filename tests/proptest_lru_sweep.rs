@@ -118,27 +118,25 @@ proptest! {
         // identical results (the LRU analogue of proptest_fused_sweep's
         // kernel property).
         let mut reference = None;
-        for depth_zero_stop in [false, true] {
-            for duplicate_elision in [false, true] {
-                let opts = LruTreeOptions { depth_zero_stop, duplicate_elision };
-                for instrument in [false, true] {
-                    let mut sim = LruTreeSimulator::with_instrumentation(
-                        block_bits,
-                        (0, max_set_bits),
-                        (0, assoc_hi_bits),
-                        opts,
-                        instrument,
-                    )
-                    .expect("valid");
-                    sim.run(records.iter().copied());
-                    let r = sim.results();
-                    match &reference {
-                        None => reference = Some(r),
-                        Some(expected) => prop_assert_eq!(
-                            &r, expected,
-                            "diverged under {:?} instrument={}", opts, instrument
-                        ),
-                    }
+        for duplicate_elision in [false, true] {
+            let opts = LruTreeOptions { duplicate_elision };
+            for instrument in [false, true] {
+                let mut sim = LruTreeSimulator::with_instrumentation(
+                    block_bits,
+                    (0, max_set_bits),
+                    (0, assoc_hi_bits),
+                    opts,
+                    instrument,
+                )
+                .expect("valid");
+                sim.run(records.iter().copied());
+                let r = sim.results();
+                match &reference {
+                    None => reference = Some(r),
+                    Some(expected) => prop_assert_eq!(
+                        &r, expected,
+                        "diverged under {:?} instrument={}", opts, instrument
+                    ),
                 }
             }
         }

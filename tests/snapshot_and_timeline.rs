@@ -86,7 +86,6 @@ fn fused_lru_kernel_snapshot_resumes_exactly() {
     let records = trace.records();
     let (head, tail) = records.split_at(2 * records.len() / 3);
     let opts = LruTreeOptions {
-        depth_zero_stop: true,
         duplicate_elision: true,
     };
     for instrument in [false, true] {
@@ -121,7 +120,6 @@ fn kernel_snapshots_reject_foreign_and_corrupt_buffers() {
         (0, 4),
         (0, 2),
         LruTreeOptions {
-            depth_zero_stop: true,
             duplicate_elision: false,
         },
         false,
