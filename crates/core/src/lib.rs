@@ -121,6 +121,7 @@ mod sweep;
 mod timeline;
 mod tree;
 
+pub use arena::Arena;
 pub use cancel::{CancelReason, CancelToken};
 pub use checkpoint::{
     sweep_fingerprint, CheckpointStore, FileCheckpointStore, JobCheckpoint, MemoryCheckpointStore,

@@ -45,12 +45,12 @@
 //! hit at depth `d` costs `d` comparisons after the MRA comparison (the
 //! classic MRU-first stop-at-match search), a miss costs `valid − 1`, with
 //! `valid` read from the sentinel mask; it also keeps a per-depth hit
-//! histogram ([`LruTreeSimulator::depth_hits`]). Miss counts are
+//! histogram (`depth_hits` on [`LruTreeSimulator`]). Miss counts are
 //! bit-identical in both modes — a property-tested invariant.
 //!
 //! [`crate::SweepRequest`] drives this type for LRU spaces: all passes of one
 //! block size fuse into a single streamed traversal, fanned back out through
-//! [`LruTreeSimulator::pass_results`] / [`LruTreeSimulator::pass_counters`].
+//! its `pass_results` / `pass_counters` views.
 //!
 //! # Examples
 //!

@@ -66,7 +66,7 @@ impl PassConfig {
         if assoc == 0 || !assoc.is_power_of_two() {
             return Err(DewError::BadAssoc(assoc));
         }
-        if max_set_bits > 30 || max_set_bits + block_bits > 58 {
+        if max_set_bits > 30 || block_bits > 58 - max_set_bits {
             return Err(DewError::TooLarge);
         }
         Ok(PassConfig {
