@@ -439,7 +439,7 @@ pub struct Arena<P: Policy> {
     pub(crate) lanes: P,
     /// Aggregate work counters: real work performed, MRA work counted once.
     counters: DewCounters,
-    /// Per-lane work, indexed like the lanes (instrumented only).
+    /// Per-lane work, indexed like the lanes (zero unless instrumented).
     lane_work: Vec<DewCounters>,
     /// Block of the previous request, for the duplicate elision.
     prev_block: u64,

@@ -147,10 +147,10 @@ impl FusedKernel {
         instrument: bool,
     ) -> Result<FusedKernel, DewError> {
         options.validate()?;
-        let (set, assoc) = (set_bits, assoc_bits);
         let elision = LruTreeOptions {
             duplicate_elision: options.dup_elision,
         };
+        let (set, assoc) = (set_bits, assoc_bits);
         Ok(match options.policy {
             TreePolicy::Fifo => FusedKernel::Fifo(Box::new(Arena::build(
                 block_bits, set, assoc, options, instrument,
