@@ -236,6 +236,32 @@ fn golden_images_resume_like_an_uninterrupted_run() {
     }
 }
 
+/// `DEWL` keeps the retired depth-0-stop flag (bit 0) set and carries the
+/// instrumented valid counts, which the decoder recomputes from the tags.
+#[test]
+fn dewl_flag_bit_0_and_valid_counts_are_checked() {
+    let [(_, _, fast), (_, _, instr)] = [GOLDEN[2], GOLDEN[3]]; // the DEWL pair
+    assert_eq!(&fast[..4], b"DEWL");
+    // The flags byte follows magic, version and five u32 geometry fields.
+    for image in [fast, instr] {
+        assert_eq!(image[25] & 1, 1, "encoders write flag bit 0");
+        let mut cleared = image.to_vec();
+        cleared[25] &= !1;
+        assert!(matches!(
+            FusedKernel::from_snapshot(TreePolicy::Lru, &cleared),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+    // The last u32 is the finest level's last node's valid count.
+    let mut off_by_one = instr.to_vec();
+    let n = off_by_one.len();
+    off_by_one[n - 4] ^= 1;
+    assert_eq!(
+        FusedKernel::from_snapshot(TreePolicy::Lru, &off_by_one).err(),
+        Some(SnapshotError::Corrupt("valid prefix out of range"))
+    );
+}
+
 #[test]
 fn dewp_v1_kernel_image_resumes_bit_identically() {
     kernel_image_resumes(TreePolicy::Plru, DEWP_V1, Replacement::Plru);
