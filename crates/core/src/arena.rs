@@ -1083,7 +1083,11 @@ impl<P: WithOptions> Arena<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! The sentinel, fan-out and bad-assoc checks, written once. The tests
+    //! here run them for every policy in both modes; each policy module
+    //! also runs them for its own policy under its own test names.
+
     use super::*;
     use crate::kernel::{FusedKernel, PolicyKernel};
     use crate::lru_tree::LruTreeOptions;
@@ -1127,22 +1131,35 @@ mod tests {
         assert!(k.pass_counters(16).is_none());
     }
 
+    /// Runs a mixed trace through `policy`'s fused kernel in one mode and
+    /// checks every pass's fan-out and counters.
+    pub(crate) fn check_pass_fan_out(policy: TreePolicy, instrument: bool) {
+        let trace = blocks(2500, 0x5EED_FA11);
+        let options = DewOptions::for_policy(policy);
+        let mut kernel = FusedKernel::build(3, (1, 6), (0, 3), options, instrument).expect("valid");
+        kernel.run_blocks(&trace);
+        let n = trace.len() as u64;
+        match &kernel {
+            FusedKernel::Fifo(k) => check_fan_out(k.as_ref(), n),
+            FusedKernel::Lru(k) => check_fan_out(k.as_ref(), n),
+            FusedKernel::Plru(k) => check_fan_out(k.as_ref(), n),
+            FusedKernel::Slru(k) => check_fan_out(k.as_ref(), n),
+        }
+    }
+
+    /// Feeds the reserved sentinel block to `policy`'s fused kernel in a
+    /// batch; this panics.
+    pub(crate) fn run_sentinel_batch(policy: TreePolicy, instrument: bool) {
+        let options = DewOptions::for_policy(policy);
+        let mut kernel = FusedKernel::build(0, (0, 1), (0, 1), options, instrument).expect("valid");
+        kernel.run_blocks(&[0, 1, u64::MAX]);
+    }
+
     #[test]
     fn pass_results_fan_out_matches_all_assoc_view() {
-        let trace = blocks(2500, 0x5EED_FA11);
         for policy in TreePolicy::ALL {
             for instrument in [false, true] {
-                let options = DewOptions::for_policy(policy);
-                let mut kernel =
-                    FusedKernel::build(3, (1, 6), (0, 3), options, instrument).expect("valid");
-                kernel.run_blocks(&trace);
-                let n = trace.len() as u64;
-                match &kernel {
-                    FusedKernel::Fifo(k) => check_fan_out(k.as_ref(), n),
-                    FusedKernel::Lru(k) => check_fan_out(k.as_ref(), n),
-                    FusedKernel::Plru(k) => check_fan_out(k.as_ref(), n),
-                    FusedKernel::Slru(k) => check_fan_out(k.as_ref(), n),
-                }
+                check_pass_fan_out(policy, instrument);
             }
         }
     }
@@ -1151,11 +1168,9 @@ mod tests {
     fn sentinel_block_panics_in_batches() {
         for policy in TreePolicy::ALL {
             for instrument in [false, true] {
-                let options = DewOptions::for_policy(policy);
-                let mut kernel =
-                    FusedKernel::build(0, (0, 1), (0, 1), options, instrument).expect("valid");
-                let panic = catch_unwind(AssertUnwindSafe(|| kernel.run_blocks(&[0, 1, u64::MAX])))
-                    .expect_err("the sentinel block must panic");
+                let panic =
+                    catch_unwind(AssertUnwindSafe(|| run_sentinel_batch(policy, instrument)))
+                        .expect_err("the sentinel block must panic");
                 let msg = panic.downcast_ref::<String>().expect("formatted message");
                 assert!(
                     msg.contains("exceeds the supported range"),
@@ -1173,19 +1188,25 @@ mod tests {
         }
     }
 
+    /// `policy`'s kernel refuses an inverted assoc range and a
+    /// non-power-of-two maximum associativity.
+    pub(crate) fn check_bad_assoc_ranges(policy: TreePolicy) {
+        let elision = LruTreeOptions::default();
+        let options = DewOptions::for_policy(policy);
+        let inverted = FusedKernel::build(2, (0, 4), (3, 1), options, false);
+        assert!(inverted.is_err(), "{policy}");
+        match policy {
+            TreePolicy::Fifo => check_bad_max_assoc::<crate::multi_assoc::Fifo>(options),
+            TreePolicy::Lru => check_bad_max_assoc::<crate::lru_tree::Lru>(elision),
+            TreePolicy::Plru => check_bad_max_assoc::<crate::plru_tree::Plru>(elision),
+            TreePolicy::Slru => check_bad_max_assoc::<crate::slru_tree::Slru>(()),
+        }
+    }
+
     #[test]
     fn bad_assoc_ranges_are_rejected() {
-        let elision = LruTreeOptions::default();
         for policy in TreePolicy::ALL {
-            let options = DewOptions::for_policy(policy);
-            let inverted = FusedKernel::build(2, (0, 4), (3, 1), options, false);
-            assert!(inverted.is_err(), "{policy}");
-            match policy {
-                TreePolicy::Fifo => check_bad_max_assoc::<crate::multi_assoc::Fifo>(options),
-                TreePolicy::Lru => check_bad_max_assoc::<crate::lru_tree::Lru>(elision),
-                TreePolicy::Plru => check_bad_max_assoc::<crate::plru_tree::Plru>(elision),
-                TreePolicy::Slru => check_bad_max_assoc::<crate::slru_tree::Slru>(()),
-            }
+            check_bad_assoc_ranges(policy);
         }
     }
 }

@@ -923,4 +923,24 @@ mod tests {
             assert!(c.is_consistent());
         }
     }
+
+    // The checks themselves live in `arena::tests`, shared by every policy.
+
+    #[test]
+    fn pass_results_fan_out_matches_all_assoc_view() {
+        for instrument in [false, true] {
+            crate::arena::tests::check_pass_fan_out(crate::options::TreePolicy::Fifo, instrument);
+        }
+    }
+
+    #[test]
+    fn bad_assoc_ranges_are_rejected() {
+        crate::arena::tests::check_bad_assoc_ranges(crate::options::TreePolicy::Fifo);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the supported range")]
+    fn sentinel_block_panics_in_batches() {
+        crate::arena::tests::run_sentinel_batch(crate::options::TreePolicy::Fifo, false);
+    }
 }

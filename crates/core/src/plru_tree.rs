@@ -475,4 +475,19 @@ mod tests {
         ));
         assert!(PlruTreeSimulator::new(2, 0, 2, 64, PlruTreeOptions::default()).is_ok());
     }
+
+    // The checks themselves live in `arena::tests`, shared by every policy.
+
+    #[test]
+    fn pass_results_fan_out_matches_all_assoc_view() {
+        for instrument in [false, true] {
+            crate::arena::tests::check_pass_fan_out(crate::options::TreePolicy::Plru, instrument);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the supported range")]
+    fn sentinel_block_panics_in_batches() {
+        crate::arena::tests::run_sentinel_batch(crate::options::TreePolicy::Plru, false);
+    }
 }
