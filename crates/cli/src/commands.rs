@@ -1592,6 +1592,43 @@ mod tests {
     }
 
     #[test]
+    fn sweep_checkpoint_into_a_missing_directory_fails_naming_the_path() {
+        let bin = tmp("nodir.dewt");
+        let ckpt = tmp("no_such_dir/x.dewc");
+        run([
+            "generate",
+            "--app",
+            "cjpeg",
+            "--requests",
+            "5000",
+            "--output",
+            &bin,
+        ])
+        .expect("generate");
+        let err = run([
+            "sweep",
+            "--trace",
+            &bin,
+            "--sets",
+            "0..3",
+            "--blocks",
+            "2..3",
+            "--assocs",
+            "0..1",
+            "--checkpoint",
+            &ckpt,
+        ])
+        .expect_err("the checkpoint cannot be written");
+        assert_eq!(err.exit_code(), 1, "{err}");
+        assert!(
+            matches!(err, CliError::Dew(DewError::Checkpoint(_))),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains(&ckpt), "{err}");
+        let _ = std::fs::remove_file(&bin);
+    }
+
+    #[test]
     fn sweep_timeout_generous_enough_still_completes() {
         let bin = tmp("tok.dewt");
         run([

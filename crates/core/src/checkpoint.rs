@@ -34,8 +34,9 @@
 //!              so a resumed sweep can still fan its results out)
 //! ```
 
+use std::borrow::Borrow;
 use std::io::Write;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::options::{DewOptions, TreePolicy};
 use crate::snapshot::{put_u32, put_u64, Cursor, SnapshotError};
@@ -70,15 +71,6 @@ pub struct SweepCheckpoint {
 }
 
 impl SweepCheckpoint {
-    /// An empty checkpoint for the sweep identified by `fingerprint`.
-    pub(crate) fn new(fingerprint: u64, policy: TreePolicy) -> Self {
-        SweepCheckpoint {
-            fingerprint,
-            policy,
-            jobs: Vec::new(),
-        }
-    }
-
     /// The fingerprint of the sweep this checkpoint belongs to
     /// ([`sweep_fingerprint`]).
     #[must_use]
@@ -104,47 +96,11 @@ impl SweepCheckpoint {
         self.jobs.iter().find(|j| j.block_bits == block_bits)
     }
 
-    /// Inserts or replaces the capture for `block_bits`.
-    pub(crate) fn update_job(
-        &mut self,
-        block_bits: u32,
-        records_done: u64,
-        kernel: Vec<u8>,
-        complete: bool,
-    ) {
-        let job = JobCheckpoint {
-            block_bits,
-            records_done,
-            complete,
-            kernel,
-        };
-        match self.jobs.iter_mut().find(|j| j.block_bits == block_bits) {
-            Some(slot) => *slot = job,
-            None => self.jobs.push(job),
-        }
-    }
-
     /// Serialises the checkpoint to the `DEWC` wire format.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&CKPT_MAGIC);
-        out.push(CKPT_VERSION);
-        out.push(match self.policy {
-            TreePolicy::Fifo => 0,
-            TreePolicy::Lru => 1,
-            TreePolicy::Plru => 2,
-            TreePolicy::Slru => 3,
-        });
-        put_u64(&mut out, self.fingerprint);
-        put_u32(&mut out, u32::try_from(self.jobs.len()).expect("job count"));
-        for job in &self.jobs {
-            put_u32(&mut out, job.block_bits);
-            put_u64(&mut out, job.records_done);
-            out.push(u8::from(job.complete));
-            put_u32(&mut out, u32::try_from(job.kernel.len()).expect("kernel"));
-            out.extend_from_slice(&job.kernel);
-        }
+        encode_image(&mut out, self.fingerprint, self.policy, &self.jobs);
         out
     }
 
@@ -209,6 +165,158 @@ impl SweepCheckpoint {
     }
 }
 
+/// Writes the `DEWC` image of `jobs` into `out` (cleared first, so a
+/// writer can reuse one allocation across images).
+fn encode_image<J: Borrow<JobCheckpoint>>(
+    out: &mut Vec<u8>,
+    fingerprint: u64,
+    policy: TreePolicy,
+    jobs: &[J],
+) {
+    out.clear();
+    out.reserve(
+        18 + jobs
+            .iter()
+            .map(|j| 17 + j.borrow().kernel.len())
+            .sum::<usize>(),
+    );
+    out.extend_from_slice(&CKPT_MAGIC);
+    out.push(CKPT_VERSION);
+    out.push(match policy {
+        TreePolicy::Fifo => 0,
+        TreePolicy::Lru => 1,
+        TreePolicy::Plru => 2,
+        TreePolicy::Slru => 3,
+    });
+    put_u64(out, fingerprint);
+    put_u32(out, u32::try_from(jobs.len()).expect("job count"));
+    for job in jobs {
+        let job = job.borrow();
+        put_u32(out, job.block_bits);
+        put_u64(out, job.records_done);
+        out.push(u8::from(job.complete));
+        put_u32(out, u32::try_from(job.kernel.len()).expect("kernel"));
+        out.extend_from_slice(&job.kernel);
+    }
+}
+
+/// The hand-off between a checkpointing sweep's workers and its one writer
+/// thread: the latest capture of every job, and a generation count that
+/// each capture bumps.
+///
+/// A worker encodes its kernel snapshot outside any lock and only swaps it
+/// in here ([`CheckpointLog::update_job`]). The writer
+/// ([`CheckpointLog::write_all`]) takes the newest set of captures under
+/// the lock, then serialises and saves the image outside it. Captures that
+/// arrive while a save is in flight coalesce into the next image, so the
+/// store receives images in generation order, possibly skipping some.
+pub(crate) struct CheckpointLog {
+    fingerprint: u64,
+    policy: TreePolicy,
+    state: Mutex<LogState>,
+    wake: Condvar,
+}
+
+struct LogState {
+    /// One capture per job, in order of first capture; shared so the
+    /// writer takes them without copying kernels under the lock.
+    jobs: Vec<Arc<JobCheckpoint>>,
+    /// Captures taken so far (resumed captures are not counted).
+    generation: u64,
+    /// Set once no worker will capture again.
+    closed: bool,
+}
+
+impl CheckpointLog {
+    /// A log for the sweep identified by `fingerprint`, seeded with the
+    /// captures of the checkpoint it resumes from, if any.
+    pub(crate) fn new(
+        fingerprint: u64,
+        policy: TreePolicy,
+        resume: Option<&SweepCheckpoint>,
+    ) -> Self {
+        let jobs = resume.map_or_else(Vec::new, |c| {
+            c.jobs.iter().map(|j| Arc::new(j.clone())).collect()
+        });
+        CheckpointLog {
+            fingerprint,
+            policy,
+            state: Mutex::new(LogState {
+                jobs,
+                generation: 0,
+                closed: false,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, LogState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Inserts or replaces the capture for `block_bits` and wakes the
+    /// writer.
+    pub(crate) fn update_job(
+        &self,
+        block_bits: u32,
+        records_done: u64,
+        kernel: Vec<u8>,
+        complete: bool,
+    ) {
+        let job = Arc::new(JobCheckpoint {
+            block_bits,
+            records_done,
+            complete,
+            kernel,
+        });
+        let mut state = self.lock();
+        match state.jobs.iter_mut().find(|j| j.block_bits == block_bits) {
+            Some(slot) => *slot = job,
+            None => state.jobs.push(job),
+        }
+        state.generation += 1;
+        drop(state);
+        self.wake.notify_one();
+    }
+
+    /// Tells the writer that no capture follows: it saves the newest image
+    /// (unless already saved) and returns.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.wake.notify_one();
+    }
+
+    /// The writer loop: saves the newest image whenever the generation has
+    /// moved past the last one saved, until [`CheckpointLog::close`] was
+    /// called and the last image is through.
+    ///
+    /// # Errors
+    ///
+    /// The first failed save's message; nothing is saved after it.
+    pub(crate) fn write_all(&self, store: &dyn CheckpointStore) -> Result<(), String> {
+        let mut saved = 0u64;
+        let mut image = Vec::new();
+        loop {
+            let jobs = {
+                let mut state = self.lock();
+                while state.generation == saved && !state.closed {
+                    state = self
+                        .wake
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                if state.generation == saved {
+                    return Ok(());
+                }
+                saved = state.generation;
+                state.jobs.clone()
+            };
+            encode_image(&mut image, self.fingerprint, self.policy, &jobs);
+            store.save(&image)?;
+        }
+    }
+}
+
 /// Fingerprint of a sweep's identity — configuration space, kernel options
 /// and policy folded through FNV-1a — used to reject resuming a checkpoint
 /// into a *different* sweep. The shard count and thread count are excluded
@@ -254,9 +362,13 @@ pub fn sweep_fingerprint(space: &ConfigSpace, options: DewOptions) -> u64 {
 
 /// Where resilient sweeps persist their periodic [`SweepCheckpoint`]s.
 ///
-/// Implementations must be safe to call from multiple worker threads; the
-/// drivers serialise full-checkpoint images, so each `save` call replaces
-/// the previous one.
+/// A sweep calls `save` from one writer thread of its own, never
+/// concurrently, with full-checkpoint images in capture order: each call
+/// replaces the previous image. Captures that arrive while a save is in
+/// flight coalesce into the next image, so intermediate images may be
+/// skipped; the image of the last capture is always saved before the
+/// sweep returns. The trait is `Sync` because the writer borrows the store
+/// from the caller's thread.
 pub trait CheckpointStore: Sync {
     /// Atomically replaces the persisted checkpoint with `bytes`.
     ///
@@ -269,7 +381,9 @@ pub trait CheckpointStore: Sync {
 }
 
 /// A [`CheckpointStore`] writing to a file via tmp-file-then-rename, so a
-/// crash mid-save never leaves a torn checkpoint behind.
+/// crash mid-save never leaves a torn checkpoint behind. Each save syncs
+/// the file before the rename and, on Unix, the parent directory after it,
+/// so a saved image survives a power loss.
 #[derive(Debug)]
 pub struct FileCheckpointStore {
     path: std::path::PathBuf,
@@ -299,7 +413,14 @@ impl CheckpointStore for FileCheckpointStore {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(bytes)?;
             f.sync_all()?;
-            std::fs::rename(&tmp, &self.path)
+            std::fs::rename(&tmp, &self.path)?;
+            // The rename itself is durable once the directory entry is.
+            #[cfg(unix)]
+            {
+                let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+                std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()?;
+            }
+            Ok(())
         };
         write().map_err(|e| format!("cannot write checkpoint {}: {e}", self.path.display()))
     }
@@ -307,7 +428,9 @@ impl CheckpointStore for FileCheckpointStore {
 
 /// An in-memory [`CheckpointStore`] recording every saved image, for tests
 /// and for the chaos harness: each history entry is a valid kill point a
-/// resume can start from.
+/// resume can start from. The history holds the images the sweep's writer
+/// saved, not one per capture: captures that arrived during a save are
+/// coalesced (see [`CheckpointStore`]).
 #[derive(Debug, Default)]
 pub struct MemoryCheckpointStore {
     history: Mutex<Vec<Vec<u8>>>,
@@ -354,11 +477,41 @@ impl CheckpointStore for MemoryCheckpointStore {
 mod tests {
     use super::*;
 
+    fn job(block_bits: u32, records_done: u64, kernel: Vec<u8>, complete: bool) -> JobCheckpoint {
+        JobCheckpoint {
+            block_bits,
+            records_done,
+            complete,
+            kernel,
+        }
+    }
+
+    fn image(fingerprint: u64, policy: TreePolicy, jobs: Vec<JobCheckpoint>) -> SweepCheckpoint {
+        SweepCheckpoint {
+            fingerprint,
+            policy,
+            jobs,
+        }
+    }
+
     fn sample() -> SweepCheckpoint {
-        let mut c = SweepCheckpoint::new(0xFEED_F00D, TreePolicy::Lru);
-        c.update_job(4, 1_000, vec![1, 2, 3], false);
-        c.update_job(5, 2_500, vec![9; 40], true);
-        c
+        let jobs = vec![
+            job(4, 1_000, vec![1, 2, 3], false),
+            job(5, 2_500, vec![9; 40], true),
+        ];
+        image(0xFEED_F00D, TreePolicy::Lru, jobs)
+    }
+
+    /// Every image a log's writer saves once closed.
+    fn drain(log: &CheckpointLog) -> Vec<SweepCheckpoint> {
+        let store = MemoryCheckpointStore::new();
+        log.close();
+        log.write_all(&store).expect("memory saves succeed");
+        store
+            .history()
+            .iter()
+            .map(|b| SweepCheckpoint::from_bytes(b).expect("image decodes"))
+            .collect()
     }
 
     #[test]
@@ -374,10 +527,28 @@ mod tests {
 
     #[test]
     fn update_job_replaces_in_place() {
-        let mut c = sample();
-        c.update_job(4, 1_500, vec![7], false);
+        let log = CheckpointLog::new(0xFEED_F00D, TreePolicy::Lru, Some(&sample()));
+        log.update_job(4, 1_500, vec![7], false);
+        let images = drain(&log);
+        assert_eq!(images.len(), 1);
+        let c = &images[0];
         assert_eq!(c.jobs().len(), 2);
         assert_eq!(c.job(4).expect("job").records_done, 1_500);
+        assert_eq!(c.job(5), sample().job(5), "the resumed capture is kept");
+    }
+
+    #[test]
+    fn log_coalesces_captures_into_the_newest_image() {
+        let log = CheckpointLog::new(7, TreePolicy::Fifo, None);
+        assert!(drain(&log).is_empty(), "no capture, no image");
+        let log = CheckpointLog::new(7, TreePolicy::Fifo, None);
+        log.update_job(4, 100, vec![1], false);
+        log.update_job(5, 100, vec![2], false);
+        log.update_job(4, 200, vec![3], true);
+        let images = drain(&log);
+        assert_eq!(images.len(), 1, "captures before the writer ran coalesce");
+        let want = vec![job(4, 200, vec![3], true), job(5, 100, vec![2], false)];
+        assert_eq!(images[0], image(7, TreePolicy::Fifo, want));
     }
 
     #[test]
@@ -414,7 +585,7 @@ mod tests {
     #[test]
     fn policy_byte_round_trips_for_every_policy() {
         for policy in TreePolicy::ALL {
-            let c = SweepCheckpoint::new(1, policy);
+            let c = image(1, policy, Vec::new());
             let back = SweepCheckpoint::from_bytes(&c.to_bytes()).expect("round trip");
             assert_eq!(back.policy(), policy);
         }
@@ -462,7 +633,7 @@ mod tests {
         let store = FileCheckpointStore::new(&path);
         store.save(&sample().to_bytes()).expect("first save");
         let mut second = sample();
-        second.update_job(4, 9_999, vec![4, 5], false);
+        second.jobs[0] = job(4, 9_999, vec![4, 5], false);
         store.save(&second.to_bytes()).expect("second save");
         let back =
             SweepCheckpoint::from_bytes(&std::fs::read(&path).expect("read")).expect("decode");

@@ -283,6 +283,12 @@ pub mod selftest {
     /// and evict every lane of the self-test geometry many times over.
     const TRACE_LEN: usize = 2048;
 
+    /// The `(log2 sets, log2 assoc)` ranges checked: a multi-level,
+    /// multi-lane forest, and one set of a lone 2-way lane, whose const lane
+    /// shape the first never reaches (an LLVM miscompile of the sse2 scan
+    /// once showed only there).
+    const GEOMETRIES: [((u32, u32), (u32, u32)); 2] = [((0, 4), (0, 3)), ((0, 0), (1, 1))];
+
     /// The deterministic self-test trace: an LCG mixing a hot working set
     /// (re-hits, promotions), a medium stream (evictions) and periodic
     /// cold scans (invalid-prefix fills), so every ladder stage and every
@@ -318,17 +324,23 @@ pub mod selftest {
     pub fn verify() -> Result<(), String> {
         let blocks = trace();
         for &policy in TreePolicy::ALL.iter() {
-            for instrument in [false, true] {
+            for ((set_bits, assoc_bits), instrument) in
+                GEOMETRIES.into_iter().flat_map(|g| [(g, false), (g, true)])
+            {
+                let who = format!(
+                    "selftest {policy} (set bits {set_bits:?}, assoc bits {assoc_bits:?}, \
+                     instrument={instrument})"
+                );
                 let options = DewOptions::for_policy(policy);
                 let build = |tag: &str| {
-                    FusedKernel::build(2, (0, 4), (0, 3), options, instrument)
-                        .map_err(|e| format!("selftest {policy}/{tag}: build failed: {e}"))
+                    FusedKernel::build(2, set_bits, assoc_bits, options, instrument)
+                        .map_err(|e| format!("{who}/{tag}: build failed: {e}"))
                 };
                 let mut active = build("active")?;
                 let mut oracle = build("scalar")?;
                 oracle
                     .force_scan_backend(KernelBackend::Scalar)
-                    .map_err(|e| format!("selftest {policy}: cannot pin scalar: {e}"))?;
+                    .map_err(|e| format!("{who}: cannot pin scalar: {e}"))?;
                 // Deliberately unequal chunking on the two sides.
                 for chunk in blocks.chunks(97) {
                     active.run_blocks(chunk);
@@ -336,27 +348,24 @@ pub mod selftest {
                 for chunk in blocks.chunks(61) {
                     oracle.run_blocks(chunk);
                 }
+                let backend = active.scan_backend().name();
                 for assoc in [1u32, 2, 4, 8] {
                     if active.pass_results(assoc) != oracle.pass_results(assoc) {
                         return Err(format!(
-                            "selftest {policy} (instrument={instrument}): {} and scalar \
-                             backends disagree on results at assoc {assoc}",
-                            active.scan_backend().name()
+                            "{who}: {backend} and scalar backends disagree on results at \
+                             assoc {assoc}"
                         ));
                     }
                     if active.pass_counters(assoc) != oracle.pass_counters(assoc) {
                         return Err(format!(
-                            "selftest {policy} (instrument={instrument}): {} and scalar \
-                             backends disagree on counters at assoc {assoc}",
-                            active.scan_backend().name()
+                            "{who}: {backend} and scalar backends disagree on counters at \
+                             assoc {assoc}"
                         ));
                     }
                 }
                 if active.to_snapshot() != oracle.to_snapshot() {
                     return Err(format!(
-                        "selftest {policy} (instrument={instrument}): {} and scalar \
-                         backends diverge in snapshot state",
-                        active.scan_backend().name()
+                        "{who}: {backend} and scalar backends diverge in snapshot state"
                     ));
                 }
             }
@@ -481,6 +490,30 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A lone 2-way LRU lane (shape `(2, 1)`) on every available backend:
+    /// two cold blocks must both miss. The sse2 scan once reported hits
+    /// here in release builds only.
+    #[test]
+    fn two_way_lru_lane_counts_cold_misses_on_every_backend() {
+        use crate::simd::KernelBackend;
+        for backend in [
+            KernelBackend::Scalar,
+            KernelBackend::Sse2,
+            KernelBackend::Avx2,
+        ] {
+            if !backend.is_available() {
+                continue;
+            }
+            let options = DewOptions::for_policy(TreePolicy::Lru);
+            let mut kernel =
+                FusedKernel::build(1, (0, 0), (1, 1), options, false).expect("valid geometry");
+            kernel.force_scan_backend(backend).expect("available");
+            kernel.run_blocks(&[3, 10]);
+            let misses = kernel.pass_results(2).expect("assoc 2 simulated").levels()[0].misses();
+            assert_eq!(misses, 2, "{backend}");
         }
     }
 }

@@ -181,6 +181,8 @@ impl<'a> Resilience<'a> {
     }
 
     /// Enables periodic checkpointing every `every` records into `store`.
+    /// The sweep saves from a writer thread of its own, so a slow store
+    /// does not stall the workers (see [`CheckpointStore`]).
     #[must_use]
     pub fn with_checkpoint<'b>(self, every: u64, store: &'b dyn CheckpointStore) -> Resilience<'b>
     where

@@ -15,9 +15,9 @@
 //!   per-lane branches. This path is the **oracle**: the SIMD paths are
 //!   property-tested bit-identical to it (`tests/proptest_simd_kernels.rs`,
 //!   [`crate::kernel::selftest`]);
-//! * **sse2** — two tags per step via `_mm_cmpeq_epi32` plus a lane swap and
-//!   AND (plain SSE2 has no 64-bit compare; equality of both 32-bit halves
-//!   is 64-bit equality), movemasked through `_mm_movemask_pd`;
+//! * **sse2** — two tags per step via `_mm_cmpeq_epi32`, movemasked through
+//!   `_mm_movemask_ps` and paired in scalar bits (plain SSE2 has no 64-bit
+//!   compare; equality of both 32-bit halves is 64-bit equality);
 //! * **avx2** — four tags per step via `_mm256_cmpeq_epi64` /
 //!   `_mm256_movemask_pd`.
 //!
@@ -195,8 +195,7 @@ impl TagScan for Sse2Scan {
     fn match_mask(self, region: &[u64], needle: u64) -> u64 {
         debug_assert!(region.len() <= 64);
         use core::arch::x86_64::{
-            _mm_and_si128, _mm_castsi128_pd, _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_pd,
-            _mm_set1_epi64x, _mm_shuffle_epi32,
+            _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_ps, _mm_set1_epi64x,
         };
         let len = region.len();
         let mut mask = 0u64;
@@ -208,12 +207,16 @@ impl TagScan for Sse2Scan {
             while i + 2 <= len {
                 let v = _mm_loadu_si128(region.as_ptr().add(i).cast());
                 // Plain SSE2 has no 64-bit compare: a u64 lane is equal iff
-                // both of its 32-bit halves compare equal, so AND the 32-bit
-                // compare with its half-swapped self (0xB1 swaps adjacent
-                // 32-bit lanes) before taking the two 64-bit sign bits.
-                let eq32 = _mm_cmpeq_epi32(v, n);
-                let eq64 = _mm_and_si128(eq32, _mm_shuffle_epi32::<0b1011_0001>(eq32));
-                mask |= (_mm_movemask_pd(_mm_castsi128_pd(eq64)) as u64) << i;
+                // both of its 32-bit halves compare equal. The four 32-bit
+                // sign bits come out as scalar bits and are paired there:
+                // bit 0 of `both` is lane 0, bit 2 is lane 1. (Pairing them
+                // in the vector, as `pshufd` + `pand` + `movmskpd`, is
+                // miscompiled by LLVM 22 once the mask's zero test is
+                // inlined into a caller: the "no match" branch is folded
+                // away. See DESIGN.md, "Wide scans and the scalar oracle".)
+                let halves = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, n))) as u64;
+                let both = halves & (halves >> 1);
+                mask |= ((both & 1) | (both >> 1 & 2)) << i;
                 i += 2;
             }
         }

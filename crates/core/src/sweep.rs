@@ -31,7 +31,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use dew_trace::{BlockChunks, Record, TraceError, TraceSource};
 
 use crate::cancel::CancelReason;
-use crate::checkpoint::{sweep_fingerprint, SweepCheckpoint};
+use crate::checkpoint::{sweep_fingerprint, CheckpointLog};
 use crate::counters::DewCounters;
 use crate::kernel::{FusedKernel, PolicyKernel};
 use crate::options::{DewOptions, TreePolicy};
@@ -289,9 +289,11 @@ struct ResilientRun<'a, S> {
     /// Build instrumented kernels (full [`DewCounters`] breakdown).
     instrument: bool,
     res: &'a Resilience<'a>,
-    /// The evolving checkpoint image (present iff checkpointing is on).
-    ckpt: Option<Mutex<SweepCheckpoint>>,
-    /// First checkpoint-store failure; set once, aborts the sweep.
+    /// The latest per-job captures, drained by the sweep's checkpoint
+    /// writer thread (present iff checkpointing is on).
+    ckpt: Option<CheckpointLog>,
+    /// First checkpoint-store failure; set once by the writer, aborts the
+    /// sweep.
     ckpt_broken: OnceLock<String>,
     /// First *causal* job failure (fatal source error or panic) — abort
     /// echoes and never-started jobs do not land here.
@@ -306,9 +308,9 @@ impl<S: TraceSource> ResilientRun<'_, S> {
         self.res.cancel.and_then(|t| t.cancelled())
     }
 
-    /// Persists the current checkpoint image with `block_bits` updated to
-    /// `position`. A store failure breaks the checkpointing contract, so it
-    /// aborts the whole sweep rather than continuing unprotected.
+    /// Captures the job's kernel at `position` for the checkpoint writer.
+    /// The snapshot is encoded outside any lock and the worker carries on
+    /// at once; the writer persists it with the next image it saves.
     fn save_checkpoint(
         &self,
         block_bits: u32,
@@ -316,20 +318,13 @@ impl<S: TraceSource> ResilientRun<'_, S> {
         kernel: &FusedKernel,
         complete: bool,
     ) {
-        let (Some(state), Some(spec)) = (self.ckpt.as_ref(), self.res.checkpoint) else {
+        let Some(log) = &self.ckpt else {
             return;
         };
         if self.ckpt_broken.get().is_some() {
             return;
         }
-        // The save stays inside the lock: checkpoint images must reach the
-        // store in update order, or a crash could resume from a stale one.
-        let mut guard = state.lock().unwrap_or_else(PoisonError::into_inner);
-        guard.update_job(block_bits, position, kernel.to_snapshot(), complete);
-        if let Err(why) = spec.store.save(&guard.to_bytes()) {
-            let _ = self.ckpt_broken.set(why);
-            self.abort.store(true, Ordering::Relaxed);
-        }
+        log.update_job(block_bits, position, kernel.to_snapshot(), complete);
     }
 
     /// Opens the source and replays it to `position`, retrying transient
@@ -642,12 +637,9 @@ pub(crate) fn run_resilient<S: TraceSource>(
         options,
         instrument,
         res,
-        ckpt: res.checkpoint.map(|_| {
-            Mutex::new(match res.resume {
-                Some(c) => c.clone(),
-                None => SweepCheckpoint::new(fingerprint, options.policy),
-            })
-        }),
+        ckpt: res
+            .checkpoint
+            .map(|_| CheckpointLog::new(fingerprint, options.policy, res.resume)),
         ckpt_broken: OnceLock::new(),
         first_failure: OnceLock::new(),
         abort: AtomicBool::new(false),
@@ -658,9 +650,33 @@ pub(crate) fn run_resilient<S: TraceSource>(
     let positions: Vec<AtomicU64> = jobs.iter().map(|_| AtomicU64::new(0)).collect();
     let workers = worker_count(threads, jobs.len());
     let next = AtomicUsize::new(0);
+    let run = &run;
+    let writer = run.ckpt.as_ref().zip(res.checkpoint);
     std::thread::scope(|s| {
+        // One writer per checkpointing sweep persists the workers' captures
+        // off their critical path. A failed (or panicking) save breaks the
+        // checkpointing contract, so it aborts the sweep rather than let it
+        // continue unprotected.
+        if let Some((log, spec)) = writer {
+            s.spawn(move || {
+                let saved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    log.write_all(spec.store)
+                }))
+                .unwrap_or_else(|payload| {
+                    Err(format!(
+                        "checkpoint store panicked: {}",
+                        panic_message(payload.as_ref())
+                    ))
+                });
+                if let Err(why) = saved {
+                    let _ = run.ckpt_broken.set(why);
+                    run.abort.store(true, Ordering::Relaxed);
+                }
+            });
+        }
+        let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
-            s.spawn(|| loop {
+            handles.push(s.spawn(|| loop {
                 if run.abort.load(Ordering::Relaxed) {
                     break;
                 }
@@ -739,7 +755,18 @@ pub(crate) fn run_resilient<S: TraceSource>(
                 };
                 let claimed = outcomes[j].set(outcome);
                 assert!(claimed.is_ok(), "job {j} claimed by exactly one worker");
-            });
+            }));
+        }
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        // Every capture is in: the writer saves the newest image and exits,
+        // and the scope joins it, so the checkpoint is durable on return.
+        if let Some((log, _)) = writer {
+            log.close();
+        }
+        for worker in joined {
+            if let Err(payload) = worker {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
 
@@ -836,6 +863,7 @@ pub(crate) fn run_resilient<S: TraceSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::SweepCheckpoint;
     use crate::request::SweepRequest;
     use crate::tree::DewTree;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};

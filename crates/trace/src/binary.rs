@@ -71,37 +71,50 @@ fn write_varint(out: &mut impl Write, mut v: u64) -> std::io::Result<usize> {
     }
 }
 
-/// Reads one varint. `Ok(None)` signals clean EOF *before the first byte*;
-/// EOF mid-varint is [`TraceError::Truncated`].
-fn read_varint(input: &mut impl Read) -> Result<Option<u64>, TraceError> {
-    let mut shift = 0u32;
+/// Bytes [`BinReader`] reads from its source per refill.
+const READ_BUF: usize = 64 * 1024;
+
+/// The longest well-formed record: one kind byte and a ten-byte varint. A
+/// buffer holding this many bytes always decodes to a record or an error.
+const MAX_RECORD: usize = 11;
+
+/// What the bytes at the front of a [`BinReader`]'s buffer hold.
+enum Decoded {
+    /// A whole record: its kind, the zigzag delta and its encoded length.
+    Record(AccessKind, u64, usize),
+    /// A format error, reported at the byte that decides it.
+    Bad(TraceError),
+    /// The bytes end before the record does.
+    Incomplete,
+}
+
+/// Decodes the record at the front of `bytes`; `position` is its 1-based
+/// record number. Errors are decided byte by byte in stream order, so a
+/// malformed prefix fails the same way however much of the stream follows.
+#[inline]
+fn decode_record(bytes: &[u8], position: u64) -> Decoded {
+    let Some((&label, varint)) = bytes.split_first() else {
+        return Decoded::Incomplete;
+    };
+    let Some(kind) = AccessKind::from_din_label(label) else {
+        return Decoded::Bad(TraceError::Parse {
+            position,
+            source: crate::ParseRecordError::UnknownLabel(label),
+        });
+    };
     let mut value = 0u64;
-    let mut first = true;
-    loop {
-        let mut byte = [0u8; 1];
-        match input.read(&mut byte) {
-            Ok(0) => {
-                return if first {
-                    Ok(None)
-                } else {
-                    Err(TraceError::Truncated)
-                };
-            }
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(TraceError::Io(e)),
-        }
-        first = false;
-        let payload = u64::from(byte[0] & 0x7f);
+    for (i, &byte) in varint.iter().enumerate() {
+        let shift = 7 * i as u32;
+        let payload = u64::from(byte & 0x7f);
         if shift >= 64 || (shift == 63 && payload > 1) {
-            return Err(TraceError::VarintOverflow);
+            return Decoded::Bad(TraceError::VarintOverflow);
         }
         value |= payload << shift;
-        if byte[0] & 0x80 == 0 {
-            return Ok(Some(value));
+        if byte & 0x80 == 0 {
+            return Decoded::Record(kind, value, i + 2);
         }
-        shift += 7;
     }
+    Decoded::Incomplete
 }
 
 /// Streaming writer for the binary trace format.
@@ -173,13 +186,32 @@ impl<W: Write> BinWriter<W> {
 
 /// Streaming reader for the binary trace format.
 ///
-/// Implements [`Iterator`] over `Result<Record, TraceError>`.
-#[derive(Debug)]
+/// Implements [`Iterator`] over `Result<Record, TraceError>`. Records are
+/// decoded from an internal 64 KiB buffer, so the source sees one large
+/// `read` per refill and needs no `BufReader` of its own. A source error
+/// is reported only after every record whose bytes arrived before it, and
+/// the iterator yields nothing after its first error.
 pub struct BinReader<R> {
     inner: R,
+    buf: Box<[u8]>,
+    /// The undecoded bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
     prev_addr: u64,
     position: u64,
     failed: bool,
+}
+
+impl<R: std::fmt::Debug> std::fmt::Debug for BinReader<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BinReader")
+            .field("inner", &self.inner)
+            .field("buffered", &(self.end - self.start))
+            .field("prev_addr", &self.prev_addr)
+            .field("position", &self.position)
+            .field("failed", &self.failed)
+            .finish()
+    }
 }
 
 impl<R: Read> BinReader<R> {
@@ -206,51 +238,58 @@ impl<R: Read> BinReader<R> {
         }
         Ok(BinReader {
             inner,
+            buf: vec![0; READ_BUF].into_boxed_slice(),
+            start: 0,
+            end: 0,
             prev_addr: 0,
             position: 0,
             failed: false,
         })
     }
 
+    /// Moves the undecoded tail to the front of the buffer and appends one
+    /// `read` of the source; `Ok(0)` is end of stream.
+    fn refill(&mut self) -> std::io::Result<usize> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        loop {
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     fn next_record(&mut self) -> Option<Result<Record, TraceError>> {
         if self.failed {
             return None;
         }
-        let mut kind_byte = [0u8; 1];
         loop {
-            match self.inner.read(&mut kind_byte) {
-                Ok(0) => return None, // clean EOF on a record boundary
-                Ok(_) => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(TraceError::Io(e)));
+            let err = match decode_record(&self.buf[self.start..self.end], self.position + 1) {
+                Decoded::Record(kind, zigzag, len) => {
+                    self.start += len;
+                    self.position += 1;
+                    self.prev_addr = self.prev_addr.wrapping_add(zigzag_decode(zigzag) as u64);
+                    return Some(Ok(Record::new(self.prev_addr, kind)));
                 }
-            }
-        }
-        self.position += 1;
-        let Some(kind) = AccessKind::from_din_label(kind_byte[0]) else {
+                Decoded::Bad(e) => e,
+                Decoded::Incomplete => {
+                    debug_assert!(self.end - self.start < MAX_RECORD);
+                    match self.refill() {
+                        Ok(0) if self.start == self.end => return None, // clean EOF
+                        Ok(0) => TraceError::Truncated,
+                        Ok(_) => continue,
+                        Err(e) => TraceError::Io(e),
+                    }
+                }
+            };
             self.failed = true;
-            return Some(Err(TraceError::Parse {
-                position: self.position,
-                source: crate::ParseRecordError::UnknownLabel(kind_byte[0]),
-            }));
-        };
-        match read_varint(&mut self.inner) {
-            Ok(Some(z)) => {
-                let delta = zigzag_decode(z);
-                let addr = self.prev_addr.wrapping_add(delta as u64);
-                self.prev_addr = addr;
-                Some(Ok(Record::new(addr, kind)))
-            }
-            Ok(None) => {
-                self.failed = true;
-                Some(Err(TraceError::Truncated))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
+            return Some(Err(err));
         }
     }
 }

@@ -120,9 +120,7 @@ impl Trace {
     ///
     /// Returns [`TraceError`] on I/O failure or a malformed stream.
     pub fn read_bin_file(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        let file = std::fs::File::open(path)?;
-        let reader = BinReader::new(std::io::BufReader::new(file))?;
-        reader.collect()
+        BinReader::new(std::fs::File::open(path)?)?.collect()
     }
 
     /// Writes the trace in the compact binary format.

@@ -9,14 +9,18 @@
 //! second property: deterministic transient faults injected by
 //! [`FaultyTraceSource`] are fully absorbed by the retry/backoff path —
 //! the recovered table equals the fault-free one, never an approximation.
+//! The third: a checkpoint store that fails is fatal — the sweep returns
+//! [`DewError::Checkpoint`], nothing is saved after the failure, and every
+//! image saved before it still resumes bit-identically.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use dew_core::{
-    ConfigSpace, DewOptions, MemoryCheckpointStore, NoSleep, Resilience, RetryPolicy,
-    SweepCheckpoint, SweepOutcome, SweepRequest, TreePolicy,
+    CheckpointStore, ConfigSpace, DewError, DewOptions, MemoryCheckpointStore, NoSleep, Resilience,
+    RetryPolicy, SweepCheckpoint, SweepOutcome, SweepRequest, TreePolicy,
 };
 use dew_trace::{FaultPlan, FaultyTraceSource, Record, SliceSource};
 
@@ -80,6 +84,24 @@ fn run_driver(
             .resilient(res)
             .run_streamed(&SliceSource(records))
             .expect("streamed resilient sweep"),
+    }
+}
+
+/// A store whose `fail_on`-th save (1-based) fails; earlier images are
+/// kept, and every call is counted.
+struct FailsOnSave {
+    fail_on: usize,
+    calls: AtomicUsize,
+    kept: MemoryCheckpointStore,
+}
+
+impl CheckpointStore for FailsOnSave {
+    fn save(&self, bytes: &[u8]) -> Result<(), String> {
+        let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+        if call >= self.fail_on {
+            return Err(format!("injected failure of save {call}"));
+        }
+        self.kept.save(bytes)
     }
 }
 
@@ -160,5 +182,45 @@ proptest! {
         prop_assert!(outcome.retries() >= 1, "the failed open alone forces a retry");
         prop_assert_eq!(outcome.sorted(), baseline.sorted(),
             "recovered table diverged from the fault-free sweep (seed={})", seed);
+    }
+
+    #[test]
+    fn a_failed_save_aborts_the_sweep_and_earlier_images_resume(
+        records in trace_strategy(),
+        space in space_strategy(),
+        every in 1u64..100,
+        fail_on in 1usize..5,
+        threads in 1usize..3,
+        policy_idx in 0usize..4,
+    ) {
+        let options = options_for(policy_idx);
+        let baseline = SweepRequest::new(&space).options(options).threads(1).run(&records).expect("sweep");
+        let store = FailsOnSave { fail_on, calls: AtomicUsize::new(0), kept: MemoryCheckpointStore::new() };
+        let res = Resilience::new()
+            .with_retry(RetryPolicy::none())
+            .with_sleeper(&NoSleep)
+            .with_checkpoint(every, &store);
+        let outcome = SweepRequest::new(&space).options(options).threads(threads).resilient(&res).run(&records);
+        let calls = store.calls.load(Ordering::SeqCst);
+        if calls < fail_on {
+            // Too few images to reach the failing save: a clean run.
+            let outcome = outcome.expect("no save failed");
+            prop_assert_eq!(outcome.sorted(), baseline.sorted());
+        } else {
+            let failed = matches!(&outcome, Err(DewError::Checkpoint(why)) if why.contains("injected failure"));
+            prop_assert!(failed, "expected the save failure, got {:?}", outcome.map(|o| o.sorted()));
+            prop_assert_eq!(calls, fail_on, "save was called after it failed");
+        }
+        let history = store.kept.history();
+        prop_assert_eq!(history.len(), fail_on.min(calls + 1) - 1);
+        for (i, image) in history.iter().enumerate() {
+            let ckpt = SweepCheckpoint::from_bytes(image).expect("image decodes");
+            let res = Resilience::new()
+                .with_retry(RetryPolicy::none())
+                .with_sleeper(&NoSleep)
+                .resume_from(&ckpt);
+            let resumed = run_driver(2, &space, &records, options, &res);
+            prop_assert_eq!(resumed.sorted(), baseline.sorted(), "resume from image {} diverged", i);
+        }
     }
 }
