@@ -1,11 +1,18 @@
-//! Criterion micro-benchmark: DEW per-request throughput across
-//! associativities and block sizes, and with properties toggled.
+//! Criterion micro-benchmark: per-request throughput of the paper's single
+//! DEW pass (a one-width arena kernel) across associativities and block
+//! sizes, and with properties toggled.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use dew_bench::suite::SuiteScale;
-use dew_core::{DewOptions, DewTree, PassConfig};
+use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
+use dew_core::{DewOptions, MultiAssocTree, PassConfig};
 use dew_workloads::mediabench::App;
+
+/// The paper's pass at `pass.assoc()`.
+fn single_pass(pass: PassConfig, opts: DewOptions, instrument: bool) -> MultiAssocTree {
+    MultiAssocTree::for_pass(pass, opts, instrument).expect("sound")
+}
 
 fn trace_addrs(n: u64) -> Vec<u64> {
     App::JpegEncode
@@ -24,11 +31,11 @@ fn bench_assoc(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(assoc), &assoc, |b, &assoc| {
             b.iter(|| {
                 let pass = PassConfig::new(2, 0, 14, assoc).expect("valid");
-                let mut tree = DewTree::new(pass, DewOptions::default()).expect("sound");
+                let mut tree = single_pass(pass, DewOptions::default(), false);
                 for &a in &addrs {
                     tree.step(a);
                 }
-                tree.results()
+                tree.pass_results(assoc)
             });
         });
     }
@@ -46,11 +53,11 @@ fn bench_block_size(c: &mut Criterion) {
             |b, &bits| {
                 b.iter(|| {
                     let pass = PassConfig::new(bits, 0, 14, 4).expect("valid");
-                    let mut tree = DewTree::new(pass, DewOptions::default()).expect("sound");
+                    let mut tree = single_pass(pass, DewOptions::default(), false);
                     for &a in &addrs {
                         tree.step(a);
                     }
-                    tree.results()
+                    tree.pass_results(4)
                 });
             },
         );
@@ -58,8 +65,8 @@ fn bench_block_size(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole comparison: the monomorphized fast kernel (per-record and
-/// batched) against the instrumented instantiation, same pass, same trace.
+/// The fast kernel (per-record and batched) against the instrumented one,
+/// same pass, same trace.
 fn bench_kernel_variants(c: &mut Criterion) {
     let addrs = trace_addrs(100_000);
     let pass = PassConfig::new(2, 0, 14, 4).expect("valid");
@@ -71,21 +78,21 @@ fn bench_kernel_variants(c: &mut Criterion) {
         &addrs,
         |b, addrs| {
             b.iter(|| {
-                let mut tree = DewTree::instrumented(pass, DewOptions::default()).expect("sound");
+                let mut tree = single_pass(pass, DewOptions::default(), true);
                 for &a in addrs {
                     tree.step(a);
                 }
-                tree.results()
+                tree.pass_results(4)
             });
         },
     );
     group.bench_with_input(BenchmarkId::from_parameter("fast"), &addrs, |b, addrs| {
         b.iter(|| {
-            let mut tree = DewTree::new(pass, DewOptions::default()).expect("sound");
+            let mut tree = single_pass(pass, DewOptions::default(), false);
             for &a in addrs {
                 tree.step(a);
             }
-            tree.results()
+            tree.pass_results(4)
         });
     });
     group.bench_with_input(
@@ -93,9 +100,9 @@ fn bench_kernel_variants(c: &mut Criterion) {
         &blocks,
         |b, blocks| {
             b.iter(|| {
-                let mut tree = DewTree::new(pass, DewOptions::default()).expect("sound");
+                let mut tree = single_pass(pass, DewOptions::default(), false);
                 tree.run_blocks(blocks);
-                tree.results()
+                tree.pass_results(4)
             });
         },
     );
@@ -104,25 +111,33 @@ fn bench_kernel_variants(c: &mut Criterion) {
 
 fn bench_properties(c: &mut Criterion) {
     let addrs = trace_addrs(100_000);
+    let pass = PassConfig::new(2, 0, 14, 4).expect("valid");
     let mut group = c.benchmark_group("dew_step/properties");
     group.throughput(Throughput::Elements(addrs.len() as u64));
-    let variants: [(&str, DewOptions); 3] = [
+    for (name, opts) in [
         ("all_on", DewOptions::default()),
         ("all_off", DewOptions::unoptimized()),
-        ("lru", DewOptions::lru()),
-    ];
-    for (name, opts) in variants {
+    ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &opts, |b, &opts| {
             b.iter(|| {
-                let pass = PassConfig::new(2, 0, 14, 4).expect("valid");
-                let mut tree = DewTree::new(pass, opts).expect("sound");
+                let mut tree = single_pass(pass, opts, false);
                 for &a in &addrs {
                     tree.step(a);
                 }
-                tree.results()
+                tree.pass_results(4)
             });
         });
     }
+    group.bench_function(BenchmarkId::from_parameter("lru"), |b| {
+        b.iter(|| {
+            let opts = LruTreeOptions::default();
+            let mut tree = LruTreeSimulator::for_pass(pass, opts, false).expect("valid");
+            for &a in &addrs {
+                tree.step(a);
+            }
+            tree.pass_results(4)
+        });
+    });
     group.finish();
 }
 

@@ -8,7 +8,8 @@ use std::time::Instant;
 use dew_bench::report::{thousands, TextTable};
 use dew_bench::suite::SuiteScale;
 use dew_bench::table3::SET_BITS;
-use dew_core::{DewOptions, DewTree, PassConfig, TreePolicy};
+use dew_core::{DewOptions, MultiAssocTree, PassConfig, TreePolicy};
+use dew_trace::BlockChunks;
 use dew_workloads::mediabench::App;
 
 fn main() {
@@ -32,16 +33,18 @@ fn main() {
     let mut baseline_cmp = None;
     let mut reference_results = None;
     for opts in DewOptions::ablation_grid(TreePolicy::Fifo) {
+        // Timed like Table 3: one instrumented pass, driven like the sweep.
         let start = Instant::now();
-        let mut tree = DewTree::instrumented(pass, opts).expect("sound options");
-        for r in trace.records() {
-            tree.step(r.addr);
+        let mut tree = MultiAssocTree::for_pass(pass, opts, true).expect("sound options");
+        let mut chunks = BlockChunks::new(trace.records(), 2, BlockChunks::DEFAULT_CHUNK);
+        while let Some(chunk) = chunks.next_chunk() {
+            tree.run_blocks(chunk);
         }
         let secs = start.elapsed().as_secs_f64();
-        let c = tree.counters();
+        let c = tree.pass_counters(4).expect("the pass associativity");
         assert!(c.is_consistent());
         // The properties are optimisations: all grids must agree exactly.
-        let results = tree.results();
+        let results = tree.pass_results(4).expect("the pass associativity");
         match &reference_results {
             None => reference_results = Some(results),
             Some(expected) => assert_eq!(&results, expected, "results changed under {opts}"),

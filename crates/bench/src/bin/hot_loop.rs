@@ -4,22 +4,23 @@
 //!
 //! Variants:
 //!
-//! * `step_instrumented` — per-record stepping with the counting kernel (the
-//!   behaviour every pre-arena build had);
-//! * `step` — per-record stepping with the fast monomorphized kernel;
+//! * `step_instrumented` — per-record stepping with the counting kernel of
+//!   the paper's single pass (a one-width FIFO arena at associativity 4);
+//! * `step` — per-record stepping with the fast kernel of the same pass;
 //! * `run_blocks` — the fast kernel fed pre-decoded block batches (the sweep
 //!   path), decode time included in the measurement;
 //! * `run_blocks_instrumented` — batched with counters, isolating the cost
 //!   of instrumentation alone;
 //! * `per_assoc_run_blocks` — the pre-fusion sweep schedule: one fast
-//!   `DewTree` pass per associativity 2/4/8 back to back (3 trace
-//!   traversals, one shared decode);
+//!   single-width pass per associativity 2/4/8 back to back (3 trace
+//!   traversals, one shared decode) on `dew_bench::per_assoc`, the kernel
+//!   the `speedup_fused_vs_per_assoc` gate was set against;
 //! * `fused_multi_assoc` — the fused kernel: every associativity 1..=8 in
 //!   **one** traversal of a `MultiAssocTree` (decode included);
 //! * `fused_multi_assoc_instrumented` — fused with the full counter ladder;
 //! * `per_assoc_lru_run_blocks` — the pre-fusion **LRU** sweep schedule:
-//!   one fast `DewTree` pass (LRU tag lists, MRA stop off) per
-//!   associativity 2/4/8 back to back, one shared decode;
+//!   one single-associativity `LruTreeSimulator` pass per associativity
+//!   2/4/8 back to back, one shared decode;
 //! * `fused_lru` — the arena `LruTreeSimulator`: every associativity 1..=8
 //!   in **one** traversal via the stack property (decode included);
 //! * `fused_lru_instrumented` — fused LRU with the counted MRU-first search;
@@ -51,12 +52,13 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use dew_bench::per_assoc::PerAssocPass;
 use dew_bench::report::thousands;
 use dew_bench::suite::SuiteScale;
 use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
 use dew_core::plru_tree::{PlruTreeOptions, PlruTreeSimulator};
 use dew_core::slru_tree::SlruTreeSimulator;
-use dew_core::{ConfigSpace, DewOptions, DewTree, MultiAssocTree, PassConfig, TreePolicy};
+use dew_core::{ConfigSpace, DewOptions, MultiAssocTree, PassConfig, TreePolicy};
 use dew_explore::{explore_trace, EnergyModel, ExplorationSpace, ParetoMode};
 use dew_trace::{decode_blocks, BlockChunks};
 use dew_workloads::mediabench::App;
@@ -104,17 +106,19 @@ fn main() {
     let n = records.len() as f64;
 
     // Exactness guard: all variants must produce identical miss counts.
+    let single_pass = |instrument| {
+        MultiAssocTree::for_pass(pass, DewOptions::default(), instrument).expect("sound")
+    };
     let reference = {
-        let mut t = DewTree::instrumented(pass, DewOptions::default()).expect("sound");
+        let mut t = single_pass(true);
         t.run(records.iter().copied());
-        t.results()
+        t.pass_results(ASSOC)
     };
 
     let mut variants = Vec::new();
     let mut measure = |name: &'static str, instrument: bool, batched: bool| {
         let secs = best_of(samples, || {
-            let mut tree = DewTree::with_instrumentation(pass, DewOptions::default(), instrument)
-                .expect("sound");
+            let mut tree = single_pass(instrument);
             if batched {
                 let blocks = decode_blocks(records, BLOCK_BITS);
                 tree.run_blocks(&blocks);
@@ -123,7 +127,8 @@ fn main() {
                     tree.step(r.addr);
                 }
             }
-            assert_eq!(tree.results(), reference, "{name}: miss counts diverged");
+            let results = tree.pass_results(ASSOC);
+            assert_eq!(results, reference, "{name}: miss counts diverged");
         });
         let v = Variant {
             name,
@@ -181,13 +186,12 @@ fn main() {
         for assoc in PER_ASSOC_PASSES {
             let pass =
                 PassConfig::new(BLOCK_BITS, SET_BITS.0, SET_BITS.1, assoc).expect("valid pass");
-            let mut tree = DewTree::new(pass, DewOptions::default()).expect("sound");
+            let mut tree = PerAssocPass::new(pass);
             tree.run_blocks(&blocks);
-            let r = tree.results();
-            for level in r.levels() {
+            for (set_bits, &misses) in (SET_BITS.0..).zip(tree.misses()) {
                 assert_eq!(
-                    fused_reference.misses(level.sets(), assoc),
-                    Some(level.misses()),
+                    fused_reference.misses(1 << set_bits, assoc),
+                    Some(misses),
                     "per_assoc_run_blocks: miss counts diverged"
                 );
             }
@@ -222,10 +226,10 @@ fn main() {
     }
 
     // The LRU sweep-shape pair, mirroring the FIFO one: the pre-fusion
-    // schedule (one DewTree-LRU pass per associativity, MRA stop off as
-    // soundness requires, sharing one decode) versus one fused traversal of
-    // the arena LruTreeSimulator, whose stack property answers every
-    // associativity from a single move-to-front lane. Options match what
+    // schedule (one single-associativity LRU pass per associativity,
+    // sharing one decode) versus one fused traversal of the arena
+    // LruTreeSimulator, whose stack property answers every associativity
+    // from a single move-to-front lane. Options match what
     // `SweepRequest::run` uses for LRU spaces (no duplicate elision by
     // default).
     let lru_opts = LruTreeOptions {
@@ -248,9 +252,9 @@ fn main() {
         for assoc in PER_ASSOC_PASSES {
             let pass =
                 PassConfig::new(BLOCK_BITS, SET_BITS.0, SET_BITS.1, assoc).expect("valid pass");
-            let mut tree = DewTree::new(pass, DewOptions::lru()).expect("sound");
+            let mut tree = LruTreeSimulator::for_pass(pass, lru_opts, false).expect("valid");
             tree.run_blocks(&blocks);
-            let r = tree.results();
+            let r = tree.pass_results(assoc).expect("the pass associativity");
             for level in r.levels() {
                 assert_eq!(
                     lru_reference.misses(level.sets(), assoc),
@@ -282,8 +286,7 @@ fn main() {
     }
 
     // The newer arena policy kernels in the same fused sweep shape: every
-    // associativity 1..=8 in one traversal. There is no pre-fusion DewTree
-    // schedule for these policies, so each fast kernel is cross-checked
+    // associativity 1..=8 in one traversal. Each fast kernel is cross-checked
     // against its instrumented sibling, which recomputes the same miss
     // counts through the counted path. Options match the sweep presets
     // (`DewOptions::plru` / `DewOptions::slru`: no duplicate elision — for

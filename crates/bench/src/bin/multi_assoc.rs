@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use dew_bench::report::{thousands, TextTable};
 use dew_bench::suite::SuiteScale;
-use dew_core::{DewOptions, DewTree, MultiAssocTree, PassConfig};
+use dew_core::{DewOptions, MultiAssocTree, PassConfig};
 use dew_workloads::mediabench::App;
 
 const SET_BITS: (u32, u32) = (0, 14);
@@ -33,19 +33,20 @@ fn main() {
     );
     let mut t = TextTable::new(&["strategy", "traversals", "time(s)", "comparisons"]);
 
-    // The paper's methodology: one DewTree pass per associativity above 1
-    // (instrumented, as every pre-arena build ran).
+    // The paper's methodology: one instrumented single-associativity pass
+    // per associativity above 1.
     let start = Instant::now();
     let mut per_assoc_comparisons = 0u64;
     let mut separate = Vec::new();
     for assoc in [2u32, 4, 8, 16] {
         let pass = PassConfig::new(2, SET_BITS.0, SET_BITS.1, assoc).expect("valid");
-        let mut tree = DewTree::instrumented(pass, DewOptions::default()).expect("sound");
+        let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), true).expect("sound");
         for r in trace.records() {
             tree.step(r.addr);
         }
-        per_assoc_comparisons += tree.counters().tag_comparisons;
-        separate.push(tree.results());
+        let counters = tree.pass_counters(assoc).expect("the pass associativity");
+        per_assoc_comparisons += counters.tag_comparisons;
+        separate.push(tree.pass_results(assoc).expect("the pass associativity"));
     }
     let separate_secs = start.elapsed().as_secs_f64();
     t.row_owned(vec![

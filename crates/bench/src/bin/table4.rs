@@ -10,19 +10,22 @@
 use dew_bench::report::TextTable;
 use dew_bench::suite::{workload_suite, SuiteScale};
 use dew_bench::table3::SET_BITS;
-use dew_core::{DewCounters, DewOptions, DewTree, PassConfig};
-use dew_trace::Trace;
+use dew_core::{DewCounters, DewOptions, MultiAssocTree, PassConfig};
+use dew_trace::{BlockChunks, Trace};
 
+/// One instrumented DEW pass at `assoc` (block 4 B), driven like the sweep.
 fn run_pass(trace: &Trace, assoc: u32) -> DewCounters {
     let pass =
         PassConfig::new(2, SET_BITS.0, SET_BITS.1, assoc).expect("table 4 pass geometry is valid");
-    let mut tree =
-        DewTree::instrumented(pass, DewOptions::default()).expect("default options are sound");
-    for r in trace.records() {
-        tree.step(r.addr);
+    let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), true)
+        .expect("default options are sound");
+    let mut chunks = BlockChunks::new(trace.records(), 2, BlockChunks::DEFAULT_CHUNK);
+    while let Some(chunk) = chunks.next_chunk() {
+        tree.run_blocks(chunk);
     }
-    assert!(tree.counters().is_consistent(), "counter identity violated");
-    *tree.counters()
+    let counters = tree.pass_counters(assoc).expect("the pass associativity");
+    assert!(counters.is_consistent(), "counter identity violated");
+    counters
 }
 
 fn main() {

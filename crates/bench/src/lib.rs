@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod per_assoc;
 pub mod report;
 pub mod suite;
 pub mod table3;

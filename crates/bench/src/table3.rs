@@ -7,8 +7,8 @@ use std::path::Path;
 use std::time::Instant;
 
 use dew_cachesim::{Cache, CacheConfig, Replacement};
-use dew_core::{DewOptions, DewTree, PassConfig};
-use dew_trace::Trace;
+use dew_core::{DewOptions, MultiAssocTree, PassConfig};
+use dew_trace::{BlockChunks, Trace};
 use dew_workloads::mediabench::App;
 
 /// Set-count range of the paper's Table 1 (`2^0 ..= 2^14`).
@@ -84,15 +84,20 @@ pub fn measure_cell(app: App, trace: &Trace, block_bytes: u32, assoc: u32) -> Ta
     let start = Instant::now();
     // Instrumented: Table 3 reports the tag-comparison breakdown, so the
     // timed pass is the counting kernel (matching the paper, whose counts
-    // and times come from one run).
-    let mut tree =
-        DewTree::instrumented(pass, DewOptions::default()).expect("default options are sound");
-    for r in records {
-        tree.step(r.addr);
+    // and times come from one run). It is driven like the sweep drives it:
+    // bounded decode chunks, decode inside the timed region.
+    let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), true)
+        .expect("default options are sound");
+    let mut chunks = BlockChunks::new(records, block_bits, BlockChunks::DEFAULT_CHUNK);
+    while let Some(chunk) = chunks.next_chunk() {
+        tree.run_blocks(chunk);
     }
     let dew_seconds = start.elapsed().as_secs_f64();
-    let dew_results = tree.results();
-    let dew_comparisons = tree.counters().tag_comparisons;
+    let dew_results = tree.pass_results(assoc).expect("the pass associativity");
+    let dew_comparisons = tree
+        .pass_counters(assoc)
+        .expect("the pass associativity")
+        .tag_comparisons;
 
     // Reference: one full pass per configuration, Dinero-style.
     let mut ref_comparisons = 0u64;

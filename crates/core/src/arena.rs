@@ -611,22 +611,21 @@ impl<P: Policy> Arena<P> {
     ///
     /// # Panics
     ///
-    /// As [`crate::DewTree::step`]: the block number must not collide with
-    /// the internal sentinel.
+    /// Panics if the block number equals the internal sentinel
+    /// (`u64::MAX`: only the top address with 1-byte blocks).
     pub fn step(&mut self, addr: u64) {
         self.step_block(addr >> self.pass.block_bits());
     }
 
     /// Simulates one request given as a pre-decoded block number
-    /// (`addr >> block_bits` for this kernel's block size). Single steps
-    /// run the scalar scan; the wide backends pay off in
-    /// [`Arena::run_blocks`].
+    /// (`addr >> block_bits` for this kernel's block size): a one-block
+    /// [`Arena::run_blocks`] batch, on the same scan backend.
     ///
     /// # Panics
     ///
     /// As [`Arena::step`], if `block` equals the internal sentinel.
     pub fn step_block(&mut self, block: u64) {
-        self.drive(ScalarScan, std::slice::from_ref(&block));
+        self.run_blocks(std::slice::from_ref(&block));
     }
 
     /// Simulates a batch of pre-decoded block numbers (see
@@ -851,8 +850,7 @@ impl<P: Policy> Arena<P> {
     /// counts as a one-comparison search. Under LRU one lane answers every
     /// associativity, so every view is the aggregate. The
     /// [`DewCounters::is_consistent`] identity holds for every view. The
-    /// fast kernel reports only the request-level counters, like
-    /// `DewTree::new`.
+    /// fast kernel reports only the request-level counters.
     #[must_use]
     pub fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
         if !self.assoc_list.contains(&assoc) {
@@ -1079,6 +1077,25 @@ impl<P: WithOptions> Arena<P> {
         instrument: bool,
     ) -> Result<Self, DewError> {
         Arena::build(block_bits, set_bits, assoc_bits, opts, instrument)
+    }
+
+    /// The paper's single pass: every set count of `pass` at the one
+    /// associativity `pass.assoc()`, plus the direct-mapped results of the
+    /// MRA lane. Read it back through [`Arena::pass_results`] and
+    /// [`Arena::pass_counters`] at `pass.assoc()`.
+    ///
+    /// # Errors
+    ///
+    /// [`DewError::UnsoundOptions`] for options the policy rejects, and
+    /// [`DewError::BadAssoc`] for an associativity it cannot hold.
+    pub fn for_pass(
+        pass: PassConfig,
+        opts: P::Options,
+        instrument: bool,
+    ) -> Result<Self, DewError> {
+        let sets = (pass.min_set_bits(), pass.max_set_bits());
+        let bits = pass.assoc().trailing_zeros();
+        Arena::build(pass.block_bits(), sets, (bits, bits), opts, instrument)
     }
 }
 

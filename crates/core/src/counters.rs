@@ -18,8 +18,9 @@
 //! Every node evaluation therefore lands in exactly one bucket:
 //! `mra_stops + wave_hits + wave_misses + mre_misses + intersection_hits +
 //! intersection_misses + searches == node_evaluations`, an identity the
-//! test-suite enforces. The intersection buckets stay zero for single-pass
-//! [`crate::DewTree`]s, so the original paper identity is a special case.
+//! test-suite enforces. The intersection buckets stay zero for a
+//! one-associativity pass ([`crate::Arena::for_pass`]), so the original paper
+//! identity is a special case.
 
 use std::fmt;
 use std::ops::{Add, AddAssign};

@@ -5,11 +5,11 @@
 //! Level 1 Cache Simulation Approach for Embedded Processors with FIFO
 //! Replacement Policy"*, DATE 2010.
 //!
-//! One pass of a [`DewTree`] over a memory trace produces exact hit/miss
-//! counts for **every power-of-two set count** in a range at one
-//! associativity — and, for free, the direct-mapped results — by organising
-//! the caches' sets into a binomial forest and exploiting three properties of
-//! FIFO caches:
+//! One pass of a [`MultiAssocTree`] over a memory trace produces exact
+//! hit/miss counts for **every power-of-two set count** in a range at one
+//! associativity ([`Arena::for_pass`], the paper's pass) — and, for free, the
+//! direct-mapped results — by organising the caches' sets into a binomial
+//! forest and exploiting three properties of FIFO caches:
 //!
 //! * **MRA early termination** — a request matching a set's most recently
 //!   accessed tag hits there and at every larger set count (Property 2);
@@ -72,23 +72,24 @@
 //! # Quickstart
 //!
 //! ```
-//! use dew_core::{DewOptions, DewTree, PassConfig};
+//! use dew_core::{DewOptions, MultiAssocTree, PassConfig};
 //! use dew_trace::Record;
 //!
 //! # fn main() -> Result<(), dew_core::DewError> {
 //! // Simulate set counts 1..=256 at associativity 4 (plus direct-mapped),
-//! // 16-byte blocks, over a toy trace. `DewTree::new` builds the fastest
-//! // kernel; `instrumented` additionally maintains the work counters
+//! // 16-byte blocks, over a toy trace. `instrument = false` builds the
+//! // fastest kernel; `true` additionally maintains the work counters
 //! // printed below.
-//! let mut tree = DewTree::instrumented(PassConfig::new(4, 0, 8, 4)?, DewOptions::default())?;
+//! let pass = PassConfig::new(4, 0, 8, 4)?;
+//! let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), true)?;
 //! for i in 0..10_000u64 {
 //!     tree.step_record(Record::read((i * 24) % 65_536));
 //! }
-//! let results = tree.results();
+//! let results = tree.pass_results(4).expect("the pass associativity");
 //! for level in results.levels() {
 //!     println!("{:>5} sets: {:>6} misses", level.sets(), level.misses());
 //! }
-//! println!("work: {}", tree.counters());
+//! println!("work: {}", tree.pass_counters(4).expect("simulated"));
 //! # Ok(())
 //! # }
 //! ```
@@ -119,6 +120,8 @@ pub mod snapshot;
 mod space;
 mod sweep;
 mod timeline;
+#[cfg(test)]
+#[path = "single_pass_tests.rs"]
 mod tree;
 
 pub use arena::Arena;
@@ -140,4 +143,3 @@ pub use results::{
 pub use simd::KernelBackend;
 pub use space::{ConfigSpace, DewError, PassConfig};
 pub use timeline::{MissTimeline, WindowSample};
-pub use tree::DewTree;

@@ -427,6 +427,11 @@ mod tests {
                 instrument,
             )
             .expect("valid");
+            // Per-record steps on the scalar scan, batches on the active
+            // backend: the comparison doubles as a backend check.
+            stepped
+                .force_scan_backend(crate::simd::KernelBackend::Scalar)
+                .expect("scalar is always available");
             for &x in &a {
                 stepped.step(x);
             }

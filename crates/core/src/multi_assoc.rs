@@ -13,6 +13,46 @@
 //! `levels × assoc_list` configurations, turning the paper's 28-pass Table 1
 //! sweep into 7 trace traversals, at the cost of wider nodes.
 //!
+//! # The paper's pass
+//!
+//! A kernel over the single associativity `(log2 A, log2 A)`
+//! ([`crate::Arena::for_pass`]) is the paper's DEW pass: one binomial forest
+//! at associativity `A`, with the direct-mapped results from the MRA lane.
+//! A request's block maps to exactly one node per level (its set at that set
+//! count); the nodes form a root-to-leaf path because the set index at level
+//! `l+1` extends the index at level `l` by one address bit. The walk visits
+//! that path top-down (smallest set count first) and, per node:
+//!
+//! 1. compares the **MRA tag** — a match means the block was the last one
+//!    handled at this node, so nothing in this set (or any descendant set on
+//!    the block's path) has changed since: the request hits *here and at
+//!    every larger set count*, and the walk stops (Property 2). The same
+//!    comparison is the direct-mapped simulation, because a direct-mapped
+//!    set always holds its most recent requester;
+//! 2. otherwise consults the parent entry's **wave pointer**: FIFO never
+//!    moves a resident block between ways, so the pointer — refreshed on
+//!    every walk — still names the block's way if it is resident at all, and
+//!    one comparison decides hit *or* miss (Property 3);
+//! 3. otherwise compares the **MRE tag**: the most recently evicted block is
+//!    certainly absent, so a match decides a miss without a search
+//!    (Property 4);
+//! 4. otherwise searches the tag list.
+//!
+//! (Steps 2–4 are the instrumented mode's ladder; the fast mode decides
+//! residency with one branchless scan instead, see "The update rule".)
+//! Misses insert at the FIFO round-robin position (Algorithm 2); a miss on
+//! the block held in the MRE entry exchanges it back in, preserving its
+//! wave pointer across the evict/re-insert cycle.
+//!
+//! The stop is sound because of an invariant: if a node's MRA tag equals
+//! block `T`, then every descendant node on `T`'s path also has MRA = `T`,
+//! and `T` is resident in all of them. Walks rewrite MRA tags top-down along
+//! a contiguous prefix of the path and stop only at a node whose MRA already
+//! equals the request, so a request that stops above a node leaves the
+//! node's "MRA = T" intact (a stop is a hit everywhere below, and FIFO hits
+//! change nothing); any request that reaches the node overwrites its MRA,
+//! breaking the premise rather than the conclusion.
+//!
 //! # Storage
 //!
 //! The forest is the shared arena skeleton (`crate::arena`): one dense MRA
@@ -610,8 +650,8 @@ impl FifoWalk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::KernelBackend;
     use crate::space::PassConfig;
-    use crate::tree::DewTree;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
     use dew_trace::Record;
 
@@ -692,6 +732,11 @@ mod tests {
                 instrument,
             )
             .expect("valid");
+            // Per-record steps on the scalar scan, batches on the active
+            // backend: the comparison doubles as a backend check.
+            stepped
+                .force_scan_backend(KernelBackend::Scalar)
+                .expect("scalar is always available");
             for &x in &a {
                 stepped.step(x);
             }
@@ -722,12 +767,16 @@ mod tests {
         let mut separate_comparisons = 0;
         for assoc in [2u32, 4, 8, 16] {
             let pass = PassConfig::new(2, 0, 8, assoc).expect("valid");
-            let mut tree = DewTree::instrumented(pass, DewOptions::default()).expect("sound");
+            let mut tree =
+                MultiAssocTree::for_pass(pass, DewOptions::default(), true).expect("sound");
             for &x in &a {
                 tree.step(x);
             }
-            separate_comparisons += tree.counters().tag_comparisons;
-            let r = tree.results();
+            separate_comparisons += tree
+                .pass_counters(assoc)
+                .expect("simulated")
+                .tag_comparisons;
+            let r = tree.pass_results(assoc).expect("simulated");
             for set_bits in 0..=8u32 {
                 let sets = 1 << set_bits;
                 assert_eq!(

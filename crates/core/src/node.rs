@@ -1,53 +1,22 @@
-//! Per-node storage of the simulation forest.
+//! Per-node sentinels and the FIFO round-robin step shared by the arena
+//! kernels.
 //!
 //! The paper's layout (Section 5): each tag-list entry holds a tag and a wave
 //! pointer; each tree node additionally holds the MRA tag, the MRE tag and
 //! the MRE entry's wave pointer. Per node that is `96 + 64·A` bits in the
 //! paper's 32-bit implementation; this crate widens tags to 64 bits (see
-//! `DESIGN.md`, substitutions).
-//!
-//! The whole forest is stored as one flat arena (all levels concatenated): a
-//! single `Vec<NodeMeta>` for the scalar fields plus dense per-field lanes
-//! for the tags and wave pointers, addressed through precomputed per-level
-//! node offsets, so node `i`'s tag list is the slice
-//! `tags[i*assoc .. (i+1)*assoc]` with `i` a forest-global node index.
+//! `DESIGN.md`, substitutions) and stores every field as a dense per-field
+//! lane of the arena (`crate::arena`).
 
 /// Sentinel for "no tag": cold MRA/MRE entries and invalid ways.
 ///
 /// Block numbers are bounded by the `max_set_bits + block_bits <= 58`
 /// validation in [`crate::PassConfig::new`] plus a runtime assert in
-/// `step`, so real tags can never equal the sentinel.
+/// the batch loop, so real tags can never equal the sentinel.
 pub(crate) const INVALID_TAG: u64 = u64::MAX;
 
 /// Sentinel for an "empty" wave pointer (paper Algorithm 2, line 7).
 pub(crate) const EMPTY_WAVE: u32 = u32::MAX;
-
-/// The scalar per-node state, *except* the MRA tag: the MRA comparison runs
-/// on every node evaluation (and is all a Property-2 stop touches), so the
-/// forest keeps MRA tags in their own dense `u64` lane and this struct holds
-/// only the fields the miss/search paths need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct NodeMeta {
-    /// Most Recently Evicted tag (Property 4), or [`INVALID_TAG`].
-    pub mre: u64,
-    /// Wave pointer preserved alongside the MRE tag (Algorithm 2, line 8).
-    pub mre_wave: u32,
-    /// FIFO round-robin pointer: the way holding the least recently inserted
-    /// block (equivalently, during cold fill, the next empty way).
-    pub fifo_ptr: u32,
-    /// Number of valid ways. Ways fill in physical order, so the valid
-    /// entries are always the prefix `ways[..valid]`.
-    pub valid: u32,
-}
-
-impl NodeMeta {
-    pub(crate) const EMPTY: NodeMeta = NodeMeta {
-        mre: INVALID_TAG,
-        mre_wave: EMPTY_WAVE,
-        fifo_ptr: 0,
-        valid: 0,
-    };
-}
 
 /// Advances a FIFO round-robin pointer with a conditional wrap: `%` on a
 /// runtime associativity would be a hardware divide in the per-miss path.
@@ -61,51 +30,14 @@ pub(crate) fn fifo_advance(ptr: u32, assoc: usize) -> u32 {
     }
 }
 
-/// Index of the least recently used way given the set's last-access lane
-/// (ties resolve to the lowest index, matching a stable minimum).
-#[inline]
-pub(crate) fn lru_victim(last_access: &[u64]) -> usize {
-    let mut victim = 0;
-    let mut oldest = last_access[0];
-    for (i, &t) in last_access.iter().enumerate().skip(1) {
-        if t < oldest {
-            oldest = t;
-            victim = i;
-        }
-    }
-    victim
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_constants_are_cold() {
-        let m = NodeMeta::EMPTY;
-        assert_eq!(m.mre, INVALID_TAG);
-        assert_eq!(m.mre_wave, EMPTY_WAVE);
-        assert_eq!(m.valid, 0);
-        assert_eq!(m.fifo_ptr, 0);
-    }
-
-    #[test]
-    fn storage_is_compact() {
-        // The flat layout relies on this staying small.
-        assert!(std::mem::size_of::<NodeMeta>() <= 24);
-    }
 
     #[test]
     fn fifo_advance_wraps_at_assoc() {
         assert_eq!(fifo_advance(0, 4), 1);
         assert_eq!(fifo_advance(3, 4), 0);
         assert_eq!(fifo_advance(0, 1), 0);
-    }
-
-    #[test]
-    fn lru_victim_prefers_oldest_then_lowest_index() {
-        assert_eq!(lru_victim(&[5, 2, 9, 2]), 1, "ties take the first");
-        assert_eq!(lru_victim(&[1]), 0);
-        assert_eq!(lru_victim(&[7, 7, 7]), 0);
     }
 }

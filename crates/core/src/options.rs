@@ -7,15 +7,16 @@ use crate::space::DewError;
 
 /// Replacement policy simulated by a DEW tree's tag lists.
 ///
-/// The paper's target is [`TreePolicy::Fifo`]. [`TreePolicy::Lru`] exercises
-/// the paper's Section 2.1 remark that DEW "can simulate caches with the LRU
+/// The paper's target is [`TreePolicy::Fifo`]. [`TreePolicy::Lru`] backs the
+/// paper's Section 2.1 remark that DEW "can simulate caches with the LRU
 /// replacement policy, but will typically be slower" than LRU-specialised
-/// methods: the paper-faithful [`crate::DewTree`] walks every level under
-/// LRU tag lists, because its [`DewOptions::mra_stop`] toggle is FIFO-only
-/// ([`DewOptions::validate`]).
+/// methods: without a stack property DEW needs one pass per associativity,
+/// while an LRU tree answers every associativity in one (the `lru_compare`
+/// bench).
 ///
-/// The fused sweeps run every policy on its own arena kernel, and every one
-/// of them stops the walk at an MRA hit (Property 2), with no toggle:
+/// Every policy runs on its own arena kernel, and every one of them stops
+/// the walk at an MRA hit (Property 2); only FIFO's stop is a toggle
+/// ([`DewOptions::mra_stop`], for the Table 4 ablation):
 /// [`crate::lru_tree`] (an MRU block stays MRU at every larger set count),
 /// [`crate::plru_tree`] for [`TreePolicy::Plru`] (tree pseudo-LRU, the
 /// policy real embedded L1s ship; re-touching the MRA way is a no-op), and
@@ -27,8 +28,7 @@ pub enum TreePolicy {
     /// First-in first-out tag lists (the paper's subject).
     #[default]
     Fifo,
-    /// Least-recently-used tag lists (slower in the paper-faithful tree; see
-    /// above).
+    /// Least-recently-used tag lists (see above).
     Lru,
     /// Tree pseudo-LRU: one direction bit per internal node of a binary tree
     /// over the ways approximates LRU (power-of-two associativity only).
@@ -156,10 +156,10 @@ impl DewOptions {
         }
     }
 
-    /// All sound properties enabled for LRU tag lists (the FIFO-only
-    /// `mra_stop` toggle is off, as required — the arena LRU kernel stops on
-    /// its own; wave pointers and MRE remain sound under LRU because blocks
-    /// never move between ways while resident).
+    /// Sound defaults for LRU lanes (the FIFO-only `mra_stop` toggle is
+    /// off, as required — the arena LRU kernel stops on its own; the
+    /// wave/MRE toggles are carried but the LRU kernel has no ladder to
+    /// spend them on).
     #[must_use]
     pub fn lru() -> Self {
         DewOptions {
@@ -221,22 +221,16 @@ impl DewOptions {
     ///
     /// [`DewError::UnsoundOptions`] when `mra_stop` is combined with any
     /// policy other than [`TreePolicy::Fifo`] (the toggle is FIFO-only: the
-    /// paper-faithful tree's LRU timestamps below the stop level would go
-    /// stale, and the arena kernels of the other policies apply their own
-    /// stop), or when `dup_elision` is combined with
+    /// arena kernels of the other policies apply their own stop), or when
+    /// `dup_elision` is combined with
     /// [`TreePolicy::Slru`] (a repeated access promotes a probationary
     /// block, so skipping it changes state).
     pub fn validate(&self) -> Result<(), DewError> {
         if self.mra_stop && self.policy != TreePolicy::Fifo {
-            return Err(DewError::UnsoundOptions(match self.policy {
-                TreePolicy::Lru => {
-                    "the MRA early stop would leave LRU recency state stale at larger set counts"
-                }
-                _ => {
-                    "the mra_stop toggle is FIFO-only: the tree-PLRU and SLRU kernels apply \
-                     their own MRA stop"
-                }
-            }));
+            return Err(DewError::UnsoundOptions(
+                "the mra_stop toggle is FIFO-only: the LRU, tree-PLRU and SLRU kernels apply \
+                 their own MRA stop",
+            ));
         }
         if self.dup_elision && self.policy == TreePolicy::Slru {
             return Err(DewError::UnsoundOptions(

@@ -57,15 +57,16 @@ impl LevelResult {
 /// # Examples
 ///
 /// ```
-/// use dew_core::{DewOptions, DewTree, PassConfig};
+/// use dew_core::{DewOptions, MultiAssocTree, PassConfig};
 /// use dew_trace::Record;
 ///
 /// # fn main() -> Result<(), dew_core::DewError> {
-/// let mut tree = DewTree::new(PassConfig::new(2, 0, 3, 4)?, DewOptions::default())?;
+/// let pass = PassConfig::new(2, 0, 3, 4)?;
+/// let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), false)?;
 /// for i in 0..100u64 {
 ///     tree.step_record(Record::read(i * 4));
 /// }
-/// let results = tree.results();
+/// let results = tree.pass_results(4).expect("the pass associativity");
 /// // A pure streaming workload misses everywhere:
 /// assert_eq!(results.misses(8, 4), Some(100));
 /// assert_eq!(results.misses(8, 1), Some(100));

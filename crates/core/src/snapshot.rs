@@ -1,43 +1,44 @@
-//! Checkpointing support: serialise a [`crate::DewTree`]'s complete state to
-//! bytes and restore it later.
+//! Checkpointing support: the error type and shared helpers of the kernel
+//! snapshot codec, which serialises a fused arena kernel's complete state
+//! to bytes and restores it later ([`crate::Arena::to_snapshot`] /
+//! [`crate::Arena::from_snapshot`]).
 //!
 //! Real traces are long (the paper's MPEG2 encode trace has 3.7 billion
-//! requests); checkpoints let a simulation be split across batch jobs, saved
-//! before the interesting region of a trace, or shipped between machines.
-//! The format is a versioned little-endian dump of the forest — geometry and
-//! options are embedded, so a snapshot is self-describing:
+//! requests); snapshots let a simulation be split across batch jobs, saved
+//! before the interesting region of a trace, or shipped between machines,
+//! and they carry the sharded sweep's state across shard boundaries and the
+//! checkpoint sidecars' per-job state. Each policy's kernel writes its own
+//! magic (FIFO `DEWM`, LRU `DEWL`, tree-PLRU `DEWP`, SLRU `DEWU`) over one
+//! little-endian layout; geometry and options are embedded, so a snapshot
+//! is self-describing:
 //!
 //! ```text
-//! magic  b"DEWS"
-//! version u8 (currently 2)
-//! pass    block_bits, min_set_bits, max_set_bits, assoc   (u32 each)
-//! opts    flags u8 (bit0 mra_stop, 1 wave, 2 mre, 3 dup_elision, 4 lru,
-//!         5 instrumented — v2 only)
-//! state   counters (10 × u64), now, prev_block
-//! arena   per level: misses, dm_misses; then the whole node-metadata lane,
-//!         the whole way-entry lane, and the last-access lane (LRU only) —
-//!         sizes derived from the pass
+//! magic    4 bytes, the policy's
+//! version  u8
+//! geometry block_bits, min_set_bits, max_set_bits, min_assoc_bits,
+//!          max_assoc_bits                                 (u32 each)
+//! flags    u8 (the policy's options and the instrumented bit)
+//! state    the policy's counters, its per-lane tallies, and the previous
+//!          block when the policy elides duplicates
+//! arena    misses per (level, lane), direct-mapped misses per level, the
+//!          MRA lane, every node's way tags, then the policy's own lanes —
+//!          sizes derived from the header and checked before allocating
 //! ```
-//!
-//! Version 1 (the pre-arena format) interleaved each level's miss tallies,
-//! metadata, ways and last-access times; [`crate::DewTree::from_snapshot`]
-//! still decodes it, restoring an instrumented tree (the only kind version-1
-//! builds produced). Writers always emit version 2.
 //!
 //! # Examples
 //!
 //! ```
-//! use dew_core::{DewOptions, DewTree, PassConfig};
+//! use dew_core::{DewOptions, MultiAssocTree, PassConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let pass = PassConfig::new(2, 0, 4, 2)?;
-//! let mut tree = DewTree::new(pass, DewOptions::default())?;
+//! let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), false)?;
 //! for a in 0..1000u64 {
 //!     tree.step(a * 4 % 512);
 //! }
 //! let snapshot = tree.to_snapshot();
 //!
-//! let mut restored = DewTree::from_snapshot(&snapshot)?;
+//! let mut restored = MultiAssocTree::from_snapshot(&snapshot)?;
 //! restored.step(0x40); // continues exactly where `tree` would
 //! # Ok(())
 //! # }
@@ -47,13 +48,6 @@ use std::error::Error;
 use std::fmt;
 
 pub(crate) use crate::arena::{ArenaDims, Cursor};
-
-/// File magic of the snapshot format.
-pub const MAGIC: [u8; 4] = *b"DEWS";
-/// Current snapshot format version (the arena-ordered layout).
-pub const VERSION: u8 = 2;
-/// The legacy per-level-interleaved layout; still decoded, never written.
-pub const VERSION_1: u8 = 1;
 
 /// Errors restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

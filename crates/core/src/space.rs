@@ -119,6 +119,13 @@ impl PassConfig {
     pub const fn num_nodes(&self) -> u64 {
         (1u64 << (self.max_set_bits + 1)) - (1u64 << self.min_set_bits)
     }
+
+    /// Storage the paper's 32-bit model assigns to this pass's forest:
+    /// `Σ_levels S × (96 + 64·A)` bits (Section 5).
+    #[must_use]
+    pub const fn paper_model_bits(&self) -> u64 {
+        self.num_nodes() * (96 + 64 * self.assoc as u64)
+    }
 }
 
 impl fmt::Display for PassConfig {

@@ -865,7 +865,6 @@ mod tests {
     use super::*;
     use crate::checkpoint::SweepCheckpoint;
     use crate::request::SweepRequest;
-    use crate::tree::DewTree;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
 
     /// The request every test below starts from.
@@ -948,21 +947,20 @@ mod tests {
         let fused = req(&space, DewOptions::default(), 0)
             .run(&records)
             .expect("sweep");
+        // Every pass's configurations, one reference simulation each.
         for pass in space.passes() {
-            let mut tree = DewTree::new(pass, DewOptions::default()).expect("sound");
-            tree.run(records.iter().copied());
-            let r = tree.results();
-            for level in r.levels() {
-                assert_eq!(
-                    fused.misses(level.sets(), pass.assoc(), pass.block_bytes()),
-                    Some(level.misses()),
-                    "{pass}"
-                );
-                assert_eq!(
-                    fused.misses(level.sets(), 1, pass.block_bytes()),
-                    Some(level.dm_misses()),
-                    "DM of {pass}"
-                );
+            for set_bits in pass.min_set_bits()..=pass.max_set_bits() {
+                let sets = 1u32 << set_bits;
+                for assoc in [1, pass.assoc()] {
+                    let config =
+                        CacheConfig::new(sets, assoc, pass.block_bytes(), Replacement::Fifo)
+                            .expect("valid");
+                    assert_eq!(
+                        fused.misses(sets, assoc, pass.block_bytes()),
+                        Some(simulate_trace(config, &records).misses()),
+                        "{pass} sets={sets} assoc={assoc}"
+                    );
+                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Windowed miss-rate timelines: program-phase behaviour from a single pass.
 //!
-//! Because a [`DewTree`] holds exact running miss counts for every set count,
+//! Because a DEW pass holds exact running miss counts for every set count,
 //! snapshotting them every `window` requests yields the **miss-rate time
 //! series of every configuration simultaneously** — the phase-behaviour view
 //! used when sizing caches for multi-phase embedded applications, at no
@@ -28,12 +28,12 @@
 //! # }
 //! ```
 
-use dew_trace::Record;
+use dew_trace::{BlockChunks, Record};
 
+use crate::kernel::{FusedKernel, PolicyKernel};
 use crate::options::DewOptions;
 use crate::results::PassResults;
 use crate::space::{DewError, PassConfig};
-use crate::tree::DewTree;
 
 /// Per-window miss deltas for every simulated configuration of a pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,31 +54,37 @@ pub struct MissTimeline {
 }
 
 impl MissTimeline {
-    /// Runs one DEW pass over `records`, snapshotting every `window`
-    /// requests.
+    /// Runs one DEW pass over `records` under `options.policy`'s fused
+    /// kernel, at the pass associativity alone, snapshotting every `window`
+    /// requests. A zero `window` yields one single sample covering
+    /// everything.
     ///
     /// # Errors
     ///
-    /// [`DewError`] as from [`DewTree::new`], plus
-    /// [`DewError::EmptySetRange`] is never produced here — a zero `window`
-    /// yields one single sample covering everything.
+    /// [`DewError`] as from [`FusedKernel::build`].
     pub fn collect(
         pass: PassConfig,
         options: DewOptions,
         records: &[Record],
         window: u64,
     ) -> Result<Self, DewError> {
-        let mut tree = DewTree::new(pass, options)?;
+        let bits = pass.assoc().trailing_zeros();
+        let sets = (pass.min_set_bits(), pass.max_set_bits());
+        let mut kernel = FusedKernel::build(pass.block_bits(), sets, (bits, bits), options, false)?;
         let window = if window == 0 {
             records.len() as u64
         } else {
             window
         };
+        let chunk_len = usize::try_from(window).map_or(records.len(), |w| w.min(records.len()));
         let mut samples = Vec::new();
         let mut prev: Option<PassResults> = None;
-        let mut in_window = 0u64;
-        let mut snapshot = |tree: &DewTree, prev: &mut Option<PassResults>, n: u64| {
-            let now = tree.results();
+        let mut chunks = BlockChunks::new(records, pass.block_bits(), chunk_len);
+        while let Some(chunk) = chunks.next_chunk() {
+            kernel.run_blocks(chunk);
+            let now = kernel
+                .pass_results(pass.assoc())
+                .expect("the pass associativity");
             let misses = now
                 .levels()
                 .iter()
@@ -91,27 +97,18 @@ impl MissTimeline {
                 })
                 .collect();
             samples.push(WindowSample {
-                requests: n,
+                requests: chunk.len() as u64,
                 misses,
             });
-            *prev = Some(now);
-        };
-        for r in records {
-            tree.step(r.addr);
-            in_window += 1;
-            if in_window == window {
-                snapshot(&tree, &mut prev, in_window);
-                in_window = 0;
-            }
-        }
-        if in_window > 0 {
-            snapshot(&tree, &mut prev, in_window);
+            prev = Some(now);
         }
         Ok(MissTimeline {
             pass,
             window,
             samples,
-            final_results: tree.results(),
+            final_results: kernel
+                .pass_results(pass.assoc())
+                .expect("the pass associativity"),
         })
     }
 
@@ -186,6 +183,8 @@ impl MissTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::TreePolicy;
+    use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
 
     fn two_phase_records() -> Vec<Record> {
         (0..30_000u64)
@@ -260,8 +259,34 @@ mod tests {
         let pass = PassConfig::new(2, 0, 5, 2).expect("valid");
         let t =
             MissTimeline::collect(pass, DewOptions::default(), &records, 3_000).expect("collect");
-        let mut plain = DewTree::new(pass, DewOptions::default()).expect("sound");
+        let mut plain =
+            crate::MultiAssocTree::for_pass(pass, DewOptions::default(), false).expect("sound");
         plain.run(records.iter().copied());
-        assert_eq!(t.final_results(), &plain.results());
+        assert_eq!(Some(t.final_results()), plain.pass_results(2).as_ref());
+    }
+
+    #[test]
+    fn every_policy_matches_the_reference() {
+        let records: Vec<Record> = two_phase_records().into_iter().step_by(7).collect();
+        let pass = PassConfig::new(2, 0, 4, 4).expect("valid");
+        for (policy, replacement) in [
+            (TreePolicy::Fifo, Replacement::Fifo),
+            (TreePolicy::Lru, Replacement::Lru),
+            (TreePolicy::Plru, Replacement::Plru),
+            (TreePolicy::Slru, Replacement::Slru),
+        ] {
+            let options = DewOptions::for_policy(policy);
+            let t = MissTimeline::collect(pass, options, &records, 700).expect("collect");
+            for set_bits in 0..=4u32 {
+                let sets = 1 << set_bits;
+                for assoc in [1, 4] {
+                    let config =
+                        CacheConfig::new(sets, assoc, 4, replacement).expect("valid config");
+                    let expected = simulate_trace(config, &records).misses();
+                    let got = t.final_results().misses(sets, assoc);
+                    assert_eq!(got, Some(expected), "{policy} sets={sets} assoc={assoc}");
+                }
+            }
+        }
     }
 }

@@ -67,7 +67,7 @@ proptest! {
     #[test]
     fn executed_traces_feed_dew_exactly(program in program_strategy()) {
         use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
-        use dew_core::{DewOptions, DewTree, PassConfig};
+        use dew_core::{DewOptions, MultiAssocTree, PassConfig};
 
         let mut cpu = Cpu::new();
         let out = cpu.run(&program, 3_000);
@@ -75,15 +75,16 @@ proptest! {
             return Ok(());
         }
         let pass = PassConfig::new(2, 0, 4, 2).expect("valid");
-        let mut tree = DewTree::new(pass, DewOptions::default()).expect("sound");
+        let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), false).expect("sound");
         tree.run(out.trace.iter().copied());
+        let results = tree.pass_results(2).expect("the pass associativity");
         for set_bits in 0..=4u32 {
             let sets = 1u32 << set_bits;
             for assoc in [1u32, 2] {
                 let config =
                     CacheConfig::new(sets, assoc, 4, Replacement::Fifo).expect("valid");
                 let expected = simulate_trace(config, out.trace.records()).misses();
-                prop_assert_eq!(tree.results().misses(sets, assoc), Some(expected));
+                prop_assert_eq!(results.misses(sets, assoc), Some(expected));
             }
         }
     }

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example property_ablation`
 
-use dew_core::{DewOptions, DewTree, PassConfig, TreePolicy};
+use dew_core::{DewOptions, MultiAssocTree, PassConfig, TreePolicy};
 use dew_workloads::mediabench::App;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,13 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut reference = None;
     for opts in DewOptions::ablation_grid(TreePolicy::Fifo) {
-        let mut tree = DewTree::instrumented(pass, opts)?;
+        let mut tree = MultiAssocTree::for_pass(pass, opts, true)?;
         tree.run(trace.iter().copied());
-        let c = tree.counters();
+        let c = tree.pass_counters(4).expect("the pass associativity");
         assert!(c.is_consistent(), "counter identity");
 
         // The properties must not change any simulated result.
-        let results = tree.results();
+        let results = tree.pass_results(4);
         match &reference {
             None => reference = Some(results),
             Some(expected) => assert_eq!(&results, expected, "results changed under {opts}"),

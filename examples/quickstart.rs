@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use dew_core::{DewOptions, DewTree, PassConfig};
+use dew_core::{DewOptions, MultiAssocTree, PassConfig};
 use dew_workloads::mediabench::App;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,11 +17,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. One DEW pass: block size 16 B, set counts 2^0..2^14, assoc 1 & 4.
     let pass = PassConfig::new(4, 0, 14, 4)?;
-    let mut tree = DewTree::instrumented(pass, DewOptions::default())?;
+    //    Instrumented, so the work counters printed below are maintained.
+    let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), true)?;
     tree.run(trace.iter().copied());
 
     // 3. Exact miss rates for all 30 configurations, from that single pass.
-    let results = tree.results();
+    let results = tree.pass_results(4).expect("the pass associativity");
     println!(
         "\n{:>8} {:>12} {:>12}",
         "sets", "miss% (A=1)", "miss% (A=4)"
@@ -34,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. What the properties saved.
-    let c = tree.counters();
+    let c = tree.pass_counters(4).expect("the pass associativity");
     println!("\nwork: {c}");
     println!(
         "MRA early stops cut node evaluations to {:.1}% of the worst case.",
@@ -43,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "forest storage: {} KiB here vs {} KiB in the paper's 32-bit model",
         tree.footprint_bytes() / 1024,
-        tree.paper_model_bits() / 8 / 1024
+        pass.paper_model_bits() / 8 / 1024
     );
     Ok(())
 }

@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use dew_cachesim::{Cache, CacheConfig, Replacement};
-use dew_core::{DewOptions, DewTree, PassConfig};
+use dew_core::{DewOptions, MultiAssocTree, PassConfig};
 use dew_workloads::mediabench::App;
 
 const BLOCK_BYTES: u32 = 4;
@@ -33,10 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // DEW: one pass.
     let start = Instant::now();
     let pass = PassConfig::new(BLOCK_BYTES.trailing_zeros(), SET_BITS.0, SET_BITS.1, ASSOC)?;
-    let mut tree = DewTree::new(pass, DewOptions::default())?;
+    let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), false)?;
     tree.run(trace.iter().copied());
     let dew_time = start.elapsed();
-    let dew = tree.results();
+    let dew = tree.pass_results(ASSOC).expect("the pass associativity");
 
     // Reference: one pass per configuration.
     let start = Instant::now();

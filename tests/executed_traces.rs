@@ -4,7 +4,7 @@
 //! program → trace → single-pass multi-config simulation → verification.
 
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
-use dew_core::{ConfigSpace, DewOptions, DewTree, PassConfig, SweepRequest};
+use dew_core::{ConfigSpace, DewOptions, MultiAssocTree, PassConfig, SweepRequest};
 use dew_isa::programs::{
     fib_recursive, histogram, matmul, memcpy_words, run_program, vector_sum, A_BASE,
 };
@@ -69,9 +69,9 @@ fn executed_loops_fire_dews_properties() {
     // drive heavy MRA-stop rates at block sizes holding several instructions.
     let trace = executed_trace(&vector_sum(2_000), &word_inputs(2_000), 100_000);
     let pass = PassConfig::new(4, 0, 10, 4).expect("valid");
-    let mut tree = DewTree::instrumented(pass, DewOptions::default()).expect("sound");
+    let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), true).expect("sound");
     tree.run(trace.iter().copied());
-    let c = tree.counters();
+    let c = tree.pass_counters(4).expect("the pass associativity");
     assert!(c.is_consistent());
     assert!(
         c.mra_stops * 2 > c.accesses,

@@ -1,12 +1,13 @@
 //! Property-based exactness: for *arbitrary* traces and geometries, DEW (in
-//! every sound option combination, FIFO and LRU) and the LRU-tree comparator
-//! agree exactly with the per-configuration reference simulator.
+//! every FIFO option combination, and single-width LRU passes) and the
+//! LRU-tree comparator (at every associativity) agree exactly with the
+//! per-configuration reference simulator.
 
 use proptest::prelude::*;
 
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
 use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
-use dew_core::{DewOptions, DewTree, PassConfig, TreePolicy};
+use dew_core::{DewOptions, MultiAssocTree, PassConfig, TreePolicy};
 use dew_trace::Record;
 
 /// Traces mixing tight locality (small hot region) with scattered far
@@ -25,61 +26,71 @@ fn trace_strategy() -> impl Strategy<Value = Vec<Record>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
+    /// The paper's single pass (a one-width arena) under every one of the
+    /// 16 FIFO option combinations: the properties and the elision are
+    /// optimisations, so every combination matches the reference, and every
+    /// per-pass counter view satisfies the bucket identity.
     #[test]
     fn dew_fifo_matches_reference(
         addrs in trace_strategy(),
         block_bits in 0u32..5,
         max_set_bits in 0u32..7,
         assoc_bits in 0u32..4,
-        mra_stop in any::<bool>(),
-        wave in any::<bool>(),
-        mre in any::<bool>(),
-        dup_elision in any::<bool>(),
     ) {
         let assoc = 1u32 << assoc_bits;
         let pass = PassConfig::new(block_bits, 0, max_set_bits, assoc).expect("valid");
-        let opts = DewOptions { mra_stop, wave, mre, dup_elision, policy: TreePolicy::Fifo };
-        let mut tree = DewTree::instrumented(pass, opts).expect("sound");
-        for r in &addrs {
-            tree.step(r.addr);
-        }
-        prop_assert!(tree.counters().is_consistent());
-        let results = tree.results();
-        for set_bits in 0..=max_set_bits {
-            let sets = 1u32 << set_bits;
-            for a in [1, assoc] {
+        let expected: Vec<(u32, u32, u64)> = (0..=max_set_bits)
+            .flat_map(|set_bits| [(1u32 << set_bits, 1), (1u32 << set_bits, assoc)])
+            .map(|(sets, a)| {
                 let config = CacheConfig::new(sets, a, 1 << block_bits, Replacement::Fifo)
                     .expect("valid");
-                let expected = simulate_trace(config, &addrs).misses();
+                (sets, a, simulate_trace(config, &addrs).misses())
+            })
+            .collect();
+        for bits in 0..16u8 {
+            let opts = DewOptions {
+                mra_stop: bits & 1 != 0,
+                wave: bits & 2 != 0,
+                mre: bits & 4 != 0,
+                dup_elision: bits & 8 != 0,
+                policy: TreePolicy::Fifo,
+            };
+            let mut tree = MultiAssocTree::for_pass(pass, opts, true).expect("sound");
+            for r in &addrs {
+                tree.step(r.addr);
+            }
+            let counters = tree.pass_counters(assoc).expect("the pass associativity");
+            prop_assert!(counters.is_consistent(), "{}: {}", opts, counters);
+            let results = tree.pass_results(assoc).expect("the pass associativity");
+            for &(sets, a, misses) in &expected {
                 prop_assert_eq!(
                     results.misses(sets, a),
-                    Some(expected),
+                    Some(misses),
                     "sets={} assoc={} opts={:?}", sets, a, opts
                 );
             }
         }
     }
 
+    /// DEW-LRU as `lru_compare` runs it: one single-width pass per
+    /// associativity, with and without the duplicate elision.
     #[test]
     fn dew_lru_matches_reference(
         addrs in trace_strategy(),
         block_bits in 0u32..5,
         max_set_bits in 0u32..6,
         assoc_bits in 0u32..4,
-        wave in any::<bool>(),
-        mre in any::<bool>(),
-        dup_elision in any::<bool>(),
+        duplicate_elision in any::<bool>(),
     ) {
         let assoc = 1u32 << assoc_bits;
         let pass = PassConfig::new(block_bits, 0, max_set_bits, assoc).expect("valid");
-        let opts =
-            DewOptions { mra_stop: false, wave, mre, dup_elision, policy: TreePolicy::Lru };
-        let mut tree = DewTree::instrumented(pass, opts).expect("sound");
+        let opts = LruTreeOptions { duplicate_elision };
+        let mut sim = LruTreeSimulator::for_pass(pass, opts, true).expect("valid");
         for r in &addrs {
-            tree.step(r.addr);
+            sim.step(r.addr);
         }
-        prop_assert!(tree.counters().is_consistent());
-        let results = tree.results();
+        prop_assert!(sim.pass_counters(assoc).expect("simulated").is_consistent());
+        let results = sim.pass_results(assoc).expect("the pass associativity");
         for set_bits in 0..=max_set_bits {
             let sets = 1u32 << set_bits;
             for a in [1, assoc] {

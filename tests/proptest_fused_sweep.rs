@@ -1,14 +1,15 @@
 //! Property-based equivalence of the fused sweep scheduler: for arbitrary
 //! traces, configuration spaces and thread counts, the fused
 //! one-traversal-per-block-size sweep must be bit-identical to the
-//! per-pass schedule (one `DewTree` per `(block size, assoc)` pair) and to
+//! per-pass schedule (one single-associativity kernel per `(block size,
+//! assoc)` pair) and to
 //! the brute-force per-configuration FIFO oracle — and must report exactly
 //! one trace traversal per block size.
 
 use proptest::prelude::*;
 
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
-use dew_core::{ConfigSpace, DewOptions, DewTree, MultiAssocTree, SweepRequest, TreePolicy};
+use dew_core::{ConfigSpace, DewOptions, MultiAssocTree, SweepRequest, TreePolicy};
 use dew_trace::Record;
 
 /// Traces mixing tight locality with scattered far references, as in the
@@ -57,9 +58,10 @@ proptest! {
 
         // Bit-identical to the per-pass schedule the paper describes …
         for pass in space.passes() {
-            let mut tree = DewTree::new(pass, DewOptions::default()).expect("sound");
+            let mut tree =
+                MultiAssocTree::for_pass(pass, DewOptions::default(), false).expect("sound");
             tree.run(records.iter().copied());
-            let r = tree.results();
+            let r = tree.pass_results(pass.assoc()).expect("the pass associativity");
             for level in r.levels() {
                 prop_assert_eq!(
                     outcome.misses(level.sets(), pass.assoc(), pass.block_bytes()),
@@ -181,19 +183,13 @@ fn assoc_1_to_8_sweep_is_one_traversal() {
         assert_eq!(w.0, records.len() as u64);
         assert_eq!(w, &walks[0], "all passes share the single fused walk");
     }
-    // And the fused results remain bit-identical to the per-pass path.
-    for pass in space.passes() {
-        let mut tree = DewTree::new(pass, DewOptions::default()).expect("sound");
-        tree.run(records.iter().copied());
-        for level in tree.results().levels() {
-            assert_eq!(
-                outcome.misses(level.sets(), pass.assoc(), pass.block_bytes()),
-                Some(level.misses())
-            );
-            assert_eq!(
-                outcome.misses(level.sets(), 1, pass.block_bytes()),
-                Some(level.dm_misses())
-            );
-        }
+    // And the fused results remain exact against the reference oracle.
+    for (sets, assoc, block) in space.configs() {
+        let expected = simulate_trace(
+            CacheConfig::new(sets, assoc, block, Replacement::Fifo).expect("valid"),
+            &records,
+        )
+        .misses();
+        assert_eq!(outcome.misses(sets, assoc, block), Some(expected));
     }
 }

@@ -1,13 +1,29 @@
 //! Property-based equivalence of the hot-loop variants: for arbitrary
 //! traces, geometries and both policies, the instrumented and fast
-//! (uninstrumented) kernel instantiations, and the per-record vs batched
+//! (uninstrumented) kernels of a single pass, and the per-record vs batched
 //! (`run_blocks`) drive paths, must produce identical [`PassResults`] — and,
 //! within an instrumentation mode, identical counters.
+//!
+//! [`PassResults`]: dew_core::PassResults
 
 use proptest::prelude::*;
 
-use dew_core::{DewOptions, DewTree, FusedKernel, PassConfig, PolicyKernel, TreePolicy};
+use dew_core::{DewOptions, FusedKernel, KernelBackend, PassConfig, PolicyKernel, TreePolicy};
 use dew_trace::{decode_blocks, BlockChunks, Record};
+
+/// The kernel of one single-associativity pass under `opts.policy`.
+fn single_pass(pass: PassConfig, opts: DewOptions, instrument: bool) -> FusedKernel {
+    let bits = pass.assoc().trailing_zeros();
+    let sets = (pass.min_set_bits(), pass.max_set_bits());
+    FusedKernel::build(pass.block_bits(), sets, (bits, bits), opts, instrument).expect("sound")
+}
+
+/// Feeds `blocks` one request at a time (the per-record drive path).
+fn step_each(kernel: &mut FusedKernel, blocks: &[u64]) {
+    for block in blocks {
+        kernel.run_blocks(std::slice::from_ref(block));
+    }
+}
 
 /// Traces mixing tight locality with scattered far references, as in the
 /// exactness properties.
@@ -63,17 +79,18 @@ proptest! {
             1 << assoc_bits,
         )
         .expect("valid");
-        let mut fast = DewTree::new(pass, opts).expect("sound");
-        let mut slow = DewTree::instrumented(pass, opts).expect("sound");
-        for r in &records {
-            fast.step(r.addr);
-            slow.step(r.addr);
-        }
-        prop_assert!(slow.counters().is_consistent());
-        prop_assert_eq!(fast.results(), slow.results(), "kernels diverged under {}", opts);
-        // Request-level counters are maintained by both instantiations.
-        prop_assert_eq!(fast.counters().accesses, slow.counters().accesses);
-        prop_assert_eq!(fast.counters().duplicate_skips, slow.counters().duplicate_skips);
+        let a = pass.assoc();
+        let blocks = decode_blocks(&records, block_bits);
+        let mut fast = single_pass(pass, opts, false);
+        let mut slow = single_pass(pass, opts, true);
+        step_each(&mut fast, &blocks);
+        step_each(&mut slow, &blocks);
+        let (fc, sc) = (fast.pass_counters(a).expect("simulated"), slow.pass_counters(a).expect("simulated"));
+        prop_assert!(sc.is_consistent());
+        prop_assert_eq!(fast.pass_results(a), slow.pass_results(a), "kernels diverged under {}", opts);
+        // Request-level counters are maintained by both kernels.
+        prop_assert_eq!(fc.accesses, sc.accesses);
+        prop_assert_eq!(fc.duplicate_skips, sc.duplicate_skips);
     }
 
     #[test]
@@ -88,26 +105,28 @@ proptest! {
     ) {
         let pass = PassConfig::new(block_bits, 0, max_set_bits, 1 << assoc_bits)
             .expect("valid");
-        let mut stepped = DewTree::with_instrumentation(pass, opts, instrument).expect("sound");
-        for r in &records {
-            stepped.step(r.addr);
-        }
+        let a = pass.assoc();
+        let blocks = decode_blocks(&records, block_bits);
+        // Per-record steps pinned to the scalar scan, batches on the active
+        // backend: the comparison doubles as a backend check.
+        let mut stepped = single_pass(pass, opts, instrument);
+        stepped.force_scan_backend(KernelBackend::Scalar).expect("scalar is always available");
+        step_each(&mut stepped, &blocks);
 
         // Whole-trace batch.
-        let blocks = decode_blocks(&records, block_bits);
-        let mut batched = DewTree::with_instrumentation(pass, opts, instrument).expect("sound");
+        let mut batched = single_pass(pass, opts, instrument);
         batched.run_blocks(&blocks);
-        prop_assert_eq!(stepped.results(), batched.results(), "run_blocks diverged under {}", opts);
-        prop_assert_eq!(stepped.counters(), batched.counters());
+        prop_assert_eq!(stepped.pass_results(a), batched.pass_results(a), "run_blocks diverged under {}", opts);
+        prop_assert_eq!(stepped.pass_counters(a), batched.pass_counters(a));
 
         // Chunked streaming decode: same numbers through a bounded buffer.
-        let mut chunked = DewTree::with_instrumentation(pass, opts, instrument).expect("sound");
+        let mut chunked = single_pass(pass, opts, instrument);
         let mut chunks = BlockChunks::new(&records, block_bits, chunk_len);
         while let Some(chunk) = chunks.next_chunk() {
             chunked.run_blocks(chunk);
         }
-        prop_assert_eq!(stepped.results(), chunked.results(), "chunked run diverged under {}", opts);
-        prop_assert_eq!(stepped.counters(), chunked.counters());
+        prop_assert_eq!(stepped.pass_results(a), chunked.pass_results(a), "chunked run diverged under {}", opts);
+        prop_assert_eq!(stepped.pass_counters(a), chunked.pass_counters(a));
     }
 
     /// Chunk partitioning never affects results — the [`PolicyKernel`]
@@ -173,21 +192,16 @@ proptest! {
         opts in options_strategy(),
     ) {
         let pass = PassConfig::new(2, 0, 4, 4).expect("valid");
-        let split = split.min(records.len());
-        let mut straight = DewTree::with_instrumentation(pass, opts, instrument).expect("sound");
-        for r in &records {
-            straight.step(r.addr);
-        }
-        let mut head = DewTree::with_instrumentation(pass, opts, instrument).expect("sound");
-        for r in &records[..split] {
-            head.step(r.addr);
-        }
-        let mut tail = DewTree::from_snapshot(&head.to_snapshot()).expect("restores");
-        prop_assert_eq!(tail.is_instrumented(), instrument);
-        for r in &records[split..] {
-            tail.step(r.addr);
-        }
-        prop_assert_eq!(tail.results(), straight.results());
-        prop_assert_eq!(tail.counters(), straight.counters());
+        let blocks = decode_blocks(&records, 2);
+        let split = split.min(blocks.len());
+        let mut straight = single_pass(pass, opts, instrument);
+        step_each(&mut straight, &blocks);
+        let mut head = single_pass(pass, opts, instrument);
+        step_each(&mut head, &blocks[..split]);
+        let mut tail = FusedKernel::from_snapshot(opts.policy, &head.to_snapshot())
+            .expect("restores");
+        step_each(&mut tail, &blocks[split..]);
+        prop_assert_eq!(tail.pass_results(4), straight.pass_results(4));
+        prop_assert_eq!(tail.pass_counters(4), straight.pass_counters(4));
     }
 }

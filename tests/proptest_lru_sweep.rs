@@ -1,8 +1,9 @@
 //! Property-based equivalence of the fused **LRU** sweep scheduler: for
 //! arbitrary traces, configuration spaces and thread counts, the fused
 //! one-traversal-per-block-size LRU sweep (arena `LruTreeSimulator`, stack
-//! property) must be bit-identical to the per-pass schedule (one LRU
-//! `DewTree` per `(block size, assoc)` pair) and to the `dew-cachesim`
+//! property) must be bit-identical to the per-pass schedule (one
+//! single-associativity LRU kernel per `(block size, assoc)` pair) and to
+//! the `dew-cachesim`
 //! per-configuration LRU oracle — and must report exactly one trace
 //! traversal per block size, just like FIFO.
 
@@ -10,7 +11,7 @@ use proptest::prelude::*;
 
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
 use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
-use dew_core::{ConfigSpace, DewOptions, DewTree, SweepRequest};
+use dew_core::{ConfigSpace, DewOptions, SweepRequest};
 use dew_trace::Record;
 
 /// Traces mixing tight locality with scattered far references, as in the
@@ -60,9 +61,10 @@ proptest! {
 
         // Bit-identical to the per-pass DEW-LRU schedule …
         for pass in space.passes() {
-            let mut tree = DewTree::new(pass, DewOptions::lru()).expect("sound");
+            let mut tree = LruTreeSimulator::for_pass(pass, LruTreeOptions::default(), false)
+                .expect("valid");
             tree.run(records.iter().copied());
-            let r = tree.results();
+            let r = tree.pass_results(pass.assoc()).expect("the pass associativity");
             for level in r.levels() {
                 prop_assert_eq!(
                     outcome.misses(level.sets(), pass.assoc(), pass.block_bytes()),
@@ -192,9 +194,13 @@ fn assoc_1_to_8_lru_sweep_is_one_traversal() {
     // And the fused results remain bit-identical to the per-pass LRU path
     // and the reference oracle.
     for pass in space.passes() {
-        let mut tree = DewTree::new(pass, DewOptions::lru()).expect("sound");
+        let mut tree =
+            LruTreeSimulator::for_pass(pass, LruTreeOptions::default(), false).expect("valid");
         tree.run(records.iter().copied());
-        for level in tree.results().levels() {
+        let r = tree
+            .pass_results(pass.assoc())
+            .expect("the pass associativity");
+        for level in r.levels() {
             assert_eq!(
                 outcome.misses(level.sets(), pass.assoc(), pass.block_bytes()),
                 Some(level.misses())

@@ -1,11 +1,13 @@
 //! Property tests for the supporting models: the energy model's orderings,
 //! workload generators' address discipline, and the all-associativity
-//! extension against single-associativity DEW.
+//! extension against the per-configuration reference.
 
 use proptest::prelude::*;
 
-use dew_core::{DewOptions, DewTree, MultiAssocTree, PassConfig};
+use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
+use dew_core::{DewOptions, MultiAssocTree};
 use dew_explore::{EnergyModel, Geometry};
+use dew_trace::Record;
 use dew_workloads::kernels::{Kernel, PointerChase, StridedStream};
 use dew_workloads::mediabench::App;
 
@@ -86,6 +88,8 @@ proptest! {
         }
     }
 
+    /// Every associativity of the fused pass against the per-configuration
+    /// reference (the oracle every single-associativity pass answers to).
     #[test]
     fn multi_assoc_agrees_with_dew_tree(
         seed in any::<u64>(),
@@ -105,17 +109,18 @@ proptest! {
         let mut multi =
             MultiAssocTree::new(2, 0, max_set_bits, assoc, DewOptions::default())
                 .expect("valid");
-        let pass = PassConfig::new(2, 0, max_set_bits, assoc).expect("valid");
-        let mut single = DewTree::new(pass, DewOptions::default()).expect("sound");
         for &a in &addrs {
             multi.step(a);
-            single.step(a);
         }
-        let (mr, sr) = (multi.results(), single.results());
+        let mr = multi.results();
+        let records: Vec<Record> = addrs.iter().map(|&a| Record::read(a)).collect();
         for set_bits in 0..=max_set_bits {
             let sets = 1u32 << set_bits;
-            prop_assert_eq!(mr.misses(sets, assoc), sr.misses(sets, assoc));
-            prop_assert_eq!(mr.misses(sets, 1), sr.misses(sets, 1));
+            for a in (0..=assoc_bits).map(|b| 1u32 << b) {
+                let config = CacheConfig::new(sets, a, 4, Replacement::Fifo).expect("valid");
+                let expected = simulate_trace(config, &records).misses();
+                prop_assert_eq!(mr.misses(sets, a), Some(expected));
+            }
         }
     }
 }

@@ -6,7 +6,7 @@ use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
 use dew_core::plru_tree::PlruTreeSimulator;
 use dew_core::slru_tree::SlruTreeSimulator;
 use dew_core::snapshot::SnapshotError;
-use dew_core::{DewOptions, DewTree, MissTimeline, MultiAssocTree, PassConfig};
+use dew_core::{DewOptions, MissTimeline, MultiAssocTree, PassConfig};
 use dew_workloads::mediabench::App;
 
 #[test]
@@ -16,25 +16,27 @@ fn snapshot_survives_disk_and_resumes_exactly() {
     let (head, tail) = records.split_at(records.len() / 2);
     let pass = PassConfig::new(2, 0, 10, 4).expect("valid");
 
+    let single_pass = || MultiAssocTree::for_pass(pass, DewOptions::default(), false);
+
     // Uninterrupted run.
-    let mut straight = DewTree::new(pass, DewOptions::default()).expect("sound");
+    let mut straight = single_pass().expect("sound");
     straight.run(records.iter().copied());
 
     // Checkpoint through a file, as a batch job would.
-    let mut first_half = DewTree::new(pass, DewOptions::default()).expect("sound");
+    let mut first_half = single_pass().expect("sound");
     first_half.run(head.iter().copied());
     let dir = std::env::temp_dir().join("dew_snapshot_test");
     std::fs::create_dir_all(&dir).expect("tempdir");
-    let path = dir.join(format!("ckpt{}.dews", std::process::id()));
+    let path = dir.join(format!("ckpt{}.dewm", std::process::id()));
     std::fs::write(&path, first_half.to_snapshot()).expect("write snapshot");
     drop(first_half);
 
     let bytes = std::fs::read(&path).expect("read snapshot");
-    let mut resumed = DewTree::from_snapshot(&bytes).expect("restore");
+    let mut resumed = MultiAssocTree::from_snapshot(&bytes).expect("restore");
     resumed.run(tail.iter().copied());
     let _ = std::fs::remove_file(&path);
 
-    assert_eq!(resumed.results(), straight.results());
+    assert_eq!(resumed.pass_results(4), straight.pass_results(4));
     assert_eq!(resumed.counters(), straight.counters());
 }
 
@@ -144,15 +146,11 @@ fn kernel_snapshots_reject_foreign_and_corrupt_buffers() {
         }
         other => panic!("expected PolicyMismatch, got {other:?}"),
     }
-    // An unrelated magic (the v2 DewTree format) stays a plain BadMagic.
-    let dewtree_bytes = DewTree::new(
-        PassConfig::new(2, 0, 4, 2).expect("valid"),
-        DewOptions::default(),
-    )
-    .expect("sound")
-    .to_snapshot();
+    // An unrelated magic stays a plain BadMagic.
+    let mut foreign = fifo_bytes.clone();
+    foreign[..4].copy_from_slice(b"DEWX");
     assert!(matches!(
-        MultiAssocTree::from_snapshot(&dewtree_bytes),
+        MultiAssocTree::from_snapshot(&foreign),
         Err(SnapshotError::BadMagic)
     ));
     // Truncation and trailing garbage are rejected, not misread.
@@ -199,11 +197,11 @@ fn kernel_snapshots_reject_foreign_and_corrupt_buffers() {
 #[test]
 fn snapshot_size_tracks_the_forest_footprint() {
     let pass = PassConfig::new(2, 0, 8, 4).expect("valid");
-    let tree = DewTree::new(pass, DewOptions::default()).expect("sound");
+    let tree = MultiAssocTree::for_pass(pass, DewOptions::default(), false).expect("sound");
     let snapshot = tree.to_snapshot();
-    // Ways dominate: (2^9 - 1) nodes x 4 entries x 12 bytes payload, plus
-    // metadata; the snapshot must be within 3x of the in-memory footprint
-    // and never trivially small.
+    // Ways dominate: (2^9 - 1) nodes x 4 entries x 8 bytes, plus the MRA
+    // lane and FIFO pointers; the snapshot must be within 3x of the
+    // in-memory footprint and never trivially small.
     assert!(snapshot.len() > tree.footprint_bytes() / 2);
     assert!(snapshot.len() < tree.footprint_bytes() * 3);
 }
@@ -218,9 +216,12 @@ fn mediabench_timelines_are_stable_within_an_app() {
     let timeline = MissTimeline::collect(pass, DewOptions::default(), trace.records(), 10_000)
         .expect("collect");
 
-    let mut plain = DewTree::new(pass, DewOptions::default()).expect("sound");
+    let mut plain = MultiAssocTree::for_pass(pass, DewOptions::default(), false).expect("sound");
     plain.run(trace.iter().copied());
-    assert_eq!(timeline.final_results(), &plain.results());
+    assert_eq!(
+        Some(timeline.final_results()),
+        plain.pass_results(4).as_ref()
+    );
 
     let series = timeline.series(256, 4).expect("simulated");
     let steady = &series[2..];

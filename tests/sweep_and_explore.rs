@@ -2,7 +2,7 @@
 //! identities across passes, and the FIFO/LRU landscape claims of the paper.
 
 use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
-use dew_core::{ConfigSpace, DewOptions, DewTree, PassConfig, SweepRequest};
+use dew_core::{ConfigSpace, DewOptions, MultiAssocTree, PassConfig, SweepRequest};
 use dew_explore::{best_edp_under, evaluate_sweep, fastest_under, pareto_front, EnergyModel};
 use dew_workloads::mediabench::App;
 
@@ -51,9 +51,9 @@ fn evaluations_and_mra_stops_are_associativity_independent() {
     let mut seen = None;
     for assoc in [2u32, 4, 8, 16] {
         let pass = PassConfig::new(2, 0, 12, assoc).expect("valid");
-        let mut tree = DewTree::instrumented(pass, DewOptions::default()).expect("sound");
+        let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), true).expect("sound");
         tree.run(trace.iter().copied());
-        let c = *tree.counters();
+        let c = tree.pass_counters(assoc).expect("the pass associativity");
         assert!(c.is_consistent());
         match seen {
             None => seen = Some(c),
@@ -123,10 +123,9 @@ fn fifo_violates_inclusion_but_lru_does_not() {
 #[test]
 fn paper_memory_model_matches_formula_for_all_passes() {
     for pass in ConfigSpace::paper().passes() {
-        let tree = DewTree::new(pass, DewOptions::default()).expect("sound");
         let expected: u64 = (pass.min_set_bits()..=pass.max_set_bits())
             .map(|sb| (1u64 << sb) * (96 + 64 * u64::from(pass.assoc())))
             .sum();
-        assert_eq!(tree.paper_model_bits(), expected);
+        assert_eq!(pass.paper_model_bits(), expected);
     }
 }

@@ -4,7 +4,7 @@
 
 use dew_cachesim::classify::ThreeCClassifier;
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
-use dew_core::{DewOptions, DewTree, PassConfig};
+use dew_core::{DewOptions, MultiAssocTree, PassConfig};
 use dew_trace::Trace;
 use dew_workloads::kernels::{Kernel, PointerChase, StridedStream};
 use dew_workloads::mediabench::App;
@@ -90,12 +90,12 @@ fn traces_survive_file_round_trips_and_simulate_identically() {
     let _ = std::fs::remove_file(&path);
 
     let pass = PassConfig::new(2, 0, 8, 4).expect("valid");
-    let mut a = DewTree::instrumented(pass, DewOptions::default()).expect("sound");
+    let mut a = MultiAssocTree::for_pass(pass, DewOptions::default(), true).expect("sound");
     a.run(trace.iter().copied());
-    let mut b = DewTree::instrumented(pass, DewOptions::default()).expect("sound");
+    let mut b = MultiAssocTree::for_pass(pass, DewOptions::default(), true).expect("sound");
     b.run(back.iter().copied());
-    assert_eq!(a.results(), b.results());
-    assert_eq!(a.counters(), b.counters());
+    assert_eq!(a.pass_results(4), b.pass_results(4));
+    assert_eq!(a.pass_counters(4), b.pass_counters(4));
 }
 
 #[test]
@@ -103,14 +103,14 @@ fn dew_handles_every_app_with_consistent_counters() {
     for app in App::ALL {
         let trace = app.generate(25_000, 55);
         let pass = PassConfig::new(4, 0, 14, 8).expect("valid");
-        let mut tree = DewTree::instrumented(pass, DewOptions::default()).expect("sound");
+        let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), true).expect("sound");
         tree.run(trace.iter().copied());
-        let c = tree.counters();
+        let c = tree.pass_counters(8).expect("the pass associativity");
         assert!(c.is_consistent(), "{app}: {c}");
         assert_eq!(c.accesses, 25_000, "{app}");
         assert!(c.mra_stops > 0, "{app}: locality must trigger Property 2");
         // Results are bounded and non-trivial.
-        let r = tree.results();
+        let r = tree.pass_results(8).expect("the pass associativity");
         for level in r.levels() {
             assert!(level.misses() <= 25_000);
             assert!(
