@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use dew_bench::suite::SuiteScale;
-use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
-use dew_core::{DewOptions, MultiAssocTree, PassConfig};
+use dew_core::lru_tree::LruTreeSimulator;
+use dew_core::{DewOptions, MultiAssocTree, PassConfig, TreePolicy};
 use dew_workloads::mediabench::App;
 
 /// The paper's pass at `pass.assoc()`.
@@ -130,7 +130,10 @@ fn bench_properties(c: &mut Criterion) {
     }
     group.bench_function(BenchmarkId::from_parameter("lru"), |b| {
         b.iter(|| {
-            let opts = LruTreeOptions::default();
+            let opts = DewOptions {
+                dup_elision: true,
+                ..DewOptions::for_policy(TreePolicy::Lru)
+            };
             let mut tree = LruTreeSimulator::for_pass(pass, opts, false).expect("valid");
             for &a in &addrs {
                 tree.step(a);

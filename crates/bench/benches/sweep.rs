@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use dew_bench::suite::SuiteScale;
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
-use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
-use dew_core::{ConfigSpace, SweepRequest};
+use dew_core::lru_tree::LruTreeSimulator;
+use dew_core::{ConfigSpace, DewOptions, SweepRequest, TreePolicy};
 use dew_trace::Record;
 use dew_workloads::mediabench::App;
 
@@ -59,8 +59,11 @@ fn bench_sweep(c: &mut Criterion) {
         b.iter(|| {
             // The fast arena kernel keeps no comparison counters; anchor the
             // work through a result the simulation must have produced.
-            let mut sim =
-                LruTreeSimulator::new(2, 0, 10, 4, LruTreeOptions::default()).expect("valid");
+            let opts = DewOptions {
+                dup_elision: true,
+                ..DewOptions::for_policy(TreePolicy::Lru)
+            };
+            let mut sim = LruTreeSimulator::new(2, (0, 10), (0, 2), opts, false).expect("valid");
             for r in &records {
                 sim.step(r.addr);
             }

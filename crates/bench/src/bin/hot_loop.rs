@@ -55,8 +55,8 @@ use std::time::Instant;
 use dew_bench::per_assoc::PerAssocPass;
 use dew_bench::report::thousands;
 use dew_bench::suite::SuiteScale;
-use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
-use dew_core::plru_tree::{PlruTreeOptions, PlruTreeSimulator};
+use dew_core::lru_tree::LruTreeSimulator;
+use dew_core::plru_tree::PlruTreeSimulator;
 use dew_core::slru_tree::SlruTreeSimulator;
 use dew_core::{ConfigSpace, DewOptions, MultiAssocTree, PassConfig, TreePolicy};
 use dew_explore::{explore_trace, EnergyModel, ExplorationSpace, ParetoMode};
@@ -70,6 +70,7 @@ const SET_BITS: (u32, u32) = (0, 14);
 const ASSOC: u32 = 4;
 /// The fused sweep shape: associativities 1..=8 at the same block size.
 const FUSED_MAX_ASSOC: u32 = 8;
+const FUSED_ASSOC_BITS: (u32, u32) = (0, FUSED_MAX_ASSOC.trailing_zeros());
 /// Associativities needing their own pass pre-fusion (1 rides along).
 const PER_ASSOC_PASSES: [u32; 3] = [2, 4, 8];
 
@@ -155,12 +156,12 @@ fn main() {
     // three fused/per-assoc variants are cross-checked against the fused
     // reference below.
     let (fused_reference, fifo_evals) = {
-        let mut t = MultiAssocTree::instrumented(
+        let mut t = MultiAssocTree::new(
             BLOCK_BITS,
-            SET_BITS.0,
-            SET_BITS.1,
-            FUSED_MAX_ASSOC,
+            SET_BITS,
+            FUSED_ASSOC_BITS,
             DewOptions::default(),
+            true,
         )
         .expect("valid");
         t.run(records.iter().copied());
@@ -204,10 +205,10 @@ fn main() {
         ("fused_multi_assoc_instrumented", true),
     ] {
         let secs = best_of(samples, || {
-            let mut tree = MultiAssocTree::with_instrumentation(
+            let mut tree = MultiAssocTree::new(
                 BLOCK_BITS,
                 SET_BITS,
-                (0, FUSED_MAX_ASSOC.trailing_zeros()),
+                FUSED_ASSOC_BITS,
                 DewOptions::default(),
                 instrument,
             )
@@ -232,18 +233,10 @@ fn main() {
     // from a single move-to-front lane. Options match what
     // `SweepRequest::run` uses for LRU spaces (no duplicate elision by
     // default).
-    let lru_opts = LruTreeOptions {
-        duplicate_elision: false,
-    };
+    let lru_opts = DewOptions::for_policy(TreePolicy::Lru);
     let (lru_reference, lru_evals) = {
-        let mut sim = LruTreeSimulator::instrumented(
-            BLOCK_BITS,
-            SET_BITS.0,
-            SET_BITS.1,
-            FUSED_MAX_ASSOC,
-            lru_opts,
-        )
-        .expect("valid");
+        let mut sim = LruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, lru_opts, true)
+            .expect("valid");
         sim.run(records.iter().copied());
         (sim.results(), sim.counters().node_evaluations)
     };
@@ -268,14 +261,9 @@ fn main() {
 
     for (name, instrument) in [("fused_lru", false), ("fused_lru_instrumented", true)] {
         let secs = best_of(samples, || {
-            let mut sim = LruTreeSimulator::with_instrumentation(
-                BLOCK_BITS,
-                SET_BITS,
-                (0, FUSED_MAX_ASSOC.trailing_zeros()),
-                lru_opts,
-                instrument,
-            )
-            .expect("valid");
+            let mut sim =
+                LruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, lru_opts, instrument)
+                    .expect("valid");
             let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
             while let Some(chunk) = chunks.next_chunk() {
                 sim.run_blocks(chunk);
@@ -289,20 +277,14 @@ fn main() {
     // associativity 1..=8 in one traversal. Each fast kernel is cross-checked
     // against its instrumented sibling, which recomputes the same miss
     // counts through the counted path. Options match the sweep presets
-    // (`DewOptions::plru` / `DewOptions::slru`: no duplicate elision — for
-    // SLRU it is unsound, a repeated access promotes a probationary block).
-    let plru_opts = PlruTreeOptions {
-        duplicate_elision: false,
-    };
+    // (`DewOptions::for_policy`: no duplicate elision — for SLRU it is
+    // unsound, a repeated access promotes a probationary block).
+    let plru_opts = DewOptions::for_policy(TreePolicy::Plru);
+    let slru_opts = DewOptions::for_policy(TreePolicy::Slru);
     let (plru_reference, plru_evals) = {
-        let mut sim = PlruTreeSimulator::instrumented(
-            BLOCK_BITS,
-            SET_BITS.0,
-            SET_BITS.1,
-            FUSED_MAX_ASSOC,
-            plru_opts,
-        )
-        .expect("valid");
+        let mut sim =
+            PlruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, plru_opts, true)
+                .expect("valid");
         let blocks = decode_blocks(records, BLOCK_BITS);
         sim.run_blocks(&blocks);
         (sim.results(), sim.counters().node_evaluations)
@@ -314,14 +296,9 @@ fn main() {
         let blocks = decode_blocks(records, BLOCK_BITS);
         for assoc in PER_ASSOC_PASSES {
             let bits = assoc.trailing_zeros();
-            let mut sim = PlruTreeSimulator::with_instrumentation(
-                BLOCK_BITS,
-                SET_BITS,
-                (bits, bits),
-                plru_opts,
-                false,
-            )
-            .expect("valid");
+            let mut sim =
+                PlruTreeSimulator::new(BLOCK_BITS, SET_BITS, (bits, bits), plru_opts, false)
+                    .expect("valid");
             sim.run_blocks(&blocks);
             let r = sim.results();
             for set_bits in SET_BITS.0..=SET_BITS.1 {
@@ -337,14 +314,9 @@ fn main() {
     record_variant("per_assoc_plru_run_blocks", secs);
 
     let secs = best_of(samples, || {
-        let mut sim = PlruTreeSimulator::with_instrumentation(
-            BLOCK_BITS,
-            SET_BITS,
-            (0, FUSED_MAX_ASSOC.trailing_zeros()),
-            plru_opts,
-            false,
-        )
-        .expect("valid");
+        let mut sim =
+            PlruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, plru_opts, false)
+                .expect("valid");
         let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
         while let Some(chunk) = chunks.next_chunk() {
             sim.run_blocks(chunk);
@@ -359,7 +331,7 @@ fn main() {
 
     let (slru_reference, slru_evals) = {
         let mut sim =
-            SlruTreeSimulator::instrumented(BLOCK_BITS, SET_BITS.0, SET_BITS.1, FUSED_MAX_ASSOC)
+            SlruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, slru_opts, true)
                 .expect("valid");
         let blocks = decode_blocks(records, BLOCK_BITS);
         sim.run_blocks(&blocks);
@@ -371,7 +343,7 @@ fn main() {
         for assoc in PER_ASSOC_PASSES {
             let bits = assoc.trailing_zeros();
             let mut sim =
-                SlruTreeSimulator::with_instrumentation(BLOCK_BITS, SET_BITS, (bits, bits), false)
+                SlruTreeSimulator::new(BLOCK_BITS, SET_BITS, (bits, bits), slru_opts, false)
                     .expect("valid");
             sim.run_blocks(&blocks);
             let r = sim.results();
@@ -388,13 +360,9 @@ fn main() {
     record_variant("per_assoc_slru_run_blocks", secs);
 
     let secs = best_of(samples, || {
-        let mut sim = SlruTreeSimulator::with_instrumentation(
-            BLOCK_BITS,
-            SET_BITS,
-            (0, FUSED_MAX_ASSOC.trailing_zeros()),
-            false,
-        )
-        .expect("valid");
+        let mut sim =
+            SlruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, slru_opts, false)
+                .expect("valid");
         let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
         while let Some(chunk) = chunks.next_chunk() {
             sim.run_blocks(chunk);

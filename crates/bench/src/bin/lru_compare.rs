@@ -15,8 +15,8 @@ use std::time::Instant;
 use dew_bench::report::{thousands, TextTable};
 use dew_bench::suite::SuiteScale;
 use dew_cachesim::{Cache, CacheConfig, Replacement};
-use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
-use dew_core::{DewCounters, DewOptions, MultiAssocTree, PassConfig, PassResults};
+use dew_core::lru_tree::LruTreeSimulator;
+use dew_core::{DewCounters, DewOptions, MultiAssocTree, PassConfig, PassResults, TreePolicy};
 use dew_workloads::mediabench::App;
 
 const SET_BITS: (u32, u32) = (0, 10);
@@ -31,6 +31,11 @@ fn main() {
     eprintln!("generating {app} trace ({requests} requests) ...");
     let trace = app.generate(requests, scale.seed);
     let pass = |assoc| PassConfig::new(2, SET_BITS.0, SET_BITS.1, assoc).expect("valid pass");
+    // The LRU simulators skip consecutive duplicate requests (CRCB-style).
+    let lru_opts = DewOptions {
+        dup_elision: true,
+        ..DewOptions::for_policy(TreePolicy::Lru)
+    };
 
     let mut t = TextTable::new(&[
         "simulator",
@@ -71,8 +76,7 @@ fn main() {
     let mut dew_lru: Vec<PassResults> = Vec::new();
     let mut dew_lru_work = DewCounters::new();
     for assoc in DEW_LRU_PASSES {
-        let mut sim = LruTreeSimulator::for_pass(pass(assoc), LruTreeOptions::default(), true)
-            .expect("valid");
+        let mut sim = LruTreeSimulator::for_pass(pass(assoc), lru_opts, true).expect("valid");
         sim.run(trace.iter().copied());
         dew_lru.push(sim.pass_results(assoc).expect("the pass associativity"));
         dew_lru_work += sim.pass_counters(assoc).expect("the pass associativity");
@@ -86,7 +90,7 @@ fn main() {
     // every associativity up to A = 4 from one pass.
     let start = Instant::now();
     let mut lru_tree =
-        LruTreeSimulator::instrumented(2, SET_BITS.0, SET_BITS.1, ASSOC, LruTreeOptions::default())
+        LruTreeSimulator::new(2, SET_BITS, (0, ASSOC.trailing_zeros()), lru_opts, true)
             .expect("valid");
     lru_tree.run(trace.iter().copied());
     let tree_secs = start.elapsed().as_secs_f64();

@@ -58,9 +58,14 @@ fn main() {
 
     // The extension, instrumented: one traversal, full ladder, counted.
     let start = Instant::now();
-    let mut multi =
-        MultiAssocTree::instrumented(2, SET_BITS.0, SET_BITS.1, MAX_ASSOC, DewOptions::default())
-            .expect("valid");
+    let mut multi = MultiAssocTree::new(
+        2,
+        SET_BITS,
+        (0, MAX_ASSOC.trailing_zeros()),
+        DewOptions::default(),
+        true,
+    )
+    .expect("valid");
     for r in trace.records() {
         multi.step(r.addr);
     }
@@ -74,8 +79,14 @@ fn main() {
 
     // The extension as the sweep runs it: the fast fused kernel.
     let start = Instant::now();
-    let mut fast = MultiAssocTree::new(2, SET_BITS.0, SET_BITS.1, MAX_ASSOC, DewOptions::default())
-        .expect("valid");
+    let mut fast = MultiAssocTree::new(
+        2,
+        SET_BITS,
+        (0, MAX_ASSOC.trailing_zeros()),
+        DewOptions::default(),
+        false,
+    )
+    .expect("valid");
     for r in trace.records() {
         fast.step(r.addr);
     }

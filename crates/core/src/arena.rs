@@ -37,7 +37,7 @@ use dew_trace::Record;
 
 use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
-use crate::options::TreePolicy;
+use crate::options::{DewOptions, TreePolicy};
 use crate::results::{AllAssocResults, LevelResult, PassResults};
 use crate::simd::{
     prefetch_read, with_lane_shape, KernelBackend, ScalarScan, TagLane, TagScan, PF_DIST,
@@ -283,23 +283,14 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     /// Whether one lane answers every associativity (the LRU stack), so
     /// every per-pass counter view is the aggregate one.
     const STACK: bool = false;
-    /// The behaviour toggles the constructors take.
-    type Options: Copy + fmt::Debug;
+    /// `log2` of the widest associativity one lane can hold.
+    const MAX_ASSOC_BITS: u32 = u32::BITS - 1;
 
-    /// Rejects options or associativity ranges the policy cannot run,
-    /// before any allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`DewError`] naming the problem.
-    fn validate(opts: &Self::Options, assoc_bits: (u32, u32)) -> Result<(), DewError>;
-    /// Whether consecutive duplicate requests are skipped whole.
-    fn elides(opts: &Self::Options) -> bool;
     /// Logical way-tag entries per node for lanes summing to `stride` ways,
     /// the widest `widest` ways.
     fn region(stride: u64, widest: u64) -> u64;
     /// Builds the policy's per-node lanes for `forest`.
-    fn new(forest: &Forest, opts: Self::Options, instrument: bool) -> Self;
+    fn new(forest: &Forest, instrument: bool) -> Self;
     /// Heap bytes of the policy's own lanes.
     fn footprint(&self) -> usize;
 
@@ -309,8 +300,8 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     type Walk<'a>
     where
         Self: 'a;
-    /// Opens a batch's view of the lanes.
-    fn walk(&mut self) -> Self::Walk<'_>;
+    /// Opens a batch's view of the lanes under `opts`.
+    fn walk(&mut self, opts: &DewOptions) -> Self::Walk<'_>;
     /// Per-request hook, before the walk.
     #[inline(always)]
     fn begin<const INSTRUMENT: bool>(_: &mut Self::Walk<'_>) {}
@@ -331,13 +322,13 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     );
 
     /// The snapshot flags byte.
-    fn flags(&self, instrument: bool) -> u8;
-    /// Options and instrumentation from a snapshot flags byte.
+    fn flags(opts: &DewOptions, instrument: bool) -> u8;
+    /// The policy's options and instrumentation from a snapshot flags byte.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Corrupt`] for flags no encoder writes.
-    fn parse_flags(flags: u8) -> Result<(Self::Options, bool), SnapshotError>;
+    fn parse_flags(flags: u8) -> Result<(DewOptions, bool), SnapshotError>;
     /// Snapshot bytes of the policy's tallies (fixed) and lanes (per node,
     /// way tags excluded) for dimensions `d`.
     fn body(d: ArenaDims, instrument: bool, version: u8) -> (u64, u64);
@@ -443,8 +434,8 @@ pub struct Arena<P: Policy> {
     lane_work: Vec<DewCounters>,
     /// Block of the previous request, for the duplicate elision.
     prev_block: u64,
-    /// Whether consecutive duplicates are skipped.
-    elide: bool,
+    /// The behaviour toggles (`options.policy` is `P::POLICY`).
+    options: DewOptions,
     /// Whether the kernel maintains the work counters.
     instrument: bool,
     /// The tag-scan backend the batch loop runs on.
@@ -453,25 +444,44 @@ pub struct Arena<P: Policy> {
 
 impl<P: Policy> Arena<P> {
     /// Builds the kernel for set counts `2^set_bits.0 ..= 2^set_bits.1` and
-    /// associativities `2^assoc_bits.0 ..= 2^assoc_bits.1` at block size
-    /// `2^block_bits`.
-    pub(crate) fn build(
+    /// associativities `2^assoc_bits.0 ..= 2^assoc_bits.1` (inclusive `log2`
+    /// ranges, so a sweep whose space starts above associativity 1 does not
+    /// pay for lanes it will not report) at block size `2^block_bits` bytes,
+    /// with every work counter live when `instrument` is set. Miss counts
+    /// are bit-identical either way (property-tested). This is the entry
+    /// point the fused sweep uses for its per-block-size passes.
+    ///
+    /// # Errors
+    ///
+    /// [`DewError::UnsoundOptions`] when `options` fails
+    /// [`DewOptions::validate`] or names another policy, geometry errors as
+    /// [`PassConfig::new`], [`DewError::BadAssoc`] for an associativity the
+    /// policy cannot hold, and [`DewError::EmptySetRange`] when the
+    /// associativity range is inverted.
+    pub fn new(
         block_bits: u32,
         set_bits: (u32, u32),
         assoc_bits: (u32, u32),
-        opts: P::Options,
+        options: DewOptions,
         instrument: bool,
     ) -> Result<Self, DewError> {
-        P::validate(&opts, assoc_bits)?;
+        options.validate()?;
+        if options.policy != P::POLICY {
+            return Err(DewError::UnsoundOptions(
+                "the options name another policy than the kernel simulates",
+            ));
+        }
+        if assoc_bits.1 > P::MAX_ASSOC_BITS {
+            let widest = 1u32.checked_shl(assoc_bits.1).unwrap_or(u32::MAX);
+            return Err(DewError::BadAssoc(widest));
+        }
         if assoc_bits.0 > assoc_bits.1 {
             return Err(DewError::EmptySetRange {
                 min_set_bits: assoc_bits.0,
                 max_set_bits: assoc_bits.1,
             });
         }
-        let widest = 1u32
-            .checked_shl(assoc_bits.1)
-            .ok_or(DewError::BadAssoc(u32::MAX))?;
+        let widest = 1u32 << assoc_bits.1;
         let pass = PassConfig::new(block_bits, set_bits.0, set_bits.1, widest)?;
         let widths: Vec<usize> = (assoc_bits.0.max(1)..=assoc_bits.1)
             .map(|b| 1 << b)
@@ -512,29 +522,32 @@ impl<P: Policy> Arena<P> {
             pass,
             assoc_list: (assoc_bits.0..=assoc_bits.1).map(|b| 1 << b).collect(),
             lane_work: vec![DewCounters::new(); forest.widths.len()],
-            lanes: P::new(&forest, opts, instrument),
+            lanes: P::new(&forest, instrument),
             forest,
             counters: DewCounters::new(),
             prev_block: INVALID_TAG,
-            elide: P::elides(&opts),
+            options,
             instrument,
             backend: KernelBackend::active(),
         })
     }
 
-    /// As [`Arena::build`], for associativities `1, 2, 4, …, max_assoc`.
-    pub(crate) fn build_up_to(
-        block_bits: u32,
-        set_bits: (u32, u32),
-        max_assoc: u32,
-        opts: P::Options,
+    /// The paper's single pass: every set count of `pass` at the one
+    /// associativity `pass.assoc()`, plus the direct-mapped results of the
+    /// MRA lane. Read it back through [`Arena::pass_results`] and
+    /// [`Arena::pass_counters`] at `pass.assoc()`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Arena::new`].
+    pub fn for_pass(
+        pass: PassConfig,
+        options: DewOptions,
         instrument: bool,
     ) -> Result<Self, DewError> {
-        if max_assoc == 0 || !max_assoc.is_power_of_two() {
-            return Err(DewError::BadAssoc(max_assoc));
-        }
-        let assoc_bits = (0, max_assoc.trailing_zeros());
-        Arena::build(block_bits, set_bits, assoc_bits, opts, instrument)
+        let sets = (pass.min_set_bits(), pass.max_set_bits());
+        let bits = pass.assoc().trailing_zeros();
+        Arena::new(pass.block_bits(), sets, (bits, bits), options, instrument)
     }
 
     /// The simulated associativities, ascending.
@@ -707,10 +720,11 @@ impl<P: Policy> Arena<P> {
             lane_work,
             counters,
             prev_block,
-            elide,
+            options,
             ..
         } = self;
-        let mut w = lanes.walk();
+        let elide = options.dup_elision;
+        let mut w = lanes.walk(options);
         let lane_work: &mut [DewCounters] = lane_work;
         let shape = Shape {
             widths: &f.widths,
@@ -735,7 +749,7 @@ impl<P: Policy> Arena<P> {
                 prefetch_read(tags, node * alloc);
             }
             counters.accesses += 1;
-            if *elide {
+            if elide {
                 if block == *prev_block {
                     // The block is the MRA of every set on its path, and
                     // re-handling it changes no policy's state.
@@ -919,7 +933,7 @@ impl<P: Policy> Arena<P> {
         ] {
             put_u32(&mut out, v);
         }
-        out.push(self.lanes.flags(self.instrument));
+        out.push(P::flags(&self.options, self.instrument));
         let mut c = self.counters;
         let slots = counter_slots(&mut c);
         for &i in P::COUNTERS {
@@ -984,7 +998,7 @@ impl<P: Policy> Arena<P> {
                 8 * (1 + P::region(d.stride, d.width)) + per_node,
             )
         })?;
-        let mut k = Arena::<P>::build(block_bits, set_bits, assoc_bits, opts, instrument)
+        let mut k = Arena::<P>::new(block_bits, set_bits, assoc_bits, opts, instrument)
             .map_err(|_| SnapshotError::Corrupt("invalid arena geometry"))?;
         for &i in P::COUNTERS {
             *counter_slots(&mut k.counters)[i] = cur.u64()?;
@@ -1017,88 +1031,6 @@ impl<P: Policy> Arena<P> {
     }
 }
 
-/// The policies whose constructors take an options value (all but SLRU,
-/// which has no toggles).
-pub trait WithOptions: Policy {}
-
-impl<P: WithOptions> Arena<P> {
-    /// Builds the kernel for set counts `2^min_set_bits..=2^max_set_bits`,
-    /// block size `2^block_bits` bytes and associativities
-    /// `1, 2, 4, …, max_assoc`, with the fast (uninstrumented) kernel.
-    ///
-    /// # Errors
-    ///
-    /// Geometry errors as [`PassConfig::new`], [`DewError::BadAssoc`] for a
-    /// `max_assoc` that is not a power of two (or too wide for the policy),
-    /// and [`DewError::UnsoundOptions`] for options the policy rejects.
-    pub fn new(
-        block_bits: u32,
-        min_set_bits: u32,
-        max_set_bits: u32,
-        max_assoc: u32,
-        opts: P::Options,
-    ) -> Result<Self, DewError> {
-        let sets = (min_set_bits, max_set_bits);
-        Arena::build_up_to(block_bits, sets, max_assoc, opts, false)
-    }
-
-    /// As [`Arena::new`], but with every work counter live. Miss counts
-    /// are bit-identical to the fast kernel's (property-tested).
-    ///
-    /// # Errors
-    ///
-    /// As [`Arena::new`].
-    pub fn instrumented(
-        block_bits: u32,
-        min_set_bits: u32,
-        max_set_bits: u32,
-        max_assoc: u32,
-        opts: P::Options,
-    ) -> Result<Self, DewError> {
-        let sets = (min_set_bits, max_set_bits);
-        Arena::build_up_to(block_bits, sets, max_assoc, opts, true)
-    }
-
-    /// Full-control constructor: inclusive `log2` ranges for the set
-    /// counts and the reported associativities (so a sweep whose space
-    /// starts above associativity 1 does not pay for lanes it will not
-    /// report), and the kernel selection. This is the entry point the
-    /// fused sweep uses for its per-block-size passes.
-    ///
-    /// # Errors
-    ///
-    /// As [`Arena::new`], plus [`DewError::EmptySetRange`] when the
-    /// associativity range is inverted.
-    pub fn with_instrumentation(
-        block_bits: u32,
-        set_bits: (u32, u32),
-        assoc_bits: (u32, u32),
-        opts: P::Options,
-        instrument: bool,
-    ) -> Result<Self, DewError> {
-        Arena::build(block_bits, set_bits, assoc_bits, opts, instrument)
-    }
-
-    /// The paper's single pass: every set count of `pass` at the one
-    /// associativity `pass.assoc()`, plus the direct-mapped results of the
-    /// MRA lane. Read it back through [`Arena::pass_results`] and
-    /// [`Arena::pass_counters`] at `pass.assoc()`.
-    ///
-    /// # Errors
-    ///
-    /// [`DewError::UnsoundOptions`] for options the policy rejects, and
-    /// [`DewError::BadAssoc`] for an associativity it cannot hold.
-    pub fn for_pass(
-        pass: PassConfig,
-        opts: P::Options,
-        instrument: bool,
-    ) -> Result<Self, DewError> {
-        let sets = (pass.min_set_bits(), pass.max_set_bits());
-        let bits = pass.assoc().trailing_zeros();
-        Arena::build(pass.block_bits(), sets, (bits, bits), opts, instrument)
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     //! The sentinel, fan-out and bad-assoc checks, written once. The tests
@@ -1107,8 +1039,10 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::kernel::{FusedKernel, PolicyKernel};
-    use crate::lru_tree::LruTreeOptions;
-    use crate::options::DewOptions;
+    use crate::lru_tree::Lru;
+    use crate::multi_assoc::Fifo;
+    use crate::plru_tree::{Plru, MAX_PLRU_ASSOC};
+    use crate::slru_tree::Slru;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn blocks(n: usize, seed: u64) -> Vec<u64> {
@@ -1197,27 +1131,49 @@ pub(crate) mod tests {
         }
     }
 
-    /// The up-to-`max_assoc` constructor refuses non-powers of two.
-    fn check_bad_max_assoc<P: Policy>(opts: P::Options) {
-        for bad in [3, 0] {
-            let got = Arena::<P>::build_up_to(2, (0, 4), bad, opts, false);
-            assert!(matches!(got, Err(DewError::BadAssoc(b)) if b == bad));
+    /// `policy`'s kernel refuses an inverted assoc range and lanes wider
+    /// than the policy can hold (tree-PLRU's direction bits fill one word).
+    pub(crate) fn check_bad_assoc_ranges(policy: TreePolicy) {
+        let options = DewOptions::for_policy(policy);
+        let inverted = FusedKernel::build(2, (0, 4), (3, 1), options, false);
+        assert!(
+            matches!(inverted, Err(DewError::EmptySetRange { .. })),
+            "{policy}"
+        );
+        let (too_wide, reported) = match policy {
+            TreePolicy::Plru => (MAX_PLRU_ASSOC.trailing_zeros() + 1, 2 * MAX_PLRU_ASSOC),
+            _ => (u32::BITS, u32::MAX),
+        };
+        let wide = FusedKernel::build(2, (0, 4), (0, too_wide), options, false);
+        assert!(
+            matches!(wide, Err(DewError::BadAssoc(a)) if a == reported),
+            "{policy}"
+        );
+    }
+
+    /// `P`'s kernel refuses the options of every other policy, and takes
+    /// its own.
+    fn check_foreign_options<P: Policy>() {
+        for policy in TreePolicy::ALL {
+            let got = Arena::<P>::new(2, (0, 2), (0, 1), DewOptions::for_policy(policy), false);
+            if policy == P::POLICY {
+                assert!(got.is_ok(), "{policy}");
+            } else {
+                assert!(
+                    matches!(got, Err(DewError::UnsoundOptions(_))),
+                    "{:?} kernel, {policy} options",
+                    P::POLICY
+                );
+            }
         }
     }
 
-    /// `policy`'s kernel refuses an inverted assoc range and a
-    /// non-power-of-two maximum associativity.
-    pub(crate) fn check_bad_assoc_ranges(policy: TreePolicy) {
-        let elision = LruTreeOptions::default();
-        let options = DewOptions::for_policy(policy);
-        let inverted = FusedKernel::build(2, (0, 4), (3, 1), options, false);
-        assert!(inverted.is_err(), "{policy}");
-        match policy {
-            TreePolicy::Fifo => check_bad_max_assoc::<crate::multi_assoc::Fifo>(options),
-            TreePolicy::Lru => check_bad_max_assoc::<crate::lru_tree::Lru>(elision),
-            TreePolicy::Plru => check_bad_max_assoc::<crate::plru_tree::Plru>(elision),
-            TreePolicy::Slru => check_bad_max_assoc::<crate::slru_tree::Slru>(()),
-        }
+    #[test]
+    fn every_kernel_refuses_other_policies_options() {
+        check_foreign_options::<Fifo>();
+        check_foreign_options::<Lru>();
+        check_foreign_options::<Plru>();
+        check_foreign_options::<Slru>();
     }
 
     #[test]

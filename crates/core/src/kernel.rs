@@ -21,13 +21,14 @@
 //! Registering a policy means: a [`TreePolicy`] variant, a lane type
 //! implementing the arena's `Policy` trait (its lanes, update rule, MRA-stop
 //! verdict and lane codec), its magic in the arena's magic table, and a
-//! build arm and a decode arm in [`FusedKernel`].
+//! build arm and a decode arm in [`FusedKernel`]. Every kernel takes the one
+//! [`DewOptions`] type; a policy brings no options of its own.
 
 use std::fmt;
 
 use crate::arena::{Arena, Policy};
 use crate::counters::DewCounters;
-use crate::lru_tree::{LruTreeOptions, LruTreeSimulator};
+use crate::lru_tree::LruTreeSimulator;
 use crate::multi_assoc::MultiAssocTree;
 use crate::options::{DewOptions, TreePolicy};
 use crate::plru_tree::PlruTreeSimulator;
@@ -129,15 +130,10 @@ impl FusedKernel {
     /// `2^set_bits.0 ..= 2^set_bits.1` and associativities
     /// `2^assoc_bits.0 ..= 2^assoc_bits.1` at one block size.
     ///
-    /// The flags of `options` map onto each policy's own toggles: FIFO
-    /// consumes them all, LRU and tree-PLRU take the CRCB-style duplicate
-    /// elision, SLRU takes none (elision is unsound for it and
-    /// [`DewOptions::validate`] rejects the combination upstream).
-    ///
     /// # Errors
     ///
-    /// [`DewError::UnsoundOptions`] when `options` fails validation, plus
-    /// each kernel's own geometry errors (e.g. [`DewError::BadAssoc`] for a
+    /// As [`Arena::new`]: [`DewError::UnsoundOptions`] when `options` fails
+    /// validation, plus geometry errors (e.g. [`DewError::BadAssoc`] for a
     /// tree-PLRU lane wider than [`crate::plru_tree::MAX_PLRU_ASSOC`]).
     pub fn build(
         block_bits: u32,
@@ -146,28 +142,12 @@ impl FusedKernel {
         options: DewOptions,
         instrument: bool,
     ) -> Result<FusedKernel, DewError> {
-        options.validate()?;
-        let elision = LruTreeOptions {
-            duplicate_elision: options.dup_elision,
-        };
-        let (set, assoc) = (set_bits, assoc_bits);
+        let (b, s, a, o, i) = (block_bits, set_bits, assoc_bits, options, instrument);
         Ok(match options.policy {
-            TreePolicy::Fifo => FusedKernel::Fifo(Box::new(Arena::build(
-                block_bits, set, assoc, options, instrument,
-            )?)),
-            TreePolicy::Lru => FusedKernel::Lru(Box::new(Arena::build(
-                block_bits, set, assoc, elision, instrument,
-            )?)),
-            TreePolicy::Plru => FusedKernel::Plru(Box::new(Arena::build(
-                block_bits, set, assoc, elision, instrument,
-            )?)),
-            TreePolicy::Slru => FusedKernel::Slru(Box::new(Arena::build(
-                block_bits,
-                set,
-                assoc,
-                (),
-                instrument,
-            )?)),
+            TreePolicy::Fifo => FusedKernel::Fifo(Box::new(Arena::new(b, s, a, o, i)?)),
+            TreePolicy::Lru => FusedKernel::Lru(Box::new(Arena::new(b, s, a, o, i)?)),
+            TreePolicy::Plru => FusedKernel::Plru(Box::new(Arena::new(b, s, a, o, i)?)),
+            TreePolicy::Slru => FusedKernel::Slru(Box::new(Arena::new(b, s, a, o, i)?)),
         })
     }
 

@@ -20,10 +20,10 @@
 //!
 //! [`LruTreeSimulator`] implements this family in the spirit of Janapsatya's
 //! method with the CRCB-style consecutive-duplicate elision of Tojo et al.
-//! (the elision toggleable via [`LruTreeOptions`]): MRU-first searches exploit
-//! temporal locality, and per-node move-to-front lists produce exact miss
-//! counts for every power-of-two associativity up to the list depth, at every
-//! set count, in one pass.
+//! (toggled by [`crate::DewOptions::dup_elision`]): MRU-first searches
+//! exploit temporal locality, and per-node move-to-front lists produce exact
+//! miss counts for every power-of-two associativity up to the list depth, at
+//! every set count, in one pass.
 //!
 //! # Storage
 //!
@@ -55,12 +55,14 @@
 //! # Examples
 //!
 //! ```
-//! use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
+//! use dew_core::lru_tree::LruTreeSimulator;
+//! use dew_core::{DewOptions, TreePolicy};
 //! use dew_trace::Record;
 //!
 //! # fn main() -> Result<(), dew_core::DewError> {
 //! // Set counts 1..=8, associativities 1, 2 and 4, 4-byte blocks.
-//! let mut sim = LruTreeSimulator::new(2, 0, 3, 4, LruTreeOptions::default())?;
+//! let options = DewOptions::for_policy(TreePolicy::Lru);
+//! let mut sim = LruTreeSimulator::new(2, (0, 3), (0, 2), options, false)?;
 //! for i in 0..100u64 {
 //!     sim.step_record(Record::read((i % 10) * 4));
 //! }
@@ -71,30 +73,12 @@
 //! # }
 //! ```
 
-use crate::arena::{Arena, Forest, Policy, Site, WithOptions};
+use crate::arena::{Arena, Forest, Policy, Site};
 use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
-use crate::options::TreePolicy;
+use crate::options::{DewOptions, TreePolicy};
 use crate::simd::{first_match, TagScan};
 use crate::snapshot::{put_u32, put_u64, ArenaDims, Cursor, SnapshotError};
-use crate::space::DewError;
-
-/// Behaviour toggles of the LRU and tree-PLRU kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LruTreeOptions {
-    /// CRCB-style elision: a request to the same block as the immediately
-    /// preceding request hits at depth 0 everywhere and is skipped outright.
-    /// Defaults to on.
-    pub duplicate_elision: bool,
-}
-
-impl Default for LruTreeOptions {
-    fn default() -> Self {
-        LruTreeOptions {
-            duplicate_elision: true,
-        }
-    }
-}
 
 /// Exact single-pass LRU simulator for all set counts in a range and all
 /// power-of-two associativities in a range. See the module docs.
@@ -105,11 +89,17 @@ impl Default for LruTreeOptions {
 /// associativity at once:
 ///
 /// ```
-/// use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
+/// use dew_core::lru_tree::LruTreeSimulator;
+/// use dew_core::{DewOptions, TreePolicy};
 ///
 /// # fn main() -> Result<(), dew_core::DewError> {
-/// // Sets 1..=16, associativities 1, 2 and 4, 8-byte blocks.
-/// let mut sim = LruTreeSimulator::new(3, 0, 4, 4, LruTreeOptions::default())?;
+/// // Sets 1..=16, associativities 1, 2 and 4, 8-byte blocks, consecutive
+/// // duplicates elided.
+/// let options = DewOptions {
+///     dup_elision: true,
+///     ..DewOptions::for_policy(TreePolicy::Lru)
+/// };
+/// let mut sim = LruTreeSimulator::new(3, (0, 4), (0, 2), options, false)?;
 /// for i in 0..5_000u64 {
 ///     sim.step((i * 40) % 4096);
 /// }
@@ -124,10 +114,9 @@ impl Default for LruTreeOptions {
 pub type LruTreeSimulator = Arena<Lru>;
 
 /// The LRU lanes: the recency lists live in the arena's tag lane; the
-/// policy keeps its options and the instrumented depth histogram.
+/// policy keeps the instrumented depth histogram.
 #[derive(Debug, Clone)]
 pub struct Lru {
-    opts: LruTreeOptions,
     /// Hits per recency depth (`0..width`); instrumented only.
     depth_hits: Vec<u64>,
 }
@@ -145,31 +134,19 @@ impl LruTreeSimulator {
     }
 }
 
-impl WithOptions for Lru {}
-
 impl Policy for Lru {
     const POLICY: TreePolicy = TreePolicy::Lru;
     const VERSION: u8 = 1;
     const COUNTERS: &'static [usize] = &[0, 1, 2, 9, 11];
     const STACK: bool = true;
-    type Options = LruTreeOptions;
-
-    fn validate(_: &LruTreeOptions, _: (u32, u32)) -> Result<(), DewError> {
-        Ok(())
-    }
-
-    fn elides(opts: &LruTreeOptions) -> bool {
-        opts.duplicate_elision
-    }
 
     fn region(_: u64, widest: u64) -> u64 {
         widest
     }
 
-    fn new(f: &Forest, opts: LruTreeOptions, instrument: bool) -> Lru {
+    fn new(f: &Forest, instrument: bool) -> Lru {
         let width = if instrument { f.region } else { 0 };
         Lru {
-            opts,
             depth_hits: vec![0; width],
         }
     }
@@ -182,7 +159,7 @@ impl Policy for Lru {
     type Walk<'a> = &'a mut [u64];
 
     #[inline(always)]
-    fn walk(&mut self) -> &mut [u64] {
+    fn walk(&mut self, _: &DewOptions) -> &mut [u64] {
         &mut self.depth_hits
     }
 
@@ -257,17 +234,18 @@ impl Policy for Lru {
         region[0] = block;
     }
 
-    fn flags(&self, instrument: bool) -> u8 {
+    fn flags(opts: &DewOptions, instrument: bool) -> u8 {
         // Bit 0 is the retired depth-0-stop toggle, always on.
-        1 | u8::from(self.opts.duplicate_elision) << 1 | u8::from(instrument) << 2
+        1 | u8::from(opts.dup_elision) << 1 | u8::from(instrument) << 2
     }
 
-    fn parse_flags(flags: u8) -> Result<(LruTreeOptions, bool), SnapshotError> {
+    fn parse_flags(flags: u8) -> Result<(DewOptions, bool), SnapshotError> {
         if flags & 1 == 0 {
             return Err(SnapshotError::Corrupt("LRU image without the depth-0 stop"));
         }
-        let opts = LruTreeOptions {
-            duplicate_elision: flags & 2 != 0,
+        let opts = DewOptions {
+            dup_elision: flags & 2 != 0,
+            ..DewOptions::for_policy(TreePolicy::Lru)
         };
         Ok((opts, flags & 4 != 0))
     }
@@ -353,6 +331,14 @@ mod tests {
             .collect()
     }
 
+    /// LRU options with the CRCB-style duplicate elision on or off.
+    fn elide(on: bool) -> DewOptions {
+        DewOptions {
+            dup_elision: on,
+            ..DewOptions::for_policy(TreePolicy::Lru)
+        }
+    }
+
     fn oracle(sets: u32, assoc: u32, block: u32, addrs: &[u64]) -> u64 {
         let records: Vec<Record> = addrs.iter().map(|&a| Record::read(a)).collect();
         simulate_trace(
@@ -366,14 +352,8 @@ mod tests {
     fn matches_reference_lru_for_all_configs() {
         let a = addrs(3000, 0x5EED_1111);
         for instrument in [false, true] {
-            let mut sim = LruTreeSimulator::with_instrumentation(
-                2,
-                (0, 5),
-                (0, 3),
-                LruTreeOptions::default(),
-                instrument,
-            )
-            .expect("valid");
+            let mut sim =
+                LruTreeSimulator::new(2, (0, 5), (0, 3), elide(true), instrument).expect("valid");
             for &x in &a {
                 sim.step(x);
             }
@@ -394,15 +374,10 @@ mod tests {
     #[test]
     fn fast_and_instrumented_kernels_are_bit_identical() {
         let a = addrs(4000, 0x5EED_F00D);
-        let variants = [
-            LruTreeOptions {
-                duplicate_elision: false,
-            },
-            LruTreeOptions::default(),
-        ];
+        let variants = [elide(false), elide(true)];
         for o in variants {
-            let mut fast = LruTreeSimulator::new(2, 0, 6, 8, o).expect("valid");
-            let mut slow = LruTreeSimulator::instrumented(2, 0, 6, 8, o).expect("valid");
+            let mut fast = LruTreeSimulator::new(2, (0, 6), (0, 3), o, false).expect("valid");
+            let mut slow = LruTreeSimulator::new(2, (0, 6), (0, 3), o, true).expect("valid");
             for &x in &a {
                 fast.step(x);
                 slow.step(x);
@@ -419,14 +394,8 @@ mod tests {
         let a = addrs(3000, 0x5EED_B10C);
         let blocks: Vec<u64> = a.iter().map(|&x| x >> 2).collect();
         for instrument in [false, true] {
-            let mut stepped = LruTreeSimulator::with_instrumentation(
-                2,
-                (0, 5),
-                (0, 3),
-                LruTreeOptions::default(),
-                instrument,
-            )
-            .expect("valid");
+            let mut stepped =
+                LruTreeSimulator::new(2, (0, 5), (0, 3), elide(true), instrument).expect("valid");
             // Per-record steps on the scalar scan, batches on the active
             // backend: the comparison doubles as a backend check.
             stepped
@@ -435,14 +404,8 @@ mod tests {
             for &x in &a {
                 stepped.step(x);
             }
-            let mut batched = LruTreeSimulator::with_instrumentation(
-                2,
-                (0, 5),
-                (0, 3),
-                LruTreeOptions::default(),
-                instrument,
-            )
-            .expect("valid");
+            let mut batched =
+                LruTreeSimulator::new(2, (0, 5), (0, 3), elide(true), instrument).expect("valid");
             batched.run_blocks(&blocks);
             assert_eq!(stepped.results(), batched.results());
             assert_eq!(stepped.counters(), batched.counters());
@@ -452,16 +415,11 @@ mod tests {
     #[test]
     fn options_do_not_change_results() {
         let a = addrs(2000, 0x5EED_2222);
-        let variants = [
-            LruTreeOptions {
-                duplicate_elision: false,
-            },
-            LruTreeOptions::default(),
-        ];
+        let variants = [elide(false), elide(true)];
         let runs: Vec<AllAssocResults> = variants
             .iter()
             .map(|&o| {
-                let mut sim = LruTreeSimulator::new(2, 0, 4, 4, o).expect("valid");
+                let mut sim = LruTreeSimulator::new(2, (0, 4), (0, 2), o, false).expect("valid");
                 for &x in &a {
                     sim.step(x);
                 }
@@ -482,17 +440,15 @@ mod tests {
             a.push(x);
             a.push(x); // immediate duplicate
         }
-        let run = |o: LruTreeOptions| {
-            let mut sim = LruTreeSimulator::instrumented(2, 0, 6, 4, o).expect("valid");
+        let run = |o: DewOptions| {
+            let mut sim = LruTreeSimulator::new(2, (0, 6), (0, 2), o, true).expect("valid");
             for &x in &a {
                 sim.step(x);
             }
             *sim.counters()
         };
-        let off = run(LruTreeOptions {
-            duplicate_elision: false,
-        });
-        let on = run(LruTreeOptions::default());
+        let off = run(elide(false));
+        let on = run(elide(true));
         assert!(on.node_evaluations < off.node_evaluations);
         assert!(on.tag_comparisons < off.tag_comparisons);
         assert!(on.duplicate_skips > 0);
@@ -503,10 +459,8 @@ mod tests {
         // A cyclic 3-block loop in one set: after warmup every hit has
         // stack distance 2 (the loop distance).
         let a: Vec<u64> = (0..300u64).map(|i| (i % 3) * 4).collect();
-        let opts = LruTreeOptions {
-            duplicate_elision: false,
-        };
-        let mut sim = LruTreeSimulator::instrumented(2, 0, 0, 4, opts).expect("valid");
+        let opts = elide(false);
+        let mut sim = LruTreeSimulator::new(2, (0, 0), (0, 2), opts, true).expect("valid");
         for &x in &a {
             sim.step(x);
         }
@@ -524,7 +478,7 @@ mod tests {
     #[test]
     fn stack_property_holds_in_results() {
         let a = addrs(2500, 0x5EED_3333);
-        let mut sim = LruTreeSimulator::new(2, 0, 5, 16, LruTreeOptions::default()).expect("valid");
+        let mut sim = LruTreeSimulator::new(2, (0, 5), (0, 4), elide(true), false).expect("valid");
         for &x in &a {
             sim.step(x);
         }
@@ -543,7 +497,7 @@ mod tests {
     #[test]
     fn inclusion_property_holds_in_results() {
         let a = addrs(2500, 0x5EED_4444);
-        let mut sim = LruTreeSimulator::new(2, 0, 6, 4, LruTreeOptions::default()).expect("valid");
+        let mut sim = LruTreeSimulator::new(2, (0, 6), (0, 2), elide(true), false).expect("valid");
         for &x in &a {
             sim.step(x);
         }
@@ -566,7 +520,7 @@ mod tests {
         // Width 32 exceeds the const-dispatch table, exercising the
         // runtime-width kernel.
         let a = addrs(2000, 0x5EED_3C3C);
-        let mut sim = LruTreeSimulator::new(2, 0, 3, 32, LruTreeOptions::default()).expect("valid");
+        let mut sim = LruTreeSimulator::new(2, (0, 3), (0, 5), elide(true), false).expect("valid");
         for &x in &a {
             sim.step(x);
         }
@@ -586,15 +540,9 @@ mod tests {
     #[test]
     fn assoc_range_above_one_skips_narrow_reports() {
         let a = addrs(2000, 0x5EED_0404);
-        let mut ranged = LruTreeSimulator::with_instrumentation(
-            2,
-            (0, 4),
-            (2, 3),
-            LruTreeOptions::default(),
-            false,
-        )
-        .expect("valid");
-        let mut full = LruTreeSimulator::new(2, 0, 4, 8, LruTreeOptions::default()).expect("valid");
+        let mut ranged =
+            LruTreeSimulator::new(2, (0, 4), (2, 3), elide(true), false).expect("valid");
+        let mut full = LruTreeSimulator::new(2, (0, 4), (0, 3), elide(true), false).expect("valid");
         for &x in &a {
             ranged.step(x);
             full.step(x);
@@ -613,7 +561,7 @@ mod tests {
 
     #[test]
     fn unknown_configs_return_none() {
-        let sim = LruTreeSimulator::new(2, 1, 3, 4, LruTreeOptions::default()).expect("valid");
+        let sim = LruTreeSimulator::new(2, (1, 3), (0, 2), elide(true), false).expect("valid");
         let r = sim.results();
         assert_eq!(r.misses(1, 4), None, "below min set count");
         assert_eq!(r.misses(8, 3), None, "unsimulated associativity");

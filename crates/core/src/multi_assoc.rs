@@ -67,16 +67,17 @@
 //!
 //! One update rule, two modes:
 //!
-//! * the **fast** mode ([`MultiAssocTree::new`]) keeps no per-node
-//!   counters and no wave/MRE/link state at all; each list's residency is
-//!   decided by a branchless scan of its slice of the contiguous tag lane
-//!   (invalid ways hold a sentinel), and FIFO hits mutate nothing;
-//! * the **instrumented** mode ([`MultiAssocTree::instrumented`]) maintains
-//!   the paper's full determination ladder per list — wave pointer, then the
-//!   *intersection link* below, then MRE, then a stop-at-match search — with
-//!   every [`DewCounters`] bucket live, both in aggregate and per
-//!   associativity (so a fused pass can report the counters each
-//!   per-associativity pass would have been entitled to).
+//! * the **fast** mode ([`MultiAssocTree::new`] with `instrument` off)
+//!   keeps no per-node counters and no wave/MRE/link state at all; each
+//!   list's residency is decided by a branchless scan of its slice of the
+//!   contiguous tag lane (invalid ways hold a sentinel), and FIFO hits
+//!   mutate nothing;
+//! * the **instrumented** mode (`instrument` on) maintains the paper's full
+//!   determination ladder per list — wave pointer, then the *intersection
+//!   link* below, then MRE, then a stop-at-match search — with every
+//!   [`DewCounters`] bucket live, both in aggregate and per associativity
+//!   (so a fused pass can report the counters each per-associativity pass
+//!   would have been entitled to).
 //!
 //! # The intersection link (CIPARSim-style pruning)
 //!
@@ -111,7 +112,7 @@
 //!
 //! # fn main() -> Result<(), dew_core::DewError> {
 //! // Set counts 1..=256, associativities 1/2/4/8, one pass.
-//! let mut tree = MultiAssocTree::new(2, 0, 8, 8, DewOptions::default())?;
+//! let mut tree = MultiAssocTree::new(2, (0, 8), (0, 3), DewOptions::default(), false)?;
 //! for i in 0..5_000u64 {
 //!     tree.step_record(Record::read((i % 900) * 4));
 //! }
@@ -121,13 +122,12 @@
 //! # }
 //! ```
 
-use crate::arena::{Arena, Forest, Policy, Site, WithOptions};
+use crate::arena::{Arena, Forest, Policy, Site};
 use crate::counters::DewCounters;
 use crate::node::{fifo_advance, EMPTY_WAVE, INVALID_TAG};
 use crate::options::{DewOptions, TreePolicy};
 use crate::simd::{first_match, TagScan};
 use crate::snapshot::{put_u32, put_u64, ArenaDims, Cursor, SnapshotError};
-use crate::space::DewError;
 
 /// Sentinel for "no matching entry" (root level, previous-list miss, …).
 const NO_ENTRY: usize = usize::MAX;
@@ -144,7 +144,7 @@ const NO_ENTRY: usize = usize::MAX;
 ///
 /// # fn main() -> Result<(), dew_core::DewError> {
 /// // Sets 1..=16, associativities 1, 2 and 4, 8-byte blocks.
-/// let mut tree = MultiAssocTree::new(3, 0, 4, 4, DewOptions::default())?;
+/// let mut tree = MultiAssocTree::new(3, (0, 4), (0, 2), DewOptions::default(), false)?;
 /// for i in 0..5_000u64 {
 ///     tree.step((i * 40) % 4096);
 /// }
@@ -161,7 +161,6 @@ pub type MultiAssocTree = Arena<Fifo>;
 /// instrumented mode the paper's ladder state.
 #[derive(Debug, Clone)]
 pub struct Fifo {
-    opts: DewOptions,
     /// FIFO round-robin pointer per `(node, list)`: `fifo[i*num_lists + k]`.
     fifo: Vec<u32>,
     /// Valid-way count per `(node, list)`; instrumented only.
@@ -182,40 +181,21 @@ pub struct Fifo {
     parent: Vec<usize>,
 }
 
-impl WithOptions for Fifo {}
-
 impl Policy for Fifo {
     const POLICY: TreePolicy = TreePolicy::Fifo;
     const VERSION: u8 = 1;
     const COUNTERS: &'static [usize] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11];
     const PAD: bool = true;
-    type Options = DewOptions;
-
-    fn validate(opts: &DewOptions, _: (u32, u32)) -> Result<(), DewError> {
-        opts.validate()?;
-        if opts.policy != TreePolicy::Fifo {
-            return Err(DewError::UnsoundOptions(
-                "multi-assoc lists are FIFO-only; every other policy runs its own \
-                 fused arena kernel (lru_tree, plru_tree, slru_tree)",
-            ));
-        }
-        Ok(())
-    }
-
-    fn elides(opts: &DewOptions) -> bool {
-        opts.dup_elision
-    }
 
     fn region(stride: u64, _: u64) -> u64 {
         stride
     }
 
-    fn new(f: &Forest, opts: DewOptions, instrument: bool) -> Fifo {
+    fn new(f: &Forest, instrument: bool) -> Fifo {
         let lists = f.nodes() * f.widths.len();
         let ways = f.nodes() * f.alloc;
         let ladder = |n: usize| if instrument { n } else { 0 };
         Fifo {
-            opts,
             fifo: vec![0; lists],
             valid: vec![0; ladder(lists)],
             mre: vec![INVALID_TAG; ladder(lists)],
@@ -235,9 +215,9 @@ impl Policy for Fifo {
     type Walk<'a> = FifoWalk<'a>;
 
     #[inline(always)]
-    fn walk(&mut self) -> FifoWalk<'_> {
+    fn walk(&mut self, opts: &DewOptions) -> FifoWalk<'_> {
         FifoWalk {
-            opts: self.opts,
+            opts: *opts,
             fifo: &mut self.fifo,
             valid: &mut self.valid,
             mre: &mut self.mre,
@@ -315,8 +295,7 @@ impl Policy for Fifo {
         }
     }
 
-    fn flags(&self, instrument: bool) -> u8 {
-        let o = &self.opts;
+    fn flags(o: &DewOptions, instrument: bool) -> u8 {
         u8::from(o.mra_stop)
             | u8::from(o.wave) << 1
             | u8::from(o.mre) << 2
@@ -675,14 +654,9 @@ mod tests {
     fn matches_reference_for_every_assoc_and_set_count() {
         let a = addrs(3000, 0xA5A5);
         for instrument in [false, true] {
-            let mut tree = MultiAssocTree::with_instrumentation(
-                2,
-                (0, 5),
-                (0, 3),
-                DewOptions::default(),
-                instrument,
-            )
-            .expect("valid");
+            let mut tree =
+                MultiAssocTree::new(2, (0, 5), (0, 3), DewOptions::default(), instrument)
+                    .expect("valid");
             for &x in &a {
                 tree.step(x);
             }
@@ -708,8 +682,8 @@ mod tests {
     fn fast_and_instrumented_kernels_are_bit_identical() {
         let a = addrs(5000, 0xF00D);
         for opts in DewOptions::ablation_grid(TreePolicy::Fifo) {
-            let mut fast = MultiAssocTree::new(2, 0, 6, 8, opts).expect("valid");
-            let mut slow = MultiAssocTree::instrumented(2, 0, 6, 8, opts).expect("valid");
+            let mut fast = MultiAssocTree::new(2, (0, 6), (0, 3), opts, false).expect("valid");
+            let mut slow = MultiAssocTree::new(2, (0, 6), (0, 3), opts, true).expect("valid");
             for &x in &a {
                 fast.step(x);
                 slow.step(x);
@@ -724,14 +698,9 @@ mod tests {
         let a = addrs(3000, 0xB10C);
         let blocks: Vec<u64> = a.iter().map(|&x| x >> 2).collect();
         for instrument in [false, true] {
-            let mut stepped = MultiAssocTree::with_instrumentation(
-                2,
-                (0, 5),
-                (0, 3),
-                DewOptions::default(),
-                instrument,
-            )
-            .expect("valid");
+            let mut stepped =
+                MultiAssocTree::new(2, (0, 5), (0, 3), DewOptions::default(), instrument)
+                    .expect("valid");
             // Per-record steps on the scalar scan, batches on the active
             // backend: the comparison doubles as a backend check.
             stepped
@@ -740,14 +709,9 @@ mod tests {
             for &x in &a {
                 stepped.step(x);
             }
-            let mut batched = MultiAssocTree::with_instrumentation(
-                2,
-                (0, 5),
-                (0, 3),
-                DewOptions::default(),
-                instrument,
-            )
-            .expect("valid");
+            let mut batched =
+                MultiAssocTree::new(2, (0, 5), (0, 3), DewOptions::default(), instrument)
+                    .expect("valid");
             batched.run_blocks(&blocks);
             assert_eq!(stepped.results(), batched.results());
             assert_eq!(stepped.counters(), batched.counters());
@@ -758,7 +722,7 @@ mod tests {
     fn agrees_with_separate_dew_trees_and_saves_comparisons() {
         let a = addrs(4000, 0x77);
         let mut multi =
-            MultiAssocTree::instrumented(2, 0, 8, 16, DewOptions::default()).expect("valid");
+            MultiAssocTree::new(2, (0, 8), (0, 4), DewOptions::default(), true).expect("valid");
         for &x in &a {
             multi.step(x);
         }
@@ -810,7 +774,7 @@ mod tests {
             wave: false,
             ..DewOptions::default()
         };
-        let mut tree = MultiAssocTree::instrumented(2, 0, 6, 8, opts).expect("valid");
+        let mut tree = MultiAssocTree::new(2, (0, 6), (0, 3), opts, true).expect("valid");
         for &x in &a {
             tree.step(x);
         }
@@ -835,7 +799,7 @@ mod tests {
         // working set that fits the wider root lists but not the narrowest.
         let a: Vec<u64> = (0..4000u64).map(|i| (i % 3) * 4).collect();
         let mut tree =
-            MultiAssocTree::instrumented(2, 0, 4, 8, DewOptions::default()).expect("valid");
+            MultiAssocTree::new(2, (0, 4), (0, 3), DewOptions::default(), true).expect("valid");
         for &x in &a {
             tree.step(x);
         }
@@ -854,9 +818,9 @@ mod tests {
     fn assoc_range_above_one_skips_narrow_lists() {
         let a = addrs(2000, 0x404);
         let mut ranged =
-            MultiAssocTree::with_instrumentation(2, (0, 4), (2, 3), DewOptions::default(), false)
-                .expect("valid");
-        let mut full = MultiAssocTree::new(2, 0, 4, 8, DewOptions::default()).expect("valid");
+            MultiAssocTree::new(2, (0, 4), (2, 3), DewOptions::default(), false).expect("valid");
+        let mut full =
+            MultiAssocTree::new(2, (0, 4), (0, 3), DewOptions::default(), false).expect("valid");
         for &x in &a {
             ranged.step(x);
             full.step(x);
@@ -878,7 +842,8 @@ mod tests {
         // Widths 2..=32 (stride 62) exceed the position bitmask of the
         // const-shape kernel, exercising the runtime fallback.
         let a = addrs(2500, 0x3C3C);
-        let mut tree = MultiAssocTree::new(2, 0, 3, 32, DewOptions::default()).expect("valid");
+        let mut tree =
+            MultiAssocTree::new(2, (0, 3), (0, 5), DewOptions::default(), false).expect("valid");
         for &x in &a {
             tree.step(x);
         }
@@ -903,7 +868,7 @@ mod tests {
         let a = addrs(2000, 0x99);
         let mut reference = None;
         for opts in DewOptions::ablation_grid(TreePolicy::Fifo) {
-            let mut tree = MultiAssocTree::instrumented(2, 0, 4, 4, opts).expect("valid");
+            let mut tree = MultiAssocTree::new(2, (0, 4), (0, 2), opts, true).expect("valid");
             for &x in &a {
                 tree.step(x);
             }
@@ -919,7 +884,8 @@ mod tests {
     fn duplicate_elision_preserves_results() {
         let a: Vec<u64> = (0..3000u64).map(|i| i % 700).collect();
         let plain = {
-            let mut t = MultiAssocTree::new(4, 0, 5, 8, DewOptions::default()).expect("valid");
+            let mut t = MultiAssocTree::new(4, (0, 5), (0, 3), DewOptions::default(), false)
+                .expect("valid");
             for &x in &a {
                 t.step(x);
             }
@@ -929,7 +895,7 @@ mod tests {
             dup_elision: true,
             ..DewOptions::default()
         };
-        let mut t = MultiAssocTree::instrumented(4, 0, 5, 8, opts).expect("valid");
+        let mut t = MultiAssocTree::new(4, (0, 5), (0, 3), opts, true).expect("valid");
         for &x in &a {
             t.step(x);
         }
@@ -939,9 +905,10 @@ mod tests {
 
     #[test]
     fn lru_options_are_rejected() {
+        let lru = DewOptions::for_policy(TreePolicy::Lru);
         assert!(matches!(
-            MultiAssocTree::new(2, 0, 4, 4, DewOptions::lru()),
-            Err(DewError::UnsoundOptions(_))
+            MultiAssocTree::new(2, (0, 4), (0, 2), lru, false),
+            Err(crate::DewError::UnsoundOptions(_))
         ));
     }
 
@@ -949,14 +916,9 @@ mod tests {
     fn assoc_one_only_still_works() {
         let a = addrs(1000, 0x11);
         for instrument in [false, true] {
-            let mut tree = MultiAssocTree::with_instrumentation(
-                2,
-                (0, 4),
-                (0, 0),
-                DewOptions::default(),
-                instrument,
-            )
-            .expect("valid");
+            let mut tree =
+                MultiAssocTree::new(2, (0, 4), (0, 0), DewOptions::default(), instrument)
+                    .expect("valid");
             for &x in &a {
                 tree.step(x);
             }

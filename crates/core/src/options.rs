@@ -92,10 +92,12 @@ impl TreePolicy {
 /// * `dup_elision` — *extension* (off by default): skip a request whose
 ///   block equals the immediately preceding request's block, in the spirit
 ///   of Tojo et al.'s CRCB enhancements, whose "findings … are also true for
-///   FIFO replacement policy" (paper Section 2). Sound for both policies: a
-///   repeated block hits at every level, FIFO hits change nothing, and the
-///   LRU recency order within every set is unaffected because no other block
-///   intervened.
+///   FIFO replacement policy" (paper Section 2). Sound for FIFO, LRU and
+///   tree-PLRU: a repeated block hits at every level, FIFO hits change
+///   nothing, the LRU recency order within every set is unaffected because
+///   no other block intervened, and re-touching a way is idempotent on the
+///   PLRU direction bits. Unsound for SLRU, where a repeated access promotes
+///   a probationary block ([`DewOptions::validate`] rejects it).
 ///
 /// # Examples
 ///
@@ -156,62 +158,22 @@ impl DewOptions {
         }
     }
 
-    /// Sound defaults for LRU lanes (the FIFO-only `mra_stop` toggle is
-    /// off, as required — the arena LRU kernel stops on its own; the
-    /// wave/MRE toggles are carried but the LRU kernel has no ladder to
-    /// spend them on).
-    #[must_use]
-    pub fn lru() -> Self {
-        DewOptions {
-            mra_stop: false,
-            wave: true,
-            mre: true,
-            dup_elision: false,
-            policy: TreePolicy::Lru,
-        }
-    }
-
-    /// Sound defaults for tree-PLRU lanes (the FIFO-only `mra_stop` toggle
-    /// is off — the PLRU arena kernel stops on its own; the wave/MRE
-    /// toggles are carried but the kernel has no intersection-link
-    /// machinery to spend them on).
-    #[must_use]
-    pub fn plru() -> Self {
-        DewOptions {
-            mra_stop: false,
-            wave: true,
-            mre: true,
-            dup_elision: false,
-            policy: TreePolicy::Plru,
-        }
-    }
-
-    /// Sound defaults for segmented-LRU lanes (the FIFO-only `mra_stop`
-    /// toggle is off — the SLRU arena kernel stops at settled nodes on its
-    /// own — and duplicate elision must stay off: a repeated access
-    /// *promotes* a probationary block, so eliding it would change state).
-    #[must_use]
-    pub fn slru() -> Self {
-        DewOptions {
-            mra_stop: false,
-            wave: true,
-            mre: true,
-            dup_elision: false,
-            policy: TreePolicy::Slru,
-        }
-    }
-
-    /// The sound preset for `policy` — [`DewOptions::default`] for FIFO,
-    /// [`DewOptions::lru`] / [`DewOptions::plru`] / [`DewOptions::slru`]
-    /// otherwise. The one entry point the CLI, the exploration engine and
-    /// the serve protocol all use to map a policy name to kernel options.
+    /// The sound preset for `policy`: [`DewOptions::default`] for FIFO, and
+    /// for every other policy the same with the FIFO-only `mra_stop` toggle
+    /// off, as [`DewOptions::validate`] requires. The LRU and tree-PLRU
+    /// kernels stop at an MRA hit on their own, and the SLRU kernel at
+    /// settled nodes; the wave/MRE toggles are carried but only the FIFO
+    /// ladder spends them. Duplicate elision stays off: it is opt-in for
+    /// every policy and unsound for SLRU (a repeated access promotes a
+    /// probationary block, so skipping it would change state). The one entry
+    /// point the CLI, the exploration engine and the serve protocol all use
+    /// to map a policy name to kernel options.
     #[must_use]
     pub fn for_policy(policy: TreePolicy) -> Self {
-        match policy {
-            TreePolicy::Fifo => DewOptions::default(),
-            TreePolicy::Lru => DewOptions::lru(),
-            TreePolicy::Plru => DewOptions::plru(),
-            TreePolicy::Slru => DewOptions::slru(),
+        DewOptions {
+            mra_stop: policy == TreePolicy::Fifo,
+            policy,
+            ..DewOptions::default()
         }
     }
 
@@ -295,7 +257,7 @@ mod tests {
             ..DewOptions::default()
         };
         assert!(matches!(o.validate(), Err(DewError::UnsoundOptions(_))));
-        assert!(DewOptions::lru().validate().is_ok());
+        assert!(DewOptions::for_policy(TreePolicy::Lru).validate().is_ok());
     }
 
     #[test]
@@ -337,14 +299,14 @@ mod tests {
         }
         let o = DewOptions {
             dup_elision: true,
-            ..DewOptions::slru()
+            ..DewOptions::for_policy(TreePolicy::Slru)
         };
         assert!(matches!(o.validate(), Err(DewError::UnsoundOptions(_))));
         // ...but duplicate elision stays sound for PLRU (touching the same
         // way twice is idempotent on the direction bits).
         let o = DewOptions {
             dup_elision: true,
-            ..DewOptions::plru()
+            ..DewOptions::for_policy(TreePolicy::Plru)
         };
         assert!(o.validate().is_ok());
     }

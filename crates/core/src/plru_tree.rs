@@ -46,11 +46,13 @@
 //! # Examples
 //!
 //! ```
-//! use dew_core::plru_tree::{PlruTreeOptions, PlruTreeSimulator};
+//! use dew_core::plru_tree::PlruTreeSimulator;
+//! use dew_core::{DewOptions, TreePolicy};
 //!
 //! # fn main() -> Result<(), dew_core::DewError> {
 //! // Sets 1..=8, associativities 1, 2 and 4, 4-byte blocks.
-//! let mut sim = PlruTreeSimulator::new(2, 0, 3, 4, PlruTreeOptions::default())?;
+//! let options = DewOptions::for_policy(TreePolicy::Plru);
+//! let mut sim = PlruTreeSimulator::new(2, (0, 3), (0, 2), options, false)?;
 //! for i in 0..100u64 {
 //!     sim.step((i % 40) * 4);
 //! }
@@ -61,23 +63,17 @@
 //! ```
 
 use crate::arena::{
-    decode_search_cmps, encode_search_cmps, search_work, Arena, Forest, Policy, Site, WithOptions,
+    decode_search_cmps, encode_search_cmps, search_work, Arena, Forest, Policy, Site,
 };
 use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
-use crate::options::TreePolicy;
+use crate::options::{DewOptions, TreePolicy};
 use crate::simd::{lane_scan, window_scan, LaneScan, TagScan};
 use crate::snapshot::{put_u64, ArenaDims, Cursor, SnapshotError};
-use crate::space::DewError;
 
 /// Widest PLRU lane supported: the direction bits of one lane live in a
 /// single `u64` heap (matching `dew_cachesim`'s `MAX_PLRU_ASSOC`).
 pub const MAX_PLRU_ASSOC: u32 = 64;
-
-/// Behaviour toggles of the tree-PLRU simulator: the LRU kernel's, since
-/// re-touching the MRA block's way is idempotent on the direction bits and
-/// duplicate elision is sound for the same reason.
-pub type PlruTreeOptions = crate::lru_tree::LruTreeOptions;
 
 /// Exact single-pass tree-PLRU simulator for all set counts in a range and
 /// all power-of-two associativities in a range. See the module docs.
@@ -89,7 +85,6 @@ pub type PlruTreeSimulator = Arena<Plru>;
 /// valid tags are always a prefix.
 #[derive(Debug, Clone)]
 pub struct Plru {
-    opts: PlruTreeOptions,
     /// [`touch_masks`] per `(lane, way)`, indexed like a node's tag region
     /// (`lane_off[k] + way`).
     touch: Vec<(u64, u64)>,
@@ -135,41 +130,25 @@ fn touch_masks(way: usize, assoc: usize) -> (u64, u64) {
     (path, set)
 }
 
-impl WithOptions for Plru {}
-
 impl Policy for Plru {
     const POLICY: TreePolicy = TreePolicy::Plru;
     /// Version 1 also carried a per-`(node, lane)` MRA way pointer; it
     /// still decodes, the pointers are range-checked and dropped.
     const VERSION: u8 = 2;
     const COUNTERS: &'static [usize] = &[0, 1, 2, 9, 11];
-    type Options = PlruTreeOptions;
-
-    fn validate(_: &PlruTreeOptions, assoc_bits: (u32, u32)) -> Result<(), DewError> {
-        if assoc_bits.1 > MAX_PLRU_ASSOC.trailing_zeros() {
-            return Err(DewError::BadAssoc(
-                1u32.checked_shl(assoc_bits.1).unwrap_or(u32::MAX),
-            ));
-        }
-        Ok(())
-    }
-
-    fn elides(opts: &PlruTreeOptions) -> bool {
-        opts.duplicate_elision
-    }
+    const MAX_ASSOC_BITS: u32 = MAX_PLRU_ASSOC.trailing_zeros();
 
     fn region(stride: u64, _: u64) -> u64 {
         stride.max(1)
     }
 
-    fn new(f: &Forest, opts: PlruTreeOptions, _: bool) -> Plru {
+    fn new(f: &Forest, _: bool) -> Plru {
         let touch = f
             .widths
             .iter()
             .flat_map(|&w| (0..w).map(move |way| touch_masks(way, w)))
             .collect();
         Plru {
-            opts,
             touch,
             bits: vec![0; f.nodes() * f.widths.len()],
         }
@@ -186,7 +165,7 @@ impl Policy for Plru {
     type Walk<'a> = PlruWalk<'a>;
 
     #[inline(always)]
-    fn walk(&mut self) -> PlruWalk<'_> {
+    fn walk(&mut self, _: &DewOptions) -> PlruWalk<'_> {
         PlruWalk {
             touch: &self.touch,
             bits: &mut self.bits,
@@ -265,13 +244,14 @@ impl Policy for Plru {
         }
     }
 
-    fn flags(&self, instrument: bool) -> u8 {
-        u8::from(self.opts.duplicate_elision) | u8::from(instrument) << 1
+    fn flags(opts: &DewOptions, instrument: bool) -> u8 {
+        u8::from(opts.dup_elision) | u8::from(instrument) << 1
     }
 
-    fn parse_flags(flags: u8) -> Result<(PlruTreeOptions, bool), SnapshotError> {
-        let opts = PlruTreeOptions {
-            duplicate_elision: flags & 1 != 0,
+    fn parse_flags(flags: u8) -> Result<(DewOptions, bool), SnapshotError> {
+        let opts = DewOptions {
+            dup_elision: flags & 1 != 0,
+            ..DewOptions::for_policy(TreePolicy::Plru)
         };
         Ok((opts, flags & 2 != 0))
     }
@@ -347,6 +327,14 @@ mod tests {
             .collect()
     }
 
+    /// Tree-PLRU options with the CRCB-style duplicate elision on or off.
+    fn elide(on: bool) -> DewOptions {
+        DewOptions {
+            dup_elision: on,
+            ..DewOptions::for_policy(TreePolicy::Plru)
+        }
+    }
+
     fn oracle(sets: u32, assoc: u32, block: u32, addrs: &[u64]) -> u64 {
         let records: Vec<Record> = addrs.iter().map(|&a| Record::read(a)).collect();
         simulate_trace(
@@ -360,14 +348,8 @@ mod tests {
     fn matches_reference_plru_for_all_configs() {
         let a = addrs(3000, 0x5EED_6001);
         for instrument in [false, true] {
-            let mut sim = PlruTreeSimulator::with_instrumentation(
-                2,
-                (0, 5),
-                (0, 3),
-                PlruTreeOptions::default(),
-                instrument,
-            )
-            .expect("valid");
+            let mut sim =
+                PlruTreeSimulator::new(2, (0, 5), (0, 3), elide(true), instrument).expect("valid");
             for &x in &a {
                 sim.step(x);
             }
@@ -397,17 +379,9 @@ mod tests {
             }
         }
         a = salted;
-        let run = |elide: bool| {
-            let mut sim = PlruTreeSimulator::new(
-                2,
-                0,
-                4,
-                8,
-                PlruTreeOptions {
-                    duplicate_elision: elide,
-                },
-            )
-            .expect("valid");
+        let run = |on: bool| {
+            let mut sim =
+                PlruTreeSimulator::new(2, (0, 4), (0, 3), elide(on), false).expect("valid");
             for &x in &a {
                 sim.step(x);
             }
@@ -420,14 +394,8 @@ mod tests {
     fn snapshot_round_trip_is_bit_identical() {
         let a = addrs(2000, 0x5EED_6004);
         for instrument in [false, true] {
-            let mut sim = PlruTreeSimulator::with_instrumentation(
-                2,
-                (0, 4),
-                (1, 3),
-                PlruTreeOptions::default(),
-                instrument,
-            )
-            .expect("valid");
+            let mut sim =
+                PlruTreeSimulator::new(2, (0, 4), (1, 3), elide(true), instrument).expect("valid");
             for &x in &a[..1000] {
                 sim.step(x);
             }
@@ -448,10 +416,10 @@ mod tests {
         use crate::snapshot::SnapshotError;
         let lru = crate::lru_tree::LruTreeSimulator::new(
             2,
-            0,
-            2,
-            2,
-            crate::lru_tree::LruTreeOptions::default(),
+            (0, 2),
+            (0, 1),
+            DewOptions::for_policy(TreePolicy::Lru),
+            false,
         )
         .expect("valid");
         match PlruTreeSimulator::from_snapshot(&lru.to_snapshot()) {
@@ -470,10 +438,10 @@ mod tests {
     #[test]
     fn wide_lanes_are_bounded() {
         assert!(matches!(
-            PlruTreeSimulator::new(2, 0, 2, 128, PlruTreeOptions::default()),
-            Err(DewError::BadAssoc(128))
+            PlruTreeSimulator::new(2, (0, 2), (0, 7), elide(true), false),
+            Err(crate::DewError::BadAssoc(128))
         ));
-        assert!(PlruTreeSimulator::new(2, 0, 2, 64, PlruTreeOptions::default()).is_ok());
+        assert!(PlruTreeSimulator::new(2, (0, 2), (0, 6), elide(true), false).is_ok());
     }
 
     // The checks themselves live in `arena::tests`, shared by every policy.

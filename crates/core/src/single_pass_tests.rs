@@ -9,13 +9,25 @@ mod tests {
     use dew_cachesim::{Cache, CacheConfig, Replacement};
     use dew_trace::Record;
 
+    use crate::arena::{Arena, Policy};
     use crate::kernel::{FusedKernel, PolicyKernel};
-    use crate::lru_tree::{LruTreeOptions, LruTreeSimulator};
+    use crate::lru_tree::{Lru, LruTreeSimulator};
+    use crate::multi_assoc::Fifo;
     use crate::options::{DewOptions, TreePolicy};
+    use crate::plru_tree::Plru;
     use crate::simd::KernelBackend;
+    use crate::slru_tree::Slru;
     use crate::snapshot::SnapshotError;
     use crate::space::PassConfig;
     use crate::MultiAssocTree;
+
+    /// LRU options with the CRCB-style duplicate elision on.
+    fn lru_elided() -> DewOptions {
+        DewOptions {
+            dup_elision: true,
+            ..DewOptions::for_policy(TreePolicy::Lru)
+        }
+    }
 
     /// The paper's pass with every counter live.
     fn fifo_tree(block_bits: u32, min: u32, max: u32, assoc: u32) -> MultiAssocTree {
@@ -123,13 +135,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn uninstrumented_kernel_matches_reference_too() {
-        let addrs = pseudo_random_addrs(4000, 1 << 14, 0xDEB5_1234);
+    /// `P`'s fast single pass against the reference simulator.
+    fn check_uninstrumented_pass<P: Policy>(replacement: Replacement, addrs: &[u64]) {
         let pass = PassConfig::new(2, 0, 6, 4).expect("valid");
-        let mut t = MultiAssocTree::for_pass(pass, DewOptions::default(), false).expect("sound");
+        let options = DewOptions::for_policy(P::POLICY);
+        let mut t = Arena::<P>::for_pass(pass, options, false).expect("sound");
         assert!(!t.is_instrumented());
-        for &a in &addrs {
+        for &a in addrs {
             t.step(a);
         }
         let c = t.pass_counters(4).expect("simulated");
@@ -141,9 +153,22 @@ mod tests {
         let r = t.pass_results(4).expect("simulated");
         for set_bits in 0..=6u32 {
             let sets = 1u32 << set_bits;
-            let expected = reference_misses(sets, 4, 4, Replacement::Fifo, &addrs);
-            assert_eq!(r.misses(sets, 4), Some(expected), "sets={sets}");
+            let expected = reference_misses(sets, 4, 4, replacement, addrs);
+            assert_eq!(
+                r.misses(sets, 4),
+                Some(expected),
+                "{replacement:?} sets={sets}"
+            );
         }
+    }
+
+    #[test]
+    fn uninstrumented_kernel_matches_reference_too() {
+        let addrs = pseudo_random_addrs(4000, 1 << 14, 0xDEB5_1234);
+        check_uninstrumented_pass::<Fifo>(Replacement::Fifo, &addrs);
+        check_uninstrumented_pass::<Lru>(Replacement::Lru, &addrs);
+        check_uninstrumented_pass::<Plru>(Replacement::Plru, &addrs);
+        check_uninstrumented_pass::<Slru>(Replacement::Slru, &addrs);
     }
 
     #[test]
@@ -153,7 +178,7 @@ mod tests {
         for opts in [
             DewOptions::default(),
             DewOptions::unoptimized(),
-            DewOptions::lru(),
+            DewOptions::for_policy(TreePolicy::Lru),
         ] {
             let mut slow = single_pass(pass, opts, true);
             let mut fast = single_pass(pass, opts, false);
@@ -191,8 +216,7 @@ mod tests {
     fn matches_reference_lru_on_mixed_trace() {
         let addrs = pseudo_random_addrs(3000, 1 << 12, 0xABCD_EF01);
         let pass = PassConfig::new(2, 0, 5, 4).expect("valid");
-        let mut t =
-            LruTreeSimulator::for_pass(pass, LruTreeOptions::default(), true).expect("valid");
+        let mut t = LruTreeSimulator::for_pass(pass, lru_elided(), true).expect("valid");
         for &a in &addrs {
             t.step(a);
         }
@@ -445,7 +469,7 @@ mod tests {
         let pass = PassConfig::new(2, 0, 6, 4).expect("valid");
         for opts in [
             DewOptions::default(),
-            DewOptions::lru(),
+            DewOptions::for_policy(TreePolicy::Lru),
             DewOptions::unoptimized(),
         ] {
             for instrument in [false, true] {
@@ -534,10 +558,7 @@ mod tests {
             })
             .collect();
         let pass = PassConfig::new(2, 0, 4, 4).expect("valid");
-        let opts = LruTreeOptions {
-            duplicate_elision: true,
-        };
-        let mut t = LruTreeSimulator::for_pass(pass, opts, false).expect("valid");
+        let mut t = LruTreeSimulator::for_pass(pass, lru_elided(), false).expect("valid");
         for &a in &addrs {
             t.step(a);
         }

@@ -33,8 +33,8 @@
 //!   changes no state.
 //!
 //! Duplicate elision is **not** sound under SLRU — a repeated access
-//! promotes a probationary block — so this kernel has no elision option and
-//! [`crate::DewOptions::validate`] rejects the flag for the policy.
+//! promotes a probationary block — so [`crate::DewOptions::validate`]
+//! rejects the flag for the policy, and SLRU images carry no previous block.
 //!
 //! Within one lane the update rule matches the reference semantics of
 //! `dew_cachesim`'s set (`crates/cachesim/src/set.rs`), which models the
@@ -58,10 +58,12 @@
 //!
 //! ```
 //! use dew_core::slru_tree::SlruTreeSimulator;
+//! use dew_core::{DewOptions, TreePolicy};
 //!
 //! # fn main() -> Result<(), dew_core::DewError> {
 //! // Sets 1..=8, associativities 1, 2 and 4, 4-byte blocks.
-//! let mut sim = SlruTreeSimulator::new(2, 0, 3, 4)?;
+//! let options = DewOptions::for_policy(TreePolicy::Slru);
+//! let mut sim = SlruTreeSimulator::new(2, (0, 3), (0, 2), options, false)?;
 //! for i in 0..100u64 {
 //!     sim.step((i % 40) * 4);
 //! }
@@ -76,10 +78,9 @@ use crate::arena::{
 };
 use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
-use crate::options::TreePolicy;
+use crate::options::{DewOptions, TreePolicy};
 use crate::simd::{lane_scan, window_scan, LaneScan, TagScan};
 use crate::snapshot::{put_u32, ArenaDims, Cursor, SnapshotError};
-use crate::space::DewError;
 
 /// Exact single-pass SLRU simulator for all set counts in a range and all
 /// power-of-two associativities in a range. See the module docs.
@@ -118,59 +119,6 @@ fn shift_in(region: &mut [u64], block: u64) {
     region[0] = block;
 }
 
-impl SlruTreeSimulator {
-    /// Builds a simulator for set counts `2^min_set_bits..=2^max_set_bits`,
-    /// block size `2^block_bits` bytes, and associativities
-    /// `1, 2, 4, …, max_assoc`, using the fast (uninstrumented) kernel.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::PassConfig::new`], plus [`DewError::BadAssoc`] for a
-    /// non-power-of-two `max_assoc`.
-    pub fn new(
-        block_bits: u32,
-        min_set_bits: u32,
-        max_set_bits: u32,
-        max_assoc: u32,
-    ) -> Result<Self, DewError> {
-        let sets = (min_set_bits, max_set_bits);
-        Arena::build_up_to(block_bits, sets, max_assoc, (), false)
-    }
-
-    /// As [`SlruTreeSimulator::new`], but with the work counters live.
-    ///
-    /// # Errors
-    ///
-    /// As [`SlruTreeSimulator::new`].
-    pub fn instrumented(
-        block_bits: u32,
-        min_set_bits: u32,
-        max_set_bits: u32,
-        max_assoc: u32,
-    ) -> Result<Self, DewError> {
-        let sets = (min_set_bits, max_set_bits);
-        Arena::build_up_to(block_bits, sets, max_assoc, (), true)
-    }
-
-    /// Full-control constructor: inclusive `log2` ranges for the set counts
-    /// and the reported associativities, and the kernel selection. This is
-    /// the entry point the fused sweep uses for its per-block-size SLRU
-    /// passes.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::PassConfig::new`], plus [`DewError::EmptySetRange`] when
-    /// the associativity range is inverted.
-    pub fn with_instrumentation(
-        block_bits: u32,
-        set_bits: (u32, u32),
-        assoc_bits: (u32, u32),
-        instrument: bool,
-    ) -> Result<Self, DewError> {
-        Arena::build(block_bits, set_bits, assoc_bits, (), instrument)
-    }
-}
-
 impl Policy for Slru {
     const POLICY: TreePolicy = TreePolicy::Slru;
     /// Version 1 had no settled flags; it still decodes, with every flag
@@ -180,21 +128,12 @@ impl Policy for Slru {
     /// A repeated access promotes a probationary block, so SLRU never
     /// elides and its images carry no previous block.
     const ELISION: bool = false;
-    type Options = ();
-
-    fn validate(_: &(), _: (u32, u32)) -> Result<(), DewError> {
-        Ok(())
-    }
-
-    fn elides(_: &()) -> bool {
-        false
-    }
 
     fn region(stride: u64, _: u64) -> u64 {
         stride.max(1)
     }
 
-    fn new(f: &Forest, _: (), _: bool) -> Slru {
+    fn new(f: &Forest, _: bool) -> Slru {
         Slru {
             prot_len: vec![0; f.nodes() * f.widths.len()],
             settled: vec![false; f.nodes()],
@@ -210,7 +149,7 @@ impl Policy for Slru {
     type Walk<'a> = SlruWalk<'a>;
 
     #[inline(always)]
-    fn walk(&mut self) -> SlruWalk<'_> {
+    fn walk(&mut self, _: &DewOptions) -> SlruWalk<'_> {
         SlruWalk {
             prot_len: &mut self.prot_len,
             settled: &mut self.settled,
@@ -323,12 +262,12 @@ impl Policy for Slru {
         }
     }
 
-    fn flags(&self, instrument: bool) -> u8 {
+    fn flags(_: &DewOptions, instrument: bool) -> u8 {
         u8::from(instrument)
     }
 
-    fn parse_flags(flags: u8) -> Result<((), bool), SnapshotError> {
-        Ok(((), flags != 0))
+    fn parse_flags(flags: u8) -> Result<(DewOptions, bool), SnapshotError> {
+        Ok((DewOptions::for_policy(TreePolicy::Slru), flags != 0))
     }
 
     fn body(d: ArenaDims, instrument: bool, version: u8) -> (u64, u64) {
@@ -418,8 +357,14 @@ mod tests {
     fn matches_reference_slru_for_all_configs() {
         let a = addrs(3000, 0x5EED_7001);
         for instrument in [false, true] {
-            let mut sim = SlruTreeSimulator::with_instrumentation(2, (0, 5), (0, 3), instrument)
-                .expect("valid");
+            let mut sim = SlruTreeSimulator::new(
+                2,
+                (0, 5),
+                (0, 3),
+                DewOptions::for_policy(TreePolicy::Slru),
+                instrument,
+            )
+            .expect("valid");
             for &x in &a {
                 sim.step(x);
             }
@@ -457,7 +402,14 @@ mod tests {
         )
         .misses();
         assert!(slru < lru, "slru={slru} lru={lru}");
-        let mut sim = SlruTreeSimulator::new(6, 0, 0, 4).expect("valid");
+        let mut sim = SlruTreeSimulator::new(
+            6,
+            (0, 0),
+            (0, 2),
+            DewOptions::for_policy(TreePolicy::Slru),
+            false,
+        )
+        .expect("valid");
         for &x in &hot {
             sim.step(x);
         }
@@ -468,8 +420,14 @@ mod tests {
     fn snapshot_round_trip_is_bit_identical() {
         let a = addrs(2000, 0x5EED_7004);
         for instrument in [false, true] {
-            let mut sim = SlruTreeSimulator::with_instrumentation(2, (0, 4), (1, 3), instrument)
-                .expect("valid");
+            let mut sim = SlruTreeSimulator::new(
+                2,
+                (0, 4),
+                (1, 3),
+                DewOptions::for_policy(TreePolicy::Slru),
+                instrument,
+            )
+            .expect("valid");
             for &x in &a[..1000] {
                 sim.step(x);
             }
@@ -490,10 +448,10 @@ mod tests {
         use crate::snapshot::SnapshotError;
         let plru = crate::plru_tree::PlruTreeSimulator::new(
             2,
-            0,
-            2,
-            2,
-            crate::plru_tree::PlruTreeOptions::default(),
+            (0, 2),
+            (0, 1),
+            DewOptions::for_policy(TreePolicy::Plru),
+            false,
         )
         .expect("valid");
         match SlruTreeSimulator::from_snapshot(&plru.to_snapshot()) {

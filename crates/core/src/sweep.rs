@@ -969,7 +969,7 @@ mod tests {
     fn lru_sweep_fuses_to_one_traversal_per_block_size() {
         let records = trace(400);
         let space = ConfigSpace::new((0, 3), (2, 3), (0, 2)).expect("valid");
-        let outcome = req(&space, DewOptions::lru(), 2)
+        let outcome = req(&space, DewOptions::for_policy(TreePolicy::Lru), 2)
             .run(&records)
             .expect("sweep");
         assert_eq!(
@@ -992,10 +992,10 @@ mod tests {
     fn instrumented_lru_sweep_shares_the_walk_and_matches_fast() {
         let records = trace(700);
         let space = ConfigSpace::new((0, 4), (2, 2), (0, 3)).expect("valid");
-        let fast = req(&space, DewOptions::lru(), 0)
+        let fast = req(&space, DewOptions::for_policy(TreePolicy::Lru), 0)
             .run(&records)
             .expect("sweep");
-        let slow = req(&space, DewOptions::lru(), 0)
+        let slow = req(&space, DewOptions::for_policy(TreePolicy::Lru), 0)
             .instrumented(true)
             .run(&records)
             .expect("sweep");

@@ -528,7 +528,7 @@ fn prune_by_assoc_monotonicity(points: &mut Vec<ExplorationPoint>) -> u64 {
     // associativity within.
     points.sort_by_key(|p| {
         (
-            p.policy == TreePolicy::Lru,
+            p.policy as u8,
             p.evaluation.geometry.sets,
             p.evaluation.geometry.block_bytes,
             p.evaluation.geometry.assoc,
@@ -621,7 +621,7 @@ mod tests {
         let b = explore_trace(&exploration, &trace, &model, ParetoMode::Pruned, 1).expect("pruned");
         let key = |p: &ExplorationPoint| {
             (
-                p.policy == TreePolicy::Lru,
+                p.policy as u8,
                 p.evaluation.geometry.block_bytes,
                 p.evaluation.geometry.assoc,
                 p.evaluation.geometry.sets,
@@ -637,6 +637,23 @@ mod tests {
             "a multi-assoc space should prune something"
         );
         assert!(b.points().len() < a.points().len());
+    }
+
+    /// Every policy's columns are pruned when several policies share a
+    /// space, exactly as when each policy is explored alone.
+    #[test]
+    fn pruning_covers_every_policy_of_a_mixed_space() {
+        let trace = records(6_000, 900);
+        let model = EnergyModel::default();
+        let pruned = |policies: &[TreePolicy]| {
+            let exploration = space(5, (2, 4), 2).with_policies(policies);
+            explore_trace(&exploration, &trace, &model, ParetoMode::Pruned, 1)
+                .expect("pruned")
+                .pruned_dominated()
+        };
+        let alone: Vec<u64> = TreePolicy::ALL.iter().map(|&p| pruned(&[p])).collect();
+        assert!(alone.iter().all(|&n| n > 0), "{alone:?}");
+        assert_eq!(pruned(&TreePolicy::ALL), alone.iter().sum::<u64>());
     }
 
     #[test]

@@ -6,9 +6,17 @@
 use proptest::prelude::*;
 
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
-use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
+use dew_core::lru_tree::LruTreeSimulator;
 use dew_core::{DewOptions, MultiAssocTree, PassConfig, TreePolicy};
 use dew_trace::Record;
+
+/// LRU kernel options with the CRCB-style duplicate elision on or off.
+fn lru_options(dup_elision: bool) -> DewOptions {
+    DewOptions {
+        dup_elision,
+        ..DewOptions::for_policy(TreePolicy::Lru)
+    }
+}
 
 /// Traces mixing tight locality (small hot region) with scattered far
 /// references — the regime where the properties fire *and* miss.
@@ -84,7 +92,7 @@ proptest! {
     ) {
         let assoc = 1u32 << assoc_bits;
         let pass = PassConfig::new(block_bits, 0, max_set_bits, assoc).expect("valid");
-        let opts = LruTreeOptions { duplicate_elision };
+        let opts = lru_options(duplicate_elision);
         let mut sim = LruTreeSimulator::for_pass(pass, opts, true).expect("valid");
         for r in &addrs {
             sim.step(r.addr);
@@ -111,8 +119,8 @@ proptest! {
         duplicate_elision in any::<bool>(),
     ) {
         let max_assoc = 1u32 << max_assoc_bits;
-        let opts = LruTreeOptions { duplicate_elision };
-        let mut sim = LruTreeSimulator::new(block_bits, 0, max_set_bits, max_assoc, opts)
+        let opts = lru_options(duplicate_elision);
+        let mut sim = LruTreeSimulator::new(block_bits, (0, max_set_bits), (0, max_assoc.trailing_zeros()), opts, false)
             .expect("valid");
         for r in &addrs {
             sim.step(r.addr);

@@ -43,13 +43,15 @@ fn policy_strategy() -> impl Strategy<Value = Vec<TreePolicy>> {
         Just(vec![TreePolicy::Fifo]),
         Just(vec![TreePolicy::Lru]),
         Just(vec![TreePolicy::Fifo, TreePolicy::Lru]),
+        Just(vec![TreePolicy::Plru, TreePolicy::Slru]),
+        Just(TreePolicy::ALL.to_vec()),
     ]
 }
 
 /// Stable identity of a point for set comparison.
-fn key(p: &ExplorationPoint) -> (bool, u32, u32, u32) {
+fn key(p: &ExplorationPoint) -> (u8, u32, u32, u32) {
     (
-        p.policy == TreePolicy::Lru,
+        p.policy as u8,
         p.evaluation.geometry.block_bytes,
         p.evaluation.geometry.assoc,
         p.evaluation.geometry.sets,

@@ -118,13 +118,7 @@ proptest! {
         let mut reference = None;
         for opts in DewOptions::ablation_grid(TreePolicy::Fifo) {
             for instrument in [false, true] {
-                let mut tree = MultiAssocTree::with_instrumentation(
-                    block_bits,
-                    (0, max_set_bits),
-                    (0, assoc_hi_bits),
-                    opts,
-                    instrument,
-                )
+                let mut tree = MultiAssocTree::new(block_bits, (0, max_set_bits), (0, assoc_hi_bits), opts, instrument)
                 .expect("valid");
                 tree.run(records.iter().copied());
                 let r = tree.results();
@@ -138,13 +132,7 @@ proptest! {
         }
         // The batched drive path matches per-record stepping.
         let blocks: Vec<u64> = records.iter().map(|r| r.addr >> block_bits).collect();
-        let mut batched = MultiAssocTree::with_instrumentation(
-            block_bits,
-            (0, max_set_bits),
-            (0, assoc_hi_bits),
-            DewOptions::default(),
-            true,
-        )
+        let mut batched = MultiAssocTree::new(block_bits, (0, max_set_bits), (0, assoc_hi_bits), DewOptions::default(), true)
         .expect("valid");
         batched.run_blocks(&blocks);
         prop_assert_eq!(Some(batched.results()), reference);

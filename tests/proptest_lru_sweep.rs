@@ -10,9 +10,17 @@
 use proptest::prelude::*;
 
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
-use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
-use dew_core::{ConfigSpace, DewOptions, SweepRequest};
+use dew_core::lru_tree::LruTreeSimulator;
+use dew_core::{ConfigSpace, DewOptions, SweepRequest, TreePolicy};
 use dew_trace::Record;
+
+/// LRU kernel options with the CRCB-style duplicate elision on or off.
+fn lru_options(dup_elision: bool) -> DewOptions {
+    DewOptions {
+        dup_elision,
+        ..DewOptions::for_policy(TreePolicy::Lru)
+    }
+}
 
 /// Traces mixing tight locality with scattered far references, as in the
 /// exactness properties.
@@ -51,7 +59,7 @@ proptest! {
         space in space_strategy(),
         threads in 0usize..4,
     ) {
-        let outcome = SweepRequest::new(&space).options(DewOptions::lru()).threads(threads).run(&records)
+        let outcome = SweepRequest::new(&space).options(lru_options(false)).threads(threads).run(&records)
             .expect("sweep");
 
         // One traversal (and one decode) per block size, never per pass —
@@ -61,7 +69,7 @@ proptest! {
 
         // Bit-identical to the per-pass DEW-LRU schedule …
         for pass in space.passes() {
-            let mut tree = LruTreeSimulator::for_pass(pass, LruTreeOptions::default(), false)
+            let mut tree = LruTreeSimulator::for_pass(pass, lru_options(true), false)
                 .expect("valid");
             tree.run(records.iter().copied());
             let r = tree.pass_results(pass.assoc()).expect("the pass associativity");
@@ -92,14 +100,14 @@ proptest! {
         records in trace_strategy(),
         space in space_strategy(),
     ) {
-        let base = SweepRequest::new(&space).options(DewOptions::lru()).threads(1).run(&records).expect("sweep");
+        let base = SweepRequest::new(&space).options(lru_options(false)).threads(1).run(&records).expect("sweep");
         for threads in [0usize, 2, 3] {
-            let par = SweepRequest::new(&space).options(DewOptions::lru()).threads(threads).run(&records)
+            let par = SweepRequest::new(&space).options(lru_options(false)).threads(threads).run(&records)
                 .expect("sweep");
             prop_assert_eq!(base.sorted(), par.sorted(), "threads={}", threads);
             prop_assert_eq!(base.trace_traversals(), par.trace_traversals());
         }
-        let slow = SweepRequest::new(&space).options(DewOptions::lru()).threads(2).instrumented(true).run(&records)
+        let slow = SweepRequest::new(&space).options(lru_options(false)).threads(2).instrumented(true).run(&records)
             .expect("sweep");
         prop_assert_eq!(base.sorted(), slow.sorted(), "instrumentation changed results");
         prop_assert_eq!(base.trace_traversals(), slow.trace_traversals());
@@ -121,15 +129,9 @@ proptest! {
         // kernel property).
         let mut reference = None;
         for duplicate_elision in [false, true] {
-            let opts = LruTreeOptions { duplicate_elision };
+            let opts = lru_options(duplicate_elision);
             for instrument in [false, true] {
-                let mut sim = LruTreeSimulator::with_instrumentation(
-                    block_bits,
-                    (0, max_set_bits),
-                    (0, assoc_hi_bits),
-                    opts,
-                    instrument,
-                )
+                let mut sim = LruTreeSimulator::new(block_bits, (0, max_set_bits), (0, assoc_hi_bits), opts, instrument)
                 .expect("valid");
                 sim.run(records.iter().copied());
                 let r = sim.results();
@@ -144,13 +146,7 @@ proptest! {
         }
         // The batched drive path matches per-record stepping.
         let blocks: Vec<u64> = records.iter().map(|r| r.addr >> block_bits).collect();
-        let mut batched = LruTreeSimulator::with_instrumentation(
-            block_bits,
-            (0, max_set_bits),
-            (0, assoc_hi_bits),
-            LruTreeOptions::default(),
-            true,
-        )
+        let mut batched = LruTreeSimulator::new(block_bits, (0, max_set_bits), (0, assoc_hi_bits), lru_options(true), true)
         .expect("valid");
         batched.run_blocks(&blocks);
         prop_assert_eq!(Some(batched.results()), reference);
@@ -170,7 +166,7 @@ fn assoc_1_to_8_lru_sweep_is_one_traversal() {
         .collect();
     let space = ConfigSpace::new((0, 8), (2, 2), (0, 3)).expect("valid");
     let outcome = SweepRequest::new(&space)
-        .options(DewOptions::lru())
+        .options(lru_options(false))
         .threads(0)
         .instrumented(true)
         .run(&records)
@@ -194,8 +190,7 @@ fn assoc_1_to_8_lru_sweep_is_one_traversal() {
     // And the fused results remain bit-identical to the per-pass LRU path
     // and the reference oracle.
     for pass in space.passes() {
-        let mut tree =
-            LruTreeSimulator::for_pass(pass, LruTreeOptions::default(), false).expect("valid");
+        let mut tree = LruTreeSimulator::for_pass(pass, lru_options(true), false).expect("valid");
         tree.run(records.iter().copied());
         let r = tree
             .pass_results(pass.assoc())

@@ -107,7 +107,7 @@ proptest! {
             .collect();
         let assoc = 1u32 << assoc_bits;
         let mut multi =
-            MultiAssocTree::new(2, 0, max_set_bits, assoc, DewOptions::default())
+            MultiAssocTree::new(2, (0, max_set_bits), (0, assoc.trailing_zeros()), DewOptions::default(), false)
                 .expect("valid");
         for &a in &addrs {
             multi.step(a);

@@ -133,7 +133,7 @@ proptest! {
         len_frac in 1usize..120,
     ) {
         let sample_len = len_frac.min(period);
-        let options = DewOptions::lru();
+        let options = DewOptions::for_policy(TreePolicy::Lru);
         let est = SweepRequest::new(&space).options(options).threads(0).sampled(period, sample_len).run(&records)
             .expect("sampled sweep");
         let sampled: Vec<Record> = records

@@ -2,12 +2,20 @@
 //! extensions: snapshots must survive the filesystem and resume exactly;
 //! timelines must expose the phase structure of the Mediabench surrogates.
 
-use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
+use dew_core::lru_tree::LruTreeSimulator;
 use dew_core::plru_tree::PlruTreeSimulator;
 use dew_core::slru_tree::SlruTreeSimulator;
 use dew_core::snapshot::SnapshotError;
-use dew_core::{DewOptions, MissTimeline, MultiAssocTree, PassConfig};
+use dew_core::{DewOptions, MissTimeline, MultiAssocTree, PassConfig, TreePolicy};
 use dew_workloads::mediabench::App;
+
+/// LRU kernel options with the CRCB-style duplicate elision on or off.
+fn lru_options(dup_elision: bool) -> DewOptions {
+    DewOptions {
+        dup_elision,
+        ..DewOptions::for_policy(TreePolicy::Lru)
+    }
+}
 
 #[test]
 fn snapshot_survives_disk_and_resumes_exactly() {
@@ -50,24 +58,13 @@ fn fused_fifo_kernel_snapshot_resumes_exactly() {
     let records = trace.records();
     let (head, tail) = records.split_at(records.len() / 3);
     for instrument in [false, true] {
-        let mut straight = MultiAssocTree::with_instrumentation(
-            4,
-            (0, 7),
-            (0, 3),
-            DewOptions::default(),
-            instrument,
-        )
-        .expect("valid");
+        let mut straight =
+            MultiAssocTree::new(4, (0, 7), (0, 3), DewOptions::default(), instrument)
+                .expect("valid");
         straight.run(records.iter().copied());
 
-        let mut first = MultiAssocTree::with_instrumentation(
-            4,
-            (0, 7),
-            (0, 3),
-            DewOptions::default(),
-            instrument,
-        )
-        .expect("valid");
+        let mut first = MultiAssocTree::new(4, (0, 7), (0, 3), DewOptions::default(), instrument)
+            .expect("valid");
         first.run(head.iter().copied());
         let bytes = first.to_snapshot();
         drop(first);
@@ -87,17 +84,13 @@ fn fused_lru_kernel_snapshot_resumes_exactly() {
     let trace = App::Mpeg2Encode.generate(30_000, 8);
     let records = trace.records();
     let (head, tail) = records.split_at(2 * records.len() / 3);
-    let opts = LruTreeOptions {
-        duplicate_elision: true,
-    };
+    let opts = lru_options(true);
     for instrument in [false, true] {
         let mut straight =
-            LruTreeSimulator::with_instrumentation(3, (0, 6), (0, 2), opts, instrument)
-                .expect("valid");
+            LruTreeSimulator::new(3, (0, 6), (0, 2), opts, instrument).expect("valid");
         straight.run(records.iter().copied());
 
-        let mut first = LruTreeSimulator::with_instrumentation(3, (0, 6), (0, 2), opts, instrument)
-            .expect("valid");
+        let mut first = LruTreeSimulator::new(3, (0, 6), (0, 2), opts, instrument).expect("valid");
         first.run(head.iter().copied());
         let bytes = first.to_snapshot();
         drop(first);
@@ -114,19 +107,8 @@ fn fused_lru_kernel_snapshot_resumes_exactly() {
 
 #[test]
 fn kernel_snapshots_reject_foreign_and_corrupt_buffers() {
-    let fifo =
-        MultiAssocTree::with_instrumentation(2, (0, 4), (0, 2), DewOptions::default(), false)
-            .expect("valid");
-    let lru = LruTreeSimulator::with_instrumentation(
-        2,
-        (0, 4),
-        (0, 2),
-        LruTreeOptions {
-            duplicate_elision: false,
-        },
-        false,
-    )
-    .expect("valid");
+    let fifo = MultiAssocTree::new(2, (0, 4), (0, 2), DewOptions::default(), false).expect("valid");
+    let lru = LruTreeSimulator::new(2, (0, 4), (0, 2), lru_options(false), false).expect("valid");
     let fifo_bytes = fifo.to_snapshot();
     let lru_bytes = lru.to_snapshot();
     // Each kernel's magic protects it from the other's bytes — and a

@@ -1,10 +1,18 @@
 //! Cross-crate integration: sweeps feeding design-space exploration, counter
 //! identities across passes, and the FIFO/LRU landscape claims of the paper.
 
-use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
-use dew_core::{ConfigSpace, DewOptions, MultiAssocTree, PassConfig, SweepRequest};
+use dew_core::lru_tree::LruTreeSimulator;
+use dew_core::{ConfigSpace, DewOptions, MultiAssocTree, PassConfig, SweepRequest, TreePolicy};
 use dew_explore::{best_edp_under, evaluate_sweep, fastest_under, pareto_front, EnergyModel};
 use dew_workloads::mediabench::App;
+
+/// LRU kernel options with the CRCB-style duplicate elision on or off.
+fn lru_options(dup_elision: bool) -> DewOptions {
+    DewOptions {
+        dup_elision,
+        ..DewOptions::for_policy(TreePolicy::Lru)
+    }
+}
 
 #[test]
 fn sweep_feeds_exploration_end_to_end() {
@@ -88,7 +96,8 @@ fn fifo_violates_inclusion_but_lru_does_not() {
         .run(trace.records())
         .expect("sweep");
 
-    let mut lru = LruTreeSimulator::new(2, 0, 10, 4, LruTreeOptions::default()).expect("valid");
+    let mut lru =
+        LruTreeSimulator::new(2, (0, 10), (0, 2), lru_options(true), false).expect("valid");
     lru.run(trace.iter().copied());
     let lru_results = lru.results();
 
