@@ -10,9 +10,10 @@
 //! unrelated work; absolute throughput on shared runners is too noisy for a
 //! hard gate. `--strict` escalates: regressions print as `::error::`
 //! annotations and the process exits nonzero (the chaos CI step uses this
-//! to make a resilience-layer slowdown a hard failure). A missing or
-//! unparsable baseline stays tolerated even under `--strict` — only a
-//! measured regression fails the run. When `GITHUB_STEP_SUMMARY` is set (it always is on GitHub
+//! to make a resilience-layer slowdown a hard failure). A missing baseline
+//! stays tolerated even under `--strict`, but a file that is not valid JSON
+//! fails the run: a broken document would otherwise skip every gate. Both
+//! files are read with `dew_serve::json`. When `GITHUB_STEP_SUMMARY` is set (it always is on GitHub
 //! runners), the guard additionally appends a markdown comparison table —
 //! variant, baseline steps/sec, fresh steps/sec, delta — to the job
 //! summary, so the trajectory is readable without opening the log, and the
@@ -22,7 +23,7 @@
 //! the fresh JSON compare two variants measured in the *same* run on the
 //! *same* machine, so runner-class noise cancels and a violation is a real
 //! kernel property, not a slow runner. Gated (when the fields are present;
-//! older baselines without them are skipped):
+//! documents without them are skipped):
 //!
 //! * `speedup_fused_vs_per_assoc >= 2.0` when the fresh run's
 //!   `kernel_backend` is `avx2` — the wide-scan fused FIFO walk must beat
@@ -48,6 +49,8 @@
 
 use std::process::ExitCode;
 
+use dew_serve::json::Json;
+
 /// Minimum fused-vs-per-assoc FIFO speedup on an `avx2` run (same-machine
 /// ratio, so gated hard).
 const FUSED_SPEEDUP_FLOOR: f64 = 2.0;
@@ -59,68 +62,41 @@ const INSTR_OVERHEAD_CEILING: f64 = 8.0;
 /// runs listed in `EXPERIMENTS.md`).
 const PLRU_OVER_FIFO_CEILING: f64 = 4.3;
 
-/// Extracts `(name, steps_per_sec)` pairs from a `BENCH_hot_loop.json`
-/// document. The format is the one `hot_loop.rs` writes: each variant
-/// object carries a `"name"` and a `"steps_per_sec"` field, in that order;
-/// anything else is ignored.
-fn parse_variants(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(i) = rest.find("\"name\": \"") {
-        rest = &rest[i + "\"name\": \"".len()..];
-        let Some(end) = rest.find('"') else { break };
-        let name = rest[..end].to_owned();
-        rest = &rest[end..];
-        // The rate must belong to this object: stop at the object's end.
-        let object_end = rest.find('}').unwrap_or(rest.len());
-        if let Some(j) = rest[..object_end].find("\"steps_per_sec\": ") {
-            let num = rest[j + "\"steps_per_sec\": ".len()..object_end]
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect::<String>();
-            if let Ok(rate) = num.parse::<f64>() {
-                out.push((name, rate));
-            }
-        }
-    }
-    out
+/// The `(name, steps_per_sec)` pairs of the document's `variants` array;
+/// entries without both fields are ignored.
+fn variants(doc: &Json) -> Vec<(String, f64)> {
+    let Some(Json::Arr(items)) = doc.get("variants") else {
+        return Vec::new();
+    };
+    items
+        .iter()
+        .filter_map(|v| {
+            let name = v.get("name")?.as_str()?;
+            Some((name.to_owned(), v.get("steps_per_sec")?.as_f64()?))
+        })
+        .collect()
 }
 
-/// Extracts a top-level numeric field (`"key": 1.234`) from the JSON text.
-fn parse_scalar(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let i = text.find(&pat)?;
-    text[i + pat.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect::<String>()
-        .parse()
-        .ok()
-}
-
-/// Extracts a top-level string field (`"key": "value"`) from the JSON text.
-fn parse_string(text: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let i = text.find(&pat)?;
-    let rest = &text[i + pat.len()..];
-    Some(rest[..rest.find('"')?].to_owned())
+/// A top-level numeric field, `None` when absent or not a number.
+fn scalar(doc: &Json, key: &str) -> Option<f64> {
+    doc.get(key).and_then(Json::as_f64)
 }
 
 /// The hard same-run ratio and work-count gates (see the module docs): one
 /// error line per violated gate in the fresh JSON. Fields absent from older
 /// formats are skipped, never failed.
-fn ratio_gates(fresh: &str) -> Vec<String> {
+fn ratio_gates(fresh: &Json) -> Vec<String> {
     let mut out = Vec::new();
-    let backend = parse_string(fresh, "kernel_backend");
-    if let Some(speedup) = parse_scalar(fresh, "speedup_fused_vs_per_assoc") {
-        if backend.as_deref() == Some("avx2") && speedup < FUSED_SPEEDUP_FLOOR {
+    let avx2 = fresh.get("kernel_backend").and_then(Json::as_str) == Some("avx2");
+    if let Some(speedup) = scalar(fresh, "speedup_fused_vs_per_assoc") {
+        if avx2 && speedup < FUSED_SPEEDUP_FLOOR {
             out.push(format!(
                 "speedup_fused_vs_per_assoc {speedup:.3} is below the \
                  {FUSED_SPEEDUP_FLOOR:.1} floor on an avx2 run"
             ));
         }
     }
-    if let Some(ratio) = parse_scalar(fresh, "instrumented_over_fast_fused_fifo") {
+    if let Some(ratio) = scalar(fresh, "instrumented_over_fast_fused_fifo") {
         if ratio > INSTR_OVERHEAD_CEILING {
             out.push(format!(
                 "instrumented_over_fast_fused_fifo {ratio:.3} exceeds the \
@@ -128,15 +104,15 @@ fn ratio_gates(fresh: &str) -> Vec<String> {
             ));
         }
     }
-    if let Some(ratio) = parse_scalar(fresh, "plru_over_fused_fifo") {
-        if backend.as_deref() == Some("avx2") && ratio > PLRU_OVER_FIFO_CEILING {
+    if let Some(ratio) = scalar(fresh, "plru_over_fused_fifo") {
+        if avx2 && ratio > PLRU_OVER_FIFO_CEILING {
             out.push(format!(
                 "plru_over_fused_fifo {ratio:.3} exceeds the \
                  {PLRU_OVER_FIFO_CEILING:.1} ceiling on an avx2 run"
             ));
         }
     }
-    let evals = |p: &str| parse_scalar(fresh, &format!("node_evals_per_req_{p}"));
+    let evals = |p: &str| scalar(fresh, &format!("node_evals_per_req_{p}"));
     if let (Some(plru), Some(lru)) = (evals("plru"), evals("lru")) {
         if plru != lru {
             out.push(format!(
@@ -145,7 +121,7 @@ fn ratio_gates(fresh: &str) -> Vec<String> {
             ));
         }
     }
-    if let (Some(slru), Some(full)) = (evals("slru"), parse_scalar(fresh, "node_evals_full_walk")) {
+    if let (Some(slru), Some(full)) = (evals("slru"), scalar(fresh, "node_evals_full_walk")) {
         if slru >= full {
             out.push(format!(
                 "node_evals_per_req_slru {slru} is not below the full walk of {full} levels: \
@@ -250,19 +226,24 @@ fn main() -> ExitCode {
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(0.30);
     let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(text) => Some(text),
+        Ok(text) => Json::parse(&text).map(Some).map_err(|e| {
+            println!("::error::bench_guard: {path} is not valid JSON: {e}");
+        }),
         Err(e) => {
             // Missing baselines must not fail CI either (first run on a
             // fresh branch): warn and carry on.
             println!("::warning::bench_guard: cannot read {path}: {e}");
-            None
+            Ok(None)
         }
     };
-    let (Some(committed), Some(fresh)) = (read(committed_path), read(fresh_path)) else {
+    let (Ok(committed), Ok(fresh)) = (read(committed_path), read(fresh_path)) else {
+        return ExitCode::FAILURE;
+    };
+    let (Some(committed), Some(fresh)) = (committed, fresh) else {
         return ExitCode::SUCCESS;
     };
-    let base = parse_variants(&committed);
-    let now = parse_variants(&fresh);
+    let base = variants(&committed);
+    let now = variants(&fresh);
     if base.is_empty() || now.is_empty() {
         println!(
             "::warning::bench_guard: no variants parsed (committed: {}, fresh: {})",
@@ -309,6 +290,10 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn doc(text: &str) -> Json {
+        Json::parse(text).expect("valid JSON")
+    }
+
     const SAMPLE: &str = r#"{
   "bench": "hot_loop",
   "variants": [
@@ -322,7 +307,7 @@ mod tests {
 
     #[test]
     fn parses_variant_rates_and_skips_shapes_without_rates() {
-        let v = parse_variants(SAMPLE);
+        let v = variants(&doc(SAMPLE));
         assert_eq!(
             v,
             vec![
@@ -330,6 +315,19 @@ mod tests {
                 ("run_blocks".to_owned(), 19558401.0)
             ]
         );
+    }
+
+    #[test]
+    fn committed_bench_files_are_valid_json_with_variants() {
+        for text in [
+            include_str!("../../../../BENCH_hot_loop.json"),
+            include_str!("../../../../BENCH_sharded_smoke.json"),
+            include_str!("../../../../BENCH_serve_soak.json"),
+        ] {
+            assert!(!variants(&doc(text)).is_empty(), "{text}");
+        }
+        // A document that does not parse is an error, not an empty one.
+        assert!(Json::parse(&SAMPLE[..SAMPLE.len() / 2]).is_err());
     }
 
     #[test]
@@ -366,52 +364,55 @@ mod tests {
 
     #[test]
     fn parses_top_level_scalar_and_string_fields() {
+        let ratios = doc(RATIOS);
+        assert_eq!(scalar(&ratios, "speedup_fused_vs_per_assoc"), Some(2.39));
         assert_eq!(
-            parse_scalar(RATIOS, "speedup_fused_vs_per_assoc"),
-            Some(2.39)
-        );
-        assert_eq!(
-            parse_scalar(RATIOS, "instrumented_over_fast_fused_fifo"),
+            scalar(&ratios, "instrumented_over_fast_fused_fifo"),
             Some(5.95)
         );
-        assert_eq!(parse_scalar(RATIOS, "absent_field"), None);
+        assert_eq!(scalar(&ratios, "absent_field"), None);
+        assert_eq!(scalar(&ratios, "kernel_backend"), None, "not a number");
         assert_eq!(
-            parse_string(RATIOS, "kernel_backend").as_deref(),
+            ratios.get("kernel_backend").and_then(Json::as_str),
             Some("avx2")
         );
-        assert_eq!(parse_string(RATIOS, "absent_field"), None);
+        assert!(ratios.get("absent_field").is_none());
     }
 
     #[test]
     fn ratio_gates_hold_on_the_tracked_numbers() {
-        assert!(ratio_gates(RATIOS).is_empty(), "{:?}", ratio_gates(RATIOS));
+        assert!(
+            ratio_gates(&doc(RATIOS)).is_empty(),
+            "{:?}",
+            ratio_gates(&doc(RATIOS))
+        );
     }
 
     #[test]
     fn low_fused_speedup_fails_only_on_avx2_runs() {
         let slow_avx2 = RATIOS.replace("2.39", "1.40");
-        let e = ratio_gates(&slow_avx2);
+        let e = ratio_gates(&doc(&slow_avx2));
         assert_eq!(e.len(), 1, "{e:?}");
         assert!(e[0].contains("speedup_fused_vs_per_assoc 1.400"), "{e:?}");
         // The same ratio on a scalar run is expected (no wide scans): no gate.
         let slow_scalar = slow_avx2.replace("avx2", "scalar");
-        assert!(ratio_gates(&slow_scalar).is_empty());
+        assert!(ratio_gates(&doc(&slow_scalar)).is_empty());
     }
 
     #[test]
     fn slow_plru_fails_only_on_avx2_runs() {
         let slow_avx2 = RATIOS.replace("1.93", "4.51");
-        let e = ratio_gates(&slow_avx2);
+        let e = ratio_gates(&doc(&slow_avx2));
         assert_eq!(e.len(), 1, "{e:?}");
         assert!(e[0].contains("plru_over_fused_fifo 4.510"), "{e:?}");
         let slow_scalar = slow_avx2.replace("avx2", "scalar");
-        assert!(ratio_gates(&slow_scalar).is_empty());
+        assert!(ratio_gates(&doc(&slow_scalar)).is_empty());
     }
 
     #[test]
     fn runaway_instrumentation_overhead_fails_on_any_backend() {
         let heavy = RATIOS.replace("5.95", "9.10").replace("avx2", "scalar");
-        let e = ratio_gates(&heavy);
+        let e = ratio_gates(&doc(&heavy));
         assert_eq!(e.len(), 1, "{e:?}");
         assert!(
             e[0].contains("instrumented_over_fast_fused_fifo 9.100"),
@@ -421,24 +422,24 @@ mod tests {
 
     #[test]
     fn plru_walking_past_the_mra_hit_fails_the_work_gate() {
-        let e = ratio_gates(&RATIOS.replace(
+        let e = ratio_gates(&doc(&RATIOS.replace(
             "\"node_evals_per_req_plru\": 5.8125",
             "\"node_evals_per_req_plru\": 15.0000",
-        ));
+        )));
         assert_eq!(e.len(), 1, "{e:?}");
         assert!(e[0].contains("node_evals_per_req_plru 15"), "{e:?}");
     }
 
     #[test]
     fn slru_full_walk_fails_the_work_gate() {
-        let e = ratio_gates(&RATIOS.replace("6.9375", "15.0000"));
+        let e = ratio_gates(&doc(&RATIOS.replace("6.9375", "15.0000")));
         assert_eq!(e.len(), 1, "{e:?}");
         assert!(e[0].contains("node_evals_per_req_slru 15"), "{e:?}");
     }
 
     #[test]
     fn json_without_ratio_fields_is_not_gated() {
-        assert!(ratio_gates(SAMPLE).is_empty());
+        assert!(ratio_gates(&doc(SAMPLE)).is_empty());
     }
 
     #[test]

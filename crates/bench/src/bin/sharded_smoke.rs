@@ -1,9 +1,10 @@
-//! Sharded-sweep smoke benchmark: proves on every CI run that (a) the
-//! snapshot-handoff sharded sweep reproduces the sequential fused sweep
-//! miss for miss on a large synthetic Zipf trace, and (b) a streamed sweep
+//! Sweep smoke benchmark: times the in-memory fused sweep on a large
+//! synthetic Zipf trace, and proves on every CI run that a streamed sweep
 //! covers a trace far larger than the documented memory bound without
 //! materialising it — the process high-water mark (`VmHWM`) is asserted
-//! below [`MEMORY_BOUND_MIB`].
+//! below [`MEMORY_BOUND_MIB`]. (The file keeps its historical name so the
+//! CI steps and the committed `BENCH_sharded_smoke.json` trajectory carry
+//! on.)
 //!
 //! Writes `BENCH_sharded_smoke.json` (override with `DEW_BENCH_JSON`) in
 //! the same `{"name", "steps_per_sec"}` variant shape as the hot-loop
@@ -36,7 +37,6 @@ const SPACE: ((u32, u32), (u32, u32), (u32, u32)) = ((0, 10), (2, 4), (0, 2));
 /// Zipf shape: ranks span 1 MiB of hot words, mildly heavy-tailed.
 const ZIPF_RANKS: usize = 1 << 18;
 const ZIPF_S: f64 = 0.8;
-const SHARDS: usize = 8;
 /// The documented bound the streamed phase must stay under, measured as the
 /// process `VmHWM`. A 100M-request trace is ~1.9 GiB in memory; streaming
 /// it must not take the process anywhere near that.
@@ -147,7 +147,7 @@ fn chaos(requests: u64) {
         recovered.retries()
     );
 
-    // (b) Kill + resume: checkpoint a sharded run, pick a mid-run image,
+    // (b) Kill + resume: checkpoint a run, pick a mid-run image,
     // round-trip it through the on-disk sidecar, resume, compare.
     let records: Vec<Record> = ZipfStream::new(42, requests)
         .map(|r| r.expect("synthetic stream never fails"))
@@ -155,10 +155,9 @@ fn chaos(requests: u64) {
     let store = MemoryCheckpointStore::new();
     let res = Resilience::new().with_checkpoint((requests / 4).max(1), &store);
     let ckpted = SweepRequest::new(&space)
-        .sharded(SHARDS)
         .resilient(&res)
         .run(&records)
-        .expect("checkpointed sharded sweep");
+        .expect("checkpointed sweep");
     assert_eq!(ckpted.sorted(), baseline.sorted());
     let history = store.history();
     assert!(!history.is_empty(), "checkpoints were taken");
@@ -168,7 +167,6 @@ fn chaos(requests: u64) {
     let ckpt = SweepCheckpoint::from_bytes(&bytes).expect("sidecar decodes");
     let res = Resilience::new().resume_from(&ckpt);
     let resumed = SweepRequest::new(&space)
-        .sharded(SHARDS)
         .resilient(&res)
         .run(&records)
         .expect("resumed sweep");
@@ -214,31 +212,15 @@ fn main() {
         variants.push((name, secs * 1e9 / steps, steps / secs));
     };
 
-    // The sequential fused sweep: the reference.
+    // The in-memory fused sweep.
     let start = Instant::now();
-    let sequential = SweepRequest::new(&space).run(&records).expect("sweep");
+    let swept = SweepRequest::new(&space).run(&records).expect("sweep");
     record_variant(
         "fifo_sequential",
         requests as f64,
         start.elapsed().as_secs_f64(),
     );
-
-    // Exact sharding: miss-for-miss equality with the sequential sweep.
-    let start = Instant::now();
-    let handoff = SweepRequest::new(&space)
-        .sharded(SHARDS)
-        .run(&records)
-        .expect("sharded sweep");
-    record_variant(
-        "fifo_handoff8",
-        requests as f64,
-        start.elapsed().as_secs_f64(),
-    );
-    assert_eq!(
-        handoff.sorted(),
-        sequential.sorted(),
-        "snapshot-handoff sharding diverged from the sequential sweep"
-    );
+    assert_eq!(swept.accesses(), requests);
 
     // Bounded-memory streaming: sweep a stream that never lives in memory.
     drop(records);
@@ -279,7 +261,6 @@ fn main() {
     let _ = writeln!(json, "  \"unix_time\": {unix_time},");
     let _ = writeln!(json, "  \"requests\": {requests},");
     let _ = writeln!(json, "  \"stream_requests\": {stream_requests},");
-    let _ = writeln!(json, "  \"shards\": {SHARDS},");
     let _ = writeln!(json, "  \"vm_hwm_kib\": {hwm_kib},");
     let _ = writeln!(json, "  \"memory_bound_mib\": {MEMORY_BOUND_MIB},");
     json.push_str("  \"variants\": [\n");

@@ -10,8 +10,8 @@ use dew_core::{
     SweepCheckpoint, SweepRequest, TreePolicy,
 };
 use dew_explore::{
-    best_edp_under, evaluate_sweep, explore_trace_with_shards, pareto_front, EnergyModel,
-    ExplorationSpace, ParetoMode,
+    best_edp_under, evaluate_sweep, explore_trace, pareto_front, EnergyModel, ExplorationSpace,
+    ParetoMode,
 };
 use dew_trace::Trace;
 use dew_workloads::mediabench::App;
@@ -31,7 +31,11 @@ where
     I: IntoIterator<Item = S>,
     S: Into<String>,
 {
-    let args = Args::parse(raw, &["classify", "counters", "fail-fast", "chaos"])?;
+    let args = Args::parse(raw, &["classify", "counters", "fail-fast", "chaos", "help"])?;
+    // `--help` and `-h` print the usage wherever they appear.
+    if args.flag("help") || args.positional().iter().any(|p| p == "-h") {
+        return Ok(USAGE.to_owned());
+    }
     let command = args
         .positional()
         .first()
@@ -47,7 +51,7 @@ where
         "generate" => generate(&args),
         "serve" => serve(&args),
         "gen" => gen(&args),
-        "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
+        "help" => Ok(USAGE.to_owned()),
         other => Err(CliError::Usage(format!(
             "unknown command `{other}`\n\n{USAGE}"
         ))),
@@ -198,7 +202,6 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         "csv",
         "budget",
         "counters",
-        "shards",
         "sample",
         "checkpoint",
         "checkpoint-every",
@@ -215,19 +218,10 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     let policy = parse_tree_policy(args.get("policy").unwrap_or("fifo"), "policy")?;
     let threads = args.get_or("threads", 0usize)?;
     let with_counters = args.flag("counters");
-    let shards = args.get_or("shards", 1usize)?;
-    let sharded = shards > 1;
     let sample = args.get("sample").map(parse_sample).transpose()?;
-    if sample.is_some() && sharded {
+    if with_counters && sample.is_some() {
         return Err(CliError::Usage(
-            "--sample and --shards are mutually exclusive (a sampled sweep already shards \
-             into clusters)"
-                .into(),
-        ));
-    }
-    if with_counters && (sample.is_some() || sharded) {
-        return Err(CliError::Usage(
-            "--counters needs the plain instrumented sweep; drop --shards/--sample".into(),
+            "--counters needs the plain instrumented sweep; drop --sample".into(),
         ));
     }
 
@@ -333,8 +327,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     // The default sweep decodes the trace once per block size and drives the
     // fast monomorphized kernel in batches — under either policy the passes
     // of a block size fuse into one traversal; --counters opts into the
-    // instrumented kernel to report the per-pass work breakdown. --shards
-    // splits the trace into intervals crossed by exact snapshot handoff and
+    // instrumented kernel to report the per-pass work breakdown, and
     // --sample keeps periodic clusters only.
     let mut request = SweepRequest::new(&space)
         .policy(policy)
@@ -342,9 +335,6 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         .instrumented(with_counters);
     if let Some((period, len)) = sample {
         request = request.sampled(period, len);
-    }
-    if sharded {
-        request = request.sharded(shards);
     }
     let outcome = if resilient {
         request.resilient(&res).run(trace.records())?
@@ -385,12 +375,6 @@ fn sweep(args: &Args) -> Result<String, CliError> {
             "periodic sample: kept {} of {} requests (leading {len} of every {period})\n",
             outcome.accesses(),
             total,
-        ));
-    }
-    if sharded {
-        out.push_str(&format!(
-            "sharded into {shards} intervals via exact snapshot handoff (bit-identical \
-             to the unsharded sweep)\n"
         ));
     }
     if let Some(bounds) = outcome.bounds() {
@@ -535,7 +519,7 @@ fn parse_policies(s: &str) -> Result<Vec<TreePolicy>, CliError> {
 fn explore(args: &Args) -> Result<String, CliError> {
     args.reject_unknown(&[
         "trace", "sets", "blocks", "assocs", "policies", "mode", "threads", "budget", "json",
-        "csv", "top", "shards",
+        "csv", "top",
     ])?;
     let trace = load_trace(&args.require::<String>("trace")?)?;
     let sets = parse_range(args.get("sets").unwrap_or("0..14"), "sets")?;
@@ -560,21 +544,17 @@ fn explore(args: &Args) -> Result<String, CliError> {
     };
     let threads = args.get_or("threads", 0usize)?;
     let top = args.get_or("top", 12usize)?;
-    // Sharding is exact snapshot handoff, so the exploration scores stay
-    // exact (bit-identical miss counts, bounded per-traversal memory).
-    let shards = args.get_or("shards", 1usize)?;
 
     let exploration = ExplorationSpace::new(space)
         .with_policies(&policies)
         .with_budget(budget);
     let start = std::time::Instant::now();
-    let report = explore_trace_with_shards(
+    let report = explore_trace(
         &exploration,
         trace.records(),
         &EnergyModel::default(),
         mode,
         threads,
-        shards,
     )?;
     let elapsed = start.elapsed().as_secs_f64();
 
@@ -934,6 +914,22 @@ mod tests {
     }
 
     #[test]
+    fn help_flags_print_usage_from_any_command() {
+        for line in [
+            &["--help"][..],
+            &["-h"],
+            &["sweep", "--help"],
+            &["sweep", "-h"],
+            &["explore", "--trace", "missing.dewt", "--help"],
+            &["serve", "--help"],
+        ] {
+            let out = run(line.iter().copied()).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            assert!(out.starts_with("dew — "), "{line:?}: {out}");
+            assert!(out.contains("USAGE"), "{line:?}");
+        }
+    }
+
+    #[test]
     fn generate_stats_simulate_convert_round_trip() {
         let bin = tmp("t.dewt");
         let din = tmp("t.din");
@@ -1046,14 +1042,9 @@ mod tests {
             "sweep", "--trace", &bin, "--sets", "0..4", "--blocks", "2..3", "--assocs", "0..2",
         ];
 
-        let plain = run(base).expect("plain sweep");
-        let handoff = run(base.iter().copied().chain(["--shards", "4"])).expect("sharded");
-        assert!(handoff.contains("exact snapshot handoff"), "{handoff}");
-        assert_eq!(
-            miss_table(&handoff),
-            miss_table(&plain),
-            "handoff sharding is bit-identical"
-        );
+        let err = run(base.iter().copied().chain(["--shards", "4"])).expect_err("no --shards");
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("unknown option --shards"), "{err}");
 
         let lru = run(base
             .iter()
@@ -1078,11 +1069,7 @@ mod tests {
             run(base
                 .iter()
                 .copied()
-                .chain(["--shards", "2", "--sample", "100:25"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(base.iter().copied().chain(["--shards", "2", "--counters"])),
+                .chain(["--sample", "100:25", "--counters"])),
             Err(CliError::Usage(_))
         ));
         let _ = std::fs::remove_file(&bin);
@@ -1131,12 +1118,8 @@ mod tests {
             "resume is bit-identical"
         );
 
-        let sharded = run(base
-            .iter()
-            .copied()
-            .chain(["--shards", "3", "--retries", "2"]))
-        .expect("sharded resilient");
-        assert_eq!(miss_table(&sharded), miss_table(&plain));
+        let retried = run(base.iter().copied().chain(["--retries", "2"])).expect("resilient");
+        assert_eq!(miss_table(&retried), miss_table(&plain));
 
         // A checkpoint from a different configuration space is rejected
         // cleanly, before any simulation runs.
@@ -1216,8 +1199,8 @@ mod tests {
             "--policies",
             "fifo,lru",
         ];
-        let plain = run(base).expect("explore");
-        let sharded = run(base.iter().copied().chain(["--shards", "3"])).expect("explore sharded");
+        let one = run(base.iter().copied().chain(["--threads", "1"])).expect("explore");
+        let two = run(base.iter().copied().chain(["--threads", "2"])).expect("explore");
         // Everything after the timing header must agree line for line.
         let tail = |s: &str| {
             s.lines()
@@ -1226,7 +1209,10 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(tail(&sharded), tail(&plain));
+        assert_eq!(tail(&two), tail(&one));
+        let err = run(base.iter().copied().chain(["--shards", "3"])).expect_err("no --shards");
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("unknown option --shards"), "{err}");
         let _ = std::fs::remove_file(&bin);
     }
 

@@ -48,9 +48,6 @@ COMMANDS:
              [--policy fifo|lru|plru|slru] [--threads N (0 = auto)]
              [--csv FILE] [--budget BYTES]
              [--counters]  (instrumented kernel: per-pass work breakdown)
-             [--shards K]  (split the trace into K intervals crossed by
-              exact snapshot handoff — bit-identical results with bounded
-              per-traversal memory)
              [--sample PERIOD:LEN]  (keep the leading LEN of every PERIOD
               requests; reports a per-cluster cold-start slack bound per
               configuration, guaranteed under lru, heuristic otherwise)
@@ -78,7 +75,6 @@ COMMANDS:
               pruned drops associativity-dominated points before the scan)]
              [--budget BYTES (drop configurations larger than the budget)]
              [--threads N (0 = auto)] [--top N (frontier rows shown)]
-             [--shards K (exact snapshot-handoff sharding of the sweeps)]
              [--json FILE] [--csv FILE]  (full per-point report emission)
   verify     run DEW and the reference simulator, cross-check every config
              --trace FILE [--sets LO..HI] [--blocks LO..HI] [--assocs LO..HI]
@@ -119,7 +115,7 @@ COMMANDS:
              [--chaos]  (ask the server to wrap each job's trace source in
               the fault injector: flaky opens, transient faults, latency)
              [--wait-timeout-ms N (default 60000)] [--json FILE]
-  help       print this message
+  help       print this message (as do --help and -h after any command)
 
 EXAMPLES:
   # Generate a Mediabench-like trace and explore the paper's Table 1 space:

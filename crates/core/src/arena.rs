@@ -915,9 +915,8 @@ impl<P: Policy> Arena<P> {
     }
 
     /// Serialises the complete kernel state (geometry, options, counters,
-    /// every lane) under the policy's own magic. The sharded sweep's
-    /// snapshot handoff and the checkpoint sidecars round-trip these
-    /// buffers.
+    /// every lane) under the policy's own magic. The checkpoint sidecars
+    /// round-trip these buffers.
     #[must_use]
     pub fn to_snapshot(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.footprint_bytes() * 2);
@@ -962,7 +961,7 @@ impl<P: Policy> Arena<P> {
     /// Restores a kernel from [`Arena::to_snapshot`] output. The snapshot
     /// is self-describing; continuing the restored kernel produces
     /// bit-identical results to the uninterrupted run (a property-tested
-    /// invariant the sharded sweep relies on).
+    /// invariant checkpoint resume relies on).
     ///
     /// # Errors
     ///

@@ -3,11 +3,10 @@
 //!
 //! A [`SweepCheckpoint`] is a sidecar file (magic `DEWC`) bundling, for
 //! every fused job of a sweep (one per block size), the job's decode
-//! position and its kernel snapshot — the same versioned
-//! `DEWM`/`DEWL`/`DEWP`/`DEWU` buffers the sharded snapshot-handoff path
-//! round-trips. Because a kernel
-//! snapshot restores *exact* state (property-tested in
-//! `tests/snapshot_and_timeline.rs`) and the fused kernels are insensitive
+//! position and its kernel snapshot in the policy's versioned
+//! `DEWM`/`DEWL`/`DEWP`/`DEWU` format. Because a kernel snapshot restores
+//! *exact* state (property-tested in `tests/snapshot_and_timeline.rs` and
+//! `tests/proptest_sharded_sweep.rs`) and the fused kernels are insensitive
 //! to how the record stream is chunked, "restore every job's kernel and
 //! replay the remaining records" is not an approximation: it reproduces the
 //! uninterrupted sweep bit for bit. The sweep driver in
@@ -15,10 +14,9 @@
 //!
 //! A checkpoint also records a *fingerprint* of the sweep it belongs to
 //! (configuration space + options + policy), so resuming with a different
-//! sweep shape is rejected up front instead of corrupting results. The
-//! shard count is deliberately excluded: snapshot handoff is an identity,
-//! so a checkpoint taken under one shard count resumes soundly under
-//! another.
+//! sweep shape is rejected up front instead of corrupting results. Resume
+//! also checks every restored kernel against its job: its geometry must be
+//! the job's and its access count the job's `records_done`.
 //!
 //! # Wire format (version 1, little-endian)
 //!
@@ -55,7 +53,7 @@ pub struct JobCheckpoint {
     /// Records the job has consumed; resume replays the source from here.
     pub records_done: u64,
     /// Whether the job ran to the end of the trace (its results are final
-    /// and `kernel` may be the job's last pre-completion snapshot).
+    /// and `kernel` is the job's final kernel).
     pub complete: bool,
     /// The kernel's `to_snapshot` buffer at `records_done`.
     pub kernel: Vec<u8>,
@@ -319,10 +317,9 @@ impl CheckpointLog {
 
 /// Fingerprint of a sweep's identity — configuration space, kernel options
 /// and policy folded through FNV-1a — used to reject resuming a checkpoint
-/// into a *different* sweep. The shard count and thread count are excluded
-/// on purpose: neither affects results (snapshot handoff is an identity and
-/// job scheduling is deterministic per job), so a checkpoint is portable
-/// across them.
+/// into a *different* sweep. The thread count is excluded on purpose: it
+/// does not affect results (job scheduling is deterministic per job), so a
+/// checkpoint is portable across thread counts.
 #[must_use]
 pub fn sweep_fingerprint(space: &ConfigSpace, options: DewOptions) -> u64 {
     let (s0, s1) = space.set_bits();

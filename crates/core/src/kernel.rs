@@ -7,7 +7,7 @@
 //!
 //! * consume pre-decoded block numbers **one at a time** (chunk
 //!   partitioning never affects results — the invariance behind exact
-//!   checkpoint resume, retry replay and shard handoff);
+//!   checkpoint resume and retry replay);
 //! * cover every associativity of a block size in **one traversal**;
 //! * fan the fused state back out into per-pass [`PassResults`] /
 //!   [`DewCounters`] views;
@@ -36,7 +36,7 @@ use crate::results::PassResults;
 use crate::simd::KernelBackend;
 use crate::slru_tree::SlruTreeSimulator;
 use crate::snapshot::SnapshotError;
-use crate::space::DewError;
+use crate::space::{DewError, PassConfig};
 
 /// The surface a fused arena simulator exposes to the policy-generic sweep
 /// drivers. See the module docs for the contract behind each method.
@@ -174,6 +174,21 @@ impl FusedKernel {
             FusedKernel::Lru(k) => k.as_ref(),
             FusedKernel::Plru(k) => k.as_ref(),
             FusedKernel::Slru(k) => k.as_ref(),
+        }
+    }
+
+    /// The kernel's geometry and progress: its widest pass, its narrowest
+    /// associativity and the records simulated so far. Resume checks a
+    /// checkpointed kernel against its job with it.
+    pub(crate) fn shape(&self) -> (PassConfig, u32, u64) {
+        fn of<P: Policy>(k: &Arena<P>) -> (PassConfig, u32, u64) {
+            (*k.pass(), k.assoc_list()[0], k.counters().accesses)
+        }
+        match self {
+            FusedKernel::Fifo(k) => of(k),
+            FusedKernel::Lru(k) => of(k),
+            FusedKernel::Plru(k) => of(k),
+            FusedKernel::Slru(k) => of(k),
         }
     }
 

@@ -50,10 +50,9 @@
 //! Execution plans are orthogonal builder axes on [`SweepRequest`], and one
 //! sweep driver runs them all: long traces need not be resident
 //! ([`SweepRequest::run_streamed`] decodes a re-openable source in bounded
-//! chunks), can be sharded into intervals whose kernel state crosses each
-//! boundary as snapshot bytes ([`SweepRequest::sharded`] — bit-identical
-//! to the unsharded sweep), or sampled from periodic clusters with a
-//! per-cluster cold-start bound ([`ShardBounds`]).
+//! chunks), or sampled from periodic clusters with a per-cluster
+//! cold-start bound ([`ShardBounds`]). Parallelism is across block sizes:
+//! each block size is one job, one kernel and one traversal.
 //!
 //! Long runs also need not be fragile: [`SweepRequest::resilient`] runs
 //! the same kernels with checkpoint/resume (a [`SweepCheckpoint`] persists

@@ -1,7 +1,7 @@
 //! The unified sweep entry point: a [`SweepRequest`] names *what* to sweep
 //! (a [`ConfigSpace`]), *how* ([`DewOptions`] — policy included — thread
-//! count, instrumentation) and *under which execution plan* (sharding,
-//! sampling, resilience). [`SweepRequest::run`] and
+//! count, instrumentation) and *under which execution plan* (sampling,
+//! resilience). [`SweepRequest::run`] and
 //! [`SweepRequest::run_streamed`] hand every plan to the one fused sweep
 //! driver, reading an in-memory trace through [`SliceSource`].
 //!
@@ -9,16 +9,15 @@
 //! combinations are rejected up front with
 //! [`DewError::UnsoundOptions`] instead of silently picking a plan:
 //!
-//! | plan              | sharded | sampled | instrumented | resilient |
-//! |-------------------|---------|---------|--------------|-----------|
-//! | sharded           |    —    |   no    |      no      |    yes    |
-//! | sampled           |   no    |    —    |      no      |    no     |
-//! | instrumented      |   no    |   no    |      —       |    no     |
-//! | resilient         |   yes   |   no    |      no      |     —     |
+//! | plan              | sampled | instrumented | resilient |
+//! |-------------------|---------|--------------|-----------|
+//! | sampled           |    —    |      no      |    no     |
+//! | instrumented      |   no    |      —       |    no     |
+//! | resilient         |   no    |      no      |     —     |
 //!
-//! [`SweepRequest::run_streamed`] additionally rejects sharding, sampling
-//! and instrumentation: a streamed trace has no known length to shard, no
-//! slice to sample, and the instrumented plan is in-memory only.
+//! [`SweepRequest::run_streamed`] additionally rejects sampling and
+//! instrumentation: a streamed trace has no slice to sample, and the
+//! instrumented plan is in-memory only.
 
 use dew_trace::{Record, SliceSource, TraceSource};
 
@@ -26,7 +25,7 @@ use crate::options::{DewOptions, TreePolicy};
 use crate::resilience::Resilience;
 use crate::results::SweepOutcome;
 use crate::space::{ConfigSpace, DewError};
-use crate::sweep::{cluster_bounds, run_resilient, shard_boundaries};
+use crate::sweep::{cluster_bounds, run_resilient};
 
 /// A fully described sweep: configuration space × policy options × threads
 /// × instrumentation × execution plan, built fluently and executed with
@@ -54,7 +53,6 @@ pub struct SweepRequest<'a> {
     options: DewOptions,
     threads: usize,
     instrumented: bool,
-    shards: Option<usize>,
     sample: Option<(usize, usize)>,
     resilience: Option<&'a Resilience<'a>>,
 }
@@ -69,7 +67,6 @@ impl<'a> SweepRequest<'a> {
             options: DewOptions::default(),
             threads: 0,
             instrumented: false,
-            shards: None,
             sample: None,
             resilience: None,
         }
@@ -102,22 +99,10 @@ impl<'a> SweepRequest<'a> {
     }
 
     /// Maintains the full [`crate::DewCounters`] breakdown per pass.
-    /// Composes with neither sharding, sampling nor resilience.
+    /// Composes with neither sampling nor resilience.
     #[must_use]
     pub fn instrumented(mut self, on: bool) -> Self {
         self.instrumented = on;
-        self
-    }
-
-    /// Splits the trace into `shards` contiguous intervals (`0` and `1`
-    /// both mean unsharded). Each block size's kernel crosses every
-    /// interval boundary as serialized snapshot bytes restored into a
-    /// fresh kernel, so the outcome is **bit-identical** to the unsharded
-    /// sweep: the plan bounds per-traversal memory and exactness-tests the
-    /// snapshot format on every run. Parallelism stays across block sizes.
-    #[must_use]
-    pub fn sharded(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
         self
     }
 
@@ -178,31 +163,24 @@ impl<'a> SweepRequest<'a> {
 
     /// Rejects plan-axis combinations no plan implements soundly.
     fn check_combos(&self) -> Result<(), DewError> {
-        if self.sample.is_some()
-            && (self.shards.is_some() || self.instrumented || self.resilience.is_some())
-        {
+        if self.sample.is_some() && (self.instrumented || self.resilience.is_some()) {
             return Err(DewError::UnsoundOptions(
-                "sampled sweeps compose with neither sharding, instrumentation nor resilience",
+                "sampled sweeps compose with neither instrumentation nor resilience",
             ));
         }
-        if self.instrumented && (self.shards.is_some() || self.resilience.is_some()) {
+        if self.instrumented && self.resilience.is_some() {
             return Err(DewError::UnsoundOptions(
-                "instrumented sweeps run in-memory and unsharded; drop sharding/resilience",
+                "instrumented sweeps run in-memory without resilience; drop resilience",
             ));
         }
         Ok(())
     }
 
     /// Runs the one sweep driver over `source` under this request's plan.
-    fn drive<S: TraceSource>(
-        &self,
-        source: &S,
-        boundaries: &[u64],
-    ) -> Result<SweepOutcome, DewError> {
+    fn drive<S: TraceSource>(&self, source: &S) -> Result<SweepOutcome, DewError> {
         run_resilient(
             self.space,
             source,
-            boundaries,
             self.options,
             self.threads,
             self.instrumented,
@@ -232,8 +210,7 @@ impl<'a> SweepRequest<'a> {
     pub fn run(&self, records: &[Record]) -> Result<SweepOutcome, DewError> {
         self.check_combos()?;
         let Some((period, sample_len)) = self.sample else {
-            let boundaries = shard_boundaries(records.len(), self.shards.unwrap_or(1));
-            return self.drive(&SliceSource(records), &boundaries);
+            return self.drive(&SliceSource(records));
         };
         if period == 0 || sample_len == 0 || sample_len > period {
             return Err(DewError::UnsoundOptions(
@@ -241,7 +218,7 @@ impl<'a> SweepRequest<'a> {
             ));
         }
         if sample_len == period {
-            return self.drive(&SliceSource(records), &[]);
+            return self.drive(&SliceSource(records));
         }
         let sampled: Vec<Record> = records
             .iter()
@@ -249,7 +226,7 @@ impl<'a> SweepRequest<'a> {
             .filter(|(i, _)| i % period < sample_len)
             .map(|(_, r)| *r)
             .collect();
-        let outcome = self.drive(&SliceSource(&sampled), &[])?;
+        let outcome = self.drive(&SliceSource(&sampled))?;
         let bounds = cluster_bounds(self.space, &sampled, sample_len, self.options.policy);
         Ok(outcome.with_bounds(bounds))
     }
@@ -266,18 +243,18 @@ impl<'a> SweepRequest<'a> {
     /// # Errors
     ///
     /// As [`SweepRequest::run`], plus [`DewError::UnsoundOptions`] when the
-    /// request carries sharding, sampling or instrumentation, and
+    /// request carries sampling or instrumentation, and
     /// [`DewError::TraceRead`] naming the failing block size and record
     /// when the source fails.
     pub fn run_streamed<S: TraceSource>(&self, source: &S) -> Result<SweepOutcome, DewError> {
         self.check_combos()?;
-        if self.shards.is_some() || self.sample.is_some() || self.instrumented {
+        if self.sample.is_some() || self.instrumented {
             return Err(DewError::UnsoundOptions(
                 "streamed sweeps support the plain and resilient plans only \
-                 (no sharding, sampling or instrumentation)",
+                 (no sampling or instrumentation)",
             ));
         }
-        self.drive(source, &[])
+        self.drive(source)
     }
 }
 
@@ -328,9 +305,6 @@ mod tests {
             let inst = base.instrumented(true).run(&records).expect("instrumented");
             assert_eq!(inst.sorted(), plain.sorted(), "{policy}: instrumented");
 
-            let sharded = base.sharded(3).run(&records).expect("sharded");
-            assert_eq!(sharded.sorted(), plain.sorted(), "{policy}: handoff exact");
-
             // Sampling is the plain sweep over the spliced clusters.
             let sampled = base.sampled(64, 16).run(&records).expect("sampled");
             let spliced: Vec<Record> = records
@@ -350,9 +324,6 @@ mod tests {
                 "{policy}: resilient exact"
             );
 
-            let both = base.sharded(3).resilient(&res).run(&records).expect("both");
-            assert_eq!(both.sorted(), plain.sorted(), "{policy}: sharded resilient");
-
             let streamed = base.run_streamed(&SliceSource(&records)).expect("streamed");
             assert_eq!(
                 streamed.sorted(),
@@ -368,10 +339,8 @@ mod tests {
         let records = trace(64);
         let res = Resilience::new();
         let bad = [
-            SweepRequest::new(&space).sampled(8, 4).sharded(2),
             SweepRequest::new(&space).sampled(8, 4).instrumented(true),
             SweepRequest::new(&space).sampled(8, 4).resilient(&res),
-            SweepRequest::new(&space).instrumented(true).sharded(2),
             SweepRequest::new(&space).instrumented(true).resilient(&res),
         ];
         for req in bad {
@@ -381,7 +350,6 @@ mod tests {
             );
         }
         for req in [
-            SweepRequest::new(&space).sharded(2),
             SweepRequest::new(&space).sampled(8, 4),
             SweepRequest::new(&space).instrumented(true),
         ] {
@@ -390,7 +358,7 @@ mod tests {
                     req.run_streamed(&SliceSource(&records)),
                     Err(DewError::UnsoundOptions(_))
                 ),
-                "streamed must reject sharding/sampling/instrumentation"
+                "streamed must reject sampling/instrumentation"
             );
         }
     }

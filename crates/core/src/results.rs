@@ -461,8 +461,7 @@ impl SweepOutcome {
     }
 
     /// Cold-start uncertainty of a sampled sweep
-    /// ([`crate::SweepRequest::sampled`]); `None` for exact sweeps,
-    /// including sharded ones.
+    /// ([`crate::SweepRequest::sampled`]); `None` for exact sweeps.
     #[must_use]
     pub fn bounds(&self) -> Option<&ShardBounds> {
         self.bounds.as_ref()

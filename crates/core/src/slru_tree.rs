@@ -318,6 +318,21 @@ impl Policy for Slru {
                 };
             }
         }
+        // The update rule relies on two lane invariants a damaged image can
+        // break: the protected segment holds valid tags only, and a visited
+        // node's MRA block is its lane's protected or probationary MRU.
+        let nk = f.widths.len();
+        for (node, &mra) in f.mra.iter().enumerate() {
+            for (k, (&w, &off)) in f.widths.iter().zip(&f.lane_off).enumerate() {
+                let lane = &f.tags[node * f.alloc + off..][..w];
+                let p = self.prot_len[node * nk + k] as usize;
+                if lane[..p].contains(&INVALID_TAG)
+                    || (mra != INVALID_TAG && lane[0] != mra && lane[p] != mra)
+                {
+                    return Err(SnapshotError::Corrupt("lane inconsistent with its node"));
+                }
+            }
+        }
         Ok(())
     }
 }
@@ -327,6 +342,28 @@ mod tests {
     use super::*;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
     use dew_trace::Record;
+
+    #[test]
+    fn snapshots_breaking_the_lane_invariants_are_refused() {
+        // One 2-way lane over the root and two 2-set nodes; even blocks
+        // leave node 2 (odd sets) untouched. After 2, 2, 4 each visited
+        // lane is [2, 4]: 2 protected, 4 the probationary MRU and MRA.
+        let options = DewOptions::for_policy(TreePolicy::Slru);
+        let mut k = SlruTreeSimulator::new(0, (0, 1), (1, 1), options, false).expect("valid");
+        k.run_blocks(&[2, 2, 4]);
+        let image = k.to_snapshot();
+        let decode = |edit: fn(&mut Slru)| {
+            let mut d = SlruTreeSimulator::from_snapshot(&image).expect("valid image");
+            edit(&mut d.lanes);
+            SlruTreeSimulator::from_snapshot(&d.to_snapshot())
+        };
+        assert!(decode(|_| {}).is_ok());
+        // A protected segment over an empty lane.
+        assert!(decode(|l| l.prot_len[2] = 1).is_err());
+        // The root's MRA block at neither the protected nor the
+        // probationary MRU.
+        assert!(decode(|l| l.prot_len[0] = 0).is_err());
+    }
 
     fn addrs(n: usize, seed: u64) -> Vec<u64> {
         let mut x = seed | 1;

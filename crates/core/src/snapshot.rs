@@ -6,8 +6,7 @@
 //! Real traces are long (the paper's MPEG2 encode trace has 3.7 billion
 //! requests); snapshots let a simulation be split across batch jobs, saved
 //! before the interesting region of a trace, or shipped between machines,
-//! and they carry the sharded sweep's state across shard boundaries and the
-//! checkpoint sidecars' per-job state. Each policy's kernel writes its own
+//! and they carry the checkpoint sidecars' per-job state. Each policy's kernel writes its own
 //! magic (FIFO `DEWM`, LRU `DEWL`, tree-PLRU `DEWP`, SLRU `DEWU`) over one
 //! little-endian layout; geometry and options are embedded, so a snapshot
 //! is self-describing:

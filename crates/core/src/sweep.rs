@@ -16,8 +16,6 @@
 //!
 //! * an in-memory trace is read through [`dew_trace::SliceSource`], a streamed one
 //!   through the caller's [`TraceSource`];
-//! * snapshot-handoff sharding is a list of record positions at which the
-//!   worker serialises its kernel and restores it into a fresh one;
 //! * a periodic cluster sample is spliced into one stream before the run,
 //!   and its [`ShardBounds`] come from [`cluster_bounds`] afterwards;
 //! * a request without `.resilient(..)` runs under the fixed
@@ -144,15 +142,6 @@ fn group_by_block(passes: &[PassConfig]) -> Vec<FusedJob> {
         job.assoc_bits = (job.assoc_bits.0.min(ab), job.assoc_bits.1.max(ab));
     }
     jobs
-}
-
-/// The snapshot-handoff boundary positions for `n` records split into
-/// `shards` contiguous intervals whose lengths differ by at most one: the
-/// record indices at which a sharded sweep serialises and restores each
-/// kernel. Empty for `shards <= 1`.
-pub(crate) fn shard_boundaries(n: usize, shards: usize) -> Vec<u64> {
-    let shards = shards.max(1);
-    (1..shards).map(|s| (s * n / shards) as u64).collect()
 }
 
 /// Cold-start slack of a sweep over a periodic cluster sample: `sampled`
@@ -282,9 +271,6 @@ struct ResilientRun<'a, S> {
     space: &'a ConfigSpace,
     source: &'a S,
     passes: &'a [PassConfig],
-    /// Sorted record positions where kernel state must cross a shard
-    /// boundary as snapshot bytes (empty for unsharded plans).
-    boundaries: &'a [u64],
     options: DewOptions,
     /// Build instrumented kernels (full [`DewCounters`] breakdown).
     instrument: bool,
@@ -405,13 +391,12 @@ impl<S: TraceSource> ResilientRun<'_, S> {
     /// per-pass results, parallel to `job.pass_idx`.
     ///
     /// The record loop fills its own block buffer up to the next *stop* —
-    /// a full chunk, a shard boundary or a checkpoint point — so it can
-    /// flush at exact positions, and it flushes delivered records before
-    /// handling a mid-fill fault. The stop checks run once per fill, not
-    /// once per record. The kernels consume blocks one at a time, so how
-    /// the stream is cut into fills never affects results; that invariance
-    /// is what makes shard handoff, checkpoint resume and retry replay
-    /// bit-exact.
+    /// a full chunk or a checkpoint point — so it can flush at exact
+    /// positions, and it flushes delivered records before handling a
+    /// mid-fill fault. The stop checks run once per fill, not once per
+    /// record. The kernels consume blocks one at a time, so how the stream
+    /// is cut into fills never affects results; that invariance is what
+    /// makes checkpoint resume and retry replay bit-exact.
     fn run_job(
         &self,
         job: &FusedJob,
@@ -438,7 +423,6 @@ impl<S: TraceSource> ResilientRun<'_, S> {
         if !complete {
             let retry = self.res.retry;
             let every = self.res.checkpoint.map(|c| c.every.max(1));
-            let mut next_boundary = self.boundaries.partition_point(|&b| b <= position);
             let mut next_ckpt = every.map(|e| (position / e + 1) * e);
             let mut attempts = 0u32;
             let mut last_fault: Option<u64> = None;
@@ -456,13 +440,8 @@ impl<S: TraceSource> ResilientRun<'_, S> {
             'stream: loop {
                 let mut iter = self.open_skip(position, &mut attempts, &label)?;
                 loop {
-                    let mut stop = position + buf.len() as u64;
-                    if let Some(&b) = self.boundaries.get(next_boundary) {
-                        stop = stop.min(b);
-                    }
-                    if let Some(c) = next_ckpt {
-                        stop = stop.min(c);
-                    }
+                    let full = position + buf.len() as u64;
+                    let stop = next_ckpt.map_or(full, |c| c.min(full));
                     // `stop - position` is at most the buffer length.
                     let want = (stop - position) as usize;
                     let mut filled = 0;
@@ -521,18 +500,6 @@ impl<S: TraceSource> ResilientRun<'_, S> {
                     if ended {
                         break 'stream;
                     }
-                    if self.boundaries.get(next_boundary) == Some(&position) {
-                        // Shard handoff: state crosses the boundary only as
-                        // wire-format bytes (an identity round trip), so
-                        // every sharded sweep doubles as a snapshot
-                        // exactness test.
-                        let bytes = kernel.to_snapshot();
-                        kernel = FusedKernel::from_snapshot(self.options.policy, &bytes)
-                            .expect("kernel snapshots round-trip");
-                        while self.boundaries.get(next_boundary) == Some(&position) {
-                            next_boundary += 1;
-                        }
-                    }
                     if next_ckpt == Some(position) {
                         self.save_checkpoint(job.block_bits, position, &kernel, false);
                         next_ckpt = every.map(|e| position + e);
@@ -573,7 +540,6 @@ impl<S: TraceSource> ResilientRun<'_, S> {
 /// [`SweepOutcome::failed_jobs`] / [`SweepOutcome::retries`] /
 /// [`SweepOutcome::records_lost`] tell the truth about what was lost).
 ///
-/// The kernel crosses each position in `boundaries` as snapshot bytes.
 /// Resuming from a checkpoint is **bit-identical** to the uninterrupted
 /// sweep: a checkpoint stores each job's exact kernel snapshot at an exact
 /// record position, restoring a snapshot is an identity (property-tested),
@@ -581,7 +547,6 @@ impl<S: TraceSource> ResilientRun<'_, S> {
 pub(crate) fn run_resilient<S: TraceSource>(
     space: &ConfigSpace,
     source: &S,
-    boundaries: &[u64],
     options: DewOptions,
     threads: usize,
     instrument: bool,
@@ -613,13 +578,21 @@ pub(crate) fn run_resilient<S: TraceSource>(
         }
         for (slot, job) in resume_slots.iter().zip(&jobs) {
             if let Some(jc) = ckpt.job(job.block_bits) {
-                let kernel =
-                    FusedKernel::from_snapshot(options.policy, &jc.kernel).map_err(|e| {
-                        DewError::Checkpoint(format!(
-                            "{}: {e}",
-                            job_label(job.block_bits, options.policy)
-                        ))
-                    })?;
+                let label = job_label(job.block_bits, options.policy);
+                let kernel = FusedKernel::from_snapshot(options.policy, &jc.kernel)
+                    .map_err(|e| DewError::Checkpoint(format!("{label}: {e}")))?;
+                // A kernel that covers another geometry, or that has not
+                // simulated exactly the records the job claims, would
+                // continue into wrong results or a fan-out panic.
+                let found = kernel.shape();
+                let widest = passes[job.pass_idx[job.pass_idx.len() - 1]];
+                let wanted = (widest, 1 << job.assoc_bits.0, jc.records_done);
+                if found != wanted {
+                    return Err(DewError::Checkpoint(format!(
+                        "{label}: checkpointed kernel (widest pass, narrowest assoc, records \
+                         simulated) {found:?} does not match the job's {wanted:?}"
+                    )));
+                }
                 *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(ResumeJob {
                     kernel,
                     records_done: jc.records_done,
@@ -633,7 +606,6 @@ pub(crate) fn run_resilient<S: TraceSource>(
         space,
         source,
         passes: &passes,
-        boundaries,
         options,
         instrument,
         res,
@@ -829,11 +801,17 @@ pub(crate) fn run_resilient<S: TraceSource>(
     }
 
     let accesses = done.first().map_or(0, |(_, d, _)| *d);
-    for (_, d, _) in &done {
-        assert_eq!(
-            *d, accesses,
-            "trace source must replay identically on every open"
+    if let Some((j, d, _)) = done.iter().find(|(_, d, _)| *d != accesses) {
+        let why = format!(
+            "{} ended at record {d}, another job at {accesses}",
+            job_label(jobs[*j].block_bits, options.policy)
         );
+        // A resumed job marked complete ends where its checkpoint says;
+        // otherwise only a source that replays differently can disagree.
+        return Err(match res.resume {
+            Some(_) => DewError::Checkpoint(why),
+            None => DewError::TraceRead(why),
+        });
     }
     let done_jobs = done.len() as u64;
     let mut slots: Vec<Option<(PassResults, DewCounters)>> = passes.iter().map(|_| None).collect();
@@ -1093,37 +1071,70 @@ mod tests {
         }
     }
 
+    /// A fresh kernel for `job` of `space`, as the sweep driver builds it.
+    fn job_kernel(space: &ConfigSpace, job: &FusedJob, options: DewOptions) -> FusedKernel {
+        FusedKernel::build(
+            job.block_bits,
+            space.set_bits(),
+            job.assoc_bits,
+            options,
+            false,
+        )
+        .expect("valid")
+    }
+
+    /// Serialises `kernel` and restores the bytes into a fresh kernel.
+    fn handoff(kernel: &FusedKernel) -> FusedKernel {
+        FusedKernel::from_snapshot(kernel.policy(), &kernel.to_snapshot()).expect("round trip")
+    }
+
     #[test]
     fn snapshot_handoff_is_bit_identical_to_sequential() {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1100);
+        let passes = space.passes();
         for options in [DewOptions::default(), lru_options()] {
-            let sequential = req(&space, options, 0).run(&records).expect("sweep");
-            for shards in [2, 3, 5, 7] {
-                let sharded = req(&space, options, 0)
-                    .sharded(shards)
-                    .run(&records)
-                    .expect("sharded");
-                assert_eq!(sharded.sorted(), sequential.sorted(), "shards={shards}");
-                assert_eq!(sharded.trace_traversals(), sequential.trace_traversals());
-                assert_eq!(sharded.records_simulated(), sequential.records_simulated());
-                assert!(sharded.bounds().is_none(), "handoff mode is exact");
+            for job in group_by_block(&passes) {
+                let blocks: Vec<u64> = records.iter().map(|r| r.addr >> job.block_bits).collect();
+                let mut sequential = job_kernel(&space, &job, options);
+                sequential.run_blocks(&blocks);
+                // Snapshot and restore at the cuts of 2, 3, 5 and 7 even
+                // intervals: the restored kernel carries on exactly.
+                for pieces in [2, 3, 5, 7] {
+                    let mut kernel = job_kernel(&space, &job, options);
+                    let mut at = 0;
+                    for s in 1..=pieces {
+                        let cut = s * blocks.len() / pieces;
+                        kernel.run_blocks(&blocks[at..cut]);
+                        at = cut;
+                        kernel = handoff(&kernel);
+                    }
+                    assert_eq!(kernel.to_snapshot(), sequential.to_snapshot(), "{pieces}");
+                    for &i in &job.pass_idx {
+                        let assoc = passes[i].assoc();
+                        assert_eq!(kernel.fan_out(assoc), sequential.fan_out(assoc));
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn one_shard_falls_back_to_the_plain_sweep() {
+        // The degenerate handoffs: a fresh kernel and a finished one each
+        // restore to an identical snapshot.
         let space = ConfigSpace::new((0, 3), (0, 1), (0, 1)).expect("valid");
         let records = trace(400);
-        let a = req(&space, DewOptions::default(), 1)
-            .sharded(1)
-            .run(&records)
-            .expect("ok");
-        let b = req(&space, DewOptions::default(), 1)
-            .run(&records)
-            .expect("ok");
-        assert_eq!(a.sorted(), b.sorted());
+        for policy in TreePolicy::ALL {
+            let options = DewOptions::for_policy(policy);
+            for job in group_by_block(&space.passes()) {
+                let mut kernel = job_kernel(&space, &job, options);
+                assert_eq!(handoff(&kernel).to_snapshot(), kernel.to_snapshot());
+                let blocks: Vec<u64> = records.iter().map(|r| r.addr >> job.block_bits).collect();
+                kernel.run_blocks(&blocks);
+                assert_eq!(handoff(&kernel).to_snapshot(), kernel.to_snapshot());
+            }
+        }
     }
 
     #[test]
@@ -1265,12 +1276,6 @@ mod tests {
             assert_eq!(resilient.retries(), 0);
             assert_eq!(resilient.sorted(), plain.sorted());
             assert_eq!(resilient.accesses(), plain.accesses());
-            let sharded = req(&space, options, 0)
-                .sharded(4)
-                .resilient(&res)
-                .run(&records)
-                .expect("sharded resilient");
-            assert_eq!(sharded.sorted(), plain.sorted());
         }
     }
 
@@ -1494,6 +1499,97 @@ mod tests {
             panic!("expected Checkpoint, got {err}");
         };
         assert!(msg.contains("policy"), "{msg}");
+    }
+
+    /// A one-job `DEWC` image: the header of `image` (whose job count must
+    /// be one) followed by a job holding `records_done` and `kernel`.
+    fn one_job_image(image: &[u8], records_done: u64, kernel: &[u8]) -> Vec<u8> {
+        let mut out = image[..18].to_vec();
+        assert_eq!(out[14..18], 1u32.to_le_bytes(), "one job");
+        out.extend_from_slice(&image[18..22]); // block bits
+        out.extend_from_slice(&records_done.to_le_bytes());
+        out.push(0); // in flight
+        out.extend_from_slice(&u32::try_from(kernel.len()).expect("len").to_le_bytes());
+        out.extend_from_slice(kernel);
+        out
+    }
+
+    /// The last image a checkpointing sweep of `space` (one block size)
+    /// saves: its job is complete, at the end of `records`.
+    fn final_image(space: &ConfigSpace, options: DewOptions, records: &[Record]) -> Vec<u8> {
+        let store = crate::checkpoint::MemoryCheckpointStore::new();
+        let res = Resilience::new()
+            .with_checkpoint(1000, &store)
+            .with_sleeper(&crate::resilience::NoSleep);
+        req(space, options, 1)
+            .resilient(&res)
+            .run(records)
+            .expect("checkpointed run");
+        store.latest().expect("saved")
+    }
+
+    #[test]
+    fn resume_rejects_a_kernel_whose_access_count_differs_from_the_job() {
+        let space = ConfigSpace::new((0, 4), (2, 2), (0, 2)).expect("valid");
+        let records = trace(4000);
+        for policy in TreePolicy::ALL {
+            let options = DewOptions::for_policy(policy);
+            let image = final_image(&space, options, &records);
+            let ckpt = SweepCheckpoint::from_bytes(&image).expect("decodes");
+            let job = &ckpt.jobs()[0];
+            assert_eq!(job.records_done, 4000);
+            // The kernel simulated 4000 records; the job now claims 3500,
+            // so a resume would simulate the last 500 twice.
+            let bad = one_job_image(&image, 3500, &job.kernel);
+            let ckpt = SweepCheckpoint::from_bytes(&bad).expect("decodes");
+            let res = Resilience::new()
+                .resume_from(&ckpt)
+                .with_sleeper(&crate::resilience::NoSleep);
+            let err = req(&space, options, 1)
+                .resilient(&res)
+                .run(&records)
+                .expect_err("the kernel is 500 records ahead of its job");
+            let DewError::Checkpoint(msg) = &err else {
+                panic!("{policy}: expected Checkpoint, got {err}");
+            };
+            assert!(msg.contains("block 4B") && msg.contains("4000"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn resume_rejects_a_kernel_of_another_geometry() {
+        let space = ConfigSpace::new((0, 4), (2, 2), (0, 2)).expect("valid");
+        let records = trace(2000);
+        for policy in TreePolicy::ALL {
+            let options = DewOptions::for_policy(policy);
+            let image = final_image(&space, options, &records);
+            for other in [
+                ConfigSpace::new((0, 4), (2, 2), (0, 1)).expect("valid"),
+                ConfigSpace::new((1, 5), (2, 2), (0, 2)).expect("valid"),
+            ] {
+                // A kernel of the same block size and progress, but another
+                // set or associativity range, under this sweep's header.
+                let foreign = final_image(&other, options, &records);
+                let kernel = &SweepCheckpoint::from_bytes(&foreign)
+                    .expect("decodes")
+                    .jobs()[0]
+                    .kernel
+                    .clone();
+                let bad = one_job_image(&image, 2000, kernel);
+                let ckpt = SweepCheckpoint::from_bytes(&bad).expect("decodes");
+                let res = Resilience::new()
+                    .resume_from(&ckpt)
+                    .with_sleeper(&crate::resilience::NoSleep);
+                let err = req(&space, options, 1)
+                    .resilient(&res)
+                    .run(&records)
+                    .expect_err("the kernel cannot fan out this job's passes");
+                let DewError::Checkpoint(msg) = &err else {
+                    panic!("{policy} {other}: expected Checkpoint, got {err}");
+                };
+                assert!(msg.contains("block 4B"), "{msg}");
+            }
+        }
     }
 
     #[test]

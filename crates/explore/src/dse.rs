@@ -409,33 +409,12 @@ pub fn explore_trace(
     mode: ParetoMode,
     threads: usize,
 ) -> Result<ExplorationReport, DewError> {
-    explore_trace_with_shards(exploration, records, model, mode, threads, 1)
-}
-
-/// [`explore_trace`] with the underlying sweeps split into `shards`
-/// intervals (see `dew_core::SweepRequest::sharded`). Every score is
-/// computed from miss counts bit-identical to the unsharded sweep, so the
-/// frontier is unchanged; the sharding only bounds per-traversal memory.
-/// `shards <= 1` is exactly [`explore_trace`].
-///
-/// # Errors
-///
-/// As [`explore_trace`].
-pub fn explore_trace_with_shards(
-    exploration: &ExplorationSpace,
-    records: &[Record],
-    model: &EnergyModel,
-    mode: ParetoMode,
-    threads: usize,
-    shards: usize,
-) -> Result<ExplorationReport, DewError> {
     let start = Instant::now();
     let mut sweeps: Vec<SweepOutcome> = Vec::with_capacity(exploration.policies.len());
     for &policy in &exploration.policies {
         let request = SweepRequest::new(&exploration.space)
             .policy(policy)
-            .threads(threads)
-            .sharded(shards);
+            .threads(threads);
         sweeps.push(request.run(records)?);
     }
     let sweep_seconds = start.elapsed().as_secs_f64();

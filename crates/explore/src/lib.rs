@@ -70,8 +70,7 @@ mod explore;
 
 pub use curves::{CurvePoint, MissRateCurve};
 pub use dse::{
-    explore_trace, explore_trace_with_shards, score_sweeps, ExplorationPoint, ExplorationReport,
-    ExplorationSpace, ParetoMode,
+    explore_trace, score_sweeps, ExplorationPoint, ExplorationReport, ExplorationSpace, ParetoMode,
 };
 pub use energy::{EnergyModel, Geometry};
 pub use explore::{best_edp_under, evaluate_sweep, fastest_under, pareto_front, Evaluation};

@@ -130,7 +130,7 @@ proptest! {
     }
 
     /// Chunk partitioning never affects results — the [`PolicyKernel`]
-    /// contract behind checkpoint resume, retry replay and shard handoff —
+    /// contract behind checkpoint resume and retry replay —
     /// including at *adversarial* chunk sizes: 1 (every wide scan and
     /// prefetch window restarts per request), `assoc - 1` (chunks go out of
     /// phase with the widest lane), and the wide-scan window width ± 1

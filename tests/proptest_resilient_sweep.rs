@@ -4,8 +4,8 @@
 //! checkpointed every few records can be killed at *any* checkpoint image —
 //! first, middle, last, property-chosen — and resuming from that image
 //! reproduces the uninterrupted sweep's miss table exactly, across random
-//! traces, spaces, checkpoint cadences, both policies, and all three
-//! resilient drivers (in-memory, sharded snapshot-handoff, streamed). The
+//! traces, spaces, checkpoint cadences, all four policies, and both
+//! resilient drivers (in-memory and streamed). The
 //! second property: deterministic transient faults injected by
 //! [`FaultyTraceSource`] are fully absorbed by the retry/backoff path —
 //! the recovered table equals the fault-free one, never an approximation.
@@ -71,13 +71,6 @@ fn run_driver(
             .resilient(res)
             .run(records)
             .expect("resilient sweep"),
-        1 => SweepRequest::new(space)
-            .options(options)
-            .threads(1)
-            .sharded(3)
-            .resilient(res)
-            .run(records)
-            .expect("sharded resilient sweep"),
         _ => SweepRequest::new(space)
             .options(options)
             .threads(1)
@@ -114,7 +107,7 @@ proptest! {
         space in space_strategy(),
         every in 1u64..200,
         kill_pick in 0usize..1000,
-        driver in 0usize..3,
+        driver in 0usize..2,
         policy_idx in 0usize..4,
     ) {
         let options = options_for(policy_idx);
@@ -219,7 +212,7 @@ proptest! {
                 .with_retry(RetryPolicy::none())
                 .with_sleeper(&NoSleep)
                 .resume_from(&ckpt);
-            let resumed = run_driver(2, &space, &records, options, &res);
+            let resumed = run_driver(1, &space, &records, options, &res);
             prop_assert_eq!(resumed.sorted(), baseline.sorted(), "resume from image {} diverged", i);
         }
     }

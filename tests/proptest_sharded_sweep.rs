@@ -1,9 +1,12 @@
-//! Property-based contract of the sharded sweep paths.
+//! Property-based contract of snapshot handoff and of the sampled and
+//! streamed sweep paths.
 //!
-//! The headline: snapshot-handoff sharding is **bit-identical** to the
-//! sequential fused sweep — across random traces, spaces, shard counts,
-//! thread counts, and both policies — and therefore also exact against the
-//! brute-force per-configuration oracle. Periodic-cluster sampling must
+//! The headline: a fused kernel snapshotted and restored into a fresh
+//! kernel at arbitrary record positions is **bit-identical** to the
+//! uninterrupted kernel — across random traces, spaces, cut counts, all
+//! four policies and both instrumentation modes — and therefore also exact
+//! against the brute-force per-configuration oracle. That identity is what
+//! checkpoint resume rests on. Periodic-cluster sampling must
 //! honour its stated error bound: under LRU the reported cold-start slack
 //! is a guaranteed envelope around the full trace's misses at the retained
 //! positions. The streamed driver must match the in-memory one record for
@@ -12,7 +15,7 @@
 use proptest::prelude::*;
 
 use dew_cachesim::{simulate_trace, Cache, CacheConfig, Replacement};
-use dew_core::{ConfigSpace, DewOptions, SweepRequest, TreePolicy};
+use dew_core::{ConfigSpace, DewOptions, FusedKernel, PolicyKernel, SweepRequest, TreePolicy};
 use dew_trace::{Record, SliceSource};
 
 /// Traces mixing tight locality with scattered far references, as in the
@@ -47,6 +50,51 @@ fn options_for(policy: TreePolicy) -> DewOptions {
     DewOptions::for_policy(policy)
 }
 
+/// Every associativity of `space`, ascending.
+fn assocs(space: &ConfigSpace) -> impl Iterator<Item = u32> {
+    let (lo, hi) = space.assoc_bits();
+    (lo..=hi).map(|b| 1u32 << b)
+}
+
+/// One kernel per block size of `space`, each fed the whole trace in
+/// `pieces` even intervals with a snapshot/restore into a fresh kernel
+/// after every interval — at the positions `s * n / pieces`. `pieces == 0`
+/// runs the trace uninterrupted. Returns `(block bits, kernel)` pairs.
+fn kernels(
+    space: &ConfigSpace,
+    records: &[Record],
+    policy: TreePolicy,
+    instrument: bool,
+    pieces: usize,
+) -> Vec<(u32, FusedKernel)> {
+    let (blo, bhi) = space.block_bits();
+    (blo..=bhi)
+        .map(|b| {
+            let blocks: Vec<u64> = records.iter().map(|r| r.addr >> b).collect();
+            let mut kernel = FusedKernel::build(
+                b,
+                space.set_bits(),
+                space.assoc_bits(),
+                options_for(policy),
+                instrument,
+            )
+            .expect("valid geometry");
+            if pieces == 0 {
+                kernel.run_blocks(&blocks);
+            }
+            let mut at = 0;
+            for s in 1..=pieces {
+                let cut = s * blocks.len() / pieces;
+                kernel.run_blocks(&blocks[at..cut]);
+                at = cut;
+                kernel = FusedKernel::from_snapshot(policy, &kernel.to_snapshot())
+                    .expect("snapshots round-trip");
+            }
+            (b, kernel)
+        })
+        .collect()
+}
+
 /// Misses of `config` over the *full* trace, counted only at the positions
 /// a `(period, sample_len)` periodic sample retains: the quantity a sampled
 /// sweep estimates and its slack bounds.
@@ -74,35 +122,29 @@ proptest! {
     fn snapshot_handoff_is_bit_identical_to_sequential(
         records in trace_strategy(),
         space in space_strategy(),
-        shards in 1usize..6,
-        threads in 0usize..4,
+        pieces in 1usize..7,
+        instrument in any::<bool>(),
         policy_idx in 0usize..4,
     ) {
         let policy = TreePolicy::ALL[policy_idx];
-        let options = options_for(policy);
-        let sequential = SweepRequest::new(&space).options(options).threads(1).run(&records).expect("sweep");
-        let sharded = SweepRequest::new(&space).options(options).threads(threads).sharded(shards).run(&records)
-            .expect("sharded sweep");
-
-        prop_assert_eq!(sharded.sorted(), sequential.sorted(),
-            "shards={} threads={} policy={}", shards, threads, policy);
-
-        // Truthful accounting: handoff sharding neither adds traversals nor
-        // replays records — the shards of a job partition one traversal.
-        let (blo, bhi) = space.block_bits();
-        prop_assert_eq!(sharded.trace_traversals(), u64::from(bhi - blo + 1));
-        prop_assert_eq!(
-            sharded.records_simulated(),
-            records.len() as u64 * sharded.trace_traversals()
-        );
-        prop_assert!(sharded.bounds().is_none(), "handoff mode is exact");
+        let sequential = kernels(&space, &records, policy, instrument, 0);
+        let handed = kernels(&space, &records, policy, instrument, pieces);
+        for ((b, seq), (_, hand)) in sequential.iter().zip(&handed) {
+            prop_assert_eq!(hand.to_snapshot(), seq.to_snapshot(),
+                "block bits {} pieces={} policy={} instrument={}", b, pieces, policy, instrument);
+            for assoc in assocs(&space) {
+                prop_assert_eq!(hand.pass_results(assoc), seq.pass_results(assoc));
+                prop_assert_eq!(hand.pass_counters(assoc), seq.pass_counters(assoc));
+            }
+        }
     }
 
     #[test]
     fn snapshot_handoff_matches_the_oracle(
         records in trace_strategy(),
         space in space_strategy(),
-        shards in 2usize..6,
+        pieces in 1usize..7,
+        instrument in any::<bool>(),
         policy_idx in 0usize..4,
     ) {
         let policy = TreePolicy::ALL[policy_idx];
@@ -112,13 +154,14 @@ proptest! {
             TreePolicy::Plru => Replacement::Plru,
             TreePolicy::Slru => Replacement::Slru,
         };
-        let sharded = SweepRequest::new(&space).options(options_for(policy)).threads(0).sharded(shards).run(&records)
-            .expect("sharded sweep");
+        let handed = kernels(&space, &records, policy, instrument, pieces);
         for (sets, assoc, block) in space.configs() {
+            let kernel = &handed.iter().find(|(b, _)| 1u32 << b == block).expect("block").1;
+            let got = kernel.pass_results(assoc).and_then(|p| p.misses(sets, assoc));
             let config = CacheConfig::new(sets, assoc, block, replacement).expect("valid");
             let expected = simulate_trace(config, &records).misses();
             prop_assert_eq!(
-                sharded.misses(sets, assoc, block),
+                got,
                 Some(expected),
                 "oracle mismatch at ({}, {}, {}) under {}", sets, assoc, block, policy
             );

@@ -50,8 +50,8 @@ fn snapshot_survives_disk_and_resumes_exactly() {
 
 #[test]
 fn fused_fifo_kernel_snapshot_resumes_exactly() {
-    // The arena kernel behind the fused FIFO sweep (and the sharded
-    // snapshot-handoff path): checkpoint mid-trace, restore into a fresh
+    // The arena kernel behind the fused FIFO sweep (and its checkpoint
+    // resume path): checkpoint mid-trace, restore into a fresh
     // kernel, continue — results and counters must match an uninterrupted
     // run bit for bit, instrumented or not.
     let trace = App::JpegDecode.generate(30_000, 5);
