@@ -13,7 +13,7 @@
 //!   complete at least half of what it submits.
 //! - **Graceful shutdown under load.** A second wave of deliberately
 //!   long jobs is cut off mid-flight by a drain; the drain report must
-//!   account for every in-flight job as drained or checkpoint-cancelled,
+//!   account for every in-flight job as drained or cancelled,
 //!   and queued jobs as shed.
 //!
 //! Writes `BENCH_serve_soak.json` (override with `DEW_BENCH_JSON`) in the
@@ -133,7 +133,7 @@ fn shutdown_under_load(chaos: bool) {
     assert_eq!(
         report.drained + report.cancelled,
         report.in_flight,
-        "every in-flight job must drain or cancel at a checkpoint: {report}"
+        "every in-flight job must drain or cancel at a chunk boundary: {report}"
     );
     assert_eq!(
         report.in_flight + report.shed,

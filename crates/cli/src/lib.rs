@@ -90,7 +90,7 @@ COMMANDS:
              JSON requests (submit/status/wait/cancel/stats/health/shutdown),
              a fixed worker pool behind a bounded admission queue (full ->
              structured `rejected: overloaded`, never a blocked accept loop),
-             per-job deadlines with checkpointed cancellation, and graceful
+             per-job deadlines with cooperative cancellation, and graceful
              drain on Ctrl-C or a `shutdown` request (a second Ctrl-C
              force-quits with code 130)
              [--addr HOST:PORT (default 127.0.0.1:4960; port 0 = ephemeral)]
@@ -99,7 +99,7 @@ COMMANDS:
              [--max-deadline-ms N (cap on client deadlines, 60000)]
              [--io-timeout-ms N (per-connection read/write, 30000)]
              [--drain-ms N (natural-drain window before stragglers are
-              cancelled at a checkpoint, 5000)] [--sim-threads N (per job)]
+              cancelled at a chunk boundary, 5000)] [--sim-threads N (per job)]
              [--shutdown-after-ms N (self-initiated drain; CI smoke hook)]
   gen        load-generate against a running `dew serve`: submits sweep
              jobs, waits for terminal states, and prints a client-side

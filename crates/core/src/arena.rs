@@ -14,8 +14,7 @@
 //!   tallies;
 //! * **driving a trace** — the scalar/sse2/avx2 `run_blocks` dispatch with
 //!   its single `#[target_feature(enable = "avx2")]` compilation root, the
-//!   const lane-shape dispatch ([`with_lane_shape`]), and the batch loop
-//!   that prefetches the deepest level's lanes [`PF_DIST`] requests ahead;
+//!   const lane-shape dispatch ([`with_lane_shape`]), and the batch loop;
 //! * **the walk** — request accounting, CRCB-style duplicate elision, one
 //!   MRA comparison per level, and the policy's verdict on whether an MRA
 //!   hit stops the walk;
@@ -39,9 +38,7 @@ use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
 use crate::options::{DewOptions, TreePolicy};
 use crate::results::{AllAssocResults, LevelResult, PassResults};
-use crate::simd::{
-    prefetch_read, with_lane_shape, KernelBackend, ScalarScan, TagLane, TagScan, PF_DIST,
-};
+use crate::simd::{with_lane_shape, KernelBackend, ScalarScan, TagScan};
 use crate::snapshot::{check_body_len, put_u32, put_u64, SnapshotError};
 use crate::space::{DewError, PassConfig};
 
@@ -64,13 +61,17 @@ pub(crate) fn magic(policy: TreePolicy) -> [u8; 4] {
 }
 
 /// Pads a node's way-lane stride up to a whole number of 8-tag (64-byte)
-/// groups, so consecutive node regions start on cache-line boundaries when
-/// the lane base is line-aligned (see [`TagLane`]) and the wide scans read
-/// whole lines. Strides under one line stay exact — several small nodes per
-/// line beats alignment there. Padding lanes hold the invalid-tag sentinel
-/// forever; they are scanned (harmlessly — requests never equal the
-/// sentinel) but never written, and snapshots serialise only the logical
-/// region, so the byte format is unchanged.
+/// groups. The FIFO kernel scans a node's whole allocated region, so its
+/// 14- and 30-tag regions (associativities 2..8 and 2..16) become 16 and 32
+/// tags: whole AVX2 and SSE2 vectors with no scalar tail, and node regions
+/// that all sit at the same offset within a cache line. Removing it was
+/// measured to make perfbench's `sweep_fifo` 9% and `sweep_checkpointed`
+/// 6% slower (EXPERIMENTS.md, "Scan-path mechanisms that pay"). Strides
+/// under one line stay exact — several small nodes per line beats padding
+/// there. Padding lanes hold the invalid-tag sentinel forever; they are
+/// scanned (harmlessly — requests never equal the sentinel) but never
+/// written, and snapshots serialise only the logical region, so the byte
+/// format is unchanged.
 pub(crate) const fn padded_stride(stride: usize) -> usize {
     if stride >= 8 {
         stride.next_multiple_of(8)
@@ -176,9 +177,9 @@ pub struct Forest {
     /// Dense per-node MRA tags: the direct-mapped cache contents and the
     /// operand of every node evaluation's first comparison.
     pub(crate) mra: Vec<u64>,
-    /// Way-tag regions, cache-line aligned, invalid ways holding the
+    /// Way-tag regions, `alloc` entries per node, invalid ways holding the
     /// sentinel.
-    pub(crate) tags: TagLane,
+    pub(crate) tags: Vec<u64>,
     /// Misses per `(level, lane)`, level-major, `widths.len().max(1)` per
     /// level (an assoc-1-only forest keeps a nonzero stride).
     pub(crate) misses: Vec<u64>,
@@ -278,7 +279,8 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     /// Whether the snapshot carries the previous block (the duplicate
     /// elision state).
     const ELISION: bool = true;
-    /// Whether node regions are padded to whole cache lines.
+    /// Whether node regions are padded to whole 8-tag groups
+    /// ([`padded_stride`]); the FIFO kernel sets it.
     const PAD: bool = false;
     /// Whether one lane answers every associativity (the LRU stack), so
     /// every per-pass counter view is the aggregate one.
@@ -373,7 +375,13 @@ pub(crate) fn encode_search_cmps(lanes: &[DewCounters], instrument: bool, out: &
 }
 
 /// Reads [`encode_search_cmps`]; every evaluation the MRA did not settle
-/// searched every lane.
+/// searched every lane, and the aggregate comparisons are one MRA
+/// comparison per evaluation plus every lane's search comparisons.
+///
+/// # Errors
+///
+/// [`SnapshotError::Corrupt`] when the lanes' comparisons do not add up to
+/// the aggregate.
 pub(crate) fn decode_search_cmps(
     lanes: &mut [DewCounters],
     shared: &DewCounters,
@@ -381,15 +389,40 @@ pub(crate) fn decode_search_cmps(
     cur: &mut Cursor<'_>,
 ) -> Result<(), SnapshotError> {
     if instrument {
+        let mut total = Some(shared.node_evaluations);
         for lc in lanes {
             let cmps = cur.u64()?;
+            total = total.and_then(|t| t.checked_add(cmps));
             *lc = DewCounters {
-                searches: shared.node_evaluations.wrapping_sub(shared.mra_stops),
+                // `check_walk` has refused images with more stops than
+                // evaluations.
+                searches: shared.node_evaluations - shared.mra_stops,
                 search_comparisons: cmps,
                 tag_comparisons: cmps,
                 ..DewCounters::new()
             };
         }
+        if total != Some(shared.tag_comparisons) {
+            return Err(SnapshotError::Corrupt(
+                "lane comparisons do not add up to the aggregate",
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Refuses restored request and walk counters that no run produces: at
+/// most every request is elided, an MRA stop ends one evaluation, and a
+/// request that is not elided evaluates at most one node per level. The
+/// lane tallies are decoded from these and every later access adds to
+/// them, so a damaged image must stop here rather than underflow there.
+fn check_walk(c: &DewCounters, levels: u64) -> Result<(), SnapshotError> {
+    let walked = c.accesses.checked_sub(c.duplicate_skips);
+    let bounded = walked.is_some_and(|w| c.node_evaluations <= w.saturating_mul(levels));
+    if !bounded || c.mra_stops > c.node_evaluations {
+        return Err(SnapshotError::Corrupt(
+            "work counters break the walk identities",
+        ));
     }
     Ok(())
 }
@@ -515,7 +548,7 @@ impl<P: Policy> Arena<P> {
             node_off,
             set_mask,
             mra: vec![INVALID_TAG; total],
-            tags: TagLane::filled(total * alloc, INVALID_TAG),
+            tags: vec![INVALID_TAG; total * alloc],
             dm_misses: vec![0; levels],
         };
         Ok(Arena {
@@ -697,16 +730,13 @@ impl<P: Policy> Arena<P> {
 
     /// The batch loop. Everything a walk touches is split out of the kernel
     /// once per batch, so the lanes stay in registers across requests and
-    /// levels. Per request: software prefetch of the deepest (largest,
-    /// least cache-resident) level's MRA word and tag region [`PF_DIST`]
-    /// requests ahead (prefetching the policy lanes too was measured and
-    /// does not pay: most evaluations land on small, cached levels), request
-    /// accounting, duplicate elision, then one MRA comparison per level from
-    /// the coarsest down, stopping where the policy allows (Property 2) and
-    /// otherwise handing the node to the update rule. Instrumented work
-    /// accumulates in a local and is flushed once per request: bumping the
-    /// same counter fields from every level was measured to cost ~10% of
-    /// the instrumented FIFO kernel's runtime in store-forwarding chains.
+    /// levels. Per request: request accounting, duplicate elision, then one
+    /// MRA comparison per level from the coarsest down, stopping where the
+    /// policy allows (Property 2) and otherwise handing the node to the
+    /// update rule. Instrumented work accumulates in a local and is flushed
+    /// once per request: bumping the same counter fields from every level
+    /// was measured to cost ~10% of the instrumented FIFO kernel's runtime
+    /// in store-forwarding chains.
     #[inline(always)]
     fn drive_shaped<S: TagScan, const FIRST: usize, const NLANES: usize, const I: bool>(
         &mut self,
@@ -736,18 +766,11 @@ impl<P: Policy> Arena<P> {
         let (set_mask, node_off) = (&f.set_mask[..], &f.node_off[..]);
         let (mra, tags): (&mut [u64], &mut [u64]) = (&mut f.mra, &mut f.tags);
         let (misses, dm_misses) = (&mut f.misses[..], &mut f.dm_misses[..]);
-        let deepest = set_mask.len() - 1;
-        let (d_off, d_mask) = (node_off[deepest], set_mask[deepest]);
-        for (i, &block) in blocks.iter().enumerate() {
+        for &block in blocks {
             assert_ne!(
                 block, INVALID_TAG,
                 "block {block:#x} exceeds the supported range"
             );
-            if let Some(&ahead) = blocks.get(i + PF_DIST) {
-                let node = d_off + (ahead & d_mask) as usize;
-                prefetch_read(mra, node);
-                prefetch_read(tags, node * alloc);
-            }
             counters.accesses += 1;
             if elide {
                 if block == *prev_block {
@@ -1002,6 +1025,7 @@ impl<P: Policy> Arena<P> {
         for &i in P::COUNTERS {
             *counter_slots(&mut k.counters)[i] = cur.u64()?;
         }
+        check_walk(&k.counters, u64::from(k.pass.num_levels()))?;
         k.lanes
             .decode_tallies(&mut k.lane_work, &k.counters, instrument, &mut cur)?;
         if P::ELISION {

@@ -28,13 +28,13 @@ use std::fmt;
 
 use crate::arena::{Arena, Policy};
 use crate::counters::DewCounters;
-use crate::lru_tree::LruTreeSimulator;
-use crate::multi_assoc::MultiAssocTree;
+use crate::lru_tree::{Lru, LruTreeSimulator};
+use crate::multi_assoc::{Fifo, MultiAssocTree};
 use crate::options::{DewOptions, TreePolicy};
-use crate::plru_tree::PlruTreeSimulator;
+use crate::plru_tree::{Plru, PlruTreeSimulator};
 use crate::results::PassResults;
 use crate::simd::KernelBackend;
-use crate::slru_tree::SlruTreeSimulator;
+use crate::slru_tree::{Slru, SlruTreeSimulator};
 use crate::snapshot::SnapshotError;
 use crate::space::{DewError, PassConfig};
 
@@ -149,6 +149,17 @@ impl FusedKernel {
             TreePolicy::Plru => FusedKernel::Plru(Box::new(Arena::new(b, s, a, o, i)?)),
             TreePolicy::Slru => FusedKernel::Slru(Box::new(Arena::new(b, s, a, o, i)?)),
         })
+    }
+
+    /// `log2` of the widest associativity `policy`'s kernel can hold
+    /// ([`Arena::new`] refuses wider lanes with [`DewError::BadAssoc`]).
+    pub(crate) fn max_assoc_bits(policy: TreePolicy) -> u32 {
+        match policy {
+            TreePolicy::Fifo => Fifo::MAX_ASSOC_BITS,
+            TreePolicy::Lru => Lru::MAX_ASSOC_BITS,
+            TreePolicy::Plru => Plru::MAX_ASSOC_BITS,
+            TreePolicy::Slru => Slru::MAX_ASSOC_BITS,
+        }
     }
 
     /// Restores the kernel of `policy` from its snapshot bytes.

@@ -261,15 +261,31 @@ impl Policy for Lru {
         }
     }
 
+    /// Also refuses aggregate counters no run produces: every evaluation
+    /// makes one MRA comparison, every one the MRA did not settle searches
+    /// at most the widest lane, and every depth hit is one evaluation.
     fn decode_tallies(
         &mut self,
         _: &mut [DewCounters],
-        _: &DewCounters,
+        shared: &DewCounters,
         _: bool,
         cur: &mut Cursor<'_>,
     ) -> Result<(), SnapshotError> {
+        let mut hits = Some(0u64);
         for v in &mut self.depth_hits {
             *v = cur.u64()?;
+            hits = hits.and_then(|h| h.checked_add(*v));
+        }
+        // `check_walk` has refused images with more stops than evaluations.
+        let searches = shared.node_evaluations - shared.mra_stops;
+        let width = self.depth_hits.len() as u64;
+        let spent = shared.tag_comparisons.checked_sub(shared.node_evaluations);
+        let in_range = spent.is_some_and(|s| s <= searches.saturating_mul(width))
+            && hits.is_some_and(|h| h <= shared.node_evaluations);
+        if !in_range {
+            return Err(SnapshotError::Corrupt(
+                "work counters break the LRU identities",
+            ));
         }
         Ok(())
     }

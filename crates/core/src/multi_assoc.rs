@@ -58,9 +58,10 @@
 //! The forest is the shared arena skeleton (`crate::arena`): one dense MRA
 //! lane (shared by every associativity), and one contiguous way-tag lane
 //! where node `i` holds the tag lists of *all* associativities back to back
-//! (list `k` at its precomputed offset), padded to whole cache lines. A node
-//! evaluation therefore touches one contiguous region regardless of how
-//! many associativities ride along. FIFO adds a round-robin pointer per
+//! (list `k` at its precomputed offset), padded to whole 8-tag groups so
+//! the wide scans run without a scalar tail (`crate::arena::padded_stride`,
+//! measured to pay). A node evaluation therefore touches one contiguous
+//! region regardless of how many associativities ride along. FIFO adds a round-robin pointer per
 //! `(node, list)`.
 //!
 //! # The update rule

@@ -184,6 +184,9 @@ impl TagScan for ScalarScan {
 }
 
 /// The SSE2 backend (x86_64 baseline). See [`TagScan`] and the module docs.
+/// Kept because it pays where AVX2 is missing: perfbench's `sweep_fifo`
+/// runs in 0.34 s on it against 0.51 s on the scalar loop (EXPERIMENTS.md,
+/// "Scan-path mechanisms that pay").
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Sse2Scan;
@@ -228,6 +231,9 @@ impl TagScan for Sse2Scan {
 }
 
 /// The AVX2 backend (runtime detected). See [`TagScan`] and the module docs.
+/// Kept because the intrinsics pay over autovectorisation: the scalar SWAR
+/// loop compiled under the same avx2 root makes perfbench's `sweep_fifo`
+/// 17% slower (EXPERIMENTS.md, "Scan-path mechanisms that pay").
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Avx2Scan;
@@ -365,7 +371,9 @@ pub(crate) fn window_scan(hits: u64, invalid: u64, off: usize, w: usize) -> Lane
 /// and `$n` bound to that pair as constants, so every width, offset and the
 /// stride are compile-time constants and a node's whole region (at most 30
 /// tags) fits one 64-lane match mask. Any other shape binds both to `0`,
-/// the runtime shape.
+/// the runtime shape. The table pays: with every shape on the runtime path,
+/// perfbench's `sweep_fifo` ran 2.6× and `explore_policies` 1.8× slower
+/// (EXPERIMENTS.md, "Scan-path mechanisms that pay").
 ///
 /// ```text
 /// with_lane_shape!((first_width, num_lanes), |FIRST, NLANES| {
@@ -394,97 +402,6 @@ macro_rules! with_lane_shape {
     };
 }
 pub(crate) use with_lane_shape;
-
-/// How many requests ahead of the batch cursor the fused drivers prefetch
-/// the deepest level's lanes — far enough to cover a memory round trip at
-/// the kernel's per-request cost, near enough that the lines are still
-/// resident when the cursor arrives.
-pub(crate) const PF_DIST: usize = 8;
-
-/// Byte alignment of every way-tag lane: one cache line, so a node's scan
-/// region starts at a line boundary and the wide loads split across as few
-/// lines as possible.
-pub(crate) const LANE_ALIGN: usize = 64;
-const LANE_PAD: usize = LANE_ALIGN / std::mem::size_of::<u64>() - 1;
-
-/// A `u64` lane over-allocated by [`LANE_PAD`] words and offset so the
-/// logical slice starts on a [`LANE_ALIGN`]-byte boundary. Alignment is
-/// best-effort (correctness never depends on it — `align_offset` is allowed
-/// to fail); everything else behaves like the `Vec<u64>` it replaces, via
-/// `Deref`.
-#[derive(Debug)]
-pub(crate) struct TagLane {
-    buf: Vec<u64>,
-    off: usize,
-    len: usize,
-}
-
-impl TagLane {
-    /// A lane of `len` words, every word `fill`, aligned to [`LANE_ALIGN`].
-    pub(crate) fn filled(len: usize, fill: u64) -> TagLane {
-        let buf = vec![fill; len + LANE_PAD];
-        let off = buf.as_ptr().align_offset(LANE_ALIGN);
-        let off = if off > LANE_PAD { 0 } else { off };
-        TagLane { buf, off, len }
-    }
-}
-
-impl std::ops::Deref for TagLane {
-    type Target = [u64];
-    #[inline(always)]
-    fn deref(&self) -> &[u64] {
-        &self.buf[self.off..self.off + self.len]
-    }
-}
-
-impl std::ops::DerefMut for TagLane {
-    #[inline(always)]
-    fn deref_mut(&mut self) -> &mut [u64] {
-        &mut self.buf[self.off..self.off + self.len]
-    }
-}
-
-impl Clone for TagLane {
-    fn clone(&self) -> TagLane {
-        let mut lane = TagLane::filled(self.len, 0);
-        lane.copy_from_slice(self);
-        lane
-    }
-}
-
-impl<'a> IntoIterator for &'a TagLane {
-    type Item = &'a u64;
-    type IntoIter = std::slice::Iter<'a, u64>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a mut TagLane {
-    type Item = &'a mut u64;
-    type IntoIter = std::slice::IterMut<'a, u64>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter_mut()
-    }
-}
-
-/// Software prefetch of `lane[idx]` into L1 (no-op off `x86_64`, without
-/// the `simd` feature, or out of bounds — the bounds check keeps the read
-/// address inside the allocation, which also keeps Miri happy).
-#[inline(always)]
-#[allow(unused_variables)]
-pub(crate) fn prefetch_read<T>(lane: &[T], idx: usize) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
-    if idx < lane.len() {
-        // SAFETY: in bounds by the check above; prefetch performs no
-        // architecturally visible memory access.
-        #[allow(unsafe_code)]
-        unsafe {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch::<_MM_HINT_T0>(lane.as_ptr().add(idx).cast());
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -581,42 +498,11 @@ mod tests {
     }
 
     #[test]
-    fn tag_lane_is_aligned_and_behaves_like_a_vec() {
-        for len in [0usize, 1, 7, 14, 16, 1000] {
-            let mut lane = TagLane::filled(len, u64::MAX);
-            assert_eq!(lane.len(), len);
-            assert!(lane.iter().all(|&v| v == u64::MAX));
-            if len > 0 {
-                assert_eq!(
-                    lane.as_ptr() as usize % LANE_ALIGN,
-                    0,
-                    "lane base must sit on a cache line"
-                );
-                lane[len - 1] = 42;
-            }
-            let clone = lane.clone();
-            assert_eq!(&*clone, &*lane);
-            if len > 0 {
-                assert_eq!(clone.as_ptr() as usize % LANE_ALIGN, 0);
-            }
-        }
-    }
-
-    #[test]
     fn active_backend_is_available_and_stable() {
         let a = KernelBackend::active();
         assert!(a.is_available());
         assert_eq!(KernelBackend::active(), a, "cached per process");
         assert!(KernelBackend::Scalar.is_available());
         assert_eq!(a.name().to_string(), format!("{a}"));
-    }
-
-    #[test]
-    fn prefetch_is_safe_at_any_index() {
-        let lane = vec![1u64; 8];
-        prefetch_read(&lane, 0);
-        prefetch_read(&lane, 7);
-        prefetch_read(&lane, 8); // out of bounds: no-op
-        prefetch_read::<u64>(&[], 0);
     }
 }

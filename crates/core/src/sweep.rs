@@ -37,23 +37,21 @@ use crate::resilience::Resilience;
 use crate::results::{FailureKind, JobFailure, PassResults, ShardBounds, SweepOutcome};
 use crate::space::{ConfigSpace, DewError, PassConfig};
 
-/// Upstream validation shared by every plan: the option flags must be
-/// sound for the policy, and the space must fit the policy's kernel (the
-/// tree-PLRU direction bits cap a lane at
-/// [`crate::plru_tree::MAX_PLRU_ASSOC`] ways).
+/// Upstream validation shared by every plan, before any worker starts:
+/// the option flags must be sound for the policy, and the space's widest
+/// associativity must fit the policy's kernel
+/// ([`FusedKernel::max_assoc_bits`]).
 fn validate_request(space: &ConfigSpace, options: DewOptions) -> Result<(), DewError> {
     // First sweep of the process: prove the active wide-scan backend
     // bit-identical to the scalar oracle before trusting it with results
     // (no-op afterwards, and when the scalar backend is already active).
     crate::kernel::selftest::ensure();
     options.validate()?;
-    if options.policy == TreePolicy::Plru {
-        let (_, amax) = space.assoc_bits();
-        if amax > crate::plru_tree::MAX_PLRU_ASSOC.trailing_zeros() {
-            return Err(DewError::BadAssoc(
-                1u32.checked_shl(amax).unwrap_or(u32::MAX),
-            ));
-        }
+    let (_, amax) = space.assoc_bits();
+    if amax > FusedKernel::max_assoc_bits(options.policy) {
+        return Err(DewError::BadAssoc(
+            1u32.checked_shl(amax).unwrap_or(u32::MAX),
+        ));
     }
     Ok(())
 }
@@ -76,50 +74,41 @@ fn worker_count(threads: usize, work_items: usize) -> usize {
     .min(work_items.max(1))
 }
 
-/// Fans the completed per-pass slots out into a [`SweepOutcome`]. Empty
-/// slots belong to failed jobs and are skipped — the caller attaches the
-/// failure accounting via [`SweepOutcome::failed_jobs`].
+/// Fans the completed per-pass slots out into a [`SweepOutcome`], one
+/// traversal per job. Empty slots belong to failed jobs and are skipped —
+/// the caller attaches the failure accounting via
+/// [`SweepOutcome::failed_jobs`].
 fn assemble(
     space: &ConfigSpace,
     passes: &[PassConfig],
-    slots: Vec<Option<(PassResults, DewCounters)>>,
+    jobs: &[FusedJob],
+    mut slots: Vec<Option<(PassResults, DewCounters)>>,
     accesses: u64,
-    trace_traversals: u64,
     policy: TreePolicy,
 ) -> SweepOutcome {
     let include_dm = space.assoc_bits().0 == 0;
     let mut misses: HashMap<(u32, u32, u32), u64> = HashMap::new();
-    let mut dm_seen: HashMap<(u32, u32), u64> = HashMap::new();
     let mut pass_counters = Vec::with_capacity(passes.len());
-    for (pass, slot) in passes.iter().zip(slots) {
-        let Some((results, counters)) = slot else {
-            continue;
-        };
-        for level in results.levels() {
-            let key = (level.sets(), pass.assoc(), pass.block_bytes());
-            misses.insert(key, level.misses());
-            if include_dm {
-                // Every pass of a block size re-derives the same DM results;
-                // cross-check them (a free internal consistency oracle;
-                // trivially shared within one fused job, meaningful when a
-                // space ever splits a block size across jobs).
-                let prev = dm_seen.insert((level.sets(), pass.block_bytes()), level.dm_misses());
-                if let Some(prev) = prev {
-                    assert_eq!(
-                        prev,
-                        level.dm_misses(),
-                        "passes disagree on DM misses at sets={} block={}",
-                        level.sets(),
-                        pass.block_bytes()
-                    );
+    for job in jobs {
+        for (k, &i) in job.pass_idx.iter().enumerate() {
+            let Some((results, counters)) = slots[i].take() else {
+                continue;
+            };
+            let pass = passes[i];
+            for level in results.levels() {
+                let key = (level.sets(), pass.assoc(), pass.block_bytes());
+                misses.insert(key, level.misses());
+                // A job's passes share one MRA lane, so its first pass
+                // carries the block size's direct-mapped results.
+                if include_dm && k == 0 {
+                    misses.insert((level.sets(), 1, pass.block_bytes()), level.dm_misses());
                 }
-                misses.insert((level.sets(), 1, pass.block_bytes()), level.dm_misses());
             }
+            pass_counters.push((pass, counters));
         }
-        pass_counters.push((*pass, counters));
     }
 
-    SweepOutcome::new(accesses, misses, pass_counters, trace_traversals, policy)
+    SweepOutcome::new(accesses, misses, pass_counters, jobs.len() as u64, policy)
 }
 
 /// Groups the passes by block size through an indexed map built once per
@@ -826,16 +815,11 @@ pub(crate) fn run_resilient<S: TraceSource>(
         .sum();
     let records_simulated =
         accesses * done_jobs + failed.iter().map(|f| f.records_done).sum::<u64>();
-    Ok(assemble(
-        space,
-        &passes,
-        slots,
-        accesses,
-        jobs.len() as u64,
-        options.policy,
+    Ok(
+        assemble(space, &passes, &jobs, slots, accesses, options.policy)
+            .with_records_simulated(records_simulated)
+            .with_failures(failed, retries, records_lost),
     )
-    .with_records_simulated(records_simulated)
-    .with_failures(failed, retries, records_lost))
 }
 
 #[cfg(test)]

@@ -11,12 +11,12 @@
 //!   response instead of queueing unboundedly or blocking the accept loop;
 //! * **deadlines** — every job carries a [`dew_core::CancelToken`] whose
 //!   deadline starts at admission; the resilient sweep drivers poll it at
-//!   chunk boundaries, flush a final checkpoint, and the job terminates as
-//!   `deadline_exceeded` with its partial progress accounted for;
+//!   chunk boundaries, and the job terminates as `deadline_exceeded` with
+//!   its partial progress accounted for;
 //! * **graceful drain** — shutdown (protocol `shutdown` or SIGINT via
 //!   [`signal`]) stops admissions, sheds the queue, gives in-flight jobs a
-//!   drain window, then cancels stragglers (which checkpoint through the
-//!   same machinery) and reports drained vs cancelled vs shed
+//!   drain window, then cancels stragglers (which stop at their next chunk
+//!   boundary the same way) and reports drained vs cancelled vs shed
 //!   ([`server::DrainReport`]);
 //! * **accounting that reconciles** — every submission ends in exactly one
 //!   terminal state, client-observable and server-counted, so the

@@ -14,7 +14,7 @@
 //!                  │ pop()
 //!                  ▼
 //!            worker pool (fixed) ── per-job CancelToken (deadline at admission)
-//!                  │ resilient SweepRequest::run_streamed + LatestCheckpointStore
+//!                  │ resilient SweepRequest::run_streamed (retries, cancel token)
 //!                  ▼
 //!        job table: exactly one terminal state per admitted job
 //!        {completed | deadline_exceeded | cancelled | failed | shed}
@@ -29,14 +29,18 @@
 //!   server's counters reconcile with the client-side log;
 //! * graceful shutdown stops admissions, drains in-flight jobs (bounded
 //!   by the drain timeout, after which their tokens are cancelled and the
-//!   jobs checkpoint via the resilient-sweep machinery), and reports
-//!   drained vs cancelled vs shed.
+//!   jobs stop at their next chunk boundary), and reports drained vs
+//!   cancelled vs shed.
+//!
+//! Jobs keep no checkpoints: no protocol command resumes a job, so an
+//! image would be written only to be dropped with the job. A deadline or
+//! cancel reports how many records the job simulated before its cut.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,8 +48,8 @@ use crate::json::{num, obj, str, Json};
 use crate::protocol::{JobKind, Request, SubmitRequest};
 use crate::queue::{BoundedQueue, PushError};
 use dew_core::{
-    CancelReason, CancelToken, CheckpointStore, ConfigSpace, DewOptions, FailureKind, Resilience,
-    RetryPolicy, SweepOutcome, SweepRequest,
+    CancelReason, CancelToken, ConfigSpace, DewOptions, FailureKind, Resilience, RetryPolicy,
+    SweepOutcome, SweepRequest,
 };
 use dew_explore::{best_edp_under, evaluate_sweep, pareto_front, EnergyModel};
 use dew_trace::{FaultPlan, FaultyTraceSource, Record, TraceError, TraceSource};
@@ -67,7 +71,7 @@ pub struct ServeConfig {
     /// Per-connection read/write timeout.
     pub io_timeout: Duration,
     /// How long graceful shutdown waits for in-flight jobs before
-    /// cancelling their tokens (they checkpoint and finish promptly).
+    /// cancelling their tokens (they stop at their next chunk boundary).
     pub drain_timeout: Duration,
     /// Simulation threads per job (jobs are the unit of parallelism, so 1
     /// is the right default; the worker pool provides the concurrency).
@@ -142,20 +146,10 @@ impl Stats {
 enum JobState {
     Queued,
     Running,
-    Completed {
-        summary: Json,
-    },
-    DeadlineExceeded {
-        records_done: u64,
-        checkpointed: bool,
-    },
-    Cancelled {
-        records_done: u64,
-        checkpointed: bool,
-    },
-    Failed {
-        error: String,
-    },
+    Completed { summary: Json },
+    DeadlineExceeded { records_done: u64 },
+    Cancelled { records_done: u64 },
+    Failed { error: String },
     Shed,
 }
 
@@ -211,8 +205,8 @@ pub struct DrainReport {
     /// Of those, jobs that reached a natural terminal state
     /// (completed/deadline/failed) within the drain timeout.
     pub drained: u64,
-    /// Jobs force-cancelled when the drain timeout expired; each flushed
-    /// a final checkpoint through the resilient-sweep machinery.
+    /// Jobs force-cancelled when the drain timeout expired; each stopped
+    /// at its next chunk boundary.
     pub cancelled: u64,
     /// Queued jobs that never started and were shed at shutdown.
     pub shed: u64,
@@ -235,7 +229,7 @@ impl std::fmt::Display for DrainReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "drain: {} in flight, {} drained, {} cancelled (checkpointed), {} shed",
+            "drain: {} in flight, {} drained, {} cancelled, {} shed",
             self.in_flight, self.drained, self.cancelled, self.shed
         )
     }
@@ -364,8 +358,8 @@ impl Inner {
         let drain_deadline = Instant::now() + self.cfg.drain_timeout;
         self.await_terminal(&in_flight, Some(drain_deadline));
 
-        // Phase 2: cancel stragglers; they checkpoint and exit at the next
-        // chunk boundary, so this wait is short and unbounded on purpose.
+        // Phase 2: cancel stragglers; they exit at the next chunk boundary,
+        // so this wait is short and unbounded on purpose.
         {
             let jobs = self.jobs.lock().expect("job table poisoned");
             for id in &in_flight {
@@ -572,10 +566,7 @@ impl Inner {
                 JobState::Queued => {
                     // Never started: terminal immediately. The worker that
                     // later pops this id sees a terminal state and skips.
-                    entry.state = JobState::Cancelled {
-                        records_done: 0,
-                        checkpointed: false,
-                    };
+                    entry.state = JobState::Cancelled { records_done: 0 };
                     entry.finished = Some(Instant::now());
                     entry.token.cancel();
                     Stats::bump(&self.stats.cancelled);
@@ -621,17 +612,9 @@ fn status_json(id: u64, entry: &JobEntry) -> Json {
             m.insert("result".to_owned(), summary.clone());
             m
         }
-        JobState::DeadlineExceeded {
-            records_done,
-            checkpointed,
-        }
-        | JobState::Cancelled {
-            records_done,
-            checkpointed,
-        } => {
+        JobState::DeadlineExceeded { records_done } | JobState::Cancelled { records_done } => {
             let mut m = std::collections::BTreeMap::new();
             m.insert("records_done".to_owned(), num(*records_done));
-            m.insert("checkpointed".to_owned(), Json::Bool(*checkpointed));
             m
         }
         JobState::Failed { error } => {
@@ -739,26 +722,13 @@ fn worker_loop(inner: &Arc<Inner>) {
                 RunResult::Done(summary) => {
                     (JobState::Completed { summary }, &inner.stats.completed)
                 }
-                RunResult::Deadline {
-                    records_done,
-                    checkpointed,
-                } => (
-                    JobState::DeadlineExceeded {
-                        records_done,
-                        checkpointed,
-                    },
+                RunResult::Deadline { records_done } => (
+                    JobState::DeadlineExceeded { records_done },
                     &inner.stats.deadline_exceeded,
                 ),
-                RunResult::Cancelled {
-                    records_done,
-                    checkpointed,
-                } => (
-                    JobState::Cancelled {
-                        records_done,
-                        checkpointed,
-                    },
-                    &inner.stats.cancelled,
-                ),
+                RunResult::Cancelled { records_done } => {
+                    (JobState::Cancelled { records_done }, &inner.stats.cancelled)
+                }
                 RunResult::Failed(error) => (JobState::Failed { error }, &inner.stats.failed),
             };
             entry.state = state;
@@ -771,40 +741,9 @@ fn worker_loop(inner: &Arc<Inner>) {
 
 enum RunResult {
     Done(Json),
-    Deadline {
-        records_done: u64,
-        checkpointed: bool,
-    },
-    Cancelled {
-        records_done: u64,
-        checkpointed: bool,
-    },
+    Deadline { records_done: u64 },
+    Cancelled { records_done: u64 },
     Failed(String),
-}
-
-/// A job's checkpoint store: it keeps only the most recent image, because
-/// a job is only ever resumed from its latest cut. One full-space image
-/// runs to tens of megabytes, so keeping every save (as
-/// `dew_core::MemoryCheckpointStore` does for kill-testing) would grow a
-/// long job's memory with each checkpoint.
-#[derive(Debug, Default)]
-struct LatestCheckpointStore(Mutex<Option<Vec<u8>>>);
-
-impl LatestCheckpointStore {
-    /// Whether any checkpoint has been saved.
-    fn saved(&self) -> bool {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some()
-    }
-}
-
-impl CheckpointStore for LatestCheckpointStore {
-    fn save(&self, bytes: &[u8]) -> Result<(), String> {
-        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(bytes.to_vec());
-        Ok(())
-    }
 }
 
 fn ok_record(r: Record) -> Result<Record, TraceError> {
@@ -835,18 +774,14 @@ fn run_job(req: &SubmitRequest, token: &CancelToken, sim_threads: usize) -> RunR
     };
     let options = DewOptions::for_policy(req.policy);
     let spec = req.traffic;
-    let store = LatestCheckpointStore::default();
-    // Checkpoint a handful of times per job so cancellation always has a
-    // recent cut to flush, without dominating small jobs.
-    let every = (spec.requests / 4).max(1_000);
     let source = move || Ok(spec.records().map(ok_record));
     let outcome = if req.chaos {
         let faulty = FaultyTraceSource::new(source, chaos_plan(spec.seed));
-        sweep_with(&space, &faulty, options, sim_threads, every, &store, token)
+        sweep_with(&space, &faulty, options, sim_threads, token)
     } else {
-        sweep_with(&space, &source, options, sim_threads, every, &store, token)
+        sweep_with(&space, &source, options, sim_threads, token)
     };
-    summarise(req, &store, token, outcome)
+    summarise(req, token, outcome)
 }
 
 fn sweep_with<S: TraceSource>(
@@ -854,8 +789,6 @@ fn sweep_with<S: TraceSource>(
     source: &S,
     options: DewOptions,
     threads: usize,
-    every: u64,
-    store: &LatestCheckpointStore,
     token: &CancelToken,
 ) -> Result<SweepOutcome, dew_core::DewError> {
     let res = Resilience::new()
@@ -865,7 +798,6 @@ fn sweep_with<S: TraceSource>(
             max_delay: Duration::from_millis(20),
         })
         .fail_fast(false)
-        .with_checkpoint(every, store)
         .with_cancel(token);
     SweepRequest::new(space)
         .options(options)
@@ -876,11 +808,9 @@ fn sweep_with<S: TraceSource>(
 
 fn summarise(
     req: &SubmitRequest,
-    store: &LatestCheckpointStore,
     token: &CancelToken,
     outcome: Result<SweepOutcome, dew_core::DewError>,
 ) -> RunResult {
-    let checkpointed = store.saved();
     match outcome {
         Ok(out) if !out.is_partial() => RunResult::Done(summary_json(req, &out)),
         Ok(out) => {
@@ -892,14 +822,8 @@ fn summarise(
                 Some(reason) if cancelled_only => {
                     let records_done = out.records_simulated();
                     match reason {
-                        CancelReason::DeadlineExceeded => RunResult::Deadline {
-                            records_done,
-                            checkpointed,
-                        },
-                        CancelReason::Requested => RunResult::Cancelled {
-                            records_done,
-                            checkpointed,
-                        },
+                        CancelReason::DeadlineExceeded => RunResult::Deadline { records_done },
+                        CancelReason::Requested => RunResult::Cancelled { records_done },
                     }
                 }
                 // Partial for another reason (e.g. chaos exhausted its
@@ -912,14 +836,8 @@ fn summarise(
             }
         }
         Err(e) => match token.cancelled() {
-            Some(CancelReason::DeadlineExceeded) => RunResult::Deadline {
-                records_done: 0,
-                checkpointed,
-            },
-            Some(CancelReason::Requested) => RunResult::Cancelled {
-                records_done: 0,
-                checkpointed,
-            },
+            Some(CancelReason::DeadlineExceeded) => RunResult::Deadline { records_done: 0 },
+            Some(CancelReason::Requested) => RunResult::Cancelled { records_done: 0 },
             None => RunResult::Failed(e.to_string()),
         },
     }
@@ -955,22 +873,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn latest_store_keeps_one_image_resident() {
-        let store = LatestCheckpointStore::default();
-        assert!(!store.saved());
-        for n in 1..=16u8 {
-            store.save(&vec![n; usize::from(n)]).expect("save");
-        }
-        assert!(store.saved());
-        let resident = store.0.lock().expect("unpoisoned");
-        assert_eq!(
-            resident.as_deref(),
-            Some(&[16u8; 16][..]),
-            "only the last image"
-        );
-    }
-
-    #[test]
     fn drain_report_renders_both_ways() {
         let r = DrainReport {
             in_flight: 3,
@@ -998,19 +900,10 @@ mod tests {
                 "completed",
             ),
             (
-                JobState::DeadlineExceeded {
-                    records_done: 1,
-                    checkpointed: true,
-                },
+                JobState::DeadlineExceeded { records_done: 1 },
                 "deadline_exceeded",
             ),
-            (
-                JobState::Cancelled {
-                    records_done: 0,
-                    checkpointed: false,
-                },
-                "cancelled",
-            ),
+            (JobState::Cancelled { records_done: 0 }, "cancelled"),
             (
                 JobState::Failed {
                     error: "x".to_owned(),

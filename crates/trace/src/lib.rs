@@ -18,9 +18,9 @@
 //! * batched block-number decoding ([`decode_blocks`], [`BlockChunks`]) so
 //!   multi-pass simulators decode `Record → u64` once per block size instead
 //!   of once per pass;
-//! * bounded-memory streaming ingestion ([`StreamBlockChunks`],
-//!   [`TraceSource`]) so traces longer than RAM feed the same batched
-//!   kernels straight from a reader or generator;
+//! * bounded-memory streaming ingestion ([`TraceSource`]) so traces longer
+//!   than RAM feed the same batched kernels straight from a reader or
+//!   generator;
 //! * deterministic fault injection ([`FaultyTraceSource`], [`FaultPlan`])
 //!   wrapping any source with a seed-controlled schedule of transient I/O
 //!   errors, short reads, corrupt records and latency, for exercising
@@ -64,5 +64,5 @@ pub use error::{ParseRecordError, TraceError};
 pub use fault::{FaultPlan, FaultyIter, FaultyTraceSource};
 pub use record::{AccessKind, BlockAddr, Record};
 pub use stats::TraceStats;
-pub use stream::{SliceIter, SliceSource, StreamBlockChunks, TraceSource};
+pub use stream::{SliceIter, SliceSource, TraceSource};
 pub use trace::Trace;

@@ -1,123 +1,47 @@
 //! Streaming, bounded-memory trace ingestion.
 //!
 //! [`crate::BlockChunks`] batches block numbers out of a fully-decoded
-//! `&[Record]`; that caps the trace length at available RAM. This module
-//! generalises the same chunked interface to *any* fallible record source —
-//! a [`crate::binary::BinReader`] over a file, a synthetic generator, a
+//! `&[Record]`; that caps the trace length at available RAM. A
+//! [`TraceSource`] is instead "a trace that can be traversed from the start
+//! more than once" over *any* fallible record iterator — a
+//! [`crate::binary::BinReader`] over a file, a synthetic generator, a
 //! network stream — so arbitrarily long traces feed the batched kernels
-//! without ever being materialised:
+//! without ever being materialised: a multi-pass sweep opens one fresh
+//! iterator per block size and fills its own block buffer from it.
+//! Closures returning record iterators implement the trait directly, and
+//! [`SliceSource`] adapts an in-memory `&[Record]`.
 //!
-//! * [`StreamBlockChunks`] decodes a `Result<Record, TraceError>` iterator
-//!   into `&[u64]` block-number chunks through one reusable buffer. Its
-//!   extra memory is exactly `chunk_len × 8` bytes (plus whatever the
-//!   source itself holds) — the documented bound a billion-request sweep
-//!   relies on.
-//! * [`TraceSource`] abstracts "a trace that can be traversed from the
-//!   start more than once": a multi-pass sweep opens one fresh iterator per
-//!   block size. Closures returning record iterators implement it
-//!   directly, and [`SliceSource`] adapts an in-memory `&[Record]`.
-//!
-//! Unlike `BlockChunks`, the streaming decoder's source can fail
-//! mid-trace (truncated file, corrupt varint), so [`StreamBlockChunks::next_chunk`]
-//! returns `Result` — a malformed tail surfaces as the underlying
-//! [`TraceError`] instead of a panic or silent truncation.
+//! Unlike `BlockChunks`, a streamed source can fail mid-trace (truncated
+//! file, corrupt varint), so its items are `Result`s — a malformed tail
+//! surfaces as the underlying [`TraceError`] instead of a panic or silent
+//! truncation.
 //!
 //! # Examples
 //!
 //! ```
-//! use dew_trace::{Record, StreamBlockChunks, TraceError};
+//! use dew_trace::binary::{BinReader, BinWriter};
+//! use dew_trace::{Record, TraceSource};
 //!
-//! let source = (0..100u64).map(|i| Ok::<_, TraceError>(Record::read(i * 4)));
-//! let mut chunks = StreamBlockChunks::new(source, 4, 32);
-//! let mut blocks = Vec::new();
-//! while let Some(chunk) = chunks.next_chunk().expect("clean source") {
-//!     blocks.extend_from_slice(chunk);
+//! let mut bytes = Vec::new();
+//! let mut w = BinWriter::new(&mut bytes).expect("header");
+//! w.write_all((0..100u64).map(|i| Record::read(i * 4))).expect("write");
+//! w.finish().expect("finish");
+//!
+//! // Each traversal re-opens the encoded trace from its first record.
+//! let source = || BinReader::new(bytes.as_slice());
+//! for _ in 0..2 {
+//!     let blocks: Vec<u64> = source
+//!         .open()
+//!         .expect("opens")
+//!         .map(|r| r.expect("clean trace").addr >> 4)
+//!         .collect();
+//!     assert_eq!(blocks.len(), 100);
+//!     assert_eq!(blocks[5], 5 * 4 >> 4);
 //! }
-//! assert_eq!(blocks.len(), 100);
-//! assert_eq!(blocks[5], 5 * 4 >> 4);
 //! ```
 
 use crate::error::TraceError;
 use crate::record::Record;
-
-/// A chunked block-number decoder over a fallible record stream.
-///
-/// Yields the source's block numbers (`addr >> block_bits`) as `&[u64]`
-/// chunks of at most `chunk_len` entries through one reusable buffer;
-/// memory use is bounded by `chunk_len × 8` bytes regardless of trace
-/// length. Source errors are returned once and end the stream.
-#[derive(Debug)]
-pub struct StreamBlockChunks<I> {
-    source: I,
-    block_bits: u32,
-    chunk_len: usize,
-    buf: Vec<u64>,
-    decoded: u64,
-    done: bool,
-}
-
-impl<I> StreamBlockChunks<I>
-where
-    I: Iterator<Item = Result<Record, TraceError>>,
-{
-    /// Creates a decoder over `source` yielding at most `chunk_len` block
-    /// numbers per call (a zero `chunk_len` is promoted to 1).
-    #[must_use]
-    pub fn new(source: I, block_bits: u32, chunk_len: usize) -> Self {
-        let chunk_len = chunk_len.max(1);
-        StreamBlockChunks {
-            source,
-            block_bits,
-            chunk_len,
-            buf: Vec::with_capacity(chunk_len),
-            decoded: 0,
-            done: false,
-        }
-    }
-
-    /// Decodes and returns the next chunk; `Ok(None)` once the source is
-    /// exhausted. The returned slice is only valid until the next call.
-    ///
-    /// # Errors
-    ///
-    /// The source's [`TraceError`] (truncation, corrupt record, I/O), after
-    /// which the stream is finished: later calls return `Ok(None)`.
-    pub fn next_chunk(&mut self) -> Result<Option<&[u64]>, TraceError> {
-        if self.done {
-            return Ok(None);
-        }
-        self.buf.clear();
-        while self.buf.len() < self.chunk_len {
-            match self.source.next() {
-                Some(Ok(record)) => {
-                    self.buf.push(record.addr >> self.block_bits);
-                    self.decoded += 1;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Err(e);
-                }
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
-        }
-        if self.buf.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(&self.buf))
-        }
-    }
-
-    /// Records decoded so far — including those consumed before a
-    /// mid-chunk error, so after an `Err` this is the exact position of
-    /// the failing record.
-    #[must_use]
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-}
 
 /// A trace that can be traversed from the start any number of times.
 ///
@@ -193,33 +117,9 @@ mod tests {
     use super::*;
     use crate::binary::BinWriter;
     use crate::binary::{BinReader, MAGIC};
-    use crate::blocks::decode_blocks;
 
     fn records(n: u64) -> Vec<Record> {
         (0..n).map(|i| Record::read(i * 3 + 1)).collect()
-    }
-
-    #[test]
-    fn streamed_chunks_match_the_slice_decoder() {
-        let r = records(1000);
-        let whole = decode_blocks(&r, 2);
-        for chunk_len in [1usize, 7, 256, 1000, 5000] {
-            let mut chunks = StreamBlockChunks::new(r.iter().map(|rec| Ok(*rec)), 2, chunk_len);
-            let mut got = Vec::new();
-            while let Some(c) = chunks.next_chunk().expect("infallible source") {
-                assert!(c.len() <= chunk_len.max(1));
-                got.extend_from_slice(c);
-            }
-            assert_eq!(got, whole, "chunk_len={chunk_len}");
-            assert_eq!(chunks.decoded(), 1000);
-        }
-    }
-
-    #[test]
-    fn empty_source_yields_no_chunks() {
-        let mut chunks = StreamBlockChunks::new(std::iter::empty(), 4, 16);
-        assert!(chunks.next_chunk().expect("empty is clean").is_none());
-        assert!(chunks.next_chunk().expect("still clean").is_none());
     }
 
     #[test]
@@ -232,13 +132,16 @@ mod tests {
         w.write_record(Record::read(0x9abc_def0)).expect("write");
         w.finish().expect("finish");
         out.pop();
-        let reader = BinReader::new(out.as_slice()).expect("header");
-        let mut chunks = StreamBlockChunks::new(reader, 4, 8);
-        // The first record decodes; buffering stops at the corrupt tail.
-        assert!(matches!(chunks.next_chunk(), Err(TraceError::Truncated)));
+        let mut reader = BinReader::new(out.as_slice()).expect("header");
+        // The first record decodes; the stream stops at the corrupt tail.
+        assert_eq!(
+            reader.next().expect("first record").expect("clean"),
+            Record::read(0x1234_5678)
+        );
+        assert!(matches!(reader.next(), Some(Err(TraceError::Truncated))));
         assert!(
-            chunks.next_chunk().expect("failed stream ends").is_none(),
-            "a failed stream yields no further chunks"
+            reader.next().is_none(),
+            "a failed stream yields no further records"
         );
     }
 
@@ -251,22 +154,23 @@ mod tests {
             .expect("finish");
         out.push(7); // bogus access kind
         out.push(0);
-        let reader = BinReader::new(out.as_slice()).expect("header");
-        let mut chunks = StreamBlockChunks::new(reader, 0, 8);
+        let source = || BinReader::new(out.as_slice());
+        let mut reader = source.open().expect("header");
         assert!(matches!(
-            chunks.next_chunk(),
-            Err(TraceError::Parse { position: 1, .. })
+            reader.next(),
+            Some(Err(TraceError::Parse { position: 1, .. }))
         ));
+        assert!(reader.next().is_none());
     }
 
     #[test]
     fn foreign_bytes_fail_at_open_not_in_the_chunk_loop() {
+        // A source that reopens foreign bytes fails at `open`, before any
+        // record is read.
         let mut garbage = Vec::from(&MAGIC[..2]);
         garbage.extend_from_slice(b"zz\x01\x00");
-        assert!(matches!(
-            BinReader::new(garbage.as_slice()),
-            Err(TraceError::BadMagic)
-        ));
+        let source = || BinReader::new(garbage.as_slice());
+        assert!(matches!(source.open(), Err(TraceError::BadMagic)));
     }
 
     #[test]
