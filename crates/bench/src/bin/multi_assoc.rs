@@ -3,11 +3,11 @@
 //!
 //! A [`MultiAssocTree`] carries independent FIFO tag lists for every
 //! associativity in each node, sharing the walk, the MRA early stop and the
-//! direct-mapped results, and pruning the wider lists' searches with
-//! cross-associativity intersection links; Table 1's 28 passes become 7
-//! trace traversals. This bench measures what that sharing is worth — the
-//! fast fused kernel for wall time, the instrumented one for the comparison
-//! counts — with results cross-checked between every strategy.
+//! direct-mapped results; Table 1's 28 passes become 7 trace traversals.
+//! This bench measures what that sharing is worth — the fast fused kernel
+//! for wall time, the instrumented one for the comparison counts — with
+//! results cross-checked between every strategy, and each fused list's
+//! counters asserted equal to its per-associativity pass's.
 
 use std::time::Instant;
 
@@ -38,6 +38,7 @@ fn main() {
     let start = Instant::now();
     let mut per_assoc_comparisons = 0u64;
     let mut separate = Vec::new();
+    let mut separate_counters = Vec::new();
     for assoc in [2u32, 4, 8, 16] {
         let pass = PassConfig::new(2, SET_BITS.0, SET_BITS.1, assoc).expect("valid");
         let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), true).expect("sound");
@@ -46,6 +47,7 @@ fn main() {
         }
         let counters = tree.pass_counters(assoc).expect("the pass associativity");
         per_assoc_comparisons += counters.tag_comparisons;
+        separate_counters.push(counters);
         separate.push(tree.pass_results(assoc).expect("the pass associativity"));
     }
     let separate_secs = start.elapsed().as_secs_f64();
@@ -116,18 +118,18 @@ fn main() {
                 "DM sets={sets}"
             );
         }
+        assert_eq!(
+            multi.pass_counters(*assoc),
+            Some(separate_counters[i]),
+            "fused list counters diverged from the pass at assoc={assoc}"
+        );
     }
     println!("\nall 75 configurations agree between the strategies (asserted).");
+    println!("each fused list's counters equal its per-assoc pass's (asserted).");
     println!(
         "comparison cut of the fused instrumented pass: {:.2}x; \
          wall-time speedup of the fast fused pass: {:.2}x",
         per_assoc_comparisons as f64 / multi.counters().tag_comparisons as f64,
         separate_secs / fast_secs
-    );
-    println!(
-        "intersection links settled {} evaluations ({} hits, {} misses)",
-        thousands(multi.counters().intersection_total()),
-        thousands(multi.counters().intersection_hits),
-        thousands(multi.counters().intersection_misses),
     );
 }

@@ -135,9 +135,9 @@ pub struct ArenaDims {
 }
 
 /// The fields of a [`DewCounters`] in their canonical snapshot order (the
-/// order `DEWM` writes all twelve); a policy's [`Policy::COUNTERS`] lists
-/// the indices its format carries.
-fn counter_slots(c: &mut DewCounters) -> [&mut u64; 12] {
+/// order `DEWM` writes all ten); a policy's [`Policy::COUNTERS`] lists the
+/// indices its format carries.
+fn counter_slots(c: &mut DewCounters) -> [&mut u64; 10] {
     [
         &mut c.accesses,
         &mut c.node_evaluations,
@@ -145,14 +145,16 @@ fn counter_slots(c: &mut DewCounters) -> [&mut u64; 12] {
         &mut c.wave_hits,
         &mut c.wave_misses,
         &mut c.mre_misses,
-        &mut c.intersection_hits,
-        &mut c.intersection_misses,
         &mut c.searches,
         &mut c.duplicate_skips,
         &mut c.search_comparisons,
         &mut c.tag_comparisons,
     ]
 }
+
+/// A [`Policy::counters`] entry for a counter an older image carries but
+/// no kernel keeps (the FIFO intersection link's): it must read zero.
+pub(crate) const RETIRED: usize = usize::MAX;
 
 /// The policy-independent state of a fused kernel: forest geometry, the
 /// lane layout, the MRA and way-tag lanes, and the miss tallies. Update
@@ -276,6 +278,12 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     /// Indices into the canonical counter order ([`counter_slots`]) of the
     /// counters the snapshot carries.
     const COUNTERS: &'static [usize];
+    /// The counters a `version` image carries, as [`Policy::COUNTERS`]
+    /// lists the current version's; [`RETIRED`] marks a retired one.
+    fn counters(version: u8) -> &'static [usize] {
+        let _ = version;
+        Self::COUNTERS
+    }
     /// Whether the snapshot carries the previous block (the duplicate
     /// elision state).
     const ELISION: bool = true;
@@ -336,7 +344,8 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     fn body(d: ArenaDims, instrument: bool, version: u8) -> (u64, u64);
     /// Writes the policy's tallies (after the counters).
     fn encode_tallies(&self, lanes: &[DewCounters], instrument: bool, out: &mut Vec<u8>);
-    /// Reads what [`Policy::encode_tallies`] wrote.
+    /// Reads what [`Policy::encode_tallies`] wrote (any supported
+    /// `version`).
     ///
     /// # Errors
     ///
@@ -346,6 +355,7 @@ pub trait Policy: Clone + fmt::Debug + Sized {
         lanes: &mut [DewCounters],
         shared: &DewCounters,
         instrument: bool,
+        version: u8,
         cur: &mut Cursor<'_>,
     ) -> Result<(), SnapshotError>;
     /// Writes the policy's lanes (after the way tags).
@@ -1013,7 +1023,7 @@ impl<P: Policy> Arena<P> {
         let set_bits = (min_set_bits, max_set_bits);
         check_body_len(&cur, set_bits, assoc_bits, |d| {
             let (tallies, per_node) = P::body(d, instrument, version);
-            let counters = P::COUNTERS.len() as u64 + u64::from(P::ELISION);
+            let counters = P::counters(version).len() as u64 + u64::from(P::ELISION);
             (
                 8 * counters + tallies,
                 8 * (d.lanes.max(1) + 1),
@@ -1022,12 +1032,17 @@ impl<P: Policy> Arena<P> {
         })?;
         let mut k = Arena::<P>::new(block_bits, set_bits, assoc_bits, opts, instrument)
             .map_err(|_| SnapshotError::Corrupt("invalid arena geometry"))?;
-        for &i in P::COUNTERS {
-            *counter_slots(&mut k.counters)[i] = cur.u64()?;
+        for &i in P::counters(version) {
+            let v = cur.u64()?;
+            match counter_slots(&mut k.counters).into_iter().nth(i) {
+                Some(slot) => *slot = v,
+                None if v != 0 => return Err(SnapshotError::RetiredLink),
+                None => {}
+            }
         }
         check_walk(&k.counters, u64::from(k.pass.num_levels()))?;
         k.lanes
-            .decode_tallies(&mut k.lane_work, &k.counters, instrument, &mut cur)?;
+            .decode_tallies(&mut k.lane_work, &k.counters, instrument, version, &mut cur)?;
         if P::ELISION {
             k.prev_block = cur.u64()?;
         }

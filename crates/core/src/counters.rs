@@ -8,19 +8,16 @@
 //!   (hit or miss) without a search;
 //! * an MRE check is one additional comparison; only a *match* settles the
 //!   node (as a miss);
-//! * an intersection check (the fused multi-associativity extension's
-//!   cross-associativity link, see [`crate::MultiAssocTree`]) is one
-//!   additional comparison and settles the node (hit or miss) without a
-//!   search;
 //! * a search compares the requested tag against each valid way in physical
 //!   order, stopping at the match.
 //!
 //! Every node evaluation therefore lands in exactly one bucket:
-//! `mra_stops + wave_hits + wave_misses + mre_misses + intersection_hits +
-//! intersection_misses + searches == node_evaluations`, an identity the
-//! test-suite enforces. The intersection buckets stay zero for a
-//! one-associativity pass ([`crate::Arena::for_pass`]), so the original paper
-//! identity is a special case.
+//! `mra_stops + wave_hits + wave_misses + mre_misses + searches ==
+//! node_evaluations`, an identity the test-suite enforces. A fused
+//! multi-associativity pass ([`crate::MultiAssocTree`]) walks each list's
+//! ladder exactly as a standalone pass at that associativity
+//! ([`crate::Arena::for_pass`]) would, so its per-pass views are the
+//! paper's per-pass counts.
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
@@ -40,13 +37,6 @@ pub struct DewCounters {
     pub wave_misses: u64,
     /// Evaluations settled as misses by the MRE entry (Property 4).
     pub mre_misses: u64,
-    /// Evaluations settled as hits by a cross-associativity intersection
-    /// link (fused multi-associativity passes only; see
-    /// [`crate::MultiAssocTree`]).
-    pub intersection_hits: u64,
-    /// Evaluations settled as misses by a cross-associativity intersection
-    /// link (fused multi-associativity passes only).
-    pub intersection_misses: u64,
     /// Evaluations that fell through to a tag-list search.
     pub searches: u64,
     /// Requests skipped whole by the CRCB-style duplicate elision extension
@@ -71,13 +61,6 @@ impl DewCounters {
         self.wave_hits + self.wave_misses
     }
 
-    /// Evaluations settled by a cross-associativity intersection link
-    /// (hit or miss).
-    #[must_use]
-    pub fn intersection_total(&self) -> u64 {
-        self.intersection_hits + self.intersection_misses
-    }
-
     /// The worst-case evaluation count for a run of `self.accesses` requests
     /// over `num_levels` forest levels — Table 4's "Unoptimized evaluations"
     /// column (every request visits every level).
@@ -90,13 +73,7 @@ impl DewCounters {
     /// asserts this after every simulation.
     #[must_use]
     pub fn is_consistent(&self) -> bool {
-        self.mra_stops
-            + self.wave_hits
-            + self.wave_misses
-            + self.mre_misses
-            + self.intersection_hits
-            + self.intersection_misses
-            + self.searches
+        self.mra_stops + self.wave_hits + self.wave_misses + self.mre_misses + self.searches
             == self.node_evaluations
     }
 }
@@ -118,8 +95,6 @@ impl AddAssign for DewCounters {
         self.wave_hits += rhs.wave_hits;
         self.wave_misses += rhs.wave_misses;
         self.mre_misses += rhs.mre_misses;
-        self.intersection_hits += rhs.intersection_hits;
-        self.intersection_misses += rhs.intersection_misses;
         self.searches += rhs.searches;
         self.duplicate_skips += rhs.duplicate_skips;
         self.search_comparisons += rhs.search_comparisons;
@@ -131,14 +106,13 @@ impl fmt::Display for DewCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} accesses, {} evaluations ({} MRA stops, {} wave, {} MRE, {} intersection, \
-             {} searches), {} comparisons",
+            "{} accesses, {} evaluations ({} MRA stops, {} wave, {} MRE, {} searches), \
+             {} comparisons",
             self.accesses,
             self.node_evaluations,
             self.mra_stops,
             self.wave_total(),
             self.mre_misses,
-            self.intersection_total(),
             self.searches,
             self.tag_comparisons,
         )
@@ -159,12 +133,7 @@ mod tests {
         assert!(c.is_consistent());
         c.wave_hits = 1;
         assert!(!c.is_consistent());
-        // The intersection buckets participate in the identity too.
-        c.node_evaluations += 3;
-        c.intersection_hits = 2;
-        c.intersection_misses = 1;
-        assert!(!c.is_consistent());
-        c.wave_hits = 0;
+        c.node_evaluations += 1;
         assert!(c.is_consistent());
     }
 

@@ -111,8 +111,8 @@ impl<P: Policy> PolicyKernel for Arena<P> {
 /// One fused simulator, any registered policy: the concrete kernel every
 /// sweep driver holds. Enum dispatch keeps the per-chunk call direct.
 pub enum FusedKernel {
-    /// FIFO on the [`MultiAssocTree`] (per-associativity tag lists,
-    /// intersection links, MRA early termination).
+    /// FIFO on the [`MultiAssocTree`] (per-associativity tag lists, MRA
+    /// early termination).
     Fifo(Box<MultiAssocTree>),
     /// LRU on the arena [`LruTreeSimulator`] (one move-to-front lane
     /// answers every associativity through the stack property).

@@ -27,9 +27,9 @@
 //! [`kernel::PolicyKernel`] trait:
 //!
 //! * **FIFO** — [`MultiAssocTree`]: every associativity's FIFO tag lists
-//!   share one walk, with CIPARSim-style intersection links pruning the
-//!   wider lists' searches, so the paper's 28 per-pair passes become 7
-//!   traversals;
+//!   share one walk, so the paper's 28 per-pair passes become 7
+//!   traversals, and each list's instrumented counters are the paper's
+//!   per-pass counts;
 //! * **LRU** — [`lru_tree::LruTreeSimulator`]: the stack property makes a
 //!   single move-to-front lane exact for every associativity at once (the
 //!   Janapsatya / CRCB comparator family the paper positions DEW against);

@@ -137,7 +137,7 @@ impl LruTreeSimulator {
 impl Policy for Lru {
     const POLICY: TreePolicy = TreePolicy::Lru;
     const VERSION: u8 = 1;
-    const COUNTERS: &'static [usize] = &[0, 1, 2, 9, 11];
+    const COUNTERS: &'static [usize] = &[0, 1, 2, 7, 9];
     const STACK: bool = true;
 
     fn region(_: u64, widest: u64) -> u64 {
@@ -269,6 +269,7 @@ impl Policy for Lru {
         _: &mut [DewCounters],
         shared: &DewCounters,
         _: bool,
+        _: u8,
         cur: &mut Cursor<'_>,
     ) -> Result<(), SnapshotError> {
         let mut hits = Some(0u64);

@@ -69,41 +69,17 @@
 //! One update rule, two modes:
 //!
 //! * the **fast** mode ([`MultiAssocTree::new`] with `instrument` off)
-//!   keeps no per-node counters and no wave/MRE/link state at all; each
-//!   list's residency is decided by a branchless scan of its slice of the
+//!   keeps no per-node counters and no wave/MRE state at all; each list's
+//!   residency is decided by a branchless scan of its slice of the
 //!   contiguous tag lane (invalid ways hold a sentinel), and FIFO hits
 //!   mutate nothing;
 //! * the **instrumented** mode (`instrument` on) maintains the paper's full
-//!   determination ladder per list — wave pointer, then the *intersection
-//!   link* below, then MRE, then a stop-at-match search — with every
-//!   [`DewCounters`] bucket live, both in aggregate and per associativity
-//!   (so a fused pass can report the counters each per-associativity pass
-//!   would have been entitled to).
-//!
-//! # The intersection link (CIPARSim-style pruning)
-//!
-//! CIPARSim (Haque et al., ICCAD 2011; see `PAPERS.md`) observed that FIFO
-//! caches of the same block size and set count but different associativity
-//! hold largely intersecting contents. This module exploits that
-//! observation *exactly*, with a pointer that works like the paper's wave
-//! pointers but across associativities instead of across set counts: each
-//! way entry of list `k` carries the way its tag occupied in list `k+1` of
-//! the same node when the tag was last handled there. When a request is
-//! confirmed a **hit** in list `k`, one comparison at the linked way decides
-//! hit *or* miss for list `k+1`, short-circuiting its search.
-//!
-//! Soundness is the wave-pointer argument transplanted: FIFO never moves a
-//! resident block between ways, and a block's way in list `k+1` can only
-//! change through an eviction followed by a re-insertion — and every
-//! insertion into any list of a node happens while *handling that block at
-//! that node*, which refreshes the link. So a consulted link is stale only
-//! if the block left list `k+1` entirely, in which case the linked way now
-//! holds a different tag and the comparison correctly reports a miss. The
-//! consult is gated on list `k` *hitting*: after a fresh insert the entry's
-//! link still describes the evicted victim and proves nothing about the
-//! requested block (FIFO has no inclusion across associativities — Belady's
-//! anomaly — which is exactly why the link carries a verifying comparison
-//! instead of being trusted blindly).
+//!   determination ladder per list — wave pointer, then MRE, then a
+//!   stop-at-match search — with every [`DewCounters`] bucket live, both in
+//!   aggregate and per associativity. Each list's ladder reads only its own
+//!   state, so a fused pass's [`crate::Arena::pass_counters`] equal those
+//!   of a standalone pass at that associativity, field for field: the
+//!   paper's per-pass Table 3/4 counts.
 //!
 //! # Examples
 //!
@@ -123,7 +99,7 @@
 //! # }
 //! ```
 
-use crate::arena::{Arena, Forest, Policy, Site};
+use crate::arena::{Arena, Forest, Policy, Site, RETIRED};
 use crate::counters::DewCounters;
 use crate::node::{fifo_advance, EMPTY_WAVE, INVALID_TAG};
 use crate::options::{DewOptions, TreePolicy};
@@ -173,10 +149,6 @@ pub struct Fifo {
     /// Wave-pointer lane, parallel to the tag lane (padding included, so
     /// the two share indices); instrumented only.
     waves: Vec<u32>,
-    /// Intersection-link lane, parallel to the tag lane: the way this
-    /// entry's tag occupied in the *next wider* list of the same node when
-    /// last handled. Instrumented only.
-    xlink: Vec<u32>,
     /// Walk scratch: per list, the global way-lane index of the parent
     /// node's matching entry (`NO_ENTRY` at the root).
     parent: Vec<usize>,
@@ -184,9 +156,18 @@ pub struct Fifo {
 
 impl Policy for Fifo {
     const POLICY: TreePolicy = TreePolicy::Fifo;
-    const VERSION: u8 = 1;
-    const COUNTERS: &'static [usize] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11];
+    const VERSION: u8 = 2;
+    const COUNTERS: &'static [usize] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
     const PAD: bool = true;
+
+    fn counters(version: u8) -> &'static [usize] {
+        // Version 1 also carried the retired intersection link's counts.
+        if version == 1 {
+            &[0, 1, 2, 3, 4, 5, RETIRED, RETIRED, 6, 7, 8, 9]
+        } else {
+            Self::COUNTERS
+        }
+    }
 
     fn region(stride: u64, _: u64) -> u64 {
         stride
@@ -202,15 +183,13 @@ impl Policy for Fifo {
             mre: vec![INVALID_TAG; ladder(lists)],
             mre_wave: vec![EMPTY_WAVE; ladder(lists)],
             waves: vec![EMPTY_WAVE; ladder(ways)],
-            xlink: vec![EMPTY_WAVE; ladder(ways)],
             parent: vec![NO_ENTRY; f.widths.len()],
         }
     }
 
     fn footprint(&self) -> usize {
-        (self.fifo.len() + self.valid.len() + self.mre_wave.len()) * 4
+        (self.fifo.len() + self.valid.len() + self.mre_wave.len() + self.waves.len()) * 4
             + self.mre.len() * 8
-            + (self.waves.len() + self.xlink.len()) * 4
     }
 
     type Walk<'a> = FifoWalk<'a>;
@@ -224,7 +203,6 @@ impl Policy for Fifo {
             mre: &mut self.mre,
             mre_wave: &mut self.mre_wave,
             waves: &mut self.waves,
-            xlink: &mut self.xlink,
             parent: &mut self.parent,
         }
     }
@@ -315,32 +293,24 @@ impl Policy for Fifo {
         Ok((opts, flags & 16 != 0))
     }
 
-    fn body(d: ArenaDims, instrument: bool, _: u8) -> (u64, u64) {
-        // Instrumented: valid counts, MRE tags and MRE waves per list, wave
-        // and link lanes per way.
-        let ladder = u64::from(instrument) * (16 * d.lanes + 8 * d.stride);
-        (64 * d.lanes, 4 * d.lanes + ladder)
+    fn body(d: ArenaDims, instrument: bool, version: u8) -> (u64, u64) {
+        // Six tallies per lane; instrumented, valid counts, MRE tags and
+        // MRE waves per list, and a wave lane per way. Version 1 also
+        // carried two link tallies per lane and a link lane per way.
+        let v1 = u64::from(version == 1);
+        let ladder = u64::from(instrument) * (16 * d.lanes + 4 * (1 + v1) * d.stride);
+        ((48 + 16 * v1) * d.lanes, 4 * d.lanes + ladder)
     }
 
     fn encode_tallies(&self, lanes: &[DewCounters], _: bool, out: &mut Vec<u8>) {
         for lc in lanes {
-            let settled = [
-                lc.wave_hits,
-                lc.wave_misses,
-                lc.intersection_hits,
-                lc.intersection_misses,
-                lc.search_comparisons,
-            ];
-            let mre_checks = settled
-                .into_iter()
-                .fold(lc.tag_comparisons, u64::wrapping_sub);
+            let mre_checks =
+                lc.tag_comparisons - lc.wave_hits - lc.wave_misses - lc.search_comparisons;
             for v in [
                 lc.wave_hits,
                 lc.wave_misses,
                 mre_checks,
                 lc.mre_misses,
-                lc.intersection_hits,
-                lc.intersection_misses,
                 lc.searches,
                 lc.search_comparisons,
             ] {
@@ -352,32 +322,47 @@ impl Policy for Fifo {
     fn decode_tallies(
         &mut self,
         lanes: &mut [DewCounters],
-        _: &DewCounters,
+        shared: &DewCounters,
         _: bool,
+        version: u8,
         cur: &mut Cursor<'_>,
     ) -> Result<(), SnapshotError> {
+        const UNEVEN: SnapshotError = SnapshotError::Corrupt("lane tallies break the ladder sums");
+        let sum = |v: &[u64]| {
+            v.iter()
+                .try_fold(0u64, |a, &b| a.checked_add(b))
+                .ok_or(UNEVEN)
+        };
+        // The aggregate is one MRA comparison per evaluation plus every
+        // lane's ladder; `check_walk` has refused more stops than
+        // evaluations.
+        let mut total = shared.node_evaluations;
         for lc in lanes {
-            let mut v = [0u64; 8];
-            for x in &mut v {
-                *x = cur.u64()?;
+            let [wave_hits, wave_misses, mre_checks, mre_misses] =
+                [cur.u64()?, cur.u64()?, cur.u64()?, cur.u64()?];
+            if version == 1 && (cur.u64()? | cur.u64()?) != 0 {
+                return Err(SnapshotError::RetiredLink);
             }
-            let [wave_hits, wave_misses, mre_checks, mre_misses, x_hits, x_misses, searches, cmps] =
-                v;
+            let [searches, cmps] = [cur.u64()?, cur.u64()?];
+            // Every evaluation the MRA did not settle lands in one stage.
+            let settled = sum(&[wave_hits, wave_misses, mre_misses, searches])?;
+            if settled != shared.node_evaluations - shared.mra_stops {
+                return Err(UNEVEN);
+            }
+            let tag_comparisons = sum(&[wave_hits, wave_misses, mre_checks, cmps])?;
+            total = sum(&[total, tag_comparisons])?;
             *lc = DewCounters {
                 wave_hits,
                 wave_misses,
                 mre_misses,
-                intersection_hits: x_hits,
-                intersection_misses: x_misses,
                 searches,
                 search_comparisons: cmps,
-                // Everything but the two MRE counts, wrapping: a hostile
-                // image must decode (and re-encode) without overflow.
-                tag_comparisons: [wave_hits, wave_misses, mre_checks, x_hits, x_misses, cmps]
-                    .into_iter()
-                    .fold(0, u64::wrapping_add),
+                tag_comparisons,
                 ..DewCounters::new()
             };
+        }
+        if total != shared.tag_comparisons {
+            return Err(UNEVEN);
         }
         Ok(())
     }
@@ -396,11 +381,9 @@ impl Policy for Fifo {
             for &v in &self.mre_wave {
                 put_u32(out, v);
             }
-            for lane in [&self.waves, &self.xlink] {
-                for node in 0..f.nodes() {
-                    for &v in &lane[node * f.alloc..][..f.region] {
-                        put_u32(out, v);
-                    }
+            for node in 0..f.nodes() {
+                for &v in &self.waves[node * f.alloc..][..f.region] {
+                    put_u32(out, v);
                 }
             }
         }
@@ -410,7 +393,7 @@ impl Policy for Fifo {
         &mut self,
         f: &Forest,
         instrument: bool,
-        _: u8,
+        version: u8,
         cur: &mut Cursor<'_>,
     ) -> Result<(), SnapshotError> {
         let nl = f.widths.len();
@@ -421,11 +404,8 @@ impl Policy for Fifo {
             }
         }
         if instrument {
-            for (i, v) in self.valid.iter_mut().enumerate() {
+            for v in &mut self.valid {
                 *v = cur.u32()?;
-                if *v as usize > f.widths[i % nl] {
-                    return Err(SnapshotError::Corrupt("valid count out of range"));
-                }
             }
             for v in &mut self.mre {
                 *v = cur.u64()?;
@@ -433,10 +413,59 @@ impl Policy for Fifo {
             for v in &mut self.mre_wave {
                 *v = cur.u32()?;
             }
-            for lane in [&mut self.waves, &mut self.xlink] {
-                for node in 0..f.nodes() {
-                    for v in &mut lane[node * f.alloc..][..f.region] {
-                        *v = cur.u32()?;
+            for node in 0..f.nodes() {
+                for v in &mut self.waves[node * f.alloc..][..f.region] {
+                    *v = cur.u32()?;
+                }
+            }
+            if version == 1 {
+                // The retired link lane: nothing consults it any more.
+                cur.bytes(4 * f.nodes() * f.region)?;
+            }
+            self.check_ladder(f)?;
+        }
+        Ok(())
+    }
+}
+
+impl Fifo {
+    /// Refuses instrumented lanes no run leaves behind, so the ladder's
+    /// debug assertions hold for every image that decodes. Per list: the
+    /// ways fill in order with distinct blocks (the first `valid` occupied,
+    /// and a list that is not full inserting next at way `valid`); an MRE
+    /// tag is absent and implies a full list; the node's MRA tag is
+    /// resident; and every wave pointer (the MRE's included) names its
+    /// tag's way in the child's list, if that tag is resident there.
+    fn check_ladder(&self, f: &Forest) -> Result<(), SnapshotError> {
+        let (nl, levels) = (f.widths.len(), f.set_mask.len());
+        let lane = |node: usize, o: usize, w: usize| &f.tags[node * f.alloc + o..][..w];
+        for l in 0..levels {
+            for node in f.node_off[l]..f.node_off[l + 1] {
+                for (k, (&w, &o)) in f.widths.iter().zip(&f.lane_off).enumerate() {
+                    let (ml, tags, mra) = (node * nl + k, lane(node, o, w), f.mra[node]);
+                    let (valid, mre) = (self.valid[ml] as usize, self.mre[ml]);
+                    let (held, free) = tags.split_at(valid.min(w));
+                    let filled = (valid == w || (valid < w && self.fifo[ml] as usize == valid))
+                        && free.iter().all(|&t| t == INVALID_TAG)
+                        && (0..held.len())
+                            .all(|i| held[i] != INVALID_TAG && !held[..i].contains(&held[i]));
+                    let mre_ok = mre == INVALID_TAG || (valid == w && !tags.contains(&mre));
+                    if !filled || !mre_ok || !(mra == INVALID_TAG || tags.contains(&mra)) {
+                        return Err(SnapshotError::Corrupt("list state breaks the FIFO ladder"));
+                    }
+                    if l + 1 == levels {
+                        continue; // the finest level's waves are never read
+                    }
+                    let waves = &self.waves[node * f.alloc + o..][..w];
+                    for (&t, &wave) in tags.iter().zip(waves).chain([(&mre, &self.mre_wave[ml])]) {
+                        let child = f.node_off[l + 1] + (t & f.set_mask[l + 1]) as usize;
+                        let at = lane(child, o, w).iter().position(|&x| x == t);
+                        if t != INVALID_TAG
+                            && wave != EMPTY_WAVE
+                            && at.is_some_and(|i| i != wave as usize)
+                        {
+                            return Err(SnapshotError::Corrupt("wave pointer misses its tag"));
+                        }
                     }
                 }
             }
@@ -454,15 +483,14 @@ pub struct FifoWalk<'a> {
     mre: &'a mut [u64],
     mre_wave: &'a mut [u32],
     waves: &'a mut [u32],
-    xlink: &'a mut [u32],
     parent: &'a mut [usize],
 }
 
 impl FifoWalk<'_> {
     /// The instrumented update: the full determination ladder per list —
-    /// wave pointer, then intersection link, then MRE, then a stop-at-match
-    /// search — with the aggregate *and* per-list counters maintained. Miss
-    /// counts are bit-identical to the fast mode's.
+    /// wave pointer, then MRE, then a stop-at-match search — with the
+    /// aggregate *and* per-list counters maintained. Miss counts are
+    /// bit-identical to the fast mode's.
     ///
     /// The ladder rides the same wide compare as the fast mode: under a
     /// const shape one position-exact scan of the node's whole region
@@ -500,11 +528,6 @@ impl FifoWalk<'_> {
         } else {
             scan.match_mask(region, block)
         };
-        // The block's way entry in the previous (narrower) list of this
-        // node, and whether that list *hit* (the consult gate of the
-        // intersection link; see the module docs).
-        let mut prev_entry = NO_ENTRY;
-        let mut prev_hit = false;
         #[allow(clippy::needless_range_loop)] // k indexes parallel lanes
         for k in 0..nl {
             let (w, o) = shape.lane::<FIRST>(k);
@@ -521,8 +544,8 @@ impl FifoWalk<'_> {
             };
             // Determination ladder -- counter accounting only from here.
             // Every stage's *outcome* is implied by residency (Properties
-            // 3/4 and the link argument: a consulted pointer that misses, or
-            // a matching MRE, proves absence), so the stages test `resident`
+            // 3/4: a consulted pointer that misses, or a matching MRE,
+            // proves absence), so the stages test `resident`
             // instead of re-comparing tags; the debug asserts pin the
             // implication. Each stage costs one comparison.
             let parent = self.parent[k];
@@ -538,20 +561,6 @@ impl FifoWalk<'_> {
                 } else {
                     lc.wave_misses += 1;
                     work.wave_misses += 1;
-                }
-                determined = true;
-            } else if prev_hit && self.xlink[prev_entry] != EMPTY_WAVE {
-                // Intersection link: the narrower list hit, so the link was
-                // refreshed at this block's last handling and one
-                // comparison decides (module docs).
-                let link = self.xlink[prev_entry] as usize;
-                debug_assert!(resident.is_none() || resident == Some(link));
-                if resident.is_some() {
-                    lc.intersection_hits += 1;
-                    work.intersection_hits += 1;
-                } else {
-                    lc.intersection_misses += 1;
-                    work.intersection_misses += 1;
                 }
                 determined = true;
             } else if use_mre && self.mre[ml] == block {
@@ -609,20 +618,11 @@ impl FifoWalk<'_> {
                 }
             };
             // Refresh the parent's matching entry's wave pointer (Algorithm
-            // 1 line 3 / Algorithm 2 line 10) ...
+            // 1 line 3 / Algorithm 2 line 10).
             if use_wave && parent != NO_ENTRY {
                 self.waves[parent] = n as u32;
             }
             self.parent[k] = start + n;
-            // ... and the previous list's intersection link. The refresh is
-            // unconditional (hit or insert): the block is resident in both
-            // lists after handling, which is what keeps a later consult
-            // exact.
-            if prev_entry != NO_ENTRY {
-                self.xlink[prev_entry] = n as u32;
-            }
-            prev_entry = start + n;
-            prev_hit = resident.is_some();
         }
     }
 }
@@ -631,7 +631,9 @@ impl FifoWalk<'_> {
 mod tests {
     use super::*;
     use crate::simd::KernelBackend;
-    use crate::space::PassConfig;
+    use crate::snapshot::SnapshotError;
+    use crate::space::{ConfigSpace, PassConfig};
+    use crate::SweepRequest;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
     use dew_trace::Record;
 
@@ -758,60 +760,46 @@ mod tests {
         }
         assert!(
             multi.counters().tag_comparisons < separate_comparisons,
-            "sharing the walk, MRA and intersection links must cut total comparisons: {} vs {}",
+            "sharing the walk and its MRA comparisons must cut total comparisons: {} vs {}",
             multi.counters().tag_comparisons,
             separate_comparisons
         );
     }
 
     #[test]
-    fn intersection_links_fire_and_fanned_counters_are_consistent() {
-        // The link sits *after* the paper's wave pointer in the ladder, so
-        // with waves disabled it becomes the primary short-circuit: a loopy
-        // working set gives the narrower lists plenty of hits to feed the
-        // links of the wider ones.
-        let a: Vec<u64> = (0..6000u64).map(|i| ((i * 13) % 200) * 4).collect();
-        let opts = DewOptions {
-            wave: false,
-            ..DewOptions::default()
-        };
-        let mut tree = MultiAssocTree::new(2, (0, 6), (0, 3), opts, true).expect("valid");
-        for &x in &a {
-            tree.step(x);
-        }
-        assert!(
-            tree.counters().intersection_total() > 0,
-            "intersection links must settle some evaluations: {}",
-            tree.counters()
-        );
-        for &assoc in tree.assoc_list() {
-            let c = tree.pass_counters(assoc).expect("simulated");
-            assert!(c.is_consistent(), "assoc={assoc}: {c}");
-            assert_eq!(c.accesses, a.len() as u64);
-            assert_eq!(c.node_evaluations, tree.counters().node_evaluations);
-        }
-        assert!(tree.pass_counters(32).is_none());
-    }
-
-    #[test]
-    fn intersection_links_fire_at_the_root_under_default_options() {
-        // With waves on, the link's exclusive territory is the root level
-        // (which has no parent entry to hold a wave pointer): loop over a
-        // working set that fits the wider root lists but not the narrowest.
-        let a: Vec<u64> = (0..4000u64).map(|i| (i % 3) * 4).collect();
-        let mut tree =
-            MultiAssocTree::new(2, (0, 4), (0, 3), DewOptions::default(), true).expect("valid");
-        for &x in &a {
-            tree.step(x);
-        }
-        assert!(
-            tree.counters().intersection_hits > 0,
-            "the 4-way root hits must short-circuit the 8-way search: {}",
-            tree.counters()
-        );
-        for &assoc in tree.assoc_list() {
-            let c = tree.pass_counters(assoc).expect("simulated");
-            assert!(c.is_consistent(), "assoc={assoc}: {c}");
+    fn fused_sweep_counters_equal_standalone_passes_over_the_ablation_grid() {
+        // A loopy working set (wave-off rows settle most evaluations by
+        // search), a loop that fits the wider root lists but not the
+        // narrowest, and a mixed stream.
+        let a: Vec<u64> = (0..3000u64)
+            .map(|i| ((i * 13) % 200) * 4)
+            .chain((0..1000u64).map(|i| (i % 3) * 4))
+            .chain(addrs(2000, 0xC0DE))
+            .collect();
+        let records: Vec<Record> = a.iter().map(|&x| Record::read(x)).collect();
+        let space = ConfigSpace::new((0, 6), (2, 3), (0, 3)).expect("valid");
+        for opts in DewOptions::ablation_grid(TreePolicy::Fifo) {
+            let fused = SweepRequest::new(&space)
+                .options(opts)
+                .instrumented(true)
+                .threads(1)
+                .run(&records)
+                .expect("sweep");
+            // Associativities 2, 4 and 8 at two block sizes (direct-mapped
+            // results ride along).
+            assert_eq!(fused.passes().len(), 6, "{opts}");
+            for &(pass, fused_counters) in fused.passes() {
+                let mut alone = MultiAssocTree::for_pass(pass, opts, true).expect("valid");
+                alone.run(records.iter().copied());
+                let assoc = pass.assoc();
+                assert_eq!(
+                    Some(fused_counters),
+                    alone.pass_counters(assoc),
+                    "{opts} {pass:?}"
+                );
+                assert!(fused_counters.is_consistent(), "{opts} {pass:?}");
+                assert_eq!(fused_counters.accesses, a.len() as u64);
+            }
         }
     }
 
@@ -835,6 +823,49 @@ mod tests {
             }
             assert_eq!(rr.misses(sets, 1), None, "assoc 1 not in the range");
             assert_eq!(rr.misses(sets, 2), None, "assoc 2 not in the range");
+        }
+    }
+
+    #[test]
+    fn decoder_refuses_instrumented_images_that_break_the_ladder() {
+        let a = addrs(3000, 0x1AD);
+        let mut tree =
+            MultiAssocTree::new(2, (0, 3), (0, 2), DewOptions::default(), true).expect("valid");
+        for &x in &a {
+            tree.step(x);
+        }
+        let damaged = |f: &dyn Fn(&mut Fifo)| {
+            let mut t = tree.clone();
+            f(&mut t.lanes);
+            MultiAssocTree::from_snapshot(&t.to_snapshot()).err()
+        };
+        assert_eq!(damaged(&|_| {}), None);
+        let list = Some(SnapshotError::Corrupt("list state breaks the FIFO ladder"));
+        let wave = Some(SnapshotError::Corrupt("wave pointer misses its tag"));
+        // The root's 2-way list (lanes index 0) is full, and the last block
+        // is resident in it.
+        let last = a[a.len() - 1] >> 2;
+        assert_eq!(damaged(&|l| l.valid[0] -= 1), list);
+        assert_eq!(damaged(&|l| l.mre[0] = last), list);
+        let flip = |waves: &mut [u32]| {
+            for v in waves.iter_mut().filter(|v| **v != EMPTY_WAVE) {
+                *v ^= 1;
+            }
+        };
+        assert_eq!(damaged(&|l| flip(&mut l.waves[..2])), wave);
+        // The tallies follow the header and the ten counters: a wave hit
+        // too many, or a comparison count that overflows the sum.
+        let image = tree.to_snapshot();
+        let uneven = Some(SnapshotError::Corrupt("lane tallies break the ladder sums"));
+        for (at, v) in [(106, 1u64), (146, u64::MAX)] {
+            let mut bytes = image.clone();
+            let old = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+            bytes[at..at + 8].copy_from_slice(&old.wrapping_add(v).to_le_bytes());
+            assert_eq!(
+                MultiAssocTree::from_snapshot(&bytes).err(),
+                uneven,
+                "byte {at}"
+            );
         }
     }
 

@@ -5,13 +5,12 @@
 //!
 //! # A policy is a lane layout plus an update rule
 //!
-//! Tree-PLRU has neither FIFO's "blocks never move" invariant in a form that
-//! admits intersection links, nor LRU's stack property — a PLRU hit *mutates*
-//! per-set state (the direction bits), and a hit at associativity `A` says
-//! nothing exact about associativity `2A`. So the PLRU lane layout is the
-//! honest one: per `(node, associativity)` lane, a way-tag region plus one
-//! word of direction bits, all updated in the same shared walk. What *does*
-//! carry over from the paper's machinery:
+//! Tree-PLRU has neither FIFO's "hits change nothing" rule nor LRU's stack
+//! property — a PLRU hit *mutates* per-set state (the direction bits), and
+//! a hit at associativity `A` says nothing exact about associativity `2A`.
+//! So the PLRU lane layout is the honest one: per `(node, associativity)`
+//! lane, a way-tag region plus one word of direction bits, all updated in
+//! the same shared walk. What *does* carry over from the paper's machinery:
 //!
 //! * the **MRA lane** is policy-agnostic (Property 2's precondition — the
 //!   most recently accessed block of a set is resident at every
@@ -135,7 +134,7 @@ impl Policy for Plru {
     /// Version 1 also carried a per-`(node, lane)` MRA way pointer; it
     /// still decodes, the pointers are range-checked and dropped.
     const VERSION: u8 = 2;
-    const COUNTERS: &'static [usize] = &[0, 1, 2, 9, 11];
+    const COUNTERS: &'static [usize] = &[0, 1, 2, 7, 9];
     const MAX_ASSOC_BITS: u32 = MAX_PLRU_ASSOC.trailing_zeros();
 
     fn region(stride: u64, _: u64) -> u64 {
@@ -273,6 +272,7 @@ impl Policy for Plru {
         lanes: &mut [DewCounters],
         shared: &DewCounters,
         instrument: bool,
+        _: u8,
         cur: &mut Cursor<'_>,
     ) -> Result<(), SnapshotError> {
         decode_search_cmps(lanes, shared, instrument, cur)

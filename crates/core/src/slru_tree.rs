@@ -124,7 +124,7 @@ impl Policy for Slru {
     /// Version 1 had no settled flags; it still decodes, with every flag
     /// clear, which changes no result (see the module docs).
     const VERSION: u8 = 2;
-    const COUNTERS: &'static [usize] = &[0, 1, 2, 11];
+    const COUNTERS: &'static [usize] = &[0, 1, 2, 9];
     /// A repeated access promotes a probationary block, so SLRU never
     /// elides and its images carry no previous block.
     const ELISION: bool = false;
@@ -284,6 +284,7 @@ impl Policy for Slru {
         lanes: &mut [DewCounters],
         shared: &DewCounters,
         instrument: bool,
+        _: u8,
         cur: &mut Cursor<'_>,
     ) -> Result<(), SnapshotError> {
         decode_search_cmps(lanes, shared, instrument, cur)

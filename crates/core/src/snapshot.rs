@@ -71,6 +71,9 @@ pub enum SnapshotError {
     Corrupt(&'static str),
     /// Trailing bytes after the complete state.
     TrailingBytes(usize),
+    /// A version-1 `DEWM` image counts work settled by the retired FIFO
+    /// intersection link, which no current kernel can continue.
+    RetiredLink,
 }
 
 impl fmt::Display for SnapshotError {
@@ -90,6 +93,11 @@ impl fmt::Display for SnapshotError {
             SnapshotError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after snapshot state")
             }
+            SnapshotError::RetiredLink => write!(
+                f,
+                "the snapshot counts work of the retired FIFO intersection link; \
+                 re-run its sweep instead of resuming it"
+            ),
         }
     }
 }

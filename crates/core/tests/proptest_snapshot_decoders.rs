@@ -101,12 +101,11 @@ fn every_bit_flip_of_a_fast_kernel_runs_or_is_refused() {
 
 #[test]
 fn every_bit_flip_of_an_instrumented_kernel_runs_or_is_refused() {
-    // The decoders refuse counters that break the walk identities (and,
-    // for LRU, PLRU and SLRU, their own tally identities), so restored
-    // tallies cannot underflow or overflow. FIFO is left out: a decodable
-    // instrumented FIFO image can still break the wave/link/MRE ladder
-    // invariants its debug assertions check, which no decoder checks yet.
-    for policy in [TreePolicy::Lru, TreePolicy::Plru, TreePolicy::Slru] {
+    // The decoders refuse counters that break the walk identities and each
+    // policy's own tally identities, so restored tallies cannot underflow
+    // or overflow; the FIFO decoder also refuses lanes that break the
+    // wave/MRE ladder invariants its debug assertions check.
+    for policy in TreePolicy::ALL {
         every_bit_flip_runs_or_is_refused(policy, true);
     }
 }

@@ -1,6 +1,6 @@
 //! Pinned kernel snapshot formats: golden images of the current `DEWM`,
 //! `DEWL`, `DEWP` and `DEWU` encoders, and the version migration of the
-//! tree-PLRU (`DEWP`) and SLRU (`DEWU`) snapshots.
+//! FIFO (`DEWM`), tree-PLRU (`DEWP`) and SLRU (`DEWU`) snapshots.
 //!
 //! The `golden_*` fixtures were written by the current encoders, from
 //! [`trace`] below: each is a kernel (block bits 2, set bits 0..=3, assoc
@@ -8,20 +8,28 @@
 //! blocks, fast and instrumented. The encoders must reproduce them byte for
 //! byte, so a refactor cannot silently change a current format.
 //!
+//! Version 2 of `DEWM` dropped the retired intersection link: its two
+//! counters, its per-lane hit/miss tallies and its per-way link lane.
 //! Version 2 of `DEWP` dropped the per-lane MRA way pointers, and version 2
 //! of `DEWU` added the per-node settled flags that gate its MRA early stop.
-//! The fixtures under `tests/fixtures/` were written by the version-1
-//! encoders, from [`trace`] below:
+//! The other fixtures under `tests/fixtures/` were written by the
+//! version-1 encoders, from [`trace`] below:
 //!
 //! * `dewp_v1.bin` / `dewu_v1.bin` — an instrumented kernel (block bits 2,
 //!   set bits 0..=3, assoc bits 0..=2) after the first [`SPLIT`] blocks;
-//! * `dewc_plru_v1.bin` / `dewc_slru_v1.bin` — the second image of a `DEWC`
-//!   checkpoint store for a sweep over [`space`], checkpointed every 500
-//!   records on one thread, so one job is mid-trace and the kernels inside
-//!   are version 1.
+//! * `dewm_v1_fast.bin` / `dewm_v1_instr.bin` — the version-1 `DEWM`
+//!   golden images (the golden kernel below, fast and instrumented);
+//! * `dewm_v1_pass.bin` — the paper's single instrumented pass (block bits
+//!   2, set bits 0..=3, associativity 4) after the first [`SPLIT`] blocks;
+//! * `dewc_fifo_v1.bin` / `dewc_plru_v1.bin` / `dewc_slru_v1.bin` — the
+//!   second image of a `DEWC` checkpoint store for a sweep over [`space`],
+//!   checkpointed every 500 records on one thread, so one job is mid-trace
+//!   and the kernels inside are version 1.
 //!
 //! Each image, resumed under the current kernels, must reproduce the
-//! uninterrupted run's results bit for bit.
+//! uninterrupted run's results bit for bit. The one exception is
+//! `dewm_v1_instr.bin`: it counts evaluations the retired link settled,
+//! which no current kernel can continue, so it is refused.
 
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
 use dew_core::kernel::{FusedKernel, PolicyKernel};
@@ -36,6 +44,10 @@ const DEWP_V1: &[u8] = include_bytes!("fixtures/dewp_v1.bin");
 const DEWU_V1: &[u8] = include_bytes!("fixtures/dewu_v1.bin");
 const DEWC_PLRU_V1: &[u8] = include_bytes!("fixtures/dewc_plru_v1.bin");
 const DEWC_SLRU_V1: &[u8] = include_bytes!("fixtures/dewc_slru_v1.bin");
+const DEWM_V1_FAST: &[u8] = include_bytes!("fixtures/dewm_v1_fast.bin");
+const DEWM_V1_INSTR: &[u8] = include_bytes!("fixtures/dewm_v1_instr.bin");
+const DEWM_V1_PASS: &[u8] = include_bytes!("fixtures/dewm_v1_pass.bin");
+const DEWC_FIFO_V1: &[u8] = include_bytes!("fixtures/dewc_fifo_v1.bin");
 
 /// The current-format golden images: `(policy, instrumented, bytes)`.
 const GOLDEN: [(TreePolicy, bool, &[u8]); 8] = [
@@ -292,4 +304,80 @@ fn dewp_v1_way_pointers_are_range_checked() {
         FusedKernel::from_snapshot(TreePolicy::Plru, &bad).err(),
         Some(SnapshotError::Corrupt("way pointer out of range"))
     );
+}
+
+/// Restores a version-1 `DEWM` image, finishes the trace, and checks it
+/// against `straight`, the same kernel run uninterrupted: results,
+/// counters and the re-encoded (version-2) image match, and every result
+/// matches the oracle.
+fn dewm_v1_image_resumes(image: &[u8], mut straight: FusedKernel, assocs: &[u32]) {
+    assert_eq!(
+        (&image[..4], image[4]),
+        (&b"DEWM"[..], 1),
+        "a v1 DEWM image"
+    );
+    let records = trace();
+    let blocks = decode_blocks(&records, 2);
+    let mut resumed =
+        FusedKernel::from_snapshot(TreePolicy::Fifo, image).expect("a v1 image decodes");
+    resumed.run_blocks(&blocks[SPLIT..]);
+    straight.run_blocks(&blocks);
+    for &assoc in assocs {
+        let got = resumed.pass_results(assoc).expect("covered");
+        assert_eq!(Some(got.clone()), straight.pass_results(assoc));
+        assert_eq!(resumed.pass_counters(assoc), straight.pass_counters(assoc));
+        for level in got.levels() {
+            let config =
+                CacheConfig::new(level.sets(), assoc, 4, Replacement::Fifo).expect("valid");
+            assert_eq!(
+                level.misses(),
+                simulate_trace(config, &records).misses(),
+                "sets={} assoc={assoc}",
+                level.sets()
+            );
+        }
+    }
+    let v2 = resumed.to_snapshot();
+    assert_eq!(v2[4], 2);
+    assert_eq!(v2, straight.to_snapshot());
+}
+
+#[test]
+fn dewm_v1_fast_image_resumes_bit_identically() {
+    dewm_v1_image_resumes(
+        DEWM_V1_FAST,
+        golden_kernel(TreePolicy::Fifo, false),
+        &[1, 2, 4, 8],
+    );
+}
+
+#[test]
+fn dewm_v1_single_pass_instrumented_image_resumes_bit_identically() {
+    let straight =
+        FusedKernel::build(2, (0, 3), (2, 2), DewOptions::default(), true).expect("valid geometry");
+    dewm_v1_image_resumes(DEWM_V1_PASS, straight, &[4]);
+}
+
+#[test]
+fn dewm_v1_image_with_link_counts_is_refused() {
+    assert_eq!(&DEWM_V1_INSTR[..5], b"DEWM\x01");
+    // The aggregate counters follow the 26-byte header: accesses,
+    // evaluations, MRA stops, wave hits/misses, MRE misses, then the
+    // retired link's hits and misses.
+    let word = |i: usize| {
+        let at = 26 + 8 * i;
+        u64::from_le_bytes(DEWM_V1_INSTR[at..at + 8].try_into().expect("8 bytes"))
+    };
+    assert_eq!((word(6), word(7)), (177, 6), "the link settled evaluations");
+    let refused = FusedKernel::from_snapshot(TreePolicy::Fifo, DEWM_V1_INSTR).err();
+    assert_eq!(refused, Some(SnapshotError::RetiredLink));
+    assert!(refused
+        .expect("refused")
+        .to_string()
+        .contains("intersection link"));
+}
+
+#[test]
+fn dewc_checkpoint_with_dewm_v1_kernels_resumes() {
+    checkpoint_resumes(TreePolicy::Fifo, DEWC_FIFO_V1);
 }

@@ -16,9 +16,7 @@
 //! * [`evaluate_sweep`] — turns a [`dew_core::SweepOutcome`] into
 //!   [`Evaluation`]s (energy, cycles, miss rate, EDP);
 //! * [`pareto_front`], [`best_edp_under`], [`fastest_under`] — selection
-//!   helpers for the usual embedded design questions;
-//! * [`MissRateCurve`] — the designer's per-axis view (knee and saturation
-//!   detection).
+//!   helpers for the usual embedded design questions.
 //!
 //! # Examples
 //!
@@ -63,12 +61,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod curves;
 mod dse;
 mod energy;
 mod explore;
 
-pub use curves::{CurvePoint, MissRateCurve};
 pub use dse::{
     explore_trace, score_sweeps, ExplorationPoint, ExplorationReport, ExplorationSpace, ParetoMode,
 };

@@ -174,8 +174,8 @@ fn slugging_matches_github_for_the_design_headings() {
         "dew-trace--the-trace-model"
     );
     assert_eq!(
-        slug("Pass fusion and the intersection property"),
-        "pass-fusion-and-the-intersection-property"
+        slug("Pass fusion across associativities"),
+        "pass-fusion-across-associativities"
     );
     assert_eq!(
         slug("`vendor/` — offline third-party stand-ins"),
