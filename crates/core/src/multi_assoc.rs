@@ -803,6 +803,53 @@ mod tests {
         }
     }
 
+    /// Checks every list of the fused tree over `a` against a standalone
+    /// single pass at its associativity, field for field.
+    fn check_lists_against_standalone_passes(
+        a: &[u64],
+        set_bits: (u32, u32),
+        opts: DewOptions,
+    ) {
+        let mut tree = MultiAssocTree::new(2, set_bits, (0, 3), opts, true).expect("valid");
+        for &x in a {
+            tree.step(x);
+        }
+        for &assoc in tree.assoc_list() {
+            let c = tree.pass_counters(assoc).expect("simulated");
+            let pass = PassConfig::new(2, set_bits.0, set_bits.1, assoc).expect("valid");
+            let mut alone = MultiAssocTree::for_pass(pass, opts, true).expect("valid");
+            for &x in a {
+                alone.step(x);
+            }
+            assert_eq!(Some(c), alone.pass_counters(assoc), "assoc={assoc}");
+            assert!(c.is_consistent(), "assoc={assoc}: {c}");
+            assert_eq!(c.accesses, a.len() as u64);
+            assert_eq!(c.node_evaluations, tree.counters().node_evaluations);
+        }
+        assert!(tree.pass_counters(32).is_none());
+    }
+
+    #[test]
+    fn fused_counters_equal_standalone_passes_on_a_wave_off_loop() {
+        // With waves disabled, a loopy working set gives the narrower lists
+        // plenty of hits; every wider list must still search on its own.
+        let a: Vec<u64> = (0..6000u64).map(|i| ((i * 13) % 200) * 4).collect();
+        let opts = DewOptions {
+            wave: false,
+            ..DewOptions::default()
+        };
+        check_lists_against_standalone_passes(&a, (0, 6), opts);
+    }
+
+    #[test]
+    fn fused_counters_equal_standalone_passes_on_a_root_level_loop() {
+        // The root level has no parent entry to hold a wave pointer: loop
+        // over a working set that fits the wider root lists but not the
+        // narrowest.
+        let a: Vec<u64> = (0..4000u64).map(|i| (i % 3) * 4).collect();
+        check_lists_against_standalone_passes(&a, (0, 4), DewOptions::default());
+    }
+
     #[test]
     fn assoc_range_above_one_skips_narrow_lists() {
         let a = addrs(2000, 0x404);
