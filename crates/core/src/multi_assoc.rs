@@ -805,11 +805,7 @@ mod tests {
 
     /// Checks every list of the fused tree over `a` against a standalone
     /// single pass at its associativity, field for field.
-    fn check_lists_against_standalone_passes(
-        a: &[u64],
-        set_bits: (u32, u32),
-        opts: DewOptions,
-    ) {
+    fn check_lists_against_standalone_passes(a: &[u64], set_bits: (u32, u32), opts: DewOptions) {
         let mut tree = MultiAssocTree::new(2, set_bits, (0, 3), opts, true).expect("valid");
         for &x in a {
             tree.step(x);
