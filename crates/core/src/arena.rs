@@ -51,6 +51,10 @@ pub(crate) const MAGICS: [(TreePolicy, [u8; 4]); 4] = [
     (TreePolicy::Slru, *b"DEWU"),
 ];
 
+/// Bytes of a kernel snapshot's header: magic, version, five `u32`
+/// geometry fields and the flags byte.
+const HEADER_LEN: usize = 26;
+
 /// The snapshot magic of `policy`'s kernel.
 pub(crate) fn magic(policy: TreePolicy) -> [u8; 4] {
     MAGICS
@@ -275,6 +279,9 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     const POLICY: TreePolicy;
     /// Snapshot format version written; every version from 1 up decodes.
     const VERSION: u8;
+    /// The first snapshot version whose way-tag regions are sparse
+    /// ([`encode_region`]); older versions carry every word of them.
+    const SPARSE: u8;
     /// Indices into the canonical counter order ([`counter_slots`]) of the
     /// counters the snapshot carries.
     const COUNTERS: &'static [usize];
@@ -340,7 +347,8 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     /// [`SnapshotError::Corrupt`] for flags no encoder writes.
     fn parse_flags(flags: u8) -> Result<(DewOptions, bool), SnapshotError>;
     /// Snapshot bytes of the policy's tallies (fixed) and lanes (per node,
-    /// way tags excluded) for dimensions `d`.
+    /// way tags excluded) for dimensions `d`; [`body_len`] adds the shared
+    /// state and the way tags.
     fn body(d: ArenaDims, instrument: bool, version: u8) -> (u64, u64);
     /// Writes the policy's tallies (after the counters).
     fn encode_tallies(&self, lanes: &[DewCounters], instrument: bool, out: &mut Vec<u8>);
@@ -433,6 +441,71 @@ fn check_walk(c: &DewCounters, levels: u64) -> Result<(), SnapshotError> {
         return Err(SnapshotError::Corrupt(
             "work counters break the walk identities",
         ));
+    }
+    Ok(())
+}
+
+/// The bytes a `version` image of `P` needs after its header, as
+/// `(fixed, per level, per node)` for dimensions `d`: the counters, the
+/// policy's tallies and the previous block; the misses per `(level, lane)`
+/// and the direct-mapped misses; the MRA tag, the way tags and the
+/// policy's own lanes. A sparse region counts at its least, one bitmap
+/// word per 64 region words, so this is a lower bound for the versions
+/// since [`Policy::SPARSE`] and exact for the older, dense ones.
+fn body_len<P: Policy>(d: ArenaDims, instrument: bool, version: u8) -> (u64, u64, u64) {
+    let (tallies, per_node) = P::body(d, instrument, version);
+    let counters = P::counters(version).len() as u64 + u64::from(P::ELISION);
+    let region = P::region(d.stride, d.width);
+    let tags = if version >= P::SPARSE {
+        region.div_ceil(64)
+    } else {
+        region
+    };
+    (
+        8 * counters + tallies,
+        8 * (d.lanes.max(1) + 1),
+        8 * (1 + tags) + per_node,
+    )
+}
+
+/// Writes a node's way-tag region sparsely: each 64-word chunk as an
+/// occupancy bitmap (bit `i` set iff word `i` is not [`INVALID_TAG`]),
+/// then the chunk's set words in order. Ways that were never filled, most
+/// of a checkpointed forest's deep levels, cost one bit each.
+fn encode_region(region: &[u64], out: &mut Vec<u8>) {
+    for chunk in region.chunks(64) {
+        let occupied = chunk
+            .iter()
+            .rev()
+            .fold(0u64, |bits, &t| bits << 1 | u64::from(t != INVALID_TAG));
+        put_u64(out, occupied);
+        for &t in chunk.iter().filter(|&&t| t != INVALID_TAG) {
+            put_u64(out, t);
+        }
+    }
+}
+
+/// Reads what [`encode_region`] wrote into an all-sentinel `region`.
+///
+/// # Errors
+///
+/// [`SnapshotError::Corrupt`] for a bitmap bit past the region or a set
+/// bit whose word is the sentinel (no encoder writes either, so every
+/// kernel state has exactly one image), and for truncated input.
+fn decode_region(region: &mut [u64], cur: &mut Cursor<'_>) -> Result<(), SnapshotError> {
+    for chunk in region.chunks_mut(64) {
+        let mut occupied = cur.u64()?;
+        if chunk.len() < 64 && occupied >> chunk.len() != 0 {
+            return Err(SnapshotError::Corrupt("way bitmap runs past the region"));
+        }
+        while occupied != 0 {
+            let t = cur.u64()?;
+            if t == INVALID_TAG {
+                return Err(SnapshotError::Corrupt("way bitmap marks an invalid way"));
+            }
+            chunk[occupied.trailing_zeros() as usize] = t;
+            occupied &= occupied - 1;
+        }
     }
     Ok(())
 }
@@ -952,7 +1025,19 @@ impl<P: Policy> Arena<P> {
     /// round-trip these buffers.
     #[must_use]
     pub fn to_snapshot(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.footprint_bytes() * 2);
+        let f = &self.forest;
+        let dims = ArenaDims {
+            lanes: f.widths.len() as u64,
+            stride: f.widths.iter().sum::<usize>() as u64,
+            width: u64::from(self.pass.assoc()),
+        };
+        // Reserved for every way valid, so the buffer never regrows; the
+        // pages past what is written are never touched.
+        let (fixed, per_level, per_node) = body_len::<P>(dims, self.instrument, P::VERSION);
+        let dense = fixed as usize
+            + f.set_mask.len() * per_level as usize
+            + f.nodes() * (per_node as usize + 8 * f.region);
+        let mut out = Vec::with_capacity(HEADER_LEN + dense);
         out.extend_from_slice(&magic(P::POLICY));
         out.push(P::VERSION);
         let p = &self.pass;
@@ -976,18 +1061,16 @@ impl<P: Policy> Arena<P> {
         if P::ELISION {
             put_u64(&mut out, self.prev_block);
         }
-        let f = &self.forest;
         for &v in f.misses.iter().chain(&f.dm_misses).chain(&f.mra) {
             put_u64(&mut out, v);
         }
         // Regions are allocated at the padded stride but serialised at the
         // logical one: the padding is an immutable all-sentinel tail.
         for node in 0..f.nodes() {
-            for &v in &f.tags[node * f.alloc..][..f.region] {
-                put_u64(&mut out, v);
-            }
+            encode_region(&f.tags[node * f.alloc..][..f.region], &mut out);
         }
         self.lanes.encode_lanes(f, self.instrument, &mut out);
+        debug_assert!(out.len() <= HEADER_LEN + dense);
         out
     }
 
@@ -1022,13 +1105,7 @@ impl<P: Policy> Arena<P> {
         let (opts, instrument) = P::parse_flags(cur.u8()?)?;
         let set_bits = (min_set_bits, max_set_bits);
         check_body_len(&cur, set_bits, assoc_bits, |d| {
-            let (tallies, per_node) = P::body(d, instrument, version);
-            let counters = P::counters(version).len() as u64 + u64::from(P::ELISION);
-            (
-                8 * counters + tallies,
-                8 * (d.lanes.max(1) + 1),
-                8 * (1 + P::region(d.stride, d.width)) + per_node,
-            )
+            body_len::<P>(d, instrument, version)
         })?;
         let mut k = Arena::<P>::new(block_bits, set_bits, assoc_bits, opts, instrument)
             .map_err(|_| SnapshotError::Corrupt("invalid arena geometry"))?;
@@ -1056,8 +1133,13 @@ impl<P: Policy> Arena<P> {
             *v = cur.u64()?;
         }
         for node in 0..f.nodes() {
-            for v in &mut f.tags[node * f.alloc..][..f.region] {
-                *v = cur.u64()?;
+            let region = &mut f.tags[node * f.alloc..][..f.region];
+            if version >= P::SPARSE {
+                decode_region(region, &mut cur)?;
+            } else {
+                for v in region {
+                    *v = cur.u64()?;
+                }
             }
         }
         k.lanes

@@ -31,6 +31,19 @@
 //!              snapshot format; a complete job stores its final kernel
 //!              so a resumed sweep can still fan its results out)
 //! ```
+//!
+//! The kernel images are the bulk of a sidecar. Their current versions
+//! (`DEWM` 3, `DEWL` 2, `DEWP` 3, `DEWU` 3) write the way tags sparsely,
+//! one occupancy bitmap per 64 ways and then only the filled ways (see
+//! [`crate::snapshot`]), so a sidecar grows with the ways a sweep has
+//! filled, not with its configuration space. The container is the same
+//! for every kernel version, and a sidecar holding older, dense kernel
+//! images still resumes.
+//!
+//! A job captures its state once per checkpoint position: a capture due
+//! at a cadence point is taken when the next fill delivers anything, and
+//! dropped when the stream ends there, where the completion capture
+//! supersedes it.
 
 use std::borrow::Borrow;
 use std::io::Write;

@@ -136,7 +136,8 @@ impl LruTreeSimulator {
 
 impl Policy for Lru {
     const POLICY: TreePolicy = TreePolicy::Lru;
-    const VERSION: u8 = 1;
+    const VERSION: u8 = 2;
+    const SPARSE: u8 = 2;
     const COUNTERS: &'static [usize] = &[0, 1, 2, 7, 9];
     const STACK: bool = true;
 

@@ -156,7 +156,8 @@ pub struct Fifo {
 
 impl Policy for Fifo {
     const POLICY: TreePolicy = TreePolicy::Fifo;
-    const VERSION: u8 = 2;
+    const VERSION: u8 = 3;
+    const SPARSE: u8 = 3;
     const COUNTERS: &'static [usize] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
     const PAD: bool = true;
 

@@ -133,7 +133,8 @@ impl Policy for Plru {
     const POLICY: TreePolicy = TreePolicy::Plru;
     /// Version 1 also carried a per-`(node, lane)` MRA way pointer; it
     /// still decodes, the pointers are range-checked and dropped.
-    const VERSION: u8 = 2;
+    const VERSION: u8 = 3;
+    const SPARSE: u8 = 3;
     const COUNTERS: &'static [usize] = &[0, 1, 2, 7, 9];
     const MAX_ASSOC_BITS: u32 = MAX_PLRU_ASSOC.trailing_zeros();
 

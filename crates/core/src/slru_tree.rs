@@ -123,7 +123,8 @@ impl Policy for Slru {
     const POLICY: TreePolicy = TreePolicy::Slru;
     /// Version 1 had no settled flags; it still decodes, with every flag
     /// clear, which changes no result (see the module docs).
-    const VERSION: u8 = 2;
+    const VERSION: u8 = 3;
+    const SPARSE: u8 = 3;
     const COUNTERS: &'static [usize] = &[0, 1, 2, 9];
     /// A repeated access promotes a probationary block, so SLRU never
     /// elides and its images carry no previous block.

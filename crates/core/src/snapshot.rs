@@ -24,6 +24,16 @@
 //!          sizes derived from the header and checked before allocating
 //! ```
 //!
+//! The way tags are sparse since `DEWM` 3, `DEWL` 2, `DEWP` 3 and `DEWU` 3:
+//! each node's region goes out in 64-word chunks, each an occupancy bitmap
+//! (bit `i` set iff word `i` holds a tag, not the invalid-tag sentinel)
+//! followed by the chunk's set words in order. Ways never filled, which are
+//! most of a forest's deep levels, cost one bit each. The decoder starts
+//! from an all-sentinel arena and refuses a bitmap bit past the region or
+//! a set bit whose word is the sentinel, so each kernel state has exactly
+//! one image. Older versions carry every word of every region and still
+//! decode that way.
+//!
 //! # Examples
 //!
 //! ```
@@ -107,9 +117,16 @@ impl Error for SnapshotError {}
 /// Checks, before a kernel decoder allocates anything, that the rest of
 /// the buffer can hold the body its header describes: a forest over set
 /// counts `2^set_bits.0..=2^set_bits.1`, whose lanes `body` maps to the
-/// body's `(fixed, per-level, per-node)` byte counts. The total is computed
-/// with checked arithmetic, so a hostile header costs a few integer
-/// operations, not an arena sized from it.
+/// body's least `(fixed, per-level, per-node)` byte counts. The total is
+/// computed with checked arithmetic, so a hostile header costs a few
+/// integer operations, not an arena sized from it.
+///
+/// The bound this gives: a sparse way-tag region costs at least one
+/// bitmap word per 64 region words, and every other lane is dense, so a
+/// buffer that passes allocates at most about 64 lane words per word it
+/// holds (tested on inflated headers in
+/// `tests/proptest_snapshot_decoders.rs`). The dense versions allocate at
+/// most about one.
 ///
 /// # Errors
 ///

@@ -413,6 +413,10 @@ impl<S: TraceSource> ResilientRun<'_, S> {
             let retry = self.res.retry;
             let every = self.res.checkpoint.map(|c| c.every.max(1));
             let mut next_ckpt = every.map(|e| (position / e + 1) * e);
+            // A cadence point reached but not yet captured: it is taken at
+            // the start of the next fill that delivers anything, so a
+            // stream ending exactly there saves only its completion.
+            let mut pending = false;
             let mut attempts = 0u32;
             let mut last_fault: Option<u64> = None;
             let mut buf = vec![0u64; BlockChunks::DEFAULT_CHUNK];
@@ -450,6 +454,10 @@ impl<S: TraceSource> ResilientRun<'_, S> {
                         }
                         filled += 1;
                     }
+                    if pending && (filled > 0 || fault.is_some()) {
+                        self.save_checkpoint(job.block_bits, position, &kernel, false);
+                    }
+                    pending = false;
                     // Delivered records are real progress: simulate them
                     // before judging a fault, so a retry replays from the
                     // exact failure point.
@@ -490,10 +498,13 @@ impl<S: TraceSource> ResilientRun<'_, S> {
                         break 'stream;
                     }
                     if next_ckpt == Some(position) {
-                        self.save_checkpoint(job.block_bits, position, &kernel, false);
+                        pending = true;
                         next_ckpt = every.map(|e| position + e);
                     }
                     if self.abort.load(Ordering::Relaxed) {
+                        if pending {
+                            self.save_checkpoint(job.block_bits, position, &kernel, false);
+                        }
                         return Err(JobError::Aborted);
                     }
                     // Cooperative cancellation: the fill above was flushed
@@ -1447,6 +1458,83 @@ mod tests {
                 assert_eq!(resumed.sorted(), baseline.sorted(), "image {idx}");
                 assert_eq!(resumed.accesses(), baseline.accesses());
             }
+        }
+    }
+
+    /// A store that records every image and lets a source wait until a
+    /// number of them were saved.
+    #[derive(Default)]
+    struct CountingStore {
+        images: std::sync::Mutex<Vec<Vec<u8>>>,
+        saved: std::sync::Condvar,
+    }
+
+    impl crate::checkpoint::CheckpointStore for CountingStore {
+        fn save(&self, bytes: &[u8]) -> Result<(), String> {
+            self.images
+                .lock()
+                .expect("no panic holds it")
+                .push(bytes.to_vec());
+            self.saved.notify_all();
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_stream_ending_at_a_cadence_point_captures_each_position_once() {
+        let space = ConfigSpace::new((0, 4), (2, 2), (0, 2)).expect("valid");
+        let records = trace(1000);
+        let baseline = req(&space, DewOptions::default(), 1)
+            .run(&records)
+            .expect("sweep");
+        let store = CountingStore::default();
+        // The stream ends only once an image is through, so the writer
+        // cannot coalesce the record-500 capture with the completion. It
+        // also gives a second capture before the end (a duplicate at
+        // record 1000) a while to reach the store, so one cannot hide in
+        // the completion's image either.
+        let source = || {
+            let end = std::iter::from_fn(|| {
+                let grace = std::time::Duration::from_millis(200);
+                let images = store.images.lock().expect("no panic holds it");
+                let images = store.saved.wait_while(images, |i| i.is_empty());
+                let images = images.expect("no panic holds it");
+                let _ = store
+                    .saved
+                    .wait_timeout_while(images, grace, |i| i.len() < 2);
+                None
+            });
+            Ok(records.clone().into_iter().map(Ok).chain(end))
+        };
+        let res = Resilience::new()
+            .with_checkpoint(500, &store)
+            .with_sleeper(&crate::resilience::NoSleep);
+        let full = req(&space, DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("checkpointed run");
+        assert_eq!(full.sorted(), baseline.sorted());
+        let images = store.images.into_inner().expect("no panic holds it");
+        let saved: Vec<(u64, bool)> = images
+            .iter()
+            .map(|image| {
+                let ckpt = SweepCheckpoint::from_bytes(image).expect("stored image decodes");
+                let job = &ckpt.jobs()[0];
+                (job.records_done, job.complete)
+            })
+            .collect();
+        assert_eq!(saved, [(500, false), (1000, true)]);
+        for image in &images {
+            let ckpt = SweepCheckpoint::from_bytes(image).expect("stored image decodes");
+            let res = Resilience::new()
+                .resume_from(&ckpt)
+                .with_sleeper(&crate::resilience::NoSleep);
+            let resumed = req(&space, DewOptions::default(), 1)
+                .resilient(&res)
+                .run(&records)
+                .expect("resumed run");
+            assert!(!resumed.is_partial());
+            assert_eq!(resumed.sorted(), baseline.sorted());
         }
     }
 

@@ -7,11 +7,15 @@
 //! field. [`FusedKernel::from_snapshot`] and [`SweepCheckpoint::from_bytes`]
 //! must never panic on any of them, and every truncated image must be
 //! refused. A damaged checkpoint that still decodes must resume to a
-//! result or an error, never to a worker panic.
+//! result or an error, never to a worker panic. The sparse way-tag
+//! regions are damaged on their own too: a bitmap bit past the region, a
+//! set bit over the sentinel, and an inflated geometry over a short body,
+//! whose refusal bounds what a decoder allocates per byte of input.
 
 use proptest::prelude::*;
 
 use dew_core::kernel::{FusedKernel, PolicyKernel};
+use dew_core::snapshot::SnapshotError;
 use dew_core::{
     CancelToken, ConfigSpace, DewError, DewOptions, MemoryCheckpointStore, NoSleep, Resilience,
     SweepCheckpoint, SweepRequest, TreePolicy,
@@ -54,6 +58,149 @@ fn every_truncation_is_refused() {
                 "{policy}: a {n}-byte prefix of a {}-byte image decoded",
                 bytes.len()
             );
+        }
+    }
+}
+
+/// The nodes of [`image`]'s forest (set bits 0..=3).
+const NODES: usize = 15;
+
+/// A fresh image of [`image`]'s geometry, and the offset of its way-tag
+/// section. Nothing ran, so every MRA tag and way is the sentinel: the
+/// section is one zero bitmap per node, right after the MRA lane, the
+/// image's first run of one all-`0xFF` word per node.
+fn fresh_image(policy: TreePolicy, instrument: bool) -> (Vec<u8>, usize) {
+    let options = DewOptions::for_policy(policy);
+    let kernel = FusedKernel::build(2, (0, 3), (0, 3), options, instrument).expect("valid");
+    let bytes = kernel.to_snapshot();
+    let mra = bytes
+        .windows(8 * NODES)
+        .position(|w| w.iter().all(|&b| b == 0xFF))
+        .expect("an MRA lane");
+    let at = mra + 8 * NODES;
+    assert!(
+        bytes[at..at + 8 * NODES].iter().all(|&b| b == 0),
+        "{policy}"
+    );
+    (bytes, at)
+}
+
+/// [`fresh_image`] with node `node`'s bitmap set to `bits`, followed by
+/// the word `word` for each set bit.
+fn with_bitmap(policy: TreePolicy, instrument: bool, node: usize, bits: u64, word: u64) -> Vec<u8> {
+    let (mut bytes, at) = fresh_image(policy, instrument);
+    let at = at + 8 * node;
+    bytes[at..at + 8].copy_from_slice(&bits.to_le_bytes());
+    let words = (0..bits.count_ones()).flat_map(|_| word.to_le_bytes());
+    bytes.splice(at + 8..at + 8, words);
+    bytes
+}
+
+#[test]
+fn sparse_bitmaps_are_range_and_sentinel_checked() {
+    const PAST: SnapshotError = SnapshotError::Corrupt("way bitmap runs past the region");
+    const SENTINEL: SnapshotError = SnapshotError::Corrupt("way bitmap marks an invalid way");
+    for policy in TreePolicy::ALL {
+        // LRU keeps one 8-way stack per node; the others keep lanes of
+        // 2, 4 and 8 ways back to back.
+        let region = if policy == TreePolicy::Lru { 8 } else { 14 };
+        for instrument in [false, true] {
+            let decode = |node, bits, word| {
+                FusedKernel::from_snapshot(
+                    policy,
+                    &with_bitmap(policy, instrument, node, bits, word),
+                )
+                .err()
+            };
+            for node in 0..NODES {
+                for past in [region, 63] {
+                    assert_eq!(
+                        decode(node, 1 << past, 5),
+                        Some(PAST),
+                        "{policy} node {node}"
+                    );
+                }
+                assert_eq!(
+                    decode(node, 1, u64::MAX),
+                    Some(SENTINEL),
+                    "{policy} node {node}"
+                );
+                assert_eq!(decode(node, 0b101, u64::MAX), Some(SENTINEL), "{policy}");
+                if !instrument {
+                    // The same edits in range and over a real tag decode
+                    // (instrumented decoders also check the lane counts).
+                    let last = 1 << (region - 1);
+                    assert_eq!(decode(node, 1 | last, 5), None, "{policy} node {node}");
+                }
+            }
+        }
+    }
+}
+
+/// The `(set bits, assoc bits)` an inflated header claims: a deep forest,
+/// and lanes as wide as the policy holds. Tree-PLRU holds 64 ways, and
+/// its image's body is short of that over 127 nodes, not over 15.
+fn inflations(policy: TreePolicy) -> [((u32, u32), (u32, u32)); 2] {
+    let wide = if policy == TreePolicy::Plru {
+        ((0, 6), (0, 6))
+    } else {
+        ((0, 3), (0, 12))
+    };
+    [((0, 12), (0, 3)), wide]
+}
+
+/// `bytes` with its header claiming geometry `(sets, assocs)`.
+fn inflate(bytes: &[u8], (sets, assocs): ((u32, u32), (u32, u32))) -> Vec<u8> {
+    let mut inflated = bytes.to_vec();
+    for (at, value) in HEADER_FIELDS[1..]
+        .iter()
+        .zip([sets.0, sets.1, assocs.0, assocs.1])
+    {
+        inflated[*at..at + 4].copy_from_slice(&value.to_le_bytes());
+    }
+    inflated
+}
+
+#[test]
+fn inflated_geometry_over_a_short_sparse_body_is_refused() {
+    for (policy, bytes) in images() {
+        for geometry in inflations(policy) {
+            assert_eq!(
+                FusedKernel::from_snapshot(policy, &inflate(&bytes, geometry)).err(),
+                Some(SnapshotError::Corrupt("unexpected end of snapshot")),
+                "{policy}: {geometry:?}"
+            );
+        }
+    }
+}
+
+/// The allocation bound `check_body_len` documents. A fresh kernel's image
+/// is the shortest of its geometry (every bitmap is zero), so the arena an
+/// image of that geometry can make a decoder allocate is at most the
+/// fresh kernel's footprint: about 64 lane words per image word, reached
+/// by wide lanes, whose 64 ways cost one bitmap word. A shorter body, such
+/// as a valid image under an inflated header, is refused before then.
+#[test]
+fn inflated_headers_allocate_at_most_64_words_per_image_word() {
+    for (policy, instrument) in TreePolicy::ALL
+        .into_iter()
+        .flat_map(|p| [(p, false), (p, true)])
+    {
+        let bytes = image(policy, instrument);
+        for (sets, assocs) in inflations(policy) {
+            let options = DewOptions::for_policy(policy);
+            let fresh =
+                FusedKernel::build(2, sets, assocs, options, instrument).expect("valid geometry");
+            let least = fresh.to_snapshot();
+            assert!(
+                fresh.footprint_bytes() <= 64 * least.len(),
+                "{policy} {sets:?} {assocs:?}: {} bytes from a {}-byte image",
+                fresh.footprint_bytes(),
+                least.len()
+            );
+            assert!(FusedKernel::from_snapshot(policy, &least).is_ok());
+            assert!(FusedKernel::from_snapshot(policy, &least[..least.len() - 1]).is_err());
+            assert!(bytes.len() < least.len(), "{policy}: the body is short");
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Pinned kernel snapshot formats: golden images of the current `DEWM`,
-//! `DEWL`, `DEWP` and `DEWU` encoders, and the version migration of the
-//! FIFO (`DEWM`), tree-PLRU (`DEWP`) and SLRU (`DEWU`) snapshots.
+//! `DEWL`, `DEWP` and `DEWU` encoders, and the version migration of every
+//! older image a current kernel still decodes.
 //!
 //! The `golden_*` fixtures were written by the current encoders, from
 //! [`trace`] below: each is a kernel (block bits 2, set bits 0..=3, assoc
@@ -12,9 +12,14 @@
 //! counters, its per-lane hit/miss tallies and its per-way link lane.
 //! Version 2 of `DEWP` dropped the per-lane MRA way pointers, and version 2
 //! of `DEWU` added the per-node settled flags that gate its MRA early stop.
-//! The other fixtures under `tests/fixtures/` were written by the
-//! version-1 encoders, from [`trace`] below:
+//! The current versions (`DEWM` 3, `DEWL` 2, `DEWP` 3, `DEWU` 3) write the
+//! way tags sparsely; every older version carries them word for word.
+//! The other fixtures under `tests/fixtures/` were written by older
+//! encoders, from [`trace`] below:
 //!
+//! * `dewm_v2_*.bin`, `dewl_v1_*.bin`, `dewp_v2_*.bin`, `dewu_v2_*.bin` —
+//!   the previous golden images (the golden kernel below, fast and
+//!   instrumented), whose way tags are dense;
 //! * `dewp_v1.bin` / `dewu_v1.bin` — an instrumented kernel (block bits 2,
 //!   set bits 0..=3, assoc bits 0..=2) after the first [`SPLIT`] blocks;
 //! * `dewm_v1_fast.bin` / `dewm_v1_instr.bin` — the version-1 `DEWM`
@@ -93,6 +98,59 @@ const GOLDEN: [(TreePolicy, bool, &[u8]); 8] = [
     ),
 ];
 
+/// The previous version's golden images, dense way tags:
+/// `(policy, instrumented, bytes)`, in [`GOLDEN`]'s order.
+const PREVIOUS: [(TreePolicy, bool, &[u8]); 8] = [
+    (
+        TreePolicy::Fifo,
+        false,
+        include_bytes!("fixtures/dewm_v2_fast.bin"),
+    ),
+    (
+        TreePolicy::Fifo,
+        true,
+        include_bytes!("fixtures/dewm_v2_instr.bin"),
+    ),
+    (
+        TreePolicy::Lru,
+        false,
+        include_bytes!("fixtures/dewl_v1_fast.bin"),
+    ),
+    (
+        TreePolicy::Lru,
+        true,
+        include_bytes!("fixtures/dewl_v1_instr.bin"),
+    ),
+    (
+        TreePolicy::Plru,
+        false,
+        include_bytes!("fixtures/dewp_v2_fast.bin"),
+    ),
+    (
+        TreePolicy::Plru,
+        true,
+        include_bytes!("fixtures/dewp_v2_instr.bin"),
+    ),
+    (
+        TreePolicy::Slru,
+        false,
+        include_bytes!("fixtures/dewu_v2_fast.bin"),
+    ),
+    (
+        TreePolicy::Slru,
+        true,
+        include_bytes!("fixtures/dewu_v2_instr.bin"),
+    ),
+];
+
+/// The snapshot version each policy's kernel writes.
+fn current_version(policy: TreePolicy) -> u8 {
+    match policy {
+        TreePolicy::Lru => 2,
+        TreePolicy::Fifo | TreePolicy::Plru | TreePolicy::Slru => 3,
+    }
+}
+
 /// Blocks the kernel fixtures consumed before they were written.
 const SPLIT: usize = 600;
 
@@ -155,16 +213,16 @@ fn kernel_image_resumes(policy: TreePolicy, image: &[u8], replacement: Replaceme
         }
     }
     // The re-encoded image is the current version and round-trips.
-    let v2 = resumed.to_snapshot();
-    assert_eq!(v2[4], 2);
-    let back = FusedKernel::from_snapshot(policy, &v2).expect("v2 decodes");
-    assert_eq!(back.to_snapshot(), v2);
+    let current = resumed.to_snapshot();
+    assert_eq!(current[4], current_version(policy));
+    let back = FusedKernel::from_snapshot(policy, &current).expect("current decodes");
+    assert_eq!(back.to_snapshot(), current);
     // Versions beyond the current one are refused.
-    let mut future = v2;
-    future[4] = 3;
+    let mut future = current;
+    future[4] += 1;
     assert_eq!(
         FusedKernel::from_snapshot(policy, &future).err(),
-        Some(SnapshotError::UnsupportedVersion(3))
+        Some(SnapshotError::UnsupportedVersion(future[4]))
     );
 }
 
@@ -215,12 +273,43 @@ fn golden_kernel(policy: TreePolicy, instrument: bool) -> FusedKernel {
 fn current_encoders_reproduce_the_golden_images() {
     let blocks = decode_blocks(&trace(), 2);
     for (policy, instrument, golden) in GOLDEN {
+        assert_eq!(golden[4], current_version(policy), "{policy}");
         let mut kernel = golden_kernel(policy, instrument);
         kernel.run_blocks(&blocks[..SPLIT]);
         assert!(
             kernel.to_snapshot() == golden,
             "{policy} (instrumented: {instrument}) no longer encodes its golden image"
         );
+    }
+}
+
+#[test]
+fn previous_golden_images_resume_bit_identically() {
+    let blocks = decode_blocks(&trace(), 2);
+    for ((policy, instrument, old), (_, _, golden)) in PREVIOUS.into_iter().zip(GOLDEN) {
+        assert_eq!(old[4] + 1, current_version(policy), "{policy}");
+        let mut resumed = FusedKernel::from_snapshot(policy, old).expect("dense image decodes");
+        // The same state, re-encoded: the sparse image is the golden one.
+        assert!(
+            resumed.to_snapshot() == golden,
+            "{policy} (instrumented: {instrument}) migrates to another image"
+        );
+        resumed.run_blocks(&blocks[SPLIT..]);
+        let mut straight = golden_kernel(policy, instrument);
+        straight.run_blocks(&blocks);
+        for assoc in [1u32, 2, 4, 8] {
+            assert_eq!(
+                resumed.pass_results(assoc),
+                straight.pass_results(assoc),
+                "{policy}"
+            );
+            assert_eq!(
+                resumed.pass_counters(assoc),
+                straight.pass_counters(assoc),
+                "{policy}"
+            );
+        }
+        assert_eq!(resumed.to_snapshot(), straight.to_snapshot(), "{policy}");
     }
 }
 
@@ -308,7 +397,7 @@ fn dewp_v1_way_pointers_are_range_checked() {
 
 /// Restores a version-1 `DEWM` image, finishes the trace, and checks it
 /// against `straight`, the same kernel run uninterrupted: results,
-/// counters and the re-encoded (version-2) image match, and every result
+/// counters and the re-encoded (current) image match, and every result
 /// matches the oracle.
 fn dewm_v1_image_resumes(image: &[u8], mut straight: FusedKernel, assocs: &[u32]) {
     assert_eq!(
@@ -337,9 +426,9 @@ fn dewm_v1_image_resumes(image: &[u8], mut straight: FusedKernel, assocs: &[u32]
             );
         }
     }
-    let v2 = resumed.to_snapshot();
-    assert_eq!(v2[4], 2);
-    assert_eq!(v2, straight.to_snapshot());
+    let current = resumed.to_snapshot();
+    assert_eq!(current[4], current_version(TreePolicy::Fifo));
+    assert_eq!(current, straight.to_snapshot());
 }
 
 #[test]

@@ -78,9 +78,19 @@ pub(crate) fn reset_for_tests() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serialises the tests that touch the process-wide [`HITS`] counter:
+    /// a reset racing a raise would hide the raised hit. A failed test
+    /// poisons the lock, which must not fail the other one too.
+    fn hits_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn starts_at_zero_and_install_is_idempotent() {
+        let _hits = hits_lock();
         reset_for_tests();
         assert_eq!(hits(), 0);
         install();
@@ -97,6 +107,7 @@ mod tests {
         extern "C" {
             fn raise(signum: i32) -> i32;
         }
+        let _hits = hits_lock();
         install();
         let before = hits();
         // SAFETY: raise(SIGINT) delivers to this process; our handler is

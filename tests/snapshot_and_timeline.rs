@@ -156,7 +156,18 @@ fn kernel_snapshots_reject_foreign_and_corrupt_buffers() {
     };
     let wide_forest = [2, 0, 20, 0, 4];
     let wide_lane = [2, 0, 0, 0, 31];
-    for (magic, version) in [(b"DEWM", 1), (b"DEWL", 1), (b"DEWP", 2), (b"DEWU", 2)] {
+    // Each format twice: its last dense version and its sparse one.
+    let formats = [
+        (b"DEWM", 2),
+        (b"DEWM", 3),
+        (b"DEWL", 1),
+        (b"DEWL", 2),
+        (b"DEWP", 2),
+        (b"DEWP", 3),
+        (b"DEWU", 2),
+        (b"DEWU", 3),
+    ];
+    for (magic, version) in formats {
         for fields in [wide_forest, wide_lane] {
             for flags in [0, 1, 31] {
                 let image = header(magic, version, fields, flags);
@@ -179,13 +190,20 @@ fn kernel_snapshots_reject_foreign_and_corrupt_buffers() {
 #[test]
 fn snapshot_size_tracks_the_forest_footprint() {
     let pass = PassConfig::new(2, 0, 8, 4).expect("valid");
-    let tree = MultiAssocTree::for_pass(pass, DewOptions::default(), false).expect("sound");
+    let mut tree = MultiAssocTree::for_pass(pass, DewOptions::default(), false).expect("sound");
+    // Ways that were never filled cost one bitmap bit each.
+    let fresh = tree.to_snapshot().len();
+    assert!(fresh < tree.footprint_bytes() / 2);
+    // Four blocks per finest set fill every way of every node.
+    tree.run_blocks(&(0..4 << 8).collect::<Vec<u64>>());
     let snapshot = tree.to_snapshot();
     // Ways dominate: (2^9 - 1) nodes x 4 entries x 8 bytes, plus the MRA
-    // lane and FIFO pointers; the snapshot must be within 3x of the
-    // in-memory footprint and never trivially small.
+    // lane, the bitmaps and FIFO pointers; the snapshot of a filled forest
+    // must be within 3x of the in-memory footprint and never trivially
+    // small.
     assert!(snapshot.len() > tree.footprint_bytes() / 2);
     assert!(snapshot.len() < tree.footprint_bytes() * 3);
+    assert!(fresh < snapshot.len() / 2);
 }
 
 #[test]
