@@ -321,7 +321,7 @@ mod tests {
     fn committed_bench_files_are_valid_json_with_variants() {
         for text in [
             include_str!("../../../../BENCH_hot_loop.json"),
-            include_str!("../../../../BENCH_sharded_smoke.json"),
+            include_str!("../../../../BENCH_sweep_smoke.json"),
             include_str!("../../../../BENCH_serve_soak.json"),
         ] {
             assert!(!variants(&doc(text)).is_empty(), "{text}");

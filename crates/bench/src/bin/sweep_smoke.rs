@@ -2,11 +2,9 @@
 //! synthetic Zipf trace, and proves on every CI run that a streamed sweep
 //! covers a trace far larger than the documented memory bound without
 //! materialising it — the process high-water mark (`VmHWM`) is asserted
-//! below [`MEMORY_BOUND_MIB`]. (The file keeps its historical name so the
-//! CI steps and the committed `BENCH_sharded_smoke.json` trajectory carry
-//! on.)
+//! below [`MEMORY_BOUND_MIB`].
 //!
-//! Writes `BENCH_sharded_smoke.json` (override with `DEW_BENCH_JSON`) in
+//! Writes `BENCH_sweep_smoke.json` (override with `DEW_BENCH_JSON`) in
 //! the same `{"name", "steps_per_sec"}` variant shape as the hot-loop
 //! bench so `bench_guard` can track the throughput trajectory.
 //!
@@ -257,7 +255,7 @@ fn main() {
         .map_or(0, |d| d.as_secs());
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"sharded_smoke\",");
+    let _ = writeln!(json, "  \"bench\": \"sweep_smoke\",");
     let _ = writeln!(json, "  \"unix_time\": {unix_time},");
     let _ = writeln!(json, "  \"requests\": {requests},");
     let _ = writeln!(json, "  \"stream_requests\": {stream_requests},");
@@ -273,8 +271,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path =
-        std::env::var("DEW_BENCH_JSON").unwrap_or_else(|_| "BENCH_sharded_smoke.json".into());
+    let path = std::env::var("DEW_BENCH_JSON").unwrap_or_else(|_| "BENCH_sweep_smoke.json".into());
     std::fs::write(&path, json).expect("write bench json");
     println!("wrote {path}");
 }

@@ -1026,8 +1026,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_flags() {
-        let bin = tmp("shard.dewt");
+    fn sampled_sweep_flags() {
+        let bin = tmp("sampled.dewt");
         run([
             "generate",
             "--app",
@@ -1174,7 +1174,7 @@ mod tests {
     }
 
     #[test]
-    fn explore_shards_keep_the_frontier_identical() {
+    fn explore_thread_counts_keep_the_frontier_identical() {
         let bin = tmp("exsh.dewt");
         run([
             "generate",

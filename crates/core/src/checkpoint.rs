@@ -5,8 +5,8 @@
 //! every fused job of a sweep (one per block size), the job's decode
 //! position and its kernel snapshot in the policy's versioned
 //! `DEWM`/`DEWL`/`DEWP`/`DEWU` format. Because a kernel snapshot restores
-//! *exact* state (property-tested in `tests/snapshot_and_timeline.rs` and
-//! `tests/proptest_sharded_sweep.rs`) and the fused kernels are insensitive
+//! *exact* state (property-tested in `tests/kernel_snapshots.rs` and
+//! `tests/proptest_sweep_plans.rs`) and the fused kernels are insensitive
 //! to how the record stream is chunked, "restore every job's kernel and
 //! replay the remaining records" is not an approximation: it reproduces the
 //! uninterrupted sweep bit for bit. The sweep driver in
@@ -54,9 +54,9 @@ use crate::snapshot::{put_u32, put_u64, Cursor, SnapshotError};
 use crate::space::ConfigSpace;
 
 /// File magic of the sweep-checkpoint sidecar format.
-pub const CKPT_MAGIC: [u8; 4] = *b"DEWC";
+pub(crate) const CKPT_MAGIC: [u8; 4] = *b"DEWC";
 /// Current sweep-checkpoint format version.
-pub const CKPT_VERSION: u8 = 1;
+pub(crate) const CKPT_VERSION: u8 = 1;
 
 /// Persisted progress of one fused sweep job (one block size).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,8 +82,8 @@ pub struct SweepCheckpoint {
 }
 
 impl SweepCheckpoint {
-    /// The fingerprint of the sweep this checkpoint belongs to
-    /// ([`sweep_fingerprint`]).
+    /// The fingerprint of the sweep this checkpoint belongs to: its
+    /// configuration space, kernel options and policy.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -334,7 +334,7 @@ impl CheckpointLog {
 /// does not affect results (job scheduling is deterministic per job), so a
 /// checkpoint is portable across thread counts.
 #[must_use]
-pub fn sweep_fingerprint(space: &ConfigSpace, options: DewOptions) -> u64 {
+pub(crate) fn sweep_fingerprint(space: &ConfigSpace, options: DewOptions) -> u64 {
     let (s0, s1) = space.set_bits();
     let (b0, b1) = space.block_bits();
     let (a0, a1) = space.assoc_bits();

@@ -51,7 +51,7 @@
 //! sweep driver runs them all: long traces need not be resident
 //! ([`SweepRequest::run_streamed`] decodes a re-openable source in bounded
 //! chunks), or sampled from periodic clusters with a per-cluster
-//! cold-start bound ([`ShardBounds`]). Parallelism is across block sizes:
+//! cold-start bound ([`SampleBounds`]). Parallelism is across block sizes:
 //! each block size is one job, one kernel and one traversal.
 //!
 //! Long runs also need not be fragile: [`SweepRequest::resilient`] runs
@@ -118,7 +118,6 @@ pub mod slru_tree;
 pub mod snapshot;
 mod space;
 mod sweep;
-mod timeline;
 #[cfg(test)]
 #[path = "single_pass_tests.rs"]
 mod tree;
@@ -126,19 +125,17 @@ mod tree;
 pub use arena::Arena;
 pub use cancel::{CancelReason, CancelToken};
 pub use checkpoint::{
-    sweep_fingerprint, CheckpointStore, FileCheckpointStore, JobCheckpoint, MemoryCheckpointStore,
-    SweepCheckpoint, CKPT_MAGIC, CKPT_VERSION,
+    CheckpointStore, FileCheckpointStore, JobCheckpoint, MemoryCheckpointStore, SweepCheckpoint,
 };
 pub use counters::DewCounters;
 pub use kernel::{FusedKernel, PolicyKernel};
 pub use multi_assoc::MultiAssocTree;
 pub use options::{DewOptions, TreePolicy};
 pub use request::SweepRequest;
-pub use resilience::{CheckpointSpec, NoSleep, Resilience, RetryPolicy, Sleeper, ThreadSleeper};
+pub use resilience::{CheckpointSpec, NoSleep, Resilience, RetryPolicy, Sleeper};
 pub use results::{
-    AllAssocResults, ConfigResult, FailureKind, JobFailure, LevelResult, PassResults, ShardBounds,
+    AllAssocResults, ConfigResult, FailureKind, JobFailure, LevelResult, PassResults, SampleBounds,
     SweepOutcome,
 };
 pub use simd::KernelBackend;
 pub use space::{ConfigSpace, DewError, PassConfig};
-pub use timeline::{MissTimeline, WindowSample};

@@ -19,6 +19,7 @@
 //! instrumentation: a streamed trace has no slice to sample, and the
 //! instrumented plan is in-memory only.
 
+use dew_trace::sample::periodic;
 use dew_trace::{Record, SliceSource, TraceSource};
 
 use crate::options::{DewOptions, TreePolicy};
@@ -220,14 +221,14 @@ impl<'a> SweepRequest<'a> {
         if sample_len == period {
             return self.drive(&SliceSource(records));
         }
-        let sampled: Vec<Record> = records
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % period < sample_len)
-            .map(|(_, r)| *r)
-            .collect();
-        let outcome = self.drive(&SliceSource(&sampled))?;
-        let bounds = cluster_bounds(self.space, &sampled, sample_len, self.options.policy);
+        let sampled = periodic(records, period, sample_len);
+        let outcome = self.drive(&SliceSource(sampled.records()))?;
+        let bounds = cluster_bounds(
+            self.space,
+            sampled.records(),
+            sample_len,
+            self.options.policy,
+        );
         Ok(outcome.with_bounds(bounds))
     }
 

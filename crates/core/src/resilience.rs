@@ -72,7 +72,7 @@ pub trait Sleeper: Sync {
 
 /// The production [`Sleeper`]: [`std::thread::sleep`].
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ThreadSleeper;
+pub(crate) struct ThreadSleeper;
 
 impl Sleeper for ThreadSleeper {
     fn sleep(&self, d: Duration) {

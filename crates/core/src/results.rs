@@ -268,7 +268,7 @@ impl ConfigResult {
 /// inside the contiguous cluster. Summing that cap over clusters gives the
 /// reported slack.
 ///
-/// Under **LRU** the slack is a guarantee ([`ShardBounds::guaranteed`] is
+/// Under **LRU** the slack is a guarantee ([`SampleBounds::guaranteed`] is
 /// `true`): the stack property confines every divergence to the unknown
 /// accesses, so the full trace's miss count at the retained positions lies
 /// within `slack` of the estimate. Under **FIFO** there is no inclusion
@@ -277,14 +277,14 @@ impl ConfigResult {
 /// `guaranteed == false`; see `DESIGN.md` ("Sampling and cold-start
 /// slack").
 #[derive(Debug, Clone)]
-pub struct ShardBounds {
+pub struct SampleBounds {
     slack: HashMap<(u32, u32, u32), u64>,
     guaranteed: bool,
 }
 
-impl ShardBounds {
+impl SampleBounds {
     pub(crate) fn new(slack: HashMap<(u32, u32, u32), u64>, guaranteed: bool) -> Self {
-        ShardBounds { slack, guaranteed }
+        SampleBounds { slack, guaranteed }
     }
 
     /// Maximum possibly-misclassified accesses for `(sets, assoc,
@@ -355,7 +355,7 @@ pub struct SweepOutcome {
     trace_traversals: u64,
     policy: TreePolicy,
     records_simulated: u64,
-    bounds: Option<ShardBounds>,
+    bounds: Option<SampleBounds>,
     failed: Vec<JobFailure>,
     retries: u64,
     records_lost: u64,
@@ -409,7 +409,7 @@ impl SweepOutcome {
     }
 
     /// Attaches the cold-start uncertainty of an approximate sweep.
-    pub(crate) fn with_bounds(mut self, bounds: ShardBounds) -> Self {
+    pub(crate) fn with_bounds(mut self, bounds: SampleBounds) -> Self {
         self.bounds = Some(bounds);
         self
     }
@@ -463,7 +463,7 @@ impl SweepOutcome {
     /// Cold-start uncertainty of a sampled sweep
     /// ([`crate::SweepRequest::sampled`]); `None` for exact sweeps.
     #[must_use]
-    pub fn bounds(&self) -> Option<&ShardBounds> {
+    pub fn bounds(&self) -> Option<&SampleBounds> {
         self.bounds.as_ref()
     }
 
@@ -614,16 +614,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_bounds_lookup_and_flags() {
+    fn sample_bounds_lookup_and_flags() {
         let mut slack = HashMap::new();
         slack.insert((4u32, 2u32, 16u32), 7u64);
         slack.insert((8, 2, 16), 12);
-        let b = ShardBounds::new(slack, true);
+        let b = SampleBounds::new(slack, true);
         assert_eq!(b.slack(4, 2, 16), Some(7));
         assert_eq!(b.slack(4, 4, 16), None);
         assert_eq!(b.max_slack(), 12);
         assert!(b.guaranteed());
-        assert_eq!(ShardBounds::new(HashMap::new(), false).max_slack(), 0);
+        assert_eq!(SampleBounds::new(HashMap::new(), false).max_slack(), 0);
     }
 
     #[test]

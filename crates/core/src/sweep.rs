@@ -17,7 +17,7 @@
 //! * an in-memory trace is read through [`dew_trace::SliceSource`], a streamed one
 //!   through the caller's [`TraceSource`];
 //! * a periodic cluster sample is spliced into one stream before the run,
-//!   and its [`ShardBounds`] come from [`cluster_bounds`] afterwards;
+//!   and its [`SampleBounds`] come from [`cluster_bounds`] afterwards;
 //! * a request without `.resilient(..)` runs under the fixed
 //!   `Resilience::PLAIN`: no retries, fail-fast, no checkpoint, no cancel
 //!   token.
@@ -34,7 +34,7 @@ use crate::counters::DewCounters;
 use crate::kernel::{FusedKernel, PolicyKernel};
 use crate::options::{DewOptions, TreePolicy};
 use crate::resilience::Resilience;
-use crate::results::{FailureKind, JobFailure, PassResults, ShardBounds, SweepOutcome};
+use crate::results::{FailureKind, JobFailure, PassResults, SampleBounds, SweepOutcome};
 use crate::space::{ConfigSpace, DewError, PassConfig};
 
 /// Upstream validation shared by every plan, before any worker starts:
@@ -151,7 +151,7 @@ pub(crate) fn cluster_bounds(
     sampled: &[Record],
     sample_len: usize,
     policy: TreePolicy,
-) -> ShardBounds {
+) -> SampleBounds {
     // First-touch counting saturates at the largest configuration of the
     // space: beyond `max sets × max assoc` distinct blocks every
     // per-configuration `min(F, sets × assoc)` is already pinned, so the
@@ -198,7 +198,7 @@ pub(crate) fn cluster_bounds(
             }
         }
     }
-    ShardBounds::new(slack, policy == TreePolicy::Lru)
+    SampleBounds::new(slack, policy == TreePolicy::Lru)
 }
 
 /// Human-readable identity of a fused job for error messages: one fused
@@ -1115,7 +1115,7 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_falls_back_to_the_plain_sweep() {
+    fn degenerate_handoffs_restore_identical_snapshots() {
         // The degenerate handoffs: a fresh kernel and a finished one each
         // restore to an identical snapshot.
         let space = ConfigSpace::new((0, 3), (0, 1), (0, 1)).expect("valid");
@@ -1215,7 +1215,7 @@ mod tests {
             Ok([
                 Ok(Record::read(0)),
                 Ok(Record::read(64)),
-                Err(TraceError::Truncated),
+                Err(TraceError::Truncated { position: 3 }),
             ]
             .into_iter())
         };
@@ -1322,7 +1322,7 @@ mod tests {
                 records.iter().copied().map(Ok).collect();
             if ordinal == 1 {
                 items.truncate(100);
-                items.push(Err(dew_trace::TraceError::Truncated));
+                items.push(Err(dew_trace::TraceError::Truncated { position: 101 }));
             }
             Ok(items.into_iter())
         }
@@ -1355,6 +1355,41 @@ mod tests {
         assert!(outcome.misses(1, 2, 4).is_some());
         assert!(outcome.misses(1, 2, 8).is_none());
         assert_eq!(outcome.records_lost(), outcome.accesses() - 100);
+    }
+
+    #[test]
+    fn a_non_utf8_din_line_fails_without_retry_and_names_its_line() {
+        use dew_trace::din::DinReader;
+        // 201 `.din` lines; line 101 carries a byte that is not UTF-8.
+        let mut text = Vec::new();
+        for i in 0..201u64 {
+            if i == 100 {
+                text.extend_from_slice(b"0 \xff20\n");
+            } else {
+                text.extend_from_slice(format!("0 {:x}\n", i * 24).as_bytes());
+            }
+        }
+        let opens = AtomicU64::new(0);
+        let source = || {
+            opens.fetch_add(1, Ordering::Relaxed);
+            Ok(DinReader::new(text.as_slice()))
+        };
+        let space = ConfigSpace::new((0, 2), (2, 2), (0, 1)).expect("valid");
+        let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
+        // The one job fails, so the sweep has nothing left to report.
+        let err = req(&space, DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect_err("the only job fails");
+        let DewError::TraceRead(msg) = &err else {
+            panic!("expected TraceRead, got {err}");
+        };
+        // Every retry re-opens the source: one open means no retry.
+        assert_eq!(opens.load(Ordering::Relaxed), 1, "{msg}");
+        assert!(msg.contains("at record 100"), "{msg}");
+        assert!(msg.contains("position 101"), "{msg}");
+        assert!(msg.contains("UTF-8"), "{msg}");
+        assert!(!msg.contains("retries"), "{msg}");
     }
 
     #[test]

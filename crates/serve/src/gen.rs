@@ -81,7 +81,7 @@ impl Client {
 
 /// What one generated job's lifecycle ended as, from the client's view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JobOutcome {
+enum JobOutcome {
     /// Terminal `completed`.
     Completed,
     /// Terminal `deadline_exceeded`.

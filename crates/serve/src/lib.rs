@@ -5,7 +5,7 @@
 //! long-running service with the robustness properties a shared simulation
 //! box needs:
 //!
-//! * **admission control** — a bounded queue ([`queue::BoundedQueue`])
+//! * **admission control** — a bounded queue
 //!   between the accept loop and a fixed worker pool; when it fills, new
 //!   submissions are *shed* with a structured `rejected: overloaded`
 //!   response instead of queueing unboundedly or blocking the accept loop;
@@ -23,10 +23,25 @@
 //!   `serve_soak` bench can assert zero lost and zero duplicated
 //!   responses under overload, chaos, and shutdown.
 //!
-//! The wire protocol is line-delimited JSON over TCP ([`protocol`]),
-//! parsed with a small vendored-free JSON module ([`json`]) because the
-//! build environment is offline. No async runtime anywhere: blocking
-//! threads, `Mutex`/`Condvar`, and a nonblocking accept poll.
+//! The wire protocol is line-delimited JSON over TCP, parsed with a small
+//! vendored-free JSON module ([`json`]) because the build environment is
+//! offline. No async runtime anywhere: blocking threads,
+//! `Mutex`/`Condvar`, and a nonblocking accept poll. Every request is one
+//! JSON object on one line and gets exactly one JSON object back on one
+//! line; `cmd` selects the verb:
+//!
+//! | `cmd`      | fields                                                        |
+//! |------------|---------------------------------------------------------------|
+//! | `submit`   | `kind` (`sweep`\|`explore`), `mix`, `requests`, `seed`, `sets`, `blocks`, `assocs` (`LO..HI` log2 ranges), `policy` (`fifo`\|`lru`\|`plru`\|`slru`), `deadline_ms`, `chaos` |
+//! | `status`   | `id`                                                          |
+//! | `wait`     | `id`, `timeout_ms` (optional)                                 |
+//! | `cancel`   | `id`                                                          |
+//! | `stats`    | —                                                             |
+//! | `health`   | —                                                             |
+//! | `shutdown` | —                                                             |
+//!
+//! Unknown fields are rejected, so a typo'd `deadline` never silently runs
+//! without its deadline.
 //!
 //! # Example
 //!
@@ -56,12 +71,11 @@
 
 pub mod gen;
 pub mod json;
-pub mod protocol;
-pub mod queue;
+mod protocol;
+mod queue;
 pub mod server;
 #[allow(unsafe_code)]
 pub mod signal;
 
-pub use gen::{run_gen, Client, GenConfig, GenReport, JobOutcome};
-pub use protocol::{JobKind, Request, SubmitRequest};
+pub use gen::{run_gen, Client, GenConfig, GenReport};
 pub use server::{DrainReport, ServeConfig, Server};

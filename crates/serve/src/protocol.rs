@@ -6,20 +6,8 @@
 //! counters: a submitted job ends in exactly one terminal state, and the
 //! response stream never interleaves.
 //!
-//! Requests (`cmd` selects the verb):
-//!
-//! | `cmd`      | fields                                                        |
-//! |------------|---------------------------------------------------------------|
-//! | `submit`   | `kind` (`sweep`\|`explore`), `mix`, `requests`, `seed`, `sets`, `blocks`, `assocs` (`LO..HI` log2 ranges), `policy` (`fifo`\|`lru`\|`plru`\|`slru`), `deadline_ms`, `chaos` |
-//! | `status`   | `id`                                                          |
-//! | `wait`     | `id`, `timeout_ms` (optional)                                 |
-//! | `cancel`   | `id`                                                          |
-//! | `stats`    | —                                                             |
-//! | `health`   | —                                                             |
-//! | `shutdown` | —                                                             |
-//!
-//! Unknown fields are rejected (like the CLI's `reject_unknown`), so a
-//! typo'd `deadline` never silently runs without its deadline.
+//! The verbs and their fields are tabulated in the crate docs. Unknown
+//! fields are rejected (like the CLI's `reject_unknown`).
 
 use std::str::FromStr;
 
@@ -41,17 +29,6 @@ pub enum JobKind {
     Sweep,
     /// The sweep plus energy/EDP evaluation and a Pareto front.
     Explore,
-}
-
-impl JobKind {
-    /// The protocol name (`sweep` / `explore`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            JobKind::Sweep => "sweep",
-            JobKind::Explore => "explore",
-        }
-    }
 }
 
 /// A validated `submit` request: everything a worker needs to run the job.

@@ -55,7 +55,7 @@ impl<T> BoundedQueue<T> {
     /// # Errors
     ///
     /// [`PushError::Full`] at capacity (load-shed the item),
-    /// [`PushError::Closed`] after [`BoundedQueue::close`]. The item
+    /// [`PushError::Closed`] after [`BoundedQueue::close_and_drain`]. The item
     /// rides back in the error so the caller can report on it.
     pub fn try_push(&self, item: T) -> Result<(), (PushError, T)> {
         let mut s = self.state.lock().expect("queue lock poisoned");
@@ -84,14 +84,6 @@ impl<T> BoundedQueue<T> {
             }
             s = self.ready.wait(s).expect("queue lock poisoned");
         }
-    }
-
-    /// Stops admissions. Already-queued items still drain through
-    /// [`BoundedQueue::pop`]; blocked workers wake and exit once the
-    /// queue empties.
-    pub fn close(&self) {
-        self.state.lock().expect("queue lock poisoned").closed = true;
-        self.ready.notify_all();
     }
 
     /// Closes the queue and removes every not-yet-claimed item,
@@ -128,11 +120,9 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         q.try_push(3).expect("space freed");
 
-        q.close();
+        // Closing hands back the queued items for shedding.
+        assert_eq!(q.close_and_drain(), vec![2, 3]);
         assert_eq!(q.try_push(4), Err((PushError::Closed, 4)));
-        // Queued items still drain after close.
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), None, "closed and empty");
     }
 
@@ -174,7 +164,7 @@ mod tests {
         while q.depth() > 0 {
             std::thread::yield_now();
         }
-        q.close();
+        assert!(q.close_and_drain().is_empty());
         let mut all: Vec<i32> = handles
             .into_iter()
             .flat_map(|h| h.join().expect("worker ok"))

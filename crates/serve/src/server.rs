@@ -301,14 +301,6 @@ impl Server {
         self.inner.stopping.load(Ordering::Acquire)
     }
 
-    /// Initiates (or joins an already-running) graceful shutdown and
-    /// returns its report. Admissions stop, queued jobs are shed,
-    /// in-flight jobs get the drain timeout to finish before their
-    /// cancellation tokens fire.
-    pub fn begin_shutdown(&self) -> DrainReport {
-        self.inner.shutdown()
-    }
-
     /// Graceful shutdown plus thread teardown. Returns the drain report.
     pub fn stop(mut self) -> DrainReport {
         let report = self.inner.shutdown();

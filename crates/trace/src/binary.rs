@@ -107,7 +107,7 @@ fn decode_record(bytes: &[u8], position: u64) -> Decoded {
         let shift = 7 * i as u32;
         let payload = u64::from(byte & 0x7f);
         if shift >= 64 || (shift == 63 && payload > 1) {
-            return Decoded::Bad(TraceError::VarintOverflow);
+            return Decoded::Bad(TraceError::VarintOverflow { position });
         }
         value |= payload << shift;
         if byte & 0x80 == 0 {
@@ -282,7 +282,9 @@ impl<R: Read> BinReader<R> {
                     debug_assert!(self.end - self.start < MAX_RECORD);
                     match self.refill() {
                         Ok(0) if self.start == self.end => return None, // clean EOF
-                        Ok(0) => TraceError::Truncated,
+                        Ok(0) => TraceError::Truncated {
+                            position: self.position + 1,
+                        },
                         Ok(_) => continue,
                         Err(e) => TraceError::Io(e),
                     }
@@ -382,7 +384,10 @@ mod tests {
         w.finish().expect("finish");
         out.pop(); // chop the last varint byte
         let mut reader = BinReader::new(out.as_slice()).expect("header");
-        assert!(matches!(reader.next(), Some(Err(TraceError::Truncated))));
+        assert!(matches!(
+            reader.next(),
+            Some(Err(TraceError::Truncated { position: 1 }))
+        ));
         assert!(reader.next().is_none(), "reader stops after failure");
     }
 
@@ -415,7 +420,7 @@ mod tests {
         let mut reader = BinReader::new(out.as_slice()).expect("header");
         assert!(matches!(
             reader.next(),
-            Some(Err(TraceError::VarintOverflow))
+            Some(Err(TraceError::VarintOverflow { position: 1 }))
         ));
     }
 

@@ -42,7 +42,7 @@ pub fn decode_blocks(records: &[Record], block_bits: u32) -> Vec<u64> {
 /// Decodes every record's block number into `out`, clearing it first.
 /// Reusing one buffer across decodes avoids reallocation when a sweep walks
 /// several block sizes.
-pub fn decode_blocks_into(records: &[Record], block_bits: u32, out: &mut Vec<u64>) {
+pub(crate) fn decode_blocks_into(records: &[Record], block_bits: u32, out: &mut Vec<u64>) {
     out.clear();
     out.reserve(records.len());
     out.extend(records.iter().map(|r| r.addr >> block_bits));

@@ -3,7 +3,9 @@
 //! Each line is `<label> <hex-address>`, where the label is `0` (data read),
 //! `1` (data write) or `2` (instruction fetch). Blank lines and lines starting
 //! with `#` are skipped by the reader; a trailing third column (the optional
-//! Dinero size field) is tolerated and ignored.
+//! Dinero size field) is tolerated and ignored. A line that is not valid
+//! UTF-8 is a malformed record like any other, reported with its line
+//! number.
 //!
 //! # Examples
 //!
@@ -26,7 +28,7 @@
 
 use std::io::{BufRead, Write};
 
-use crate::error::TraceError;
+use crate::error::{ParseRecordError, TraceError};
 use crate::record::Record;
 
 /// Streaming reader for `din` text traces.
@@ -37,7 +39,7 @@ use crate::record::Record;
 pub struct DinReader<R> {
     inner: R,
     line: u64,
-    buf: String,
+    buf: Vec<u8>,
 }
 
 impl<R: BufRead> DinReader<R> {
@@ -47,7 +49,7 @@ impl<R: BufRead> DinReader<R> {
         DinReader {
             inner,
             line: 0,
-            buf: String::new(),
+            buf: Vec::new(),
         }
     }
 
@@ -65,24 +67,26 @@ impl<R: BufRead> DinReader<R> {
     fn next_record(&mut self) -> Option<Result<Record, TraceError>> {
         loop {
             self.buf.clear();
-            match self.inner.read_line(&mut self.buf) {
+            match self.inner.read_until(b'\n', &mut self.buf) {
                 Ok(0) => return None,
                 Ok(_) => {}
                 Err(e) => return Some(Err(TraceError::Io(e))),
             }
             self.line += 1;
-            let trimmed = self.buf.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            return Some(
-                trimmed
-                    .parse::<Record>()
-                    .map_err(|source| TraceError::Parse {
-                        position: self.line,
-                        source,
-                    }),
-            );
+            let parsed = match std::str::from_utf8(&self.buf) {
+                Ok(text) => {
+                    let trimmed = text.trim();
+                    if trimmed.is_empty() || trimmed.starts_with('#') {
+                        continue;
+                    }
+                    trimmed.parse::<Record>()
+                }
+                Err(_) => Err(ParseRecordError::NotUtf8),
+            };
+            return Some(parsed.map_err(|source| TraceError::Parse {
+                position: self.line,
+                source,
+            }));
         }
     }
 }
@@ -151,7 +155,7 @@ impl<W: Write> DinWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AccessKind, ParseRecordError};
+    use crate::AccessKind;
 
     #[test]
     fn reads_skipping_comments_and_blanks() {
@@ -174,6 +178,35 @@ mod tests {
             }
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_a_numbered_parse_error() {
+        let mut reader = DinReader::new(&b"0 10\n1 \xff20\n2 30\n"[..]);
+        assert_eq!(
+            reader.next().expect("first").expect("ok"),
+            Record::read(0x10)
+        );
+        match reader.next().expect("second") {
+            Err(err @ TraceError::Parse { position: 2, .. }) => {
+                assert!(!err.is_transient(), "{err}");
+                assert!(matches!(
+                    err,
+                    TraceError::Parse {
+                        source: ParseRecordError::NotUtf8,
+                        ..
+                    }
+                ));
+            }
+            other => panic!("expected a parse error at line 2, got {other:?}"),
+        }
+        // The bad line is counted, so later positions stay right.
+        assert_eq!(reader.lines_read(), 2);
+        assert_eq!(
+            reader.next().expect("third").expect("ok"),
+            Record::ifetch(0x30)
+        );
+        assert!(reader.next().is_none());
     }
 
     #[test]

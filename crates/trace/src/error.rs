@@ -17,6 +17,8 @@ pub enum ParseRecordError {
     UnknownLabel(u8),
     /// The address field was not valid hexadecimal.
     BadAddress(String),
+    /// The line was not valid UTF-8.
+    NotUtf8,
 }
 
 impl fmt::Display for ParseRecordError {
@@ -29,6 +31,7 @@ impl fmt::Display for ParseRecordError {
                 write!(f, "label {l} is not a din access kind (expected 0, 1 or 2)")
             }
             ParseRecordError::BadAddress(s) => write!(f, "address `{s}` is not hexadecimal"),
+            ParseRecordError::NotUtf8 => write!(f, "line is not valid UTF-8"),
         }
     }
 }
@@ -53,9 +56,15 @@ pub enum TraceError {
     /// The binary stream declared an unsupported format version.
     UnsupportedVersion(u8),
     /// The binary stream ended in the middle of a record.
-    Truncated,
+    Truncated {
+        /// 1-based position of the cut record.
+        position: u64,
+    },
     /// A varint field exceeded the 64-bit range.
-    VarintOverflow,
+    VarintOverflow {
+        /// 1-based position of the offending record.
+        position: u64,
+    },
 }
 
 impl TraceError {
@@ -86,8 +95,12 @@ impl fmt::Display for TraceError {
             TraceError::UnsupportedVersion(v) => {
                 write!(f, "unsupported binary trace version {v}")
             }
-            TraceError::Truncated => write!(f, "binary trace ended mid-record"),
-            TraceError::VarintOverflow => write!(f, "varint field exceeds 64 bits"),
+            TraceError::Truncated { position } => {
+                write!(f, "binary trace ended mid-record at position {position}")
+            }
+            TraceError::VarintOverflow { position } => {
+                write!(f, "varint field at position {position} exceeds 64 bits")
+            }
         }
     }
 }
@@ -122,12 +135,19 @@ mod tests {
             },
             TraceError::BadMagic,
             TraceError::UnsupportedVersion(9),
-            TraceError::Truncated,
-            TraceError::VarintOverflow,
+            TraceError::Truncated { position: 4 },
+            TraceError::VarintOverflow { position: 5 },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());
         }
+        // Format errors name the record they stopped at.
+        assert!(TraceError::Truncated { position: 4 }
+            .to_string()
+            .contains("position 4"));
+        assert!(TraceError::VarintOverflow { position: 5 }
+            .to_string()
+            .contains("position 5"));
     }
 
     #[test]
@@ -140,8 +160,8 @@ mod tests {
             },
             TraceError::BadMagic,
             TraceError::UnsupportedVersion(9),
-            TraceError::Truncated,
-            TraceError::VarintOverflow,
+            TraceError::Truncated { position: 4 },
+            TraceError::VarintOverflow { position: 5 },
         ] {
             assert!(!fatal.is_transient(), "{fatal}");
         }

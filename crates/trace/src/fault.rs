@@ -85,8 +85,9 @@ pub struct FaultPlan {
     /// Inject a fatal corrupt-record parse error at this 0-based record
     /// index, on every open (format damage reproduces on retry).
     pub corrupt_at: Option<u64>,
-    /// Inject a fatal short read ([`TraceError::Truncated`]) at this
-    /// 0-based record index, on every open.
+    /// Inject a fatal short read ([`TraceError::Truncated`], reporting
+    /// 1-based position `index + 1`) at this 0-based record index, on
+    /// every open.
     pub truncate_at: Option<u64>,
     /// Sleep [`FaultPlan::delay`] after every `delay_every` delivered
     /// records (`0` disables the latency fault).
@@ -263,7 +264,7 @@ where
         if self.plan.truncate_at == Some(i) {
             self.done = true;
             self.injected.fetch_add(1, Ordering::Relaxed);
-            return Some(Err(TraceError::Truncated));
+            return Some(Err(TraceError::Truncated { position: i + 1 }));
         }
         if self.plan.corrupt_at == Some(i) {
             self.done = true;
@@ -429,7 +430,10 @@ mod tests {
             },
         );
         let mut it = src.open().expect("opens");
-        assert!(matches!(it.next(), Some(Err(TraceError::Truncated))));
+        assert!(matches!(
+            it.next(),
+            Some(Err(TraceError::Truncated { position: 1 }))
+        ));
     }
 
     #[test]

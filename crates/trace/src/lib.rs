@@ -59,7 +59,7 @@ pub mod stats;
 mod stream;
 mod trace;
 
-pub use blocks::{decode_blocks, decode_blocks_into, BlockChunks};
+pub use blocks::{decode_blocks, BlockChunks};
 pub use error::{ParseRecordError, TraceError};
 pub use fault::{FaultPlan, FaultyIter, FaultyTraceSource};
 pub use record::{AccessKind, BlockAddr, Record};

@@ -21,11 +21,12 @@
 //! use dew_trace::{Record, Trace};
 //!
 //! let trace: Trace = (0..100u64).map(Record::read).collect();
-//! let sampled = periodic(&trace, 10, 3); // 3 of every 10
+//! let sampled = periodic(trace.records(), 10, 3); // 3 of every 10
 //! assert_eq!(sampled.len(), 30);
 //! assert_eq!(sampled.records()[3].addr, 10); // second window starts at 10
 //! ```
 
+use crate::record::Record;
 use crate::trace::Trace;
 
 /// The first `n` requests of `trace` (truncation sampling).
@@ -34,18 +35,17 @@ pub fn prefix(trace: &Trace, n: usize) -> Trace {
     trace.records().iter().take(n).copied().collect()
 }
 
-/// Systematic cluster sampling: from every `period`-request window, keep the
-/// first `sample_len` requests.
+/// Systematic cluster sampling: from every `period`-request window of
+/// `records`, keep the first `sample_len` requests.
 ///
 /// # Panics
 ///
 /// Panics if `period == 0` or `sample_len > period`.
 #[must_use]
-pub fn periodic(trace: &Trace, period: usize, sample_len: usize) -> Trace {
+pub fn periodic(records: &[Record], period: usize, sample_len: usize) -> Trace {
     assert!(period > 0, "period must be positive");
     assert!(sample_len <= period, "sample_len must not exceed period");
-    trace
-        .records()
+    records
         .iter()
         .enumerate()
         .filter(|(i, _)| i % period < sample_len)
@@ -90,7 +90,6 @@ pub fn retained_fraction(full: &Trace, sampled: &Trace) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Record;
 
     fn trace(n: u64) -> Trace {
         (0..n).map(Record::read).collect()
@@ -111,7 +110,7 @@ mod tests {
     #[test]
     fn periodic_keeps_cluster_heads() {
         let t = trace(10);
-        let s = periodic(&t, 5, 2);
+        let s = periodic(t.records(), 5, 2);
         let addrs: Vec<u64> = s.iter().map(|r| r.addr).collect();
         assert_eq!(addrs, vec![0, 1, 5, 6]);
     }
@@ -119,13 +118,13 @@ mod tests {
     #[test]
     fn periodic_full_window_is_identity() {
         let t = trace(7);
-        assert_eq!(periodic(&t, 3, 3), t);
+        assert_eq!(periodic(t.records(), 3, 3), t);
     }
 
     #[test]
     #[should_panic(expected = "sample_len must not exceed period")]
     fn periodic_rejects_oversized_sample() {
-        let _ = periodic(&trace(5), 2, 3);
+        let _ = periodic(trace(5).records(), 2, 3);
     }
 
     #[test]
@@ -140,7 +139,7 @@ mod tests {
     fn empty_trace_samples_to_empty() {
         let empty = Trace::new();
         assert!(prefix(&empty, 5).is_empty());
-        assert!(periodic(&empty, 4, 2).is_empty());
+        assert!(periodic(empty.records(), 4, 2).is_empty());
         assert!(stratified(&empty, 3).is_empty());
         assert_eq!(retained_fraction(&empty, &empty), 0.0);
     }
@@ -151,15 +150,19 @@ mod tests {
         // head `sample_len` requests (or everything, if the cluster is
         // longer than the trace).
         let t = trace(6);
-        assert_eq!(periodic(&t, 6, 2), prefix(&t, 2));
-        assert_eq!(periodic(&t, 100, 4), prefix(&t, 4));
-        assert_eq!(periodic(&t, 100, 100), t, "oversized cluster is identity");
+        assert_eq!(periodic(t.records(), 6, 2), prefix(&t, 2));
+        assert_eq!(periodic(t.records(), 100, 4), prefix(&t, 4));
+        assert_eq!(
+            periodic(t.records(), 100, 100),
+            t,
+            "oversized cluster is identity"
+        );
     }
 
     #[test]
     #[should_panic(expected = "period must be positive")]
     fn periodic_rejects_zero_period() {
-        let _ = periodic(&trace(5), 0, 0);
+        let _ = periodic(trace(5).records(), 0, 0);
     }
 
     #[test]
@@ -181,7 +184,7 @@ mod tests {
         assert!((relative_error(0.2, 0.25) - 0.25).abs() < 1e-12);
         assert_eq!(relative_error(0.0, 0.3), 0.0);
         let t = trace(100);
-        let s = periodic(&t, 10, 1);
+        let s = periodic(t.records(), 10, 1);
         assert!((retained_fraction(&t, &s) - 0.1).abs() < 1e-12);
         assert_eq!(retained_fraction(&Trace::new(), &Trace::new()), 0.0);
     }

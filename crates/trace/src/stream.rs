@@ -138,7 +138,10 @@ mod tests {
             reader.next().expect("first record").expect("clean"),
             Record::read(0x1234_5678)
         );
-        assert!(matches!(reader.next(), Some(Err(TraceError::Truncated))));
+        assert!(matches!(
+            reader.next(),
+            Some(Err(TraceError::Truncated { position: 2 }))
+        ));
         assert!(
             reader.next().is_none(),
             "a failed stream yields no further records"

@@ -1,15 +1,14 @@
 //! Generic memory-locality kernels.
 //!
-//! Each kernel synthesises one archetypal access pattern — streaming, blocked
-//! 2D walks, phased working sets, pointer chasing, Zipf-shaped reuse — and
-//! they compose into the Mediabench surrogates of [`crate::mediabench`].
+//! Each kernel synthesises one archetypal access pattern: pure streaming
+//! ([`StridedStream`]) and cache-hostile pointer chasing
+//! ([`PointerChase`]). The workspace's exactness tests feed them to DEW and
+//! to the reference simulator as the two locality extremes.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use dew_trace::{AccessKind, Record, Trace};
-
-use crate::zipf::Zipf;
 
 /// A deterministic trace generator.
 ///
@@ -80,101 +79,6 @@ impl Kernel for StridedStream {
     }
 }
 
-/// A blocked two-dimensional walk: visits an `rows × cols` array of
-/// `elem_bytes` elements in `tile × tile` tiles, reading each element —
-/// the shape of image and matrix kernels (and of JPEG's 8×8 MCU walks).
-#[derive(Debug, Clone)]
-pub struct TiledWalk {
-    /// Array base byte address.
-    pub base: u64,
-    /// Rows in the array.
-    pub rows: u32,
-    /// Columns in the array.
-    pub cols: u32,
-    /// Element size in bytes.
-    pub elem_bytes: u32,
-    /// Tile edge length, in elements (the whole array is walked tile by
-    /// tile, row-major within each tile).
-    pub tile: u32,
-    /// Kind of every access.
-    pub kind: AccessKind,
-}
-
-impl TiledWalk {
-    fn addr(&self, r: u64, c: u64) -> u64 {
-        self.base + (r * u64::from(self.cols) + c) * u64::from(self.elem_bytes)
-    }
-}
-
-impl Kernel for TiledWalk {
-    fn name(&self) -> &'static str {
-        "tiled_walk"
-    }
-
-    fn emit_into(&self, _rng: &mut SmallRng, out: &mut Vec<Record>) {
-        let tile = u64::from(self.tile.max(1));
-        let (rows, cols) = (u64::from(self.rows), u64::from(self.cols));
-        let mut tr = 0;
-        while tr < rows {
-            let mut tc = 0;
-            while tc < cols {
-                for r in tr..(tr + tile).min(rows) {
-                    for c in tc..(tc + tile).min(cols) {
-                        out.push(Record::new(self.addr(r, c), self.kind));
-                    }
-                }
-                tc += tile;
-            }
-            tr += tile;
-        }
-    }
-}
-
-/// Phased working sets: each phase draws `accesses` Zipf-shaped references
-/// from its own region, then the program "moves on" — the classic model of
-/// program phase behaviour.
-#[derive(Debug, Clone)]
-pub struct WorkingSetPhases {
-    /// The phases in execution order.
-    pub phases: Vec<Phase>,
-    /// Zipf exponent shaping intra-phase popularity (higher = hotter heads).
-    pub zipf_exponent: f64,
-    /// Fraction of accesses that are writes, in `0.0..=1.0`.
-    pub write_fraction: f64,
-}
-
-/// One phase of a [`WorkingSetPhases`] kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct Phase {
-    /// Region base byte address.
-    pub base: u64,
-    /// Number of 4-byte words in the region.
-    pub words: u32,
-    /// References issued in this phase.
-    pub accesses: u64,
-}
-
-impl Kernel for WorkingSetPhases {
-    fn name(&self) -> &'static str {
-        "working_set_phases"
-    }
-
-    fn emit_into(&self, rng: &mut SmallRng, out: &mut Vec<Record>) {
-        for phase in &self.phases {
-            let zipf = Zipf::new(phase.words.max(1) as usize, self.zipf_exponent);
-            for _ in 0..phase.accesses {
-                let word = zipf.sample(rng) as u64;
-                let kind = if rng.gen_bool(self.write_fraction.clamp(0.0, 1.0)) {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                out.push(Record::new(phase.base + word * 4, kind));
-            }
-        }
-    }
-}
-
 /// Pointer chasing over a random permutation cycle of `nodes` records of
 /// `node_bytes` each: every access depends on the previous one and spatial
 /// locality is destroyed — the worst case for caches, common in linked data
@@ -214,58 +118,9 @@ impl Kernel for PointerChase {
     }
 }
 
-/// Reuse-distance-controlled reference stream: each access touches the block
-/// at a Zipf-sampled depth of an LRU stack (or a brand-new block), giving a
-/// precise dial for temporal locality.
-#[derive(Debug, Clone)]
-pub struct StackDistanceWalk {
-    /// Base byte address of the region new blocks come from.
-    pub base: u64,
-    /// LRU stack depth modelled.
-    pub depth: u32,
-    /// Zipf exponent over stack depths (higher = more reuse of hot blocks).
-    pub zipf_exponent: f64,
-    /// Probability of touching a brand-new block instead of a stack entry.
-    pub new_block_prob: f64,
-    /// References to issue.
-    pub accesses: u64,
-    /// Block granularity in bytes (addresses are block-aligned).
-    pub block_bytes: u32,
-}
-
-impl Kernel for StackDistanceWalk {
-    fn name(&self) -> &'static str {
-        "stack_distance_walk"
-    }
-
-    fn emit_into(&self, rng: &mut SmallRng, out: &mut Vec<Record>) {
-        let zipf = Zipf::new(self.depth.max(1) as usize, self.zipf_exponent);
-        let mut stack: Vec<u64> = Vec::with_capacity(self.depth as usize + 1);
-        let mut fresh: u64 = 0;
-        for _ in 0..self.accesses {
-            let block = if stack.is_empty() || rng.gen_bool(self.new_block_prob.clamp(0.0, 1.0)) {
-                let b = fresh;
-                fresh += 1;
-                b
-            } else {
-                let d = zipf.sample(rng).min(stack.len() - 1);
-                stack[d]
-            };
-            // Move-to-front maintenance of the LRU stack.
-            stack.retain(|&b| b != block);
-            stack.insert(0, block);
-            stack.truncate(self.depth as usize);
-            out.push(Record::read(
-                self.base + block * u64::from(self.block_bytes),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dew_trace::TraceStats;
 
     #[test]
     fn strided_stream_is_exactly_strided() {
@@ -281,69 +136,6 @@ mod tests {
         let addrs: Vec<u64> = t.iter().map(|r| r.addr).collect();
         assert_eq!(addrs, vec![0, 8, 16, 24, 0, 8, 16, 24]);
         assert!(t.iter().all(|r| r.kind == AccessKind::Write));
-    }
-
-    #[test]
-    fn tiled_walk_covers_every_element_once() {
-        let k = TiledWalk {
-            base: 0x100,
-            rows: 6,
-            cols: 10,
-            elem_bytes: 2,
-            tile: 4,
-            kind: AccessKind::Read,
-        };
-        let t = k.generate(0);
-        assert_eq!(t.len(), 60);
-        let mut addrs: Vec<u64> = t.iter().map(|r| r.addr).collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-        assert_eq!(addrs.len(), 60, "no element visited twice");
-        assert_eq!(*addrs.first().expect("nonempty"), 0x100);
-        assert_eq!(*addrs.last().expect("nonempty"), 0x100 + 59 * 2);
-    }
-
-    #[test]
-    fn tiled_walk_handles_non_divisible_edges() {
-        let k = TiledWalk {
-            base: 0,
-            rows: 5,
-            cols: 7,
-            elem_bytes: 1,
-            tile: 3,
-            kind: AccessKind::Read,
-        };
-        assert_eq!(k.generate(0).len(), 35);
-    }
-
-    #[test]
-    fn phases_respect_regions_and_counts() {
-        let k = WorkingSetPhases {
-            phases: vec![
-                Phase {
-                    base: 0x1000,
-                    words: 16,
-                    accesses: 100,
-                },
-                Phase {
-                    base: 0x8000,
-                    words: 16,
-                    accesses: 50,
-                },
-            ],
-            zipf_exponent: 1.0,
-            write_fraction: 0.3,
-        };
-        let t = k.generate(42);
-        assert_eq!(t.len(), 150);
-        assert!(t.records()[..100]
-            .iter()
-            .all(|r| (0x1000..0x1040).contains(&r.addr)));
-        assert!(t.records()[100..]
-            .iter()
-            .all(|r| (0x8000..0x8040).contains(&r.addr)));
-        let writes = t.iter().filter(|r| r.kind == AccessKind::Write).count();
-        assert!((15..=75).contains(&writes), "write mix near 30%: {writes}");
     }
 
     #[test]
@@ -375,35 +167,6 @@ mod tests {
         };
         assert_eq!(k.generate(5), k.generate(5));
         assert_ne!(k.generate(5), k.generate(6));
-    }
-
-    #[test]
-    fn stack_distance_walk_controls_footprint() {
-        let hot = StackDistanceWalk {
-            base: 0,
-            depth: 8,
-            zipf_exponent: 2.0,
-            new_block_prob: 0.01,
-            accesses: 5000,
-            block_bytes: 16,
-        };
-        let cold = StackDistanceWalk {
-            new_block_prob: 0.9,
-            ..hot.clone()
-        };
-        let footprint = |t: &Trace| {
-            let mut s = TraceStats::new();
-            for r in t {
-                s.observe(*r);
-            }
-            s.unique_blocks(4).expect("tracked")
-        };
-        let hot_fp = footprint(&hot.generate(1));
-        let cold_fp = footprint(&cold.generate(1));
-        assert!(
-            cold_fp > hot_fp * 10,
-            "new-block probability drives footprint: hot={hot_fp} cold={cold_fp}"
-        );
     }
 
     #[test]

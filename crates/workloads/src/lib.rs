@@ -5,13 +5,14 @@
 //! synthesises traces with equivalent *structure* (see `DESIGN.md` for the
 //! substitution argument):
 //!
-//! * [`kernels`] — archetypal locality patterns (streaming, tiled 2D walks,
-//!   phased working sets, pointer chasing, reuse-distance-controlled
-//!   streams), each a composable [`kernels::Kernel`];
-//! * [`code`] — a loop-body instruction-fetch model for interleaving ifetch
-//!   traffic the way SimpleScalar traces do;
 //! * [`mediabench`] — six surrogates mirroring the paper's Table 2
-//!   applications (JPEG/G721/MPEG2, encode and decode);
+//!   applications (JPEG/G721/MPEG2, encode and decode), each built from its
+//!   own per-app unit generators;
+//! * [`code`] — a loop-body instruction-fetch model the surrogates use to
+//!   interleave ifetch traffic the way SimpleScalar traces do;
+//! * [`kernels`] — two archetypal locality patterns (streaming and pointer
+//!   chasing) behind the [`kernels::Kernel`] trait, used as inputs to the
+//!   exactness tests;
 //! * [`zipf`] — the popularity distribution shaping temporal locality;
 //! * [`traffic`] — compact, replayable request-mix specs (zipf/loop/scan)
 //!   for the `dew serve` job protocol and the `dew gen` load generator.
@@ -37,6 +38,5 @@
 pub mod code;
 pub mod kernels;
 pub mod mediabench;
-pub mod numeric;
 pub mod traffic;
 pub mod zipf;

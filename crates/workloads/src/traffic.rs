@@ -41,7 +41,7 @@ use crate::zipf::Zipf;
 /// Hot-set footprint of the generated mixes, in 4-byte words. Spans 1 MiB,
 /// comfortably larger than any swept level-1 configuration.
 const FOOTPRINT_WORDS: u64 = 1 << 18;
-/// Zipf exponent: mildly heavy-tailed, matching the sharded-smoke bench.
+/// Zipf exponent: mildly heavy-tailed, matching the sweep-smoke bench.
 const ZIPF_S: f64 = 0.8;
 /// Phase length of [`MixKind::Mix`]: the interleave switches archetype
 /// every this many requests.

@@ -1,9 +1,9 @@
 //! A small table-based Zipf sampler used to shape temporal locality.
 //!
-//! Memory reuse distances in real programs are heavy-tailed; sampling stack
-//! depths from a Zipf distribution is the standard way to synthesise traces
-//! with controllable locality (see the stack-distance generator in
-//! [`crate::kernels::StackDistanceWalk`]).
+//! Memory reuse distances in real programs are heavy-tailed; sampling
+//! popularity ranks from a Zipf distribution is the standard way to
+//! synthesise traces with controllable locality (see the Zipf mixes of
+//! [`crate::traffic`]).
 
 use rand::Rng;
 

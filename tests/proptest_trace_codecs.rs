@@ -1,6 +1,7 @@
-//! Property-based round-trip tests for the trace file formats, and a
+//! Property-based round-trip tests for the trace file formats, a
 //! differential test of the buffered binary decoder against a
-//! byte-at-a-time reference decoder.
+//! byte-at-a-time reference decoder, and hostile-input tests of the `.din`
+//! text reader against a line-by-line reference parse.
 
 use std::io::{self, Read};
 
@@ -137,10 +138,14 @@ impl<R: Read> ByteReader<R> {
         })?;
         let (mut shift, mut value) = (0u32, 0u64);
         loop {
-            let byte = self.byte()?.ok_or(TraceError::Truncated)?;
+            let byte = self.byte()?.ok_or(TraceError::Truncated {
+                position: self.position,
+            })?;
             let payload = u64::from(byte & 0x7f);
             if shift >= 64 || (shift == 63 && payload > 1) {
-                return Err(TraceError::VarintOverflow);
+                return Err(TraceError::VarintOverflow {
+                    position: self.position,
+                });
             }
             value |= payload << shift;
             if byte & 0x80 == 0 {
@@ -309,5 +314,97 @@ proptest! {
         let mut bytes = encode(&records);
         bytes.extend_from_slice(&garbage);
         same_decode(&bytes, &lens, None)?;
+    }
+}
+
+/// One hostile `.din` line: valid records, labels above 2, blank and `#`
+/// lines, lone `\r`s, invalid UTF-8, long lines and arbitrary bytes.
+fn din_line_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        (0u8..3, any::<u32>()).prop_map(|(l, a)| format!("{l} {a:x}").into_bytes()),
+        (3u8..=255, any::<u16>()).prop_map(|(l, a)| format!("{l} {a:x}").into_bytes()),
+        Just(Vec::new()),
+        Just(b"   \t ".to_vec()),
+        Just(b"# comment".to_vec()),
+        Just(b"\r".to_vec()),
+        Just(b"1 2f\r".to_vec()),
+        Just(b"0 1\r0".to_vec()),
+        Just(b"2 \xff20".to_vec()),
+        Just(b"\xc3".to_vec()),
+        Just(b"0 0x10 4".to_vec()),
+        (1usize..400).prop_map(|n| [b"0 ".as_slice(), &vec![b'f'; n]].concat()),
+        (1usize..400).prop_map(|n| vec![b' '; n]),
+        prop::collection::vec(any::<u8>(), 0..24),
+    ]
+}
+
+/// What the reader must yield for `bytes`, parsed line by line: lines are
+/// split at `\n`, numbered from 1, and the reader skips blank and `#`
+/// lines; anything that is not UTF-8 or not a record is an error naming
+/// its line.
+fn din_reference(bytes: &[u8]) -> Vec<Result<Record, (u64, ParseRecordError)>> {
+    let mut out = Vec::new();
+    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+    if lines.last().is_some_and(|l| l.is_empty()) {
+        lines.pop(); // the empty tail after a final newline is no line
+    }
+    for (i, line) in lines.into_iter().enumerate() {
+        let position = i as u64 + 1;
+        let parsed = match std::str::from_utf8(line) {
+            Ok(text) => {
+                let trimmed = text.trim();
+                if trimmed.is_empty() || trimmed.starts_with('#') {
+                    continue;
+                }
+                trimmed.parse::<Record>()
+            }
+            Err(_) => Err(ParseRecordError::NotUtf8),
+        };
+        out.push(parsed.map_err(|e| (position, e)));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn din_reader_survives_hostile_input(
+        lines in prop::collection::vec(din_line_strategy(), 0..40),
+        final_newline in any::<bool>(),
+        capacity in 1usize..64,
+        lens in reads_strategy(16),
+    ) {
+        let mut bytes = lines.join(&b'\n');
+        if final_newline {
+            bytes.push(b'\n');
+        }
+        let line_count = bytes.split(|&b| b == b'\n').count() as u64
+            - u64::from(bytes.last().map_or(true, |&b| b == b'\n'));
+        // A small buffer over short, interrupted reads makes lines
+        // straddle refills.
+        let source = io::BufReader::with_capacity(capacity, ChoppyReader::new(&bytes, &lens, None));
+        let mut got = Vec::new();
+        for item in DinReader::new(source) {
+            let err = match item {
+                Ok(record) => {
+                    got.push(Ok(record));
+                    continue;
+                }
+                Err(err) => err,
+            };
+            prop_assert!(!err.is_transient(), "{}", err);
+            let TraceError::Parse { position, source } = err else {
+                return Err(TestCaseError::fail(format!("not a parse error: {err:?}")));
+            };
+            prop_assert!(
+                (1..=line_count).contains(&position),
+                "position {} outside lines 1..={}", position, line_count
+            );
+            got.push(Err((position, source)));
+        }
+        // Records and errors alike match the line-by-line parse, so the
+        // records before the first error do too.
+        prop_assert_eq!(got, din_reference(&bytes));
     }
 }

@@ -25,7 +25,7 @@ fn cluster_sampling_approximates_the_full_trace() {
     assert!(full_rate > 0.0);
 
     // Keep 25% in clusters of 2500: locality within clusters survives.
-    let sampled = periodic(&full, 10_000, 2_500);
+    let sampled = periodic(full.records(), 10_000, 2_500);
     assert!((retained_fraction(&full, &sampled) - 0.25).abs() < 1e-9);
     let err = relative_error(full_rate, miss_rate(&sampled));
     assert!(
@@ -39,8 +39,11 @@ fn cluster_sampling_approximates_the_full_trace() {
 fn longer_samples_are_more_accurate_than_shorter_ones() {
     let full = App::G721Decode.generate(200_000, 23);
     let full_rate = miss_rate(&full);
-    let coarse = relative_error(full_rate, miss_rate(&periodic(&full, 10_000, 500)));
-    let fine = relative_error(full_rate, miss_rate(&periodic(&full, 10_000, 5_000)));
+    let coarse = relative_error(full_rate, miss_rate(&periodic(full.records(), 10_000, 500)));
+    let fine = relative_error(
+        full_rate,
+        miss_rate(&periodic(full.records(), 10_000, 5_000)),
+    );
     assert!(
         fine <= coarse + 0.02,
         "more sample mass must not hurt accuracy much: fine {fine:.3} vs coarse {coarse:.3}"
@@ -55,7 +58,7 @@ fn stratified_sampling_is_far_less_accurate_than_cluster_sampling() {
     // stride sampling.
     let full = App::JpegEncode.generate(200_000, 29);
     let full_rate = miss_rate(&full);
-    let cluster = periodic(&full, 16_000, 1_000); // 1/16, contiguous
+    let cluster = periodic(full.records(), 16_000, 1_000); // 1/16, contiguous
     let strided = stratified(&full, 16); // 1/16, shredded
     let ratio = cluster.len() as f64 / strided.len() as f64;
     assert!((0.9..1.1).contains(&ratio), "comparable retention: {ratio}");
