@@ -324,11 +324,13 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         });
 
     let start = std::time::Instant::now();
-    // The default sweep decodes the trace once per block size and drives the
-    // fast monomorphized kernel in batches — under either policy the passes
-    // of a block size fuse into one traversal; --counters opts into the
-    // instrumented kernel to report the per-pass work breakdown, and
-    // --sample keeps periodic clusters only.
+    // The default sweep drives the fast monomorphized kernel in batches —
+    // under every policy the passes of a block size fuse into one kernel
+    // traversal. The trace is resident, so each block size reads it on its
+    // own whatever --threads says (a re-read costs nothing and the kernel
+    // runs alone in the cache); --counters opts into the instrumented
+    // kernel to report the per-pass work breakdown, and --sample keeps
+    // periodic clusters only.
     let mut request = SweepRequest::new(&space)
         .policy(policy)
         .threads(threads)

@@ -177,11 +177,13 @@ impl<'a> SweepRequest<'a> {
         Ok(())
     }
 
-    /// Runs the one sweep driver over `source` under this request's plan.
-    fn drive<S: TraceSource>(&self, source: &S) -> Result<SweepOutcome, DewError> {
+    /// Runs the one sweep driver over `source` under this request's plan;
+    /// `resident` says the source is an in-memory trace.
+    fn drive<S: TraceSource>(&self, source: &S, resident: bool) -> Result<SweepOutcome, DewError> {
         run_resilient(
             self.space,
             source,
+            resident,
             self.options,
             self.threads,
             self.instrumented,
@@ -189,7 +191,9 @@ impl<'a> SweepRequest<'a> {
         )
     }
 
-    /// Executes the request over an in-memory trace.
+    /// Executes the request over an in-memory trace. Each block size
+    /// traverses the resident trace on its own, whatever the thread count:
+    /// a re-read costs nothing, and each kernel runs alone in the cache.
     ///
     /// Without [`SweepRequest::resilient`] the sweep runs under a fixed
     /// plain plan: no retries, no checkpoint, and the first job failure
@@ -211,7 +215,7 @@ impl<'a> SweepRequest<'a> {
     pub fn run(&self, records: &[Record]) -> Result<SweepOutcome, DewError> {
         self.check_combos()?;
         let Some((period, sample_len)) = self.sample else {
-            return self.drive(&SliceSource(records));
+            return self.drive(&SliceSource(records), true);
         };
         if period == 0 || sample_len == 0 || sample_len > period {
             return Err(DewError::UnsoundOptions(
@@ -219,10 +223,10 @@ impl<'a> SweepRequest<'a> {
             ));
         }
         if sample_len == period {
-            return self.drive(&SliceSource(records));
+            return self.drive(&SliceSource(records), true);
         }
         let sampled = periodic(records, period, sample_len);
-        let outcome = self.drive(&SliceSource(sampled.records()))?;
+        let outcome = self.drive(&SliceSource(sampled.records()), true)?;
         let bounds = cluster_bounds(
             self.space,
             sampled.records(),
@@ -233,9 +237,13 @@ impl<'a> SweepRequest<'a> {
     }
 
     /// Executes the request over a re-openable [`TraceSource`] in bounded
-    /// memory (the trace is never resident): peak memory per worker is the
-    /// chunk buffer plus geometry-sized kernel state. The source is opened
-    /// once per block size and must replay identically on every open.
+    /// memory (the trace is never resident): peak memory per worker is one
+    /// 65,536-record address buffer plus the geometry-sized state of the
+    /// kernels it feeds. One worker feeds every block size's kernel from
+    /// one open of the source per attempt, so all of them are alive at
+    /// once; two or more workers open it once per block size, each holding
+    /// one kernel at a time. The source must replay identically on every
+    /// open (retries and resumes re-open it).
     ///
     /// Streamed execution supports the plain and resilient plans only.
     /// Under the plain plan the first source error — transient or not —
@@ -255,7 +263,7 @@ impl<'a> SweepRequest<'a> {
                  (no sampling or instrumentation)",
             ));
         }
-        self.drive(source)
+        self.drive(source, false)
     }
 }
 

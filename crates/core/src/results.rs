@@ -440,12 +440,15 @@ impl SweepOutcome {
         self.kernel_backend
     }
 
-    /// How many times the sweep iterated the trace (equivalently, how many
-    /// times it decoded block numbers). Both fused schedulers — FIFO
-    /// through [`crate::MultiAssocTree`]'s per-associativity tag lists, LRU
-    /// through [`crate::lru_tree::LruTreeSimulator`]'s stack property —
-    /// perform exactly one traversal per block size regardless of the
-    /// associativity range.
+    /// How many kernel traversals of the trace the sweep made: how many
+    /// fused kernels each simulated the whole stream. Both fused
+    /// schedulers — FIFO through [`crate::MultiAssocTree`]'s
+    /// per-associativity tag lists, LRU through
+    /// [`crate::lru_tree::LruTreeSimulator`]'s stack property — perform
+    /// exactly one traversal per block size regardless of the
+    /// associativity range. The count does not say how often the source
+    /// was read: a one-worker sweep feeds every block size's kernel from
+    /// one read.
     #[must_use]
     pub const fn trace_traversals(&self) -> u64 {
         self.trace_traversals

@@ -6,10 +6,23 @@
 //! block size are folded into a single traversal on the policy's
 //! [`FusedKernel`] — FIFO multi-assoc lists, or the LRU / tree-PLRU / SLRU
 //! arena lanes (see the `kernel` module docs for the pluggable-kernel
-//! contract). A sweep performs exactly one decode and one traversal per
-//! block size instead of one per pass, and the fused results are fanned
-//! back out into the per-pass [`PassResults`] shape, so [`SweepOutcome`]
-//! is unchanged for callers.
+//! contract). A sweep performs exactly one kernel traversal per block size
+//! instead of one per pass, and the fused results are fanned back out into
+//! the per-pass [`PassResults`] shape, so [`SweepOutcome`] is unchanged for
+//! callers.
+//!
+//! How often the *source* is read depends on the plan. One worker over a
+//! streamed source owns every block size's kernel: it opens the source
+//! once per attempt, fills one address buffer per fill and feeds each
+//! kernel that fill shifted to its block numbers, so the trace is decoded
+//! (or generated) once per sweep and every kernel is alive at once. Two or
+//! more workers claim one block size per traversal instead, each opening
+//! the source itself; that keeps them balanced, since block sizes differ
+//! in cost several-fold. An in-memory trace is free to re-read, so it
+//! keeps one traversal per block size on any worker count (see
+//! [`plan_groups`]). Either way a block size is one kernel traversal
+//! ([`SweepOutcome::trace_traversals`]), and results, counters and
+//! checkpoint images are bit-identical.
 //!
 //! [`crate::SweepRequest`] is the one entry point, and one worker loop
 //! ([`run_resilient`]) runs every plan it can describe:
@@ -207,6 +220,27 @@ fn job_label(block_bits: u32, policy: TreePolicy) -> String {
     format!("block {}B ({policy})", 1u64 << block_bits)
 }
 
+/// The traversal plan: which jobs each traversal of the source feeds.
+///
+/// One worker over a streamed source owns every job and feeds all their
+/// kernels from a single traversal, so the source is opened (and decoded
+/// or generated) once per attempt instead of once per block size. Several
+/// workers claim one job per traversal dynamically instead: block-size
+/// jobs differ in cost several-fold, and a static split of kernels between
+/// workers would leave one idle while another finishes the expensive small
+/// blocks. A `resident` (in-memory) trace costs nothing to re-read, so its
+/// jobs keep one traversal each even on one worker, and each kernel runs
+/// alone in the cache: one shared traversal of a resident 2M-record trace
+/// over the default space ran 9–12% slower, with all seven kernels
+/// alive at once.
+fn plan_groups(workers: usize, jobs: usize, resident: bool) -> Vec<Vec<usize>> {
+    if workers == 1 && !resident {
+        vec![(0..jobs).collect()]
+    } else {
+        (0..jobs).map(|j| vec![j]).collect()
+    }
+}
+
 /// Kernel state restored from a resume checkpoint for one job.
 struct ResumeJob {
     kernel: FusedKernel,
@@ -229,19 +263,22 @@ enum JobOutcome {
     Failed(JobFailure),
 }
 
-/// Internal failure of one job (before it becomes a [`JobFailure`]).
-enum JobError {
-    /// The source failed fatally, or exhausted its retry budget.
-    Source { records_done: u64, message: String },
+/// Why a job stopped short of its results. A traversal that stops fails
+/// every job it still feeds with the same cause, each at its own
+/// position.
+#[derive(Clone)]
+enum Stop {
+    /// The source failed fatally, or exhausted its retry budget; the
+    /// message names the record.
+    Source(String),
     /// Another job aborted the sweep (fail-fast or a broken checkpoint
-    /// store); this job stopped cooperatively.
+    /// store); the traversal stopped cooperatively.
     Aborted,
     /// The sweep's [`crate::CancelToken`] fired (explicit cancel or an
-    /// expired deadline); this job flushed a final checkpoint and stopped.
-    Cancelled {
-        records_done: u64,
-        reason: CancelReason,
-    },
+    /// expired deadline); the job flushed a final checkpoint and stopped.
+    Cancelled(CancelReason),
+    /// The job's kernel, or the traversal feeding it, panicked.
+    Panic(String),
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -255,15 +292,49 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Runs `f`, turning a panic into [`Stop::Panic`]. The state a panic can
+/// leave mid-update is the panicking job's own kernel, which is dropped,
+/// or poison-tolerant (checkpoint mutex), so the unwind boundary is sound
+/// to cross.
+fn isolate<T>(f: impl FnOnce() -> T) -> Result<T, Stop> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map_err(|payload| Stop::Panic(panic_message(payload.as_ref())))
+}
+
+/// One job's kernel while a traversal feeds it.
+struct Lane {
+    /// Index of the job (into the plan's job list).
+    j: usize,
+    kernel: FusedKernel,
+    /// Records the kernel has simulated. A lane resumed further along than
+    /// the traversal is fed only the records past it.
+    position: u64,
+    /// The next checkpoint cadence point (a multiple of the cadence).
+    next_ckpt: Option<u64>,
+    /// A cadence point reached but not yet captured: it is taken at the
+    /// start of the next fill that delivers anything, so a stream ending
+    /// exactly there saves only its completion.
+    pending: bool,
+}
+
 /// Shared state of one sweep, borrowed by every worker.
 struct ResilientRun<'a, S> {
     space: &'a ConfigSpace,
     source: &'a S,
     passes: &'a [PassConfig],
+    jobs: &'a [FusedJob],
     options: DewOptions,
     /// Build instrumented kernels (full [`DewCounters`] breakdown).
     instrument: bool,
     res: &'a Resilience<'a>,
+    /// Per-job kernels restored from the resume checkpoint, taken by the
+    /// worker that claims the job's group.
+    resume: &'a [Mutex<Option<ResumeJob>>],
+    /// Per-job terminal outcome, set exactly once.
+    outcomes: &'a [OnceLock<JobOutcome>],
+    /// Per-job records simulated so far, for the accounting of jobs that
+    /// stop without reporting their own position.
+    positions: &'a [AtomicU64],
     /// The latest per-job captures, drained by the sweep's checkpoint
     /// writer thread (present iff checkpointing is on).
     ckpt: Option<CheckpointLog>,
@@ -278,39 +349,101 @@ struct ResilientRun<'a, S> {
 }
 
 impl<S: TraceSource> ResilientRun<'_, S> {
+    /// The checkpoint cadence in records, if checkpointing is on.
+    fn cadence(&self) -> Option<u64> {
+        self.res.checkpoint.map(|c| c.every.max(1))
+    }
+
     /// Whether the sweep's cancellation token (if any) has fired.
     fn cancel_fired(&self) -> Option<CancelReason> {
         self.res.cancel.and_then(|t| t.cancelled())
     }
 
-    /// Captures the job's kernel at `position` for the checkpoint writer.
-    /// The snapshot is encoded outside any lock and the worker carries on
-    /// at once; the writer persists it with the next image it saves.
-    fn save_checkpoint(
-        &self,
-        block_bits: u32,
-        position: u64,
-        kernel: &FusedKernel,
-        complete: bool,
-    ) {
+    /// Captures the lane's kernel at its position for the checkpoint
+    /// writer. The snapshot is encoded outside any lock and the worker
+    /// carries on at once; the writer persists it with the next image it
+    /// saves.
+    fn capture(&self, lane: &Lane, complete: bool) {
         let Some(log) = &self.ckpt else {
             return;
         };
         if self.ckpt_broken.get().is_some() {
             return;
         }
-        log.update_job(block_bits, position, kernel.to_snapshot(), complete);
+        log.update_job(
+            self.jobs[lane.j].block_bits,
+            lane.position,
+            lane.kernel.to_snapshot(),
+            complete,
+        );
+    }
+
+    /// Records job `j`'s terminal outcome at `position` records. A causal
+    /// failure (source or panic) becomes the sweep's first failure if none
+    /// came before, and aborts a fail-fast sweep.
+    fn settle(
+        &self,
+        j: usize,
+        position: u64,
+        result: Result<Vec<(PassResults, DewCounters)>, Stop>,
+    ) {
+        let block_bits = self.jobs[j].block_bits;
+        let label = job_label(block_bits, self.options.policy);
+        let causal = matches!(result, Err(Stop::Source(_) | Stop::Panic(_)));
+        let failure = |kind, error| JobFailure {
+            block_bits,
+            records_done: position,
+            error,
+            kind,
+        };
+        let outcome = match result {
+            Ok(fanned) => JobOutcome::Done {
+                decoded: position,
+                fanned,
+            },
+            Err(Stop::Aborted) => JobOutcome::Failed(failure(
+                FailureKind::Source,
+                format!("{label}: abandoned after the sweep aborted"),
+            )),
+            // Cancellation is not causal — it never lands in
+            // `first_failure` and never aborts the other jobs (the shared
+            // token reaches each of them directly).
+            Err(Stop::Cancelled(reason)) => JobOutcome::Failed(failure(
+                FailureKind::Cancelled,
+                format!("{label}: {reason} after {position} records"),
+            )),
+            Err(Stop::Source(why)) => {
+                JobOutcome::Failed(failure(FailureKind::Source, format!("{label}: {why}")))
+            }
+            Err(Stop::Panic(why)) => JobOutcome::Failed(failure(
+                FailureKind::Panic,
+                format!("{label}: worker panicked: {why}"),
+            )),
+        };
+        if let (true, JobOutcome::Failed(f)) = (causal, &outcome) {
+            let _ = self.first_failure.set(f.clone());
+            if self.res.fail_fast {
+                self.abort.store(true, Ordering::Relaxed);
+            }
+        }
+        let claimed = self.outcomes[j].set(outcome);
+        assert!(claimed.is_ok(), "job {j} settled exactly once");
+    }
+
+    /// The per-pass results of job `j`'s finished kernel, parallel to its
+    /// `pass_idx`.
+    fn fan_out(&self, j: usize, kernel: &FusedKernel) -> Vec<(PassResults, DewCounters)> {
+        self.jobs[j]
+            .pass_idx
+            .iter()
+            .map(|&i| kernel.fan_out(self.passes[i].assoc()))
+            .collect()
     }
 
     /// Opens the source and replays it to `position`, retrying transient
     /// failures (of the open *and* of reads during the replay) against the
     /// shared no-progress attempt budget.
-    fn open_skip(
-        &self,
-        position: u64,
-        attempts: &mut u32,
-        label: &str,
-    ) -> Result<S::Iter, JobError> {
+    fn open_skip(&self, position: u64, attempts: &mut u32) -> Result<S::Iter, Stop> {
         let retry = self.res.retry;
         loop {
             match self.source.open() {
@@ -325,14 +458,11 @@ impl<S: TraceSource> ResilientRun<'_, S> {
                                 break;
                             }
                             None => {
-                                return Err(JobError::Source {
-                                    records_done: position,
-                                    message: format!(
-                                        "{label}: source ended at record {skipped} while \
-                                         replaying to {position} — a resumable source must \
-                                         replay identically on every open"
-                                    ),
-                                })
+                                return Err(Stop::Source(format!(
+                                    "source ended at record {skipped} while replaying to \
+                                     {position} — a resumable source must replay identically \
+                                     on every open"
+                                )))
                             }
                         }
                     }
@@ -344,10 +474,9 @@ impl<S: TraceSource> ResilientRun<'_, S> {
                             self.res.sleeper.sleep(retry.delay(*attempts));
                         }
                         Some(e) => {
-                            return Err(JobError::Source {
-                                records_done: position,
-                                message: format!("{label}: replaying to record {position}: {e}"),
-                            })
+                            return Err(Stop::Source(format!(
+                                "replaying to record {position}: {e}"
+                            )))
                         }
                     }
                 }
@@ -356,179 +485,240 @@ impl<S: TraceSource> ResilientRun<'_, S> {
                     self.retries_total.fetch_add(1, Ordering::Relaxed);
                     self.res.sleeper.sleep(retry.delay(*attempts));
                 }
-                Err(e) => {
-                    return Err(JobError::Source {
-                        records_done: position,
-                        message: format!("{label}: opening source: {e}"),
-                    })
-                }
+                Err(e) => return Err(Stop::Source(format!("opening source: {e}"))),
             }
             if self.abort.load(Ordering::Relaxed) {
-                return Err(JobError::Aborted);
+                return Err(Stop::Aborted);
             }
             if let Some(reason) = self.cancel_fired() {
-                return Err(JobError::Cancelled {
-                    records_done: position,
-                    reason,
-                });
+                return Err(Stop::Cancelled(reason));
             }
         }
     }
 
-    /// Runs one fused job to the end of the stream (or resumes a finished
-    /// one straight to fan-out). Returns the records consumed and the
-    /// per-pass results, parallel to `job.pass_idx`.
-    ///
-    /// The record loop fills its own block buffer up to the next *stop* —
-    /// a full chunk or a checkpoint point — so it can flush at exact
-    /// positions, and it flushes delivered records before handling a
-    /// mid-fill fault. The stop checks run once per fill, not once per
-    /// record. The kernels consume blocks one at a time, so how the stream
-    /// is cut into fills never affects results; that invariance is what
-    /// makes checkpoint resume and retry replay bit-exact.
-    fn run_job(
-        &self,
-        job: &FusedJob,
-        resume: Option<ResumeJob>,
-        position_out: &AtomicU64,
-    ) -> Result<(u64, Vec<(PassResults, DewCounters)>), JobError> {
-        let label = job_label(job.block_bits, self.options.policy);
-        let (mut kernel, mut position, complete) = match resume {
-            Some(r) => (r.kernel, r.records_done, r.complete),
-            None => (
-                FusedKernel::build(
-                    job.block_bits,
-                    self.space.set_bits(),
-                    job.assoc_bits,
-                    self.options,
-                    self.instrument,
-                )
-                .expect("pass geometry and options validated above"),
-                0,
-                false,
-            ),
-        };
-        position_out.store(position, Ordering::Relaxed);
-        if !complete {
-            let retry = self.res.retry;
-            let every = self.res.checkpoint.map(|c| c.every.max(1));
-            let mut next_ckpt = every.map(|e| (position / e + 1) * e);
-            // A cadence point reached but not yet captured: it is taken at
-            // the start of the next fill that delivers anything, so a
-            // stream ending exactly there saves only its completion.
-            let mut pending = false;
-            let mut attempts = 0u32;
-            let mut last_fault: Option<u64> = None;
-            let mut buf = vec![0u64; BlockChunks::DEFAULT_CHUNK];
-            // A token that fired before this job started (an already-expired
-            // deadline, a drain in progress) stops it before any decode; the
-            // resume state captured here is the job's honest position.
-            if let Some(reason) = self.cancel_fired() {
-                self.save_checkpoint(job.block_bits, position, &kernel, false);
-                return Err(JobError::Cancelled {
-                    records_done: position,
-                    reason,
+    /// Runs one group of jobs to the end of the stream and settles each.
+    /// A job resumed complete goes straight to fan-out; the others become
+    /// lanes of one traversal.
+    fn run_group(&self, group: &[usize]) {
+        let every = self.cadence();
+        let mut lanes = Vec::with_capacity(group.len());
+        for &j in group {
+            let job = &self.jobs[j];
+            let resume = self.resume[j]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            let (kernel, position, complete) = match resume {
+                Some(r) => (r.kernel, r.records_done, r.complete),
+                None => (
+                    FusedKernel::build(
+                        job.block_bits,
+                        self.space.set_bits(),
+                        job.assoc_bits,
+                        self.options,
+                        self.instrument,
+                    )
+                    .expect("pass geometry and options validated above"),
+                    0,
+                    false,
+                ),
+            };
+            self.positions[j].store(position, Ordering::Relaxed);
+            if complete {
+                // The completion record makes a resume skip the job: its
+                // kernel snapshot fans out the final results.
+                self.settle(j, position, isolate(|| self.fan_out(j, &kernel)));
+            } else {
+                lanes.push(Lane {
+                    j,
+                    kernel,
+                    position,
+                    next_ckpt: every.map(|e| (position / e + 1) * e),
+                    pending: false,
                 });
             }
-            'stream: loop {
-                let mut iter = self.open_skip(position, &mut attempts, &label)?;
-                loop {
-                    let full = position + buf.len() as u64;
-                    let stop = next_ckpt.map_or(full, |c| c.min(full));
-                    // `stop - position` is at most the buffer length.
-                    let want = (stop - position) as usize;
-                    let mut filled = 0;
-                    let mut fault: Option<TraceError> = None;
-                    let mut ended = false;
-                    for slot in &mut buf[..want] {
-                        match iter.next() {
-                            Some(Ok(rec)) => *slot = rec.addr >> job.block_bits,
-                            Some(Err(e)) => {
-                                fault = Some(e);
-                                break;
-                            }
-                            None => {
-                                ended = true;
-                                break;
-                            }
-                        }
-                        filled += 1;
+        }
+        if lanes.is_empty() {
+            return;
+        }
+        // Ascending block sizes let one buffer be shifted lane by lane.
+        lanes.sort_by_key(|lane| self.jobs[lane.j].block_bits);
+        match self.traverse(&mut lanes) {
+            Ok(end) => {
+                for lane in lanes {
+                    if lane.position > end {
+                        let why = format!(
+                            "source ended at record {end} while replaying to {} — a resumable \
+                             source must replay identically on every open",
+                            lane.position
+                        );
+                        self.settle(lane.j, lane.position, Err(Stop::Source(why)));
+                        continue;
                     }
-                    if pending && (filled > 0 || fault.is_some()) {
-                        self.save_checkpoint(job.block_bits, position, &kernel, false);
-                    }
-                    pending = false;
-                    // Delivered records are real progress: simulate them
-                    // before judging a fault, so a retry replays from the
-                    // exact failure point.
-                    if filled > 0 {
-                        kernel.run_blocks(&buf[..filled]);
-                    }
-                    position += filled as u64;
-                    position_out.store(position, Ordering::Relaxed);
-                    if let Some(e) = fault {
-                        if !e.is_transient() {
-                            return Err(JobError::Source {
-                                records_done: position,
-                                message: format!("{label}: at record {position}: {e}"),
-                            });
-                        }
-                        // The attempt budget bounds *stalls*, not total
-                        // faults over a long stream: progress since the
-                        // previous fault earns a fresh budget.
-                        if last_fault.is_some_and(|p| position > p) {
-                            attempts = 0;
-                        }
-                        last_fault = Some(position);
-                        if attempts >= retry.max_retries {
-                            return Err(JobError::Source {
-                                records_done: position,
-                                message: format!(
-                                    "{label}: at record {position}: {e} \
-                                     (gave up after {attempts} retries without progress)"
-                                ),
-                            });
-                        }
-                        attempts += 1;
-                        self.retries_total.fetch_add(1, Ordering::Relaxed);
-                        self.res.sleeper.sleep(retry.delay(attempts));
-                        continue 'stream;
-                    }
-                    if ended {
-                        break 'stream;
-                    }
-                    if next_ckpt == Some(position) {
-                        pending = true;
-                        next_ckpt = every.map(|e| position + e);
-                    }
-                    if self.abort.load(Ordering::Relaxed) {
-                        if pending {
-                            self.save_checkpoint(job.block_bits, position, &kernel, false);
-                        }
-                        return Err(JobError::Aborted);
-                    }
-                    // Cooperative cancellation: the fill above was flushed
-                    // into the kernel, so the final checkpoint captures
-                    // exactly the simulated prefix.
-                    if let Some(reason) = self.cancel_fired() {
-                        self.save_checkpoint(job.block_bits, position, &kernel, false);
-                        return Err(JobError::Cancelled {
-                            records_done: position,
-                            reason,
-                        });
-                    }
+                    // The completion record makes a resume skip this job
+                    // entirely (its kernel snapshot still fans out the
+                    // final results).
+                    self.capture(&lane, true);
+                    let fanned = isolate(|| self.fan_out(lane.j, &lane.kernel));
+                    self.settle(lane.j, lane.position, fanned);
                 }
             }
-            // The completion record makes a resume skip this job entirely
-            // (its kernel snapshot still fans out the final results).
-            self.save_checkpoint(job.block_bits, position, &kernel, true);
+            Err(stop) => {
+                for lane in lanes {
+                    self.settle(lane.j, lane.position, Err(stop.clone()));
+                }
+            }
         }
-        let fanned = job
-            .pass_idx
-            .iter()
-            .map(|&i| kernel.fan_out(self.passes[i].assoc()))
-            .collect();
-        Ok((position, fanned))
+    }
+
+    /// Feeds every lane from one traversal of the source (re-opened on
+    /// each retry) until the stream ends, returning its length. A lane
+    /// whose kernel panics is settled and dropped; the others run on.
+    ///
+    /// The record loop fills one address buffer up to the next *stop* — a
+    /// full chunk or a lane's checkpoint point — so it can capture at
+    /// exact positions, and it flushes delivered records before handling
+    /// a mid-fill fault. The stop checks run once per fill, not once per
+    /// record. Each lane gets the fill shifted to its block numbers. The
+    /// kernels consume blocks one at a time, so how the stream is cut into
+    /// fills never affects results; that invariance is what makes
+    /// checkpoint resume and retry replay bit-exact.
+    fn traverse(&self, lanes: &mut Vec<Lane>) -> Result<u64, Stop> {
+        let retry = self.res.retry;
+        let every = self.cadence();
+        // A token that fired before the traversal started (an
+        // already-expired deadline, a drain in progress) stops it before
+        // any decode; the resume state captured here is each job's honest
+        // position.
+        if let Some(reason) = self.cancel_fired() {
+            for lane in lanes.iter() {
+                self.capture(lane, false);
+            }
+            return Err(Stop::Cancelled(reason));
+        }
+        let mut position = lanes.iter().map(|l| l.position).min().unwrap_or(0);
+        let mut attempts = 0u32;
+        let mut last_fault: Option<u64> = None;
+        let mut buf = vec![0u64; BlockChunks::DEFAULT_CHUNK];
+        'stream: loop {
+            let mut iter = self.open_skip(position, &mut attempts)?;
+            loop {
+                let full = position + buf.len() as u64;
+                let next_stop = lanes
+                    .iter()
+                    .filter_map(|l| l.next_ckpt)
+                    .fold(full, u64::min);
+                // Every lane is at or past `position` and its cadence
+                // point is beyond its own position, so `next_stop` is past
+                // `position` by at most the buffer length.
+                let want = (next_stop - position) as usize;
+                // The fill holds the narrowest lane's block numbers; each
+                // wider lane shifts them on (lanes ascend in block size).
+                let base = self.jobs[lanes[0].j].block_bits;
+                let mut filled = 0;
+                let mut fault: Option<TraceError> = None;
+                let mut ended = false;
+                for slot in &mut buf[..want] {
+                    match iter.next() {
+                        Some(Ok(rec)) => *slot = rec.addr >> base,
+                        Some(Err(e)) => {
+                            fault = Some(e);
+                            break;
+                        }
+                        None => {
+                            ended = true;
+                            break;
+                        }
+                    }
+                    filled += 1;
+                }
+                // Delivered records are real progress: simulate them
+                // before judging a fault, so a retry replays from the
+                // exact failure point.
+                let mut shifted = base;
+                lanes.retain_mut(|lane| {
+                    if lane.pending && (filled > 0 || fault.is_some()) {
+                        self.capture(lane, false);
+                    }
+                    lane.pending = false;
+                    let block_bits = self.jobs[lane.j].block_bits;
+                    if block_bits > shifted {
+                        for a in &mut buf[..filled] {
+                            *a >>= block_bits - shifted;
+                        }
+                        shifted = block_bits;
+                    }
+                    let end = position + filled as u64;
+                    if lane.position >= end {
+                        return true;
+                    }
+                    let fresh = &buf[(lane.position - position) as usize..filled];
+                    let fed = isolate(|| lane.kernel.run_blocks(fresh));
+                    match fed {
+                        Ok(()) => {
+                            lane.position = end;
+                            self.positions[lane.j].store(end, Ordering::Relaxed);
+                            true
+                        }
+                        Err(stop) => {
+                            self.settle(lane.j, lane.position, Err(stop));
+                            false
+                        }
+                    }
+                });
+                position += filled as u64;
+                if lanes.is_empty() {
+                    break 'stream;
+                }
+                if let Some(e) = fault {
+                    if !e.is_transient() {
+                        return Err(Stop::Source(format!("at record {position}: {e}")));
+                    }
+                    // The attempt budget bounds *stalls*, not total faults
+                    // over a long stream: progress since the previous
+                    // fault earns a fresh budget.
+                    if last_fault.is_some_and(|p| position > p) {
+                        attempts = 0;
+                    }
+                    last_fault = Some(position);
+                    if attempts >= retry.max_retries {
+                        return Err(Stop::Source(format!(
+                            "at record {position}: {e} \
+                             (gave up after {attempts} retries without progress)"
+                        )));
+                    }
+                    attempts += 1;
+                    self.retries_total.fetch_add(1, Ordering::Relaxed);
+                    self.res.sleeper.sleep(retry.delay(attempts));
+                    continue 'stream;
+                }
+                if ended {
+                    break 'stream;
+                }
+                for lane in lanes.iter_mut() {
+                    if lane.next_ckpt == Some(lane.position) {
+                        lane.pending = true;
+                        lane.next_ckpt = every.map(|e| lane.position + e);
+                    }
+                }
+                if self.abort.load(Ordering::Relaxed) {
+                    for lane in lanes.iter().filter(|lane| lane.pending) {
+                        self.capture(lane, false);
+                    }
+                    return Err(Stop::Aborted);
+                }
+                // Cooperative cancellation: the fill above was flushed
+                // into the kernels, so the final checkpoints capture
+                // exactly the simulated prefixes.
+                if let Some(reason) = self.cancel_fired() {
+                    for lane in lanes.iter() {
+                        self.capture(lane, false);
+                    }
+                    return Err(Stop::Cancelled(reason));
+                }
+            }
+        }
+        Ok(position)
     }
 }
 
@@ -540,6 +730,9 @@ impl<S: TraceSource> ResilientRun<'_, S> {
 /// [`SweepOutcome::failed_jobs`] / [`SweepOutcome::retries`] /
 /// [`SweepOutcome::records_lost`] tell the truth about what was lost).
 ///
+/// `resident` marks an in-memory `source`, which [`plan_groups`] never
+/// shares between jobs.
+///
 /// Resuming from a checkpoint is **bit-identical** to the uninterrupted
 /// sweep: a checkpoint stores each job's exact kernel snapshot at an exact
 /// record position, restoring a snapshot is an identity (property-tested),
@@ -547,6 +740,7 @@ impl<S: TraceSource> ResilientRun<'_, S> {
 pub(crate) fn run_resilient<S: TraceSource>(
     space: &ConfigSpace,
     source: &S,
+    resident: bool,
     options: DewOptions,
     threads: usize,
     instrument: bool,
@@ -602,13 +796,19 @@ pub(crate) fn run_resilient<S: TraceSource>(
         }
     }
 
-    let run = ResilientRun {
+    let outcomes: Vec<OnceLock<JobOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    let positions: Vec<AtomicU64> = jobs.iter().map(|_| AtomicU64::new(0)).collect();
+    let state = ResilientRun {
         space,
         source,
         passes: &passes,
+        jobs: &jobs,
         options,
         instrument,
         res,
+        resume: &resume_slots,
+        outcomes: &outcomes,
+        positions: &positions,
         ckpt: res
             .checkpoint
             .map(|_| CheckpointLog::new(fingerprint, options.policy, res.resume)),
@@ -618,11 +818,10 @@ pub(crate) fn run_resilient<S: TraceSource>(
         retries_total: AtomicU64::new(0),
     };
 
-    let outcomes: Vec<OnceLock<JobOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
-    let positions: Vec<AtomicU64> = jobs.iter().map(|_| AtomicU64::new(0)).collect();
     let workers = worker_count(threads, jobs.len());
+    let groups = plan_groups(workers, jobs.len(), resident);
     let next = AtomicUsize::new(0);
-    let run = &run;
+    let run = &state;
     let writer = run.ckpt.as_ref().zip(res.checkpoint);
     std::thread::scope(|s| {
         // One writer per checkpointing sweep persists the workers' captures
@@ -652,81 +851,20 @@ pub(crate) fn run_resilient<S: TraceSource>(
                 if run.abort.load(Ordering::Relaxed) {
                     break;
                 }
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(j) else { break };
-                let resume = resume_slots[j]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take();
-                // Panic isolation: a kernel blow-up fails this job, not the
-                // sweep. The shared state a panic could leave mid-update is
-                // per-job (kernel, buffers) or poison-tolerant (checkpoint
-                // mutex), so the unwind boundary is sound to cross.
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run.run_job(job, resume, &positions[j])
-                }));
-                let outcome = match caught {
-                    Ok(Ok((decoded, fanned))) => JobOutcome::Done { decoded, fanned },
-                    Ok(Err(JobError::Source {
-                        records_done,
-                        message,
-                    })) => {
-                        let failure = JobFailure {
-                            block_bits: job.block_bits,
-                            records_done,
-                            error: message,
-                            kind: FailureKind::Source,
-                        };
-                        let _ = run.first_failure.set(failure.clone());
-                        if run.res.fail_fast {
-                            run.abort.store(true, Ordering::Relaxed);
+                let g = next.fetch_add(1, Ordering::Relaxed);
+                let Some(group) = groups.get(g) else { break };
+                // Panic isolation: a kernel blow-up fails its own job
+                // inside the traversal and the other lanes run on; a panic
+                // anywhere else (the source, a snapshot) fails every job
+                // of the group that has not settled, not the sweep.
+                if let Err(stop) = isolate(|| run.run_group(group)) {
+                    for &j in group {
+                        if run.outcomes[j].get().is_none() {
+                            let position = run.positions[j].load(Ordering::Relaxed);
+                            run.settle(j, position, Err(stop.clone()));
                         }
-                        JobOutcome::Failed(failure)
                     }
-                    Ok(Err(JobError::Aborted)) => JobOutcome::Failed(JobFailure {
-                        block_bits: job.block_bits,
-                        records_done: positions[j].load(Ordering::Relaxed),
-                        error: format!(
-                            "{}: abandoned after the sweep aborted",
-                            job_label(job.block_bits, options.policy)
-                        ),
-                        kind: FailureKind::Source,
-                    }),
-                    // Cancellation is not causal — it never lands in
-                    // `first_failure` and never aborts the other jobs
-                    // (the shared token reaches each of them directly).
-                    Ok(Err(JobError::Cancelled {
-                        records_done,
-                        reason,
-                    })) => JobOutcome::Failed(JobFailure {
-                        block_bits: job.block_bits,
-                        records_done,
-                        error: format!(
-                            "{}: {reason} after {records_done} records",
-                            job_label(job.block_bits, options.policy)
-                        ),
-                        kind: FailureKind::Cancelled,
-                    }),
-                    Err(payload) => {
-                        let failure = JobFailure {
-                            block_bits: job.block_bits,
-                            records_done: positions[j].load(Ordering::Relaxed),
-                            error: format!(
-                                "{}: worker panicked: {}",
-                                job_label(job.block_bits, options.policy),
-                                panic_message(payload.as_ref())
-                            ),
-                            kind: FailureKind::Panic,
-                        };
-                        let _ = run.first_failure.set(failure.clone());
-                        if run.res.fail_fast {
-                            run.abort.store(true, Ordering::Relaxed);
-                        }
-                        JobOutcome::Failed(failure)
-                    }
-                };
-                let claimed = outcomes[j].set(outcome);
-                assert!(claimed.is_ok(), "job {j} claimed by exactly one worker");
+                }
             }));
         }
         let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
@@ -742,7 +880,13 @@ pub(crate) fn run_resilient<S: TraceSource>(
         }
     });
 
-    if let Some(why) = run.ckpt_broken.get() {
+    let ResilientRun {
+        ckpt_broken,
+        first_failure,
+        retries_total,
+        ..
+    } = state;
+    if let Some(why) = ckpt_broken.get() {
         return Err(DewError::Checkpoint(why.clone()));
     }
 
@@ -771,7 +915,7 @@ pub(crate) fn run_resilient<S: TraceSource>(
             }
         }
     }
-    let retries = run.retries_total.load(Ordering::Relaxed);
+    let retries = retries_total.load(Ordering::Relaxed);
 
     // Fail-fast runs and total losses escalate to a sweep-level error; a
     // degraded run with at least one surviving job returns partial results.
@@ -781,7 +925,7 @@ pub(crate) fn run_resilient<S: TraceSource>(
         FailureKind::Cancelled => DewError::Cancelled(f.error.clone()),
     };
     if res.fail_fast {
-        if let Some(f) = run.first_failure.get() {
+        if let Some(f) = first_failure.get() {
             return Err(escalate(f));
         }
     }
@@ -791,8 +935,7 @@ pub(crate) fn run_resilient<S: TraceSource>(
         // print a resume hint); genuine total losses stay hard errors.
         let cancelled_only = failed.iter().all(|f| f.kind == FailureKind::Cancelled);
         if res.fail_fast || !cancelled_only {
-            let f = run
-                .first_failure
+            let f = first_failure
                 .get()
                 .or_else(|| failed.first())
                 .expect("a sweep with no surviving jobs recorded a failure");
@@ -839,6 +982,7 @@ mod tests {
     use crate::checkpoint::SweepCheckpoint;
     use crate::request::SweepRequest;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
+    use dew_trace::TraceError;
 
     /// The request every test below starts from.
     fn req(space: &ConfigSpace, options: DewOptions, threads: usize) -> SweepRequest<'_> {
@@ -1306,8 +1450,10 @@ mod tests {
     }
 
     /// A source that truncates to 100 records with a fatal error — but only
-    /// on its second open (ordinal 1), which under one worker is the 8-byte
-    /// block job. Every other open replays the full trace cleanly.
+    /// on its second open (ordinal 1). Every other open replays the full
+    /// trace cleanly. With one traversal per job (as many workers as
+    /// jobs), exactly one job meets the truncation; which one depends on
+    /// the order the workers open the source in.
     fn second_open_truncates<'a>(
         records: &'a [Record],
         opens: &'a AtomicU64,
@@ -1335,25 +1481,29 @@ mod tests {
         let opens = AtomicU64::new(0);
         let source = second_open_truncates(&records, &opens);
         let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-        let outcome = req(&space, DewOptions::default(), 1)
+        let outcome = req(&space, DewOptions::default(), 3)
             .resilient(&res)
             .run_streamed(&source)
             .expect("degraded mode returns partial results");
+        assert_eq!(opens.load(Ordering::Relaxed), 3, "one traversal per job");
         assert!(outcome.is_partial());
         assert_eq!(outcome.retries(), 0, "fatal errors are not retried");
         let failed = outcome.failed_jobs();
         assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].block_bits, 3, "the 8-byte job died");
+        let dead = 1u32 << failed[0].block_bits;
         assert_eq!(failed[0].records_done, 100);
         assert_eq!(failed[0].kind, FailureKind::Source);
-        assert!(failed[0].error.contains("block 8B"), "{}", failed[0].error);
-        assert!(outcome.config_error(8).is_some());
-        assert!(outcome.config_error(4).is_none());
-        assert!(outcome.config_error(16).is_none());
+        assert!(
+            failed[0].error.contains(&format!("block {dead}B")),
+            "{}",
+            failed[0].error
+        );
         // The miss table is honest: surviving blocks answer, the dead one
         // does not.
-        assert!(outcome.misses(1, 2, 4).is_some());
-        assert!(outcome.misses(1, 2, 8).is_none());
+        for block in [4, 8, 16] {
+            assert_eq!(outcome.config_error(block).is_some(), block == dead);
+            assert_eq!(outcome.misses(1, 2, block).is_none(), block == dead);
+        }
         assert_eq!(outcome.records_lost(), outcome.accesses() - 100);
     }
 
@@ -1401,32 +1551,96 @@ mod tests {
         let res = Resilience::new()
             .fail_fast(true)
             .with_sleeper(&crate::resilience::NoSleep);
-        let err = req(&space, DewOptions::default(), 1)
+        let err = req(&space, DewOptions::default(), 3)
             .resilient(&res)
             .run_streamed(&source)
             .expect_err("fail-fast aborts");
         let DewError::TraceRead(msg) = &err else {
             panic!("expected TraceRead, got {err}");
         };
-        assert!(msg.contains("block 8B"), "{msg}");
+        assert!(
+            msg.contains("block ") && msg.contains("at record 100"),
+            "{msg}"
+        );
+
+        // One worker feeds every job from one traversal: a fatal fault
+        // fails them all, and fail-fast escalates the first job's.
+        let truncated = || {
+            let mut items: Vec<Result<Record, dew_trace::TraceError>> =
+                records.iter().copied().map(Ok).take(100).collect();
+            items.push(Err(dew_trace::TraceError::Truncated { position: 101 }));
+            Ok(items.into_iter())
+        };
+        let err = req(&space, DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&truncated)
+            .expect_err("fail-fast aborts");
+        let DewError::TraceRead(msg) = &err else {
+            panic!("expected TraceRead, got {err}");
+        };
+        assert!(
+            msg.contains("block 4B") && msg.contains("at record 100"),
+            "{msg}"
+        );
     }
 
     #[test]
     fn worker_panics_are_isolated_into_job_failures() {
         let space = ConfigSpace::new((0, 2), (2, 4), (0, 1)).expect("valid");
-        let records = trace(400);
+        // The top address is the kernels' sentinel block at 1-byte blocks
+        // only: the 1-byte kernel panics on it, the 2- and 4-byte ones do
+        // not.
+        let wide = ConfigSpace::new((0, 2), (0, 2), (0, 1)).expect("valid");
+        let mut records = trace(400);
+        records[50] = Record::read(u64::MAX);
+        let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
+        // One worker feeds all three kernels from one traversal: the
+        // 1-byte kernel's panic fails its own job, and the other kernels
+        // run on to the same results the per-job schedule gives them.
+        let opens = AtomicU64::new(0);
+        let source = || {
+            opens.fetch_add(1, Ordering::Relaxed);
+            Ok(records.iter().copied().map(Ok::<Record, TraceError>))
+        };
+        let one = req(&wide, DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("panic degrades, not aborts");
+        assert_eq!(opens.load(Ordering::Relaxed), 1);
+        assert!(one.is_partial());
+        let failed = one.failed_jobs();
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].kind, FailureKind::Panic);
+        assert_eq!(failed[0].block_bits, 0);
+        assert_eq!(failed[0].records_done, 0, "the panicking fill is lost");
+        assert!(
+            failed[0].error.contains("block 1B")
+                && failed[0].error.contains("exceeds the supported range"),
+            "{}",
+            failed[0].error
+        );
+        assert_eq!(one.accesses(), 400);
+        let per_job = req(&wide, DewOptions::default(), 3)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("panic degrades, not aborts");
+        assert_eq!(one.sorted(), per_job.sorted());
+        assert_eq!(one.failed_jobs(), per_job.failed_jobs());
+
+        // A panic in the source itself, with one traversal per job, fails
+        // the one job whose traversal met it.
+        let clean = trace(400);
         let opens = AtomicU64::new(0);
         let source = move || {
             let ordinal = opens.fetch_add(1, Ordering::Relaxed);
-            Ok(records.clone().into_iter().enumerate().map(move |(i, r)| {
+            Ok(clean.clone().into_iter().enumerate().map(move |(i, r)| {
                 if ordinal == 1 && i == 50 {
-                    panic!("injected kernel panic");
+                    panic!("injected source panic");
                 }
                 Ok::<Record, dew_trace::TraceError>(r)
             }))
         };
-        let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-        let outcome = req(&space, DewOptions::default(), 1)
+        let outcome = req(&space, DewOptions::default(), 3)
             .resilient(&res)
             .run_streamed(&source)
             .expect("panic degrades, not aborts");
@@ -1435,7 +1649,7 @@ mod tests {
         assert_eq!(failed.len(), 1);
         assert_eq!(failed[0].kind, FailureKind::Panic);
         assert!(
-            failed[0].error.contains("injected kernel panic"),
+            failed[0].error.contains("injected source panic"),
             "{}",
             failed[0].error
         );
@@ -1446,7 +1660,7 @@ mod tests {
         let panicking = move || {
             Ok(stream.clone().into_iter().enumerate().map(|(i, r)| {
                 if i == 50 {
-                    panic!("injected kernel panic");
+                    panic!("injected source panic");
                 }
                 Ok::<Record, dew_trace::TraceError>(r)
             }))
@@ -1457,7 +1671,7 @@ mod tests {
         let DewError::WorkerPanic(msg) = &err else {
             panic!("expected WorkerPanic, got {err}");
         };
-        assert!(msg.contains("injected kernel panic"), "{msg}");
+        assert!(msg.contains("injected source panic"), "{msg}");
     }
 
     #[test]
@@ -1734,18 +1948,14 @@ mod tests {
         assert!(outcome.is_partial());
         let failed = outcome.failed_jobs();
         assert_eq!(failed.len(), 3, "all three block-size jobs stopped");
-        assert!(failed.iter().all(|f| f.kind == FailureKind::Cancelled));
-        // The first job was caught at the 500-record chunk boundary after
-        // the token fired at 400; later jobs never simulated a record.
-        let first = failed
-            .iter()
-            .find(|f| f.records_done == 500)
-            .expect("mid-stream job");
-        assert!(
-            first.error.contains("cancelled after 500"),
-            "{}",
-            first.error
-        );
+        // One worker feeds the three kernels from one traversal: all were
+        // caught at the 500-record checkpoint stop after the token fired
+        // at 400.
+        for f in failed {
+            assert_eq!(f.kind, FailureKind::Cancelled);
+            assert_eq!(f.records_done, 500);
+            assert!(f.error.contains("cancelled after 500"), "{}", f.error);
+        }
 
         // The final checkpoint images make the interrupted sweep resumable:
         // a resume (without the token) completes bit-identically.
@@ -1760,6 +1970,271 @@ mod tests {
             .expect("resumed run");
         assert!(!resumed.is_partial());
         assert_eq!(resumed.sorted(), baseline.sorted());
+    }
+
+    /// A boxed record stream, so test sources can share one iterator type.
+    type Stream<'a> = Box<dyn Iterator<Item = Result<Record, TraceError>> + 'a>;
+
+    /// A source over `records` that counts its opens in `opens` and trips
+    /// `token` (if any) as it delivers record `trip_at` of every open.
+    fn counted<'a>(
+        records: &'a [Record],
+        opens: &'a AtomicU64,
+        trip: Option<(&'a crate::cancel::CancelToken, usize)>,
+    ) -> impl Fn() -> Result<Stream<'a>, TraceError> + Sync + 'a {
+        move || {
+            opens.fetch_add(1, Ordering::Relaxed);
+            Ok(Box::new(records.iter().enumerate().map(move |(i, &r)| {
+                if let Some((token, at)) = trip {
+                    if i == at {
+                        token.cancel();
+                    }
+                }
+                Ok(r)
+            })) as Stream<'a>)
+        }
+    }
+
+    #[test]
+    fn one_worker_opens_the_source_once_per_sweep() {
+        // A resident trace keeps one traversal per job on one worker.
+        assert_eq!(plan_groups(1, 3, false), [vec![0, 1, 2]]);
+        assert_eq!(plan_groups(1, 3, true), [[0], [1], [2]]);
+        assert_eq!(plan_groups(2, 3, false), [[0], [1], [2]]);
+        let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
+        let records = trace(900);
+        for options in [DewOptions::default(), lru_options()] {
+            let baseline = req(&space, options, 1).run(&records).expect("sweep");
+            for (threads, want) in [(1, 1), (3, 3), (8, 3)] {
+                let opens = AtomicU64::new(0);
+                let outcome = req(&space, options, threads)
+                    .run_streamed(&counted(&records, &opens, None))
+                    .expect("stream");
+                assert_eq!(opens.load(Ordering::Relaxed), want, "threads {threads}");
+                assert_eq!(outcome.trace_traversals(), 3, "one per block size");
+                assert_eq!(outcome.sorted(), baseline.sorted(), "threads {threads}");
+                assert_eq!(outcome.passes(), baseline.passes(), "threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_transient_fault_mid_fill_retries_the_whole_group() {
+        let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
+        let records = trace(1000);
+        let baseline = req(&space, DewOptions::default(), 3)
+            .run(&records)
+            .expect("sweep");
+        // The first open delivers 300 records and then a transient fault;
+        // every later open replays the trace cleanly.
+        let opens = AtomicU64::new(0);
+        let source = || {
+            let first = opens.fetch_add(1, Ordering::Relaxed) == 0;
+            let delivered = if first { 300 } else { records.len() };
+            let fault = first.then(|| {
+                Err(TraceError::Io(std::io::Error::new(
+                    std::io::ErrorKind::Interrupted,
+                    "injected transient read failure",
+                )))
+            });
+            Ok(records[..delivered].iter().copied().map(Ok).chain(fault))
+        };
+        let store = crate::checkpoint::MemoryCheckpointStore::new();
+        let res = Resilience::new()
+            .with_checkpoint(200, &store)
+            .with_sleeper(&crate::resilience::NoSleep);
+        let outcome = req(&space, DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("recovered");
+        assert_eq!(opens.load(Ordering::Relaxed), 2, "one retry for the group");
+        assert_eq!(outcome.retries(), 1);
+        assert!(!outcome.is_partial());
+        assert_eq!(outcome.sorted(), baseline.sorted());
+        assert_eq!(outcome.passes(), baseline.passes());
+        // Its final image holds the kernels the per-job schedule ends
+        // with, byte for byte.
+        let per_job = crate::checkpoint::MemoryCheckpointStore::new();
+        let res = Resilience::new()
+            .with_checkpoint(200, &per_job)
+            .with_sleeper(&crate::resilience::NoSleep);
+        req(&space, DewOptions::default(), 3)
+            .resilient(&res)
+            .run(&records)
+            .expect("checkpointed run");
+        let jobs = |image: Vec<u8>| {
+            let ckpt = SweepCheckpoint::from_bytes(&image).expect("decodes");
+            let mut jobs = ckpt.jobs().to_vec();
+            jobs.sort_by_key(|j| j.block_bits);
+            jobs
+        };
+        assert_eq!(
+            jobs(store.latest().expect("saved")),
+            jobs(per_job.latest().expect("saved"))
+        );
+    }
+
+    /// A checkpoint of the sweep `image` belongs to, holding exactly
+    /// `jobs`.
+    fn compose(image: &[u8], jobs: &[&crate::checkpoint::JobCheckpoint]) -> SweepCheckpoint {
+        let mut out = image[..14].to_vec();
+        out.extend_from_slice(&u32::try_from(jobs.len()).expect("len").to_le_bytes());
+        for job in jobs {
+            out.extend_from_slice(&job.block_bits.to_le_bytes());
+            out.extend_from_slice(&job.records_done.to_le_bytes());
+            out.push(u8::from(job.complete));
+            out.extend_from_slice(&u32::try_from(job.kernel.len()).expect("len").to_le_bytes());
+            out.extend_from_slice(&job.kernel);
+        }
+        SweepCheckpoint::from_bytes(&out).expect("composed image decodes")
+    }
+
+    /// The space of the mixed-position resume tests: 4-, 8- and 16-byte
+    /// blocks, checkpointed every 250 records of a 1000-record trace.
+    fn mixed_space() -> ConfigSpace {
+        ConfigSpace::new((0, 3), (2, 4), (0, 2)).expect("valid")
+    }
+
+    /// Runs a checkpointed (every 250) sweep of `mixed_space` over
+    /// `records` at `threads`, optionally resumed from `from` and cancelled
+    /// by a token its source trips at record `trip_at`. Returns the
+    /// outcome and the last image saved.
+    fn checkpointed(
+        records: &[Record],
+        threads: usize,
+        from: Option<&SweepCheckpoint>,
+        trip_at: Option<usize>,
+    ) -> (SweepOutcome, Vec<u8>) {
+        let token = crate::cancel::CancelToken::new();
+        let opens = AtomicU64::new(0);
+        let source = counted(records, &opens, trip_at.map(|at| (&token, at)));
+        let store = crate::checkpoint::MemoryCheckpointStore::new();
+        let mut res = Resilience::new()
+            .with_checkpoint(250, &store)
+            .with_cancel(&token)
+            .with_sleeper(&crate::resilience::NoSleep);
+        if let Some(ckpt) = from {
+            res = res.resume_from(ckpt);
+        }
+        let outcome = req(&mixed_space(), DewOptions::default(), threads)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("checkpointed run");
+        (outcome, store.latest().expect("saved"))
+    }
+
+    /// `(block bits, records done)` of every job in `image`, by block.
+    fn positions_of(image: &[u8]) -> Vec<(u32, u64)> {
+        let ckpt = SweepCheckpoint::from_bytes(image).expect("decodes");
+        let mut at: Vec<_> = ckpt
+            .jobs()
+            .iter()
+            .map(|j| (j.block_bits, j.records_done))
+            .collect();
+        at.sort_unstable();
+        at
+    }
+
+    #[test]
+    fn checkpoints_resume_across_worker_counts_with_jobs_at_different_positions() {
+        let records = trace(1000);
+        let baseline = req(&mixed_space(), DewOptions::default(), 3)
+            .run(&records)
+            .expect("sweep");
+        // Two cancelled one-worker runs leave every job at 500 and at 750;
+        // the mixed image takes the 4-byte job from the first and the
+        // 8-byte job from the second, and has never run the 16-byte job.
+        let (_, at_500) = checkpointed(&records, 1, None, Some(400));
+        let (_, at_750) = checkpointed(&records, 1, None, Some(700));
+        assert_eq!(positions_of(&at_500), [(2, 500), (3, 500), (4, 500)]);
+        assert_eq!(positions_of(&at_750), [(2, 750), (3, 750), (4, 750)]);
+        let early = SweepCheckpoint::from_bytes(&at_500).expect("decodes");
+        let late = SweepCheckpoint::from_bytes(&at_750).expect("decodes");
+        let mixed = compose(
+            &at_500,
+            &[early.job(2).expect("4B"), late.job(3).expect("8B")],
+        );
+        for threads in [1, 2, 3] {
+            let (resumed, _) = checkpointed(&records, threads, Some(&mixed), None);
+            assert!(!resumed.is_partial());
+            assert_eq!(resumed.sorted(), baseline.sorted(), "threads {threads}");
+        }
+
+        // One worker, cancelled at record 400 of the traversal: the lanes
+        // behind stop at 500, the 8-byte lane stays where it was resumed,
+        // and each reports its own position. Two workers finish the image.
+        let (cut, image) = checkpointed(&records, 1, Some(&mixed), Some(400));
+        let mut done: Vec<(u32, u64)> = cut
+            .failed_jobs()
+            .iter()
+            .map(|f| (f.block_bits, f.records_done))
+            .collect();
+        done.sort_unstable();
+        assert_eq!(done, [(2, 500), (3, 750), (4, 500)]);
+        assert_eq!(positions_of(&image), done);
+        let ckpt = SweepCheckpoint::from_bytes(&image).expect("decodes");
+        let (resumed, _) = checkpointed(&records, 2, Some(&ckpt), None);
+        assert!(!resumed.is_partial());
+        assert_eq!(resumed.sorted(), baseline.sorted());
+
+        // Two workers, each traversal tripping the token at its record
+        // 400: the 8-byte job stops at 750 or 1000 and the 16-byte job by
+        // 500, whichever traversal trips the token first. One worker
+        // finishes that image.
+        let (_, image) = checkpointed(&records, 2, Some(&mixed), Some(400));
+        let at = positions_of(&image);
+        assert!(at[1].1 >= 750 && at[2].1 <= 500, "{at:?}");
+        let ckpt = SweepCheckpoint::from_bytes(&image).expect("decodes");
+        let (resumed, _) = checkpointed(&records, 1, Some(&ckpt), None);
+        assert!(!resumed.is_partial());
+        assert_eq!(resumed.sorted(), baseline.sorted());
+    }
+
+    #[test]
+    fn a_fatal_fault_fails_each_job_of_the_traversal_at_its_own_position() {
+        let records = trace(1000);
+        let (_, at_500) = checkpointed(&records, 1, None, Some(400));
+        let (_, at_750) = checkpointed(&records, 1, None, Some(700));
+        let (_, done) = checkpointed(&records, 1, None, None);
+        let early = SweepCheckpoint::from_bytes(&at_500).expect("decodes");
+        let late = SweepCheckpoint::from_bytes(&at_750).expect("decodes");
+        let complete = SweepCheckpoint::from_bytes(&done).expect("decodes");
+        // The 16-byte job is complete, the 4-byte one at 500 and the
+        // 8-byte one at 750; the source dies for good after record 600.
+        let mixed = compose(
+            &at_500,
+            &[
+                early.job(2).expect("4B"),
+                late.job(3).expect("8B"),
+                complete.job(4).expect("16B"),
+            ],
+        );
+        let truncated = || {
+            let fault = Err(TraceError::Truncated { position: 601 });
+            Ok(records[..600].iter().copied().map(Ok).chain([fault]))
+        };
+        let res = Resilience::new()
+            .resume_from(&mixed)
+            .with_sleeper(&crate::resilience::NoSleep);
+        let outcome = req(&mixed_space(), DewOptions::default(), 1)
+            .resilient(&res)
+            .run_streamed(&truncated)
+            .expect("the complete job survives");
+        let mut failed: Vec<(u32, u64)> = outcome
+            .failed_jobs()
+            .iter()
+            .map(|f| (f.block_bits, f.records_done))
+            .collect();
+        failed.sort_unstable();
+        assert_eq!(failed, [(2, 600), (3, 750)]);
+        assert!(outcome
+            .failed_jobs()
+            .iter()
+            .all(|f| f.kind == FailureKind::Source && f.error.contains("at record 600")));
+        assert_eq!(outcome.accesses(), 1000);
+        assert_eq!(outcome.records_lost(), 400 + 250);
+        assert!(outcome.misses(1, 4, 16).is_some());
+        assert!(outcome.misses(1, 4, 4).is_none());
     }
 
     #[test]

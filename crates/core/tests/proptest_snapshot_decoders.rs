@@ -335,42 +335,59 @@ fn ckpt_trace() -> Vec<Record> {
 }
 
 /// A `DEWC` image of `policy`'s sweep holding one complete and one
-/// in-flight job. One worker runs the jobs in turn; the second job's
-/// source fires the cancel token at record 300, so the final image has the
-/// 4-byte job complete at 1000 records and the 8-byte job in flight.
+/// in-flight job: the 4-byte job complete at 1000 records and the 8-byte
+/// job at 400. One worker feeds both jobs from one traversal, so a cut
+/// leaves them at one position; the image therefore takes the 4-byte
+/// job's capture from a finished sweep and the 8-byte job's from a sweep
+/// whose source fires the cancel token at record 300.
 fn ckpt_image(policy: TreePolicy) -> Vec<u8> {
     let records = ckpt_trace();
-    let token = CancelToken::new();
-    let opens = std::sync::atomic::AtomicUsize::new(0);
-    let source = || {
-        let second = opens.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 1;
-        let trip = token.clone();
-        Ok(records.clone().into_iter().enumerate().map(move |(i, r)| {
-            if second && i == 300 {
-                trip.cancel();
-            }
-            Ok::<Record, TraceError>(r)
-        }))
+    let run = |trip: Option<usize>| {
+        let token = CancelToken::new();
+        let source = || {
+            let trip_token = token.clone();
+            Ok(records.clone().into_iter().enumerate().map(move |(i, r)| {
+                if trip == Some(i) {
+                    trip_token.cancel();
+                }
+                Ok::<Record, TraceError>(r)
+            }))
+        };
+        let store = MemoryCheckpointStore::new();
+        let res = Resilience::new()
+            .with_checkpoint(200, &store)
+            .with_cancel(&token)
+            .with_sleeper(&NoSleep);
+        let outcome = SweepRequest::new(&ckpt_space())
+            .policy(policy)
+            .threads(1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("a cancelled sweep degrades");
+        assert_eq!(outcome.is_partial(), trip.is_some(), "{policy}");
+        store.latest().expect("final image saved")
     };
-    let store = MemoryCheckpointStore::new();
-    let res = Resilience::new()
-        .with_checkpoint(200, &store)
-        .with_cancel(&token)
-        .with_sleeper(&NoSleep);
-    let outcome = SweepRequest::new(&ckpt_space())
-        .policy(policy)
-        .threads(1)
-        .resilient(&res)
-        .run_streamed(&source)
-        .expect("a cancelled sweep degrades");
-    assert!(
-        outcome.is_partial(),
-        "{policy}: the second job was cancelled"
-    );
-    let image = store.latest().expect("final image saved");
+    let done = run(None);
+    let cut = SweepCheckpoint::from_bytes(&run(Some(300))).expect("image decodes");
+    let finished = SweepCheckpoint::from_bytes(&done).expect("image decodes");
+    let mut image = done[..JOB_COUNT_AT].to_vec();
+    image.extend_from_slice(&2u32.to_le_bytes());
+    for job in [finished.job(2), cut.job(3)] {
+        let job = job.expect("both jobs captured");
+        image.extend_from_slice(&job.block_bits.to_le_bytes());
+        image.extend_from_slice(&job.records_done.to_le_bytes());
+        image.push(u8::from(job.complete));
+        let len = u32::try_from(job.kernel.len()).expect("kernel length");
+        image.extend_from_slice(&len.to_le_bytes());
+        image.extend_from_slice(&job.kernel);
+    }
     let ckpt = SweepCheckpoint::from_bytes(&image).expect("image decodes");
-    let complete: Vec<bool> = ckpt.jobs().iter().map(|j| j.complete).collect();
-    assert_eq!(complete, [true, false], "{policy}");
+    let jobs: Vec<(u64, bool)> = ckpt
+        .jobs()
+        .iter()
+        .map(|j| (j.records_done, j.complete))
+        .collect();
+    assert_eq!(jobs, [(1000, true), (400, false)], "{policy}");
     image
 }
 

@@ -5,9 +5,18 @@
 //! parsing accepts any RFC 8259 number. Strings escape the mandatory set
 //! (`"`, `\`, control characters) on output and understand the standard
 //! escapes plus `\uXXXX` (surrogate pairs included) on input.
+//!
+//! The parser recurses once per array or object level, so it refuses
+//! nesting deeper than 128 levels: one hostile line must not overflow the
+//! stack of the connection thread parsing it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The serve
+/// protocol nests two levels; the bound keeps the parser's recursion far
+/// inside a 2 MiB thread stack.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 ///
@@ -51,11 +60,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] with the failure position on malformed input.
+    /// [`JsonError`] with the failure position on malformed input,
+    /// including nesting deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -201,6 +212,8 @@ fn emit_str(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -245,11 +258,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -456,6 +484,36 @@ mod tests {
             assert!(!err.to_string().is_empty());
         }
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_with_its_position() {
+        // A million levels overflowed a connection thread's 2 MiB stack
+        // before the parser bounded its recursion; parse on such a stack.
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let opener = |open: &str| -> Result<Json, JsonError> {
+                    Json::parse(&open.repeat(1_000_000))
+                };
+                (opener("["), opener(r#"{"a":"#))
+            })
+            .expect("spawn")
+            .join()
+            .expect("the parser does not overflow its stack");
+        let (arrays, objects) = parsed;
+        let err = arrays.expect_err("too deep");
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        let err = objects.expect_err("too deep");
+        assert_eq!(err.at, MAX_DEPTH * 5, "{err}");
+
+        // The deepest accepted document parses and round-trips.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let v = Json::parse(&deepest).expect("128 levels parse");
+        assert_eq!(v.emit(), deepest);
+        let deeper = format!("[{deepest}]");
+        assert_eq!(Json::parse(&deeper).expect_err("129 levels").at, MAX_DEPTH);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! cancel reports how many records the job simulated before its cut.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -651,6 +651,11 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
     }
 }
 
+/// The longest request line a connection accepts, newline excluded.
+/// Protocol requests are a few hundred bytes; a longer line is refused
+/// before it is buffered whole.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
     let _ = stream.set_read_timeout(Some(inner.cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(inner.cfg.io_timeout));
@@ -660,19 +665,32 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
             Ok(_) => {}
             Err(_) => return, // read timeout or reset: drop the connection
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            // The rest of the line cannot be parsed without buffering it:
+            // answer, then drop the connection.
+            Stats::bump(&inner.stats.malformed);
+            let error = format!("request line longer than {MAX_LINE_BYTES} bytes");
+            refuse(
+                reader,
+                writer,
+                &obj([("ok", Json::Bool(false)), ("error", str(error))]),
+            );
+            return;
+        }
+        let text = std::str::from_utf8(&line).map_err(|_| "request line is not UTF-8".to_owned());
+        if text.as_ref().is_ok_and(|t| t.trim().is_empty()) {
             continue;
         }
-        let response = match Request::parse(trimmed) {
+        let response = match text.and_then(|t| Request::parse(t.trim())) {
             Ok(req) => inner.handle(req),
             Err(msg) => {
                 Stats::bump(&inner.stats.malformed);
@@ -685,6 +703,23 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
             return;
         }
     }
+}
+
+/// Sends `reply` and closes a connection whose client broke the protocol.
+/// The write side is shut first and the client's pending input drained
+/// (at most 1 MiB, within the read timeout), so the close does not reset
+/// the connection before the client reads the reply.
+fn refuse(reader: BufReader<TcpStream>, mut writer: TcpStream, reply: &Json) {
+    let mut out = reply.emit();
+    out.push('\n');
+    if writer.write_all(out.as_bytes()).is_err() {
+        return;
+    }
+    let _ = writer.shutdown(std::net::Shutdown::Write);
+    let _ = std::io::copy(
+        &mut reader.take(16 * MAX_LINE_BYTES as u64),
+        &mut std::io::sink(),
+    );
 }
 
 fn worker_loop(inner: &Arc<Inner>) {

@@ -419,6 +419,93 @@ fn malformed_lines_and_unknown_ids_get_structured_errors() {
 }
 
 #[test]
+fn over_long_and_deeply_nested_lines_are_refused_while_others_are_served() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let (server, addr) = start(ServeConfig::default());
+    let mut good = client(&addr);
+
+    // A 1 MiB line of `[` on its own connection: longer than any request
+    // line the server buffers, and nested far past the parser's bound.
+    let hostile = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut s = std::net::TcpStream::connect(&addr).expect("connects");
+            s.set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("timeout");
+            let mut line = "[".repeat(1 << 20);
+            line.push('\n');
+            s.write_all(line.as_bytes())
+                .expect("the server drains the line");
+            let mut reader = BufReader::new(s);
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("a structured reply");
+            let mut rest = Vec::new();
+            let closed = reader.read_to_end(&mut rest).expect("then a clean close");
+            (reply, closed)
+        })
+    };
+    // The other client is served throughout.
+    let mut served = 0;
+    while !hostile.is_finished() || served == 0 {
+        let stats = good
+            .request(&obj([("cmd", str("stats"))]))
+            .expect("served while the hostile line streams");
+        assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+        served += 1;
+    }
+    let (reply, closed) = hostile.join().expect("hostile client");
+    let reply = Json::parse(reply.trim()).expect("the refusal is JSON");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let msg = reply.get("error").and_then(Json::as_str).expect("msg");
+    assert!(msg.contains("longer than 65536 bytes"), "{msg}");
+    assert_eq!(closed, 0, "the connection is dropped after the refusal");
+
+    // Deep nesting within the line cap is a positioned parse error on a
+    // connection that stays open.
+    let mut raw = std::net::TcpStream::connect(&addr).expect("connects");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let mut exchange = |line: &str| {
+        raw.write_all(format!("{line}\n").as_bytes()).expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        Json::parse(reply.trim()).expect("replies are JSON")
+    };
+    let deep = exchange(&"[".repeat(60_000));
+    assert_eq!(deep.get("ok").and_then(Json::as_bool), Some(false));
+    let msg = deep.get("error").and_then(Json::as_str).expect("msg");
+    assert!(
+        msg.contains("nesting deeper than 128 levels at byte 128"),
+        "{msg}"
+    );
+    let stats = exchange(r#"{"cmd":"stats"}"#);
+    assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+
+    // Jobs still run.
+    let sub = good
+        .request(&Json::parse(r#"{"cmd":"submit","mix":"zipf","requests":2000}"#).unwrap())
+        .expect("submit");
+    let id = sub.get("id").and_then(Json::as_u64).expect("job id");
+    let done = good
+        .request(&obj([
+            ("cmd", str("wait")),
+            ("id", num(id)),
+            ("timeout_ms", num(30_000)),
+        ]))
+        .expect("wait");
+    assert_eq!(
+        done.get("status").and_then(Json::as_str),
+        Some("completed"),
+        "{}",
+        done.emit()
+    );
+    let stats = fetch_stats(&addr, Duration::from_secs(30)).expect("stats");
+    assert_eq!(stat(&stats, "malformed"), 2);
+    server.stop();
+}
+
+#[test]
 fn open_loop_gen_against_a_small_server_reconciles() {
     // Concurrency (6) far above workers (2) with a tiny queue: the classic
     // soak shape, shrunk to test size. Zero lost responses is the claim.

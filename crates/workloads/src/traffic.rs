@@ -5,6 +5,9 @@
 //! request count and a seed. The server regenerates the stream on demand
 //! (and on every retry/resume — the iterator is a pure function of the
 //! spec), which keeps job submissions a few bytes instead of megabytes.
+//! Every zipf and mix stream draws from one immutable popularity table,
+//! built on first use and shared process-wide (2 MiB of CDF plus a 1 MiB
+//! guide table), so an open costs only its seed; see [`crate::zipf`].
 //! This mirrors the traffic-generator-driven simulation runner pattern of
 //! `cache-rs` (see SNIPPETS.md) with the re-openable-source contract the
 //! resilient sweep drivers require.
@@ -32,6 +35,8 @@
 //! assert_eq!(a, b, "the stream replays identically on every open");
 //! ```
 
+use std::sync::OnceLock;
+
 use dew_trace::Record;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -46,6 +51,12 @@ const ZIPF_S: f64 = 0.8;
 /// Phase length of [`MixKind::Mix`]: the interleave switches archetype
 /// every this many requests.
 const MIX_PHASE: u64 = 1024;
+
+/// The popularity table every zipf and mix stream samples, built once.
+fn footprint_zipf() -> &'static Zipf {
+    static TABLE: OnceLock<Zipf> = OnceLock::new();
+    TABLE.get_or_init(|| Zipf::new(FOOTPRINT_WORDS as usize, ZIPF_S))
+}
 
 /// The request-mix archetypes a traffic spec can generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +128,7 @@ impl TrafficSpec {
         TrafficIter {
             kind: self.kind,
             zipf: match self.kind {
-                MixKind::Zipf | MixKind::Mix => Some(Zipf::new(FOOTPRINT_WORDS as usize, ZIPF_S)),
+                MixKind::Zipf | MixKind::Mix => Some(footprint_zipf()),
                 MixKind::Loop | MixKind::Scan => None,
             },
             rng: SmallRng::seed_from_u64(self.seed),
@@ -131,7 +142,7 @@ impl TrafficSpec {
 #[derive(Debug, Clone)]
 pub struct TrafficIter {
     kind: MixKind,
-    zipf: Option<Zipf>,
+    zipf: Option<&'static Zipf>,
     rng: SmallRng,
     index: u64,
     remaining: u64,
@@ -139,7 +150,7 @@ pub struct TrafficIter {
 
 impl TrafficIter {
     fn zipf_addr(&mut self) -> u64 {
-        let z = self.zipf.as_ref().expect("zipf table built for this kind");
+        let z = self.zipf.expect("zipf table built for this kind");
         z.sample(&mut self.rng) as u64 * 4
     }
 
