@@ -21,6 +21,7 @@
 //! (`chaos_checkpoint.dewc`) is left behind on failure for CI to upload.
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use dew_bench::report::thousands;
@@ -40,10 +41,17 @@ const ZIPF_S: f64 = 0.8;
 /// it must not take the process anywhere near that.
 const MEMORY_BOUND_MIB: u64 = 512;
 
+/// The popularity table every stream samples, built once per process
+/// rather than on every open of a source.
+fn zipf_table() -> &'static Zipf {
+    static TABLE: OnceLock<Zipf> = OnceLock::new();
+    TABLE.get_or_init(|| Zipf::new(ZIPF_RANKS, ZIPF_S))
+}
+
 /// Deterministic synthetic Zipf request stream; re-opens identically, which
 /// is exactly what `SweepRequest::run_streamed` requires of a source.
 struct ZipfStream {
-    zipf: Zipf,
+    zipf: &'static Zipf,
     rng: SmallRng,
     remaining: u64,
 }
@@ -51,7 +59,7 @@ struct ZipfStream {
 impl ZipfStream {
     fn new(seed: u64, len: u64) -> Self {
         ZipfStream {
-            zipf: Zipf::new(ZIPF_RANKS, ZIPF_S),
+            zipf: zipf_table(),
             rng: SmallRng::seed_from_u64(seed),
             remaining: len,
         }

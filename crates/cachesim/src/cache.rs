@@ -176,27 +176,6 @@ impl Cache {
         }
     }
 
-    /// Installs `block` (a block address) as if fetched, *without* touching
-    /// the demand statistics — the entry point for prefetch engines
-    /// ([`crate::prefetch::PrefetchingCache`]). Replacement state advances
-    /// exactly as for a demand miss; an evicted dirty block still costs a
-    /// write-back.
-    pub fn install_block(&mut self, block: u64) {
-        self.now += 1;
-        let set_idx = (block & (u64::from(self.config.sets()) - 1)) as usize;
-        let tag = block >> self.config.set_bits();
-        let set = &mut self.sets[set_idx];
-        if set.lookup(tag).0.is_some() {
-            return;
-        }
-        if let Some(v) = set.insert(tag, false, self.now, self.rng.as_mut()) {
-            self.stats.record_eviction(v.dirty);
-            if v.dirty {
-                self.stats.record_memory_write();
-            }
-        }
-    }
-
     /// `true` when `addr`'s block is currently resident (no state change, no
     /// statistics).
     #[must_use]

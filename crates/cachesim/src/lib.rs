@@ -14,9 +14,10 @@
 //!    simulator per configuration.
 //!
 //! Supported features: power-of-two set counts, associativities and block
-//! sizes; FIFO, LRU, tree-PLRU and seeded-random replacement; write-back and
-//! write-through with and without write-allocate; optional 3C miss
-//! classification ([`classify::ThreeCClassifier`]).
+//! sizes; FIFO, LRU, tree-PLRU, SLRU and seeded-random replacement;
+//! write-back and write-through with and without write-allocate; optional 3C
+//! miss classification ([`classify::ThreeCClassifier`]). The crate models
+//! one L1 cache, the scope of the paper's exactness claim.
 //!
 //! # Examples
 //!
@@ -48,13 +49,10 @@
 mod cache;
 pub mod classify;
 mod config;
-pub mod hierarchy;
-pub mod lru_list;
+mod lru_list;
 mod policy;
-pub mod prefetch;
 mod set;
 mod stats;
-pub mod victim;
 
 pub use cache::{AccessOutcome, Cache, EvictedBlock};
 pub use config::{CacheConfig, CacheConfigBuilder, ConfigError};

@@ -1,24 +1,9 @@
 //! An indexed doubly-linked LRU list over `u64` keys.
 //!
-//! Used by the fully-associative models in [`crate::classify`] and by the
-//! single-pass LRU comparator in `dew-core`. Operations are O(1) amortised:
-//! the list is stored as `Vec`-indexed nodes with a free list, and a
-//! `HashMap` maps keys to slots.
-//!
-//! # Examples
-//!
-//! ```
-//! use dew_cachesim::lru_list::LruList;
-//!
-//! let mut l = LruList::new();
-//! l.touch(10);
-//! l.touch(20);
-//! l.touch(10); // 10 becomes most recent
-//! assert_eq!(l.least_recent(), Some(20));
-//! assert_eq!(l.len(), 2);
-//! assert_eq!(l.pop_least_recent(), Some(20));
-//! assert_eq!(l.least_recent(), Some(10));
-//! ```
+//! The fully-associative model behind [`crate::classify`]'s capacity-miss
+//! test. Operations are O(1) amortised: the list is stored as
+//! `Vec`-indexed nodes with a free list, and a `HashMap` maps keys to
+//! slots.
 
 use std::collections::HashMap;
 
@@ -34,7 +19,7 @@ struct Node {
 /// A recency-ordered set of `u64` keys with O(1) touch/evict.
 ///
 /// The *most recent* end is the head; the *least recent* end is the tail.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LruList {
     nodes: Vec<Node>,
     slots: HashMap<u64, usize>,
@@ -44,18 +29,6 @@ pub struct LruList {
 }
 
 impl LruList {
-    /// Creates an empty list.
-    #[must_use]
-    pub fn new() -> Self {
-        LruList {
-            nodes: Vec::new(),
-            slots: HashMap::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
     /// Creates an empty list with capacity for `n` keys.
     #[must_use]
     pub fn with_capacity(n: usize) -> Self {
@@ -74,18 +47,6 @@ impl LruList {
         self.slots.len()
     }
 
-    /// `true` when no key is tracked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// `true` when `key` is tracked.
-    #[must_use]
-    pub fn contains(&self, key: u64) -> bool {
-        self.slots.contains_key(&key)
-    }
-
     /// Makes `key` the most recent entry, inserting it if absent. Returns
     /// `true` when the key was already present.
     pub fn touch(&mut self, key: u64) -> bool {
@@ -101,18 +62,6 @@ impl LruList {
         }
     }
 
-    /// The least recently touched key, if any.
-    #[must_use]
-    pub fn least_recent(&self) -> Option<u64> {
-        (self.tail != NIL).then(|| self.nodes[self.tail].key)
-    }
-
-    /// The most recently touched key, if any.
-    #[must_use]
-    pub fn most_recent(&self) -> Option<u64> {
-        (self.head != NIL).then(|| self.nodes[self.head].key)
-    }
-
     /// Removes and returns the least recently touched key.
     pub fn pop_least_recent(&mut self) -> Option<u64> {
         let tail = self.tail;
@@ -124,25 +73,6 @@ impl LruList {
         self.slots.remove(&key);
         self.free.push(tail);
         Some(key)
-    }
-
-    /// Removes `key` if present, returning whether it was present.
-    pub fn remove(&mut self, key: u64) -> bool {
-        if let Some(slot) = self.slots.remove(&key) {
-            self.unlink(slot);
-            self.free.push(slot);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Iterates keys from most recent to least recent.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            list: self,
-            cursor: self.head,
-        }
     }
 
     fn alloc(&mut self, key: u64) -> usize {
@@ -192,88 +122,71 @@ impl LruList {
     }
 }
 
-/// Iterator over an [`LruList`], most recent first. Created by
-/// [`LruList::iter`].
-#[derive(Debug)]
-pub struct Iter<'a> {
-    list: &'a LruList,
-    cursor: usize,
-}
-
-impl Iterator for Iter<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.cursor == NIL {
-            return None;
-        }
-        let node = &self.list.nodes[self.cursor];
-        self.cursor = node.next;
-        Some(node.key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The keys from most to least recent, read forwards from the head
+    /// after checking the backward links from the tail agree.
+    fn order(l: &LruList) -> Vec<u64> {
+        let walk = |start: usize, step: fn(&Node) -> usize| {
+            let mut keys = Vec::new();
+            let mut cursor = start;
+            while cursor != NIL {
+                keys.push(l.nodes[cursor].key);
+                cursor = step(&l.nodes[cursor]);
+            }
+            keys
+        };
+        let forward = walk(l.head, |n| n.next);
+        let mut backward = walk(l.tail, |n| n.prev);
+        backward.reverse();
+        assert_eq!(forward, backward, "prev and next links disagree");
+        assert_eq!(forward.len(), l.len());
+        forward
+    }
+
     #[test]
     fn touch_orders_by_recency() {
-        let mut l = LruList::new();
+        let mut l = LruList::with_capacity(4);
         for k in [1u64, 2, 3] {
             assert!(!l.touch(k));
         }
-        assert_eq!(l.iter().collect::<Vec<_>>(), vec![3, 2, 1]);
+        assert_eq!(order(&l), [3, 2, 1]);
         assert!(l.touch(1));
-        assert_eq!(l.iter().collect::<Vec<_>>(), vec![1, 3, 2]);
-        assert_eq!(l.least_recent(), Some(2));
-        assert_eq!(l.most_recent(), Some(1));
+        assert_eq!(order(&l), [1, 3, 2]);
+        assert_eq!(l.pop_least_recent(), Some(2));
+        assert_eq!(order(&l), [1, 3]);
     }
 
     #[test]
     fn pop_removes_in_lru_order() {
-        let mut l = LruList::new();
+        let mut l = LruList::with_capacity(0);
         for k in 0..5u64 {
             l.touch(k);
         }
         let order: Vec<u64> = std::iter::from_fn(|| l.pop_least_recent()).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
-        assert!(l.is_empty());
+        assert_eq!(l.len(), 0);
         assert_eq!(l.pop_least_recent(), None);
     }
 
     #[test]
-    fn remove_middle_keeps_links_intact() {
-        let mut l = LruList::new();
-        for k in 0..4u64 {
-            l.touch(k);
-        }
-        assert!(l.remove(2));
-        assert!(!l.remove(2));
-        assert_eq!(l.iter().collect::<Vec<_>>(), vec![3, 1, 0]);
-        assert_eq!(l.len(), 3);
-        // Slots are recycled.
-        l.touch(9);
-        assert_eq!(l.iter().collect::<Vec<_>>(), vec![9, 3, 1, 0]);
-    }
-
-    #[test]
     fn single_element_edge_cases() {
-        let mut l = LruList::new();
+        let mut l = LruList::with_capacity(1);
         l.touch(42);
-        assert_eq!(l.least_recent(), Some(42));
-        assert_eq!(l.most_recent(), Some(42));
-        assert!(l.remove(42));
-        assert_eq!(l.least_recent(), None);
-        assert!(l.is_empty());
+        assert_eq!(order(&l), [42]);
+        assert_eq!(l.pop_least_recent(), Some(42));
+        assert_eq!(order(&l), []);
         l.touch(43);
-        assert_eq!(l.iter().collect::<Vec<_>>(), vec![43]);
+        assert_eq!(order(&l), [43]);
+        assert_eq!(l.nodes.len(), 1, "the popped slot is recycled");
     }
 
     #[test]
     fn matches_naive_model_on_mixed_operations() {
         // Reference model: Vec kept in most-recent-first order.
-        let mut l = LruList::new();
+        let mut l = LruList::with_capacity(0);
         let mut model: Vec<u64> = Vec::new();
         let ops: Vec<(u8, u64)> = (0..500)
             .map(|i| {
@@ -284,19 +197,14 @@ mod tests {
         for (op, key) in ops {
             match op {
                 0 | 1 => {
-                    l.touch(key);
+                    let had = model.contains(&key);
+                    assert_eq!(l.touch(key), had);
                     model.retain(|&k| k != key);
                     model.insert(0, key);
                 }
-                _ => {
-                    let was = l.remove(key);
-                    let had = model.contains(&key);
-                    model.retain(|&k| k != key);
-                    assert_eq!(was, had);
-                }
+                _ => assert_eq!(l.pop_least_recent(), model.pop()),
             }
-            assert_eq!(l.iter().collect::<Vec<_>>(), model);
-            assert_eq!(l.least_recent(), model.last().copied());
+            assert_eq!(order(&l), model);
         }
     }
 }

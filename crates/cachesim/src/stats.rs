@@ -168,22 +168,6 @@ impl CacheStats {
             self.hits() as f64 / total as f64
         }
     }
-
-    /// Adds another record into this one (for aggregating shards).
-    pub fn merge(&mut self, other: &CacheStats) {
-        for i in 0..3 {
-            self.accesses[i] += other.accesses[i];
-            self.hits[i] += other.hits[i];
-            self.misses[i] += other.misses[i];
-        }
-        self.compulsory_misses += other.compulsory_misses;
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.demand_fetches += other.demand_fetches;
-        self.memory_writes += other.memory_writes;
-        self.tag_comparisons += other.tag_comparisons;
-        self.bypasses += other.bypasses;
-    }
 }
 
 impl fmt::Display for CacheStats {
@@ -237,29 +221,6 @@ mod tests {
             s.record_access(AccessKind::Read, i % 3 == 0);
         }
         assert!((s.hit_rate() + s.miss_rate() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_all_counters() {
-        let mut a = CacheStats::new();
-        a.record_access(AccessKind::Read, false);
-        a.record_compulsory();
-        a.record_comparisons(5);
-        let mut b = CacheStats::new();
-        b.record_access(AccessKind::Read, true);
-        b.record_eviction(true);
-        b.record_demand_fetch();
-        b.record_memory_write();
-        b.record_bypass();
-        a.merge(&b);
-        assert_eq!(a.accesses(), 2);
-        assert_eq!(a.compulsory_misses(), 1);
-        assert_eq!(a.tag_comparisons(), 5);
-        assert_eq!(a.evictions(), 1);
-        assert_eq!(a.writebacks(), 1);
-        assert_eq!(a.demand_fetches(), 1);
-        assert_eq!(a.memory_writes(), 1);
-        assert_eq!(a.bypasses(), 1);
     }
 
     #[test]

@@ -13,9 +13,9 @@ use crate::isa::{Instr, Reg};
 
 /// Base byte address of the text segment (each instruction occupies 4
 /// bytes, as in the PISA traces).
-pub const TEXT_BASE: u64 = 0x0040_0000;
+const TEXT_BASE: u64 = 0x0040_0000;
 /// Conventional initial stack pointer (the stack grows down).
-pub const STACK_TOP: u64 = 0x7fff_f000;
+const STACK_TOP: u64 = 0x7fff_f000;
 
 /// Why execution stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +57,8 @@ impl Default for Cpu {
 }
 
 impl Cpu {
-    /// A fresh machine: zero registers (SP at [`STACK_TOP`]), empty memory.
+    /// A fresh machine: zero registers (SP at `0x7fff_f000`, the stack
+    /// growing down), empty memory.
     #[must_use]
     pub fn new() -> Self {
         let mut regs = [0i64; 16];

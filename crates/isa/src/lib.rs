@@ -45,4 +45,4 @@ pub mod isa;
 pub mod programs;
 
 pub use asm::{assemble, AsmError, AsmErrorKind};
-pub use cpu::{Cpu, RunOutcome, Stop, STACK_TOP, TEXT_BASE};
+pub use cpu::{Cpu, RunOutcome, Stop};

@@ -847,7 +847,7 @@ fn summarise(
                 .all(|f| f.kind == FailureKind::Cancelled);
             match token.cancelled() {
                 Some(reason) if cancelled_only => {
-                    let records_done = out.records_simulated();
+                    let records_done = stream_position(&out);
                     match reason {
                         CancelReason::DeadlineExceeded => RunResult::Deadline { records_done },
                         CancelReason::Requested => RunResult::Cancelled { records_done },
@@ -868,6 +868,16 @@ fn summarise(
             None => RunResult::Failed(e.to_string()),
         },
     }
+}
+
+/// How far into the job's request stream a cut sweep got: the furthest
+/// record any block size's kernel reached, or the whole stream when one
+/// finished. `records_simulated` would sum over the block sizes instead.
+fn stream_position(out: &SweepOutcome) -> u64 {
+    out.failed_jobs()
+        .iter()
+        .map(|f| f.records_done)
+        .fold(out.accesses(), u64::max)
 }
 
 fn summary_json(req: &SubmitRequest, out: &SweepOutcome) -> Json {
@@ -913,6 +923,43 @@ mod tests {
         );
         assert!(r.to_string().contains("2 drained"));
         assert!(r.to_string().contains("4 shed"));
+    }
+
+    #[test]
+    fn a_cut_reports_its_stream_position_not_the_sum_over_block_sizes() {
+        let Ok(Request::Submit(req)) = Request::parse(r#"{"cmd":"submit","requests":200000}"#)
+        else {
+            panic!("a submit parses");
+        };
+        let (lo, hi) = req.block_bits;
+        assert!(hi > lo, "the default space spans several block sizes");
+        let space = ConfigSpace::new(req.set_bits, req.block_bits, req.assoc_bits).expect("space");
+        // One sim thread feeds every block size's kernel from one
+        // traversal; the source trips the token mid-stream.
+        let token = CancelToken::new();
+        let spec = req.traffic;
+        let cut_at = 150_000;
+        let source = || {
+            let token = &token;
+            Ok(spec.records().enumerate().map(move |(i, r)| {
+                if i == cut_at {
+                    token.cancel();
+                }
+                ok_record(r)
+            }))
+        };
+        let outcome = sweep_with(
+            &space,
+            &source,
+            DewOptions::for_policy(req.policy),
+            1,
+            &token,
+        );
+        let RunResult::Cancelled { records_done } = summarise(&req, &token, outcome) else {
+            panic!("the token cut the job");
+        };
+        assert!(records_done > cut_at as u64, "{records_done}");
+        assert!(records_done <= spec.requests, "{records_done}");
     }
 
     #[test]

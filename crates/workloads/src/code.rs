@@ -9,21 +9,7 @@
 
 use dew_trace::Record;
 
-/// Byte address where the model places program text (mirrors a typical
-/// embedded load address).
-pub const CODE_BASE: u64 = 0x0040_0000;
-
 /// Sequential instruction-fetch generator over a loop body.
-///
-/// # Examples
-///
-/// ```
-/// use dew_workloads::code::CodeWalker;
-///
-/// let mut code = CodeWalker::new(0x40_0000, 4); // 4-instruction loop body
-/// let pcs: Vec<u64> = (0..6).map(|_| code.fetch().addr).collect();
-/// assert_eq!(pcs, vec![0x40_0000, 0x40_0004, 0x40_0008, 0x40_000c, 0x40_0000, 0x40_0004]);
-/// ```
 #[derive(Debug, Clone)]
 pub struct CodeWalker {
     base: u64,
@@ -63,24 +49,6 @@ impl CodeWalker {
             out.push(self.fetch());
         }
     }
-
-    /// Restarts the body from its first instruction (a taken backward
-    /// branch to the loop head).
-    pub fn restart(&mut self) {
-        self.pc = self.base;
-    }
-
-    /// The body's base address.
-    #[must_use]
-    pub const fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// The body length in bytes.
-    #[must_use]
-    pub const fn body_bytes(&self) -> u64 {
-        self.body_bytes
-    }
 }
 
 #[cfg(test)]
@@ -90,19 +58,12 @@ mod tests {
 
     #[test]
     fn fetches_are_sequential_and_wrap() {
-        let mut w = CodeWalker::new(CODE_BASE, 3);
+        let base = 0x40_0000;
+        let mut w = CodeWalker::new(base, 3);
         let addrs: Vec<u64> = (0..7).map(|_| w.fetch().addr).collect();
         assert_eq!(
             addrs,
-            vec![
-                CODE_BASE,
-                CODE_BASE + 4,
-                CODE_BASE + 8,
-                CODE_BASE,
-                CODE_BASE + 4,
-                CODE_BASE + 8,
-                CODE_BASE
-            ]
+            [base, base + 4, base + 8, base, base + 4, base + 8, base]
         );
     }
 
@@ -110,15 +71,6 @@ mod tests {
     fn fetch_kind_is_ifetch() {
         let mut w = CodeWalker::new(0x1000, 1);
         assert_eq!(w.fetch().kind, AccessKind::InstrFetch);
-    }
-
-    #[test]
-    fn restart_returns_to_head() {
-        let mut w = CodeWalker::new(0x1000, 8);
-        w.fetch();
-        w.fetch();
-        w.restart();
-        assert_eq!(w.fetch().addr, 0x1000);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //!
 //! * [`mediabench`] — six surrogates mirroring the paper's Table 2
 //!   applications (JPEG/G721/MPEG2, encode and decode), each built from its
-//!   own per-app unit generators;
-//! * [`code`] — a loop-body instruction-fetch model the surrogates use to
-//!   interleave ifetch traffic the way SimpleScalar traces do;
+//!   own per-app unit generators, which interleave loop-body instruction
+//!   fetches the way SimpleScalar traces do;
 //! * [`kernels`] — two archetypal locality patterns (streaming and pointer
 //!   chasing) behind the [`kernels::Kernel`] trait, used as inputs to the
 //!   exactness tests;
@@ -35,7 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod code;
+mod code;
 pub mod kernels;
 pub mod mediabench;
 pub mod traffic;

@@ -14,8 +14,8 @@
 //! * **MPEG2 decode** — IDCT workspaces plus motion-compensation copies at
 //!   small random displacements.
 //!
-//! Instruction fetches are interleaved through [`crate::code::CodeWalker`]
-//! loop bodies, as in a SimpleScalar trace. Every generator is deterministic
+//! Instruction fetches are interleaved through sequential loop-body
+//! walkers, as in a SimpleScalar trace. Every generator is deterministic
 //! given a seed, and emits exactly the requested number of records.
 //!
 //! # Examples

@@ -1,5 +1,6 @@
 //! Public-surface checker: every `pub mod` and `pub use` in the `lib.rs`
-//! of `dew-core`, `dew-trace`, `dew-explore` and `dew-serve` must have a
+//! of each library crate (`dew-core`, `dew-trace`, `dew-explore`,
+//! `dew-serve`, `dew-cachesim`, `dew-workloads` and `dew-isa`) must have a
 //! row in DESIGN.md's "Public surface" table saying what reaches it, and
 //! every row must name something those files export — so a new export
 //! cannot land without a stated reason, and a retired one cannot leave a
@@ -15,6 +16,9 @@ const CRATES: &[(&str, &str)] = &[
     ("dew-trace", "crates/trace/src/lib.rs"),
     ("dew-explore", "crates/explore/src/lib.rs"),
     ("dew-serve", "crates/serve/src/lib.rs"),
+    ("dew-cachesim", "crates/cachesim/src/lib.rs"),
+    ("dew-workloads", "crates/workloads/src/lib.rs"),
+    ("dew-isa", "crates/isa/src/lib.rs"),
 ];
 
 /// The heading the table sits under in DESIGN.md.
