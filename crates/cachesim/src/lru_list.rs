@@ -4,6 +4,30 @@
 //! test. Operations are O(1) amortised: the list is stored as
 //! `Vec`-indexed nodes with a free list, and a `HashMap` maps keys to
 //! slots.
+//!
+//! # Examples
+//!
+//! The list is private; its recency order shows through the classifier.
+//! Re-touching block 0 makes block 1 the least recent, so block 1 is the
+//! one the two-block model drops, and the later miss on block 0 is a
+//! conflict miss:
+//!
+//! ```
+//! use dew_cachesim::classify::{MissClass, ThreeCClassifier};
+//! use dew_cachesim::{CacheConfig, Replacement};
+//! use dew_trace::Record;
+//!
+//! # fn main() -> Result<(), dew_cachesim::ConfigError> {
+//! // Direct-mapped, two 4-byte sets: blocks 0 and 2 share set 0.
+//! let mut c = ThreeCClassifier::new(CacheConfig::new(2, 1, 4, Replacement::Fifo)?);
+//! assert_eq!(c.access(Record::read(0x0)), Some(MissClass::Compulsory));
+//! assert_eq!(c.access(Record::read(0x4)), Some(MissClass::Compulsory));
+//! assert_eq!(c.access(Record::read(0x0)), None); // block 0 becomes most recent
+//! assert_eq!(c.access(Record::read(0x8)), Some(MissClass::Compulsory));
+//! assert_eq!(c.access(Record::read(0x0)), Some(MissClass::Conflict));
+//! # Ok(())
+//! # }
+//! ```
 
 use std::collections::HashMap;
 

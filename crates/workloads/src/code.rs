@@ -10,6 +10,27 @@
 use dew_trace::Record;
 
 /// Sequential instruction-fetch generator over a loop body.
+///
+/// # Examples
+///
+/// The walker is private; its fetches show in the JPEG surrogate, whose
+/// MCU loop walks a 24-instruction body from `0x40_0000` and wraps:
+///
+/// ```
+/// use dew_trace::AccessKind;
+/// use dew_workloads::mediabench::App;
+///
+/// let trace = App::JpegEncode.generate(200, 1);
+/// let pcs: Vec<u64> = trace
+///     .iter()
+///     .filter(|r| r.kind == AccessKind::InstrFetch)
+///     .map(|r| r.addr)
+///     .take(26)
+///     .collect();
+/// let body: Vec<u64> = (0..24).map(|i| 0x40_0000 + 4 * i).collect();
+/// assert_eq!(pcs[..24], body[..]);
+/// assert_eq!(pcs[24..], [0x40_0000, 0x40_0004]);
+/// ```
 #[derive(Debug, Clone)]
 pub struct CodeWalker {
     base: u64,
