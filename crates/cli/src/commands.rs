@@ -13,7 +13,7 @@ use dew_explore::{
     best_edp_under, evaluate_sweep, explore_trace, pareto_front, EnergyModel, ExplorationSpace,
     ParetoMode,
 };
-use dew_trace::Trace;
+use dew_trace::{Trace, TraceError};
 use dew_workloads::mediabench::App;
 
 use crate::args::{Args, ArgsError};
@@ -58,14 +58,25 @@ where
     }
 }
 
-/// Loads a trace, dispatching on the file extension (`.din` is text).
+/// Loads a trace, dispatching on the file extension (`.din` is text). An
+/// I/O failure names the file.
 fn load_trace(path: &str) -> Result<Trace, CliError> {
     let p = Path::new(path);
-    if p.extension().is_some_and(|e| e == "din") {
-        Ok(Trace::read_din_file(p)?)
+    let read = if p.extension().is_some_and(|e| e == "din") {
+        Trace::read_din_file(p)
     } else {
-        Ok(Trace::read_bin_file(p)?)
-    }
+        Trace::read_bin_file(p)
+    };
+    read.map_err(|e| match e {
+        TraceError::Io(e) => TraceError::Io(at_path(path, e)).into(),
+        e => e.into(),
+    })
+}
+
+/// `e` with `path` in front of its message and its kind kept, so an input
+/// that cannot be read names the file that was looked for.
+fn at_path(path: &str, e: std::io::Error) -> std::io::Error {
+    std::io::Error::new(e.kind(), format!("{path}: {e}"))
 }
 
 fn save_trace(trace: &Trace, path: &str) -> Result<(), CliError> {
@@ -265,7 +276,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     let resume_image = match resume_path {
         None => None,
         Some(path) => {
-            let bytes = std::fs::read(path)?;
+            let bytes = std::fs::read(path).map_err(|e| at_path(path, e))?;
             Some(
                 SweepCheckpoint::from_bytes(&bytes)
                     .map_err(|e| CliError::Dew(DewError::Checkpoint(format!("{path}: {e}"))))?,
@@ -1164,14 +1175,16 @@ mod tests {
             run(base.iter().copied().chain(["--retries", "2", "--counters"])),
             Err(CliError::Usage(_))
         ));
-        // A missing resume file is an I/O error, not a crash.
-        assert!(matches!(
-            run(base
-                .iter()
-                .copied()
-                .chain(["--resume", "/does/not/exist.dewc"])),
-            Err(CliError::Io(_))
-        ));
+        // A missing resume file is an I/O error naming the file, not a
+        // crash.
+        let err = run(base
+            .iter()
+            .copied()
+            .chain(["--resume", "/does/not/exist.dewc"]))
+        .expect_err("the resume file is missing");
+        assert!(matches!(err, CliError::Io(_)), "{err:?}");
+        assert_eq!(err.exit_code(), 1, "{err}");
+        assert!(err.to_string().contains("/does/not/exist.dewc"), "{err}");
         let _ = std::fs::remove_file(&bin);
     }
 
@@ -1614,6 +1627,16 @@ mod tests {
         );
         assert!(err.to_string().contains(&ckpt), "{err}");
         let _ = std::fs::remove_file(&bin);
+    }
+
+    #[test]
+    fn a_missing_trace_is_an_error_naming_the_file() {
+        for path in ["/does/not/exist.dewt", "/does/not/exist.din"] {
+            let err = run(["sweep", "--trace", path]).expect_err("the trace is missing");
+            assert!(matches!(err, CliError::Trace(TraceError::Io(_))), "{err:?}");
+            assert_eq!(err.exit_code(), 1, "{err}");
+            assert!(err.to_string().contains(path), "{err}");
+        }
     }
 
     #[test]

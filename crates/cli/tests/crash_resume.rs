@@ -183,6 +183,11 @@ fn kill_before_the_first_save(fx: &Fixture, threads: u32) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("error"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+    let sidecar = case.ckpt.to_string_lossy();
+    assert!(
+        stderr.contains(&*sidecar),
+        "the error names {sidecar}: {stderr}"
+    );
 
     let out = case.sweep(fx, false).output().expect("fresh run");
     assert_success(&out, "fresh run");

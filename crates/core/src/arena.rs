@@ -12,6 +12,10 @@
 //!   `tags[i*alloc ..][..alloc]`, lane `k` of width `widths[k]` at
 //!   `lane_off[k]`), and the per-`(level, lane)` and direct-mapped miss
 //!   tallies;
+//! * **the tag width** — the MRA and way-tag lanes hold 32-bit tags while
+//!   every block fits below the 32-bit sentinel, and the first block that
+//!   does not widens them to 64 bits, once, inside `run_blocks` ([`Tag`],
+//!   [`TagLanes`]); every update rule is generic over the width;
 //! * **driving a trace** — the scalar/sse2/avx2 `run_blocks` dispatch with
 //!   its single `#[target_feature(enable = "avx2")]` compilation root, the
 //!   const lane-shape dispatch ([`with_lane_shape`]), and the batch loop;
@@ -27,8 +31,8 @@
 //!   allocated ([`check_body_len`]).
 //!
 //! A policy supplies only its per-node lanes, its node-update rule (generic
-//! over the scan backend, the lane shape and `INSTRUMENT`), whether an MRA
-//! hit may stop the walk, and the encoding of its own lanes.
+//! over the scan backend, the tag width, the lane shape and `INSTRUMENT`),
+//! whether an MRA hit may stop the walk, and the encoding of its own lanes.
 
 use std::fmt;
 
@@ -64,15 +68,15 @@ pub(crate) fn magic(policy: TreePolicy) -> [u8; 4] {
         .expect("every policy has a kernel magic")
 }
 
-/// Pads a node's way-lane stride up to a whole number of 8-tag (64-byte)
-/// groups. The FIFO kernel scans a node's whole allocated region, so its
-/// 14- and 30-tag regions (associativities 2..8 and 2..16) become 16 and 32
-/// tags: whole AVX2 and SSE2 vectors with no scalar tail, and node regions
-/// that all sit at the same offset within a cache line. Removing it was
+/// Pads a node's way-lane stride up to a whole number of 8-tag groups (32
+/// bytes of 32-bit tags, 64 of 64-bit ones). The FIFO kernel scans a node's
+/// whole allocated region, so its 14- and 30-tag regions (associativities
+/// 2..8 and 2..16) become 16 and 32 tags: whole AVX2 and SSE2 vectors with
+/// no scalar tail, and node regions of whole cache lines. Removing it was
 /// measured to make perfbench's `sweep_fifo` 9% and `sweep_checkpointed`
-/// 6% slower (EXPERIMENTS.md, "Scan-path mechanisms that pay"). Strides
-/// under one line stay exact — several small nodes per line beats padding
-/// there. Padding lanes hold the invalid-tag sentinel forever; they are
+/// 6% slower (EXPERIMENTS.md, "Scan-path mechanisms that pay"; measured
+/// with 64-bit tags). Strides under 8 tags stay exact — several small
+/// nodes per line beats padding there. Padding lanes hold the invalid-tag sentinel forever; they are
 /// scanned (harmlessly — requests never equal the sentinel) but never
 /// written, and snapshots serialise only the logical region, so the byte
 /// format is unchanged.
@@ -122,6 +126,166 @@ impl<'a> Cursor<'a> {
     pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
         let b = self.bytes(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    }
+}
+
+/// A width of the arena's MRA and way-tag lanes: `u32` while every block
+/// fits below its sentinel, `u64` after the promotion (see [`TagLanes`]).
+/// Halving the tag halves the bytes of every node evaluation and the
+/// compares of every scan.
+pub trait Tag: Copy + Eq + fmt::Debug + 'static {
+    /// The invalid-tag sentinel at this width: cold MRA entries and invalid
+    /// ways.
+    const SENTINEL: Self;
+    /// `block` at this width, or `None` when it does not fit below the
+    /// sentinel.
+    fn narrow(block: u64) -> Option<Self>;
+    /// The tag at 64 bits, the sentinel mapped to the 64-bit one (`u64::MAX`).
+    fn widen(self) -> u64;
+    /// Position-exact match mask of `region` against `needle` on `scan`.
+    fn mask<S: TagScan>(scan: S, region: &[Self], needle: Self) -> u64;
+    /// The arena's lanes, when they are at this width.
+    fn lanes(lanes: &mut TagLanes) -> Option<&mut Lanes<Self>>;
+}
+
+impl Tag for u32 {
+    const SENTINEL: u32 = u32::MAX;
+
+    #[inline(always)]
+    fn narrow(block: u64) -> Option<u32> {
+        u32::try_from(block).ok().filter(|&t| t != u32::MAX)
+    }
+
+    #[inline(always)]
+    fn widen(self) -> u64 {
+        if self == u32::MAX {
+            INVALID_TAG
+        } else {
+            u64::from(self)
+        }
+    }
+
+    #[inline(always)]
+    fn mask<S: TagScan>(scan: S, region: &[u32], needle: u32) -> u64 {
+        scan.mask32(region, needle)
+    }
+
+    fn lanes(lanes: &mut TagLanes) -> Option<&mut Lanes<u32>> {
+        match lanes {
+            TagLanes::Narrow(l) => Some(l),
+            TagLanes::Wide(_) => None,
+        }
+    }
+}
+
+impl Tag for u64 {
+    const SENTINEL: u64 = INVALID_TAG;
+
+    #[inline(always)]
+    fn narrow(block: u64) -> Option<u64> {
+        (block != INVALID_TAG).then_some(block)
+    }
+
+    #[inline(always)]
+    fn widen(self) -> u64 {
+        self
+    }
+
+    #[inline(always)]
+    fn mask<S: TagScan>(scan: S, region: &[u64], needle: u64) -> u64 {
+        scan.mask64(region, needle)
+    }
+
+    fn lanes(lanes: &mut TagLanes) -> Option<&mut Lanes<u64>> {
+        match lanes {
+            TagLanes::Wide(l) => Some(l),
+            TagLanes::Narrow(_) => None,
+        }
+    }
+}
+
+/// The MRA and way-tag lanes at one tag width.
+#[derive(Debug, Clone)]
+pub struct Lanes<T> {
+    /// Dense per-node MRA tags: the direct-mapped cache contents and the
+    /// operand of every node evaluation's first comparison.
+    pub(crate) mra: Vec<T>,
+    /// Way-tag regions, `alloc` entries per node, invalid ways holding the
+    /// sentinel.
+    pub(crate) tags: Vec<T>,
+}
+
+impl<T: Tag> Lanes<T> {
+    /// All-sentinel lanes for `nodes` nodes of `alloc` ways each.
+    fn cold(nodes: usize, alloc: usize) -> Self {
+        Lanes {
+            mra: vec![T::SENTINEL; nodes],
+            tags: vec![T::SENTINEL; nodes * alloc],
+        }
+    }
+
+    /// Heap bytes of both lanes.
+    fn bytes(&self) -> usize {
+        (self.mra.len() + self.tags.len()) * std::mem::size_of::<T>()
+    }
+
+    /// The number of valid (non-sentinel) tags in `node`'s region of
+    /// `alloc` ways.
+    pub(crate) fn valid_ways(&self, node: usize, alloc: usize) -> u32 {
+        let region = &self.tags[node * alloc..][..alloc];
+        region.iter().filter(|&&t| t != T::SENTINEL).count() as u32
+    }
+}
+
+/// The arena's MRA and way-tag lanes at their current width. A kernel
+/// starts [`TagLanes::Narrow`] and is promoted to [`TagLanes::Wide`] once,
+/// by the first block at or above `u32::MAX` (the narrow sentinel); set
+/// indices come from the 64-bit block either way, so the width changes no
+/// result. Snapshots always carry 64-bit tags.
+#[derive(Debug, Clone)]
+pub enum TagLanes {
+    /// 32-bit tags, [`u32::MAX`] the sentinel.
+    Narrow(Lanes<u32>),
+    /// 64-bit tags, `u64::MAX` the sentinel.
+    Wide(Lanes<u64>),
+}
+
+impl TagLanes {
+    /// Widens narrow lanes to 64 bits, the sentinel mapped to the sentinel.
+    fn promote(&mut self) {
+        if let TagLanes::Narrow(n) = self {
+            let widen = |v: &[u32]| v.iter().map(|&t| t.widen()).collect();
+            *self = TagLanes::Wide(Lanes {
+                mra: widen(&n.mra),
+                tags: widen(&n.tags),
+            });
+        }
+    }
+
+    /// `wide` at the narrowest width that holds every tag: narrow when each
+    /// is the sentinel or fits below the narrow one.
+    fn fit(wide: Lanes<u64>) -> TagLanes {
+        let fits = |t: u64| t == INVALID_TAG || u32::narrow(t).is_some();
+        if !wide.mra.iter().chain(&wide.tags).all(|&t| fits(t)) {
+            return TagLanes::Wide(wide);
+        }
+        let narrow = |v: &[u64]| {
+            v.iter()
+                .map(|&t| u32::narrow(t).unwrap_or(u32::MAX))
+                .collect()
+        };
+        TagLanes::Narrow(Lanes {
+            mra: narrow(&wide.mra),
+            tags: narrow(&wide.tags),
+        })
+    }
+
+    /// Heap bytes of both lanes at the current width.
+    fn bytes(&self) -> usize {
+        match self {
+            TagLanes::Narrow(l) => l.bytes(),
+            TagLanes::Wide(l) => l.bytes(),
+        }
     }
 }
 
@@ -180,12 +344,8 @@ pub struct Forest {
     pub(crate) node_off: Vec<usize>,
     /// `(1 << set_bits) - 1` per level.
     pub(crate) set_mask: Vec<u64>,
-    /// Dense per-node MRA tags: the direct-mapped cache contents and the
-    /// operand of every node evaluation's first comparison.
-    pub(crate) mra: Vec<u64>,
-    /// Way-tag regions, `alloc` entries per node, invalid ways holding the
-    /// sentinel.
-    pub(crate) tags: Vec<u64>,
+    /// The MRA and way-tag lanes, at the arena's current tag width.
+    pub(crate) lanes: TagLanes,
     /// Misses per `(level, lane)`, level-major, `widths.len().max(1)` per
     /// level (an assoc-1-only forest keeps a nonzero stride).
     pub(crate) misses: Vec<u64>,
@@ -197,6 +357,14 @@ impl Forest {
     /// Total nodes over every level.
     pub(crate) fn nodes(&self) -> usize {
         *self.node_off.last().expect("at least one level")
+    }
+
+    /// The number of valid (non-sentinel) tags in `node`'s allocated region.
+    pub(crate) fn valid_ways(&self, node: usize) -> u32 {
+        match &self.lanes {
+            TagLanes::Narrow(l) => l.valid_ways(node, self.alloc),
+            TagLanes::Wide(l) => l.valid_ways(node, self.alloc),
+        }
     }
 }
 
@@ -234,15 +402,15 @@ impl Shape<'_> {
 }
 
 /// One node evaluation as an update rule sees it: the node, its way-tag
-/// region and its level's miss tallies, as slices the walk hoisted out of
-/// the forest (so stores through them never force the forest's fields to
-/// be reloaded).
+/// region (at tag width `T`) and its level's miss tallies, as slices the
+/// walk hoisted out of the forest (so stores through them never force the
+/// forest's fields to be reloaded).
 #[derive(Debug)]
-pub struct Site<'a> {
+pub struct Site<'a, T> {
     /// Forest-global node index.
     pub(crate) node: usize,
     /// The node's way-tag region (the allocated length).
-    pub(crate) region: &'a mut [u64],
+    pub(crate) region: &'a mut [T],
     /// The level's misses, one per lane.
     pub(crate) misses: &'a mut [u64],
     /// The lane layout.
@@ -324,17 +492,19 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     fn begin<const INSTRUMENT: bool>(_: &mut Self::Walk<'_>) {}
     /// The MRA comparison at `node` matched: whether the walk stops here.
     fn mra_stop<const INSTRUMENT: bool>(w: &mut Self::Walk<'_>, node: usize) -> bool;
-    /// Updates the node at `at` for `block`. The MRA lane and the
-    /// direct-mapped tally are already settled; `mra_hit` says whether the
-    /// node's MRA matched (and the walk did not stop). Work goes to `work`
-    /// (the request's aggregate) and `lanes` (per lane), instrumented only.
-    fn update<S: TagScan, const FIRST: usize, const NLANES: usize, const INSTRUMENT: bool>(
+    /// Updates the node at `at` for `block` (at the arena's tag width).
+    /// The MRA lane and the direct-mapped tally are already settled;
+    /// `mra_hit` says whether the node's MRA matched (and the walk did not
+    /// stop). Work goes to `work` (the request's aggregate) and `lanes` (per
+    /// lane), instrumented only.
+    #[allow(clippy::too_many_arguments)]
+    fn update<S: TagScan, T: Tag, const FIRST: usize, const NLANES: usize, const INSTRUMENT: bool>(
         w: &mut Self::Walk<'_>,
-        at: Site<'_>,
+        at: Site<'_, T>,
         lanes: &mut [DewCounters],
         work: &mut DewCounters,
         scan: S,
-        block: u64,
+        block: T,
         mra_hit: bool,
     );
 
@@ -368,7 +538,8 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     ) -> Result<(), SnapshotError>;
     /// Writes the policy's lanes (after the way tags).
     fn encode_lanes(&self, f: &Forest, instrument: bool, out: &mut Vec<u8>);
-    /// Reads what [`Policy::encode_lanes`] wrote (any supported `version`).
+    /// Reads what [`Policy::encode_lanes`] wrote (any supported `version`),
+    /// checked against the image's MRA and way tags in `tags`.
     ///
     /// # Errors
     ///
@@ -376,6 +547,7 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     fn decode_lanes(
         &mut self,
         f: &Forest,
+        tags: &Lanes<u64>,
         instrument: bool,
         version: u8,
         cur: &mut Cursor<'_>,
@@ -469,19 +641,32 @@ fn body_len<P: Policy>(d: ArenaDims, instrument: bool, version: u8) -> (u64, u64
 }
 
 /// Writes a node's way-tag region sparsely: each 64-word chunk as an
-/// occupancy bitmap (bit `i` set iff word `i` is not [`INVALID_TAG`]),
-/// then the chunk's set words in order. Ways that were never filled, most
-/// of a checkpointed forest's deep levels, cost one bit each.
-fn encode_region(region: &[u64], out: &mut Vec<u8>) {
+/// occupancy bitmap (bit `i` set iff word `i` is not the sentinel), then
+/// the chunk's set words in order, as 64-bit words at either tag width.
+/// Ways that were never filled, most of a checkpointed forest's deep
+/// levels, cost one bit each.
+fn encode_region<T: Tag>(region: &[T], out: &mut Vec<u8>) {
     for chunk in region.chunks(64) {
         let occupied = chunk
             .iter()
             .rev()
-            .fold(0u64, |bits, &t| bits << 1 | u64::from(t != INVALID_TAG));
+            .fold(0u64, |bits, &t| bits << 1 | u64::from(t != T::SENTINEL));
         put_u64(out, occupied);
-        for &t in chunk.iter().filter(|&&t| t != INVALID_TAG) {
-            put_u64(out, t);
+        for &t in chunk.iter().filter(|&&t| t != T::SENTINEL) {
+            put_u64(out, t.widen());
         }
+    }
+}
+
+/// Writes the MRA lane (widened) and every node's way-tag region at the
+/// logical stride: regions are allocated at the padded stride, and the
+/// padding is an immutable all-sentinel tail.
+fn encode_tags<T: Tag>(f: &Forest, lanes: &Lanes<T>, out: &mut Vec<u8>) {
+    for &t in &lanes.mra {
+        put_u64(out, t.widen());
+    }
+    for node in 0..f.nodes() {
+        encode_region(&lanes.tags[node * f.alloc..][..f.region], out);
     }
 }
 
@@ -581,6 +766,19 @@ impl<P: Policy> Arena<P> {
         options: DewOptions,
         instrument: bool,
     ) -> Result<Self, DewError> {
+        Self::build(block_bits, set_bits, assoc_bits, options, instrument, true)
+    }
+
+    /// [`Arena::new`], with cold narrow lanes when `cold` is set and empty
+    /// wide ones (for a decoder to fill) otherwise.
+    fn build(
+        block_bits: u32,
+        set_bits: (u32, u32),
+        assoc_bits: (u32, u32),
+        options: DewOptions,
+        instrument: bool,
+        cold: bool,
+    ) -> Result<Self, DewError> {
         options.validate()?;
         if options.policy != P::POLICY {
             return Err(DewError::UnsoundOptions(
@@ -622,6 +820,14 @@ impl<P: Policy> Arena<P> {
         }
         node_off.push(total);
         let levels = set_mask.len();
+        let lanes = if cold {
+            TagLanes::Narrow(Lanes::cold(total, alloc))
+        } else {
+            TagLanes::Wide(Lanes {
+                mra: Vec::new(),
+                tags: Vec::new(),
+            })
+        };
         let forest = Forest {
             misses: vec![0; levels * widths.len().max(1)],
             widths,
@@ -630,8 +836,7 @@ impl<P: Policy> Arena<P> {
             alloc,
             node_off,
             set_mask,
-            mra: vec![INVALID_TAG; total],
-            tags: vec![INVALID_TAG; total * alloc],
+            lanes,
             dm_misses: vec![0; levels],
         };
         Ok(Arena {
@@ -741,7 +946,9 @@ impl<P: Policy> Arena<P> {
     /// # Panics
     ///
     /// Panics if the block number equals the internal sentinel
-    /// (`u64::MAX`: only the top address with 1-byte blocks).
+    /// (`u64::MAX`: only the top address with 1-byte blocks). A block at
+    /// or above `u32::MAX` is no error: it widens the kernel's tags from 32
+    /// to 64 bits, once.
     pub fn step(&mut self, addr: u64) {
         self.step_block(addr >> self.pass.block_bits());
     }
@@ -760,7 +967,9 @@ impl<P: Policy> Arena<P> {
     /// Simulates a batch of pre-decoded block numbers (see
     /// `dew_trace::decode_blocks` / `dew_trace::BlockChunks`): the sweep's
     /// drive path. Running one batch or the same blocks split across many
-    /// batches is bit-identical.
+    /// batches is bit-identical. The first block at or above `u32::MAX`
+    /// widens the kernel's tags from 32 to 64 bits in place, once, wherever
+    /// it falls; no result, counter or snapshot depends on where.
     ///
     /// # Panics
     ///
@@ -805,10 +1014,31 @@ impl<P: Policy> Arena<P> {
             self.forest.widths.len(),
         );
         with_lane_shape!(shape, |FIRST, NLANES| if self.instrument {
-            self.drive_shaped::<S, FIRST, NLANES, true>(scan, blocks)
+            self.drive_widths::<S, FIRST, NLANES, true>(scan, blocks)
         } else {
-            self.drive_shaped::<S, FIRST, NLANES, false>(scan, blocks)
+            self.drive_widths::<S, FIRST, NLANES, false>(scan, blocks)
         })
+    }
+
+    /// Tag-width dispatch: narrow lanes run the batch until a block does
+    /// not fit them, are promoted to 64 bits in place, and the wide loop
+    /// runs the rest (that block included).
+    #[inline(always)]
+    fn drive_widths<S: TagScan, const FIRST: usize, const NLANES: usize, const I: bool>(
+        &mut self,
+        scan: S,
+        blocks: &[u64],
+    ) {
+        let mut rest = blocks;
+        if let TagLanes::Narrow(_) = self.forest.lanes {
+            let done = self.drive_shaped::<S, u32, FIRST, NLANES, I>(scan, rest);
+            if done == rest.len() {
+                return;
+            }
+            self.forest.lanes.promote();
+            rest = &rest[done..];
+        }
+        self.drive_shaped::<S, u64, FIRST, NLANES, I>(scan, rest);
     }
 
     /// The batch loop. Everything a walk touches is split out of the kernel
@@ -820,12 +1050,16 @@ impl<P: Policy> Arena<P> {
     /// once per request: bumping the same counter fields from every level
     /// was measured to cost ~10% of the instrumented FIFO kernel's runtime
     /// in store-forwarding chains.
+    ///
+    /// Runs at tag width `T`, which the lanes must be at, and returns how
+    /// many blocks it consumed: all of them, or up to the first that does
+    /// not fit `T` (narrow lanes only; a wide kernel panics there instead).
     #[inline(always)]
-    fn drive_shaped<S: TagScan, const FIRST: usize, const NLANES: usize, const I: bool>(
+    fn drive_shaped<S: TagScan, T: Tag, const FIRST: usize, const NLANES: usize, const I: bool>(
         &mut self,
         scan: S,
         blocks: &[u64],
-    ) {
+    ) -> usize {
         let alloc = const_alloc::<P, FIRST, NLANES>(self.forest.alloc);
         let Arena {
             forest: f,
@@ -847,13 +1081,17 @@ impl<P: Policy> Arena<P> {
         // index a level's misses without bounds checks.
         let stride = shape.nlanes::<FIRST, NLANES>().max(1);
         let (set_mask, node_off) = (&f.set_mask[..], &f.node_off[..]);
-        let (mra, tags): (&mut [u64], &mut [u64]) = (&mut f.mra, &mut f.tags);
+        let lanes = T::lanes(&mut f.lanes).expect("the lanes are at the driven width");
+        let (mra, tags): (&mut [T], &mut [T]) = (&mut lanes.mra, &mut lanes.tags);
         let (misses, dm_misses) = (&mut f.misses[..], &mut f.dm_misses[..]);
-        for &block in blocks {
-            assert_ne!(
-                block, INVALID_TAG,
-                "block {block:#x} exceeds the supported range"
-            );
+        for (i, &block) in blocks.iter().enumerate() {
+            let Some(tag) = T::narrow(block) else {
+                assert_ne!(
+                    block, INVALID_TAG,
+                    "block {block:#x} exceeds the supported range"
+                );
+                return i;
+            };
             counters.accesses += 1;
             if elide {
                 if block == *prev_block {
@@ -877,7 +1115,7 @@ impl<P: Policy> Arena<P> {
                     work.tag_comparisons += 1;
                 }
                 let mra = &mut mra[node];
-                let mra_hit = *mra == block;
+                let mra_hit = *mra == tag;
                 if mra_hit {
                     if P::mra_stop::<I>(&mut w, node) {
                         if I {
@@ -887,7 +1125,7 @@ impl<P: Policy> Arena<P> {
                     }
                 } else {
                     *dm_misses += 1;
-                    *mra = block;
+                    *mra = tag;
                 }
                 let at = Site {
                     node,
@@ -895,14 +1133,15 @@ impl<P: Policy> Arena<P> {
                     misses,
                     shape,
                 };
-                P::update::<S, FIRST, NLANES, I>(
-                    &mut w, at, lane_work, &mut work, scan, block, mra_hit,
+                P::update::<S, T, FIRST, NLANES, I>(
+                    &mut w, at, lane_work, &mut work, scan, tag, mra_hit,
                 );
             }
             if I {
                 *counters += work;
             }
         }
+        blocks.len()
     }
 
     /// Per-configuration miss counts (associativity 1, when simulated,
@@ -1014,10 +1253,12 @@ impl<P: Policy> Arena<P> {
     }
 
     /// Actual heap footprint of the kernel's lanes in bytes (excludes
-    /// counters and scratch).
+    /// counters and scratch): the MRA and way tags at their current width
+    /// (4 bytes each until a block outgrows 32 bits, 8 after) plus the
+    /// policy's own lanes.
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
-        self.forest.mra.len() * 8 + self.forest.tags.len() * 8 + self.lanes.footprint()
+        self.forest.lanes.bytes() + self.lanes.footprint()
     }
 
     /// Serialises the complete kernel state (geometry, options, counters,
@@ -1061,13 +1302,14 @@ impl<P: Policy> Arena<P> {
         if P::ELISION {
             put_u64(&mut out, self.prev_block);
         }
-        for &v in f.misses.iter().chain(&f.dm_misses).chain(&f.mra) {
+        for &v in f.misses.iter().chain(&f.dm_misses) {
             put_u64(&mut out, v);
         }
-        // Regions are allocated at the padded stride but serialised at the
-        // logical one: the padding is an immutable all-sentinel tail.
-        for node in 0..f.nodes() {
-            encode_region(&f.tags[node * f.alloc..][..f.region], &mut out);
+        // Tags are written at 64 bits whatever the width, so an image does
+        // not depend on whether the kernel was promoted.
+        match &f.lanes {
+            TagLanes::Narrow(l) => encode_tags(f, l, &mut out),
+            TagLanes::Wide(l) => encode_tags(f, l, &mut out),
         }
         self.lanes.encode_lanes(f, self.instrument, &mut out);
         debug_assert!(out.len() <= HEADER_LEN + dense);
@@ -1107,7 +1349,7 @@ impl<P: Policy> Arena<P> {
         check_body_len(&cur, set_bits, assoc_bits, |d| {
             body_len::<P>(d, instrument, version)
         })?;
-        let mut k = Arena::<P>::new(block_bits, set_bits, assoc_bits, opts, instrument)
+        let mut k = Arena::<P>::build(block_bits, set_bits, assoc_bits, opts, instrument, false)
             .map_err(|_| SnapshotError::Corrupt("invalid arena geometry"))?;
         for &i in P::counters(version) {
             let v = cur.u64()?;
@@ -1124,16 +1366,17 @@ impl<P: Policy> Arena<P> {
             k.prev_block = cur.u64()?;
         }
         let f = &mut k.forest;
-        for v in f
-            .misses
-            .iter_mut()
-            .chain(&mut f.dm_misses)
-            .chain(&mut f.mra)
-        {
+        for v in f.misses.iter_mut().chain(&mut f.dm_misses) {
+            *v = cur.u64()?;
+        }
+        // Decoded at 64 bits, checked by the policy, then narrowed when
+        // every tag fits.
+        let mut wide = Lanes::<u64>::cold(f.nodes(), f.alloc);
+        for v in &mut wide.mra {
             *v = cur.u64()?;
         }
         for node in 0..f.nodes() {
-            let region = &mut f.tags[node * f.alloc..][..f.region];
+            let region = &mut wide.tags[node * f.alloc..][..f.region];
             if version >= P::SPARSE {
                 decode_region(region, &mut cur)?;
             } else {
@@ -1143,10 +1386,11 @@ impl<P: Policy> Arena<P> {
             }
         }
         k.lanes
-            .decode_lanes(&k.forest, instrument, version, &mut cur)?;
+            .decode_lanes(&k.forest, &wide, instrument, version, &mut cur)?;
         if cur.remaining() != 0 {
             return Err(SnapshotError::TrailingBytes(cur.remaining()));
         }
+        k.forest.lanes = TagLanes::fit(wide);
         Ok(k)
     }
 }

@@ -61,7 +61,9 @@ pub trait PolicyKernel {
     /// Serialises the complete kernel state under the policy's own magic.
     fn to_snapshot(&self) -> Vec<u8>;
 
-    /// Actual heap footprint of the kernel's lanes in bytes.
+    /// Actual heap footprint of the kernel's lanes in bytes, with the MRA
+    /// and way tags at their current width: 4 bytes each until a block
+    /// outgrows 32 bits, 8 after.
     fn footprint_bytes(&self) -> usize;
 
     /// The tag-scan backend this kernel's batched scans run on (fixed at
@@ -289,6 +291,12 @@ pub mod selftest {
     /// and evict every lane of the self-test geometry many times over.
     const TRACE_LEN: usize = 2048;
 
+    /// Blocks appended past the 32-bit tag range, starting at `u32::MAX`
+    /// (the narrow sentinel): the kernels scan 32-bit tags up to there, are
+    /// promoted mid-chunk, and scan 64-bit tags for the rest, so one run
+    /// covers both widths of every backend and the promotion between them.
+    const WIDE_TAIL: usize = 96;
+
     /// The `(log2 sets, log2 assoc)` ranges checked: a multi-level,
     /// multi-lane forest, and one set of a lone 2-way lane, whose const lane
     /// shape the first never reaches (an LLVM miscompile of the sse2 scan
@@ -298,31 +306,40 @@ pub mod selftest {
     /// The deterministic self-test trace: an LCG mixing a hot working set
     /// (re-hits, promotions), a medium stream (evictions) and periodic
     /// cold scans (invalid-prefix fills), so every ladder stage and every
-    /// lane-scan outcome is exercised.
+    /// lane-scan outcome is exercised; then the [`WIDE_TAIL`], whose blocks
+    /// share their low 32 bits with the hot set or re-hit it.
     fn trace() -> Vec<u64> {
         let mut x = 0x5EED_CAFE_F00D_u64;
-        (0..TRACE_LEN)
-            .map(|i| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let r = x >> 33;
-                match i % 7 {
-                    0..=2 => r % 24,              // hot set: hits at every depth
-                    3 | 4 => r % 160,             // medium: misses and evictions
-                    _ => 4096 + (i as u64) % 512, // cold scan: fills and pollution
-                }
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        let mut blocks: Vec<u64> = (0..TRACE_LEN)
+            .map(|i| match i % 7 {
+                0..=2 => next() % 24,         // hot set: hits at every depth
+                3 | 4 => next() % 160,        // medium: misses and evictions
+                _ => 4096 + (i as u64) % 512, // cold scan: fills and pollution
             })
-            .collect()
+            .collect();
+        blocks.push(u64::from(u32::MAX));
+        blocks.extend((1..WIDE_TAIL).map(|i| match i % 3 {
+            0 => next() % 24,             // narrow re-hits in wide lanes
+            1 => (1 << 32) + next() % 24, // the hot set's high-bit aliases
+            _ => (1 << 32) + next() % 160,
+        }));
+        blocks
     }
 
     /// Runs the differential check and reports the first divergence.
     ///
     /// Drives the self-test trace through every policy, instrumented and
     /// fast, under the active backend and under the pinned scalar oracle,
-    /// in unequal chunk sizes (so wide-scan windows straddle chunk
-    /// boundaries differently), then compares per-associativity results,
-    /// per-associativity counters and the complete state snapshots.
+    /// in unequal chunk sizes (so wide-scan windows and the promotion to
+    /// 64-bit tags straddle chunk boundaries differently), then compares
+    /// per-associativity results, per-associativity counters and the
+    /// complete state snapshots.
     ///
     /// # Errors
     ///

@@ -73,9 +73,8 @@
 //! # }
 //! ```
 
-use crate::arena::{Arena, Forest, Policy, Site};
+use crate::arena::{Arena, Forest, Lanes, Policy, Site, Tag};
 use crate::counters::DewCounters;
-use crate::node::INVALID_TAG;
 use crate::options::{DewOptions, TreePolicy};
 use crate::simd::{first_match, TagScan};
 use crate::snapshot::{put_u32, put_u64, ArenaDims, Cursor, SnapshotError};
@@ -175,13 +174,19 @@ impl Policy for Lru {
     }
 
     #[inline(always)]
-    fn update<S: TagScan, const FIRST: usize, const NLANES: usize, const INSTRUMENT: bool>(
+    fn update<
+        S: TagScan,
+        T: Tag,
+        const FIRST: usize,
+        const NLANES: usize,
+        const INSTRUMENT: bool,
+    >(
         depth_hits: &mut &mut [u64],
-        at: Site<'_>,
+        at: Site<'_, T>,
         _: &mut [DewCounters],
         work: &mut DewCounters,
         scan: S,
-        block: u64,
+        block: T,
         _: bool,
     ) {
         let Site {
@@ -211,9 +216,9 @@ impl Policy for Lru {
                 depth as u64
             } else {
                 let valid = if FIRST == 0 {
-                    first_match(scan, region, INVALID_TAG).unwrap_or(width)
+                    first_match(scan, region, T::SENTINEL).unwrap_or(width)
                 } else {
-                    (scan.match_mask(region, INVALID_TAG) | 1 << width).trailing_zeros() as usize
+                    (scan.match_mask(region, T::SENTINEL) | 1 << width).trailing_zeros() as usize
                 };
                 valid.saturating_sub(1) as u64
             };
@@ -297,7 +302,7 @@ impl Policy for Lru {
     fn encode_lanes(&self, f: &Forest, instrument: bool, out: &mut Vec<u8>) {
         if instrument {
             for node in 0..f.nodes() {
-                put_u32(out, valid_len(f, node));
+                put_u32(out, f.valid_ways(node));
             }
         }
     }
@@ -305,25 +310,20 @@ impl Policy for Lru {
     fn decode_lanes(
         &mut self,
         f: &Forest,
+        tags: &Lanes<u64>,
         instrument: bool,
         _: u8,
         cur: &mut Cursor<'_>,
     ) -> Result<(), SnapshotError> {
         if instrument {
             for node in 0..f.nodes() {
-                if cur.u32()? != valid_len(f, node) {
+                if cur.u32()? != tags.valid_ways(node, f.alloc) {
                     return Err(SnapshotError::Corrupt("valid prefix out of range"));
                 }
             }
         }
         Ok(())
     }
-}
-
-/// The number of valid (non-sentinel) tags in `node`'s recency list.
-fn valid_len(f: &Forest, node: usize) -> u32 {
-    let region = &f.tags[node * f.alloc..][..f.alloc];
-    region.iter().filter(|&&t| t != INVALID_TAG).count() as u32
 }
 
 #[cfg(test)]

@@ -99,7 +99,7 @@
 //! # }
 //! ```
 
-use crate::arena::{Arena, Forest, Policy, Site, RETIRED};
+use crate::arena::{Arena, Forest, Lanes, Policy, Site, Tag, RETIRED};
 use crate::counters::DewCounters;
 use crate::node::{fifo_advance, EMPTY_WAVE, INVALID_TAG};
 use crate::options::{DewOptions, TreePolicy};
@@ -222,17 +222,23 @@ impl Policy for Fifo {
     }
 
     #[inline(always)]
-    fn update<S: TagScan, const FIRST: usize, const NLANES: usize, const INSTRUMENT: bool>(
+    fn update<
+        S: TagScan,
+        T: Tag,
+        const FIRST: usize,
+        const NLANES: usize,
+        const INSTRUMENT: bool,
+    >(
         v: &mut FifoWalk<'_>,
-        at: Site<'_>,
+        at: Site<'_, T>,
         lanes: &mut [DewCounters],
         work: &mut DewCounters,
         scan: S,
-        block: u64,
+        block: T,
         mra_hit: bool,
     ) {
         if INSTRUMENT {
-            v.ladder::<S, FIRST, NLANES>(at, lanes, work, scan, block, mra_hit);
+            v.ladder::<S, T, FIRST, NLANES>(at, lanes, work, scan, block, mra_hit);
             return;
         }
         if mra_hit {
@@ -393,6 +399,7 @@ impl Policy for Fifo {
     fn decode_lanes(
         &mut self,
         f: &Forest,
+        tags: &Lanes<u64>,
         instrument: bool,
         version: u8,
         cur: &mut Cursor<'_>,
@@ -423,7 +430,7 @@ impl Policy for Fifo {
                 // The retired link lane: nothing consults it any more.
                 cur.bytes(4 * f.nodes() * f.region)?;
             }
-            self.check_ladder(f)?;
+            self.check_ladder(f, tags)?;
         }
         Ok(())
     }
@@ -437,13 +444,13 @@ impl Fifo {
     /// tag is absent and implies a full list; the node's MRA tag is
     /// resident; and every wave pointer (the MRE's included) names its
     /// tag's way in the child's list, if that tag is resident there.
-    fn check_ladder(&self, f: &Forest) -> Result<(), SnapshotError> {
+    fn check_ladder(&self, f: &Forest, t: &Lanes<u64>) -> Result<(), SnapshotError> {
         let (nl, levels) = (f.widths.len(), f.set_mask.len());
-        let lane = |node: usize, o: usize, w: usize| &f.tags[node * f.alloc + o..][..w];
+        let lane = |node: usize, o: usize, w: usize| &t.tags[node * f.alloc + o..][..w];
         for l in 0..levels {
             for node in f.node_off[l]..f.node_off[l + 1] {
                 for (k, (&w, &o)) in f.widths.iter().zip(&f.lane_off).enumerate() {
-                    let (ml, tags, mra) = (node * nl + k, lane(node, o, w), f.mra[node]);
+                    let (ml, tags, mra) = (node * nl + k, lane(node, o, w), t.mra[node]);
                     let (valid, mre) = (self.valid[ml] as usize, self.mre[ml]);
                     let (held, free) = tags.split_at(valid.min(w));
                     let filled = (valid == w || (valid < w && self.fifo[ml] as usize == valid))
@@ -504,18 +511,22 @@ impl FifoWalk<'_> {
     /// adds was measured *slower*: it must load every ladder lane, while
     /// the staged ladder loads only what the settled stage needs — the
     /// wave pointer settles ~90% of list handles on real traces.)
+    ///
+    /// MRE tags stay 64-bit at either tag width (they are per list, not per
+    /// way), so the ladder compares them against the widened block.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn ladder<S: TagScan, const FIRST: usize, const NLANES: usize>(
+    fn ladder<S: TagScan, T: Tag, const FIRST: usize, const NLANES: usize>(
         &mut self,
-        at: Site<'_>,
+        at: Site<'_, T>,
         lanes: &mut [DewCounters],
         work: &mut DewCounters,
         scan: S,
-        block: u64,
+        block: T,
         mra_hit: bool,
     ) {
         let (use_wave, use_mre) = (self.opts.wave, self.opts.mre);
+        let wide = block.widen();
         let Site {
             node,
             region,
@@ -564,7 +575,7 @@ impl FifoWalk<'_> {
                     work.wave_misses += 1;
                 }
                 determined = true;
-            } else if use_mre && self.mre[ml] == block {
+            } else if use_mre && self.mre[ml] == wide {
                 // Property 4: the most recently evicted block is certainly
                 // absent.
                 debug_assert!(resident.is_none(), "an MRE match implies absence");
@@ -597,20 +608,20 @@ impl FifoWalk<'_> {
                     // Algorithm 2: Handle_miss.
                     misses[k] += 1;
                     let n = self.fifo[ml] as usize;
-                    if use_mre && self.mre[ml] == block {
+                    if use_mre && self.mre[ml] == wide {
                         // Exchange the victim way with the MRE entry,
                         // restoring the block's preserved wave pointer.
                         debug_assert_eq!(self.valid[ml] as usize, w, "MRE implies a full list");
-                        std::mem::swap(&mut region[o + n], &mut self.mre[ml]);
+                        self.mre[ml] = std::mem::replace(&mut region[o + n], block).widen();
                         std::mem::swap(&mut self.waves[start + n], &mut self.mre_wave[ml]);
                     } else {
                         let evicted = std::mem::replace(&mut region[o + n], block);
                         let evicted_wave =
                             std::mem::replace(&mut self.waves[start + n], EMPTY_WAVE);
-                        if evicted == INVALID_TAG {
+                        if evicted == T::SENTINEL {
                             self.valid[ml] += 1;
                         } else if use_mre {
-                            self.mre[ml] = evicted;
+                            self.mre[ml] = evicted.widen();
                             self.mre_wave[ml] = evicted_wave;
                         }
                     }

@@ -4,11 +4,15 @@
 //! The paper's layout (Section 5): each tag-list entry holds a tag and a wave
 //! pointer; each tree node additionally holds the MRA tag, the MRE tag and
 //! the MRE entry's wave pointer. Per node that is `96 + 64·A` bits in the
-//! paper's 32-bit implementation; this crate widens tags to 64 bits (see
-//! `DESIGN.md`, substitutions) and stores every field as a dense per-field
-//! lane of the arena (`crate::arena`).
+//! paper's 32-bit implementation. This crate keeps 32-bit MRA and way tags
+//! while every block fits below the 32-bit sentinel and widens them to 64
+//! bits, once, when one does not (see `DESIGN.md`, substitutions, and
+//! `crate::arena::Tag`); every field is a dense per-field lane of the arena
+//! (`crate::arena`).
 
-/// Sentinel for "no tag": cold MRA/MRE entries and invalid ways.
+/// Sentinel for "no tag" at 64 bits: cold MRE entries, the previous block
+/// before the first request, invalid ways of promoted (64-bit) lanes and of
+/// every snapshot image. Narrow lanes use `u32::MAX`.
 ///
 /// Block numbers are bounded by the `max_set_bits + block_bits <= 58`
 /// validation in [`crate::PassConfig::new`] plus a runtime assert in

@@ -62,10 +62,9 @@
 //! ```
 
 use crate::arena::{
-    decode_search_cmps, encode_search_cmps, search_work, Arena, Forest, Policy, Site,
+    decode_search_cmps, encode_search_cmps, search_work, Arena, Forest, Lanes, Policy, Site, Tag,
 };
 use crate::counters::DewCounters;
-use crate::node::INVALID_TAG;
 use crate::options::{DewOptions, TreePolicy};
 use crate::simd::{lane_scan, window_scan, LaneScan, TagScan};
 use crate::snapshot::{put_u64, ArenaDims, Cursor, SnapshotError};
@@ -185,13 +184,19 @@ impl Policy for Plru {
     /// lane by lane ([`lane_scan`]; the only path for a region over 64
     /// tags).
     #[inline(always)]
-    fn update<S: TagScan, const FIRST: usize, const NLANES: usize, const INSTRUMENT: bool>(
+    fn update<
+        S: TagScan,
+        T: Tag,
+        const FIRST: usize,
+        const NLANES: usize,
+        const INSTRUMENT: bool,
+    >(
         v: &mut PlruWalk<'_>,
-        at: Site<'_>,
+        at: Site<'_, T>,
         lanes: &mut [DewCounters],
         work: &mut DewCounters,
         scan: S,
-        block: u64,
+        block: T,
         _: bool,
     ) {
         let Site {
@@ -206,7 +211,7 @@ impl Policy for Plru {
         } else {
             (
                 scan.match_mask(region, block),
-                scan.match_mask(region, INVALID_TAG),
+                scan.match_mask(region, T::SENTINEL),
             )
         };
         #[allow(clippy::needless_range_loop)] // k indexes parallel lanes
@@ -214,7 +219,7 @@ impl Policy for Plru {
             let (w, off) = shape.lane::<FIRST>(k);
             let lane = &mut region[off..off + w];
             let scanned = if FIRST == 0 {
-                lane_scan(scan, lane, block, INVALID_TAG)
+                lane_scan(scan, lane, block, T::SENTINEL)
             } else {
                 window_scan(hits, invalid, off, w)
             };
@@ -288,6 +293,7 @@ impl Policy for Plru {
     fn decode_lanes(
         &mut self,
         f: &Forest,
+        _: &Lanes<u64>,
         _: bool,
         version: u8,
         cur: &mut Cursor<'_>,

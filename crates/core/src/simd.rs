@@ -3,23 +3,32 @@
 //! fallback.
 //!
 //! The fused kernels' hot operation is always the same: compare a small
-//! contiguous region of 64-bit way tags against one requested block number
-//! and learn *which* lane matched (FIFO and LRU need the position — FIFO for
+//! contiguous region of way tags against one requested block number and
+//! learn *which* lane matched (FIFO and LRU need the position — FIFO for
 //! its per-list windows, LRU for the stack depth — and PLRU/SLRU need the
-//! first match or the first sentinel). Until this module, that scan relied
-//! on LLVM autovectorising the branchless `hit_mask |= (tag == block) << i`
-//! loop; here it is explicit:
+//! first match or the first sentinel). Tags are 32-bit while every block of
+//! a kernel fits below the 32-bit sentinel and 64-bit after the kernel's
+//! one promotion (`crate::arena::Tag`), so every backend has a mask at each
+//! width ([`TagScan::mask32`], [`TagScan::mask64`]) and the update rules
+//! call the one that matches their lanes ([`TagScan::match_mask`]). Until
+//! this module, the scan relied on LLVM autovectorising the branchless
+//! `hit_mask |= (tag == block) << i` loop; here it is explicit:
 //!
-//! * **scalar** — a branchless u64 loop using the SWAR zero test
-//!   `((x - 1) & !x) >> 63` on `tag ^ needle`, so even the fallback emits no
-//!   per-lane branches. This path is the **oracle**: the SIMD paths are
-//!   property-tested bit-identical to it (`tests/proptest_simd_kernels.rs`,
-//!   [`crate::kernel::selftest`]);
-//! * **sse2** — two tags per step via `_mm_cmpeq_epi32`, movemasked through
-//!   `_mm_movemask_ps` and paired in scalar bits (plain SSE2 has no 64-bit
-//!   compare; equality of both 32-bit halves is 64-bit equality);
-//! * **avx2** — four tags per step via `_mm256_cmpeq_epi64` /
-//!   `_mm256_movemask_pd`.
+//! * **scalar** — a branchless loop using the SWAR zero test
+//!   `((x - 1) & !x) >> 63` (`>> 31` for 32-bit tags) on `tag ^ needle`, so
+//!   even the fallback emits no per-lane branches. This path is the
+//!   **oracle**: the SIMD paths are property-tested bit-identical to it
+//!   (`tests/proptest_simd_kernels.rs`, [`crate::kernel::selftest`]);
+//! * **sse2** — four 32-bit tags per step via `_mm_cmpeq_epi32` /
+//!   `_mm_movemask_ps`, then a two-tag step on a 64-bit load; 64-bit tags
+//!   two per step, movemasked through `_mm_movemask_ps` and paired in
+//!   scalar bits (plain SSE2 has no 64-bit compare; equality of both 32-bit
+//!   halves is 64-bit equality);
+//! * **avx2** — eight 32-bit tags per step via `_mm256_cmpeq_epi32` /
+//!   `_mm256_movemask_ps`, then four- and two-tag steps, so no region of a
+//!   const lane shape (all even lengths, 6- and 30-tag regions included)
+//!   reaches the scalar tail; 64-bit tags four per step via
+//!   `_mm256_cmpeq_epi64` / `_mm256_movemask_pd`.
 //!
 //! Because a match mask is position-exact (bit `i` set iff lane `i` equals
 //! the needle), every policy's semantics survive the translation: FIFO's
@@ -52,11 +61,14 @@
 //! `is_x86_feature_detected!("avx2")` succeeds; the SSE2 path is
 //! unconditionally sound on `x86_64` (baseline ISA). The unaligned-load
 //! intrinsics read only in-bounds lanes: full vectors while
-//! `i + LANES <= region.len()`, then a scalar tail.
+//! `i + LANES <= region.len()`, then (32-bit tags) the narrower steps under
+//! the same condition, then a scalar tail.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
+
+use crate::arena::Tag;
 
 /// Which tag-scan implementation a kernel runs. See the module docs for the
 /// dispatch rules; [`KernelBackend::active`] is the process-wide selection
@@ -64,14 +76,14 @@ use std::sync::OnceLock;
 /// [`crate::SweepOutcome::kernel_backend`] reports it per sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
-    /// The branchless SWAR u64 loop — always available, and the oracle the
+    /// The branchless SWAR loop — always available, and the oracle the
     /// SIMD paths are property-tested against.
     Scalar,
-    /// Two tags per step through `core::arch` SSE2 intrinsics (`x86_64`
-    /// baseline; requires the `simd` cargo feature).
+    /// Four 32-bit or two 64-bit tags per step through `core::arch` SSE2
+    /// intrinsics (`x86_64` baseline; requires the `simd` cargo feature).
     Sse2,
-    /// Four tags per step through `core::arch` AVX2 intrinsics (runtime
-    /// detected; requires the `simd` cargo feature).
+    /// Eight 32-bit or four 64-bit tags per step through `core::arch` AVX2
+    /// intrinsics (runtime detected; requires the `simd` cargo feature).
     Avx2,
 }
 
@@ -154,9 +166,16 @@ pub(crate) fn force_scalar_globally() {
 /// their batch loop over this, so the `#[inline(always)]` mask computation
 /// inlines into each backend's `#[target_feature]` driver.
 pub trait TagScan: Copy {
-    /// Position-exact match mask: bit `i` is set iff `region[i] == needle`.
-    /// `region.len()` must not exceed 64.
-    fn match_mask(self, region: &[u64], needle: u64) -> u64;
+    /// Position-exact match mask over 64-bit tags: bit `i` is set iff
+    /// `region[i] == needle`. `region.len()` must not exceed 64.
+    fn mask64(self, region: &[u64], needle: u64) -> u64;
+    /// [`TagScan::mask64`] over 32-bit tags.
+    fn mask32(self, region: &[u32], needle: u32) -> u64;
+    /// Position-exact match mask at the arena's tag width `T`.
+    #[inline(always)]
+    fn match_mask<T: Tag>(self, region: &[T], needle: T) -> u64 {
+        T::mask(self, region, needle)
+    }
 }
 
 /// Branchless scalar equality bit: `1` iff `a == b`, computed with the SWAR
@@ -167,17 +186,34 @@ fn eq_bit(a: u64, b: u64) -> u64 {
     (!x & x.wrapping_sub(1)) >> 63
 }
 
+/// [`eq_bit`] on 32-bit tags.
+#[inline(always)]
+fn eq_bit32(a: u32, b: u32) -> u64 {
+    let x = a ^ b;
+    u64::from((!x & x.wrapping_sub(1)) >> 31)
+}
+
 /// The scalar oracle. See [`TagScan`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScalarScan;
 
 impl TagScan for ScalarScan {
     #[inline(always)]
-    fn match_mask(self, region: &[u64], needle: u64) -> u64 {
+    fn mask64(self, region: &[u64], needle: u64) -> u64 {
         debug_assert!(region.len() <= 64);
         let mut mask = 0u64;
         for (i, &tag) in region.iter().enumerate() {
             mask |= eq_bit(tag, needle) << i;
+        }
+        mask
+    }
+
+    #[inline(always)]
+    fn mask32(self, region: &[u32], needle: u32) -> u64 {
+        debug_assert!(region.len() <= 64);
+        let mut mask = 0u64;
+        for (i, &tag) in region.iter().enumerate() {
+            mask |= eq_bit32(tag, needle) << i;
         }
         mask
     }
@@ -195,7 +231,7 @@ pub(crate) struct Sse2Scan;
 impl TagScan for Sse2Scan {
     #[inline(always)]
     #[allow(unsafe_code)]
-    fn match_mask(self, region: &[u64], needle: u64) -> u64 {
+    fn mask64(self, region: &[u64], needle: u64) -> u64 {
         debug_assert!(region.len() <= 64);
         use core::arch::x86_64::{
             _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_ps, _mm_set1_epi64x,
@@ -228,6 +264,42 @@ impl TagScan for Sse2Scan {
         }
         mask
     }
+
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    fn mask32(self, region: &[u32], needle: u32) -> u64 {
+        debug_assert!(region.len() <= 64);
+        use core::arch::x86_64::{
+            _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_loadl_epi64, _mm_loadu_si128, _mm_movemask_ps,
+            _mm_set1_epi32,
+        };
+        let len = region.len();
+        let mut mask = 0u64;
+        let mut i = 0usize;
+        // SAFETY: SSE2 is baseline on x86_64; the unaligned loads read lanes
+        // `i..i+4` and `i..i+2`, in bounds by their conditions.
+        unsafe {
+            let n = _mm_set1_epi32(needle as i32);
+            while i + 4 <= len {
+                let v = _mm_loadu_si128(region.as_ptr().add(i).cast());
+                let eq = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, n))) as u64;
+                mask |= eq << i;
+                i += 4;
+            }
+            if i + 2 <= len {
+                // Two tags in the low half; the zeroed high half may match a
+                // zero needle, so only the low two bits count.
+                let v = _mm_loadl_epi64(region.as_ptr().add(i).cast());
+                let eq = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, n))) as u64;
+                mask |= (eq & 3) << i;
+                i += 2;
+            }
+        }
+        if i < len {
+            mask |= eq_bit32(region[i], needle) << i;
+        }
+        mask
+    }
 }
 
 /// The AVX2 backend (runtime detected). See [`TagScan`] and the module docs.
@@ -242,7 +314,7 @@ pub(crate) struct Avx2Scan;
 impl TagScan for Avx2Scan {
     #[inline(always)]
     #[allow(unsafe_code)]
-    fn match_mask(self, region: &[u64], needle: u64) -> u64 {
+    fn mask64(self, region: &[u64], needle: u64) -> u64 {
         debug_assert!(region.len() <= 64);
         debug_assert!(KernelBackend::Avx2.is_available());
         use core::arch::x86_64::{
@@ -272,13 +344,61 @@ impl TagScan for Avx2Scan {
         }
         mask
     }
+
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    fn mask32(self, region: &[u32], needle: u32) -> u64 {
+        debug_assert!(region.len() <= 64);
+        debug_assert!(KernelBackend::Avx2.is_available());
+        use core::arch::x86_64::{
+            _mm256_castsi256_ps, _mm256_castsi256_si128, _mm256_cmpeq_epi32, _mm256_loadu_si256,
+            _mm256_movemask_ps, _mm256_set1_epi32, _mm_castsi128_ps, _mm_cmpeq_epi32,
+            _mm_loadl_epi64, _mm_loadu_si128, _mm_movemask_ps,
+        };
+        let len = region.len();
+        let mut mask = 0u64;
+        let mut i = 0usize;
+        // SAFETY: as for `mask64` (AVX2 detected before this strategy is
+        // constructed); the unaligned loads read lanes `i..i+8`, `i..i+4`
+        // and `i..i+2`, in bounds by their conditions.
+        unsafe {
+            let n = _mm256_set1_epi32(needle as i32);
+            while i + 8 <= len {
+                let v = _mm256_loadu_si256(region.as_ptr().add(i).cast());
+                let eq = _mm256_cmpeq_epi32(v, n);
+                mask |= ((_mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32) as u64) << i;
+                i += 8;
+            }
+            // A 4-tag and a 2-tag step, so no const region shape (every
+            // length even, e.g. 6- and 30-tag regions) reaches the scalar
+            // tail.
+            let n = _mm256_castsi256_si128(n);
+            if i + 4 <= len {
+                let v = _mm_loadu_si128(region.as_ptr().add(i).cast());
+                let eq = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, n))) as u64;
+                mask |= eq << i;
+                i += 4;
+            }
+            if i + 2 <= len {
+                // The zeroed high half may match a zero needle: keep two bits.
+                let v = _mm_loadl_epi64(region.as_ptr().add(i).cast());
+                let eq = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, n))) as u64;
+                mask |= (eq & 3) << i;
+                i += 2;
+            }
+        }
+        if i < len {
+            mask |= eq_bit32(region[i], needle) << i;
+        }
+        mask
+    }
 }
 
 /// Match mask over a region of any length, windowed in 64-lane pieces:
 /// the first window with a match decides (callers only need the first
 /// position). Returns the global position of the first matching lane.
 #[inline(always)]
-pub(crate) fn first_match<S: TagScan>(scan: S, region: &[u64], needle: u64) -> Option<usize> {
+pub(crate) fn first_match<S: TagScan, T: Tag>(scan: S, region: &[T], needle: T) -> Option<usize> {
     let mut base = 0usize;
     for window in region.chunks(64) {
         let m = scan.match_mask(window, needle);
@@ -316,11 +436,11 @@ pub(crate) enum LaneScan {
 /// over 64 tags). Under a const shape they scan the node's whole region
 /// once per needle and read each lane off the masks ([`window_scan`]).
 #[inline(always)]
-pub(crate) fn lane_scan<S: TagScan>(
+pub(crate) fn lane_scan<S: TagScan, T: Tag>(
     scan: S,
-    region: &[u64],
-    needle: u64,
-    sentinel: u64,
+    region: &[T],
+    needle: T,
+    sentinel: T,
 ) -> LaneScan {
     let mut base = 0usize;
     for window in region.chunks(64) {
@@ -419,7 +539,7 @@ mod tests {
         b
     }
 
-    fn mask_via(backend: KernelBackend, region: &[u64], needle: u64) -> u64 {
+    fn mask_via<T: Tag>(backend: KernelBackend, region: &[T], needle: T) -> u64 {
         match backend {
             KernelBackend::Scalar => ScalarScan.match_mask(region, needle),
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -431,21 +551,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_backend_masks_every_length_and_position_identically() {
+    /// Every backend finds `needle` at every position of every region
+    /// length up to 64 at width `T`, and nowhere in a region of `other`.
+    fn check_every_length_and_position<T: Tag>(needle: T, other: T) {
         for backend in backends() {
             for len in 0..=64usize {
-                let mut region = vec![0xDEAD_BEEFu64; len];
-                assert_eq!(mask_via(backend, &region, 7), 0, "{backend} len={len}");
+                let mut region = vec![other; len];
+                assert_eq!(mask_via(backend, &region, needle), 0, "{backend} len={len}");
                 for pos in 0..len {
-                    region[pos] = 7;
+                    region[pos] = needle;
                     let expected = 1u64 << pos;
                     assert_eq!(
-                        mask_via(backend, &region, 7),
+                        mask_via(backend, &region, needle),
                         expected,
                         "{backend} len={len} pos={pos}"
                     );
-                    region[pos] = 0xDEAD_BEEF;
+                    region[pos] = other;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_backend_masks_every_length_and_position_identically() {
+        check_every_length_and_position(7u64, 0xDEAD_BEEF);
+    }
+
+    #[test]
+    fn every_backend_masks_every_narrow_length_and_position_identically() {
+        check_every_length_and_position(7u32, 0xDEAD_BEEF);
+        // A zero needle: the 2-tag step loads into a zeroed vector half,
+        // which must not report matches past the region.
+        check_every_length_and_position(0u32, u32::MAX);
+        check_every_length_and_position(u32::MAX, 0);
+    }
+
+    #[test]
+    fn narrow_masks_catch_high_bit_and_half_word_aliases() {
+        // Values sharing a 16-bit half or differing only in the sign bit,
+        // the sentinel and its neighbour, at every offset of each step
+        // (8, 4, 2 and 1 tags) the vector scans take.
+        let values = [
+            0x0001_0002u32,
+            0x0001_0003,
+            0x0004_0002,
+            0x8001_0002,
+            0x7FFF_FFFF,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        for backend in backends() {
+            for len in [values.len(), 15, 30, 64] {
+                let region: Vec<u32> = values.iter().copied().cycle().take(len).collect();
+                for &needle in values.iter().chain(&[0x0002_0001, 0x8000_0000, 0]) {
+                    let expected = region
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &t)| t == needle)
+                        .fold(0u64, |m, (i, _)| m | 1 << i);
+                    assert_eq!(
+                        mask_via(backend, &region, needle),
+                        expected,
+                        "{backend} len={len} needle={needle:#x}"
+                    );
                 }
             }
         }
@@ -468,6 +636,24 @@ mod tests {
             assert_eq!(mask_via(backend, &region, 0x0000_0004_0000_0002), 4);
             assert_eq!(mask_via(backend, &region, u64::MAX), 16);
             assert_eq!(mask_via(backend, &region, 0x0000_0002_0000_0001), 0);
+        }
+    }
+
+    #[test]
+    fn narrow_lane_scan_matches_the_wide_one() {
+        const S: u32 = u32::MAX;
+        for (region, needle) in [
+            (vec![2u32, 1, S], 1u32),
+            (vec![2, 3, S], 1),
+            (vec![2, 3, 4], 1),
+            (vec![S, S], 1),
+        ] {
+            let wide: Vec<u64> = region.iter().map(|&t| t.widen()).collect();
+            assert_eq!(
+                lane_scan(ScalarScan, &region, needle, S),
+                lane_scan(ScalarScan, &wide, u64::from(needle), u64::MAX),
+                "region={region:?}"
+            );
         }
     }
 

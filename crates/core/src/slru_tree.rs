@@ -74,7 +74,7 @@
 //! ```
 
 use crate::arena::{
-    decode_search_cmps, encode_search_cmps, search_work, Arena, Forest, Policy, Site,
+    decode_search_cmps, encode_search_cmps, search_work, Arena, Forest, Lanes, Policy, Site, Tag,
 };
 use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
@@ -112,7 +112,7 @@ pub struct SlruWalk<'a> {
 /// front store as an inline loop: lanes are a few ways wide, and the rotate
 /// of a runtime-length slice lowers to a `memmove` call.
 #[inline(always)]
-fn shift_in(region: &mut [u64], block: u64) {
+fn shift_in<T: Tag>(region: &mut [T], block: T) {
     for i in (1..region.len()).rev() {
         region[i] = region[i - 1];
     }
@@ -168,13 +168,19 @@ impl Policy for Slru {
     /// shape from two whole-region masks ([`window_scan`]), else lane by
     /// lane ([`lane_scan`]).
     #[inline(always)]
-    fn update<S: TagScan, const FIRST: usize, const NLANES: usize, const INSTRUMENT: bool>(
+    fn update<
+        S: TagScan,
+        T: Tag,
+        const FIRST: usize,
+        const NLANES: usize,
+        const INSTRUMENT: bool,
+    >(
         v: &mut SlruWalk<'_>,
-        at: Site<'_>,
+        at: Site<'_, T>,
         lanes: &mut [DewCounters],
         work: &mut DewCounters,
         scan: S,
-        block: u64,
+        block: T,
         mra_hit: bool,
     ) {
         let Site {
@@ -214,7 +220,7 @@ impl Policy for Slru {
         } else {
             (
                 scan.match_mask(region, block),
-                scan.match_mask(region, INVALID_TAG),
+                scan.match_mask(region, T::SENTINEL),
             )
         };
         #[allow(clippy::needless_range_loop)] // k indexes parallel lanes
@@ -226,7 +232,7 @@ impl Policy for Slru {
             // The block's position or, failing that, the end of the valid
             // prefix (inserts keep valid tags contiguous).
             let scanned = if FIRST == 0 {
-                lane_scan(scan, lane, block, INVALID_TAG)
+                lane_scan(scan, lane, block, T::SENTINEL)
             } else {
                 window_scan(hits, invalid, off, w)
             };
@@ -301,6 +307,7 @@ impl Policy for Slru {
     fn decode_lanes(
         &mut self,
         f: &Forest,
+        tags: &Lanes<u64>,
         _: bool,
         version: u8,
         cur: &mut Cursor<'_>,
@@ -324,9 +331,9 @@ impl Policy for Slru {
         // break: the protected segment holds valid tags only, and a visited
         // node's MRA block is its lane's protected or probationary MRU.
         let nk = f.widths.len();
-        for (node, &mra) in f.mra.iter().enumerate() {
+        for (node, &mra) in tags.mra.iter().enumerate() {
             for (k, (&w, &off)) in f.widths.iter().zip(&f.lane_off).enumerate() {
-                let lane = &f.tags[node * f.alloc + off..][..w];
+                let lane = &tags.tags[node * f.alloc + off..][..w];
                 let p = self.prot_len[node * nk + k] as usize;
                 if lane[..p].contains(&INVALID_TAG)
                     || (mra != INVALID_TAG && lane[0] != mra && lane[p] != mra)

@@ -7,6 +7,10 @@
 //! chunk boundaries on the two sides. This is the CI half of the guarantee; the in-process half is
 //! `dew_core::kernel::selftest`, which re-proves it on the deployment
 //! machine before the first sweep trusts a wide scan.
+//!
+//! Kernels scan 32-bit tags until a block outgrows them and 64-bit tags
+//! after; the drawn traces run narrow throughout or turn wide at a drawn
+//! point, so both scan widths and the promotion between them are covered.
 
 use proptest::prelude::*;
 
@@ -15,16 +19,28 @@ use dew_trace::{decode_blocks, Record};
 
 /// Traces mixing tight locality (hits at shallow depths), a medium working
 /// set (evictions, ladder consults) and scattered far references (misses,
-/// lane fills), as in the exactness properties.
+/// lane fills), as in the exactness properties. In two of three traces,
+/// every third record from a drawn point on moves up by 2^36 bytes — past
+/// the 32-bit tag range at every drawn block size, with its set unchanged —
+/// so the kernels scan narrow regions up to there and wide ones after.
 fn trace_strategy() -> impl Strategy<Value = Vec<Record>> {
-    prop::collection::vec(
+    let records = prop::collection::vec(
         prop_oneof![
             (0u64..256).prop_map(|a| Record::read(a * 4)), // hot words
             (0u64..65_536).prop_map(Record::read),         // scattered
             (0u64..64).prop_map(Record::write),            // hot bytes
         ],
         1..500,
-    )
+    );
+    (records, 0u32..3, 0usize..100).prop_map(|(mut records, kind, percent)| {
+        if kind > 0 {
+            let from = records.len() * percent / 100;
+            for r in records.iter_mut().skip(from).step_by(3) {
+                r.addr |= 1 << 36;
+            }
+        }
+        records
+    })
 }
 
 fn policy_strategy() -> impl Strategy<Value = TreePolicy> {
