@@ -22,8 +22,11 @@
 //! **Ratio gates** are always hard, `--strict` or not: speedup ratios in
 //! the fresh JSON compare two variants measured in the *same* run on the
 //! *same* machine, so runner-class noise cancels and a violation is a real
-//! kernel property, not a slow runner. Gated (when the fields are present;
-//! documents without them are skipped):
+//! kernel property, not a slow runner. Gated (a document whose committed
+//! baseline lacks a field skips its gate, but a field the baseline carries
+//! must be in the fresh document: a rewritten bench that drops one fails
+//! the run rather than silently disabling its gate; the gates run even
+//! when a document's variants do not parse):
 //!
 //! * `speedup_fused_vs_per_assoc >= 2.0` when the fresh run's
 //!   `kernel_backend` is `avx2` — the wide-scan fused FIFO walk must beat
@@ -61,6 +64,14 @@ const INSTR_OVERHEAD_CEILING: f64 = 8.0;
 /// run (same-machine ratio, so gated hard; 30% above the highest of the
 /// runs listed in `EXPERIMENTS.md`).
 const PLRU_OVER_FIFO_CEILING: f64 = 4.3;
+
+/// The keys of the ratio gates. With every `node_evals_*` key, a fresh
+/// document must carry each one its committed baseline carries.
+const RATIO_KEYS: [&str; 3] = [
+    "speedup_fused_vs_per_assoc",
+    "instrumented_over_fast_fused_fifo",
+    "plru_over_fused_fifo",
+];
 
 /// The `(name, steps_per_sec)` pairs of the document's `variants` array;
 /// entries without both fields are ignored.
@@ -130,6 +141,22 @@ fn ratio_gates(fresh: &Json) -> Vec<String> {
         }
     }
     out
+}
+
+/// One error line per gated field (see [`RATIO_KEYS`]) that the committed
+/// baseline carries and the fresh document lacks or holds as a non-number,
+/// which would otherwise skip that field's gate.
+fn missing_gated_keys(committed: &Json, fresh: &Json) -> Vec<String> {
+    let Json::Obj(base) = committed else {
+        return Vec::new();
+    };
+    base.keys()
+        .filter(|k| RATIO_KEYS.contains(&k.as_str()) || k.starts_with("node_evals_"))
+        .filter(|k| scalar(fresh, k).is_none())
+        .map(|k| {
+            format!("{k} is in the committed baseline but missing from the fresh document, so its gate cannot run")
+        })
+        .collect()
 }
 
 /// Compares the two variant sets and returns one warning line per variant
@@ -242,6 +269,23 @@ fn main() -> ExitCode {
     let (Some(committed), Some(fresh)) = (committed, fresh) else {
         return ExitCode::SUCCESS;
     };
+    // The hard gates run first, whatever the variants say: a fresh
+    // document whose variants fail to parse must not skip them.
+    let mut gate_errors = missing_gated_keys(&committed, &fresh);
+    gate_errors.extend(ratio_gates(&fresh));
+    for g in &gate_errors {
+        // Same-run ratios are machine-relative: a violation is a kernel
+        // property, not runner noise, so these fail hard either way.
+        println!("::error::ratio gate violated — {g}");
+    }
+    if gate_errors.is_empty() {
+        println!("bench_guard: same-run ratio gates hold");
+    }
+    let gates = if gate_errors.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    };
     let base = variants(&committed);
     let now = variants(&fresh);
     if base.is_empty() || now.is_empty() {
@@ -250,7 +294,7 @@ fn main() -> ExitCode {
             base.len(),
             now.len()
         );
-        return ExitCode::SUCCESS;
+        return gates;
     }
     write_step_summary(&summary_table(&base, &now, threshold));
     let warnings = regressions(&base, &now, threshold);
@@ -271,19 +315,10 @@ fn main() -> ExitCode {
             threshold * 100.0
         );
     }
-    let gate_errors = ratio_gates(&fresh);
-    for g in &gate_errors {
-        // Same-run ratios are machine-relative: a violation is a kernel
-        // property, not runner noise, so these fail hard either way.
-        println!("::error::ratio gate violated — {g}");
-    }
-    if gate_errors.is_empty() {
-        println!("bench_guard: same-run ratio gates hold");
-    }
-    if !gate_errors.is_empty() || (strict && !warnings.is_empty()) {
+    if strict && !warnings.is_empty() {
         return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+    gates
 }
 
 #[cfg(test)]
@@ -435,6 +470,27 @@ mod tests {
         let e = ratio_gates(&doc(&RATIOS.replace("6.9375", "15.0000")));
         assert_eq!(e.len(), 1, "{e:?}");
         assert!(e[0].contains("node_evals_per_req_slru 15"), "{e:?}");
+    }
+
+    #[test]
+    fn a_fresh_document_must_keep_every_gated_field_of_its_baseline() {
+        let committed = doc(include_str!("../../../../BENCH_hot_loop.json"));
+        assert!(missing_gated_keys(&committed, &committed).is_empty());
+        let text = include_str!("../../../../BENCH_hot_loop.json");
+        let dropped: String = text
+            .lines()
+            .filter(|l| {
+                !l.contains("\"speedup_fused_vs_per_assoc\"")
+                    && !l.contains("\"node_evals_per_req_plru\"")
+            })
+            .collect();
+        let e = missing_gated_keys(&committed, &doc(&dropped));
+        assert_eq!(e.len(), 2, "{e:?}");
+        assert!(e[0].starts_with("node_evals_per_req_plru "), "{e:?}");
+        assert!(e[1].starts_with("speedup_fused_vs_per_assoc "), "{e:?}");
+        // A baseline without the fields requires none of them.
+        assert!(missing_gated_keys(&doc(SAMPLE), &doc(SAMPLE)).is_empty());
+        assert!(missing_gated_keys(&doc(SAMPLE), &doc("{}")).is_empty());
     }
 
     #[test]

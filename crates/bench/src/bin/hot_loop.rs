@@ -1,6 +1,6 @@
 //! Hot-loop throughput tracker: measures steps/sec of the DEW kernel
 //! variants and writes `BENCH_hot_loop.json` so the perf trajectory is
-//! comparable across PRs.
+//! comparable across PRs. It is the workspace's one kernel benchmark.
 //!
 //! Variants:
 //!
@@ -11,25 +11,21 @@
 //!   path), decode time included in the measurement;
 //! * `run_blocks_instrumented` — batched with counters, isolating the cost
 //!   of instrumentation alone;
-//! * `per_assoc_run_blocks` — the pre-fusion sweep schedule: one fast
-//!   single-width pass per associativity 2/4/8 back to back (3 trace
-//!   traversals, one shared decode) on `dew_bench::per_assoc`, the kernel
-//!   the `speedup_fused_vs_per_assoc` gate was set against;
-//! * `fused_multi_assoc` — the fused kernel: every associativity 1..=8 in
-//!   **one** traversal of a `MultiAssocTree` (decode included);
-//! * `fused_multi_assoc_instrumented` — fused with the full counter ladder;
-//! * `per_assoc_lru_run_blocks` — the pre-fusion **LRU** sweep schedule:
-//!   one single-associativity `LruTreeSimulator` pass per associativity
-//!   2/4/8 back to back, one shared decode;
-//! * `fused_lru` — the arena `LruTreeSimulator`: every associativity 1..=8
-//!   in **one** traversal via the stack property (decode included);
-//! * `fused_lru_instrumented` — fused LRU with the counted MRU-first search;
-//! * `per_assoc_plru_run_blocks` / `per_assoc_slru_run_blocks` — the
-//!   pre-fusion tree-PLRU and SLRU schedules: one single-associativity
-//!   arena pass per associativity 2/4/8 back to back, one shared decode;
-//! * `fused_plru` / `fused_slru` — the arena tree-PLRU and SLRU kernels:
-//!   every associativity 1..=8 in **one** traversal (decode included), each
-//!   cross-checked against its own instrumented sibling;
+//! * the sweep-shape rows, one set per policy of [`TreePolicy::ALL`], every
+//!   associativity 1..=8 at the pass's block size:
+//!   * `per_assoc_run_blocks` / `per_assoc_{lru,plru,slru}_run_blocks` —
+//!     the pre-fusion schedule: one single-associativity pass per
+//!     associativity 2/4/8 back to back (3 trace traversals, one shared
+//!     decode). FIFO's runs on `dew_bench::per_assoc`, the kernel the
+//!     `speedup_fused_vs_per_assoc` gate was set against; the others on
+//!     one-width arena kernels;
+//!   * `fused_multi_assoc` / `fused_{lru,plru,slru}` — the fused arena
+//!     kernel: every associativity in **one** traversal (decode included);
+//!   * `fused_multi_assoc_instrumented` / `fused_lru_instrumented` — the
+//!     fused FIFO and LRU walks with the full counter ladder;
+//!
+//!   every row is cross-checked against its policy's instrumented fused
+//!   reference;
 //! * `explore_pruned` / `explore_exhaustive` — the design-space exploration
 //!   engine end-to-end (fused FIFO+LRU sweeps, energy scoring, Pareto
 //!   frontier) over an 11×3×4×2 space; `ns_per_step`/`steps_per_sec` count
@@ -59,16 +55,15 @@ use std::time::Instant;
 use dew_bench::per_assoc::PerAssocPass;
 use dew_bench::report::thousands;
 use dew_bench::suite::SuiteScale;
-use dew_core::lru_tree::LruTreeSimulator;
-use dew_core::plru_tree::PlruTreeSimulator;
-use dew_core::slru_tree::SlruTreeSimulator;
-use dew_core::{ConfigSpace, DewOptions, MultiAssocTree, PassConfig, TreePolicy};
+use dew_core::{
+    ConfigSpace, DewOptions, FusedKernel, LevelResult, MultiAssocTree, PassConfig, PolicyKernel,
+    TreePolicy,
+};
 use dew_explore::{explore_trace, EnergyModel, ExplorationSpace, ParetoMode};
 use dew_trace::{decode_blocks, BlockChunks};
 use dew_workloads::mediabench::App;
 
-/// The bench pass: the paper's full 15-level forest, 4-way, 4-byte blocks
-/// (the same shape `benches/dew_step.rs` uses).
+/// The bench pass: the paper's full 15-level forest, 4-way, 4-byte blocks.
 const BLOCK_BITS: u32 = 2;
 const SET_BITS: (u32, u32) = (0, 14);
 const ASSOC: u32 = 4;
@@ -77,6 +72,38 @@ const FUSED_MAX_ASSOC: u32 = 8;
 const FUSED_ASSOC_BITS: (u32, u32) = (0, FUSED_MAX_ASSOC.trailing_zeros());
 /// Associativities needing their own pass pre-fusion (1 rides along).
 const PER_ASSOC_PASSES: [u32; 3] = [2, 4, 8];
+
+/// The variant names of one policy's sweep-shape rows.
+struct ShapeRows {
+    per_assoc: &'static str,
+    fused: &'static str,
+    /// Only the FIFO and LRU fused walks are also timed instrumented.
+    fused_instrumented: Option<&'static str>,
+}
+
+/// The sweep-shape rows of each policy, in [`TreePolicy::ALL`] order.
+const SHAPE_ROWS: [ShapeRows; 4] = [
+    ShapeRows {
+        per_assoc: "per_assoc_run_blocks",
+        fused: "fused_multi_assoc",
+        fused_instrumented: Some("fused_multi_assoc_instrumented"),
+    },
+    ShapeRows {
+        per_assoc: "per_assoc_lru_run_blocks",
+        fused: "fused_lru",
+        fused_instrumented: Some("fused_lru_instrumented"),
+    },
+    ShapeRows {
+        per_assoc: "per_assoc_plru_run_blocks",
+        fused: "fused_plru",
+        fused_instrumented: None,
+    },
+    ShapeRows {
+        per_assoc: "per_assoc_slru_run_blocks",
+        fused: "fused_slru",
+        fused_instrumented: None,
+    },
+];
 
 struct Variant {
     name: &'static str,
@@ -93,6 +120,46 @@ fn best_of<F: FnMut()>(samples: u32, mut run: F) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Prints and records variant `name`, which took `secs` for `steps`
+/// simulated accesses.
+fn record(variants: &mut Vec<Variant>, name: &'static str, secs: f64, steps: f64) {
+    let v = Variant {
+        name,
+        ns_per_step: secs * 1e9 / steps,
+        steps_per_sec: steps / secs,
+    };
+    println!(
+        "{:<30} {:>8.2} ns/step  {:>10} steps/s",
+        v.name,
+        v.ns_per_step,
+        thousands(v.steps_per_sec as u64)
+    );
+    variants.push(v);
+}
+
+/// The fused kernel of `options.policy` over the sweep shape.
+fn fused_kernel(options: DewOptions, instrument: bool) -> FusedKernel {
+    FusedKernel::build(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, options, instrument).expect("valid")
+}
+
+/// Misses per level at `assoc`, smallest set count first.
+fn level_misses(kernel: &FusedKernel, assoc: u32) -> Vec<u64> {
+    let results = kernel.pass_results(assoc).expect("covered associativity");
+    results.levels().iter().map(LevelResult::misses).collect()
+}
+
+/// Asserts that a fused kernel reproduces the reference's results at every
+/// associativity of the sweep shape.
+fn assert_fused_eq(kernel: &FusedKernel, reference: &FusedKernel, name: &str) {
+    for assoc in (FUSED_ASSOC_BITS.0..=FUSED_ASSOC_BITS.1).map(|bits| 1 << bits) {
+        assert_eq!(
+            kernel.pass_results(assoc),
+            reference.pass_results(assoc),
+            "{name}: miss counts diverged"
+        );
+    }
 }
 
 fn main() {
@@ -121,7 +188,12 @@ fn main() {
     };
 
     let mut variants = Vec::new();
-    let mut measure = |name: &'static str, instrument: bool, batched: bool| {
+    for (name, instrument, batched) in [
+        ("step_instrumented", true, false),
+        ("step", false, false),
+        ("run_blocks", false, true),
+        ("run_blocks_instrumented", true, true),
+    ] {
         let secs = best_of(samples, || {
             let mut tree = single_pass(instrument);
             if batched {
@@ -135,249 +207,73 @@ fn main() {
             let results = tree.pass_results(ASSOC);
             assert_eq!(results, reference, "{name}: miss counts diverged");
         });
-        let v = Variant {
-            name,
-            ns_per_step: secs * 1e9 / n,
-            steps_per_sec: n / secs,
-        };
-        println!(
-            "{:<24} {:>8.2} ns/step  {:>10} steps/s",
-            v.name,
-            v.ns_per_step,
-            thousands(v.steps_per_sec as u64)
-        );
-        variants.push(v);
-    };
-
-    measure("step_instrumented", true, false);
-    measure("step", false, false);
-    measure("run_blocks", false, true);
-    measure("run_blocks_instrumented", true, true);
-
-    // The sweep-shape pair: every associativity 1..=8 at this block size,
-    // as the pre-fusion schedule ran it (one fast pass per associativity,
-    // back to back, sharing one decode) versus one fused traversal. All
-    // three fused/per-assoc variants are cross-checked against the fused
-    // reference below.
-    let (fused_reference, fifo_evals) = {
-        let mut t = MultiAssocTree::new(
-            BLOCK_BITS,
-            SET_BITS,
-            FUSED_ASSOC_BITS,
-            DewOptions::default(),
-            true,
-        )
-        .expect("valid");
-        t.run(records.iter().copied());
-        (t.results(), t.counters().node_evaluations)
-    };
-    let mut record_variant = |name: &'static str, secs: f64| {
-        let v = Variant {
-            name,
-            ns_per_step: secs * 1e9 / n,
-            steps_per_sec: n / secs,
-        };
-        println!(
-            "{:<28} {:>8.2} ns/step  {:>10} steps/s",
-            v.name,
-            v.ns_per_step,
-            thousands(v.steps_per_sec as u64)
-        );
-        variants.push(v);
-    };
-
-    let secs = best_of(samples, || {
-        let blocks = decode_blocks(records, BLOCK_BITS);
-        for assoc in PER_ASSOC_PASSES {
-            let pass =
-                PassConfig::new(BLOCK_BITS, SET_BITS.0, SET_BITS.1, assoc).expect("valid pass");
-            let mut tree = PerAssocPass::new(pass);
-            tree.run_blocks(&blocks);
-            for (set_bits, &misses) in (SET_BITS.0..).zip(tree.misses()) {
-                assert_eq!(
-                    fused_reference.misses(1 << set_bits, assoc),
-                    Some(misses),
-                    "per_assoc_run_blocks: miss counts diverged"
-                );
-            }
-        }
-    });
-    record_variant("per_assoc_run_blocks", secs);
-
-    for (name, instrument) in [
-        ("fused_multi_assoc", false),
-        ("fused_multi_assoc_instrumented", true),
-    ] {
-        let secs = best_of(samples, || {
-            let mut tree = MultiAssocTree::new(
-                BLOCK_BITS,
-                SET_BITS,
-                FUSED_ASSOC_BITS,
-                DewOptions::default(),
-                instrument,
-            )
-            .expect("valid");
-            let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
-            while let Some(chunk) = chunks.next_chunk() {
-                tree.run_blocks(chunk);
-            }
-            assert_eq!(
-                tree.results(),
-                fused_reference,
-                "{name}: miss counts diverged"
-            );
-        });
-        record_variant(name, secs);
+        record(&mut variants, name, secs, n);
     }
 
-    // The LRU sweep-shape pair, mirroring the FIFO one: the pre-fusion
-    // schedule (one single-associativity LRU pass per associativity,
-    // sharing one decode) versus one fused traversal of the arena
-    // LruTreeSimulator, whose stack property answers every associativity
-    // from a single move-to-front lane. Options match what
-    // `SweepRequest::run` uses for LRU spaces (no duplicate elision by
-    // default).
-    let lru_opts = DewOptions::for_policy(TreePolicy::Lru);
-    let (lru_reference, lru_evals) = {
-        let mut sim = LruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, lru_opts, true)
-            .expect("valid");
-        sim.run(records.iter().copied());
-        (sim.results(), sim.counters().node_evaluations)
-    };
-    let secs = best_of(samples, || {
-        let blocks = decode_blocks(records, BLOCK_BITS);
-        for assoc in PER_ASSOC_PASSES {
-            let pass =
-                PassConfig::new(BLOCK_BITS, SET_BITS.0, SET_BITS.1, assoc).expect("valid pass");
-            let mut tree = LruTreeSimulator::for_pass(pass, lru_opts, false).expect("valid");
-            tree.run_blocks(&blocks);
-            let r = tree.pass_results(assoc).expect("the pass associativity");
-            for level in r.levels() {
-                assert_eq!(
-                    lru_reference.misses(level.sets(), assoc),
-                    Some(level.misses()),
-                    "per_assoc_lru_run_blocks: miss counts diverged"
-                );
-            }
-        }
-    });
-    record_variant("per_assoc_lru_run_blocks", secs);
+    // The sweep-shape rows of every policy: every associativity 1..=8 at
+    // this block size, as the pre-fusion schedule ran it (one pass per
+    // associativity, back to back, sharing one decode) versus one fused
+    // traversal. Options are the sweep presets (`DewOptions::for_policy`:
+    // no duplicate elision — for SLRU it is unsound, a repeated access
+    // promotes a probationary block). Every row is cross-checked against
+    // the policy's instrumented fused reference, which also yields its
+    // node evaluations.
+    let mut references = Vec::new();
+    let mut evals_per_req = Vec::new();
+    for (policy, rows) in TreePolicy::ALL.into_iter().zip(&SHAPE_ROWS) {
+        let options = DewOptions::for_policy(policy);
+        let reference = {
+            let mut k = fused_kernel(options, true);
+            k.run_blocks(&decode_blocks(records, BLOCK_BITS));
+            k
+        };
+        let evals = reference
+            .pass_counters(1)
+            .expect("covered")
+            .node_evaluations;
+        evals_per_req.push((policy.name(), evals as f64 / n));
 
-    for (name, instrument) in [("fused_lru", false), ("fused_lru_instrumented", true)] {
         let secs = best_of(samples, || {
-            let mut sim =
-                LruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, lru_opts, instrument)
-                    .expect("valid");
-            let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
-            while let Some(chunk) = chunks.next_chunk() {
-                sim.run_blocks(chunk);
+            let blocks = decode_blocks(records, BLOCK_BITS);
+            for assoc in PER_ASSOC_PASSES {
+                let misses = if policy == TreePolicy::Fifo {
+                    let pass = PassConfig::new(BLOCK_BITS, SET_BITS.0, SET_BITS.1, assoc)
+                        .expect("valid pass");
+                    let mut tree = PerAssocPass::new(pass);
+                    tree.run_blocks(&blocks);
+                    tree.misses().to_vec()
+                } else {
+                    let bits = assoc.trailing_zeros();
+                    let mut k =
+                        FusedKernel::build(BLOCK_BITS, SET_BITS, (bits, bits), options, false)
+                            .expect("valid");
+                    k.run_blocks(&blocks);
+                    level_misses(&k, assoc)
+                };
+                assert_eq!(
+                    misses,
+                    level_misses(&reference, assoc),
+                    "{}: miss counts diverged",
+                    rows.per_assoc
+                );
             }
-            assert_eq!(sim.results(), lru_reference, "{name}: miss counts diverged");
         });
-        record_variant(name, secs);
+        record(&mut variants, rows.per_assoc, secs, n);
+
+        let fused = [(rows.fused, false)].into_iter();
+        for (name, instrument) in fused.chain(rows.fused_instrumented.map(|name| (name, true))) {
+            let secs = best_of(samples, || {
+                let mut k = fused_kernel(options, instrument);
+                let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
+                while let Some(chunk) = chunks.next_chunk() {
+                    k.run_blocks(chunk);
+                }
+                assert_fused_eq(&k, &reference, name);
+            });
+            record(&mut variants, name, secs, n);
+        }
+        references.push(reference);
     }
-
-    // The newer arena policy kernels in the same fused sweep shape: every
-    // associativity 1..=8 in one traversal. Each fast kernel is cross-checked
-    // against its instrumented sibling, which recomputes the same miss
-    // counts through the counted path. Options match the sweep presets
-    // (`DewOptions::for_policy`: no duplicate elision — for SLRU it is
-    // unsound, a repeated access promotes a probationary block).
-    let plru_opts = DewOptions::for_policy(TreePolicy::Plru);
-    let slru_opts = DewOptions::for_policy(TreePolicy::Slru);
-    let (plru_reference, plru_evals) = {
-        let mut sim =
-            PlruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, plru_opts, true)
-                .expect("valid");
-        let blocks = decode_blocks(records, BLOCK_BITS);
-        sim.run_blocks(&blocks);
-        (sim.results(), sim.counters().node_evaluations)
-    };
-    // The pre-fusion PLRU schedule: one single-associativity arena pass per
-    // associativity, back to back, sharing one decode — what a sweep would
-    // cost without the fused walk.
-    let secs = best_of(samples, || {
-        let blocks = decode_blocks(records, BLOCK_BITS);
-        for assoc in PER_ASSOC_PASSES {
-            let bits = assoc.trailing_zeros();
-            let mut sim =
-                PlruTreeSimulator::new(BLOCK_BITS, SET_BITS, (bits, bits), plru_opts, false)
-                    .expect("valid");
-            sim.run_blocks(&blocks);
-            let r = sim.results();
-            for set_bits in SET_BITS.0..=SET_BITS.1 {
-                let sets = 1 << set_bits;
-                assert_eq!(
-                    r.misses(sets, assoc),
-                    plru_reference.misses(sets, assoc),
-                    "per_assoc_plru_run_blocks: miss counts diverged"
-                );
-            }
-        }
-    });
-    record_variant("per_assoc_plru_run_blocks", secs);
-
-    let secs = best_of(samples, || {
-        let mut sim =
-            PlruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, plru_opts, false)
-                .expect("valid");
-        let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
-        while let Some(chunk) = chunks.next_chunk() {
-            sim.run_blocks(chunk);
-        }
-        assert_eq!(
-            sim.results(),
-            plru_reference,
-            "fused_plru: miss counts diverged"
-        );
-    });
-    record_variant("fused_plru", secs);
-
-    let (slru_reference, slru_evals) = {
-        let mut sim =
-            SlruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, slru_opts, true)
-                .expect("valid");
-        let blocks = decode_blocks(records, BLOCK_BITS);
-        sim.run_blocks(&blocks);
-        (sim.results(), sim.counters().node_evaluations)
-    };
-    // The pre-fusion SLRU schedule, mirroring the PLRU one.
-    let secs = best_of(samples, || {
-        let blocks = decode_blocks(records, BLOCK_BITS);
-        for assoc in PER_ASSOC_PASSES {
-            let bits = assoc.trailing_zeros();
-            let mut sim =
-                SlruTreeSimulator::new(BLOCK_BITS, SET_BITS, (bits, bits), slru_opts, false)
-                    .expect("valid");
-            sim.run_blocks(&blocks);
-            let r = sim.results();
-            for set_bits in SET_BITS.0..=SET_BITS.1 {
-                let sets = 1 << set_bits;
-                assert_eq!(
-                    r.misses(sets, assoc),
-                    slru_reference.misses(sets, assoc),
-                    "per_assoc_slru_run_blocks: miss counts diverged"
-                );
-            }
-        }
-    });
-    record_variant("per_assoc_slru_run_blocks", secs);
-
-    let secs = best_of(samples, || {
-        let mut sim =
-            SlruTreeSimulator::new(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, slru_opts, false)
-                .expect("valid");
-        let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
-        while let Some(chunk) = chunks.next_chunk() {
-            sim.run_blocks(chunk);
-        }
-        assert_eq!(
-            sim.results(),
-            slru_reference,
-            "fused_slru: miss counts diverged"
-        );
-    });
-    record_variant("fused_slru", secs);
 
     // The explore shape: design-space exploration end-to-end — fused
     // FIFO+LRU sweeps (one traversal per block size per policy), analytic
@@ -414,58 +310,24 @@ fn main() {
                 "{name}: frontier diverged"
             );
         });
-        let steps = n * explore_traversals as f64;
-        let v = Variant {
-            name,
-            ns_per_step: secs * 1e9 / steps,
-            steps_per_sec: steps / secs,
-        };
-        println!(
-            "{:<28} {:>8.2} ns/step  {:>10} steps/s",
-            v.name,
-            v.ns_per_step,
-            thousands(v.steps_per_sec as u64)
-        );
-        variants.push(v);
+        record(&mut variants, name, secs, n * explore_traversals as f64);
     }
 
     // The promoted path: every block moved up by 2^32, so the fused FIFO
     // kernel runs with 64-bit tags throughout. The same sets see the same
     // tag comparisons, so the results equal the narrow run's.
     let secs = best_of(samples, || {
-        let mut tree = MultiAssocTree::new(
-            BLOCK_BITS,
-            SET_BITS,
-            FUSED_ASSOC_BITS,
-            DewOptions::default(),
-            false,
-        )
-        .expect("valid");
+        let mut k = fused_kernel(DewOptions::for_policy(TreePolicy::Fifo), false);
         let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
         let mut wide = Vec::with_capacity(BlockChunks::DEFAULT_CHUNK);
         while let Some(chunk) = chunks.next_chunk() {
             wide.clear();
             wide.extend(chunk.iter().map(|&b| b + (1 << 32)));
-            tree.run_blocks(&wide);
+            k.run_blocks(&wide);
         }
-        assert_eq!(
-            tree.results(),
-            fused_reference,
-            "fused_multi_assoc_wide: miss counts diverged"
-        );
+        assert_fused_eq(&k, &references[0], "fused_multi_assoc_wide");
     });
-    let v = Variant {
-        name: "fused_multi_assoc_wide",
-        ns_per_step: secs * 1e9 / n,
-        steps_per_sec: n / secs,
-    };
-    println!(
-        "{:<28} {:>8.2} ns/step  {:>10} steps/s",
-        v.name,
-        v.ns_per_step,
-        thousands(v.steps_per_sec as u64)
-    );
-    variants.push(v);
+    record(&mut variants, "fused_multi_assoc_wide", secs, n);
 
     let rate = |name: &str| {
         variants
@@ -476,14 +338,19 @@ fn main() {
     };
     let speedup = rate("run_blocks") / rate("step_instrumented");
     println!("\nspeedup run_blocks vs step_instrumented: {speedup:.2}x");
-    let fused_speedup = rate("fused_multi_assoc") / rate("per_assoc_run_blocks");
-    println!("speedup fused_multi_assoc vs per_assoc_run_blocks: {fused_speedup:.2}x");
-    let fused_lru_speedup = rate("fused_lru") / rate("per_assoc_lru_run_blocks");
-    println!("speedup fused_lru vs per_assoc_lru_run_blocks: {fused_lru_speedup:.2}x");
-    let fused_plru_speedup = rate("fused_plru") / rate("per_assoc_plru_run_blocks");
-    println!("speedup fused_plru vs per_assoc_plru_run_blocks: {fused_plru_speedup:.2}x");
-    let fused_slru_speedup = rate("fused_slru") / rate("per_assoc_slru_run_blocks");
-    println!("speedup fused_slru vs per_assoc_slru_run_blocks: {fused_slru_speedup:.2}x");
+    // Per policy: its JSON key infix (FIFO, the paper's policy, has none),
+    // and its fused-over-per-assoc speedup.
+    let fused_speedups: Vec<(String, f64)> = (TreePolicy::ALL.iter().zip(&SHAPE_ROWS))
+        .map(|(&policy, rows)| {
+            let x = rate(rows.fused) / rate(rows.per_assoc);
+            println!("speedup {} vs {}: {x:.2}x", rows.fused, rows.per_assoc);
+            let infix = match policy {
+                TreePolicy::Fifo => String::new(),
+                _ => format!("{}_", policy.name()),
+            };
+            (infix, x)
+        })
+        .collect();
     // The honest cost of the full counter ladder on the fused FIFO walk
     // (>1; tracked so instrumentation-overhead regressions are visible).
     let instr_overhead = rate("fused_multi_assoc") / rate("fused_multi_assoc_instrumented");
@@ -499,14 +366,7 @@ fn main() {
     // Work counts of the instrumented fused walks: a property of the
     // kernels and the trace, not of the machine, so exact and noise-free.
     let full_walk = SET_BITS.1 - SET_BITS.0 + 1;
-    let evals_per_req = [
-        ("fifo", fifo_evals),
-        ("lru", lru_evals),
-        ("plru", plru_evals),
-        ("slru", slru_evals),
-    ]
-    .map(|(p, evals)| (p, evals as f64 / n));
-    for (p, v) in evals_per_req {
+    for (p, v) in &evals_per_req {
         println!("node evaluations per request, fused {p}: {v:.4} (full walk {full_walk})");
     }
 
@@ -538,52 +398,34 @@ fn main() {
             if i + 1 < variants.len() { "," } else { "" }
         );
     }
-    json.push_str("  ],\n");
+    json.push_str("  ],\n  \"sweep_shapes\": [\n");
+    for (infix, _) in &fused_speedups {
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"{infix}per_assoc_passes_a1_{FUSED_MAX_ASSOC}\", \
+             \"trace_traversals\": {}}},\n    \
+             {{\"name\": \"{infix}fused_a1_{FUSED_MAX_ASSOC}\", \"trace_traversals\": 1}},",
+            PER_ASSOC_PASSES.len()
+        );
+    }
     let _ = writeln!(
         json,
-        "  \"sweep_shapes\": [\n    {{\"name\": \"per_assoc_passes_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": {n_passes}}},\n    {{\"name\": \"fused_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": 1}},\n    {{\"name\": \
-         \"lru_per_assoc_passes_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": {n_passes}}},\n    {{\"name\": \
-         \"lru_fused_a1_{FUSED_MAX_ASSOC}\", \"trace_traversals\": 1}},\n    \
-         {{\"name\": \"plru_per_assoc_passes_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": {n_passes}}},\n    {{\"name\": \
-         \"plru_fused_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": 1}},\n    {{\"name\": \
-         \"slru_per_assoc_passes_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": {n_passes}}},\n    {{\"name\": \
-         \"slru_fused_a1_{FUSED_MAX_ASSOC}\", \"trace_traversals\": 1}},\n    \
-         {{\"name\": \"explore_s11_b3_a4_fifo_lru\", \
-         \"trace_traversals\": {explore_traversals}}}\n  ],",
-        n_passes = PER_ASSOC_PASSES.len()
+        "    {{\"name\": \"explore_s11_b3_a4_fifo_lru\", \
+         \"trace_traversals\": {explore_traversals}}}\n  ],"
     );
     let _ = writeln!(
         json,
         "  \"speedup_run_blocks_vs_instrumented\": {speedup:.3},"
     );
-    let _ = writeln!(
-        json,
-        "  \"speedup_fused_vs_per_assoc\": {fused_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_fused_lru_vs_per_assoc\": {fused_lru_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_fused_plru_vs_per_assoc\": {fused_plru_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_fused_slru_vs_per_assoc\": {fused_slru_speedup:.3},"
-    );
+    for (infix, x) in &fused_speedups {
+        let _ = writeln!(json, "  \"speedup_fused_{infix}vs_per_assoc\": {x:.3},");
+    }
     let _ = writeln!(
         json,
         "  \"instrumented_over_fast_fused_fifo\": {instr_overhead:.3},"
     );
     let _ = writeln!(json, "  \"plru_over_fused_fifo\": {plru_over_fifo:.3},");
-    for (p, v) in evals_per_req {
+    for (p, v) in &evals_per_req {
         let _ = writeln!(json, "  \"node_evals_per_req_{p}\": {v:.4},");
     }
     let _ = writeln!(json, "  \"node_evals_full_walk\": {full_walk},");

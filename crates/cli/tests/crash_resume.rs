@@ -5,7 +5,8 @@
 //! The cases cover a kill before the first save (resume refuses cleanly,
 //! a fresh run succeeds), a kill mid-run with a leftover `.dewc.tmp` from
 //! an interrupted save, and a kill after completion — each at
-//! `--threads 1` (one traversal feeds every block size) and `--threads 2`.
+//! `--threads 1` (one traversal feeds every block size) and `--threads 2`,
+//! and the finished sidecars of both worker counts are byte-identical.
 //! Children run one after another, never two at once, so the cases live
 //! in one test.
 
@@ -170,6 +171,7 @@ fn checkpoints_survive_kill_9() {
         kill_mid_run_with_a_leftover_temp_file(&fx, threads);
         kill_after_completion(&fx, threads);
     }
+    finished_sidecars_do_not_depend_on_the_worker_count(&fx);
 }
 
 /// Resume refuses cleanly when no image was saved; a fresh run succeeds.
@@ -223,4 +225,20 @@ fn kill_after_completion(fx: &Fixture, threads: u32) {
     let _ = child.kill();
     assert!(case.ckpt.exists(), "the finished run left its final image");
     case.resume_matches_plain(fx);
+}
+
+/// A finished two-worker run writes the same sidecar bytes as a one-worker
+/// run: images list their jobs by block size, not in the order the workers
+/// captured them.
+fn finished_sidecars_do_not_depend_on_the_worker_count(fx: &Fixture) {
+    let sidecars = [1, 2].map(|threads| {
+        let case = Case::new(fx, "final", threads);
+        let out = case.sweep(fx, false).output().expect("checkpointed run");
+        assert_success(&out, "checkpointed run");
+        std::fs::read(&case.ckpt).expect("final image")
+    });
+    assert!(
+        sidecars[0] == sidecars[1],
+        "--threads 2 sidecar differs from the --threads 1 sidecar"
+    );
 }

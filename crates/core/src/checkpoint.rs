@@ -95,7 +95,8 @@ impl SweepCheckpoint {
         self.policy
     }
 
-    /// All per-job captures, in no particular order.
+    /// All per-job captures, in the order the image lists them (ascending
+    /// block bits in every image a sweep writes).
     #[must_use]
     pub fn jobs(&self) -> &[JobCheckpoint] {
         &self.jobs
@@ -229,8 +230,10 @@ pub(crate) struct CheckpointLog {
 }
 
 struct LogState {
-    /// One capture per job, in order of first capture; shared so the
-    /// writer takes them without copying kernels under the lock.
+    /// One capture per job, in ascending block bits whatever order the
+    /// workers capture in, so the image bytes do not depend on the worker
+    /// count; shared so the writer takes them without copying kernels
+    /// under the lock.
     jobs: Vec<Arc<JobCheckpoint>>,
     /// Captures taken so far (resumed captures are not counted).
     generation: u64,
@@ -246,9 +249,10 @@ impl CheckpointLog {
         policy: TreePolicy,
         resume: Option<&SweepCheckpoint>,
     ) -> Self {
-        let jobs = resume.map_or_else(Vec::new, |c| {
+        let mut jobs: Vec<_> = resume.map_or_else(Vec::new, |c| {
             c.jobs.iter().map(|j| Arc::new(j.clone())).collect()
         });
+        jobs.sort_by_key(|j| j.block_bits);
         CheckpointLog {
             fingerprint,
             policy,
@@ -281,9 +285,12 @@ impl CheckpointLog {
             kernel,
         });
         let mut state = self.lock();
-        match state.jobs.iter_mut().find(|j| j.block_bits == block_bits) {
-            Some(slot) => *slot = job,
-            None => state.jobs.push(job),
+        match state
+            .jobs
+            .binary_search_by_key(&block_bits, |j| j.block_bits)
+        {
+            Ok(i) => state.jobs[i] = job,
+            Err(i) => state.jobs.insert(i, job),
         }
         state.generation += 1;
         drop(state);
@@ -559,6 +566,27 @@ mod tests {
         assert_eq!(images.len(), 1, "captures before the writer ran coalesce");
         let want = vec![job(4, 200, vec![3], true), job(5, 100, vec![2], false)];
         assert_eq!(images[0], image(7, TreePolicy::Fifo, want));
+    }
+
+    #[test]
+    fn images_list_jobs_in_ascending_block_bits() {
+        let log = CheckpointLog::new(7, TreePolicy::Fifo, None);
+        for bits in [5, 4, 6] {
+            log.update_job(bits, 100, vec![bits as u8], false);
+        }
+        let images = drain(&log);
+        let order: Vec<u32> = images[0].jobs().iter().map(|j| j.block_bits).collect();
+        assert_eq!(order, [4, 5, 6]);
+
+        // A resume image listing its jobs in any order decodes, and seeds
+        // the log sorted.
+        let unsorted = vec![job(6, 1, vec![], true), job(4, 1, vec![], true)];
+        let resumed = SweepCheckpoint::from_bytes(&image(7, TreePolicy::Fifo, unsorted).to_bytes())
+            .expect("any job order decodes");
+        let log = CheckpointLog::new(7, TreePolicy::Fifo, Some(&resumed));
+        log.update_job(5, 100, vec![5], false);
+        let order: Vec<u32> = drain(&log)[0].jobs().iter().map(|j| j.block_bits).collect();
+        assert_eq!(order, [4, 5, 6]);
     }
 
     #[test]

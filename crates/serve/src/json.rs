@@ -441,6 +441,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_the_protocol_shapes() {
@@ -514,6 +515,42 @@ mod tests {
         assert_eq!(v.emit(), deepest);
         let deeper = format!("[{deepest}]");
         assert_eq!(Json::parse(&deeper).expect_err("129 levels").at, MAX_DEPTH);
+    }
+
+    /// A value nested `depth` levels deep in arrays or objects, closed or
+    /// cut short before its closers.
+    fn nested(depth: usize, objects: bool, closed: bool) -> String {
+        let (open, close) = if objects {
+            (r#"{"a":"#, "}")
+        } else {
+            ("[", "]")
+        };
+        let mut text = open.repeat(depth);
+        text.push('1');
+        if closed {
+            text.push_str(&close.repeat(depth));
+        }
+        text
+    }
+
+    proptest! {
+        /// Around the cap, a closed document parses exactly when it nests at
+        /// most 128 levels; every refusal points inside the input.
+        #[test]
+        fn nesting_around_the_cap_parses_or_fails_inside_the_input(
+            depth in MAX_DEPTH - 8..MAX_DEPTH + 8,
+            objects in any::<bool>(),
+            closed in any::<bool>(),
+        ) {
+            let text = nested(depth, objects, closed);
+            match Json::parse(&text) {
+                Ok(_) => prop_assert!(closed && depth <= MAX_DEPTH, "{depth} levels parsed"),
+                Err(e) => {
+                    prop_assert!(e.at <= text.len(), "{e} is past the {} input bytes", text.len());
+                    prop_assert!(!closed || depth > MAX_DEPTH, "{depth} levels refused: {e}");
+                }
+            }
+        }
     }
 
     #[test]

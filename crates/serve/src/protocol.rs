@@ -257,6 +257,8 @@ fn opt_range(v: &Json, field: &str) -> Result<Option<(u32, u32)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     #[test]
     fn submit_defaults_and_full_form() {
@@ -369,5 +371,78 @@ mod tests {
         assert!(Request::parse(&line)
             .expect_err("over cap")
             .contains("requests"));
+    }
+
+    /// A valid line of every verb that names a job.
+    const VALID: [&str; 4] = [
+        r#"{"cmd":"submit","kind":"explore","requests":50000,"sets":"3..6","policy":"lru","deadline_ms":750,"chaos":true}"#,
+        r#"{"cmd":"status","id":3}"#,
+        r#"{"cmd":"wait","id":3,"timeout_ms":100}"#,
+        r#"{"cmd":"cancel","id":1}"#,
+    ];
+
+    /// Bytes JSON gives meaning to, so random lines get past the first byte.
+    const ALPHABET: &[u8] = b"{}[]\",:-+.0123456789eEtrufalsn\\ u";
+
+    /// Both parsers on one hostile line: neither panics (a panic fails the
+    /// property), and a JSON error points inside the line. `at` may equal
+    /// the length: an unexpected end is reported where the input ends.
+    fn check_hostile(line: &str) -> Result<(), TestCaseError> {
+        if let Err(e) = Json::parse(line) {
+            prop_assert!(
+                e.at <= line.len(),
+                "{e} is past the {} input bytes",
+                line.len()
+            );
+        }
+        let _ = Request::parse(line);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn random_bytes_never_panic(
+            bytes in prop::collection::vec(
+                prop_oneof![any::<u8>(), (0..ALPHABET.len()).prop_map(|i| ALPHABET[i])],
+                0..200,
+            ),
+        ) {
+            check_hostile(&String::from_utf8_lossy(&bytes))?;
+        }
+
+        #[test]
+        fn truncated_lines_never_panic(verb in 0..VALID.len(), cut in 0usize..128) {
+            let line = VALID[verb];
+            check_hostile(&line[..cut.min(line.len())])?;
+        }
+
+        #[test]
+        fn flipped_bytes_never_panic(
+            verb in 0..VALID.len(),
+            at in 0usize..128,
+            mask in 1u8..=255,
+        ) {
+            let mut bytes = VALID[verb].as_bytes().to_vec();
+            let at = at % bytes.len();
+            bytes[at] ^= mask;
+            check_hostile(&String::from_utf8_lossy(&bytes))?;
+        }
+
+        /// A field value nested around the 128-level cap, inside a valid
+        /// line: refused with an error, never a panic or a stack overflow.
+        #[test]
+        fn nested_field_values_are_refused(
+            verb in 0..VALID.len(),
+            depth in 120usize..136,
+            closed in any::<bool>(),
+        ) {
+            let mut value = "[".repeat(depth);
+            if closed {
+                value.push_str(&"]".repeat(depth));
+            }
+            let line = VALID[verb].replacen('}', &format!(r#","x":{value}}}"#), 1);
+            check_hostile(&line)?;
+            prop_assert!(Request::parse(&line).is_err(), "{line}");
+        }
     }
 }
