@@ -34,7 +34,11 @@
 //! * `fused_multi_assoc_wide` — `fused_multi_assoc` over the same blocks
 //!   moved up by 2^32: the kernel holds 64-bit tags from its first block
 //!   (the promoted path; set indices and miss counts unchanged). Measured
-//!   last, so the rows above run as they did before it was added.
+//!   after the rows above, so they run as they did before it was added;
+//! * `fused_multi_assoc_a4_8` / `fused_{lru,plru}_a4_8` — the fused FIFO,
+//!   LRU and tree-PLRU kernels over associativities 4..=8 only, a subset of
+//!   the lanes of their 1..=8 rows; a narrower range must not run slower.
+//!   Measured last.
 //!
 //! The JSON also records `trace_traversals` per sweep shape so the fusion
 //! win stays visible in the perf trajectory, and the instrumented fused
@@ -60,7 +64,7 @@ use dew_core::{
     TreePolicy,
 };
 use dew_explore::{explore_trace, EnergyModel, ExplorationSpace, ParetoMode};
-use dew_trace::{decode_blocks, BlockChunks};
+use dew_trace::{decode_blocks, BlockChunks, Record};
 use dew_workloads::mediabench::App;
 
 /// The bench pass: the paper's full 15-level forest, 4-way, 4-byte blocks.
@@ -72,6 +76,15 @@ const FUSED_MAX_ASSOC: u32 = 8;
 const FUSED_ASSOC_BITS: (u32, u32) = (0, FUSED_MAX_ASSOC.trailing_zeros());
 /// Associativities needing their own pass pre-fusion (1 rides along).
 const PER_ASSOC_PASSES: [u32; 3] = [2, 4, 8];
+/// The narrow-range rows: associativities 4..=8 at the same block size.
+const NARROW_ASSOC_BITS: (u32, u32) = (2, FUSED_ASSOC_BITS.1);
+/// The narrow-range rows and the policy each runs, in the order of
+/// [`TreePolicy::ALL`].
+const NARROW_ROWS: [(&str, TreePolicy); 3] = [
+    ("fused_multi_assoc_a4_8", TreePolicy::Fifo),
+    ("fused_lru_a4_8", TreePolicy::Lru),
+    ("fused_plru_a4_8", TreePolicy::Plru),
+];
 
 /// The variant names of one policy's sweep-shape rows.
 struct ShapeRows {
@@ -144,16 +157,32 @@ fn fused_kernel(options: DewOptions, instrument: bool) -> FusedKernel {
     FusedKernel::build(BLOCK_BITS, SET_BITS, FUSED_ASSOC_BITS, options, instrument).expect("valid")
 }
 
+/// Feeds `records` to `kernel` in the sweep's block chunks, every block
+/// moved up by `offset`.
+fn feed(kernel: &mut FusedKernel, records: &[Record], offset: u64) {
+    let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
+    let mut moved = Vec::new();
+    while let Some(chunk) = chunks.next_chunk() {
+        if offset == 0 {
+            kernel.run_blocks(chunk);
+        } else {
+            moved.clear();
+            moved.extend(chunk.iter().map(|&b| b + offset));
+            kernel.run_blocks(&moved);
+        }
+    }
+}
+
 /// Misses per level at `assoc`, smallest set count first.
 fn level_misses(kernel: &FusedKernel, assoc: u32) -> Vec<u64> {
     let results = kernel.pass_results(assoc).expect("covered associativity");
     results.levels().iter().map(LevelResult::misses).collect()
 }
 
-/// Asserts that a fused kernel reproduces the reference's results at every
-/// associativity of the sweep shape.
-fn assert_fused_eq(kernel: &FusedKernel, reference: &FusedKernel, name: &str) {
-    for assoc in (FUSED_ASSOC_BITS.0..=FUSED_ASSOC_BITS.1).map(|bits| 1 << bits) {
+/// Asserts that a fused kernel over the associativities `2^bits.0 ..=
+/// 2^bits.1` reproduces the reference's results at each of them.
+fn assert_fused_eq(kernel: &FusedKernel, reference: &FusedKernel, bits: (u32, u32), name: &str) {
+    for assoc in (bits.0..=bits.1).map(|bits| 1 << bits) {
         assert_eq!(
             kernel.pass_results(assoc),
             reference.pass_results(assoc),
@@ -264,11 +293,8 @@ fn main() {
         for (name, instrument) in fused.chain(rows.fused_instrumented.map(|name| (name, true))) {
             let secs = best_of(samples, || {
                 let mut k = fused_kernel(options, instrument);
-                let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
-                while let Some(chunk) = chunks.next_chunk() {
-                    k.run_blocks(chunk);
-                }
-                assert_fused_eq(&k, &reference, name);
+                feed(&mut k, records, 0);
+                assert_fused_eq(&k, &reference, FUSED_ASSOC_BITS, name);
             });
             record(&mut variants, name, secs, n);
         }
@@ -318,16 +344,24 @@ fn main() {
     // tag comparisons, so the results equal the narrow run's.
     let secs = best_of(samples, || {
         let mut k = fused_kernel(DewOptions::for_policy(TreePolicy::Fifo), false);
-        let mut chunks = BlockChunks::new(records, BLOCK_BITS, BlockChunks::DEFAULT_CHUNK);
-        let mut wide = Vec::with_capacity(BlockChunks::DEFAULT_CHUNK);
-        while let Some(chunk) = chunks.next_chunk() {
-            wide.clear();
-            wide.extend(chunk.iter().map(|&b| b + (1 << 32)));
-            k.run_blocks(&wide);
-        }
-        assert_fused_eq(&k, &references[0], "fused_multi_assoc_wide");
+        feed(&mut k, records, 1 << 32);
+        let name = "fused_multi_assoc_wide";
+        assert_fused_eq(&k, &references[0], FUSED_ASSOC_BITS, name);
     });
     record(&mut variants, "fused_multi_assoc_wide", secs, n);
+
+    // The narrow range: associativities 4..=8, the lanes of the 1..=8 rows
+    // without the 2-way one, checked against the same references.
+    for ((name, policy), reference) in NARROW_ROWS.into_iter().zip(&references) {
+        let options = DewOptions::for_policy(policy);
+        let secs = best_of(samples, || {
+            let mut k = FusedKernel::build(BLOCK_BITS, SET_BITS, NARROW_ASSOC_BITS, options, false)
+                .expect("valid");
+            feed(&mut k, records, 0);
+            assert_fused_eq(&k, reference, NARROW_ASSOC_BITS, name);
+        });
+        record(&mut variants, name, secs, n);
+    }
 
     let rate = |name: &str| {
         variants

@@ -21,62 +21,34 @@
 //! (`chaos_checkpoint.dewc`) is left behind on failure for CI to upload.
 
 use std::fmt::Write as _;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use dew_bench::report::thousands;
 use dew_core::{ConfigSpace, SweepRequest};
 use dew_trace::{Record, TraceError};
-use dew_workloads::zipf::Zipf;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use dew_workloads::traffic::{MixKind, TrafficSpec};
 
 /// The sweep space: 11 set counts × 3 block sizes × 3 associativities.
 const SPACE: ((u32, u32), (u32, u32), (u32, u32)) = ((0, 10), (2, 4), (0, 2));
-/// Zipf shape: ranks span 1 MiB of hot words, mildly heavy-tailed.
-const ZIPF_RANKS: usize = 1 << 18;
-const ZIPF_S: f64 = 0.8;
 /// The documented bound the streamed phase must stay under, measured as the
 /// process `VmHWM`. A 100M-request trace is ~1.9 GiB in memory; streaming
 /// it must not take the process anywhere near that.
 const MEMORY_BOUND_MIB: u64 = 512;
 
-/// The popularity table every stream samples, built once per process
-/// rather than on every open of a source.
-fn zipf_table() -> &'static Zipf {
-    static TABLE: OnceLock<Zipf> = OnceLock::new();
-    TABLE.get_or_init(|| Zipf::new(ZIPF_RANKS, ZIPF_S))
-}
-
-/// Deterministic synthetic Zipf request stream; re-opens identically, which
-/// is exactly what `SweepRequest::run_streamed` requires of a source.
-struct ZipfStream {
-    zipf: &'static Zipf,
-    rng: SmallRng,
-    remaining: u64,
-}
-
-impl ZipfStream {
-    fn new(seed: u64, len: u64) -> Self {
-        ZipfStream {
-            zipf: zipf_table(),
-            rng: SmallRng::seed_from_u64(seed),
-            remaining: len,
-        }
+/// The synthetic trace of every run: Zipf-popular word reads over 1 MiB of
+/// hot words (2^18 ranks at s = 0.8), seed 42. It re-opens identically,
+/// which is exactly what `SweepRequest::run_streamed` requires of a source.
+fn zipf(requests: u64) -> TrafficSpec {
+    TrafficSpec {
+        kind: MixKind::Zipf,
+        requests,
+        seed: 42,
     }
 }
 
-impl Iterator for ZipfStream {
-    type Item = Result<Record, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let rank = self.zipf.sample(&mut self.rng) as u64;
-        Some(Ok(Record::read(rank * 4)))
-    }
+/// Opens `spec`'s stream as a trace source's records.
+fn open(spec: TrafficSpec) -> Result<impl Iterator<Item = Result<Record, TraceError>>, TraceError> {
+    Ok(spec.records().map(Ok))
 }
 
 /// `VmHWM` (peak resident set) in KiB from `/proc/self/status`; 0 when the
@@ -107,7 +79,7 @@ fn chaos(requests: u64) {
 
     let space = ConfigSpace::new(SPACE.0, SPACE.1, SPACE.2).expect("valid space");
     eprintln!("chaos smoke: {requests} zipf requests under injected faults ...");
-    let clean_source = move || Ok(ZipfStream::new(42, requests));
+    let clean_source = move || open(zipf(requests));
     let baseline = SweepRequest::new(&space)
         .run_streamed(&clean_source)
         .expect("fault-free baseline");
@@ -155,9 +127,7 @@ fn chaos(requests: u64) {
 
     // (b) Kill + resume: checkpoint a run, pick a mid-run image,
     // round-trip it through the on-disk sidecar, resume, compare.
-    let records: Vec<Record> = ZipfStream::new(42, requests)
-        .map(|r| r.expect("synthetic stream never fails"))
-        .collect();
+    let records: Vec<Record> = zipf(requests).records().collect();
     let store = MemoryCheckpointStore::new();
     let res = Resilience::new().with_checkpoint((requests / 4).max(1), &store);
     let ckpted = SweepRequest::new(&space)
@@ -203,9 +173,7 @@ fn main() {
     let space = ConfigSpace::new(SPACE.0, SPACE.1, SPACE.2).expect("valid space");
 
     eprintln!("generating zipf trace ({requests} requests) ...");
-    let records: Vec<Record> = ZipfStream::new(42, requests)
-        .map(|r| r.expect("synthetic stream never fails"))
-        .collect();
+    let records: Vec<Record> = zipf(requests).records().collect();
 
     let mut variants: Vec<(&'static str, f64, f64)> = Vec::new();
     let mut record_variant = |name: &'static str, steps: f64, secs: f64| {
@@ -231,7 +199,7 @@ fn main() {
     // Bounded-memory streaming: sweep a stream that never lives in memory.
     drop(records);
     eprintln!("streaming zipf trace ({stream_requests} requests) ...");
-    let source = move || Ok(ZipfStream::new(42, stream_requests));
+    let source = move || open(zipf(stream_requests));
     let start = Instant::now();
     let streamed = SweepRequest::new(&space)
         .run_streamed(&source)

@@ -25,14 +25,20 @@
 //! * **fan-out** — [`Arena::results`], [`Arena::pass_results`] and
 //!   [`Arena::pass_counters`], with every kernel counting in
 //!   [`DewCounters`] (aggregate, plus one per-lane view);
+//! * **the lane lookup** — [`Site`] finds a block in a node's lanes for
+//!   every update rule: when the node's region fits one 64-tag mask it
+//!   masks the region once and reads each lane's window off the mask,
+//!   otherwise it scans lane by lane, and the region's length, a constant
+//!   under every const lane shape, decides which;
 //! * **snapshots** — the header codec (magic, version, geometry, counters,
 //!   forest lanes, trailing bytes) under one table of the kernel magics
 //!   ([`MAGICS`]), with the body length checked before anything is
 //!   allocated ([`check_body_len`]).
 //!
 //! A policy supplies only its per-node lanes, its node-update rule (generic
-//! over the scan backend, the tag width, the lane shape and `INSTRUMENT`),
-//! whether an MRA hit may stop the walk, and the encoding of its own lanes.
+//! over the scan backend, the tag width, the lane shape and `INSTRUMENT`,
+//! and given the block's ways by the lookup), whether an MRA hit may stop
+//! the walk, and the encoding of its own lanes.
 
 use std::fmt;
 
@@ -42,7 +48,10 @@ use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
 use crate::options::{DewOptions, TreePolicy};
 use crate::results::{AllAssocResults, LevelResult, PassResults};
-use crate::simd::{with_lane_shape, KernelBackend, ScalarScan, TagScan};
+use crate::simd::{
+    first_match, lane_scan, window_match, window_scan, with_lane_shape, KernelBackend, LaneScan,
+    ScalarScan, TagScan,
+};
 use crate::snapshot::{check_body_len, put_u32, put_u64, SnapshotError};
 use crate::space::{DewError, PassConfig};
 
@@ -368,9 +377,9 @@ impl Forest {
     }
 }
 
-/// The runtime lane layout, as an update rule reads it.
+/// The runtime lane layout.
 #[derive(Debug, Clone, Copy)]
-pub struct Shape<'a> {
+struct Shape<'a> {
     widths: &'a [usize],
     lane_off: &'a [usize],
 }
@@ -379,7 +388,7 @@ impl Shape<'_> {
     /// Number of lanes: `NLANES` under a const shape, else the runtime
     /// count.
     #[inline(always)]
-    pub(crate) fn nlanes<const FIRST: usize, const NLANES: usize>(self) -> usize {
+    fn nlanes<const FIRST: usize, const NLANES: usize>(self) -> usize {
         debug_assert!(NLANES == 0 || NLANES == self.widths.len());
         if FIRST == 0 {
             self.widths.len()
@@ -392,7 +401,7 @@ impl Shape<'_> {
     /// consecutive powers of two from `FIRST`) lane `k` is `FIRST << k`
     /// ways at offset `FIRST·(2^k − 1)`, both compile-time constants.
     #[inline(always)]
-    pub(crate) fn lane<const FIRST: usize>(self, k: usize) -> (usize, usize) {
+    fn lane<const FIRST: usize>(self, k: usize) -> (usize, usize) {
         if FIRST == 0 {
             (self.widths[k], self.lane_off[k])
         } else {
@@ -404,17 +413,106 @@ impl Shape<'_> {
 /// One node evaluation as an update rule sees it: the node, its way-tag
 /// region (at tag width `T`) and its level's miss tallies, as slices the
 /// walk hoisted out of the forest (so stores through them never force the
-/// forest's fields to be reloaded).
+/// forest's fields to be reloaded); the requested block; and the lane
+/// layout, constant under a const shape (`FIRST`, `NLANES`).
+///
+/// The site also finds the block: [`Site::lookup`] and [`Site::way`] /
+/// [`Site::find`] are the one lane lookup every update rule uses, so no
+/// rule scans tags itself.
 #[derive(Debug)]
-pub struct Site<'a, T> {
+pub struct Site<'a, S, T, const FIRST: usize, const NLANES: usize> {
     /// Forest-global node index.
     pub(crate) node: usize,
     /// The node's way-tag region (the allocated length).
     pub(crate) region: &'a mut [T],
     /// The level's misses, one per lane.
     pub(crate) misses: &'a mut [u64],
+    /// The requested block, at the arena's tag width.
+    pub(crate) block: T,
+    /// The scan backend.
+    scan: S,
     /// The lane layout.
-    pub(crate) shape: Shape<'a>,
+    shape: Shape<'a>,
+}
+
+/// A needle's lookup in one node's region ([`Site::lookup`]): when the
+/// region fits one 64-tag mask, its needle mask and, with `SENTINEL`, its
+/// sentinel mask, each built once for every lane; otherwise only the
+/// needle, and each lane is scanned on its own.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lookup<T, const SENTINEL: bool> {
+    needle: T,
+    hits: u64,
+    invalid: u64,
+}
+
+impl<S: TagScan, T: Tag, const FIRST: usize, const NLANES: usize> Site<'_, S, T, FIRST, NLANES> {
+    /// Number of lanes, a constant under a const shape.
+    #[inline(always)]
+    pub(crate) fn nlanes(&self) -> usize {
+        self.shape.nlanes::<FIRST, NLANES>()
+    }
+
+    /// Lane `k`'s `(width, offset)` in the region, constants under a const
+    /// shape.
+    #[inline(always)]
+    pub(crate) fn lane(&self, k: usize) -> (usize, usize) {
+        self.shape.lane::<FIRST>(k)
+    }
+
+    /// Whether the region fits one mask. The region's length, and so this
+    /// choice, is a compile-time constant under every const shape (at most
+    /// 32 tags); a runtime shape decides per evaluation.
+    #[inline(always)]
+    fn one_mask(&self) -> bool {
+        self.region.len() <= 64
+    }
+
+    /// Looks `needle` up in every lane at once: masks the whole region
+    /// against it (and, with `SENTINEL`, against the sentinel) when the
+    /// region fits one mask.
+    #[inline(always)]
+    pub(crate) fn lookup<const SENTINEL: bool>(&self, needle: T) -> Lookup<T, SENTINEL> {
+        let (mut hits, mut invalid) = (0, 0);
+        if self.one_mask() {
+            hits = T::mask(self.scan, self.region, needle);
+            if SENTINEL {
+                invalid = T::mask(self.scan, self.region, T::SENTINEL);
+            }
+        }
+        Lookup {
+            needle,
+            hits,
+            invalid,
+        }
+    }
+
+    /// The needle's way in the lane of `w` ways at `off`, if it is there.
+    #[inline(always)]
+    pub(crate) fn way<const SENTINEL: bool>(
+        &self,
+        found: &Lookup<T, SENTINEL>,
+        off: usize,
+        w: usize,
+    ) -> Option<usize> {
+        if self.one_mask() {
+            window_match(found.hits, off, w)
+        } else {
+            first_match(self.scan, &self.region[off..off + w], found.needle)
+        }
+    }
+
+    /// The needle's way in the lane of `w` ways at `off`, or the lane's
+    /// valid-prefix length when it is not there.
+    #[inline(always)]
+    pub(crate) fn find(&self, found: &Lookup<T, true>, off: usize, w: usize) -> LaneScan {
+        if self.one_mask() {
+            window_scan(found.hits, found.invalid, off, w)
+        } else {
+            let lane = &self.region[off..off + w];
+            lane_scan(self.scan, lane, found.needle, T::SENTINEL)
+        }
+    }
 }
 
 /// The allocated region length `alloc`, a constant under a const shape.
@@ -492,19 +590,17 @@ pub trait Policy: Clone + fmt::Debug + Sized {
     fn begin<const INSTRUMENT: bool>(_: &mut Self::Walk<'_>) {}
     /// The MRA comparison at `node` matched: whether the walk stops here.
     fn mra_stop<const INSTRUMENT: bool>(w: &mut Self::Walk<'_>, node: usize) -> bool;
-    /// Updates the node at `at` for `block` (at the arena's tag width).
-    /// The MRA lane and the direct-mapped tally are already settled;
-    /// `mra_hit` says whether the node's MRA matched (and the walk did not
-    /// stop). Work goes to `work` (the request's aggregate) and `lanes` (per
-    /// lane), instrumented only.
-    #[allow(clippy::too_many_arguments)]
+    /// Updates the node at `at` for its block (at the arena's tag width),
+    /// finding the block through the site's lane lookup. The MRA lane and
+    /// the direct-mapped tally are already settled; `mra_hit` says whether
+    /// the node's MRA matched (and the walk did not stop). Work goes to
+    /// `work` (the request's aggregate) and `lanes` (per lane),
+    /// instrumented only.
     fn update<S: TagScan, T: Tag, const FIRST: usize, const NLANES: usize, const INSTRUMENT: bool>(
         w: &mut Self::Walk<'_>,
-        at: Site<'_, T>,
+        at: Site<'_, S, T, FIRST, NLANES>,
         lanes: &mut [DewCounters],
         work: &mut DewCounters,
-        scan: S,
-        block: T,
         mra_hit: bool,
     );
 
@@ -700,13 +796,11 @@ fn decode_region(region: &mut [u64], cur: &mut Cursor<'_>) -> Result<(), Snapsho
 /// inspected `i + 1` valid tags, a miss the whole valid prefix -- so they
 /// stay bit-identical to the sequential scalar scan's.
 #[inline(always)]
-pub(crate) fn search_work(
-    lane: &mut DewCounters,
-    work: &mut DewCounters,
-    hit: Option<usize>,
-    valid_len: usize,
-) {
-    let spent = hit.map_or(valid_len, |i| i + 1) as u64;
+pub(crate) fn search_work(lane: &mut DewCounters, work: &mut DewCounters, found: LaneScan) {
+    let spent = match found {
+        LaneScan::Hit(i) => i + 1,
+        LaneScan::Miss { valid_len } => valid_len,
+    } as u64;
     lane.searches += 1;
     lane.search_comparisons += spent;
     lane.tag_comparisons += spent;
@@ -1131,11 +1225,11 @@ impl<P: Policy> Arena<P> {
                     node,
                     region: &mut tags[node * alloc..][..alloc],
                     misses,
+                    block: tag,
+                    scan,
                     shape,
                 };
-                P::update::<S, T, FIRST, NLANES, I>(
-                    &mut w, at, lane_work, &mut work, scan, tag, mra_hit,
-                );
+                P::update::<S, T, FIRST, NLANES, I>(&mut w, at, lane_work, &mut work, mra_hit);
             }
             if I {
                 *counters += work;
@@ -1545,5 +1639,78 @@ pub(crate) mod tests {
         for policy in TreePolicy::ALL {
             check_bad_assoc_ranges(policy);
         }
+    }
+
+    /// Runs `P`'s kernel, fast and instrumented, on each path of the lane
+    /// lookup: a const shape (associativities 2..16), a runtime shape whose
+    /// region fits one mask (8..32), and one whose region does not (2..64;
+    /// 2..128 under LRU, whose region is only its widest lane). Each kernel
+    /// must report the results and counters of single-width passes, and
+    /// match a twin pinned to the scalar scan in results, counters and
+    /// snapshot bytes.
+    fn check_lookup_paths<P: Policy>() {
+        let trace = blocks(3000, 0x100C_0DE5);
+        let options = DewOptions::for_policy(P::POLICY);
+        let widest = if P::STACK { 7 } else { 6 };
+        for assoc_bits in [(1, 4), (3, 5), (1, widest)] {
+            for instrument in [false, true] {
+                let run = |bits, backend| {
+                    let mut k =
+                        Arena::<P>::new(2, (0, 4), bits, options, instrument).expect("valid");
+                    k.force_scan_backend(backend).expect("available");
+                    k.run_blocks(&trace);
+                    k
+                };
+                let fused = run(assoc_bits, KernelBackend::active());
+                let twin = run(assoc_bits, KernelBackend::Scalar);
+                let at = format!("{:?} {assoc_bits:?} instrument={instrument}", P::POLICY);
+                assert_eq!(fused.results(), twin.results(), "{at}");
+                assert_eq!(fused.counters(), twin.counters(), "{at}");
+                assert_eq!(fused.to_snapshot(), twin.to_snapshot(), "{at}");
+                let alone = |assoc: u32| {
+                    let bits = assoc.trailing_zeros();
+                    run((bits, bits), KernelBackend::active())
+                };
+                // Under LRU one lane answers every associativity, so every
+                // counter view is the widest pass's.
+                let widest = 1 << assoc_bits.1;
+                let stack = alone(widest).pass_counters(widest);
+                for &assoc in fused.assoc_list() {
+                    let single = alone(assoc);
+                    let counters = if P::STACK {
+                        stack
+                    } else {
+                        single.pass_counters(assoc)
+                    };
+                    let at = format!("{at} assoc={assoc}");
+                    assert_eq!(
+                        fused.pass_results(assoc),
+                        single.pass_results(assoc),
+                        "{at}"
+                    );
+                    assert_eq!(fused.pass_counters(assoc), counters, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fifo_lookup_paths_agree() {
+        check_lookup_paths::<Fifo>();
+    }
+
+    #[test]
+    fn lru_lookup_paths_agree() {
+        check_lookup_paths::<Lru>();
+    }
+
+    #[test]
+    fn plru_lookup_paths_agree() {
+        check_lookup_paths::<Plru>();
+    }
+
+    #[test]
+    fn slru_lookup_paths_agree() {
+        check_lookup_paths::<Slru>();
     }
 }

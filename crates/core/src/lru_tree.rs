@@ -37,16 +37,17 @@
 //!
 //! # The update rule
 //!
-//! Per node, a branchless scan of the whole recency region yields the hit
-//! depth as a position bitmask (the width a compile-time constant for the
-//! const lane shapes), the per-associativity miss tallies fall out of the
-//! depth without branches, and the move-to-front update is one prefix
-//! rotation. The instrumented mode reads its work from the same scan: a
-//! hit at depth `d` costs `d` comparisons after the MRA comparison (the
-//! classic MRU-first stop-at-match search), a miss costs `valid − 1`, with
-//! `valid` read from the sentinel mask; it also keeps a per-depth hit
-//! histogram (`depth_hits` on [`LruTreeSimulator`]). Miss counts are
-//! bit-identical in both modes — a property-tested invariant.
+//! Per node, the arena's lane lookup over the whole recency region yields
+//! the hit depth (one branchless position mask when the region fits 64
+//! tags, the width a compile-time constant for the const lane shapes; a
+//! 64-tag windowed scan beyond), the per-associativity miss tallies fall
+//! out of the depth without branches, and the move-to-front update is one
+//! prefix rotation. The instrumented mode reads its work from the same
+//! lookup: a hit at depth `d` costs `d` comparisons after the MRA
+//! comparison (the classic MRU-first stop-at-match search), a miss costs
+//! `valid − 1`, with `valid` the lookup of the sentinel; it also keeps a
+//! per-depth hit histogram (`depth_hits` on [`LruTreeSimulator`]). Miss
+//! counts are bit-identical in both modes — a property-tested invariant.
 //!
 //! [`crate::SweepRequest`] drives this type for LRU spaces: all passes of one
 //! block size fuse into a single streamed traversal, fanned back out through
@@ -76,7 +77,7 @@
 use crate::arena::{Arena, Forest, Lanes, Policy, Site, Tag};
 use crate::counters::DewCounters;
 use crate::options::{DewOptions, TreePolicy};
-use crate::simd::{first_match, TagScan};
+use crate::simd::TagScan;
 use crate::snapshot::{put_u32, put_u64, ArenaDims, Cursor, SnapshotError};
 
 /// Exact single-pass LRU simulator for all set counts in a range and all
@@ -182,62 +183,41 @@ impl Policy for Lru {
         const INSTRUMENT: bool,
     >(
         depth_hits: &mut &mut [u64],
-        at: Site<'_, T>,
+        at: Site<'_, S, T, FIRST, NLANES>,
         _: &mut [DewCounters],
         work: &mut DewCounters,
-        scan: S,
-        block: T,
         _: bool,
     ) {
-        let Site {
-            region,
-            misses,
-            shape,
-            ..
-        } = at;
-        let width = region.len();
-        // A resident block occupies exactly one way, so the bitmask has at
-        // most one bit; depth `width` encodes a miss.
-        let depth = if FIRST == 0 {
-            first_match(scan, region, block).unwrap_or(width)
-        } else {
-            let hit_mask = scan.match_mask(region, block);
-            if hit_mask == 0 {
-                width
-            } else {
-                hit_mask.trailing_zeros() as usize
-            }
-        };
+        let (block, width) = (at.block, at.region.len());
+        // The region is one recency lane: a resident block occupies exactly
+        // one way of it, and depth `width` encodes a miss.
+        let depth = at
+            .way(&at.lookup::<false>(block), 0, width)
+            .unwrap_or(width);
         if INSTRUMENT {
             // The MRU-first search below depth 0 stops at the match, or
-            // inspects the whole valid prefix after depth 0 on a miss.
+            // inspects the whole valid prefix -- up to the first invalid
+            // way -- after depth 0 on a miss.
             work.tag_comparisons += if depth < width {
                 depth_hits[depth] += 1;
                 depth as u64
             } else {
-                let valid = if FIRST == 0 {
-                    first_match(scan, region, T::SENTINEL).unwrap_or(width)
-                } else {
-                    (scan.match_mask(region, T::SENTINEL) | 1 << width).trailing_zeros() as usize
-                };
+                let invalid = at.lookup::<false>(T::SENTINEL);
+                let valid = at.way(&invalid, 0, width).unwrap_or(width);
                 valid.saturating_sub(1) as u64
             };
         }
         // Stack property: a hit at depth d misses every associativity <= d;
         // a miss (depth == width) misses them all.
-        for (k, m) in misses
-            .iter_mut()
-            .enumerate()
-            .take(shape.nlanes::<FIRST, NLANES>())
-        {
-            *m += u64::from(depth >= shape.lane::<FIRST>(k).0);
+        for k in 0..at.nlanes() {
+            at.misses[k] += u64::from(depth >= at.lane(k).0);
         }
         // Move to front. On a hit the rotation carries the matching way to
         // the front (the store is then a no-op); on a miss the whole-region
         // rotation wraps the tail entry -- a sentinel while cold, the true
         // LRU victim when full -- to the front, where the store replaces it.
-        region[..=depth.min(width - 1)].rotate_right(1);
-        region[0] = block;
+        at.region[..=depth.min(width - 1)].rotate_right(1);
+        at.region[0] = block;
     }
 
     fn flags(opts: &DewOptions, instrument: bool) -> u8 {
@@ -535,16 +515,16 @@ mod tests {
 
     #[test]
     fn wide_runtime_lanes_use_the_fallback_scan() {
-        // Width 32 exceeds the const-dispatch table, exercising the
-        // runtime-width kernel.
+        // Width 128 exceeds one 64-tag mask, so the lane lookup scans the
+        // recency lane in 64-tag windows.
         let a = addrs(2000, 0x5EED_3C3C);
-        let mut sim = LruTreeSimulator::new(2, (0, 3), (0, 5), elide(true), false).expect("valid");
+        let mut sim = LruTreeSimulator::new(2, (0, 3), (0, 7), elide(true), false).expect("valid");
         for &x in &a {
             sim.step(x);
         }
         let r = sim.results();
         for set_bits in 0..=3u32 {
-            for assoc in [1u32, 4, 32] {
+            for assoc in [1u32, 4, 128] {
                 let sets = 1 << set_bits;
                 assert_eq!(
                     r.misses(sets, assoc),

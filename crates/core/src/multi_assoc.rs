@@ -39,7 +39,7 @@
 //! 4. otherwise searches the tag list.
 //!
 //! (Steps 2–4 are the instrumented mode's ladder; the fast mode decides
-//! residency with one branchless scan instead, see "The update rule".)
+//! residency with one lane lookup instead, see "The update rule".)
 //! Misses insert at the FIFO round-robin position (Algorithm 2); a miss on
 //! the block held in the MRE entry exchanges it back in, preserving its
 //! wave pointer across the evict/re-insert cycle.
@@ -70,9 +70,11 @@
 //!
 //! * the **fast** mode ([`MultiAssocTree::new`] with `instrument` off)
 //!   keeps no per-node counters and no wave/MRE state at all; each list's
-//!   residency is decided by a branchless scan of its slice of the
-//!   contiguous tag lane (invalid ways hold a sentinel), and FIFO hits
-//!   mutate nothing;
+//!   residency comes from the arena's lane lookup (`crate::arena::Site`),
+//!   one branchless mask of the node's whole region read per list when the
+//!   region fits 64 tags, a scan of the list's own slice otherwise
+//!   (invalid ways hold a sentinel either way), and FIFO hits mutate
+//!   nothing;
 //! * the **instrumented** mode (`instrument` on) maintains the paper's full
 //!   determination ladder per list — wave pointer, then MRE, then a
 //!   stop-at-match search — with every [`DewCounters`] bucket live, both in
@@ -103,7 +105,7 @@ use crate::arena::{Arena, Forest, Lanes, Policy, Site, Tag, RETIRED};
 use crate::counters::DewCounters;
 use crate::node::{fifo_advance, EMPTY_WAVE, INVALID_TAG};
 use crate::options::{DewOptions, TreePolicy};
-use crate::simd::{first_match, TagScan};
+use crate::simd::TagScan;
 use crate::snapshot::{put_u32, put_u64, ArenaDims, Cursor, SnapshotError};
 
 /// Sentinel for "no matching entry" (root level, previous-list miss, …).
@@ -230,52 +232,30 @@ impl Policy for Fifo {
         const INSTRUMENT: bool,
     >(
         v: &mut FifoWalk<'_>,
-        at: Site<'_, T>,
+        at: Site<'_, S, T, FIRST, NLANES>,
         lanes: &mut [DewCounters],
         work: &mut DewCounters,
-        scan: S,
-        block: T,
         mra_hit: bool,
     ) {
         if INSTRUMENT {
-            v.ladder::<S, T, FIRST, NLANES>(at, lanes, work, scan, block, mra_hit);
+            v.ladder(at, lanes, work, mra_hit);
             return;
         }
         if mra_hit {
             // Hit in every list; FIFO hits change nothing.
             return;
         }
-        let Site {
-            node,
-            region,
-            misses,
-            shape,
-        } = at;
-        let nl = shape.nlanes::<FIRST, NLANES>();
-        // Const shape: one wide compare/movemask of the node's whole
-        // contiguous region -- every list at once -- into a position
-        // bitmask; invalid ways (padding included) hold the sentinel and a
-        // resident block occupies exactly one way per list, so a list hits
-        // iff its window of the mask is nonzero. The runtime shape (widths
-        // that may exceed one mask window) scans list by list.
-        let hit_mask = if FIRST == 0 {
-            0
-        } else {
-            scan.match_mask(region, block)
-        };
-        #[allow(clippy::needless_range_loop)] // k indexes parallel lanes
+        let (node, block, nl) = (at.node, at.block, at.nlanes());
+        // One lookup answers every list: invalid ways (padding included)
+        // hold the sentinel and a resident block occupies exactly one way
+        // per list, so a list hits iff the block has a way in it.
+        let found = at.lookup::<false>(block);
         for k in 0..nl {
-            let (w, o) = shape.lane::<FIRST>(k);
-            let lane = &mut region[o..o + w];
-            let hit = if FIRST == 0 {
-                first_match(scan, lane, block).is_some()
-            } else {
-                hit_mask & (((1u64 << w) - 1) << o) != 0
-            };
-            if !hit {
-                misses[k] += 1;
+            let (w, o) = at.lane(k);
+            if at.way(&found, o, w).is_none() {
+                at.misses[k] += 1;
                 let fp = &mut v.fifo[node * nl + k];
-                lane[*fp as usize] = block;
+                at.region[o + *fp as usize] = block;
                 *fp = fifo_advance(*fp, w);
             }
         }
@@ -500,60 +480,42 @@ impl FifoWalk<'_> {
     /// aggregate *and* per-list counters maintained. Miss counts are
     /// bit-identical to the fast mode's.
     ///
-    /// The ladder rides the same wide compare as the fast mode: under a
-    /// const shape one position-exact scan of the node's whole region
-    /// answers residency for every list up front — a block occupies at most
-    /// one way per list, so "the wave's way holds the block" is "the scan's
-    /// bit for that way is set" — and the ladder stages then only decide
-    /// which stage gets the credit and what the sequential ladder would
-    /// have spent. Every counter stays bit-identical to the stage-by-stage
-    /// compare sequence it replaces. (A fully branchless ladder of masked
-    /// adds was measured *slower*: it must load every ladder lane, while
-    /// the staged ladder loads only what the settled stage needs — the
-    /// wave pointer settles ~90% of list handles on real traces.)
+    /// The ladder rides the same lane lookup as the fast mode: it answers
+    /// residency for every list up front — a block occupies at most one
+    /// way per list, so "the wave's way holds the block" is "the lookup
+    /// found the block at that way" — and the ladder stages then only
+    /// decide which stage gets the credit and what the sequential ladder
+    /// would have spent. Every counter stays bit-identical to the
+    /// stage-by-stage compare sequence it replaces. (A fully branchless
+    /// ladder of masked adds was measured *slower*: it must load every
+    /// ladder lane, while the staged ladder loads only what the settled
+    /// stage needs — the wave pointer settles ~90% of list handles on real
+    /// traces.)
     ///
     /// MRE tags stay 64-bit at either tag width (they are per list, not per
     /// way), so the ladder compares them against the widened block.
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn ladder<S: TagScan, T: Tag, const FIRST: usize, const NLANES: usize>(
         &mut self,
-        at: Site<'_, T>,
+        at: Site<'_, S, T, FIRST, NLANES>,
         lanes: &mut [DewCounters],
         work: &mut DewCounters,
-        scan: S,
-        block: T,
         mra_hit: bool,
     ) {
         let (use_wave, use_mre) = (self.opts.wave, self.opts.mre);
+        let (node, block, nl) = (at.node, at.block, at.nlanes());
         let wide = block.widen();
-        let Site {
-            node,
-            region,
-            misses,
-            shape,
-        } = at;
-        let nl = shape.nlanes::<FIRST, NLANES>();
-        let base = node * region.len();
-        let node_mask = if FIRST == 0 {
-            0
-        } else {
-            scan.match_mask(region, block)
-        };
+        let base = node * at.region.len();
+        let found = at.lookup::<false>(block);
         #[allow(clippy::needless_range_loop)] // k indexes parallel lanes
         for k in 0..nl {
-            let (w, o) = shape.lane::<FIRST>(k);
+            let (w, o) = at.lane(k);
             let start = base + o;
             let ml = node * nl + k;
             let lc = &mut lanes[k];
-            // Residency, settled once by the wide compare (lanes past the
-            // valid prefix hold the sentinel and never match).
-            let resident = if FIRST == 0 {
-                first_match(scan, &region[o..o + w], block)
-            } else {
-                let window = (node_mask >> o) & ((1u64 << w) - 1);
-                (window != 0).then(|| window.trailing_zeros() as usize)
-            };
+            // Residency, settled once by the lookup (lanes past the valid
+            // prefix hold the sentinel and never match).
+            let resident = at.way(&found, o, w);
             // Determination ladder -- counter accounting only from here.
             // Every stage's *outcome* is implied by residency (Properties
             // 3/4: a consulted pointer that misses, or a matching MRE,
@@ -606,16 +568,16 @@ impl FifoWalk<'_> {
                 Some(n) => n, // Algorithm 1: FIFO hits change nothing.
                 None => {
                     // Algorithm 2: Handle_miss.
-                    misses[k] += 1;
+                    at.misses[k] += 1;
                     let n = self.fifo[ml] as usize;
                     if use_mre && self.mre[ml] == wide {
                         // Exchange the victim way with the MRE entry,
                         // restoring the block's preserved wave pointer.
                         debug_assert_eq!(self.valid[ml] as usize, w, "MRE implies a full list");
-                        self.mre[ml] = std::mem::replace(&mut region[o + n], block).widen();
+                        self.mre[ml] = std::mem::replace(&mut at.region[o + n], block).widen();
                         std::mem::swap(&mut self.waves[start + n], &mut self.mre_wave[ml]);
                     } else {
-                        let evicted = std::mem::replace(&mut region[o + n], block);
+                        let evicted = std::mem::replace(&mut at.region[o + n], block);
                         let evicted_wave =
                             std::mem::replace(&mut self.waves[start + n], EMPTY_WAVE);
                         if evicted == T::SENTINEL {
@@ -926,18 +888,18 @@ mod tests {
 
     #[test]
     fn wide_runtime_shapes_use_the_fallback_scan() {
-        // Widths 2..=32 (stride 62) exceed the position bitmask of the
-        // const-shape kernel, exercising the runtime fallback.
+        // Widths 2..=64 (stride 126, padded to 128) exceed one 64-tag mask,
+        // so the lane lookup scans list by list.
         let a = addrs(2500, 0x3C3C);
         let mut tree =
-            MultiAssocTree::new(2, (0, 3), (0, 5), DewOptions::default(), false).expect("valid");
+            MultiAssocTree::new(2, (0, 3), (0, 6), DewOptions::default(), false).expect("valid");
         for &x in &a {
             tree.step(x);
         }
         let r = tree.results();
         let records: Vec<Record> = a.iter().map(|&x| Record::read(x)).collect();
         for set_bits in 0..=3u32 {
-            for assoc in [2u32, 16, 32] {
+            for assoc in [2u32, 16, 64] {
                 let sets = 1 << set_bits;
                 let config = CacheConfig::new(sets, assoc, 4, Replacement::Fifo).expect("valid");
                 let expected = simulate_trace(config, &records).misses();

@@ -28,14 +28,13 @@
 //! `(path, set)` mask pair, and touching is `bits & !path | set`.
 //!
 //! A node evaluation finds, per lane, the block's way or the first invalid
-//! way. For the lane shapes every fused kernel instantiates (2 ways and up
-//! with 1–4 lanes, or one lane of 4, 8 or 16 ways) the lane widths,
-//! offsets and the stride are compile-time constants, and the node's whole
-//! region is scanned twice, against the block and against the sentinel;
-//! each lane then reads its window of the two masks. This replaces the two
-//! scans per lane the kernel made before, and with the width constant the
-//! victim walk has a constant depth. Other shapes, including every region
-//! over 64 tags (32- and 64-way lanes), keep the per-lane scan.
+//! way, through the arena's lane lookup (`crate::arena::Site`): when the
+//! node's region fits 64 tags it is scanned twice, against the block and
+//! against the sentinel, and each lane reads its window of the two masks;
+//! a longer region (a 64-way lane beside narrower ones) is scanned lane by
+//! lane. For every range of two or more ways up to 16 (the const lane
+//! shapes) the lane widths, offsets and the stride are compile-time
+//! constants, so the victim walk has a constant depth too.
 //!
 //! Within one lane the update rule is exactly the reference semantics of
 //! `dew_cachesim`'s set (`crates/cachesim/src/set.rs`): victims follow the
@@ -66,7 +65,7 @@ use crate::arena::{
 };
 use crate::counters::DewCounters;
 use crate::options::{DewOptions, TreePolicy};
-use crate::simd::{lane_scan, window_scan, LaneScan, TagScan};
+use crate::simd::{LaneScan, TagScan};
 use crate::snapshot::{put_u64, ArenaDims, Cursor, SnapshotError};
 
 /// Widest PLRU lane supported: the direction bits of one lane live in a
@@ -176,13 +175,9 @@ impl Policy for Plru {
         true
     }
 
-    /// Each lane finds its hit way or first invalid way, touching the hit
-    /// way or inserting at the first invalid way / the direction-bit victim.
-    /// Under a const shape the node's whole region is scanned once against
-    /// the block and once against the sentinel, and each lane reads its
-    /// window of the two masks ([`window_scan`]); the runtime shape scans
-    /// lane by lane ([`lane_scan`]; the only path for a region over 64
-    /// tags).
+    /// Each lane finds its hit way or first invalid way through the
+    /// arena's lane lookup, touching the hit way or inserting at the first
+    /// invalid way / the direction-bit victim.
     #[inline(always)]
     fn update<
         S: TagScan,
@@ -192,55 +187,31 @@ impl Policy for Plru {
         const INSTRUMENT: bool,
     >(
         v: &mut PlruWalk<'_>,
-        at: Site<'_, T>,
+        at: Site<'_, S, T, FIRST, NLANES>,
         lanes: &mut [DewCounters],
         work: &mut DewCounters,
-        scan: S,
-        block: T,
         _: bool,
     ) {
-        let Site {
-            node,
-            region,
-            misses,
-            shape,
-        } = at;
-        let nk = shape.nlanes::<FIRST, NLANES>();
-        let (hits, invalid) = if FIRST == 0 {
-            (0, 0)
-        } else {
-            (
-                scan.match_mask(region, block),
-                scan.match_mask(region, T::SENTINEL),
-            )
-        };
+        let (node, block, nk) = (at.node, at.block, at.nlanes());
+        let masks = at.lookup::<true>(block);
         #[allow(clippy::needless_range_loop)] // k indexes parallel lanes
         for k in 0..nk {
-            let (w, off) = shape.lane::<FIRST>(k);
-            let lane = &mut region[off..off + w];
-            let scanned = if FIRST == 0 {
-                lane_scan(scan, lane, block, T::SENTINEL)
-            } else {
-                window_scan(hits, invalid, off, w)
-            };
-            let (hit, first_invalid) = match scanned {
-                LaneScan::Hit(i) => (Some(i), w),
-                LaneScan::Miss { valid_len } => (None, valid_len),
-            };
+            let (w, off) = at.lane(k);
+            let found = at.find(&masks, off, w);
             if INSTRUMENT {
-                search_work(&mut lanes[k], work, hit, first_invalid);
+                search_work(&mut lanes[k], work, found);
             }
             let bits = &mut v.bits[node * nk + k];
-            let way = match hit {
-                Some(i) => i,
-                None => {
-                    misses[k] += 1;
-                    let victim = if first_invalid < w {
-                        first_invalid
+            let way = match found {
+                LaneScan::Hit(i) => i,
+                LaneScan::Miss { valid_len } => {
+                    at.misses[k] += 1;
+                    let victim = if valid_len < w {
+                        valid_len
                     } else {
                         plru_victim(*bits, w)
                     };
-                    lane[victim] = block;
+                    at.region[off + victim] = block;
                     victim
                 }
             };

@@ -9,10 +9,10 @@
 //! first match or the first sentinel). Tags are 32-bit while every block of
 //! a kernel fits below the 32-bit sentinel and 64-bit after the kernel's
 //! one promotion (`crate::arena::Tag`), so every backend has a mask at each
-//! width ([`TagScan::mask32`], [`TagScan::mask64`]) and the update rules
-//! call the one that matches their lanes ([`TagScan::match_mask`]). Until
-//! this module, the scan relied on LLVM autovectorising the branchless
-//! `hit_mask |= (tag == block) << i` loop; here it is explicit:
+//! width ([`TagScan::mask32`], [`TagScan::mask64`]) and `Tag::mask` picks
+//! the one that matches the lanes. Until this module, the scan relied on
+//! LLVM autovectorising the branchless `hit_mask |= (tag == block) << i`
+//! loop; here it is explicit:
 //!
 //! * **scalar** — a branchless loop using the SWAR zero test
 //!   `((x - 1) & !x) >> 63` (`>> 31` for 32-bit tags) on `tag ^ needle`, so
@@ -34,8 +34,13 @@
 //! the needle), every policy's semantics survive the translation: FIFO's
 //! per-list windows test `mask & window`, LRU's depth is
 //! `mask.trailing_zeros()`, and PLRU/SLRU's "first match or first invalid"
-//! falls out of masking the region against the needle *and* the sentinel
-//! ([`lane_scan`]).
+//! falls out of masking the region against the needle *and* the sentinel.
+//! No update rule calls a mask itself: the arena's one lane lookup
+//! (`crate::arena::Site`) masks a node's whole region once when it fits
+//! one 64-tag mask and reads every lane's window off it ([`window_match`],
+//! [`window_scan`]), and otherwise scans lane by lane ([`first_match`],
+//! [`lane_scan`]). Which of the two runs follows the region's length, a
+//! compile-time constant under every const lane shape.
 //!
 //! # Dispatch
 //!
@@ -171,11 +176,6 @@ pub trait TagScan: Copy {
     fn mask64(self, region: &[u64], needle: u64) -> u64;
     /// [`TagScan::mask64`] over 32-bit tags.
     fn mask32(self, region: &[u32], needle: u32) -> u64;
-    /// Position-exact match mask at the arena's tag width `T`.
-    #[inline(always)]
-    fn match_mask<T: Tag>(self, region: &[T], needle: T) -> u64 {
-        T::mask(self, region, needle)
-    }
 }
 
 /// Branchless scalar equality bit: `1` iff `a == b`, computed with the SWAR
@@ -397,11 +397,13 @@ impl TagScan for Avx2Scan {
 /// Match mask over a region of any length, windowed in 64-lane pieces:
 /// the first window with a match decides (callers only need the first
 /// position). Returns the global position of the first matching lane.
+/// The arena's lane lookup (`crate::arena::Site`) calls it per lane when a
+/// node's region is too long for one mask.
 #[inline(always)]
 pub(crate) fn first_match<S: TagScan, T: Tag>(scan: S, region: &[T], needle: T) -> Option<usize> {
     let mut base = 0usize;
     for window in region.chunks(64) {
-        let m = scan.match_mask(window, needle);
+        let m = T::mask(scan, window, needle);
         if m != 0 {
             return Some(base + m.trailing_zeros() as usize);
         }
@@ -410,31 +412,31 @@ pub(crate) fn first_match<S: TagScan, T: Tag>(scan: S, region: &[T], needle: T) 
     None
 }
 
-/// Outcome of [`lane_scan`]: the first matching lane, or the valid-prefix
-/// length when the needle is absent.
+/// Outcome of a lane lookup: the needle's way, or the valid-prefix length
+/// when the needle is absent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LaneScan {
     /// The needle is resident at this index (always inside the valid
     /// prefix: sentinels never equal a real block number).
     Hit(usize),
     /// The needle is absent; `valid_len` is the index of the first sentinel
-    /// lane (== `region.len()` when the lane is full).
+    /// lane (== the lane's width when the lane is full).
     Miss {
         /// Length of the valid prefix.
         valid_len: usize,
     },
 }
 
-/// The PLRU/SLRU scan — first match or first sentinel, whichever comes
-/// first — as two masks: lanes equal to `needle` and lanes equal to
-/// `sentinel`. Bit-identical to the sequential "break at sentinel, stop at
-/// match" loop because the first set bit of the combined mask is exactly
-/// where that loop stops.
+/// The PLRU/SLRU scan of one lane — first match or first sentinel,
+/// whichever comes first — as two masks per 64-lane window: lanes equal to
+/// `needle` and lanes equal to `sentinel`. Bit-identical to the sequential
+/// "break at sentinel, stop at match" loop because the first set bit of the
+/// combined mask is exactly where that loop stops.
 ///
-/// The tree-PLRU and SLRU kernels call this per lane only under the runtime
-/// lane shape (shapes outside [`with_lane_shape`], and every node region
-/// over 64 tags). Under a const shape they scan the node's whole region
-/// once per needle and read each lane off the masks ([`window_scan`]).
+/// The arena's lane lookup scans lane by lane with this only when a node's
+/// region is too long for one mask (over 64 tags); otherwise it masks the
+/// whole region once per needle and reads each lane off the masks
+/// ([`window_scan`]).
 #[inline(always)]
 pub(crate) fn lane_scan<S: TagScan, T: Tag>(
     scan: S,
@@ -444,8 +446,8 @@ pub(crate) fn lane_scan<S: TagScan, T: Tag>(
 ) -> LaneScan {
     let mut base = 0usize;
     for window in region.chunks(64) {
-        let hits = scan.match_mask(window, needle);
-        let invalid = scan.match_mask(window, sentinel);
+        let hits = T::mask(scan, window, needle);
+        let invalid = T::mask(scan, window, sentinel);
         let combined = hits | invalid;
         if combined != 0 {
             let t = combined.trailing_zeros() as usize;
@@ -463,37 +465,60 @@ pub(crate) fn lane_scan<S: TagScan, T: Tag>(
     }
 }
 
+/// The lane of `w` ways as bits of a whole-region mask, for `w` in
+/// `1..=64`: its `w` low bits, and the stop bit just past them (none past
+/// a 64-way lane). Branch-free at run-time widths, where `1 << w` would
+/// overflow at 64.
+#[inline(always)]
+fn lane_bits(w: usize) -> (u64, u64) {
+    debug_assert!((1..=64).contains(&w));
+    let stop = 2u64 << (w - 1);
+    (stop.wrapping_sub(1), stop)
+}
+
+/// The needle's way in the lane of `w` ways at `off`, read off `hits`, a
+/// whole-region needle mask: a block occupies at most one way of a lane,
+/// so the lowest bit of the lane's window is its way. `w` may be 64.
+#[inline(always)]
+pub(crate) fn window_match(hits: u64, off: usize, w: usize) -> Option<usize> {
+    debug_assert!(off + w <= 64);
+    let hit = (hits >> off) & lane_bits(w).0;
+    (hit != 0).then(|| hit.trailing_zeros() as usize)
+}
+
 /// [`lane_scan`] read off two whole-region masks instead of scanning the
-/// lane again: `hits` and `invalid` are [`TagScan::match_mask`] of a node's
-/// whole region against the needle and the sentinel, and the lane is the
-/// `w` ways at `off`. Valid tags are a prefix of every lane and a block
-/// occupies at most one way, so the lowest needle bit of the window is the
-/// hit way and, failing that, the lowest sentinel bit is the valid-prefix
-/// length (`w` when the window has none). `w` must be below 64.
+/// lane again: `hits` and `invalid` are the masks of a node's whole region
+/// against the needle and the sentinel, and the lane is the `w` ways at
+/// `off`. Valid tags are a prefix of every lane and a block occupies at
+/// most one way, so the lowest needle bit of the window is the hit way
+/// and, failing that, the lowest sentinel bit is the valid-prefix length
+/// (`w` when the window has none). `w` may be 64.
 #[inline(always)]
 pub(crate) fn window_scan(hits: u64, invalid: u64, off: usize, w: usize) -> LaneScan {
-    debug_assert!(w < 64 && off + w <= 64);
-    let window = (1u64 << w) - 1;
+    debug_assert!(off + w <= 64);
+    let (window, stop) = lane_bits(w);
     let hit = (hits >> off) & window;
     if hit != 0 {
         return LaneScan::Hit(hit.trailing_zeros() as usize);
     }
     LaneScan::Miss {
-        valid_len: (((invalid >> off) & window) | (1 << w)).trailing_zeros() as usize,
+        valid_len: (((invalid >> off) & window) | stop).trailing_zeros() as usize,
     }
 }
 
-/// The const lane shapes of the fused FIFO, tree-PLRU and SLRU kernels, and
-/// the dispatch onto them. A kernel's lanes are consecutive power-of-two
-/// widths, so its whole shape is `(first width, lane count)`; for each
-/// shape listed here (the paper's sweep ranges from associativity 2 up to
-/// 16, plus the single-lane jobs) the body is instantiated with `$first`
-/// and `$n` bound to that pair as constants, so every width, offset and the
-/// stride are compile-time constants and a node's whole region (at most 30
-/// tags) fits one 64-lane match mask. Any other shape binds both to `0`,
-/// the runtime shape. The table pays: with every shape on the runtime path,
-/// perfbench's `sweep_fifo` ran 2.6× and `explore_policies` 1.8× slower
-/// (EXPERIMENTS.md, "Scan-path mechanisms that pay").
+/// The const lane shapes of the fused kernels, and the dispatch onto them.
+/// A kernel's lanes are consecutive power-of-two widths, so its whole shape
+/// is `(first width, lane count)`; for each shape listed here (every range
+/// of two or more ways up to 16, plus the single-lane jobs) the body is
+/// instantiated with `$first` and `$n` bound to that pair as constants, so
+/// every width, offset, the stride and the region length are compile-time
+/// constants (every region of these shapes, at most 32 tags, fits one
+/// 64-lane mask). Any other shape binds both to `0`, the runtime
+/// shape, which reads its widths and offsets from the forest: its lane
+/// lookup masks the whole region too when the region fits one mask, and
+/// scans lane by lane otherwise. The table pays: with every shape on the
+/// runtime path, perfbench's `sweep_fifo` ran 2.6× and `explore_policies`
+/// 1.8× slower (EXPERIMENTS.md, "Scan-path mechanisms that pay").
 ///
 /// ```text
 /// with_lane_shape!((first_width, num_lanes), |FIRST, NLANES| {
@@ -503,7 +528,7 @@ pub(crate) fn window_scan(hits: u64, invalid: u64, off: usize, w: usize) -> Lane
 macro_rules! with_lane_shape {
     ($shape:expr, |$first:ident, $n:ident| $body:expr) => {
         $crate::simd::with_lane_shape!(@arms $shape, $first, $n, $body;
-            (2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (8, 1), (16, 1))
+            (2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (16, 1))
     };
     (@arms $shape:expr, $first:ident, $n:ident, $body:expr;
         $(($f:literal, $c:literal)),+) => {
@@ -541,11 +566,11 @@ mod tests {
 
     fn mask_via<T: Tag>(backend: KernelBackend, region: &[T], needle: T) -> u64 {
         match backend {
-            KernelBackend::Scalar => ScalarScan.match_mask(region, needle),
+            KernelBackend::Scalar => T::mask(ScalarScan, region, needle),
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            KernelBackend::Sse2 => Sse2Scan.match_mask(region, needle),
+            KernelBackend::Sse2 => T::mask(Sse2Scan, region, needle),
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            KernelBackend::Avx2 => Avx2Scan.match_mask(region, needle),
+            KernelBackend::Avx2 => T::mask(Avx2Scan, region, needle),
             #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
             _ => unreachable!("backend unavailable in this build"),
         }
@@ -681,6 +706,37 @@ mod tests {
         assert_eq!(lane_scan(ScalarScan, &long, 1, S), LaneScan::Hit(97));
         assert_eq!(first_match(ScalarScan, &long, 1), Some(97));
         assert_eq!(first_match(ScalarScan, &long, 8), None);
+    }
+
+    #[test]
+    fn window_reads_equal_lane_scans_at_every_width_up_to_64() {
+        // Lanes of every width at every offset of a 64-tag region, each a
+        // valid prefix of distinct tags and a sentinel tail; the needle at
+        // every position, and absent. The 64-way lane has no stop bit.
+        const S: u64 = u64::MAX;
+        for w in 1..=64usize {
+            for off in [0, 64 - w, (64 - w) / 2] {
+                for valid in [0, w / 2, w.saturating_sub(1), w] {
+                    let mut region = vec![S; 64];
+                    for (i, t) in region[off..off + valid].iter_mut().enumerate() {
+                        *t = 100 + i as u64;
+                    }
+                    let invalid = u64::mask(ScalarScan, &region, S);
+                    let lane = &region[off..off + w];
+                    for needle in (100..100 + valid as u64).chain([7]) {
+                        let hits = u64::mask(ScalarScan, &region, needle);
+                        let expected = lane_scan(ScalarScan, lane, needle, S);
+                        let at = format!("w={w} off={off} valid={valid} needle={needle}");
+                        assert_eq!(window_scan(hits, invalid, off, w), expected, "{at}");
+                        assert_eq!(
+                            window_match(hits, off, w),
+                            first_match(ScalarScan, lane, needle),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,16 +43,15 @@
 //! (`shift_in`), like the LRU kernel's recency regions.
 //!
 //! A node evaluation that misses the MRA finds, per lane, the block's
-//! position or the end of the valid prefix. For the lane shapes every fused
-//! kernel instantiates (2 ways and up with 1–4 lanes, or one lane of 4, 8
-//! or 16 ways) the lane widths, offsets and the stride are compile-time
-//! constants, and the node's whole region is scanned twice, against the
-//! block and against the sentinel; each lane then reads its window of the
-//! two masks. This replaces the two scans per lane the kernel made before.
-//! Other shapes, including every region over 64 tags (32- and 64-way
-//! lanes), keep the per-lane scan. The shifts stay `shift_in`: a
-//! branch-free select over the whole constant-width lane was measured no
-//! faster.
+//! position or the end of the valid prefix, through the arena's lane
+//! lookup (`crate::arena::Site`): when the node's region fits 64 tags it is
+//! scanned twice, against the block and against the sentinel, and each
+//! lane reads its window of the two masks; a longer region is scanned lane
+//! by lane. For every range of two or more ways up to 16 (the const lane
+//! shapes) the lane widths, offsets and the stride are compile-time
+//! constants. The shifts stay
+//! `shift_in`: a branch-free select over the whole constant-width lane was
+//! measured no faster.
 //!
 //! # Examples
 //!
@@ -79,7 +78,7 @@ use crate::arena::{
 use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
 use crate::options::{DewOptions, TreePolicy};
-use crate::simd::{lane_scan, window_scan, LaneScan, TagScan};
+use crate::simd::{LaneScan, TagScan};
 use crate::snapshot::{put_u32, ArenaDims, Cursor, SnapshotError};
 
 /// Exact single-pass SLRU simulator for all set counts in a range and all
@@ -164,9 +163,8 @@ impl Policy for Slru {
 
     /// An MRA hit on an unsettled node updates by position, without a
     /// search, and settles the node; any other evaluation finds, per lane,
-    /// the block's position or the end of the valid prefix — under a const
-    /// shape from two whole-region masks ([`window_scan`]), else lane by
-    /// lane ([`lane_scan`]).
+    /// the block's position or the end of the valid prefix through the
+    /// arena's lane lookup.
     #[inline(always)]
     fn update<
         S: TagScan,
@@ -176,28 +174,20 @@ impl Policy for Slru {
         const INSTRUMENT: bool,
     >(
         v: &mut SlruWalk<'_>,
-        at: Site<'_, T>,
+        at: Site<'_, S, T, FIRST, NLANES>,
         lanes: &mut [DewCounters],
         work: &mut DewCounters,
-        scan: S,
-        block: T,
         mra_hit: bool,
     ) {
-        let Site {
-            node,
-            region,
-            misses,
-            shape,
-        } = at;
-        let nk = shape.nlanes::<FIRST, NLANES>();
+        let (node, block, nk) = (at.node, at.block, at.nlanes());
         v.settled[node] = mra_hit;
         if mra_hit {
             if INSTRUMENT {
                 work.mra_stops += 1;
             }
             for k in 0..nk {
-                let (w, off) = shape.lane::<FIRST>(k);
-                let lane = &mut region[off..off + w];
+                let (w, off) = at.lane(k);
+                let lane = &mut at.region[off..off + w];
                 let prot = &mut v.prot_len[node * nk + k];
                 let p = *prot as usize;
                 // The MRA block is the protected MRU (previous access was a
@@ -215,36 +205,21 @@ impl Policy for Slru {
             }
             return;
         }
-        let (hits, invalid) = if FIRST == 0 {
-            (0, 0)
-        } else {
-            (
-                scan.match_mask(region, block),
-                scan.match_mask(region, T::SENTINEL),
-            )
-        };
+        let masks = at.lookup::<true>(block);
         #[allow(clippy::needless_range_loop)] // k indexes parallel lanes
         for k in 0..nk {
-            let (w, off) = shape.lane::<FIRST>(k);
-            let lane = &mut region[off..off + w];
-            let prot = &mut v.prot_len[node * nk + k];
-            let p = *prot as usize;
+            let (w, off) = at.lane(k);
             // The block's position or, failing that, the end of the valid
             // prefix (inserts keep valid tags contiguous).
-            let scanned = if FIRST == 0 {
-                lane_scan(scan, lane, block, T::SENTINEL)
-            } else {
-                window_scan(hits, invalid, off, w)
-            };
-            let (hit, valid_len) = match scanned {
-                LaneScan::Hit(i) => (Some(i), w),
-                LaneScan::Miss { valid_len } => (None, valid_len),
-            };
+            let found = at.find(&masks, off, w);
             if INSTRUMENT {
-                search_work(&mut lanes[k], work, hit, valid_len);
+                search_work(&mut lanes[k], work, found);
             }
-            match hit {
-                Some(d) => {
+            let lane = &mut at.region[off..off + w];
+            let prot = &mut v.prot_len[node * nk + k];
+            let p = *prot as usize;
+            match found {
+                LaneScan::Hit(d) => {
                     // Protected hit (d < prot_len): refresh within the
                     // protected segment. Probationary hit: the same shift
                     // promotes the block to protected MRU and, when the
@@ -255,8 +230,8 @@ impl Policy for Slru {
                         *prot += 1;
                     }
                 }
-                None => {
-                    misses[k] += 1;
+                LaneScan::Miss { valid_len } => {
+                    at.misses[k] += 1;
                     // Insert at the probationary MRU slot. Not full: the
                     // invalid way at `valid_len` drops out. Full: the
                     // probationary LRU block at `w - 1` drops out — the

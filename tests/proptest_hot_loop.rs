@@ -134,7 +134,7 @@ proptest! {
     /// including at *adversarial* chunk sizes: 1 (every wide scan and
     /// prefetch window restarts per request), `assoc - 1` (chunks go out of
     /// phase with the widest lane), and the wide-scan window width ± 1
-    /// (63/65: chunk boundaries straddle the 64-lane `match_mask` windows
+    /// (63/65: chunk boundaries straddle the 64-lane mask windows
     /// both ways). Every registered policy, both instrumentation modes.
     #[test]
     fn every_policy_kernel_is_chunk_invariant_at_adversarial_sizes(
